@@ -335,9 +335,7 @@ def check_conservation(n_sensors: int, seed: int, shard_counts: Sequence[int]) -
                 # conserves on its own; cross-shard top-up rounds
                 # legitimately add weight on top and are gated
                 # separately by the shortfall-recovery probe.
-                federation=replace(
-                    BENCH_FEDERATION, redistribution_enabled=False
-                ),
+                federation=replace(BENCH_FEDERATION, redistribution_rounds=0),
             )
             got = fed.execute(query).result_weight
             if query.sample_size:
@@ -440,7 +438,6 @@ def make_skewed_federation(
         network_options={"latency_jitter": 0.0},
         federation=FederationConfig(
             shard_retry_budget=0,
-            redistribution_enabled=redistribution_rounds > 0,
             redistribution_rounds=max(redistribution_rounds, 0),
         ),
     )

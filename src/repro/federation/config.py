@@ -41,21 +41,19 @@ class FederationConfig:
         scattering to it for this long (simulated seconds); queries
         touching its region come back partial without paying the retry
         backoff again.  0 disables shard cooldown.
-    redistribution_enabled:
+    redistribution_rounds:
         Coordinator-level REDISTRIBUTE (Algorithm 2 one level up): when
         a sampled scatter's first gather comes up short of the federated
         target, the aggregate shortfall is re-split over shards with
-        remaining pool and collected in a bounded second round.  Only
-        applies when more than one shard was routed — a single routed
-        shard already ran Algorithm 2 over its whole pool, so there is
-        nothing to borrow and the 1-shard pass-through stays
-        bit-identical to the unsharded portal.
-    redistribution_rounds:
-        Upper bound on top-up scatter rounds per query.  Each round's
-        collection cost is charged to the gather makespan; rounds stop
-        early once the shortfall closes, no candidate shard has residual
-        pool, or a round gains nothing.  0 disables redistribution even
-        when ``redistribution_enabled`` is true.
+        remaining pool and collected in up to this many bounded top-up
+        scatter rounds per query.  Each round's collection cost is
+        charged to the gather makespan; rounds stop early once the
+        shortfall closes, no candidate shard has residual pool, or a
+        round gains nothing.  Only applies when more than one shard was
+        routed — a single routed shard already ran Algorithm 2 over its
+        whole pool, so there is nothing to borrow and the 1-shard
+        pass-through stays bit-identical to the unsharded portal.
+        0 switches the whole stage off.
     execution:
         Which backend runs the shards.  ``"inprocess"`` (the default)
         keeps every shard a ``SensorMapPortal`` inside the
@@ -74,7 +72,6 @@ class FederationConfig:
     retry_backoff_multiplier: float = 2.0
     shard_timeout_seconds: float | None = None
     cooldown_seconds: float = 0.0
-    redistribution_enabled: bool = True
     redistribution_rounds: int = 1
     execution: str = "inprocess"
 

@@ -263,7 +263,7 @@ class _ShardState:
     consecutive_failures: int = 0
     down_until: float = 0.0
     # Modeled seconds the shard's last crash recovery took; consumed by
-    # the next ``_call_shard`` as a one-time delay so the revival cost
+    # the next ``_scatter_calls`` as a one-time delay so the revival cost
     # lands on the gather clock instead of vanishing.
     pending_recovery_seconds: float = 0.0
 
@@ -282,6 +282,25 @@ class _TopupOutcome:
     pool_exhausted: tuple[int, ...] = ()
 
 
+@dataclass
+class _Scatter:
+    """One scatter round sorted by outcome: the shards that answered
+    (``shard_results`` — ``PortalResult`` replies, or a tick's
+    ``BatchResult`` sub-batches), the ones that never did (``failed``)
+    or blew the gather deadline (``timed_out``), and the
+    retry/recovery/timeout seconds each is charged in the gather
+    makespan (``penalties``).  :meth:`FederatedPortal._finish` attaches
+    the query's ``topup``."""
+
+    routes: Sequence[ShardRoute] = ()
+    penalties: dict[int, float] = field(default_factory=dict)
+    shard_results: dict = field(default_factory=dict)
+    failed: list[int] = field(default_factory=list)
+    timed_out: list[int] = field(default_factory=list)
+    retries: int = 0
+    topup: _TopupOutcome | None = None
+
+
 class FederatedPortal:
     """N portal shards behind one scatter-gather front end.
 
@@ -292,8 +311,9 @@ class FederatedPortal:
     shard lives in its own worker process over shared-memory kernels).
     All shard interaction funnels through two hooks the process backend
     overrides: :meth:`_shard_op` (one named call on one shard) and
-    :meth:`_scatter_calls` (a batch of calls under the retry budget,
-    sequential here, pipelined across workers there).
+    :meth:`_attempt_calls` (one attempt at a batch of calls, sequential
+    here, pipelined across workers there).  The retry budget, backoff,
+    cooldown and recovery charge live once, in :meth:`_scatter_calls`.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -351,11 +371,6 @@ class FederatedPortal:
         self._network_seed = network_seed
         self._network_options = dict(network_options) if network_options else {}
         self.storage_config = storage
-        # Whether this backend builds shard portals that own their
-        # storage engines in *this* process.  The process backend flips
-        # this off: there the workers open the engines (one writer per
-        # WAL), and the coordinator's snapshot shards stay in-memory.
-        self._shard_storage_local = True
         self._shards: list[SensorMapPortal] = []
         self._groups: list[list[Sensor]] = []
         self._directory: ShardDirectory | None = None
@@ -441,9 +456,9 @@ class FederatedPortal:
 
     def _shard_storage(self, shard_id: int) -> "StorageConfig | None":
         """The storage config one shard portal should own, or ``None``
-        (no storage configured, or the backend keeps engines in worker
-        processes)."""
-        if self.storage_config is None or not self._shard_storage_local:
+        (no storage configured; the process backend overrides this to
+        keep the engines in its worker processes)."""
+        if self.storage_config is None:
             return None
         return self.storage_config.for_shard(shard_id)
 
@@ -484,13 +499,18 @@ class FederatedPortal:
         )
         shard.register_all(group)
         shard.rebuild_index()
-        seconds = shard.recovery_seconds
+        self._charge_recovery(shard_id, shard.recovery_seconds)
+        return shard
+
+    def _charge_recovery(self, shard_id: int, seconds: float) -> float:
+        """Book one shard recovery: its modeled replay seconds delay
+        the shard's next gather.  Returns ``seconds``."""
         if seconds > 0.0:
             state = self._states.setdefault(shard_id, _ShardState())
             state.pending_recovery_seconds += seconds
             self.stats.shard_recoveries += 1
             self.stats.recovery_seconds_total += seconds
-        return shard
+        return seconds
 
     def _ensure_index(self) -> None:
         if self._index_dirty or not self._shards:
@@ -545,6 +565,11 @@ class FederatedPortal:
         if self._shard_storage(shard_id) is not None:
             self._shards[shard_id].crash()
 
+    def shard_killed(self, shard_id: int) -> bool:
+        """Whether the operator's kill switch is on for this shard."""
+        self._ensure_index()
+        return self._states[shard_id].killed
+
     def revive_shard(self, shard_id: int) -> float:
         """Bring a killed shard back; returns the modeled recovery
         seconds (0.0 for in-memory shards, which revive instantly with
@@ -559,11 +584,9 @@ class FederatedPortal:
         state.down_until = 0.0
         if self._shard_storage(shard_id) is None:
             return 0.0
-        before = state.pending_recovery_seconds
-        self._shards[shard_id] = self._build_shard(
-            shard_id, self._groups[shard_id]
-        )
-        return self._states[shard_id].pending_recovery_seconds - before
+        shard = self._build_shard(shard_id, self._groups[shard_id])
+        self._shards[shard_id] = shard
+        return shard.recovery_seconds
 
     # ------------------------------------------------------------------
     # Live rebalancing (membership changes without a full rebuild)
@@ -662,10 +685,11 @@ class FederatedPortal:
             self._groups.pop(shard_id)
             self._states.pop(shard_id, None)
             old.close()
-            if self.storage_config is not None and self._shard_storage_local:
+            shard_cfg = self._shard_storage(shard_id)
+            if shard_cfg is not None:
                 from repro.storage.engine import wipe_data_dir
 
-                wipe_data_dir(self.storage_config.for_shard(shard_id).path)
+                wipe_data_dir(shard_cfg.path)
         assert len(self._shards) == surviving
         for shard_id in sorted(staged):
             if shard_id < len(self._shards):
@@ -693,75 +717,96 @@ class FederatedPortal:
         """
         return getattr(self._shards[shard_id], op)(*args)
 
-    def _call_shard(
-        self,
-        shard_id: int,
-        op: str,
-        args: tuple,
-        penalties: dict[int, float],
-    ) -> object | None:
-        """Run one shard call under the retry budget.
-
-        Returns the shard's result, or ``None`` after the budget is
-        exhausted (the shard is then marked failed and, when configured,
-        enters coordinator cooldown).  Backoff delays accumulate into
-        the shard's ``penalties`` slot of the gather makespan.
-        """
-        cfg = self.federation
-        state = self._states[shard_id]
-        now = self.clock.now()
-        if state.down_until > now:
-            self.stats.shard_cooldown_skips += 1
-            return None
-        # A freshly revived shard pays its crash-recovery replay time on
-        # its first gather (consumed exactly once).
-        delay = state.pending_recovery_seconds
-        state.pending_recovery_seconds = 0.0
-        for attempt in range(cfg.shard_retry_budget + 1):
-            self.stats.shard_attempts += 1
-            try:
-                if state.killed:
-                    raise ShardDownError(f"shard {shard_id} is down")
-                result = self._shard_op(shard_id, op, *args)
-            except ShardDownError:
-                if attempt < cfg.shard_retry_budget:
-                    self.stats.shard_retries += 1
-                    delay += (
-                        cfg.retry_backoff_base
-                        * cfg.retry_backoff_multiplier**attempt
-                    )
-                    penalties[shard_id] = delay
-                continue
-            state.consecutive_failures = 0
-            penalties.setdefault(shard_id, 0.0)
-            penalties[shard_id] = delay
-            return result
-        state.consecutive_failures += 1
-        if cfg.cooldown_seconds > 0:
-            state.down_until = now + cfg.cooldown_seconds
-        self.stats.shard_failures += 1
-        penalties[shard_id] = delay
-        return None
-
-    def _scatter_calls(
-        self,
-        calls: Sequence[tuple[int, str, tuple]],
-        penalties: dict[int, float],
-    ) -> dict[int, object | None]:
-        """Run one scatter round of ``(shard_id, op, args)`` calls under
-        the retry budget, returning each shard's result (``None`` after
-        budget exhaustion / cooldown skip) keyed by shard id.
+    def _attempt_calls(
+        self, calls: Sequence[tuple[int, str, tuple]]
+    ) -> dict[int, object]:
+        """Attempt each ``(shard_id, op, args)`` call once and return the
+        replies of the shards that answered, keyed by shard id; a shard
+        that raised :class:`ShardDownError` is simply absent.
 
         The in-process backend runs the calls sequentially — modeled
         concurrency is already captured by the gather-makespan
         arithmetic.  The process backend overrides this with a
         send-all-then-receive-all pipeline so the shards genuinely
-        overlap on the wall clock, with identical accounting.
+        overlap on the wall clock.
         """
-        return {
-            shard_id: self._call_shard(shard_id, op, args, penalties)
-            for shard_id, op, args in calls
-        }
+        answered: dict[int, object] = {}
+        for shard_id, op, args in calls:
+            try:
+                answered[shard_id] = self._shard_op(shard_id, op, *args)
+            except ShardDownError:
+                pass
+        return answered
+
+    def _scatter_calls(
+        self,
+        calls: Sequence[tuple[int, str, tuple]],
+        routes: Sequence[ShardRoute] = (),
+        collection_seconds=lambda reply: reply.collection_seconds,
+    ) -> _Scatter:
+        """Run one scatter of ``(shard_id, op, args)`` calls under the
+        retry budget and sort the shards into answered / failed / timed
+        out (``collection_seconds`` reads a reply's modeled collection
+        latency for the gather deadline).
+
+        Each round attempts every still-unanswered shard once
+        (:meth:`_attempt_calls`); a shard that stays silent is charged
+        the next exponential backoff step and retried in the following
+        round.  Once the budget is spent the shard is marked failed and,
+        when configured, enters coordinator cooldown.  Delays accumulate
+        into the shard's ``penalties`` slot of the gather makespan.
+        """
+        cfg = self.federation
+        now = self.clock.now()
+        scatter = _Scatter(routes=routes)
+        penalties = scatter.penalties
+        pending: list[tuple[int, str, tuple]] = []
+        for call in calls:
+            state = self._states[call[0]]
+            if state.down_until > now:
+                self.stats.shard_cooldown_skips += 1
+                continue
+            # A freshly revived shard pays its crash-recovery replay time
+            # on its first gather (consumed exactly once).
+            penalties[call[0]] = state.pending_recovery_seconds
+            state.pending_recovery_seconds = 0.0
+            pending.append(call)
+        replies: dict[int, object] = {}
+        for attempt in range(cfg.shard_retry_budget + 1):
+            if not pending:
+                break
+            self.stats.shard_attempts += len(pending)
+            # A killed shard fails the attempt without doing any work.
+            answered = self._attempt_calls(
+                [c for c in pending if not self._states[c[0]].killed]
+            )
+            for shard_id in answered:
+                self._states[shard_id].consecutive_failures = 0
+            replies.update(answered)
+            pending = [c for c in pending if c[0] not in answered]
+            for shard_id, _, _ in pending:
+                if attempt < cfg.shard_retry_budget:
+                    self.stats.shard_retries += 1
+                    scatter.retries += 1
+                    penalties[shard_id] += (
+                        cfg.retry_backoff_base * cfg.retry_backoff_multiplier**attempt
+                    )
+                else:
+                    state = self._states[shard_id]
+                    state.consecutive_failures += 1
+                    if cfg.cooldown_seconds > 0:
+                        state.down_until = now + cfg.cooldown_seconds
+                    self.stats.shard_failures += 1
+        for shard_id, _, _ in calls:
+            if shard_id not in replies:
+                scatter.failed.append(shard_id)
+            elif self._shard_timed_out(
+                collection_seconds(replies[shard_id]), penalties, shard_id
+            ):
+                scatter.timed_out.append(shard_id)
+            else:
+                scatter.shard_results[shard_id] = replies[shard_id]
+        return scatter
 
     # ------------------------------------------------------------------
     # Scatter planning
@@ -877,14 +922,7 @@ class FederatedPortal:
             types |= e.sensor_types
         return target * max(1, len(types))
 
-    def _redistribute(
-        self,
-        query: SensorQuery,
-        target: int | None,
-        routes: Sequence[ShardRoute],
-        shard_results: dict[int, PortalResult],
-        unavailable: set[int],
-    ) -> _TopupOutcome:
+    def _redistribute(self, query: SensorQuery, scatter: _Scatter) -> _TopupOutcome:
         """Top up a sampled scatter whose first gather came up short.
 
         Per round: compare the aggregate achieved count to ``target``,
@@ -896,8 +934,7 @@ class FederatedPortal:
         share (it has nothing left to give — its own Algorithm 2 already
         spread the request over its whole in-region pool), and when it
         failed, timed out, was killed or sits in coordinator cooldown.
-        Each
-        round's collection is charged as one more slot of the gather
+        Each round's collection is charged as one more slot of the gather
         makespan; per-sensor dedup across rounds is the shard
         dispatcher's in-flight/recently-probed tables' job.
 
@@ -907,12 +944,10 @@ class FederatedPortal:
         """
         outcome = _TopupOutcome()
         cfg = self.federation
-        if (
-            target is None
-            or not cfg.redistribution_enabled
-            or cfg.redistribution_rounds <= 0
-            or len(routes) <= 1
-        ):
+        target = self._federated_target(query)
+        routes = scatter.routes
+        shard_results = scatter.shard_results
+        if target is None or cfg.redistribution_rounds <= 0 or len(routes) <= 1:
             return outcome
         # All coordinator arithmetic below runs in *readings* — the unit
         # ``result_weight`` counts in.  ``requested`` arrives in
@@ -946,8 +981,8 @@ class FederatedPortal:
             if shortfall < 1:
                 break
             now = self.clock.now()
-            exclude = set(unavailable) | drained | set(outcome.failed)
-            exclude |= set(outcome.timed_out)
+            exclude = drained | set(scatter.failed) | set(scatter.timed_out)
+            exclude |= set(outcome.failed) | set(outcome.timed_out)
             for route in routes:
                 state = self._states.get(route.shard_id)
                 if state is None or state.killed or state.down_until > now:
@@ -958,10 +993,8 @@ class FederatedPortal:
                 break
             caps = {r.shard_id: int(r.weight) for r in residual}
             shares = ShardDirectory.split_target_capped(shortfall, residual, caps)
-            round_penalties: dict[int, float] = {}
-            round_slots = [0.0]
             gained_this_round = 0
-            round_shares: list[tuple[int, int]] = []
+            round_shares: dict[int, int] = {}
             round_calls: list[tuple[int, str, tuple]] = []
             for route in residual:
                 sid = route.shard_id
@@ -976,27 +1009,19 @@ class FederatedPortal:
                 rpu = self._readings_per_unit(query, sid)
                 units = -(-(len(seen) + share) // rpu)
                 self.stats.topup_subqueries += 1
-                round_shares.append((sid, share))
+                round_shares[sid] = share
                 round_calls.append(
                     (sid, "execute", (replace(query, sample_size=units),))
                 )
-            round_results = self._scatter_calls(round_calls, round_penalties)
-            for sid, share in round_shares:
+            round_ = self._scatter_calls(round_calls)
+            outcome.failed += round_.failed
+            outcome.timed_out += round_.timed_out
+            round_slots = [0.0]
+            for sid in round_.failed + round_.timed_out:
+                round_slots.append(round_.penalties.get(sid, 0.0))
+            for sid, result in round_.shard_results.items():
                 seen = delivered[sid]
-                result = round_results.get(sid)
-                if result is None:
-                    if sid not in outcome.failed:
-                        outcome.failed.append(sid)
-                    round_slots.append(round_penalties.get(sid, 0.0))
-                    continue
-                assert isinstance(result, PortalResult)
-                if self._shard_timed_out(
-                    result.collection_seconds, round_penalties, sid
-                ):
-                    if sid not in outcome.timed_out:
-                        outcome.timed_out.append(sid)
-                    round_slots.append(round_penalties.get(sid, 0.0))
-                    continue
+                share = round_shares[sid]
                 new_ids = _capped_new_ids(result, seen, share)
                 _dedup_topup_result(result, new_ids)
                 outcome.extra.append((sid, result))
@@ -1007,7 +1032,7 @@ class FederatedPortal:
                 if got < share or result.pool_exhausted:
                     drained.add(sid)
                 round_slots.append(
-                    result.collection_seconds + round_penalties.get(sid, 0.0)
+                    result.collection_seconds + round_.penalties.get(sid, 0.0)
                 )
             outcome.rounds_run += 1
             outcome.sensors_gained += gained_this_round
@@ -1029,95 +1054,42 @@ class FederatedPortal:
     def execute_sql(self, sql: str) -> FederatedResult:
         return self.execute(parse_query(sql))
 
-    def _scatter_round1(
-        self, query: SensorQuery, op: str = "execute"
-    ) -> tuple[
-        list[ShardRoute],
-        list[tuple[int, SensorQuery]],
-        dict[int, float],
-        dict[int, PortalResult],
-        list[int],
-        list[int],
-        int,
-    ]:
+    def _scatter_round1(self, query: SensorQuery, op: str = "execute") -> _Scatter:
         """Route, plan and run one query's first scatter round.
 
         Shared by the synchronous and the streaming gather — both paths
         issue byte-identical shard calls in the same order, so the
         shard-side RNG streams (and therefore the answers) agree.
-        Returns ``(routes, plan, penalties, shard_results, failed,
-        timed_out, retries)``.
         """
         self.stats.queries += 1
         routes = self._route(query)
         plan = self._scatter_plan(query, routes)
         self.stats.subqueries_scattered += len(plan)
-        penalties: dict[int, float] = {}
-        shard_results: dict[int, PortalResult] = {}
-        failed: list[int] = []
-        timed_out: list[int] = []
-        retries_before = self.stats.shard_retries
-        scattered = self._scatter_calls(
-            [(shard_id, op, (subquery,)) for shard_id, subquery in plan],
-            penalties,
+        return self._scatter_calls(
+            [(shard_id, op, (subquery,)) for shard_id, subquery in plan], routes
         )
-        for shard_id, _ in plan:
-            result = scattered.get(shard_id)
-            if result is None:
-                failed.append(shard_id)
-                continue
-            assert isinstance(result, PortalResult)
-            if self._shard_timed_out(result.collection_seconds, penalties, shard_id):
-                timed_out.append(shard_id)
-                continue
-            shard_results[shard_id] = result
-        return (
-            list(routes),
-            plan,
-            penalties,
-            shard_results,
-            failed,
-            timed_out,
-            self.stats.shard_retries - retries_before,
-        )
+
+    def _finish(
+        self,
+        query: SensorQuery,
+        scatter: _Scatter,
+        topup_overlap_start: float | None = None,
+    ) -> FederatedResult:
+        """Everything after a query's first scatter round: the bounded
+        cross-shard top-up rounds (a no-op unless the query is sampled
+        and came up short), then the merge."""
+        scatter.topup = self._redistribute(query, scatter)
+        merged = self._gather(query, scatter, topup_overlap_start)
+        if merged.partial:
+            self.stats.partial_answers += 1
+        return merged
 
     def execute(self, query: SensorQuery) -> FederatedResult:
         """Scatter one query, gather — then, for sampled queries that
         came up short, run the bounded cross-shard top-up rounds before
         merging."""
         self._ensure_index()
-        (
-            routes,
-            _plan,
-            penalties,
-            shard_results,
-            failed,
-            timed_out,
-            retries,
-        ) = self._scatter_round1(query)
-        target = self._federated_target(query)
-        topup = self._redistribute(
-            query, target, routes, shard_results, set(failed) | set(timed_out)
-        )
-        for sid in topup.failed:
-            if sid not in failed:
-                failed.append(sid)
-        for sid in topup.timed_out:
-            if sid not in timed_out:
-                timed_out.append(sid)
-        merged = self._gather(
-            query,
-            shard_results,
-            penalties,
-            failed,
-            timed_out,
-            retries,
-            target=self._target_readings(query, target),
-            topup=topup,
-        )
-        if merged.partial:
-            self.stats.partial_answers += 1
-        return merged
+        return self._finish(query, self._scatter_round1(query))
 
     def execute_polygon(self, query: SensorQuery) -> FederatedResult:
         """Scatter one polygon query through the per-shard geoblock path.
@@ -1143,28 +1115,7 @@ class FederatedPortal:
                 return self.execute(replace(query, region=rect))
         if isinstance(region, Rect) or self._federated_target(query) is not None:
             return self.execute(query)
-        (
-            routes,
-            _plan,
-            penalties,
-            shard_results,
-            failed,
-            timed_out,
-            retries,
-        ) = self._scatter_round1(query, op="execute_polygon")
-        merged = self._gather(
-            query,
-            shard_results,
-            penalties,
-            failed,
-            timed_out,
-            retries,
-            target=None,
-            topup=None,
-        )
-        if merged.partial:
-            self.stats.partial_answers += 1
-        return merged
+        return self._finish(query, self._scatter_round1(query, op="execute_polygon"))
 
     def execute_streaming(
         self, query: SensorQuery, deadline_seconds: float | None = None
@@ -1190,25 +1141,20 @@ class FederatedPortal:
         """
         self._ensure_index()
         self.stats.streaming_queries += 1
-        (
-            routes,
-            plan,
-            penalties,
-            shard_results,
-            failed,
-            timed_out,
-            retries,
-        ) = self._scatter_round1(query)
-        arrivals: list[ShardArrival] = []
-        for shard_id, _ in plan:
-            penalty = penalties.get(shard_id, 0.0)
-            if shard_id in shard_results:
-                landed = shard_results[shard_id].collection_seconds + penalty
-                arrivals.append(ShardArrival(shard_id, landed, "ok"))
-            elif shard_id in timed_out:
-                arrivals.append(ShardArrival(shard_id, penalty, "timed_out"))
-            else:
-                arrivals.append(ShardArrival(shard_id, penalty, "failed"))
+        scatter = self._scatter_round1(query)
+        penalties = scatter.penalties
+        arrivals = [
+            ShardArrival(sid, r.collection_seconds + penalties.get(sid, 0.0), "ok")
+            for sid, r in scatter.shard_results.items()
+        ]
+        for status, shard_ids in (
+            ("failed", scatter.failed),
+            ("timed_out", scatter.timed_out),
+        ):
+            arrivals += [
+                ShardArrival(sid, penalties.get(sid, 0.0), status)
+                for sid in shard_ids
+            ]
         arrivals.sort(key=lambda a: (a.landed_at, a.shard_id))
         # Top-up rounds need every answering shard's round-1 count, so
         # the earliest the coordinator can launch them is the last *ok*
@@ -1217,82 +1163,53 @@ class FederatedPortal:
         topup_start = max(
             (a.landed_at for a in arrivals if a.status == "ok"), default=0.0
         )
-        target = self._federated_target(query)
-        topup = self._redistribute(
-            query, target, routes, shard_results, set(failed) | set(timed_out)
-        )
-        for sid in topup.failed:
-            if sid not in failed:
-                failed.append(sid)
-        for sid in topup.timed_out:
-            if sid not in timed_out:
-                timed_out.append(sid)
-        target_readings = self._target_readings(query, target)
-        final = self._gather(
-            query,
-            shard_results,
-            penalties,
-            failed,
-            timed_out,
-            retries,
-            target=target_readings,
-            topup=topup,
-            topup_overlap_start=topup_start,
-        )
-        if final.partial:
-            self.stats.partial_answers += 1
+        final = self._finish(query, scatter, topup_overlap_start=topup_start)
         first = final
         if deadline_seconds is not None and final.collection_seconds > float(
             deadline_seconds
         ):
             deadline = float(deadline_seconds)
+            topup = scatter.topup
             deferred = tuple(
                 a.shard_id
                 for a in arrivals
                 if a.status == "ok" and a.landed_at > deadline
             )
-            on_time = {
-                sid: r for sid, r in shard_results.items() if sid not in deferred
-            }
-            # Failures/timeouts only *known* by the deadline make the
-            # published record; a shard still burning its retry backoff
-            # is pending, exactly like a slow healthy one.
-            known_failed = [
-                a.shard_id
-                for a in arrivals
-                if a.status == "failed" and a.landed_at <= deadline
-            ]
-            known_timed_out = [
-                a.shard_id
-                for a in arrivals
-                if a.status == "timed_out" and a.landed_at <= deadline
-            ]
             pending_issues = tuple(
                 a.shard_id
                 for a in arrivals
                 if a.status != "ok" and a.landed_at > deadline
             )
+            # A top-up that completed by the deadline is merged (its
+            # casualties are known by now too); an unfinished one is not.
             topup_done = topup.rounds_run and (
                 topup_start + topup.collection_seconds <= deadline
             )
-            if topup_done:
-                # A completed top-up's casualties are known by now too.
-                for sid in topup.failed:
-                    if sid not in known_failed:
-                        known_failed.append(sid)
-                for sid in topup.timed_out:
-                    if sid not in known_timed_out:
-                        known_timed_out.append(sid)
+            # Failures/timeouts only *known* by the deadline make the
+            # published record; a shard still burning its retry backoff
+            # is pending, exactly like a slow healthy one.
             first = self._gather(
                 query,
-                on_time,
-                penalties,
-                known_failed,
-                known_timed_out,
-                retries,
-                target=target_readings,
-                topup=topup if topup_done else None,
-                topup_overlap_start=topup_start if topup_done else None,
+                replace(
+                    scatter,
+                    shard_results={
+                        sid: r
+                        for sid, r in scatter.shard_results.items()
+                        if sid not in deferred
+                    },
+                    failed=[
+                        a.shard_id
+                        for a in arrivals
+                        if a.status == "failed" and a.landed_at <= deadline
+                    ],
+                    timed_out=[
+                        a.shard_id
+                        for a in arrivals
+                        if a.status == "timed_out" and a.landed_at <= deadline
+                    ],
+                    topup=topup if topup_done else None,
+                ),
+                topup_overlap_start=topup_start,
             )
             first.deferred_shards = deferred + pending_issues
             # The coordinator holds the publish until the deadline in
@@ -1325,15 +1242,17 @@ class FederatedPortal:
     def _gather(
         self,
         query: SensorQuery,
-        shard_results: dict[int, PortalResult],
-        penalties: dict[int, float],
-        failed: list[int],
-        timed_out: list[int],
-        retries: int,
-        target: int | None = None,
-        topup: _TopupOutcome | None = None,
+        scatter: _Scatter,
         topup_overlap_start: float | None = None,
     ) -> FederatedResult:
+        """Merge one query's shard answers (and its top-up rounds, when
+        ``scatter.topup`` is set) in shard-id order."""
+        shard_results, penalties = scatter.shard_results, scatter.penalties
+        topup = scatter.topup
+        failed, timed_out = list(scatter.failed), list(scatter.timed_out)
+        if topup is not None:
+            failed += [sid for sid in topup.failed if sid not in failed]
+            timed_out += [sid for sid in topup.timed_out if sid not in timed_out]
         answers = []
         groups = []
         processing = 0.0
@@ -1350,7 +1269,7 @@ class FederatedPortal:
         # until their retries/timeout ran out (a shard that answered
         # round 1 but died in a top-up round is charged in the top-up's
         # own makespan slot instead).
-        for shard_id in list(failed) + list(timed_out):
+        for shard_id in failed + timed_out:
             if shard_id not in shard_results:
                 slot_seconds.append(penalties.get(shard_id, 0.0))
         collection = max(slot_seconds, default=0.0)
@@ -1387,11 +1306,13 @@ class FederatedPortal:
             answers=answers,
             processing_seconds=processing,
             collection_seconds=collection,
-            sample_requested=target,
+            sample_requested=self._target_readings(
+                query, self._federated_target(query)
+            ),
             shard_results=shard_results,
             failed_shards=tuple(failed),
             timed_out_shards=tuple(timed_out),
-            shard_retries=retries,
+            shard_retries=scatter.retries,
             topup_results=topup_results,
             redistribution_rounds_run=rounds_run,
             topup_sensors_gained=gained,
@@ -1425,81 +1346,38 @@ class FederatedPortal:
             self.stats.subqueries_scattered += len(plan)
             for shard_id, subquery in plan:
                 per_shard.setdefault(shard_id, []).append((qi, subquery))
-        penalties: dict[int, float] = {}
-        shard_batches: dict[int, "BatchResult"] = {}
-        failed: list[int] = []
-        timed_out: list[int] = []
-        scattered = self._scatter_calls(
+        tick = self._scatter_calls(
             [
                 (shard_id, "execute_batch", ([q for _, q in per_shard[shard_id]],))
                 for shard_id in sorted(per_shard)
             ],
-            penalties,
+            collection_seconds=lambda batch: batch.stats.collection_seconds,
         )
-        for shard_id in sorted(per_shard):
-            batch = scattered.get(shard_id)
-            if batch is None:
-                failed.append(shard_id)
-                continue
-            if self._shard_timed_out(
-                batch.stats.collection_seconds, penalties, shard_id
-            ):
-                timed_out.append(shard_id)
-                continue
-            shard_batches[shard_id] = batch
+        shard_batches: dict[int, "BatchResult"] = tick.shard_results
 
         # Per-query reassembly, in each query's own shard-id order.
-        collected: list[dict[int, PortalResult]] = [{} for _ in queries]
+        scatters = []
+        for routes, plan in zip(routes_list, plans):
+            routed = {shard_id for shard_id, _ in plan}
+            scatters.append(
+                _Scatter(
+                    routes=routes,
+                    penalties=tick.penalties,
+                    failed=[sid for sid in tick.failed if sid in routed],
+                    timed_out=[sid for sid in tick.timed_out if sid in routed],
+                )
+            )
         for shard_id, batch in shard_batches.items():
             for (qi, _), result in zip(per_shard[shard_id], batch.results):
-                collected[qi][shard_id] = result
+                scatters[qi].shard_results[shard_id] = result
         # Per-query cross-shard top-up (round 2+): each short sampled
         # query re-scatters its shortfall after the tick's first gather.
         # The re-scatters run concurrently across queries (each is its
         # own small scatter against already-warm shards), so the tick is
         # charged the *max* top-up collection, and shard dispatcher
         # tables dedup any sensor a first-round sub-batch already hit.
-        results: list[FederatedResult] = []
-        topup_failed: set[int] = set()
-        topup_timed: set[int] = set()
-        topup_collections = [0.0]
-        total_rounds = total_gained = 0
-        for qi, query in enumerate(queries):
-            routed = {shard_id for shard_id, _ in plans[qi]}
-            q_failed = sorted(routed & set(failed))
-            q_timed = sorted(routed & set(timed_out))
-            target = self._federated_target(query)
-            topup = self._redistribute(
-                query,
-                target,
-                routes_list[qi],
-                collected[qi],
-                set(q_failed) | set(q_timed),
-            )
-            topup_failed.update(topup.failed)
-            topup_timed.update(topup.timed_out)
-            topup_collections.append(topup.collection_seconds)
-            total_rounds += topup.rounds_run
-            total_gained += topup.sensors_gained
-            for sid in topup.failed:
-                if sid not in q_failed:
-                    q_failed.append(sid)
-            for sid in topup.timed_out:
-                if sid not in q_timed:
-                    q_timed.append(sid)
-            merged = self._gather(
-                query,
-                collected[qi],
-                penalties,
-                sorted(q_failed),
-                sorted(q_timed),
-                retries=0,
-                target=self._target_readings(query, target),
-                topup=topup,
-            )
-            if merged.partial:
-                self.stats.partial_answers += 1
-            results.append(merged)
+        results = [self._finish(q, scatter) for q, scatter in zip(queries, scatters)]
+        topup_collection = max(s.topup.collection_seconds for s in scatters)
 
         stats = BatchStats(queries=len(queries))
         shard_seconds: dict[int, float] = {}
@@ -1516,18 +1394,18 @@ class FederatedPortal:
             stats.probes_timed_out += s.probes_timed_out
             stats.batch_shared_plans += s.batch_shared_plans
             stats.maintenance_ops += s.maintenance_ops
-            slot = s.collection_seconds + penalties.get(shard_id, 0.0)
+            slot = s.collection_seconds + tick.penalties.get(shard_id, 0.0)
             slot_seconds.append(slot)
             shard_seconds[shard_id] = (
                 sum(r.processing_seconds for r in batch.results)
                 + slot
                 + s.maintenance_ops * self.cost_model.per_maintenance_op
             )
-        for shard_id in list(failed) + list(timed_out):
-            slot = penalties.get(shard_id, 0.0)
+        for shard_id in tick.failed + tick.timed_out:
+            slot = tick.penalties.get(shard_id, 0.0)
             slot_seconds.append(slot)
             shard_seconds[shard_id] = slot
-        stats.collection_seconds = max(slot_seconds) + max(topup_collections)
+        stats.collection_seconds = max(slot_seconds) + topup_collection
         # Coordinator-side wall clock: covers scatter, shard work (which
         # overlaps on the process backend) and gather — not the shard
         # sum, which would double-count overlapped work.
@@ -1543,10 +1421,16 @@ class FederatedPortal:
             stats=stats,
             shard_stats={sid: b.stats for sid, b in shard_batches.items()},
             shard_seconds=shard_seconds,
-            failed_shards=tuple(sorted(set(failed) | topup_failed)),
-            timed_out_shards=tuple(sorted(set(timed_out) | topup_timed)),
-            redistribution_rounds_run=total_rounds,
-            topup_sensors_gained=total_gained,
+            # Every first-round casualty was routed by some query, so the
+            # per-query records already cover it alongside the top-up ones.
+            failed_shards=tuple(
+                sorted({sid for r in results for sid in r.failed_shards})
+            ),
+            timed_out_shards=tuple(
+                sorted({sid for r in results for sid in r.timed_out_shards})
+            ),
+            redistribution_rounds_run=sum(r.redistribution_rounds_run for r in results),
+            topup_sensors_gained=sum(r.topup_sensors_gained for r in results),
         )
 
     # ------------------------------------------------------------------
@@ -1584,13 +1468,12 @@ class FederatedPortal:
             ),
             "cache_coverage": sum(coverages) / len(coverages) if coverages else 1.0,
             "redistribution": {
-                "enabled": cfg.redistribution_enabled,
+                "enabled": cfg.redistribution_rounds > 0,
                 "rounds": cfg.redistribution_rounds,
                 "target": target,
                 "target_readings": self._target_readings(query, target),
                 "eligible": (
                     target is not None
-                    and cfg.redistribution_enabled
                     and cfg.redistribution_rounds > 0
                     and len(routes) > 1
                 ),

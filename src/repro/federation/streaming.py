@@ -25,9 +25,11 @@ streaming changes is *when* answers become publishable:
   ``max(round-1 makespan, topup launch + topup collection)`` rather
   than their sum.
 
-Works identically on both federation backends — the streaming path uses
-only the ``_scatter_calls`` / ``_shard_op`` hooks the process backend
-overrides.
+Works identically on both federation backends — the streaming path is
+a publish-time policy over the coordinator's one scatter → retry →
+gather spine (``_scatter_round1`` then ``_finish``), which reaches the
+shards only through the ``_attempt_calls`` / ``_shard_op`` hooks the
+process backend overrides.
 """
 
 from __future__ import annotations

@@ -227,31 +227,13 @@ class FrontDoor:
         q = self.quantize(query)
         generation = self._cache_generation()
         if generation is not None:
-            hit = self.cache.get_viewport(q, now, generation)
+            hit, missing = self._lookup(q, now, generation)
             if hit is not None:
-                return FrontDoorResult(
-                    q, "served", "l1", hit, self.config.l1_hit_seconds
-                )
-            if self.config.l2_enabled and self._tile_serveable(q):
-                composed, missing = self.cache.get_tiles(
-                    q, now, generation, locate=self._sensor_locator()
-                )
-                if composed is not None:
-                    # Promote: the next identical viewport is an L1 hit.
-                    self.cache.put_viewport(q, composed.result, now, generation)
-                    return FrontDoorResult(
-                        q,
-                        "served",
-                        "l2",
-                        composed.result,
-                        self.config.l1_hit_seconds
-                        + composed.tiles * self.config.l2_tile_compose_seconds,
-                        tiles_composed=composed.tiles,
-                    )
-                if missing:
-                    served = self._fill_tiles(q, missing, now, generation)
-                    if served is not None:
-                        return served
+                return hit
+            if missing:
+                served = self._fill_tiles(q, missing, now, generation)
+                if served is not None:
+                    return served
             self.cache.stats.misses += 1
         result = self._run_portal(q)
         self._store_viewport(q, result)
@@ -259,10 +241,42 @@ class FrontDoor:
             q, "served", "portal", result, result.end_to_end_seconds
         )
 
+    def _lookup(
+        self, q: SensorQuery, now: float, generation: int
+    ) -> tuple[FrontDoorResult | None, list[tuple[int, int]]]:
+        """The cache ladder for one quantized query: the L1 viewport
+        entry, then the L2 tile composition (promoted to L1 so the next
+        identical viewport hits there).  Returns the served hit, or
+        ``None`` plus the tiles a tile-composable query still lacks."""
+        hit = self.cache.get_viewport(q, now, generation)
+        if hit is not None:
+            return (
+                FrontDoorResult(q, "served", "l1", hit, self.config.l1_hit_seconds),
+                [],
+            )
+        if not (self.config.l2_enabled and self._tile_serveable(q)):
+            return None, []
+        composed, missing = self.cache.get_tiles(
+            q, now, generation, locate=self._sensor_locator()
+        )
+        if composed is None:
+            return None, missing
+        self.cache.put_viewport(q, composed.result, now, generation)
+        served = FrontDoorResult(
+            q,
+            "served",
+            "l2",
+            composed.result,
+            self.config.l1_hit_seconds
+            + composed.tiles * self.config.l2_tile_compose_seconds,
+            tiles_composed=composed.tiles,
+        )
+        return served, []
+
     def _run_portal(self, q: SensorQuery) -> PortalResult:
         """Direct (uncached) execution: polygon viewports take the
         portal's geoblock path, everything else the plain one."""
-        if isinstance(q.region, Polygon) and hasattr(self.portal, "execute_polygon"):
+        if isinstance(q.region, Polygon):
             return self.portal.execute_polygon(q)
         return self.portal.execute(q)
 
@@ -326,38 +340,16 @@ class FrontDoor:
         for i, query in enumerate(queries):
             q = self.quantize(query)
             if generation is not None:
-                hit = self.cache.get_viewport(q, now, generation)
-                if hit is not None:
-                    results[i] = FrontDoorResult(
-                        q, "served", "l1", hit, self.config.l1_hit_seconds
-                    )
+                results[i], missing = self._lookup(q, now, generation)
+                if results[i] is not None:
                     plans.append(("hit", q, []))
                     continue
-                if self.config.l2_enabled and self._tile_serveable(q):
-                    composed, missing = self.cache.get_tiles(
-                        q, now, generation, locate=self._sensor_locator()
-                    )
-                    if composed is not None:
-                        self.cache.put_viewport(q, composed.result, now, generation)
-                        results[i] = FrontDoorResult(
-                            q,
-                            "served",
-                            "l2",
-                            composed.result,
-                            self.config.l1_hit_seconds
-                            + composed.tiles * self.config.l2_tile_compose_seconds,
-                            tiles_composed=composed.tiles,
-                        )
-                        plans.append(("hit", q, []))
-                        continue
-                    if missing:
-                        for tile in missing:
-                            needed.setdefault(
-                                self.cache.tile_key(tile, q), (tile, q)
-                            )
-                        self.cache.stats.misses += 1
-                        plans.append(("tiles", q, missing))
-                        continue
+                if missing:
+                    for tile in missing:
+                        needed.setdefault(self.cache.tile_key(tile, q), (tile, q))
+                    self.cache.stats.misses += 1
+                    plans.append(("tiles", q, missing))
+                    continue
                 self.cache.stats.misses += 1
             plans.append(("direct", q, []))
         direct_indices = [i for i, p in enumerate(plans) if p[0] == "direct"]

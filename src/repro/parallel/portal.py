@@ -9,12 +9,14 @@ exactly the two shard-interaction hooks:
   :class:`~repro.federation.federated.ShardDownError`, so a crashed
   worker degrades exactly like a killed in-process shard (flagged
   partial answer, retry budget, cooldown).
-- :meth:`_scatter_calls` pipelines one scatter round: every routed
-  worker receives its frame *before* any reply is read, so the shards'
-  Python work genuinely overlaps on the wall clock.  Retry, backoff,
-  cooldown and failure accounting replicate the sequential
-  ``_call_shard`` per shard, keeping coordinator counters and modeled
-  seconds identical across backends.
+- :meth:`_attempt_calls` pipelines one attempt at a scatter round: every
+  routed worker receives its frame *before* any reply is read, so the
+  shards' Python work genuinely overlaps on the wall clock.
+
+Retry, backoff, cooldown, recovery charges and failure accounting are
+not here: the coordinator's one ``_scatter_calls`` loop drives either
+backend's ``_attempt_calls``, so coordinator counters and modeled
+seconds are the same code on both.
 
 The coordinator also keeps the in-process shard portals it built during
 ``rebuild_index()``.  They serve three jobs: they are the source the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.core.flat import auto_tile_nodes
-from repro.federation.federated import FederatedPortal, ShardDownError, _ShardState
+from repro.federation.federated import FederatedPortal, ShardDownError
 from repro.parallel.config import ParallelConfig
 from repro.parallel.framing import recv_frame, send_frame
 from repro.parallel.shm import SegmentManifest, SegmentRegistry
@@ -57,10 +59,6 @@ class ParallelFederatedPortal(FederatedPortal):
         kwargs.pop("parallel", None)
         super().__init__(*args, **kwargs)
         self.parallel = parallel if parallel is not None else ParallelConfig()
-        # Shard storage engines live in the worker processes (one
-        # writer per WAL); the coordinator's snapshot shards stay
-        # purely in-memory.
-        self._shard_storage_local = False
         # Workers classify in cache-sized tiles; the coordinator's own
         # snapshot shards get the same config so worker-side kernels
         # verify cleanly against them.
@@ -94,19 +92,16 @@ class ParallelFederatedPortal(FederatedPortal):
         self._registry.reopen()
         self._manifests = {}
         super().rebuild_index()
-        for shard_id, shard in enumerate(self._shards):
-            manifests: dict[str, SegmentManifest] = {}
-            for sensor_type in shard.sensor_types():
-                kernel = shard.tree(sensor_type).kernel
-                if kernel is None:
-                    continue
-                manifests[sensor_type] = self._registry.publish(
-                    kernel.shared_arrays(), tag=f"s{shard_id}-{sensor_type}"
-                )
-            self._manifests[shard_id] = manifests
         self._clock_start = self.clock.now()
         for shard_id in range(len(self._shards)):
+            self._publish_shard(shard_id)
             self._spawn(shard_id)
+
+    def _shard_storage(self, shard_id: int) -> None:
+        """Shard storage engines live in the worker processes (one
+        writer per WAL); the coordinator's snapshot shards stay purely
+        in-memory."""
+        return None
 
     def _bootstrap(self, shard_id: int) -> WorkerBootstrap:
         return WorkerBootstrap(
@@ -122,15 +117,14 @@ class ParallelFederatedPortal(FederatedPortal):
             clock_start=self._clock_start,
             manifests=self._manifests.get(shard_id, {}),
             verify_adoption=self.parallel.verify_adoption,
-            storage=(
-                self.storage_config.for_shard(shard_id)
-                if self.storage_config is not None
-                else None
-            ),
+            storage=super()._shard_storage(shard_id),
         )
 
-    def _spawn(self, shard_id: int) -> None:
-        """Fork one worker and wait for its bootstrap acknowledgement."""
+    def _spawn(self, shard_id: int) -> float:
+        """Fork one worker and wait for its bootstrap acknowledgement.
+        Returns the modeled recovery seconds the worker reported (a
+        respawn over a warm data directory), already charged to the
+        shard's next gather."""
         parent_sock, child_sock = socket.socketpair()
         process = self._mp.Process(
             target=worker_main,
@@ -149,19 +143,7 @@ class ParallelFederatedPortal(FederatedPortal):
             parent_sock.close()
             raise RuntimeError(f"shard {shard_id} worker bootstrap failed:\n{payload}")
         self._workers[shard_id] = _Worker(process=process, sock=parent_sock)
-        # Newer workers ack with a dict carrying their recovery cost; a
-        # bare shard id means no storage (or an older worker) — nothing
-        # to charge.
-        recovery_seconds = (
-            float(payload.get("recovery_seconds", 0.0))
-            if isinstance(payload, dict)
-            else 0.0
-        )
-        if recovery_seconds > 0.0:
-            state = self._states.setdefault(shard_id, _ShardState())
-            state.pending_recovery_seconds += recovery_seconds
-            self.stats.shard_recoveries += 1
-            self.stats.recovery_seconds_total += recovery_seconds
+        return self._charge_recovery(shard_id, float(payload["recovery_seconds"]))
 
     # ------------------------------------------------------------------
     # Worker health
@@ -195,9 +177,7 @@ class ParallelFederatedPortal(FederatedPortal):
         super().revive_shard(shard_id)
         worker = self._workers.get(shard_id)
         if worker is None or not worker.alive:
-            before = self._states[shard_id].pending_recovery_seconds
-            self._spawn(shard_id)
-            return self._states[shard_id].pending_recovery_seconds - before
+            return self._spawn(shard_id)
         return 0.0
 
     def worker_pid(self, shard_id: int) -> int | None:
@@ -297,17 +277,19 @@ class ParallelFederatedPortal(FederatedPortal):
     # ------------------------------------------------------------------
     # Shard interaction hooks
     # ------------------------------------------------------------------
-    def _shard_op(self, shard_id: int, op: str, *args: object) -> object:
+    def _send_op(self, shard_id: int, op: str, args: tuple) -> None:
         worker = self._workers.get(shard_id)
         if worker is None or not worker.alive:
-            if op in ("stats", "explain"):
-                # Read-only introspection of a down shard answers from
-                # the coordinator's build-time snapshot.
-                return getattr(self._shards[shard_id], op)(*args)
             raise ShardDownError(f"shard {shard_id} worker is not running")
         try:
             send_frame(worker.sock, ("op", op, args, self.clock.now()))
-            kind, payload = recv_frame(worker.sock)
+        except OSError as exc:
+            self._mark_worker_dead(shard_id)
+            raise ShardDownError(f"shard {shard_id} worker died: {exc}") from exc
+
+    def _recv_reply(self, shard_id: int) -> object:
+        try:
+            kind, payload = recv_frame(self._workers[shard_id].sock)
         except (EOFError, OSError) as exc:
             self._mark_worker_dead(shard_id)
             raise ShardDownError(f"shard {shard_id} worker died: {exc}") from exc
@@ -315,110 +297,42 @@ class ParallelFederatedPortal(FederatedPortal):
             return payload
         raise RuntimeError(f"shard {shard_id} worker error:\n{payload}")
 
-    def _scatter_calls(
-        self,
-        calls: Sequence[tuple[int, str, tuple]],
-        penalties: dict[int, float],
-    ) -> dict[int, object | None]:
+    def _shard_op(self, shard_id: int, op: str, *args: object) -> object:
+        worker = self._workers.get(shard_id)
+        if (worker is None or not worker.alive) and op in ("stats", "explain"):
+            # Read-only introspection of a down shard answers from the
+            # coordinator's build-time snapshot.
+            return getattr(self._shards[shard_id], op)(*args)
+        self._send_op(shard_id, op, args)
+        return self._recv_reply(shard_id)
+
+    def _attempt_calls(
+        self, calls: Sequence[tuple[int, str, tuple]]
+    ) -> dict[int, object]:
         """Send every frame of the round before reading any reply, so
-        all routed workers compute concurrently; then gather, retrying
-        failed shards with the same budget/backoff/cooldown accounting
-        as the sequential backend."""
-        cfg = self.federation
-        now = self.clock.now()
-        results: dict[int, object | None] = {}
-        delays: dict[int, float] = {}
-        pending: list[tuple[int, str, tuple]] = []
+        all routed workers compute concurrently; a worker that cannot be
+        reached, or dies before replying, is absent from the result."""
+        sent: list[int] = []
         for shard_id, op, args in calls:
-            if self._states[shard_id].down_until > now:
-                self.stats.shard_cooldown_skips += 1
-                results[shard_id] = None
+            try:
+                self._send_op(shard_id, op, args)
+            except ShardDownError:
                 continue
-            # Mirror _call_shard: a freshly revived shard pays its
-            # crash-recovery replay time on its first gather.
-            state = self._states[shard_id]
-            delays[shard_id] = state.pending_recovery_seconds
-            state.pending_recovery_seconds = 0.0
-            pending.append((shard_id, op, args))
-        for attempt in range(cfg.shard_retry_budget + 1):
-            if not pending:
-                break
-            sent: list[tuple[int, str, tuple]] = []
-            failed_now: list[tuple[int, str, tuple]] = []
-            for shard_id, op, args in pending:
-                self.stats.shard_attempts += 1
-                dispatched = False
-                worker = self._workers.get(shard_id)
-                if (
-                    not self._states[shard_id].killed
-                    and worker is not None
-                    and worker.alive
-                ):
-                    try:
-                        send_frame(worker.sock, ("op", op, args, now))
-                        dispatched = True
-                    except OSError:
-                        self._mark_worker_dead(shard_id)
-                (sent if dispatched else failed_now).append((shard_id, op, args))
-            for shard_id, op, args in sent:
-                worker = self._workers[shard_id]
-                try:
-                    kind, payload = recv_frame(worker.sock)
-                except (EOFError, OSError):
-                    self._mark_worker_dead(shard_id)
-                    failed_now.append((shard_id, op, args))
-                    continue
-                if kind != "ok":
-                    raise RuntimeError(
-                        f"shard {shard_id} worker error:\n{payload}"
-                    )
-                self._states[shard_id].consecutive_failures = 0
-                penalties[shard_id] = delays[shard_id]
-                results[shard_id] = payload
-            retry: list[tuple[int, str, tuple]] = []
-            for shard_id, op, args in failed_now:
-                if attempt < cfg.shard_retry_budget:
-                    self.stats.shard_retries += 1
-                    delays[shard_id] += (
-                        cfg.retry_backoff_base * cfg.retry_backoff_multiplier**attempt
-                    )
-                    penalties[shard_id] = delays[shard_id]
-                    retry.append((shard_id, op, args))
-                else:
-                    state = self._states[shard_id]
-                    state.consecutive_failures += 1
-                    if cfg.cooldown_seconds > 0:
-                        state.down_until = now + cfg.cooldown_seconds
-                    self.stats.shard_failures += 1
-                    penalties[shard_id] = delays[shard_id]
-                    results[shard_id] = None
-            pending = retry
-        return results
+            sent.append(shard_id)
+        answered: dict[int, object] = {}
+        for shard_id in sent:
+            try:
+                answered[shard_id] = self._recv_reply(shard_id)
+            except ShardDownError:
+                pass
+        return answered
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def _teardown_workers(self) -> None:
-        for shard_id, worker in list(self._workers.items()):
-            if worker.alive:
-                try:
-                    send_frame(worker.sock, ("shutdown",))
-                    recv_frame(worker.sock)
-                except (EOFError, OSError):
-                    pass
-            try:
-                worker.sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
-                if worker.process.is_alive():  # pragma: no cover - stuck worker
-                    worker.process.kill()
-                    worker.process.join()
-            else:
-                worker.process.join()
-        self._workers = {}
+        for shard_id in list(self._workers):
+            self._shutdown_worker(shard_id)
 
     def close(self) -> None:
         """Shut every worker down and unlink all published segments."""

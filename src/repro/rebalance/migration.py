@@ -240,7 +240,7 @@ class ShardMover:
         # a restaged shard, exported from its *current* owner.  Killed
         # owners or targets abort before any mutation.
         for sid in changes:
-            if sid < current_n and fed._states[sid].killed:  # noqa: SLF001
+            if sid < current_n and fed.shard_killed(sid):
                 raise MigrationAborted(f"target shard {sid} is down")
         owners_needed: dict[int, set[int]] = {}
         for sid, g in changes.items():

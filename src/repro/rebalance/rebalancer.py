@@ -233,7 +233,7 @@ class Rebalancer:
         return [
             (shard_id, fed.directory.entry(shard_id).weight)
             for shard_id in range(len(fed.directory))
-            if not fed._states[shard_id].killed  # noqa: SLF001
+            if not fed.shard_killed(shard_id)
         ]
 
     def _nearest_alive(self, shard_id: int) -> int | None:

@@ -11,7 +11,7 @@ from repro.federation import (
     GridPartitioner,
     KMeansPartitioner,
 )
-from repro.geometry import GeoPoint, Rect
+from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import ContinuousQueryManager, SensorMapPortal, SensorQuery
 
 
@@ -127,6 +127,27 @@ class TestScatterPlanning:
         )
         plan = fed._scatter_plan(query, fed._route(query))
         assert sum(sub.sample_size for _, sub in plan) == 50
+
+    def test_exact_polygon_skips_the_topup_stage(self):
+        """An exact polygon shares the sampled paths' finishing step
+        (redistribute, then gather) but must come out of it untouched:
+        no sample target, no top-up rounds, one call per routed shard."""
+        fed = _federation()
+        triangle = Polygon(
+            [GeoPoint(10.0, 10.0), GeoPoint(90.0, 25.0), GeoPoint(45.0, 90.0)]
+        )
+        result = fed.execute_polygon(
+            SensorQuery(region=triangle, staleness_seconds=300.0)
+        )
+        assert result.sample_requested is None
+        assert result.redistribution_rounds_run == 0
+        assert result.topup_results == ()
+        assert not result.partial and result.result_weight > 0
+        f = fed.stats
+        assert f.exact_broadcasts == 1 and f.sampled_splits == 0
+        assert len(result.shard_results) > 1
+        assert f.shard_attempts == f.subqueries_scattered == len(result.shard_results)
+        assert f.topup_subqueries == f.redistributions == f.sampled_shortfall == 0
 
     def test_narrow_viewport_routes_fewer_shards(self):
         fed = _federation(n_shards=4)

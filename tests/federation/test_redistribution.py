@@ -42,7 +42,6 @@ def _skewed_federation(
         federation=FederationConfig(
             shard_retry_budget=0,
             shard_timeout_seconds=timeout,
-            redistribution_enabled=rounds > 0,
             redistribution_rounds=max(rounds, 0),
         ),
         max_sensors_per_query=None,
@@ -115,7 +114,7 @@ class TestTopupShardFailure:
         shard = fed.shard(3)
         shard.execute = real
         fed.revive_shard(3)
-        fed.federation = replace(fed.federation, redistribution_enabled=False)
+        fed.federation = replace(fed.federation, redistribution_rounds=0)
         attempted = shard.network.stats.probes_attempted
         fed.clock.advance(10.0)
         again = fed.execute(_query())

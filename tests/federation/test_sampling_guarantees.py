@@ -198,7 +198,6 @@ class TestRedistributionInvariants:
             network_options={"latency_jitter": 0.0},
             federation=FederationConfig(
                 shard_retry_budget=0,
-                redistribution_enabled=True,
                 redistribution_rounds=rounds,
             ),
         )

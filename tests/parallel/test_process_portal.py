@@ -21,18 +21,22 @@ from repro.federation import FederatedPortal, FederationConfig
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.parallel import ParallelFederatedPortal, leaked_segments
 from repro.portal import SensorQuery
+from repro.storage import StorageConfig
 
 N_SENSORS = 300
 EXTENT = 100.0
 STALENESS = 300.0
 
 
-def _build(execution: str, n_shards: int = 2, seed: int = 0) -> FederatedPortal:
+def _build(
+    execution: str, n_shards: int = 2, seed: int = 0, storage=None, **federation
+) -> FederatedPortal:
     rng = np.random.default_rng(seed)
     portal = FederatedPortal(
         n_shards=n_shards,
         max_sensors_per_query=None,
-        federation=FederationConfig(execution=execution),
+        federation=FederationConfig(execution=execution, **federation),
+        storage=storage,
     )
     for _ in range(N_SENSORS):
         portal.register_sensor(
@@ -141,6 +145,72 @@ class TestDegradation:
             # weight is not bit-equal to the first answer — but shard 1's
             # sensors are back in it.
             assert recovered.result_weight > degraded.result_weight
+
+    def test_degraded_accounting_identical_across_backends(self, tmp_path):
+        """One retry/backoff/cooldown/recovery-charge loop drives both
+        backends: a killed shard burning its retry budget, sitting out a
+        cooldown, then reviving from its data directory must leave the
+        same counters, casualty lists and modeled seconds on either."""
+        traces = [
+            self._degradation_trace(execution, tmp_path / execution)
+            for execution in ("inprocess", "process")
+        ]
+        assert traces[0] == traces[1]
+        summary = traces[0][-1]
+        assert summary["shard_retries"] > 0 and summary["shard_failures"] > 0
+        assert summary["shard_cooldown_skips"] > 0
+        assert summary["shard_recoveries"] == 1
+
+    @staticmethod
+    def _degradation_trace(execution: str, data_dir) -> list:
+        wide, sampled_poly, _ = _queries()
+        exact_poly = SensorQuery(region=sampled_poly.region, staleness_seconds=STALENESS)
+        trace: list = []
+
+        def record(result):
+            trace.append(
+                (
+                    result.failed_shards,
+                    result.shard_retries,
+                    result.collection_seconds,
+                    result.result_weight,
+                )
+            )
+
+        def all_entry_points(portal, advance: float = 0.0):
+            calls = (
+                lambda: portal.execute(wide),
+                lambda: portal.execute_polygon(exact_poly),
+                lambda: portal.execute_streaming(sampled_poly, 0.1).final,
+            )
+            for call in calls:
+                portal.clock.advance(advance)
+                record(call())
+            portal.clock.advance(advance)
+            batch = portal.execute_batch(_queries())
+            for result in batch.results:
+                record(result)
+            trace.append((batch.failed_shards, batch.stats.collection_seconds))
+
+        with _build(
+            execution,
+            storage=StorageConfig(data_dir=data_dir, fsync_enabled=False),
+            shard_retry_budget=2,
+            cooldown_seconds=30.0,
+        ) as portal:
+            all_entry_points(portal)
+            portal.kill_shard(1)
+            # The first scatter burns the retry budget and starts the
+            # cooldown; the rest of the round skips the shard outright.
+            all_entry_points(portal)
+            # Out of cooldown before every call: each entry point pays
+            # the full retry/backoff ladder itself.
+            all_entry_points(portal, advance=31.0)
+            trace.append(portal.revive_shard(1))
+            # The revived shard's recovery seconds land on its next gather.
+            all_entry_points(portal)
+            trace.append(portal.stats_summary()["federation"])
+        return trace
 
     def test_kill_and_revive_shard_api(self):
         with _build("process") as proc:
