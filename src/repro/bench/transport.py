@@ -4,11 +4,12 @@ Drives the same flaky-network multi-tick viewport workload through two
 portals:
 
 ``sync``
-    No transport layer — every batch tick probes each live sensor
-    directly, one blocking collection round per tree, failed sensors
-    re-contacted on every tick that wants them.
+    ``transport=None`` — the dispatcher's parity configuration: every
+    batch tick contacts each live sensor once, one blocking collection
+    round per tree, failed sensors re-contacted on every tick that
+    wants them.
 ``transport``
-    The ``ProbeDispatcher`` in front of the network: per-sensor
+    The dispatcher's tables and event queue switched on: per-sensor
     in-flight/recently-probed dedup across overlapping ticks, bounded
     retry with backoff for transient failures, cooldown for sensors the
     availability model has written off, per-tree rounds overlapping on
@@ -30,16 +31,15 @@ overlapped rounds.  Wire cost is the network's ``probes_attempted``
 counter — retries count against the transport arm, dedup and cooldown
 count for it.
 
-Before timing, the full workload runs once with the dispatcher in
-parity mode (no retries, no overlap, no dedup, no cooldown) on a twin
-portal and every per-query answer is compared — the benchmark refuses
-to report a win for a transport path that changes answers.
+That the parity configuration is bit-identical to a direct
+``network.probe`` is pinned by
+``tests/transport/test_dispatcher.py::test_parity_collect_matches_probe``.
 
 Results land in ``BENCH_transport.json`` (or ``--output``).
-``--quick`` shrinks the workload for CI smoke runs (parity still
-asserted); ``--check`` additionally asserts the acceptance thresholds
-(strictly fewer total probes and lower end-to-end simulated seconds at
->=64 concurrent viewports).
+``--quick`` shrinks the workload for CI smoke runs; ``--check``
+additionally asserts the acceptance thresholds (strictly fewer total
+probes and lower end-to-end simulated seconds at >=64 concurrent
+viewports).
 
 Run with ``PYTHONPATH=src python -m repro.bench.transport``.
 """
@@ -133,41 +133,6 @@ def make_viewports(level: int, seed: int) -> list[SensorQuery]:
     ]
 
 
-def check_parity(n_sensors: int, levels: Sequence[int], ticks: int, seed: int) -> None:
-    """The full multi-tick workload once per level through a plain
-    portal and a parity-mode dispatcher portal: per-query result weights
-    must match exactly, aggregates to float tolerance, probe counters
-    exactly."""
-    for level in levels:
-        plain = make_portal(n_sensors, seed, transport=None)
-        parity = make_portal(n_sensors, seed, transport=TransportConfig.parity())
-        queries = make_viewports(level, seed + level)
-        for _ in range(ticks):
-            a = plain.execute_batch(queries)
-            b = parity.execute_batch(queries)
-            for i, (ra, rb) in enumerate(zip(a.results, b.results)):
-                if ra.result_weight != rb.result_weight:
-                    raise AssertionError(
-                        f"parity: level {level} query {i} weight "
-                        f"{ra.result_weight} != {rb.result_weight}"
-                    )
-                if ra.result_weight == 0:
-                    continue
-                va, vb = ra.aggregate(), rb.aggregate()
-                if abs(va - vb) > 1e-9 * max(1.0, abs(va)):
-                    raise AssertionError(
-                        f"parity: level {level} query {i} aggregate {va} != {vb}"
-                    )
-            plain.clock.advance(TICK_SECONDS)
-            parity.clock.advance(TICK_SECONDS)
-        if plain.network.stats.probes_attempted != parity.network.stats.probes_attempted:
-            raise AssertionError(
-                f"parity: level {level} probe counts diverged "
-                f"({plain.network.stats.probes_attempted} != "
-                f"{parity.network.stats.probes_attempted})"
-            )
-
-
 def _modeled_tick_seconds(portal: SensorMapPortal, batch) -> float:
     """End-to-end simulated seconds of one batch tick.
 
@@ -198,25 +163,23 @@ def run_level(
             portal.clock.advance(TICK_SECONDS)
         wall = time.perf_counter() - wall
         net = portal.network.stats
-        out = {
+        t = portal.dispatcher.stats
+        return {
             "modeled_seconds": modeled,
             "wall_seconds": wall,
             "probes_attempted": net.probes_attempted,
             "probes_succeeded": net.probes_succeeded,
             "probes_unavailable": net.probes_unavailable,
             "probes_timed_out": net.probes_timed_out,
-        }
-        if portal.dispatcher is not None:
-            t = portal.dispatcher.stats
-            out["transport"] = {
+            "transport": {
                 "rounds": t.rounds,
                 "retries": t.retries,
                 "dedup_hits": t.dedup_hits,
                 "cooldown_skips": t.cooldown_skips,
                 "overlapped_rounds": t.overlapped_rounds,
                 "streamed_readings": t.streamed_readings,
-            }
-        return out
+            },
+        }
 
     sync = drive(sync_portal)
     transport = drive(transport_portal)
@@ -243,9 +206,6 @@ def run_transport_bench(
     if quick:
         n_sensors, levels, ticks = 2_500, (1, 8, 64), 8
     bench_start = time.perf_counter()
-
-    check_parity(n_sensors, levels, ticks, seed)
-
     per_level = [run_level(n_sensors, level, ticks, seed) for level in levels]
     return {
         "benchmark": "transport_dispatcher",
@@ -274,7 +234,6 @@ def run_transport_bench(
                 "overlap_enabled": BENCH_TRANSPORT.overlap_enabled,
             },
         },
-        "parity": "identical",
         "wall_seconds": time.perf_counter() - bench_start,
         "levels": per_level,
     }
@@ -286,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--ticks", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (parity still asserted)"
+        "--quick", action="store_true", help="CI smoke scale"
     )
     parser.add_argument(
         "--check",
@@ -306,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     for row in result["levels"]:
-        t = row["transport"].get("transport", {})
+        t = row["transport"]["transport"]
         print(
             f"  {row['concurrency']:>4} viewports "
             f"({row['distinct_viewports']:>2} distinct, {row['ticks']} ticks): "
@@ -316,8 +275,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{row['sync']['modeled_seconds']:.2f}s -> "
             f"{row['transport']['modeled_seconds']:.2f}s "
             f"({row['latency_ratio']:.2f}x) "
-            f"[dedup {t.get('dedup_hits', 0)}, cooldown "
-            f"{t.get('cooldown_skips', 0)}, retries {t.get('retries', 0)}]"
+            f"[dedup {t['dedup_hits']}, cooldown "
+            f"{t['cooldown_skips']}, retries {t['retries']}]"
         )
     print(f"transport bench -> {args.output}")
     if args.check:

@@ -1,28 +1,24 @@
-"""Traversal microbenchmark: flattened kernel vs pointer traversal.
+"""Traversal microbenchmark: the flattened kernel, cold vs warm plans.
 
 Times the spatial half of the exact range path (``range_scan``: node
 classification, cache consults, terminal emission — everything except
 the network probes, which would otherwise dominate and hide the index
-cost) on the same seeded workload under three configurations:
+cost) on one seeded workload in two phases:
 
-``legacy``
-    ``flat_kernel_enabled=False`` — the per-node pointer recursion.
 ``kernel_cold``
-    Kernel on, every region seen for the first time (plan-cache miss:
-    pays one vectorized classification per query).
+    Every region seen for the first time (the plan cache is cleared
+    first: each query pays one vectorized classification).
 ``kernel_warm``
     The same regions again (plan-cache hit: memoized plans only).
 
-Before timing, every region is executed under both configurations and
-the answers are compared field-for-field (stats excluding the three
-kernel-only counters, which are structurally zero on the legacy path) —
-the benchmark refuses to report a speedup for a kernel that is not
-bit-identical.
+Answer correctness is not this bench's job: the differential oracle
+(``TestTraversalOracle`` in ``tests/property/test_flat_kernel_props.py``)
+compares whole scans against the pointer recursion the kernel replaced.
 
 Results land in ``BENCH_traversal.json`` next to the repo root (or at
 ``--output``).  ``--quick`` shrinks the workload for CI smoke runs;
-``--check`` additionally asserts the acceptance thresholds (>=3x cold,
->=10x warm), which only make sense at full scale on a quiet machine.
+``--check`` additionally asserts that warm plans are >=3x faster than
+cold ones.
 
 Run with ``PYTHONPATH=src python -m repro.bench.traversal``.
 """
@@ -32,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,12 +35,11 @@ import numpy as np
 
 from repro.bench.report import run_stamp
 from repro.core.config import COLRTreeConfig
-from repro.core.lookup import QueryAnswer, Region, range_scan
+from repro.core.lookup import Region, range_scan
 from repro.core.tree import COLRTree
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.sensors.sensor import Sensor
 
-KERNEL_ONLY_STATS = ("plan_cache_hits", "plan_cache_misses", "nodes_pruned_vectorized")
 EXTENT = 100.0
 
 
@@ -101,40 +95,6 @@ def make_regions(
     return regions
 
 
-def answer_key(answer: QueryAnswer, probes: list[int]) -> tuple:
-    """Everything a caller can observe from ``range_scan``, with the
-    kernel-only stats counters masked out."""
-    stats = {
-        f.name: getattr(answer.stats, f.name)
-        for f in fields(answer.stats)
-        if f.name not in KERNEL_ONLY_STATS
-    }
-    return (
-        answer.probed_readings,
-        answer.cached_readings,
-        answer.cached_sketches,
-        answer.cached_sketch_nodes,
-        answer.terminals,
-        stats,
-        probes,
-    )
-
-
-def check_parity(
-    legacy: COLRTree, kernel: COLRTree, regions: Sequence[Region], now: float,
-    staleness: float,
-) -> None:
-    """Every region, twice (second pass goes through the plan cache)."""
-    for _ in range(2):
-        for region in regions:
-            a_legacy, p_legacy = range_scan(legacy, region, now, staleness)
-            a_kernel, p_kernel = range_scan(kernel, region, now, staleness)
-            if answer_key(a_legacy, p_legacy) != answer_key(a_kernel, p_kernel):
-                raise AssertionError(
-                    f"kernel/legacy answers diverge on region {region!r}"
-                )
-
-
 def time_pass(
     tree: COLRTree, regions: Sequence[Region], now: float, staleness: float
 ) -> float:
@@ -156,10 +116,10 @@ def run_traversal_bench(
     bench_start = time.perf_counter()
     sensors = make_sensors(n_sensors, seed)
     # Timed workload: rectangular viewports (the portal's query shape).
-    # Parity additionally covers polygonal regions, which exercise the
-    # generic classification path; they are timed as a secondary series
-    # because both configurations bottom out in the same exact polygon
-    # predicates, so the kernel's win there is plan-cache reuse only.
+    # Polygonal regions exercise the generic classification path; they
+    # are timed as a secondary series because a cold polygon scan
+    # bottoms out in exact point-in-polygon predicates, so the series
+    # shows plan-cache reuse only.
     regions = make_regions(n_regions, seed + 1)
     n_poly = max(10, n_regions // 10)
     poly_regions = [
@@ -167,7 +127,7 @@ def run_traversal_bench(
         for r in make_regions(3 * n_poly, seed + 2, polygon_every=1)
         if isinstance(r, Polygon)
     ][:n_poly]
-    base = COLRTreeConfig(
+    config = COLRTreeConfig(
         fanout=8,
         leaf_capacity=32,
         max_expiry_seconds=600.0,
@@ -175,32 +135,23 @@ def run_traversal_bench(
         seed=seed,
         plan_cache_size=max(256, 2 * (n_regions + n_poly)),
     )
-    legacy = COLRTree(sensors, replace(base, flat_kernel_enabled=False))
-    kernel = COLRTree(sensors, base)
+    tree = COLRTree(sensors, config)
     now, staleness = 1_000.0, 240.0
 
-    check_parity(legacy, kernel, regions + poly_regions, now, staleness)
-
-    # Parity ran every region through both trees; reset the plan cache so
-    # the first timed kernel pass is genuinely cold.
-    legacy_times = []
     cold_times = []
     for _ in range(3):
-        legacy_times.append(time_pass(legacy, regions, now, staleness))
-        kernel.plan_cache.clear()
-        cold_times.append(time_pass(kernel, regions, now, staleness))
+        tree.plan_cache.clear()
+        cold_times.append(time_pass(tree, regions, now, staleness))
     warm_times = [
-        time_pass(kernel, regions, now, staleness) for _ in range(warm_passes)
+        time_pass(tree, regions, now, staleness) for _ in range(warm_passes)
     ]
-    poly_legacy_s = time_pass(legacy, poly_regions, now, staleness)
-    kernel.plan_cache.clear()
-    poly_cold_s = time_pass(kernel, poly_regions, now, staleness)
-    poly_warm_s = time_pass(kernel, poly_regions, now, staleness)
+    tree.plan_cache.clear()
+    poly_cold_s = time_pass(tree, poly_regions, now, staleness)
+    poly_warm_s = time_pass(tree, poly_regions, now, staleness)
 
-    legacy_s = min(legacy_times)
     cold_s = min(cold_times)
     warm_s = min(warm_times)
-    result = {
+    return {
         "benchmark": "traversal",
         **run_stamp(),
         "workload": {
@@ -209,44 +160,30 @@ def run_traversal_bench(
             "warm_passes": warm_passes,
             "seed": seed,
             "quick": quick,
-            "tree_nodes": len(kernel.kernel.nodes),
-            "tree_height": int(kernel.root.level),
+            "tree_nodes": len(tree.kernel.nodes),
+            "tree_height": int(tree.root.level),
         },
-        "parity": "identical",
         "wall_seconds": time.perf_counter() - bench_start,
-        "seconds_per_pass": {
-            "legacy": legacy_s,
-            "kernel_cold": cold_s,
-            "kernel_warm": warm_s,
-        },
+        "seconds_per_pass": {"kernel_cold": cold_s, "kernel_warm": warm_s},
         "microseconds_per_query": {
-            "legacy": 1e6 * legacy_s / n_regions,
             "kernel_cold": 1e6 * cold_s / n_regions,
             "kernel_warm": 1e6 * warm_s / n_regions,
         },
-        "speedup": {
-            "cold": legacy_s / cold_s,
-            "warm": legacy_s / warm_s,
-        },
+        "speedup": {"warm_over_cold": cold_s / warm_s},
         "polygon_secondary": {
             "n_regions": len(poly_regions),
             "seconds_per_pass": {
-                "legacy": poly_legacy_s,
                 "kernel_cold": poly_cold_s,
                 "kernel_warm": poly_warm_s,
             },
-            "speedup": {
-                "cold": poly_legacy_s / poly_cold_s,
-                "warm": poly_legacy_s / poly_warm_s,
-            },
+            "speedup": {"warm_over_cold": poly_cold_s / poly_warm_s},
         },
         "plan_cache": {
-            "hits": kernel.plan_cache.hits,
-            "misses": kernel.plan_cache.misses,
-            "entries": len(kernel.plan_cache),
+            "hits": tree.plan_cache.hits,
+            "misses": tree.plan_cache.misses,
+            "entries": len(tree.plan_cache),
         },
     }
-    return result
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -256,12 +193,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--warm-passes", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (parity still asserted)"
+        "--quick", action="store_true", help="CI smoke scale"
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert the acceptance thresholds (>=3x cold, >=10x warm)",
+        help="assert warm plans are >=3x faster than cold ones",
     )
     parser.add_argument(
         "--output",
@@ -279,23 +216,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     per_query = result["microseconds_per_query"]
+    ratio = result["speedup"]["warm_over_cold"]
     print(
         f"traversal bench ({result['workload']['n_sensors']} sensors, "
         f"{result['workload']['n_regions']} regions): "
-        f"legacy {per_query['legacy']:.0f}us/q, "
-        f"kernel cold {per_query['kernel_cold']:.0f}us/q "
-        f"({result['speedup']['cold']:.1f}x), "
+        f"kernel cold {per_query['kernel_cold']:.0f}us/q, "
         f"warm {per_query['kernel_warm']:.0f}us/q "
-        f"({result['speedup']['warm']:.1f}x) -> {args.output}"
+        f"({ratio:.1f}x) -> {args.output}"
     )
     if args.check:
-        if result["speedup"]["cold"] < 3.0:
-            print(f"FAIL: cold speedup {result['speedup']['cold']:.2f}x < 3x")
+        if ratio < 3.0:
+            print(f"FAIL: warm/cold speedup {ratio:.2f}x < 3x")
             return 1
-        if result["speedup"]["warm"] < 10.0:
-            print(f"FAIL: warm speedup {result['speedup']['warm']:.2f}x < 10x")
-            return 1
-        print("acceptance thresholds met")
+        print("acceptance threshold met")
     return 0
 
 

@@ -380,16 +380,18 @@ def _demo(n_sensors: int, transport: bool = False) -> int:
         )
     model = AvailabilityModel()
     network = SensorNetwork(registry.all(), availability_model=model, seed=1)
+    dispatcher = None
+    if transport:
+        from repro.transport import ProbeDispatcher, TransportConfig
+
+        dispatcher = ProbeDispatcher(network, TransportConfig())
     tree = COLRTree(
         registry.all(),
         COLRTreeConfig(max_expiry_seconds=600.0, slot_seconds=120.0),
         network=network,
         availability_model=model,
+        transport=dispatcher,
     )
-    if transport:
-        from repro.transport import ProbeDispatcher, TransportConfig
-
-        tree.transport = ProbeDispatcher(network, TransportConfig())
     print(f"indexed {len(tree)} sensors (height {tree.height()})")
     region = Rect(20, 20, 70, 70)
     for label, t in (("cold", 0.0), ("warm", 5.0), ("expired", 10_000.0)):

@@ -67,22 +67,13 @@ class COLRTreeConfig:
         target, reducing the cache-induced spatial bias (probe
         discretization error).  Off by default to match the paper's
         evaluated system.
-    flat_kernel_enabled:
-        When true (the default) the tree freezes its hierarchy into the
-        flattened struct-of-arrays kernel (:mod:`repro.core.flat`) after
-        bulk load and both query paths consume vectorized node
-        classification instead of per-node geometry predicates.  The
-        answers are bit-identical either way; the knob exists for
-        differential testing and benchmarking against the legacy
-        recursive traversal.
-    plan_cache_enabled:
-        When true (and the kernel is enabled) classification results are
-        memoized in an LRU spatial plan cache
-        (:mod:`repro.core.plancache`) keyed by region fingerprint and
-        terminal level.  Safe because the spatial structure is immutable
-        after bulk load; only temporal/slot-cache state stays per-query.
     plan_cache_size:
-        Maximum number of cached spatial plans (LRU evicted).
+        Maximum number of spatial plans — vectorized node
+        classifications (:mod:`repro.core.flat`) memoized by region
+        fingerprint and terminal level in :mod:`repro.core.plancache` —
+        kept per tree (LRU evicted).  Plans stay valid for the tree's
+        lifetime because the spatial structure is immutable after bulk
+        load; only temporal/slot-cache state is per-query.
     classify_tile_nodes:
         When set, the kernel's vectorized node classification runs tile
         by tile over chunks of this many nodes instead of one
@@ -113,8 +104,6 @@ class COLRTreeConfig:
     oversampling_enabled: bool = True
     redistribution_enabled: bool = True
     reversible_aggregates: bool = False
-    flat_kernel_enabled: bool = True
-    plan_cache_enabled: bool = True
     plan_cache_size: int = 256
     classify_tile_nodes: int | None = None
     availability_refresh_seconds: float = 600.0

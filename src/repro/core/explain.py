@@ -9,10 +9,9 @@ side-effect-free and repeatable — the operational tool a portal
 operator uses to understand a slow or probe-heavy query before running
 it.
 
-When the tree carries a flattened kernel, EXPLAIN reads the same
-memoized spatial plan (node classification, overlap fractions, leaf
-membership) the executing query would, so explaining a query also
-warms the plan cache entry that query will hit.
+EXPLAIN reads the same memoized spatial plan (node classification,
+overlap fractions, leaf membership) the executing query would, so
+explaining a query also warms the plan cache entry that query will hit.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.flat import CONTAINED, DISJOINT
-from repro.core.lookup import Region, region_overlap_fraction
+from repro.core.lookup import Region
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.flat import FlatKernel
-    from repro.core.node import COLRNode
     from repro.core.plancache import SpatialPlan
     from repro.core.tree import COLRTree
 
@@ -103,8 +101,8 @@ def explain_query(
     # Key the plan exactly as the executing query would, so EXPLAIN
     # warms the cache entry the real query will then hit.
     spatial = tree.spatial_plan(region, t_level if sampled else None)
-    kernel = tree.kernel if spatial is not None else None
-    relevant = _relevant_sensor_count(tree, region, kernel, spatial)
+    kernel = tree.kernel
+    relevant = _relevant_sensor_count(region, kernel, spatial)
     if not sampled:
         return _explain_exact(tree, region, now, max_staleness, relevant, kernel, spatial)
     plan = QueryPlan(
@@ -116,7 +114,7 @@ def explain_query(
     )
     _walk_sampled(
         tree, tree.root, region, now, max_staleness, float(sample_size), t_level,
-        plan, kernel, spatial, 0 if kernel is not None else None,
+        plan, kernel, spatial, 0,
     )
     plan.cached_weight = sum(t.cached_weight for t in plan.terminals)
     plan.expected_probes = sum(t.expected_probes for t in plan.terminals)
@@ -124,21 +122,10 @@ def explain_query(
 
 
 def _relevant_sensor_count(
-    tree: "COLRTree",
-    region: Region,
-    kernel: "FlatKernel | None" = None,
-    plan: "SpatialPlan | None" = None,
+    region: Region, kernel: "FlatKernel", plan: "SpatialPlan"
 ) -> int:
-    if kernel is not None and plan is not None:
-        if plan._relevant_count is None:
-            plan._relevant_count = _relevant_count_flat(tree, region, kernel, plan)
+    if plan._relevant_count is not None:
         return plan._relevant_count
-    return _relevant_count_node(tree, tree.root, region)
-
-
-def _relevant_count_flat(
-    tree: "COLRTree", region: Region, kernel: "FlatKernel", plan: "SpatialPlan"
-) -> int:
     labels = plan.labels_list
     child_start = kernel._child_start_list
     total = 0
@@ -157,17 +144,8 @@ def _relevant_count_flat(
             continue
         start = child_start[i]
         stack.extend(range(start, start + len(node.children)))
+    plan._relevant_count = total
     return total
-
-
-def _relevant_count_node(tree: "COLRTree", node: "COLRNode", region: Region) -> int:
-    if not region.intersects_rect(node.bbox):
-        return 0
-    if region.contains_rect(node.bbox):
-        return node.weight
-    if node.is_leaf:
-        return sum(1 for s in node.sensors if region.contains_point(s.location))
-    return sum(_relevant_count_node(tree, c, region) for c in node.children)
 
 
 def _explain_exact(
@@ -176,8 +154,8 @@ def _explain_exact(
     now: float,
     max_staleness: float,
     relevant: int,
-    kernel: "FlatKernel | None" = None,
-    spatial: "SpatialPlan | None" = None,
+    kernel: "FlatKernel",
+    spatial: "SpatialPlan",
 ) -> QueryPlan:
     plan = QueryPlan(
         access_path="range_lookup",
@@ -186,27 +164,19 @@ def _explain_exact(
         cached_weight=0,
         expected_probes=0.0,
     )
-    _walk_exact(
-        tree, tree.root, region, now, max_staleness, plan, kernel, spatial,
-        0 if kernel is not None else None,
-    )
+    _walk_exact(tree, tree.root, region, now, max_staleness, plan, kernel, spatial, 0)
     plan.cached_weight = sum(t.cached_weight for t in plan.terminals)
     plan.expected_probes = sum(t.expected_probes for t in plan.terminals)
     return plan
 
 
 def _walk_exact(
-    tree, node, region, now, max_staleness, plan, kernel=None, spatial=None, idx=None
+    tree, node, region, now, max_staleness, plan, kernel, spatial, idx
 ) -> None:
-    if spatial is not None and idx is not None:
-        label = spatial.labels_list[idx]
-        if label == DISJOINT:
-            return
-        fully_inside = label == CONTAINED
-    else:
-        if not region.intersects_rect(node.bbox):
-            return
-        fully_inside = region.contains_rect(node.bbox)
+    label = spatial.labels_list[idx]
+    if label == DISJOINT:
+        return
+    fully_inside = label == CONTAINED
     caching = tree.config.caching_enabled
     if (
         caching
@@ -231,10 +201,8 @@ def _walk_exact(
     if node.is_leaf:
         if fully_inside:
             matching = node.sensors
-        elif spatial is not None and idx is not None:
-            matching = spatial.leaf_matching(kernel, idx, region)
         else:
-            matching = [s for s in node.sensors if region.contains_point(s.location)]
+            matching = spatial.leaf_matching(kernel, idx, region)
         if not matching:
             return
         cached_ids = (
@@ -254,17 +222,16 @@ def _walk_exact(
             )
         )
         return
-    start = kernel._child_start_list[idx] if idx is not None else None
+    start = kernel._child_start_list[idx]
     for offset, child in enumerate(node.children):
         _walk_exact(
             tree, child, region, now, max_staleness, plan, kernel, spatial,
-            start + offset if start is not None else None,
+            start + offset,
         )
 
 
 def _walk_sampled(
-    tree, node, region, now, max_staleness, r, t_level, plan,
-    kernel=None, spatial=None, idx=None,
+    tree, node, region, now, max_staleness, r, t_level, plan, kernel, spatial, idx
 ) -> None:
     """Deterministic mirror of Algorithm 1: expectations only."""
     config = tree.config
@@ -275,35 +242,22 @@ def _walk_sampled(
         return
     weighted = []
     total = 0.0
-    if spatial is not None and idx is not None:
-        overlaps = spatial.overlaps(kernel, region)
-        labels = spatial.labels_list
-        start = kernel._child_start_list[idx]
-        for offset, child in enumerate(node.children):
-            child_idx = start + offset
-            overlap = overlaps[child_idx]
-            if overlap <= 0.0 and labels[child_idx] == DISJOINT:
-                continue
-            w = child.weight * max(overlap, 1e-12)
-            weighted.append((child, w, child_idx))
-            total += w
-    else:
-        for child in node.children:
-            overlap = region_overlap_fraction(child.bbox, region)
-            if overlap <= 0.0 and not region.intersects_rect(child.bbox):
-                continue
-            w = child.weight * max(overlap, 1e-12)
-            weighted.append((child, w, None))
-            total += w
+    overlaps = spatial.overlaps(kernel, region)
+    labels = spatial.labels_list
+    start = kernel._child_start_list[idx]
+    for offset, child in enumerate(node.children):
+        child_idx = start + offset
+        overlap = overlaps[child_idx]
+        if overlap <= 0.0 and labels[child_idx] == DISJOINT:
+            continue
+        w = child.weight * max(overlap, 1e-12)
+        weighted.append((child, w, child_idx))
+        total += w
     if total <= 0:
         return
-    labels = spatial.labels_list if spatial is not None else None
     for child, w, child_idx in weighted:
         r_i = r * w / total
-        if labels is not None and child_idx is not None:
-            inside = labels[child_idx] == CONTAINED
-        else:
-            inside = region.contains_rect(child.bbox)
+        inside = labels[child_idx] == CONTAINED
         if inside and node.level > t_level:
             _plan_terminal(tree, child, region, now, max_staleness, r_i, plan)
         else:

@@ -2,10 +2,10 @@
 
 A built COLR-Tree never changes shape: bulk load fixes every bounding
 box, weight, child list and leaf membership, and only the *temporal*
-state (slot caches) evolves afterwards.  Both query paths nevertheless
-re-derive the same spatial facts on every query by walking the
-pointer-based hierarchy and calling ``intersects_rect`` /
-``contains_rect`` / ``overlap_fraction`` node by node in Python.
+state (slot caches) evolves afterwards.  Walking the pointer-based
+hierarchy and calling ``intersects_rect`` / ``contains_rect`` /
+``overlap_fraction`` node by node in Python would re-derive the same
+spatial facts on every query.
 
 ``FlatKernel`` freezes the static half of the index into numpy arrays —
 per-node bbox extents, weight, level, CSR child offsets, and per-leaf
@@ -13,10 +13,9 @@ sensor-id/coordinate spans — so a query can *classify* every node
 against its region (DISJOINT / PARTIAL / CONTAINED) in a handful of
 vectorized operations, and compute every node's ``Overlap(BB(i), A)``
 share weight in one shot.  The classification is exactly the set of
-predicate results the recursive traversal would have computed, so the
-query paths consume it without any behavioural change: same
-``QueryAnswer``, same probe sets, same ``TerminalRecord``s, same
-traversal counters.
+predicate results a node-by-node recursion computes — the oracle in
+``tests/core/reference_traversal.py`` pins the same ``QueryAnswer``,
+probe sets, ``TerminalRecord``s and traversal counters.
 
 Layout
 ------
@@ -30,8 +29,8 @@ invariants the kernel leans on:
   the recursive visit order exactly.
 
 ``preorder_rank`` additionally records each node's position in the
-depth-first preorder the recursive query paths use, so fully vectorized
-scans can emit terminals in the legacy order without walking pointers.
+depth-first preorder, so fully vectorized scans can emit terminals in
+traversal order without walking pointers.
 
 Cache-conscious tiling
 ----------------------

@@ -6,17 +6,13 @@ non-overlapping nodes, terminates early at internal nodes whose slot
 cache fully covers the subtree for the query's freshness bound, and at
 leaves serves fresh cached readings before probing the remainder.
 
-Two traversal engines produce identical answers:
-
-* the legacy pointer-chasing recursion (``_descend``), kept as the
-  differential-testing reference and for trees built with
-  ``flat_kernel_enabled=False``; and
-* the flattened-kernel paths, which consume a vectorized node
-  classification (:mod:`repro.core.flat`) — optionally memoized in the
-  spatial plan cache (:mod:`repro.core.plancache`) — instead of calling
-  geometry predicates node by node.  When every slot cache is empty
-  (cold tree, or caching disabled) the whole scan collapses to a few
-  array operations plus terminal emission.
+Traversal consumes a vectorized node classification
+(:mod:`repro.core.flat`), memoized in the spatial plan cache
+(:mod:`repro.core.plancache`), instead of calling geometry predicates
+node by node.  When every slot cache is empty (cold tree, or caching
+disabled) the whole scan collapses to a few array operations plus
+terminal emission.  The per-node pointer recursion it replaced lives on
+as the differential oracle ``tests/core/reference_traversal.py``.
 
 Layered sampling — the other access path — lives in
 :mod:`repro.core.sampling`; both paths return the same
@@ -180,17 +176,16 @@ def scan_with_plan(
     region: Region,
     now: float,
     max_staleness: float,
-    plan: "SpatialPlan | None",
+    plan: "SpatialPlan",
     answer: QueryAnswer,
     aggregate_termination: bool = True,
 ) -> tuple[QueryAnswer, list[int]]:
     """Traversal with an already-resolved spatial plan.
 
     The batch executor resolves plans itself (so queries sharing a
-    region reuse one classification per batch) and injects them here;
-    ``plan=None`` means the flattened kernel is off and traversal falls
-    back to the recursive reference.  The caller owns the plan-lookup
-    accounting — this function never touches the plan cache.
+    region reuse one classification per batch) and injects them here.
+    The caller owns the plan-lookup accounting — this function never
+    touches the plan cache.
 
     ``aggregate_termination=False`` skips the sketch early-termination
     check at fully covered internal nodes (see ``COLRTree.query``).  On
@@ -199,18 +194,11 @@ def scan_with_plan(
     either way (only the consultation counter it memoizes differs).
     """
     to_probe: list[int] = []
-    if plan is None:
-        _descend(
-            tree, tree.root, region, now, max_staleness, answer, to_probe,
-            aggregate_termination,
-        )
-        return answer, to_probe
     kernel = tree.kernel
-    assert kernel is not None
     if not tree.config.caching_enabled or tree.cached_reading_count == 0:
         _scan_empty_cache(tree, kernel, plan, region, answer, to_probe)
     else:
-        _descend_flat(
+        _scan_cached(
             tree, kernel, plan, region, now, max_staleness, answer, to_probe,
             aggregate_termination,
         )
@@ -218,47 +206,9 @@ def scan_with_plan(
 
 
 # ----------------------------------------------------------------------
-# Legacy pointer-based traversal (differential reference)
+# Traversal
 # ----------------------------------------------------------------------
-def _descend(
-    tree: "COLRTree",
-    node: "COLRNode",
-    region: Region,
-    now: float,
-    max_staleness: float,
-    answer: QueryAnswer,
-    to_probe: list[int],
-    aggregate_termination: bool = True,
-) -> None:
-    answer.stats.nodes_traversed += 1
-    if not region.intersects_rect(node.bbox):
-        return
-    fully_inside = region.contains_rect(node.bbox)
-
-    if node.is_leaf:
-        matching: list[Sensor] = (
-            node.sensors
-            if fully_inside
-            else [s for s in node.sensors if region.contains_point(s.location)]
-        )
-        _serve_leaf(tree, node, matching, now, max_staleness, answer, to_probe)
-        return
-
-    if aggregate_termination and _try_aggregate_termination(
-        tree, node, fully_inside, now, max_staleness, answer
-    ):
-        return
-    for child in node.children:
-        _descend(
-            tree, child, region, now, max_staleness, answer, to_probe,
-            aggregate_termination,
-        )
-
-
-# ----------------------------------------------------------------------
-# Flattened-kernel traversal
-# ----------------------------------------------------------------------
-def _descend_flat(
+def _scan_cached(
     tree: "COLRTree",
     kernel: "FlatKernel",
     plan: "SpatialPlan",
@@ -269,11 +219,9 @@ def _descend_flat(
     to_probe: list[int],
     aggregate_termination: bool = True,
 ) -> None:
-    """Per-node traversal driven by precomputed classification labels.
-
-    Visit order, counters and cache consultations replicate ``_descend``
-    exactly; only the geometry predicates are replaced by label lookups.
-    """
+    """Preorder walk for trees with cached readings: geometry
+    predicates are lookups into the precomputed classification labels,
+    slot caches are consulted node by node."""
     labels = plan.labels_list
     child_start = kernel._child_start_list
     child_count = kernel._child_count_list
@@ -300,8 +248,8 @@ def _descend_flat(
         ):
             continue
         start = child_start[i]
-        # Children pushed in reverse so the pop order matches the
-        # recursive child-list order (preorder parity).
+        # Children pushed in reverse so they pop in child-list order
+        # (preorder).
         stack.extend(range(start + child_count[i] - 1, start - 1, -1))
 
 
@@ -317,7 +265,7 @@ def _scan_empty_cache(
     (caching disabled, or simply nothing cached yet).
 
     With no cached readings anywhere, no aggregate termination can fire
-    and no leaf can serve from cache, so the whole recursive outcome —
+    and no leaf can serve from cache, so the whole traversal outcome —
     visit counts, cache consultations, terminals, probe list — is a
     pure function of the classification.  It is computed with array
     operations once and memoized on the plan: a warm repeat costs two

@@ -20,13 +20,11 @@ Fractional targets are resolved with randomized rounding
 (``floor(x) + Bernoulli(frac(x))``), which preserves the expected-size
 invariant of Theorem 1 exactly.
 
-When the tree carries a flattened kernel (:mod:`repro.core.flat`), the
-spatial inputs of the algorithm — per-child overlap fractions, the
+The spatial inputs of the algorithm — per-child overlap fractions, the
 containment tests, and each terminal leaf's in-region sensor pool —
-come from one vectorized classification (memoized in the spatial plan
-cache) instead of per-node geometry calls.  The control flow, and
-therefore the RNG draw sequence, is identical either way, so sampled
-answers are bit-for-bit the same with the kernel on or off.
+come from one vectorized classification of the flattened kernel
+(:mod:`repro.core.flat`), memoized in the spatial plan cache, instead
+of per-node geometry calls.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.flat import CONTAINED, DISJOINT
-from repro.core.lookup import QueryAnswer, Region, TerminalRecord, region_overlap_fraction
+from repro.core.lookup import QueryAnswer, Region, TerminalRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.flat import FlatKernel
@@ -53,12 +51,12 @@ class _Entry:
     """A queued (target size, node) pair; ``scaled`` marks whether the
     1/a oversampling factor has been applied on this path (the node is
     in the proof's class S).  ``idx`` is the node's flattened-kernel
-    index (``None`` on the legacy path)."""
+    index."""
 
     priority: float
     node: "COLRNode"
     scaled: bool
-    idx: int | None = None
+    idx: int
 
 
 class _TargetQueue:
@@ -126,17 +124,10 @@ def layered_sample(
     # the 1/a factor is applied exactly once per path.
     o_level = max(config.oversample_level, t_level)
     plan = tree.spatial_plan(region, t_level, answer.stats)
-    kernel = tree.kernel if plan is not None else None
-    labels = plan.labels_list if plan is not None else None
+    kernel = tree.kernel
+    labels = plan.labels_list
     queue = _TargetQueue()
-    queue.push(
-        _Entry(
-            priority=float(target_size),
-            node=tree.root,
-            scaled=False,
-            idx=0 if kernel is not None else None,
-        )
-    )
+    queue.push(_Entry(priority=float(target_size), node=tree.root, scaled=False, idx=0))
     rng = tree.rng
 
     while len(queue) > 0:
@@ -149,13 +140,13 @@ def layered_sample(
         if node.is_leaf:
             fetched = _probe_node(
                 tree, node, region, now, max_staleness, r, entry.scaled, answer, rng,
-                kernel=kernel, plan=plan, idx=entry.idx,
+                kernel, plan, entry.idx,
             )
             if fetched < r and config.redistribution_enabled:
                 queue.redistribute(r - fetched)
             continue
 
-        shares = _child_shares(node, region, kernel=kernel, plan=plan, idx=entry.idx)
+        shares = _child_shares(node, region, kernel, plan, entry.idx)
         if not shares:
             if config.redistribution_enabled:
                 queue.redistribute(r)
@@ -164,14 +155,11 @@ def layered_sample(
         for child, share, child_idx in shares:
             answer.stats.nodes_traversed += 1
             r_i = r * share
-            if labels is not None:
-                inside = labels[child_idx] == CONTAINED
-            else:
-                inside = region.contains_rect(child.bbox)
+            inside = labels[child_idx] == CONTAINED
             if inside and node.level > t_level:
                 total_fetched += _probe_node(
                     tree, child, region, now, max_staleness, r_i, entry.scaled, answer,
-                    rng, kernel=kernel, plan=plan, idx=child_idx,
+                    rng, kernel, plan, child_idx,
                 )
             else:
                 child_scaled = entry.scaled
@@ -237,43 +225,32 @@ def layered_sample(
 def _child_shares(
     node: "COLRNode",
     region: Region,
-    kernel: "FlatKernel | None" = None,
-    plan: "SpatialPlan | None" = None,
-    idx: int | None = None,
-) -> list[tuple["COLRNode", float, int | None]]:
+    kernel: "FlatKernel",
+    plan: "SpatialPlan",
+    idx: int,
+) -> list[tuple["COLRNode", float, int]]:
     """Overlap-weighted share of the parent's target for each relevant
     child (line 9 / 17 of Algorithm 1), as ``(child, share, child_idx)``
-    tuples (``child_idx`` is ``None`` on the legacy path).
+    tuples.
 
-    With a kernel, overlap fractions come from one memoized vectorized
-    pass and the relevance test reads the classification labels; the
-    share arithmetic runs in the same sequential order either way, so
-    the resulting floats are bit-identical.
+    Overlap fractions come from one memoized vectorized pass and the
+    relevance test reads the classification labels.
     """
-    weighted: list[tuple["COLRNode", float, int | None]] = []
+    weighted: list[tuple["COLRNode", float, int]] = []
     total = 0.0
-    if kernel is not None and plan is not None and idx is not None:
-        overlaps = plan.overlaps(kernel, region)
-        labels = plan.labels_list
-        start = kernel._child_start_list[idx]
-        for offset, child in enumerate(node.children):
-            child_idx = start + offset
-            overlap = overlaps[child_idx]
-            if overlap <= 0.0 and labels[child_idx] == DISJOINT:
-                continue
-            # A degenerate overlap fraction of 0 on a touching box still
-            # deserves a vanishing share so redistribution can reach it.
-            w = child.weight * max(overlap, 1e-12)
-            weighted.append((child, w, child_idx))
-            total += w
-    else:
-        for child in node.children:
-            overlap = region_overlap_fraction(child.bbox, region)
-            if overlap <= 0.0 and not region.intersects_rect(child.bbox):
-                continue
-            w = child.weight * max(overlap, 1e-12)
-            weighted.append((child, w, None))
-            total += w
+    overlaps = plan.overlaps(kernel, region)
+    labels = plan.labels_list
+    start = kernel._child_start_list[idx]
+    for offset, child in enumerate(node.children):
+        child_idx = start + offset
+        overlap = overlaps[child_idx]
+        if overlap <= 0.0 and labels[child_idx] == DISJOINT:
+            continue
+        # A degenerate overlap fraction of 0 on a touching box still
+        # deserves a vanishing share so redistribution can reach it.
+        w = child.weight * max(overlap, 1e-12)
+        weighted.append((child, w, child_idx))
+        total += w
     if total <= 0.0:
         return []
     return [(child, w / total, child_idx) for child, w, child_idx in weighted]
@@ -289,9 +266,9 @@ def _probe_node(
     scaled: bool,
     answer: QueryAnswer,
     rng: np.random.Generator,
-    kernel: "FlatKernel | None" = None,
-    plan: "SpatialPlan | None" = None,
-    idx: int | None = None,
+    kernel: "FlatKernel",
+    plan: "SpatialPlan",
+    idx: int,
 ) -> float:
     """Terminal handling: use the node's cache, then probe randomly
     chosen descendant sensors to make up the remaining target.
@@ -312,9 +289,7 @@ def _probe_node(
     if not scaled and config.oversampling_enabled and need > 0:
         need = need / tree.node_availability(node, now)
     k = _randomized_round(max(0.0, need), rng)
-    probed_ids = _choose_sensors(
-        tree, node, region, cached_ids, k, rng, kernel=kernel, plan=plan, idx=idx
-    )
+    probed_ids = _choose_sensors(node, region, cached_ids, k, rng, kernel, plan, idx)
     if probed_ids:
         readings = tree.probe_and_cache(
             probed_ids, now, answer.stats, max_staleness=max_staleness
@@ -474,35 +449,26 @@ def _decompose_cached(
 
 
 def _choose_sensors(
-    tree: "COLRTree",
     node: "COLRNode",
     region: Region,
     exclude: set[int],
     k: int,
     rng: np.random.Generator,
-    kernel: "FlatKernel | None" = None,
-    plan: "SpatialPlan | None" = None,
-    idx: int | None = None,
+    kernel: "FlatKernel",
+    plan: "SpatialPlan",
+    idx: int,
 ) -> list[int]:
     """Uniformly choose up to ``k`` distinct descendant sensors of a
     terminal node, excluding already-cached leaf sensors."""
     if k <= 0:
         return []
     if node.is_leaf:
-        if plan is not None and kernel is not None and idx is not None:
-            # Memoized in-region membership (same sensors, same order
-            # as the legacy filter below).
-            pool = [
-                s.sensor_id
-                for s in plan.leaf_matching(kernel, idx, region)
-                if s.sensor_id not in exclude
-            ]
-        else:
-            pool = [
-                s.sensor_id
-                for s in node.sensors
-                if s.sensor_id not in exclude and region.contains_point(s.location)
-            ]
+        # Memoized in-region membership, in leaf sensor order.
+        pool = [
+            s.sensor_id
+            for s in plan.leaf_matching(kernel, idx, region)
+            if s.sensor_id not in exclude
+        ]
     else:
         pool = [sid for sid in node.descendant_ids.tolist() if sid not in exclude]
     if not pool:

@@ -16,9 +16,8 @@ This module provides the per-tree batch primitives the executor
 
 :func:`shared_range_scan`
     runs every exact scan of a batch over one tree, resolving each
-    region's spatial plan at most once *per batch* (even when the plan
-    cache is disabled or the region is unhashable for the global cache)
-    and metering reuse in ``QueryStats.batch_shared_nodes``.
+    region's spatial plan at most once *per batch* and metering reuse
+    in ``QueryStats.batch_shared_nodes``.
 
 :func:`coalesce_probes`
     merges the per-query probe lists into one deduplicated union in
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.lookup import QueryAnswer, Region, scan_with_plan
-from repro.core.plancache import region_fingerprint
+from repro.core.plancache import SpatialPlan, region_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.tree import COLRTree
@@ -75,27 +74,21 @@ def shared_range_scan(
     ``tree.spatial_plan`` unchanged, so a batch of distinct regions is
     indistinguishable from sequential scans.
     """
-    kernel = tree.kernel
-    batch_plans: dict[object, object] = {}
+    batch_plans: dict[object, SpatialPlan] = {}
     out: list[tuple[QueryAnswer, list[int]]] = []
     for request in requests:
         answer = QueryAnswer()
-        plan = None
-        key = None
-        if kernel is not None:
-            fingerprint = region_fingerprint(request.region)
-            if fingerprint is not None:
-                key = fingerprint
-                plan = batch_plans.get(key)
+        key = region_fingerprint(request.region)
+        plan = batch_plans.get(key) if key is not None else None
         if plan is not None:
             # Inherited classification: meter what was skipped.  The
             # global plan cache is deliberately not consulted (nor
             # credited) — this hit exists only within the batch.
-            answer.stats.batch_shared_nodes += kernel.n_nodes
+            answer.stats.batch_shared_nodes += tree.kernel.n_nodes
             answer.stats.nodes_pruned_vectorized += plan.n_disjoint
         else:
             plan = tree.spatial_plan(request.region, None, answer.stats)
-            if key is not None and plan is not None:
+            if key is not None:
                 batch_plans[key] = plan
         out.append(
             scan_with_plan(

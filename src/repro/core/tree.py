@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from repro.geometry import Rect
 from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.transport.dispatcher import ProbeDispatcher
+from repro.transport.config import TransportConfig
+from repro.transport.dispatcher import ProbeDispatcher
 
 
 class COLRTree:
@@ -65,6 +64,12 @@ class COLRTree:
         Defaults to an empty model (prior estimate 0.5 per sensor).
     cost_model:
         Deterministic processing-latency model for the benchmarks.
+    transport:
+        The probe dispatcher every probe goes through.  A portal passes
+        the one it shares across its per-type trees; when omitted the
+        tree builds its own over ``network`` from
+        ``TransportConfig.parity()`` — one ``complete_batch`` per round,
+        no retries, no tables.
     """
 
     def __init__(
@@ -75,13 +80,12 @@ class COLRTree:
         availability_model: AvailabilityModel | None = None,
         cost_model: ProcessingCostModel | None = None,
         build_method: str = "kmeans",
-        transport: "ProbeDispatcher | None" = None,
+        transport: ProbeDispatcher | None = None,
     ) -> None:
         self.config = config if config is not None else COLRTreeConfig()
         self.network = network
-        # Optional probe-transport dispatcher; when attached (by the
-        # portal, or directly) probe_and_cache routes through it instead
-        # of calling network.probe synchronously.
+        if transport is None and network is not None:
+            transport = ProbeDispatcher(network, TransportConfig.parity())
         self.transport = transport
         self.availability_model = (
             availability_model
@@ -140,18 +144,9 @@ class COLRTree:
         # disk I/O shows up next to probe accounting.
         self.wal_sink = None
         self.storage_meter = None
-        # The flattened traversal kernel + spatial plan cache.  Both are
-        # pure accelerators: answers are bit-identical with them off.
-        self.kernel: FlatKernel | None = (
-            FlatKernel(self.root, tile_nodes=self.config.classify_tile_nodes)
-            if self.config.flat_kernel_enabled
-            else None
-        )
-        self.plan_cache: SpatialPlanCache | None = (
-            SpatialPlanCache(self.config.plan_cache_size)
-            if self.kernel is not None and self.config.plan_cache_enabled
-            else None
-        )
+        # The flattened traversal kernel + spatial plan cache.
+        self.kernel = FlatKernel(self.root, tile_nodes=self.config.classify_tile_nodes)
+        self.plan_cache = SpatialPlanCache(self.config.plan_cache_size)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -256,28 +251,25 @@ class COLRTree:
         region: Region,
         terminal_level: int | None,
         stats: QueryStats | None = None,
-    ) -> SpatialPlan | None:
-        """The memoized spatial half of a query plan, or ``None`` when
-        the flattened kernel is disabled (legacy traversal).
+    ) -> SpatialPlan:
+        """The memoized spatial half of a query plan.
 
         The classification (and everything derived from it) depends
         only on the region and the frozen tree structure, so a cached
         plan is valid indefinitely; ``stats`` receives the hit/miss and
-        pruning meters when provided.
+        pruning meters when provided.  A region without a fingerprint
+        is classified afresh each time.
         """
-        if self.kernel is None:
-            return None
         key = None
-        if self.plan_cache is not None:
-            fingerprint = region_fingerprint(region)
-            if fingerprint is not None:
-                key = (fingerprint, terminal_level)
-                plan = self.plan_cache.get(key)
-                if plan is not None:
-                    if stats is not None:
-                        stats.plan_cache_hits += 1
-                        stats.nodes_pruned_vectorized += plan.n_disjoint
-                    return plan
+        fingerprint = region_fingerprint(region)
+        if fingerprint is not None:
+            key = (fingerprint, terminal_level)
+            plan = self.plan_cache.get(key)
+            if plan is not None:
+                if stats is not None:
+                    stats.plan_cache_hits += 1
+                    stats.nodes_pruned_vectorized += plan.n_disjoint
+                return plan
         labels = self.kernel.classify(region)
         plan = SpatialPlan(labels=labels, n_disjoint=int((labels == DISJOINT).sum()))
         if key is not None:
@@ -318,60 +310,46 @@ class COLRTree:
     ) -> list[Reading]:
         """Probe live sensors, record work, and cache the successes.
 
-        When a transport dispatcher is attached the probe is routed
-        through it (dedup/cooldown/retry apply, and the dispatcher
-        streams the readings into the cache itself); otherwise the
-        direct synchronous ``network.probe`` path runs.  The optional
+        The round goes through the tree's dispatcher: its
+        dedup/cooldown/retry tables apply, and in the event-queue modes
+        it streams the readings into the cache itself.  The optional
         ``max_staleness`` bounds how old a dedup-served reading may be.
         """
         ids = list(sensor_ids)
         if not ids:
             return []
-        if self.network is None:
+        if self.transport is None:
             raise RuntimeError("this tree has no sensor network attached")
         io_base = (
             self.storage_meter.io_counters()
             if self.storage_meter is not None
             else None
         )
-        if self.transport is not None:
-            rnd = self.transport.collect(
-                ids,
-                now,
-                tree=self,
-                max_staleness=math.inf if max_staleness is None else max_staleness,
-            )
-            stats.sensors_probed += len(ids)
-            stats.probe_successes += len(rnd.readings)
-            stats.probe_batches += 1
-            stats.collection_latency_seconds += rnd.latency_seconds
-            stats.probes_retried += rnd.retries
-            stats.probes_timed_out += len(rnd.timed_out)
-            stats.probes_deduped += len(rnd.deduped)
-            stats.probes_cooldown_skipped += len(rnd.cooldown_skipped)
-            if self.config.caching_enabled:
-                if self.transport.streams_ingestion:
-                    stats.maintenance_ops += rnd.maintenance_ops
-                else:
-                    served = rnd.deduped_set
-                    fresh = [
-                        r for sid, r in rnd.readings.items() if sid not in served
-                    ]
-                    stats.maintenance_ops += self.insert_readings_batch(
-                        fresh, fetched_at=now
-                    )
-            self._meter_storage(stats, io_base)
-            return list(rnd.readings.values())
-        result = self.network.probe(ids, now)
+        rnd = self.transport.collect(
+            ids,
+            now,
+            tree=self,
+            max_staleness=math.inf if max_staleness is None else max_staleness,
+        )
         stats.sensors_probed += len(ids)
-        stats.probe_successes += len(result.readings)
+        stats.probe_successes += len(rnd.readings)
         stats.probe_batches += 1
-        stats.collection_latency_seconds += result.latency_seconds
-        readings = list(result.readings.values())
+        stats.collection_latency_seconds += rnd.latency_seconds
+        stats.probes_retried += rnd.retries
+        stats.probes_timed_out += len(rnd.timed_out)
+        stats.probes_deduped += len(rnd.deduped)
+        stats.probes_cooldown_skipped += len(rnd.cooldown_skipped)
         if self.config.caching_enabled:
-            stats.maintenance_ops += self.insert_readings_batch(readings, fetched_at=now)
+            if self.transport.streams_ingestion:
+                stats.maintenance_ops += rnd.maintenance_ops
+            else:
+                served = rnd.deduped_set
+                fresh = [r for sid, r in rnd.readings.items() if sid not in served]
+                stats.maintenance_ops += self.insert_readings_batch(
+                    fresh, fetched_at=now
+                )
         self._meter_storage(stats, io_base)
-        return readings
+        return list(rnd.readings.values())
 
     def _meter_storage(
         self, stats: QueryStats, io_base: tuple[int, int, int, int] | None

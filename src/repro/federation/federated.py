@@ -547,10 +547,6 @@ class FederatedPortal:
             types.update(shard.sensor_types())
         return sorted(types)
 
-    @property
-    def transport_enabled(self) -> bool:
-        return self.transport_config is not None and self.transport_config.enabled
-
     # ------------------------------------------------------------------
     # Shard health
     # ------------------------------------------------------------------

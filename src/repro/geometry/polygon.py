@@ -191,8 +191,15 @@ class Polygon:
     def contains_rect(self, rect: Rect) -> bool:
         """True when the rectangle lies entirely inside the polygon.
 
-        For a simple polygon it suffices that all four corners are inside
-        and no polygon edge crosses a rectangle edge.
+        A simple polygon contains the rectangle when it contains the
+        rectangle's boundary: all four corners are inside, no polygon
+        edge crosses a rectangle edge, and where polygon vertices lie
+        *on* a rectangle edge every piece of the edge between them is
+        inside.  The last condition catches a concave notch entering
+        through an edge the rectangle shares with a box the polygon was
+        clipped to: the notch's edges only touch the rectangle's, so
+        the crossing test alone lets it in, but its mouth is a piece of
+        the rectangle's edge that lies outside.
         """
         if not self._bbox.contains_rect(rect):
             return False
@@ -206,6 +213,31 @@ class Polygon:
             b = verts[(i + 1) % n]
             for c, d in rect_edges:
                 if _segments_properly_intersect(a, b, c, d):
+                    return False
+        return self._touched_edge_pieces_inside(rect)
+
+    def _touched_edge_pieces_inside(self, rect: Rect) -> bool:
+        """Polygon vertices lying exactly on a rectangle edge split it
+        into pieces; true when every piece's midpoint is inside.  (Exact
+        coordinate equality is what clipping produces: it stamps the
+        clip bound into the vertex.)"""
+        for horizontal, fixed, lo, hi in (
+            (True, rect.min_y, rect.min_x, rect.max_x),
+            (True, rect.max_y, rect.min_x, rect.max_x),
+            (False, rect.min_x, rect.min_y, rect.max_y),
+            (False, rect.max_x, rect.min_y, rect.max_y),
+        ):
+            if horizontal:
+                cuts = {v.x for v in self.vertices if v.y == fixed and lo < v.x < hi}
+            else:
+                cuts = {v.y for v in self.vertices if v.x == fixed and lo < v.y < hi}
+            if not cuts:
+                continue
+            bounds = [lo, *sorted(cuts), hi]
+            for a, b in zip(bounds, bounds[1:]):
+                mid = (a + b) / 2.0
+                point = GeoPoint(mid, fixed) if horizontal else GeoPoint(fixed, mid)
+                if not self.contains_point(point):
                     return False
         return True
 

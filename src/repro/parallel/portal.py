@@ -221,8 +221,6 @@ class ParallelFederatedPortal(FederatedPortal):
         manifests: dict[str, SegmentManifest] = {}
         for sensor_type in shard.sensor_types():
             kernel = shard.tree(sensor_type).kernel
-            if kernel is None:
-                continue
             manifests[sensor_type] = self._registry.publish(
                 kernel.shared_arrays(), tag=f"s{shard_id}-{sensor_type}"
             )

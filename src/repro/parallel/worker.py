@@ -93,10 +93,8 @@ def build_portal(bootstrap: WorkerBootstrap) -> SensorMapPortal:
     # portal instance.
     handles = []
     for sensor_type, manifest in bootstrap.manifests.items():
-        kernel = portal.tree(sensor_type).kernel
-        if kernel is None:
-            continue
         shm, views = attach(manifest)
+        kernel = portal.tree(sensor_type).kernel
         kernel.adopt_arrays(views, verify=bootstrap.verify_adoption)
         handles.append(shm)
     portal._parallel_shm_handles = handles  # noqa: SLF001 - lifetime anchor

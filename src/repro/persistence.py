@@ -10,95 +10,37 @@ the sensors and the config seed, so it is rebuilt on load and the
 cached readings are re-inserted (re-running the aggregate maintenance,
 which also re-validates them against the restored clock).
 
-Two on-disk formats exist.  Version 2 (current) is the storage
-engine's checkpoint container — a CRC-checksummed page file (see
-``repro.storage.checkpoint``) holding the snapshot meta, the sensors
-and the cached readings; it shares the exact codecs crash recovery
-uses.  Version 1 is the original JSON document; it still loads (with a
-``DeprecationWarning``) and can still be written explicitly via
-``save_tree(..., format_version=1)``.  ``load_tree`` sniffs the file
-magic, so both formats load through the same call.  Networks and
-availability histories are runtime objects the caller re-wires.
+A snapshot file is the storage engine's checkpoint container — a
+CRC-checksummed page file (see ``repro.storage.checkpoint``) holding the
+snapshot meta, the sensors and the cached readings; it shares the exact
+codecs crash recovery uses.  Anything else raises ``SnapshotError``.
+Networks and availability histories are runtime objects the caller
+re-wires.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from pathlib import Path
-from typing import Any
 
 from repro.core.config import COLRTreeConfig
 from repro.core.tree import COLRTree
-from repro.geometry import GeoPoint
 from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
-from repro.sensors.sensor import Reading, Sensor
+from repro.sensors.sensor import Reading
 
 FORMAT_VERSION = 2
-V1_FORMAT_VERSION = 1
+
+# COLRTreeConfig fields that existed when older snapshots were written
+# and have since been removed; dropped from the stored config on load.
+RETIRED_CONFIG_KEYS = ("flat_kernel_enabled", "plan_cache_enabled")
 
 
 class SnapshotError(ValueError):
     """Raised for malformed or incompatible snapshot files."""
 
 
-def snapshot_tree(tree: COLRTree, now: float) -> dict[str, Any]:
-    """Capture a tree as a JSON-serializable dict."""
-    sensors = [
-        {
-            "sensor_id": s.sensor_id,
-            "x": s.location.x,
-            "y": s.location.y,
-            "expiry_seconds": s.expiry_seconds,
-            "sensor_type": s.sensor_type,
-            "availability": s.availability,
-            "metadata": list(map(list, s.metadata)),
-        }
-        for s in (tree.sensor(sid) for sid in sorted(tree._sensors))
-    ]
-    readings = []
-    for leaf in tree.root.iter_leaves():
-        if leaf.leaf_cache is None:
-            continue
-        for sensor_id in sorted(
-            r.sensor_id for r in leaf.leaf_cache.all_readings()
-        ):
-            cached = leaf.leaf_cache.get(sensor_id)
-            assert cached is not None
-            readings.append(
-                {
-                    "sensor_id": cached.reading.sensor_id,
-                    "value": cached.reading.value,
-                    "timestamp": cached.reading.timestamp,
-                    "expires_at": cached.reading.expires_at,
-                    "fetched_at": cached.fetched_at,
-                }
-            )
-    config = {f: getattr(tree.config, f) for f in tree.config.__dataclass_fields__}
-    return {
-        "format_version": V1_FORMAT_VERSION,
-        "saved_at": now,
-        "config": config,
-        "sensors": sensors,
-        "cached_readings": readings,
-    }
-
-
-def save_tree(
-    tree: COLRTree,
-    path: str | Path,
-    now: float,
-    *,
-    format_version: int = FORMAT_VERSION,
-) -> None:
-    """Write a snapshot file (version 2 checkpoint container by
-    default; ``format_version=1`` writes the legacy JSON document)."""
-    if format_version == V1_FORMAT_VERSION:
-        Path(path).write_text(json.dumps(snapshot_tree(tree, now)))
-        return
-    if format_version != FORMAT_VERSION:
-        raise SnapshotError(f"unsupported snapshot version {format_version!r}")
+def save_tree(tree: COLRTree, path: str | Path, now: float) -> None:
+    """Write a snapshot file (a checkpoint container)."""
     from repro.storage.checkpoint import write_checkpoint
 
     sensors = [tree.sensor(sid) for sid in sorted(tree._sensors)]
@@ -121,106 +63,23 @@ def save_tree(
     )
 
 
-def restore_tree(
-    data: dict[str, Any],
-    network: SensorNetwork | None = None,
-    availability_model: AvailabilityModel | None = None,
-    build_network: bool = True,
-    network_seed: int = 0,
-) -> COLRTree:
-    """Rebuild a tree (structure + caches) from a snapshot dict.
-
-    ``network=None`` with ``build_network=True`` constructs a fresh
-    simulated network over the restored sensors; pass an explicit
-    network to re-wire a live one.
-    """
-    version = data.get("format_version")
-    if version != V1_FORMAT_VERSION:
-        raise SnapshotError(f"unsupported snapshot version {version!r}")
-    try:
-        config = COLRTreeConfig(**data["config"])
-        sensors = [
-            Sensor(
-                sensor_id=int(s["sensor_id"]),
-                location=GeoPoint(float(s["x"]), float(s["y"])),
-                expiry_seconds=float(s["expiry_seconds"]),
-                sensor_type=str(s["sensor_type"]),
-                availability=float(s["availability"]),
-                metadata=tuple((str(k), str(v)) for k, v in s.get("metadata", [])),
-            )
-            for s in data["sensors"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise SnapshotError(f"malformed snapshot: {exc}") from exc
-    if not sensors:
-        raise SnapshotError("snapshot holds no sensors")
-    if network is None and build_network:
-        network = SensorNetwork(
-            sensors, availability_model=availability_model, seed=network_seed
-        )
-    tree = COLRTree(
-        sensors, config, network=network, availability_model=availability_model
-    )
-    saved_at = float(data.get("saved_at", 0.0))
-    for entry in data.get("cached_readings", []):
-        reading = Reading(
-            sensor_id=int(entry["sensor_id"]),
-            value=float(entry["value"]),
-            timestamp=float(entry["timestamp"]),
-            expires_at=float(entry["expires_at"]),
-        )
-        if not reading.is_valid_at(saved_at):
-            continue  # expired while on disk
-        tree.insert_reading(reading, fetched_at=float(entry["fetched_at"]))
-    tree._enforce_capacity()
-    return tree
-
-
 def load_tree(
     path: str | Path,
     network: SensorNetwork | None = None,
     availability_model: AvailabilityModel | None = None,
     network_seed: int = 0,
 ) -> COLRTree:
-    """Read a snapshot file (either format) and rebuild the tree."""
-    from repro.storage.checkpoint import is_checkpoint_file
+    """Read a snapshot file and rebuild the tree (structure + caches).
 
-    path = Path(path)
-    if is_checkpoint_file(path):
-        return _load_tree_v2(
-            path,
-            network=network,
-            availability_model=availability_model,
-            network_seed=network_seed,
-        )
-    warnings.warn(
-        "version-1 JSON snapshots are deprecated; re-save with "
-        "save_tree() to migrate to the checkpoint container",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"snapshot is not valid JSON: {exc}") from exc
-    return restore_tree(
-        data,
-        network=network,
-        availability_model=availability_model,
-        network_seed=network_seed,
-    )
-
-
-def _load_tree_v2(
-    path: Path,
-    network: SensorNetwork | None = None,
-    availability_model: AvailabilityModel | None = None,
-    network_seed: int = 0,
-) -> COLRTree:
-    """Rebuild a tree from a version-2 checkpoint container."""
-    from repro.storage.checkpoint import read_checkpoint
+    ``network=None`` constructs a fresh simulated network over the
+    restored sensors; pass an explicit network to re-wire a live one.
+    """
+    from repro.storage.checkpoint import is_checkpoint_file, read_checkpoint
     from repro.storage.pager import PageCorruptionError
 
+    path = Path(path)
+    if not is_checkpoint_file(path):
+        raise SnapshotError(f"{path} is not a checkpoint container")
     try:
         meta, sensors, cached = read_checkpoint(path)
     except PageCorruptionError as exc:
@@ -231,7 +90,10 @@ def _load_tree_v2(
     if not sensors:
         raise SnapshotError("snapshot holds no sensors")
     try:
-        config = COLRTreeConfig(**meta["config"])
+        stored = dict(meta["config"])
+        for key in RETIRED_CONFIG_KEYS:
+            stored.pop(key, None)
+        config = COLRTreeConfig(**stored)
     except (KeyError, TypeError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     if network is None:

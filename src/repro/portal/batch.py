@@ -55,13 +55,12 @@ class BatchStats:
     ``probes_issued`` is what actually went over the network after
     coalescing; the difference is ``probes_coalesced``.
 
-    With the transport dispatcher attached, ``probes_contacted`` is what
-    actually hit the wire after the dispatcher's dedup/cooldown tables
-    (≤ ``probes_issued``), the transport counters break the difference
-    down, ``maintenance_ops`` carries the streamed-ingestion trigger
-    work (not attributed to individual queries), and
-    ``collection_seconds`` becomes the tick's *makespan* (rounds
-    overlap) instead of a sequential per-tree sum.
+    ``probes_contacted`` is what actually hit the wire after the
+    dispatcher's dedup/cooldown tables (≤ ``probes_issued``), the
+    transport counters break the difference down, ``maintenance_ops``
+    carries the streamed-ingestion trigger work (not attributed to
+    individual queries), and ``collection_seconds`` is the tick's
+    *makespan* when rounds overlap, else the sequential per-tree sum.
 
     ``collection_seconds`` is *modeled* (simulated-clock) time;
     ``wall_seconds`` is the real time this process spent executing the
@@ -143,11 +142,8 @@ def execute_batch(
     answers: list[dict[int, "QueryAnswer"]] = [{} for _ in queries]
 
     # Pass 1 — per tree: prune, classify (shared scans), coalesce, and
-    # *issue* the probe round.  Without a dispatcher the synchronous
-    # network.probe runs inline, exactly where it always did (same
-    # network-RNG order); with one, the round is submitted and all trees'
-    # rounds are drained together below, which is what lets them overlap
-    # in simulated wall time.
+    # *submit* the probe round; all trees' rounds are drained together
+    # below, which is what lets them overlap in simulated wall time.
     dispatcher = portal.dispatcher
     tree_work: list[tuple] = []
     for tree, query_indices in exact_by_tree.values():
@@ -163,33 +159,21 @@ def execute_batch(
         union, owner = coalesce_probes([to_probe for _, to_probe in scans])
         stats.probes_issued += len(union)
         rnd = None
-        probe_result = None
         if union:
-            if tree.network is None:
-                raise RuntimeError("this tree has no sensor network attached")
-            if dispatcher is not None:
-                staleness = min(
-                    queries[qi].staleness_seconds for qi in query_indices
-                )
-                rnd = dispatcher.submit(
-                    union, now, tree=tree, max_staleness=staleness
-                )
-            else:
-                probe_result = tree.network.probe(union, now)
-        tree_work.append((tree, query_indices, scans, union, owner, rnd, probe_result))
+            staleness = min(queries[qi].staleness_seconds for qi in query_indices)
+            rnd = dispatcher.submit(union, now, tree=tree, max_staleness=staleness)
+        tree_work.append((tree, query_indices, scans, union, owner, rnd))
 
     # Pass 2 — drain every submitted round to resolution (in overlap
-    # mode the rounds share the connection pool and event queue; in
-    # parity mode they resolve one at a time in submission order, which
-    # is bit-identical to the inline probes above).
-    if dispatcher is not None:
-        dispatcher.drain([w[5] for w in tree_work if w[5] is not None])
+    # mode the rounds share the connection pool and event queue;
+    # otherwise they resolve one at a time in submission order).
+    dispatcher.drain([w[5] for w in tree_work if w[5] is not None])
 
     # Pass 3 — per-query attribution, identical to the sequential
     # executor's accounting.
-    streaming = dispatcher is not None and dispatcher.streams_ingestion
+    streaming = dispatcher.streams_ingestion
     round_latencies: list[float] = []
-    for tree, query_indices, scans, union, owner, rnd, probe_result in tree_work:
+    for tree, query_indices, scans, union, owner, rnd in tree_work:
         readings: Mapping[int, "Reading"] = {}
         latency = 0.0
         deduped_set: frozenset[int] = frozenset()
@@ -209,11 +193,6 @@ def execute_batch(
             stats.probes_retried += rnd.retries
             stats.probes_timed_out += len(rnd.timed_out)
             stats.maintenance_ops += rnd.maintenance_ops
-            round_latencies.append(latency)
-        elif probe_result is not None:
-            readings = probe_result.readings
-            latency = probe_result.latency_seconds
-            stats.probes_contacted += len(union)
             round_latencies.append(latency)
         for local, (qi, (answer, to_probe)) in enumerate(zip(query_indices, scans)):
             qstats = answer.stats
@@ -262,7 +241,7 @@ def execute_batch(
 
     # Collection accounting: sequential rounds sum; overlapping rounds
     # cost the tick their makespan.
-    if dispatcher is not None and dispatcher.config.overlap_enabled:
+    if dispatcher.config.overlap_enabled:
         stats.collection_seconds += max(round_latencies, default=0.0)
     else:
         stats.collection_seconds += sum(round_latencies)

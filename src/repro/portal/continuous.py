@@ -81,8 +81,9 @@ class ContinuousQueryManager:
 
     ``portal`` may equally be a
     :class:`~repro.federation.federated.FederatedPortal` — the manager
-    only relies on ``clock`` / ``transport_enabled`` / ``execute`` /
-    ``execute_batch``, which the coordinator mirrors.
+    only relies on ``clock`` / ``execute_batch`` (and
+    ``execute_streaming`` when a gather deadline is set), which the
+    coordinator mirrors.
 
     When ``stagger_seconds`` is set, each new subscription gets an
     automatic first-run phase offset (golden-ratio spaced over
@@ -212,11 +213,10 @@ class ContinuousQueryManager:
         """Execute every subscription due at the portal's current time.
 
         The due subscriptions form a natural batch — one tick, one
-        clock instant, many overlapping viewports — so two or more run
-        through :meth:`SensorMapPortal.execute_batch` (shared
-        traversals, each sensor probed at most once this tick); a lone
-        due subscription takes the single-query path, which is
-        bit-identical anyway.
+        clock instant, many overlapping viewports — so they run through
+        :meth:`SensorMapPortal.execute_batch` (shared traversals, each
+        sensor probed at most once this tick, a type-less query's
+        per-tree probe rounds overlapping).
 
         Returns the (subscription, delta) pairs that ran, in
         subscription order.  Callbacks fire after each run.
@@ -262,12 +262,6 @@ class ContinuousQueryManager:
                     (subscription, self._apply_result(subscription, gather.first))
                 )
             return out
-        if len(due) == 1 and not self.portal.transport_enabled:
-            subscription = due[0]
-            return [(subscription, self._execute(subscription))]
-        # With the transport dispatcher on, even a lone subscription runs
-        # through the batch path so a type-less query's per-tree probe
-        # rounds overlap (answers are identical either way).
         batch = self.portal.execute_batch([s.query for s in due])
         return [
             (subscription, self._apply_result(subscription, result))
@@ -286,9 +280,6 @@ class ContinuousQueryManager:
             elapsed += step
             executed += len(self.tick())
         return executed
-
-    def _execute(self, subscription: Subscription) -> ResultDelta:
-        return self._apply_result(subscription, self.portal.execute(subscription.query))
 
     def _apply_result(
         self, subscription: Subscription, result: PortalResult

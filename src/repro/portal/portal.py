@@ -28,6 +28,8 @@ from repro.sensors.clock import SimClock
 from repro.sensors.network import SensorNetwork
 from repro.sensors.registry import SensorRegistry
 from repro.sensors.sensor import Sensor
+from repro.transport.config import TransportConfig
+from repro.transport.dispatcher import ProbeDispatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.geoblocks.config import GeoBlockConfig
@@ -36,8 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sensors.sensor import Reading
     from repro.storage.config import StorageConfig
     from repro.storage.engine import RecoveredState, StorageEngine
-    from repro.transport.config import TransportConfig
-    from repro.transport.dispatcher import ProbeDispatcher
 
 
 @dataclass
@@ -108,7 +108,7 @@ class SensorMapPortal:
         network_seed: int = 0,
         clock: SimClock | None = None,
         max_sensors_per_query: int | None = 1000,
-        transport: "TransportConfig | None" = None,
+        transport: TransportConfig | None = None,
         network_options: dict[str, object] | None = None,
         storage: "StorageConfig | None" = None,
         geoblocks: "GeoBlockConfig | None" = None,
@@ -118,12 +118,12 @@ class SensorMapPortal:
         many sensors, roughly uniformly distributed, instead of trying
         to contact everything.  ``None`` disables the cap.
 
-        ``transport`` opts the portal into the probe-transport
-        dispatcher (``repro.transport``): all probing is routed through
-        one shared ``ProbeDispatcher`` with in-flight dedup,
-        retry/backoff/cooldown and overlapping rounds.  ``None`` (or a
-        config with ``enabled=False``) keeps the direct synchronous
-        ``network.probe`` path.  ``network_options`` forwards extra
+        ``transport`` configures the one ``ProbeDispatcher``
+        (``repro.transport``) all of the portal's probing goes through:
+        in-flight dedup, retry/backoff/cooldown and overlapping rounds.
+        ``None`` means ``TransportConfig.parity()`` — one synchronous
+        collection round per tree, no retries, no tables.
+        ``network_options`` forwards extra
         keyword arguments (``rtt_seconds``, ``parallelism``,
         ``latency_jitter``, ``timeout_seconds``) to the
         ``SensorNetwork`` built on each index rebuild.
@@ -153,8 +153,10 @@ class SensorMapPortal:
         self._value_fn = value_fn
         self._network_seed = network_seed
         self._network_options = dict(network_options) if network_options else {}
-        self.transport_config = transport
-        self._dispatcher: "ProbeDispatcher | None" = None
+        self.transport_config = (
+            transport if transport is not None else TransportConfig.parity()
+        )
+        self._dispatcher: ProbeDispatcher | None = None
         self._network: SensorNetwork | None = None
         self._trees: dict[str, COLRTree] = {}
         self._index_dirty = True
@@ -187,14 +189,9 @@ class SensorMapPortal:
             self.clock.advance_to(recovered.clock_now)
 
     @property
-    def transport_enabled(self) -> bool:
-        """True when probing routes through the transport dispatcher."""
-        return self.transport_config is not None and self.transport_config.enabled
-
-    @property
-    def dispatcher(self) -> "ProbeDispatcher | None":
-        """The portal-wide probe dispatcher (None when transport is
-        disabled or the index is not built yet)."""
+    def dispatcher(self) -> ProbeDispatcher | None:
+        """The portal-wide probe dispatcher (None until the index is
+        built)."""
         return self._dispatcher
 
     # ------------------------------------------------------------------
@@ -261,12 +258,7 @@ class SensorMapPortal:
             seed=self._network_seed,
             **self._network_options,
         )
-        if self.transport_enabled:
-            from repro.transport.dispatcher import ProbeDispatcher
-
-            self._dispatcher = ProbeDispatcher(self._network, self.transport_config)
-        else:
-            self._dispatcher = None
+        self._dispatcher = ProbeDispatcher(self._network, self.transport_config)
         self._trees = {}
         by_type: dict[str, list[Sensor]] = {}
         for sensor in self.registry:
@@ -593,18 +585,17 @@ class SensorMapPortal:
                 "wal_fsyncs": net.wal_fsyncs,
             },
         }
-        if self._dispatcher is not None:
-            t = self._dispatcher.stats
-            summary["transport"] = {
-                "rounds": t.rounds,
-                "attempts": t.attempts,
-                "retries": t.retries,
-                "timeouts": t.timeouts,
-                "dedup_hits": t.dedup_hits,
-                "cooldown_skips": t.cooldown_skips,
-                "overlapped_rounds": t.overlapped_rounds,
-                "streamed_readings": t.streamed_readings,
-            }
+        t = self._dispatcher.stats
+        summary["transport"] = {
+            "rounds": t.rounds,
+            "attempts": t.attempts,
+            "retries": t.retries,
+            "timeouts": t.timeouts,
+            "dedup_hits": t.dedup_hits,
+            "cooldown_skips": t.cooldown_skips,
+            "overlapped_rounds": t.overlapped_rounds,
+            "streamed_readings": t.streamed_readings,
+        }
         if self.storage is not None:
             from dataclasses import asdict
 

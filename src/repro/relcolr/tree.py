@@ -58,15 +58,17 @@ class RelCOLRTree:
         self.config = config if config is not None else COLRTreeConfig()
         self.network = network
         self.availability_model = availability_model
-        # Probe collection can route through the async transport layer
-        # (dedup / retry / overlap) behind this flag; ingestion stays
-        # pure DML either way, so the trigger cascade is untouched.
-        self.transport_config = transport
+        # Probe collection goes through the transport dispatcher (dedup /
+        # retry / overlap per ``transport``; ``None`` is the parity
+        # config); ingestion stays pure DML, so the trigger cascade is
+        # untouched.  Only a structure-only tree (no network) has none.
+        if transport is not None and network is None:
+            raise ValueError("transport requires a sensor network")
         self.dispatcher: ProbeDispatcher | None = None
-        if transport is not None and transport.enabled:
-            if network is None:
-                raise ValueError("transport requires a sensor network")
-            self.dispatcher = ProbeDispatcher(network, transport)
+        if network is not None:
+            self.dispatcher = ProbeDispatcher(
+                network, transport if transport is not None else TransportConfig.parity()
+            )
         self.names = names if names is not None else SchemaNames()
         # ``pager`` spills every relation to disk through paged B+-trees
         # (see repro.storage); ``wal_sink``, when set by the owning
@@ -477,25 +479,19 @@ class RelCOLRTree:
             region, now, max_staleness, target, stats=answer.stats
         )
         if to_probe:
-            if self.network is None:
+            if self.dispatcher is None:
                 raise RuntimeError("this tree has no sensor network attached")
-            if self.dispatcher is not None:
-                # Transport path: the dispatcher's dedup/cooldown/retry
-                # tables apply; ``tree=None`` keeps ingestion out of the
-                # dispatcher so it stays relational DML below.
-                rnd = self.dispatcher.collect(
-                    to_probe, now, tree=None, max_staleness=max_staleness
-                )
-                readings = rnd.readings
-                latency = rnd.latency_seconds
-            else:
-                result = self.network.probe(to_probe, now)
-                readings = result.readings
-                latency = result.latency_seconds
+            # The dispatcher's dedup/cooldown/retry tables apply;
+            # ``tree=None`` keeps ingestion out of the dispatcher so it
+            # stays relational DML below.
+            rnd = self.dispatcher.collect(
+                to_probe, now, tree=None, max_staleness=max_staleness
+            )
+            readings = rnd.readings
             answer.stats.sensors_probed += len(to_probe)
             answer.stats.probe_successes += len(readings)
             answer.stats.probe_batches += 1
-            answer.stats.collection_latency_seconds += latency
+            answer.stats.collection_latency_seconds += rnd.latency_seconds
             # Batched ingestion: the probe round enters the cache as one
             # DELETE + one multi-row INSERT, so the grouped triggers
             # issue one statement per (ancestor, slot) for the round.

@@ -116,7 +116,7 @@ class BPlusTree:
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        path = self._descend(key)
+        path = self._root_to_leaf(key)
         leaf_id = path[-1][0]
         kind, keys, values, next_leaf = self._read_node(leaf_id)
         assert kind == _LEAF
@@ -184,7 +184,7 @@ class BPlusTree:
             node = self._read_node(node_id)
         return node_id
 
-    def _descend(self, key: bytes) -> list[tuple[int, tuple]]:
+    def _root_to_leaf(self, key: bytes) -> list[tuple[int, tuple]]:
         """Root-to-leaf path as (node_id, node) pairs."""
         path = []
         node_id = self.root

@@ -5,8 +5,10 @@ reliability (``max_retries`` / ``backoff_*`` / ``cooldown_*``) and
 scheduling (``overlap_enabled`` / ``stream_chunk``).  The defaults are a
 reasonable portal posture; ``TransportConfig.parity()`` builds the
 degenerate configuration under which the dispatcher is bit-identical to
-the synchronous ``SensorNetwork.probe`` path (no retries, no overlap, no
-tables) — the property tests pin that contract.
+a direct ``SensorNetwork.probe`` call (no retries, no overlap, no
+tables) — the property tests pin that contract.  It is what a portal or
+tree built without a transport config runs: there is no probe path
+around the dispatcher.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ class TransportConfig:
 
     Parameters
     ----------
-    enabled:
-        Master switch (the portal's ``transport_enabled``).  When False
-        the portal keeps the direct synchronous ``network.probe`` path.
     max_retries:
         Extra wire contacts allowed per logical probe after the first
         attempt fails.  0 disables retrying.
@@ -62,7 +61,6 @@ class TransportConfig:
         Seed of the dispatcher's private RNG (backoff jitter only).
     """
 
-    enabled: bool = True
     max_retries: int = 2
     backoff_base: float = 0.5
     backoff_multiplier: float = 2.0

@@ -96,6 +96,31 @@ class TestRectRelations:
         assert not l_shape().contains_rect(Rect(4, 4, 8, 8))
         assert l_shape().contains_rect(Rect(1, 1, 4, 4))
 
+    def test_notch_entering_through_a_shared_edge_is_not_contained(self):
+        """A polygon clipped to a box (a shard MBR) gets vertices on the
+        box's edge; a leaf box sharing that edge then sees a concave
+        notch whose edges *start on* its own edge — touching, not
+        crossing — with all four corners inside.  The notch tip inside
+        the leaf box is what gives it away."""
+        notched = Polygon(
+            [
+                GeoPoint(0, -4),
+                GeoPoint(4, -4),
+                GeoPoint(5, 3),
+                GeoPoint(6, -4),
+                GeoPoint(10, -4),
+                GeoPoint(10, 10),
+                GeoPoint(0, 10),
+            ]
+        ).clip_to_rect(Rect(0, 0, 10, 10))
+        leaf_box = Rect(2, 0, 8, 6)
+        assert all(notched.contains_point(c) for c in leaf_box.corners())
+        assert not notched.contains_point(GeoPoint(5, 1))
+        assert not notched.contains_rect(leaf_box)
+        assert notched.intersects_rect(leaf_box)
+        # Beside the notch the same-edge box is contained.
+        assert notched.contains_rect(Rect(6, 0, 10, 6))
+
     def test_region_protocol_parity_with_rect(self):
         """Polygon.from_rect must agree with the Rect region protocol."""
         r = Rect(2, 2, 8, 8)

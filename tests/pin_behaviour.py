@@ -1,0 +1,182 @@
+"""Behaviour pin: one seeded run of every index entry point, as text.
+
+Not a test.  Run it on two checkouts and diff the output to show a
+refactor left observable behaviour alone::
+
+    PYTHONPATH=<checkout>/src python tests/pin_behaviour.py [--transport]
+
+Forty ticks over a flaky mixed fleet drive ``SensorMapPortal.execute``
+and ``execute_batch``, a one-subscription
+``ContinuousQueryManager.tick``, ``RelCOLRTree.query`` and a two-shard
+``FederatedPortal`` — built without a transport config, or with
+``TransportConfig()`` under ``--transport``.  Every answer's sensor
+ids, values and ``QueryStats`` fields, and every ``NetworkStats``
+counter, go into one SHA-256 per section.
+
+``QueryStats.probes_timed_out`` is summed beside the digest instead of
+into it: the inline ``network.probe`` branches that PR 13 removed never
+copied the network's timeouts into it, so without a transport config it
+read 0 there and reads the real count since (``NetworkStats`` had it
+all along).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import asdict
+
+import numpy as np
+
+from repro import AvailabilityModel, COLRTreeConfig, SensorNetwork
+from repro.federation import FederatedPortal
+from repro.geometry import GeoPoint, Rect
+from repro.portal import SensorMapPortal, SensorQuery
+from repro.portal.continuous import ContinuousQueryManager
+from repro.relcolr import RelCOLRTree
+from repro.sensors.registry import SensorRegistry
+from repro.transport import TransportConfig
+
+TICKS = 40
+TICK_SECONDS = 45.0
+TYPES = ("temperature", "wind")
+NETWORK = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
+
+
+def fleet(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        yield dict(
+            location=GeoPoint(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+            expiry_seconds=float(rng.uniform(120, 600)),
+            sensor_type=TYPES[i % len(TYPES)],
+            availability=0.35 if rng.random() < 0.3 else 0.95,
+        )
+
+
+def queries(tick: int) -> list[SensorQuery]:
+    rng = np.random.default_rng(1000 + tick)
+    out = []
+    for k in range(4):
+        cx, cy = (float(v) for v in rng.uniform(15, 85, 2))
+        half = float(rng.uniform(5, 25))
+        out.append(
+            SensorQuery(
+                region=Rect(cx - half, cy - half, cx + half, cy + half),
+                staleness_seconds=120.0,
+                sample_size=20 if k == 2 else None,
+                sensor_type=TYPES[0] if k == 3 else None,
+            )
+        )
+    return out
+
+
+class Section:
+    """One entry point's observations: text lines for the digest, and
+    the ``probes_timed_out`` total kept out of it."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.timed_out = 0
+
+    def add(self, answers) -> None:
+        for a in answers:
+            probed = sorted((r.sensor_id, r.value) for r in a.probed_readings)
+            cached = sorted((r.sensor_id, r.value) for r in a.cached_readings)
+            stats = asdict(a.stats)
+            self.timed_out += stats.pop("probes_timed_out")
+            self.lines += [
+                repr(probed),
+                repr(cached),
+                repr([(s.count, s.total) for s in a.cached_sketches]),
+                repr(sorted(stats.items())),
+            ]
+
+    def digest(self) -> str:
+        return hashlib.sha256("\n".join(self.lines).encode()).hexdigest()[:16]
+
+
+def build(cls, transport, **extra):
+    portal = cls(
+        max_sensors_per_query=None,
+        transport=transport,
+        network_options=dict(NETWORK),
+        **extra,
+    )
+    for spec in fleet(600, seed=3):
+        portal.register_sensor(**spec)
+    portal.rebuild_index()
+    return portal
+
+
+def main() -> None:
+    transport = TransportConfig() if "--transport" in sys.argv[1:] else None
+
+    # SensorMapPortal: execute, execute_batch, a lone standing query.
+    single, batch, standing = (build(SensorMapPortal, transport) for _ in range(3))
+    manager = ContinuousQueryManager(standing)
+    manager.subscribe(
+        SensorQuery(region=Rect(20, 20, 70, 70), staleness_seconds=90.0),
+        refresh_seconds=TICK_SECONDS,
+    )
+    federated = build(FederatedPortal, transport, n_shards=2)
+    sections = {
+        k: Section()
+        for k in ("execute", "execute_batch", "continuous", "federated", "relcolr")
+    }
+    for tick in range(TICKS):
+        qs = queries(tick)
+        for q in qs:
+            sections["execute"].add(single.execute(q).answers)
+            sections["federated"].add(federated.execute(q).answers)
+        result = batch.execute_batch(qs)
+        for r in result.results:
+            sections["execute_batch"].add(r.answers)
+        stats = asdict(result.stats)
+        del stats["wall_seconds"], stats["probes_timed_out"]
+        sections["execute_batch"].lines.append(repr(sorted(stats.items())))
+        for subscription, delta in manager.tick():
+            sections["continuous"].lines.append(repr(delta))
+            sections["continuous"].add(subscription.last_result.answers)
+        for portal in (single, batch, standing, federated):
+            portal.clock.advance(TICK_SECONDS)
+    sections["execute"].lines.append(repr(asdict(single.network.stats)))
+    sections["execute_batch"].lines.append(repr(asdict(batch.network.stats)))
+    sections["continuous"].lines.append(repr(asdict(standing.network.stats)))
+    for shard in federated.shards():
+        sections["federated"].lines.append(repr(asdict(shard.network.stats)))
+
+    # RelCOLRTree.query over the same kind of fleet.
+    registry = SensorRegistry()
+    for spec in fleet(200, seed=5):
+        registry.register(**spec)
+    model = AvailabilityModel()
+    network = SensorNetwork(registry.all(), availability_model=model, seed=2, **NETWORK)
+    rel = RelCOLRTree(
+        registry.all(),
+        COLRTreeConfig(fanout=4, leaf_capacity=16),
+        network=network,
+        availability_model=model,
+        transport=transport,
+    )
+    for tick in range(TICKS):
+        for q in queries(tick)[:2]:
+            answer = rel.query(
+                q.region, now=tick * TICK_SECONDS, max_staleness=120.0, sample_size=15
+            )
+            sections["relcolr"].add([answer])
+    sections["relcolr"].lines.append(repr(asdict(network.stats)))
+
+    for name, section in sections.items():
+        print(
+            f"{name:<14} {len(section.lines):>6} lines  sha256 {section.digest()}  "
+            f"probes_timed_out {section.timed_out}"
+        )
+    if "--dump" in sys.argv[1:]:
+        for name, section in sections.items():
+            for i, line in enumerate(section.lines):
+                print(f"{name}[{i}] {line}")
+
+
+if __name__ == "__main__":
+    main()

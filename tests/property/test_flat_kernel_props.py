@@ -6,7 +6,8 @@ three-way classification, same overlap fractions, same leaf
 membership, and plan-cache hits that are indistinguishable from cold
 traversals.  Trees are expensive to build, so a small pool of
 differently shaped trees is built once and hypothesis draws the query
-regions.
+regions.  ``TestTraversalOracle`` then compares whole scans against the
+pointer recursion in ``tests/core/reference_traversal.py``.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import fields
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import COLRTreeConfig
+from repro import COLRTreeConfig, Reading
 from repro.core.flat import CONTAINED, DISJOINT, PARTIAL
 from repro.core.lookup import range_scan, region_overlap_fraction
 from repro.geometry import GeoPoint, Polygon, Rect
 
 from tests.conftest import make_registry, make_tree
+from tests.core.reference_traversal import reference_range_scan
 
 EXTENT = 100.0
 
@@ -174,3 +176,58 @@ class TestPlanCacheIdentity:
             assert getattr(warm_answer.stats, f.name) == getattr(
                 cold_answer.stats, f.name
             ), f"stats field {f.name} diverges between warm and cold"
+
+
+class TestTraversalOracle:
+    @given(
+        trees,
+        regions,
+        st.one_of(st.none(), rect_regions()),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_range_scan_matches_pointer_recursion(
+        self, tree, region, warm_region, aggregate_termination
+    ):
+        """A kernel scan and the node-by-node recursion agree on the
+        whole observable outcome: what the caches served, which sensors
+        remain to probe (in order), and how much of the tree was walked.
+        ``warm_region`` caches a fresh reading for every sensor inside
+        it first, so leaves serve from cache and fully covered internal
+        nodes terminate on their aggregates."""
+        now, staleness = 1_000.0, 240.0
+        if warm_region is not None:
+            tree.prime_cache(
+                [
+                    Reading(s.sensor_id, float(s.sensor_id), now - 10.0, now + 100.0)
+                    for s in tree._sensors.values()
+                    if warm_region.contains_point(s.location)
+                ],
+                fetched_at=now - 10.0,
+            )
+        try:
+            warm = tree.cached_reading_count > 0
+            got, got_probes = range_scan(
+                tree, region, now, staleness,
+                aggregate_termination=aggregate_termination,
+            )
+            want, want_probes = reference_range_scan(
+                tree, region, now, staleness, aggregate_termination
+            )
+        finally:
+            tree.clear_caches()
+        assert got_probes == want_probes
+        assert got.cached_readings == want.cached_readings
+        assert got.cached_sketches == want.cached_sketches
+        assert got.cached_sketch_nodes == want.cached_sketch_nodes
+        assert got.terminals == want.terminals
+        assert got.stats.nodes_traversed == want.stats.nodes_traversed
+        assert got.stats.readings_scanned == want.stats.readings_scanned
+        assert got.stats.slots_combined == want.stats.slots_combined
+        # The empty-cache scan memoizes its consultation count with the
+        # aggregate checks included (see ``scan_with_plan``), so on a
+        # cold tree the counter is only comparable with them on.
+        if warm or aggregate_termination:
+            assert (
+                got.stats.cached_nodes_accessed == want.stats.cached_nodes_accessed
+            )

@@ -1,10 +1,10 @@
 """Property tests: snapshots and traces round-trip arbitrary inputs."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import COLRTree, COLRTreeConfig, GeoPoint, Reading, Sensor
-from repro.persistence import restore_tree, snapshot_tree
+from repro.persistence import load_tree, save_tree
 from repro.workloads.trace import workload_from_dict, workload_to_dict
 
 
@@ -30,8 +30,14 @@ def sensor_lists(draw):
 
 class TestSnapshotProperties:
     @given(sensor_lists(), st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), max_size=10))
-    @settings(max_examples=40, deadline=None)
-    def test_snapshot_restore_preserves_cache(self, sensors, insert_times):
+    @settings(
+        max_examples=40,
+        deadline=None,
+        # tmp_path is only a place to put the file; every example
+        # overwrites it whole.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_snapshot_restore_preserves_cache(self, tmp_path, sensors, insert_times):
         tree = COLRTree(sensors, COLRTreeConfig(max_expiry_seconds=3600.0, slot_seconds=600.0))
         for k, t in enumerate(insert_times):
             sensor = sensors[k % len(sensors)]
@@ -45,7 +51,9 @@ class TestSnapshotProperties:
                 fetched_at=t,
             )
         now = max(insert_times, default=0.0)
-        restored = restore_tree(snapshot_tree(tree, now=now), build_network=False)
+        path = tmp_path / "tree.snap"
+        save_tree(tree, path, now=now)
+        restored = load_tree(path)
         assert restored.root.weight == tree.root.weight
         # Restore drops readings already expired at snapshot time (the
         # source tree may still hold boundary-slot corpses until its

@@ -16,7 +16,10 @@ Pinned properties:
   partitions the clip area (no sliver is dropped or double-counted);
 * a rectangle covering the whole polygon clips to the same area;
 * degenerate inputs (flat rings, touch-only overlap) return ``None``
-  rather than raising or producing a zero-area ring.
+  rather than raising or producing a zero-area ring;
+* ``contains_rect`` on a clipped polygon never admits a box that a
+  concave notch enters — the boxes share edges with the clip rectangle,
+  as leaf boxes share a shard MBR's.
 """
 
 import math
@@ -123,6 +126,68 @@ class TestClipProperties:
         bbox = polygon.bounding_box
         far = Rect(bbox.max_x + 1.0, bbox.min_y, bbox.max_x + 2.0, bbox.max_y)
         assert polygon.clip_to_rect(far) is None
+
+
+@st.composite
+def clipped_spiky_stars(draw):
+    """A concave star (alternating outer/inner radii) and a clip
+    rectangle around its center that cuts the spikes short: the
+    concavities between spikes then enter the clipped polygon *through*
+    the clip rectangle's edges, their tips inside it."""
+    cx, cy = draw(coord), draw(coord)
+    spikes = draw(st.integers(min_value=3, max_value=8))
+    outer = draw(st.floats(min_value=1.0, max_value=50.0))
+    inner = outer * draw(st.floats(min_value=0.15, max_value=0.6))
+    phase = draw(st.floats(min_value=0.0, max_value=math.pi))
+    step = math.pi / spikes
+    star = Polygon(
+        GeoPoint(
+            cx + (outer if i % 2 == 0 else inner) * math.cos(phase + i * step),
+            cy + (outer if i % 2 == 0 else inner) * math.sin(phase + i * step),
+        )
+        for i in range(2 * spikes)
+    )
+    half_w = outer * draw(st.floats(min_value=0.2, max_value=1.1))
+    half_h = outer * draw(st.floats(min_value=0.2, max_value=1.1))
+    return star, Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+
+
+# Box edges as fractions of the clip rectangle: 0 and 1 put them exactly
+# on the clip's own edges, where clipping leaves polygon vertices.
+fraction = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+class TestContainsRectAfterClip:
+    @given(clipped_spiky_stars(), fraction, fraction, fraction, fraction)
+    @settings(max_examples=300)
+    def test_contained_box_holds_no_outside_point(
+        self, star_and_rect, fx1, fx2, fy1, fy2
+    ):
+        """``contains_rect(box)`` implies every point of a 5x5 lattice
+        over the box is inside — for boxes that share edges with the
+        rectangle the polygon was clipped to, as leaf boxes share a
+        shard MBR's."""
+        star, rect = star_and_rect
+        clipped = star.clip_to_rect(rect)
+        if clipped is None:
+            return
+        (fx1, fx2), (fy1, fy2) = sorted((fx1, fx2)), sorted((fy1, fy2))
+        box = Rect(
+            rect.min_x + fx1 * rect.width,
+            rect.min_y + fy1 * rect.height,
+            rect.min_x + fx2 * rect.width,
+            rect.min_y + fy2 * rect.height,
+        )
+        if not clipped.contains_rect(box):
+            return
+        for i in range(5):
+            for j in range(5):
+                # Clamped: min + width * 4 / 4 can round past max.
+                point = GeoPoint(
+                    min(box.max_x, box.min_x + box.width * i / 4.0),
+                    min(box.max_y, box.min_y + box.height * j / 4.0),
+                )
+                assert clipped.contains_point(point), (clipped, box, point)
 
 
 class TestDegenerateInputs:

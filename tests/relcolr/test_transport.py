@@ -1,11 +1,12 @@
 """Relational COLR-Tree probe collection through the transport layer.
 
-``RelCOLRTree(transport=...)`` routes ``query()``'s probe round through
-a ``ProbeDispatcher`` instead of the direct synchronous
-``network.probe`` call; ingestion stays pure DML (the dispatcher gets
-``tree=None``), so the trigger cascade is untouched.  In parity mode the
-transport path must be bit-identical to the synchronous one; with the
-dedup tables on, overlapping queries stop re-contacting sensors."""
+``RelCOLRTree`` routes ``query()``'s probe round through a
+``ProbeDispatcher`` configured by ``transport=...``; ingestion stays
+pure DML (the dispatcher gets ``tree=None``), so the trigger cascade is
+untouched.  In parity mode the transport path must be bit-identical to
+a direct synchronous ``network.probe`` call
+(``tests/transport/sync_probe.py``); with the dedup tables on,
+overlapping queries stop re-contacting sensors."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from repro.relcolr import RelCOLRTree
 from repro.transport import TransportConfig
 
 from tests.conftest import make_registry
+from tests.transport.sync_probe import SyncProbeDispatcher
 
 
 CFG = COLRTreeConfig(
@@ -40,6 +42,13 @@ def make_rel(registry, transport=None, availability=None, seed=2):
     )
 
 
+def make_sync_rel(registry):
+    """A tree whose probe round is a direct ``network.probe`` call."""
+    rel = make_rel(registry)
+    rel.dispatcher = SyncProbeDispatcher(rel.network)
+    return rel
+
+
 REGIONS = [
     Rect(10.0, 10.0, 60.0, 60.0),
     Rect(30.0, 25.0, 90.0, 80.0),
@@ -48,17 +57,6 @@ REGIONS = [
 
 
 class TestConstruction:
-    def test_no_transport_means_no_dispatcher(self):
-        rel = make_rel(make_registry(n=40, seed=4))
-        assert rel.dispatcher is None
-
-    def test_disabled_transport_means_no_dispatcher(self):
-        rel = make_rel(
-            make_registry(n=40, seed=4),
-            transport=TransportConfig(enabled=False),
-        )
-        assert rel.dispatcher is None
-
     def test_transport_requires_network(self):
         registry = make_registry(n=40, seed=4)
         with pytest.raises(ValueError):
@@ -71,12 +69,11 @@ class TestParity:
         """Parity-mode transport leaves no observable trace on the
         relational query path: answers, stats, cached state and network
         counters all match the synchronous tree over multiple ticks."""
-        sync = make_rel(make_registry(n=150, availability=availability, seed=4))
+        sync = make_sync_rel(make_registry(n=150, availability=availability, seed=4))
         via = make_rel(
             make_registry(n=150, availability=availability, seed=4),
             transport=TransportConfig.parity(),
         )
-        assert via.dispatcher is not None
         for tick in range(3):
             now = tick * 45.0
             for region in REGIONS:
@@ -91,7 +88,7 @@ class TestParity:
         assert sync.cached_reading_count() == via.cached_reading_count()
 
     def test_exact_query_parity(self):
-        sync = make_rel(make_registry(n=100, seed=9))
+        sync = make_sync_rel(make_registry(n=100, seed=9))
         via = make_rel(
             make_registry(n=100, seed=9), transport=TransportConfig.parity()
         )

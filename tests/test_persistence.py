@@ -1,17 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import COLRTreeConfig, Rect
-from repro.persistence import (
-    SnapshotError,
-    load_tree,
-    restore_tree,
-    save_tree,
-    snapshot_tree,
-)
+from repro.persistence import SnapshotError, load_tree, save_tree
+from repro.storage.checkpoint import read_checkpoint, write_checkpoint
 
 from tests.conftest import make_registry, make_tree
+
+GOLDEN_PR12 = Path(__file__).parent / "data" / "snapshot_v2_pr12.snap"
 
 
 @pytest.fixture
@@ -112,44 +110,6 @@ class TestFormats:
             restored = load_tree(path)
         assert len(restored) == len(warm_tree)
 
-    def test_v1_still_round_trips_with_deprecation_warning(
-        self, warm_tree, tmp_path
-    ):
-        path = tmp_path / "tree.json"
-        save_tree(warm_tree, path, now=1.0, format_version=1)
-        json.loads(path.read_text())  # still the legacy JSON document
-        with pytest.warns(DeprecationWarning, match="version-1 JSON"):
-            restored = load_tree(path)
-        assert restored.cached_reading_count == warm_tree.cached_reading_count
-        a = warm_tree.query(
-            Rect(0, 0, 60, 60), now=2.0, max_staleness=600.0, sample_size=0
-        )
-        b = restored.query(
-            Rect(0, 0, 60, 60), now=2.0, max_staleness=600.0, sample_size=0
-        )
-        assert a.result_weight == b.result_weight
-
-    def test_v1_and_v2_restore_identically(self, warm_tree, tmp_path):
-        v1, v2 = tmp_path / "t.json", tmp_path / "t.snap"
-        save_tree(warm_tree, v1, now=1.0, format_version=1)
-        save_tree(warm_tree, v2, now=1.0)
-        with pytest.warns(DeprecationWarning):
-            from_v1 = load_tree(v1)
-        from_v2 = load_tree(v2)
-        assert from_v1.cached_reading_count == from_v2.cached_reading_count
-        a = from_v1.query(
-            Rect(0, 0, 60, 60), now=2.0, max_staleness=600.0, sample_size=0
-        )
-        b = from_v2.query(
-            Rect(0, 0, 60, 60), now=2.0, max_staleness=600.0, sample_size=0
-        )
-        assert a.result_weight == b.result_weight
-        assert a.stats.sensors_probed == b.stats.sensors_probed == 0
-
-    def test_unsupported_save_version_rejected(self, warm_tree, tmp_path):
-        with pytest.raises(SnapshotError):
-            save_tree(warm_tree, tmp_path / "t", now=0.0, format_version=3)
-
     def test_corrupt_v2_file_rejected(self, warm_tree, tmp_path):
         path = tmp_path / "tree.snap"
         save_tree(warm_tree, path, now=1.0)
@@ -160,35 +120,71 @@ class TestFormats:
             load_tree(path)
 
 
-class TestErrors:
-    def test_bad_version_rejected(self, warm_tree):
-        data = snapshot_tree(warm_tree, now=0.0)
-        data["format_version"] = 99
-        with pytest.raises(SnapshotError):
-            restore_tree(data)
+def _resave(path, meta=None, sensors=None):
+    """Rewrite a snapshot file with its meta record or sensor list
+    replaced (a well-formed container holding the wrong contents)."""
+    old_meta, old_sensors, cached = read_checkpoint(path)
+    write_checkpoint(
+        path,
+        meta=old_meta if meta is None else meta(old_meta),
+        sensors=old_sensors if sensors is None else sensors,
+        cached=cached if sensors is None else [],
+    )
 
-    def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        # Not a checkpoint container, so it routes through the (warned)
-        # legacy JSON path and fails to parse there.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SnapshotError):
+
+class TestErrors:
+    @pytest.fixture
+    def snap(self, warm_tree, tmp_path):
+        path = tmp_path / "tree.snap"
+        save_tree(warm_tree, path, now=0.0)
+        return path
+
+    def test_bad_version_rejected(self, snap):
+        _resave(snap, meta=lambda m: {**m, "format_version": 99})
+        with pytest.raises(SnapshotError, match="unsupported snapshot version"):
+            load_tree(snap)
+
+    def test_malformed_json_rejected(self, warm_tree, tmp_path):
+        # Anything that is not a checkpoint container is refused
+        # outright — garbage text and a well-formed JSON document (what
+        # the retired version-1 format looked like) alike.
+        for text in ("{not json", json.dumps({"format_version": 1, "sensors": []})):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            with pytest.raises(SnapshotError, match="not a checkpoint"):
                 load_tree(path)
 
-    def test_missing_fields_rejected(self, warm_tree):
-        data = snapshot_tree(warm_tree, now=0.0)
-        del data["config"]["fanout"]
-        data["config"]["bogus"] = 1
-        with pytest.raises((SnapshotError, TypeError)):
-            restore_tree(data)
+    def test_missing_fields_rejected(self, snap):
+        _resave(snap, meta=lambda m: {k: v for k, v in m.items() if k != "config"})
+        with pytest.raises(SnapshotError, match="malformed snapshot"):
+            load_tree(snap)
 
-    def test_empty_sensor_list_rejected(self, warm_tree):
-        data = snapshot_tree(warm_tree, now=0.0)
-        data["sensors"] = []
-        with pytest.raises(SnapshotError):
-            restore_tree(data)
+    def test_unknown_config_key_rejected(self, snap):
+        _resave(snap, meta=lambda m: {**m, "config": {**m["config"], "bogus": 1}})
+        with pytest.raises(SnapshotError, match="malformed snapshot"):
+            load_tree(snap)
 
-    def test_snapshot_is_json_serializable(self, warm_tree):
-        data = snapshot_tree(warm_tree, now=0.0)
-        json.dumps(data)  # must not raise
+    def test_empty_sensor_list_rejected(self, snap):
+        _resave(snap, sensors=[])
+        with pytest.raises(SnapshotError, match="no sensors"):
+            load_tree(snap)
+
+
+class TestOlderSnapshots:
+    """Files written before ``COLRTreeConfig`` lost fields must load."""
+
+    def test_pr12_snapshot_loads_warm(self):
+        # Written by the commit before flat_kernel_enabled /
+        # plan_cache_enabled were removed: 60 sensors, all cached at t=0.
+        meta, _, _ = read_checkpoint(GOLDEN_PR12)
+        assert {"flat_kernel_enabled", "plan_cache_enabled"} <= set(meta["config"])
+        restored = load_tree(GOLDEN_PR12)
+        assert len(restored) == 60
+        assert restored.config == COLRTreeConfig(
+            max_expiry_seconds=600.0, slot_seconds=120.0
+        )
+        answer = restored.query(
+            Rect(0, 0, 100, 100), now=2.0, max_staleness=600.0, sample_size=0
+        )
+        assert answer.result_weight == 60
+        assert answer.stats.sensors_probed == 0

@@ -1,10 +1,12 @@
-"""Bit-identity of the dispatcher's parity mode with the sync paths.
+"""Bit-identity of the dispatcher's parity mode with ``network.probe``.
 
 ``TransportConfig.parity()`` (no retries, no overlap, no dedup tables,
-no cooldown) routes every probe through the dispatcher but must leave
-zero observable trace: answers, stats, network counters and availability
-estimates all match a portal with no transport at all — across multiple
-ticks, flaky networks, and both ``execute`` and ``execute_batch``.
+no cooldown) — what a portal built without a transport config runs —
+must leave zero observable trace: answers, stats, network counters and
+availability estimates all match a portal whose probes are direct
+``network.probe`` calls (``tests/transport/sync_probe.py``) — across
+multiple ticks, flaky networks, and both ``execute`` and
+``execute_batch``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import COLRTree, SensorNetwork
 from repro.geometry import GeoPoint, Rect
 from repro.portal import SensorMapPortal, SensorQuery
+from repro.relcolr import RelCOLRTree
 from repro.transport import TransportConfig
+
+from tests.transport.sync_probe import use_sync_probe
 
 
 def _build_portal(transport=None, availability=1.0, n=150):
@@ -58,10 +64,8 @@ QUERIES = [
 
 @pytest.mark.parametrize("availability", [1.0, 0.8])
 def test_execute_parity_over_ticks(availability):
-    plain = _build_portal(availability=availability)
-    parity = _build_portal(TransportConfig.parity(), availability=availability)
-    assert parity.transport_enabled
-    assert parity.dispatcher is not None
+    plain = use_sync_probe(_build_portal(availability=availability))
+    parity = _build_portal(availability=availability)
     for _ in range(3):
         for query in QUERIES:
             _assert_answers_identical(plain.execute(query), parity.execute(query))
@@ -72,8 +76,8 @@ def test_execute_parity_over_ticks(availability):
 
 @pytest.mark.parametrize("availability", [1.0, 0.8])
 def test_execute_batch_parity_over_ticks(availability):
-    plain = _build_portal(availability=availability)
-    parity = _build_portal(TransportConfig.parity(), availability=availability)
+    plain = use_sync_probe(_build_portal(availability=availability))
+    parity = _build_portal(availability=availability)
     for _ in range(3):
         a = plain.execute_batch(QUERIES)
         b = parity.execute_batch(QUERIES)
@@ -101,7 +105,14 @@ def test_parity_config_is_parity():
     assert cfg.is_parity
 
 
-def test_transport_disabled_means_no_dispatcher():
-    portal = _build_portal(TransportConfig.parity(enabled=False), n=20)
-    assert not portal.transport_enabled
-    assert portal.dispatcher is None
+def test_unconfigured_transport_means_parity_dispatcher():
+    """No transport config is not "no dispatcher": the portal, a bare
+    ``COLRTree`` and a ``RelCOLRTree`` each hold one in parity mode."""
+    portal = _build_portal(n=20)
+    sensors = portal.registry.all()
+    tree = COLRTree(sensors, network=SensorNetwork(sensors))
+    rel = RelCOLRTree(sensors, network=SensorNetwork(sensors))
+    assert portal.dispatcher.config.is_parity
+    assert portal.tree("generic").transport is portal.dispatcher
+    assert tree.transport.config.is_parity
+    assert rel.dispatcher.config.is_parity
