@@ -588,7 +588,8 @@ class FederatedPortal:
     # Live rebalancing (membership changes without a full rebuild)
     # ------------------------------------------------------------------
     def notify_rebalance(self, moved: Sequence[Sensor]) -> None:
-        """Tell subscribers which sensors changed owner (commit time)."""
+        """Tell subscribers which sensors changed owner, joined or left
+        the fleet (commit time)."""
         for listener in list(self.rebalance_listeners):
             listener(moved)
 

@@ -25,7 +25,9 @@ Validity is *exactly* the slot-cache story, no second freshness regime:
 * **write deltas** — ``COLRTree.insert_readings_batch`` ingestion fires
   the tree's ingest listeners with the touched leaves' bounding box and
   every overlapping entry is dropped (a cached answer must never
-  outlive the slot-cache state it was computed from);
+  outlive the slot-cache state it was computed from); each tier keeps
+  a grid index over its entries, so a delta tests only the entries
+  near it;
 * **index generation** — entries remember the portal's
   ``index_generation``; a ``rebuild_index()`` strands them all.
 * **partial answers are never cached** — a killed shard's gaps must not
@@ -173,6 +175,143 @@ class _Entry:
     # every covered cell leaves the entry alone.
     cells: tuple[Rect, ...] | None = None
 
+    def overlaps(self, dirty: Rect) -> bool:
+        if self.cells is not None:
+            return any(cell.intersects(dirty) for cell in self.cells)
+        return self.region.intersects(dirty)
+
+    @property
+    def reach(self) -> Rect:
+        """A rectangle holding every point :meth:`overlaps` can accept
+        (a polygon's cells stick out of its bounding box)."""
+        return self.region if self.cells is None else Rect.union_of(self.cells)
+
+
+# A reach of this many tiles or more (the globe is under 2**10 default
+# tiles across) is not indexed.
+_UNBOUNDED_TILES = 2.0**32
+
+
+def _cell_span(rect: Rect, extent: float) -> tuple[range, range]:
+    """The cells of a grid of side ``extent`` that a closed rectangle
+    can share a point with.  ``floor(x / extent)`` is monotone in ``x``,
+    so two rectangles that share a point share a cell of their spans —
+    whatever the rounding of ``x / extent`` at a cell edge."""
+    return (
+        range(math.floor(rect.min_x / extent), math.floor(rect.max_x / extent) + 1),
+        range(math.floor(rect.min_y / extent), math.floor(rect.max_y / extent) + 1),
+    )
+
+
+class _Store:
+    """One tier: an LRU of entries plus a spatial index over them, so
+    that a write delta visits the entries near it instead of the whole
+    tier.  The index is a stack of grids, level ``k`` with cells of
+    ``2**k`` tiles; an entry lives at the lowest level whose cells are
+    larger than its reach, where it touches at most 2 x 2 of them — a
+    metro-wide viewport costs what a tile costs.  Every mutation goes
+    through here, which is what keeps entries and index in step."""
+
+    def __init__(self, tile_extent: float) -> None:
+        self.entries: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._tile_extent = tile_extent
+        # (level, ix, iy) -> keys of the entries reaching that cell.
+        self._buckets: dict[tuple[int, int, int], set[Hashable]] = {}
+        # level -> entries placed at it: the levels a delta must look at.
+        self._placed: dict[int, int] = {}
+        # Entries with an unbounded reach: tested on every delta.
+        self._unbounded: set[Hashable] = set()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def put(self, key: Hashable, entry: _Entry) -> None:
+        """Insert, or replace in place (the LRU position is the caller's
+        to refresh)."""
+        old = self.entries.get(key)
+        if old is not None:
+            self._unindex(key, old)
+        place = self._place(entry)
+        if place is None:
+            self._unbounded.add(key)
+        else:
+            level, cells = place
+            self._placed[level] = self._placed.get(level, 0) + 1
+            for cell in cells:
+                self._buckets.setdefault(cell, set()).add(key)
+        self.entries[key] = entry
+
+    def drop(self, key: Hashable) -> None:
+        self._unindex(key, self.entries.pop(key))
+
+    def drop_oldest(self) -> None:
+        self.drop(next(iter(self.entries)))
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self._buckets.clear()
+        self._placed.clear()
+        self._unbounded.clear()
+
+    def _place(self, entry: _Entry) -> tuple[int, list[tuple[int, int, int]]] | None:
+        """An entry's level and cells (``None``: unbounded) — a function
+        of its reach, so it is recomputed when the entry leaves instead
+        of stored beside it."""
+        reach = entry.reach
+        tiles = (reach.width + reach.height) / self._tile_extent
+        if not tiles < _UNBOUNDED_TILES:  # inf and nan included
+            return None
+        # frexp: tiles = m * 2**level with m < 1, so a level-``level``
+        # cell is strictly larger than the reach either way.
+        level = max(0, math.frexp(tiles)[1])
+        xs, ys = _cell_span(reach, self._tile_extent * 2.0**level)
+        return level, [(level, ix, iy) for ix in xs for iy in ys]
+
+    def _unindex(self, key: Hashable, entry: _Entry) -> None:
+        place = self._place(entry)
+        if place is None:
+            self._unbounded.discard(key)
+            return
+        level, cells = place
+        self._placed[level] -= 1
+        if not self._placed[level]:
+            del self._placed[level]
+        for cell in cells:
+            keys = self._buckets[cell]
+            keys.discard(key)
+            if not keys:
+                del self._buckets[cell]
+
+    def overlapping(self, dirty: Rect) -> list[Hashable]:
+        """Keys of the entries a write delta invalidates: the entries
+        in the delta's cells at every populated level, put to the exact
+        test — or the whole tier, when the delta reaches more cells
+        than the tier has entries."""
+        entries = self.entries
+        near = self._near(dirty)
+        return [
+            key
+            for key in (entries if near is None else near)
+            if entries[key].overlaps(dirty)
+        ]
+
+    def _near(self, dirty: Rect) -> set[Hashable] | None:
+        """What the index holds in a delta's cells, or ``None`` when
+        looking would cost more than scanning the tier."""
+        if not math.isfinite(dirty.min_x + dirty.min_y + dirty.max_x + dirty.max_y):
+            return None
+        near = set(self._unbounded)
+        budget = len(self.entries)
+        for level in self._placed:
+            xs, ys = _cell_span(dirty, self._tile_extent * 2.0**level)
+            budget -= len(xs) * len(ys)
+            if budget < 0:
+                return None
+            for ix in xs:
+                for iy in ys:
+                    near.update(self._buckets.get((level, ix, iy), ()))
+        return near
+
 
 @dataclass
 class _Composed:
@@ -193,8 +332,8 @@ class TieredResultCache:
         self.config = config
         self.slot_seconds = slot_seconds
         self.stats = CacheStats()
-        self._l1: OrderedDict[Hashable, _Entry] = OrderedDict()
-        self._l2: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._l1 = _Store(config.tile_extent_degrees)
+        self._l2 = _Store(config.tile_extent_degrees)
 
     # ------------------------------------------------------------------
     # Keys and eligibility
@@ -249,17 +388,17 @@ class TieredResultCache:
 
     def _get(
         self,
-        store: OrderedDict,
+        store: _Store,
         key: Hashable,
         now: float,
         generation: int,
     ) -> _Entry | None:
-        entry = store.get(key)
+        entry = store.entries.get(key)
         if entry is None:
             return None
         reason = self._valid(entry, now, generation)
         if reason is not None:
-            del store[key]
+            store.drop(key)
             if reason == "generation":
                 self.stats.invalidated_generation += 1
             elif reason == "slot":
@@ -267,7 +406,7 @@ class TieredResultCache:
             else:
                 self.stats.invalidated_stale += 1
             return None
-        store.move_to_end(key)
+        store.entries.move_to_end(key)
         return entry
 
     # ------------------------------------------------------------------
@@ -311,19 +450,22 @@ class TieredResultCache:
                     tile_rect(t, self.config.tile_extent_degrees) for t in cover
                 )
             region = Rect.from_points(region.vertices)
-        self._l1[key] = _Entry(
-            region=region,
-            result=result,
-            slot_window=slot_of(now, self.slot_seconds),
-            generation=generation,
-            oldest_timestamp=result_oldest_timestamp(result),
-            staleness_seconds=query.staleness_seconds,
-            cells=cells,
+        self._l1.put(
+            key,
+            _Entry(
+                region=region,
+                result=result,
+                slot_window=slot_of(now, self.slot_seconds),
+                generation=generation,
+                oldest_timestamp=result_oldest_timestamp(result),
+                staleness_seconds=query.staleness_seconds,
+                cells=cells,
+            ),
         )
-        self._l1.move_to_end(key)
+        self._l1.entries.move_to_end(key)
         self.stats.stores += 1
         while len(self._l1) > self.config.l1_capacity:
-            self._l1.popitem(last=False)
+            self._l1.drop_oldest()
             self.stats.l1_evictions += 1
         return True
 
@@ -393,17 +535,20 @@ class TieredResultCache:
         if getattr(result, "partial", False):
             self.stats.uncacheable += 1
             return False
-        self._l2[self.tile_key(tile, query)] = _Entry(
-            region=tile_rect(tile, self.config.tile_extent_degrees),
-            result=result,
-            slot_window=slot_of(now, self.slot_seconds),
-            generation=generation,
-            oldest_timestamp=result_oldest_timestamp(result),
-            staleness_seconds=query.staleness_seconds,
+        self._l2.put(
+            self.tile_key(tile, query),
+            _Entry(
+                region=tile_rect(tile, self.config.tile_extent_degrees),
+                result=result,
+                slot_window=slot_of(now, self.slot_seconds),
+                generation=generation,
+                oldest_timestamp=result_oldest_timestamp(result),
+                staleness_seconds=query.staleness_seconds,
+            ),
         )
         self.stats.tile_stores += 1
         while len(self._l2) > self.config.l2_capacity:
-            self._l2.popitem(last=False)
+            self._l2.drop_oldest()
             self.stats.l2_evictions += 1
         return True
 
@@ -525,17 +670,8 @@ class TieredResultCache:
         a probing execution (process backend)."""
         dropped = 0
         for store in (self._l1, self._l2):
-            doomed = [
-                key
-                for key, entry in store.items()
-                if (
-                    any(cell.intersects(dirty) for cell in entry.cells)
-                    if entry.cells is not None
-                    else entry.region.intersects(dirty)
-                )
-            ]
-            for key in doomed:
-                del store[key]
+            for key in store.overlapping(dirty):
+                store.drop(key)
                 dropped += 1
         self.stats.invalidated_write += dropped
         return dropped

@@ -196,6 +196,7 @@ class ShardMover:
             raise ValueError("some leaving sensors are not in the fleet")
         if leaving == owned:
             raise ValueError("leaves would empty the whole fleet")
+        departed = [s for g in groups for s in g if s.sensor_id in leaving]
         groups = [[s for s in g if s.sensor_id not in leaving] for g in groups]
         # Swap-remove emptied slots so shard ids stay dense.
         i = 0
@@ -208,16 +209,23 @@ class ShardMover:
                 groups[i] = last
         for sensor_id in sorted(leaving):
             fed.registry.unregister(sensor_id)
-        self._retarget("leave", groups)
+        self._retarget("leave", groups, departed)
         return sorted(leaving)
 
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
-    def _retarget(self, op: str, final_groups: list[list[Sensor]]) -> list[Sensor]:
+    def _retarget(
+        self,
+        op: str,
+        final_groups: list[list[Sensor]],
+        departed: Sequence[Sensor] = (),
+    ) -> list[Sensor]:
         """Drive the fleet from its current membership to
         ``final_groups`` in one two-phase step.  Returns the sensors
-        whose owner changed."""
+        whose owner changed.  ``departed`` are the sensors withdrawn by
+        this step: in no final group, but subscribers (the front door's
+        result cache) must hear about them all the same."""
         fed = self.fed
         current_n = fed.n_shards
         current = [fed.shard_members(i) for i in range(current_n)]
@@ -297,7 +305,7 @@ class ShardMover:
             for s in g
             if owner_of.get(s.sensor_id) != sid
         ]
-        fed.notify_rebalance(moved)
+        fed.notify_rebalance([*moved, *departed])
         self._emit("committed")
         return moved
 

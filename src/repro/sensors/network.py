@@ -207,41 +207,62 @@ class SensorNetwork:
         ids = list(sensor_ids)
         return self.complete_batch(ids, self.sample_attempts(ids), now)
 
-    def sample_attempts(self, sensor_ids: Iterable[int]) -> list[ProbeAttempt]:
+    def sample_attempts(
+        self, sensor_ids: Iterable[int], *, columns: bool = False
+    ) -> list[ProbeAttempt] | tuple[list[bool], list[bool], list[float]]:
         """Sample wire outcomes for a batch of contacts.
 
         Consumes the network RNG exactly as :meth:`probe` does (one
         availability draw per id, then one latency draw per id), performs
         no accounting and records nothing — the caller decides how the
         attempts aggregate into logical probes.
+
+        ``columns=True`` is the dispatcher's form: the ids are
+        independent contacts that happen to share an instant, not one
+        collector batch.  The draws are then the stream of
+        ``[sample_attempts([sid])[0] for sid in sensor_ids]`` (contact by
+        contact: availability, then latency) and come back as three
+        parallel lists ``(ok, timed_out, latency_seconds)`` with no
+        per-contact object.  Without latency jitter the two orders are
+        the same stream.
         """
         ids = list(sensor_ids)
-        sensors: list[Sensor] = []
+        availability: list[float] = []
         for sid in ids:
             sensor = self._sensors.get(sid)
             if sensor is None:
                 raise KeyError(f"unknown sensor id {sid}")
-            sensors.append(sensor)
-        draws = self._rng.random(len(ids))
-        latencies = self._sample_latencies(len(ids))
-        if self.timeout_seconds is not None:
+            availability.append(sensor.availability)
+        n = len(ids)
+        rng, rtt, sigma = self._rng, self.rtt_seconds, self.latency_jitter
+        if columns and sigma > 0.0:
+            draws, latencies = [], []
+            for _ in range(n):
+                draws.append(rng.random())
+                # np.exp of a scalar runs the size-1 ufunc loop, so this
+                # is the double a one-id call computes.
+                latencies.append(float(rtt * np.exp(rng.normal(0.0, sigma))))
+        else:
+            draws = rng.random(n).tolist()
+            if sigma > 0.0:  # log-normal jitter around the base RTT
+                latencies = (rtt * np.exp(rng.normal(0.0, sigma, n))).tolist()
+            else:
+                latencies = [rtt] * n
+        timeout = self.timeout_seconds
+        if timeout is None:
+            timed_out = [False] * n
+        else:
             # A timed-out probe occupies its connection for the full
             # timeout and is indistinguishable from a dead sensor.
-            timeouts = latencies > self.timeout_seconds
-            np.minimum(latencies, self.timeout_seconds, out=latencies)
-        else:
-            timeouts = np.zeros(len(ids), dtype=bool)
-        return [
-            ProbeAttempt(
-                sensor_id=sid,
-                ok=(draw < sensor.availability) and not timed_out,
-                timed_out=bool(timed_out),
-                latency_seconds=float(latency),
-            )
-            for sid, sensor, draw, timed_out, latency in zip(
-                ids, sensors, draws.tolist(), timeouts.tolist(), latencies.tolist()
-            )
+            timed_out = [latency > timeout for latency in latencies]
+            latencies = [min(latency, float(timeout)) for latency in latencies]
+        ok = [
+            draw < available and not late
+            for draw, available, late in zip(draws, availability, timed_out)
         ]
+        if columns:
+            return ok, timed_out, latencies
+        return [ProbeAttempt(*row) for row in zip(ids, ok, timed_out, latencies)]
 
     def build_reading(self, sensor_id: int, now: float) -> Reading:
         """Materialize the reading a successful contact delivers."""
@@ -320,16 +341,6 @@ class SensorNetwork:
             return 0.0
         rounds = math.ceil(n_probes / self.parallelism)
         return self.rtt_seconds * rounds
-
-    def _sample_latencies(self, n: int) -> np.ndarray:
-        """Per-probe latencies: log-normal jitter around the base RTT."""
-        if n == 0:
-            return np.empty(0)
-        if self.latency_jitter <= 0.0:
-            return np.full(n, self.rtt_seconds)
-        return self.rtt_seconds * np.exp(
-            self._rng.normal(0.0, self.latency_jitter, n)
-        )
 
     def _batch_latency_from(self, latencies: np.ndarray) -> float:
         """Batch latency: probes run in rounds of ``parallelism``

@@ -21,6 +21,12 @@ per-sensor *attempts* on a simulated-time event queue:
   ``network.parallelism`` connections and one event queue, so multiple
   trees' probe rounds interleave in simulated wall time; a round's
   latency is its own makespan, not its place in a sequential sum.
+* **A round at a time** — the collector's connections work in
+  parallel, and so does the simulation of them: every run of dispatch
+  events that share an instant leaves the queue as one batch (one
+  outcome draw from the network, one pass over the connection slots,
+  one counter update), which is the order, and the RNG stream, of
+  taking them singly.
 * **Streaming ingestion** — completed readings are flushed into the
   owning round's ``COLRTree.insert_readings_batch`` in completion order,
   every ``stream_chunk`` completions, instead of waiting for the round's
@@ -46,15 +52,19 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.sensors.network import ProbeAttempt, SensorNetwork
+from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading
 from repro.transport.config import TransportConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tree import COLRTree
 
+# Event kinds.  A completion's kind is its wire outcome, so the payload
+# of every event is just the ``_Pending``.
 _DISPATCH = 0
-_COMPLETE = 1
+_OK = 1
+_UNAVAILABLE = 2
+_TIMED_OUT = 3
 
 
 @dataclass
@@ -190,12 +200,14 @@ class ProbeDispatcher:
         # without traffic.
         self._recent: dict[int, tuple[float, Reading | None]] = {}
         self._cooldown_until: dict[int, float] = {}
-        self._unresolved: list[ProbeRound] = []
+        # Submitted rounds not yet resolved, in submission order (a dict
+        # for its ordered keys: a round leaves the moment it resolves).
+        self._unresolved: dict[ProbeRound, None] = {}
         # Shared connection pool (overlap mode): free-at instants of the
         # collector's `parallelism` connections.
         self._conn: list[float] = [0.0] * max(1, int(network.parallelism))
         heapq.heapify(self._conn)
-        self._events: list[tuple[float, int, int, object]] = []
+        self._events: list[tuple[float, int, int, _Pending]] = []
 
     # ------------------------------------------------------------------
     # Mode predicates
@@ -235,6 +247,7 @@ class ProbeDispatcher:
         cfg = self.config
         net_stats = self.network.stats
         seen: set[int] = set()
+        contacts: list[_Pending] = []
         overlapping = bool(self._inflight)
         for sid in ids:
             if sid in seen:
@@ -278,14 +291,15 @@ class ProbeDispatcher:
                     # fall through to a fresh contact.
             rnd.contacted.append(sid)
             rnd.outstanding.add(sid)
-            self._inflight[sid] = _Pending(sid, now, rnd)
+            self._inflight[sid] = pending = _Pending(sid, now, rnd)
+            contacts.append(pending)
         if rnd.outstanding:
-            if overlapping and rnd.contacted:
+            if overlapping and contacts:
                 self.stats.overlapped_rounds += 1
-            self._unresolved.append(rnd)
-            if self.config.overlap_enabled:
-                for sid in rnd.contacted:
-                    self._push(self._events, now, _DISPATCH, self._inflight[sid])
+            self._unresolved[rnd] = None
+            if cfg.overlap_enabled:
+                for pending in contacts:
+                    self._push(self._events, now, _DISPATCH, pending)
         else:
             rnd.resolved = True
         return rnd
@@ -325,73 +339,96 @@ class ProbeDispatcher:
         if self.config.overlap_enabled:
             self._run(self._events, self._conn, targets)
         else:
-            order = [r for r in self._unresolved if r in targets] or targets
-            for rnd in order:
+            wanted = set(targets)  # rounds hash by identity
+            for rnd in [r for r in self._unresolved if r in wanted]:
                 if rnd.resolved:
                     continue
                 if self._sync_rounds:
                     self._resolve_sync(rnd)
                 else:
                     self._run_isolated(rnd)
-        self._unresolved = [r for r in self._unresolved if not r.resolved]
 
     # ------------------------------------------------------------------
     # Event machinery
     # ------------------------------------------------------------------
-    def _push(self, events: list, t: float, kind: int, payload: object) -> None:
-        heapq.heappush(events, (t, next(self._seq), kind, payload))
+    def _push(self, events: list, t: float, kind: int, pending: _Pending) -> None:
+        heapq.heappush(events, (t, next(self._seq), kind, pending))
 
     def _run(self, events: list, conn: list[float], targets: list[ProbeRound]) -> None:
-        while any(not r.resolved for r in targets):
+        """Process events in ``(instant, sequence)`` order until every
+        target resolves.
+
+        A run of dispatches sharing an instant is taken off the queue as
+        one batch.  That is the per-event order: a dispatch resolves no
+        round, and every completion it schedules carries a fresh sequence
+        number, so it sorts after the rest of the batch.  Completions are
+        handled one at a time, because the loop must stop on the very
+        event that resolves the last target; whether it did is looked at
+        only when a round finishes."""
+        pop = heapq.heappop
+        done = all(r.resolved for r in targets)
+        while not done:
             if not events:  # pragma: no cover - invariant guard
                 raise RuntimeError("event queue empty with unresolved rounds")
-            t, _, kind, payload = heapq.heappop(events)
+            t, _, kind, pending = pop(events)
             if kind == _DISPATCH:
-                self._handle_dispatch(events, conn, t, payload)
-            else:
-                pending, attempt = payload
-                self._handle_complete(events, t, pending, attempt)
+                batch = [pending]
+                while events and events[0][2] == _DISPATCH and events[0][0] == t:
+                    batch.append(pop(events)[3])
+                self._dispatch_batch(events, conn, t, batch)
+            elif self._complete(events, t, kind, pending):
+                done = all(r.resolved for r in targets)
 
     def _run_isolated(self, rnd: ProbeRound) -> None:
         """Retry-enabled but non-overlapping: the round gets its own
         event queue and its own connection pool anchored at its start."""
-        events: list[tuple[float, int, int, object]] = []
+        events: list[tuple[float, int, int, _Pending]] = []
         conn = [rnd.now] * max(1, int(self.network.parallelism))
         heapq.heapify(conn)
         for sid in rnd.contacted:
             self._push(events, rnd.now, _DISPATCH, self._inflight[sid])
         self._run(events, conn, [rnd])
 
-    def _handle_dispatch(
-        self, events: list, conn: list[float], t: float, pending: _Pending
+    def _dispatch_batch(
+        self, events: list, conn: list[float], t: float, batch: list[_Pending]
     ) -> None:
-        free = heapq.heappop(conn)
-        start = max(t, free)
-        attempt = self.network.sample_attempts([pending.sensor_id])[0]
-        finish = start + attempt.latency_seconds
-        heapq.heappush(conn, finish)
-        pending.attempts += 1
-        net_stats = self.network.stats
-        net_stats.probes_attempted += 1
-        per_sensor = net_stats.per_sensor_probes
-        per_sensor[pending.sensor_id] = per_sensor.get(pending.sensor_id, 0) + 1
-        self.stats.attempts += 1
-        pending.rounds[0].attempts += 1
-        if pending.attempts > 1:
-            net_stats.probes_retried += 1
-            self.stats.retries += 1
-        self._push(events, finish, _COMPLETE, (pending, attempt))
-
-    def _handle_complete(
-        self, events: list, t: float, pending: _Pending, attempt: ProbeAttempt
-    ) -> None:
+        """Put the contacts due at instant ``t`` on the wire: one draw of
+        their outcomes, a connection slot and a completion event each,
+        one update of the counters."""
         net = self.network
-        if attempt.ok:
+        outcomes = net.sample_attempts([p.sensor_id for p in batch], columns=True)
+        per_sensor = net.stats.per_sensor_probes
+        seq = self._seq
+        push, replace_min = heapq.heappush, heapq.heapreplace
+        retries = 0
+        for pending, ok, timed_out, latency in zip(batch, *outcomes):
+            free = conn[0]
+            finish = (free if free > t else t) + latency
+            replace_min(conn, finish)
+            pending.attempts += 1
+            if pending.attempts > 1:
+                retries += 1
+            sid = pending.sensor_id
+            per_sensor[sid] = per_sensor.get(sid, 0) + 1
+            pending.rounds[0].attempts += 1
+            kind = _OK if ok else _TIMED_OUT if timed_out else _UNAVAILABLE
+            push(events, (finish, next(seq), kind, pending))
+        net.stats.probes_attempted += len(batch)
+        net.stats.probes_retried += retries
+        self.stats.attempts += len(batch)
+        self.stats.retries += retries
+
+    def _complete(self, events: list, t: float, kind: int, pending: _Pending) -> bool:
+        """One contact came back (or was abandoned) at instant ``t``.
+        True when that finished a round."""
+        net = self.network
+        if kind == _OK:
             net.stats.probes_succeeded += 1
             net.record_outcome(pending.sensor_id, True)
-            self._resolve(pending, t, net.build_reading(pending.sensor_id, pending.now), False)
-            return
-        if attempt.timed_out:
+            reading = net.build_reading(pending.sensor_id, pending.now)
+            return self._resolve(pending, t, reading, False)
+        timed_out = kind == _TIMED_OUT
+        if timed_out:
             net.stats.probes_timed_out += 1
             self.stats.timeouts += 1
         else:
@@ -399,9 +436,9 @@ class ProbeDispatcher:
             self.stats.unavailable += 1
         if pending.attempts <= self.config.max_retries:
             self._push(events, t + self._backoff(pending.attempts), _DISPATCH, pending)
-            return
+            return False
         net.record_outcome(pending.sensor_id, False)
-        self._resolve(pending, t, None, attempt.timed_out)
+        return self._resolve(pending, t, None, timed_out)
 
     def _backoff(self, failed_attempts: int) -> float:
         cfg = self.config
@@ -415,8 +452,11 @@ class ProbeDispatcher:
     # ------------------------------------------------------------------
     def _resolve(
         self, pending: _Pending, at: float, reading: Reading | None, timed_out: bool
-    ) -> None:
+    ) -> bool:
+        """Deliver a logical probe's outcome to every round waiting on
+        it.  True when that finished a round."""
         sid = pending.sensor_id
+        finished = False
         del self._inflight[sid]
         cfg = self.config
         if cfg.inflight_ttl > 0:
@@ -443,9 +483,15 @@ class ProbeDispatcher:
                 rnd.finish_time = at
             if not rnd.outstanding and not rnd.resolved:
                 self._finish_round(rnd)
+                finished = True
+        return finished
+
+    def _mark_resolved(self, rnd: ProbeRound) -> None:
+        rnd.resolved = True
+        del self._unresolved[rnd]
 
     def _finish_round(self, rnd: ProbeRound) -> None:
-        rnd.resolved = True
+        self._mark_resolved(rnd)
         rnd.latency_seconds = max(0.0, rnd.finish_time - rnd.now)
         self._flush(rnd)
         if rnd.contacted:
@@ -499,10 +545,10 @@ class ProbeDispatcher:
                     else:
                         waiter.unavailable.append(sid)
                     if not waiter.outstanding and not waiter.resolved:
-                        waiter.resolved = True
+                        self._mark_resolved(waiter)
             rnd.readings.update(result.readings)
             rnd.unavailable.extend(result.unavailable)
             rnd.timed_out.extend(result.timed_out)
             rnd.latency_seconds = result.latency_seconds
         rnd.outstanding.clear()
-        rnd.resolved = True
+        self._mark_resolved(rnd)

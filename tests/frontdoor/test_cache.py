@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lookup import QueryAnswer
 from repro.frontdoor import FrontDoorConfig, TieredResultCache, tile_cover
@@ -287,6 +289,149 @@ class TestInvalidateRegion:
         cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+# Half-tile lattice coordinates: every other one sits on a tile edge, as
+# computed by ``k * e / 2`` where ``tile_rect`` computes ``ix * e``.
+_LATTICE = st.integers(-6, 12)
+_SIZE = st.sampled_from([0, 1, 2, 3, 5, 9, 40])  # half-tiles: index levels 0-5
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["viewport", "polygon", "tile", "get", "dirty", "dirty", "clear"]),
+        st.tuples(_LATTICE, _LATTICE, _SIZE, _SIZE),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestWriteDeltaIndex:
+    """The per-tile index behind ``invalidate_region`` drops exactly the
+    entries a scan of the whole tier would, through every kind of
+    mutation: stores, replacements, LRU evictions, expiry, clear."""
+
+    @staticmethod
+    def _assert_in_step(cache: TieredResultCache) -> None:
+        for store in (cache._l1, cache._l2):
+            indexed = set(store._unbounded)
+            for cell, keys in store._buckets.items():
+                assert keys, "an emptied bucket is removed"
+                for key in keys:
+                    assert cell in store._place(store.entries[key])[1]
+                indexed |= keys
+            assert indexed == set(store.entries)
+            placed: dict[int, int] = {}
+            for key, entry in store.entries.items():
+                place = store._place(entry)
+                assert (place is None) == (key in store._unbounded)
+                if place is not None:
+                    level, cells = place
+                    placed[level] = placed.get(level, 0) + 1
+                    assert 1 <= len(cells) <= 4
+                    assert all(key in store._buckets[cell] for cell in cells)
+            assert placed == store._placed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=_OPS,
+        extent=st.sampled_from([0.5, 0.1]),
+        max_tiles=st.sampled_from([1, 64]),  # 1: polygons keep no cells
+    )
+    def test_same_entries_dropped_as_a_full_scan(self, ops, extent, max_tiles):
+        cache = TieredResultCache(
+            _config(
+                tile_extent_degrees=extent,
+                l1_capacity=20,
+                l2_capacity=30,
+                max_tiles_per_cover=max_tiles,
+            ),
+            SLOT,
+        )
+        now = 0.0
+        for kind, (kx, ky, kw, kh) in ops:
+            half = extent / 2
+            rect = Rect(kx * half, ky * half, (kx + kw) * half, (ky + kh) * half)
+            if kind == "viewport":
+                q = _query(rect, sensor_type=str(kw))
+                cache.put_viewport(q, _result(q, []), now=now, generation=1)
+            elif kind == "polygon":
+                q = _query(
+                    Polygon(
+                        [
+                            GeoPoint(rect.min_x, rect.min_y),
+                            GeoPoint(rect.max_x + half, rect.min_y),
+                            GeoPoint(rect.min_x, rect.max_y + half),
+                        ]
+                    )
+                )
+                cache.put_viewport(q, _result(q, []), now=now, generation=1)
+            elif kind == "tile":
+                q = _query(rect)
+                cache.put_tile((kx, ky), q, _result(q, []), now=now, generation=1)
+            elif kind == "get":
+                # A slot window later: whatever is looked up has expired.
+                now += SLOT * (kw % 2)
+                cache.get_viewport(_query(rect, sensor_type=str(kw)), now, 1)
+                cache.get_tiles(_query(rect), now, 1)
+            elif kind == "dirty":
+                expected = {
+                    id(store): {
+                        key
+                        for key, entry in store.entries.items()
+                        if entry.overlaps(rect)
+                    }
+                    for store in (cache._l1, cache._l2)
+                }
+                before = {
+                    id(store): set(store.entries) for store in (cache._l1, cache._l2)
+                }
+                dropped = cache.invalidate_region(rect)
+                assert dropped == sum(len(keys) for keys in expected.values())
+                for store in (cache._l1, cache._l2):
+                    assert set(store.entries) == before[id(store)] - expected[id(store)]
+            else:
+                cache.clear()
+            self._assert_in_step(cache)
+
+    @pytest.mark.parametrize("extent", [0.5, 0.1])
+    def test_delta_touching_an_entry_only_at_a_tile_edge(self, extent):
+        """Rectangles are closed: a delta that shares one edge point with
+        an entry drops it, though ``tile_cover`` gives them no tile in
+        common."""
+        cache = TieredResultCache(_config(tile_extent_degrees=extent), SLOT)
+        for ix in range(1, 9):
+            q = _query(tile_rect((ix, ix), extent))
+            cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
+            cache.put_tile((ix, ix), q, _result(q, []), now=0.0, generation=1)
+            corner = tile_rect((ix + 1, ix + 1), extent)
+            touch = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
+            assert not set(tile_cover(touch, extent)) & {(ix, ix)}
+            assert cache.invalidate_region(touch) == 2, ix
+        assert len(cache) == 0
+
+    def test_replacing_a_tile_keeps_its_lru_position(self):
+        cache = TieredResultCache(_config(l2_capacity=2), SLOT)
+        q = _query(Rect(0, 0, 0.4, 0.4))
+        cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
+        cache.put_tile((1, 0), q, _result(q, []), now=0.0, generation=1)
+        cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
+        cache.put_tile((2, 0), q, _result(q, []), now=0.0, generation=1)
+        assert [key[0] for key in cache._l2.entries] == [(1, 0), (2, 0)]
+        self._assert_in_step(cache)
+
+    def test_wide_and_unbounded_regions_are_still_invalidated(self):
+        cache = TieredResultCache(_config(), SLOT)
+        wide = _query(Rect(-170.0, -80.0, 170.0, 80.0))
+        unbounded = _query(Rect(0.0, 0.0, math.inf, 1.0))
+        for q in (wide, unbounded):
+            cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
+        # However wide, a bounded viewport costs at most four buckets.
+        assert len(cache._l1._buckets) <= 4 and len(cache._l1._unbounded) == 1
+        self._assert_in_step(cache)
+        assert cache.invalidate_region(Rect(200.0, 0.5, 200.0, 0.5)) == 1
+        assert cache.invalidate_region(Rect(-math.inf, -math.inf, math.inf, math.inf)) == 1
+        assert len(cache) == 0
+        self._assert_in_step(cache)
 
 
 def test_rejects_nonpositive_slot_seconds():

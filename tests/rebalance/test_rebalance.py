@@ -313,3 +313,36 @@ class TestFrontDoorIntegration:
         assert src_ids - set(movers) == {
             s.sensor_id for s in fed.shard_members(0)
         }
+
+    def test_withdrawn_sensor_leaves_the_cached_viewport(self):
+        """A leaver is in no final group, so it is not among the moved
+        sensors; the front door must hear about it all the same, or
+        L1/L2 keep serving its last reading until the slot window
+        turns."""
+        fed = make_uniform_fed()
+        door = FrontDoor(
+            fed,
+            FrontDoorConfig(admission=AdmissionConfig(enabled=False)),
+        )
+        viewport = SensorQuery(
+            region=Rect(0.0, 0.0, 50.0, 50.0), staleness_seconds=STALENESS
+        )
+        far = SensorQuery(
+            region=Rect(60.0, 60.0, 90.0, 90.0), staleness_seconds=STALENESS
+        )
+        filled = door.execute(viewport)
+        door.execute(far)
+        assert door.execute(viewport).cache_hit
+        leaver = next(
+            s.sensor_id
+            for s in fed.registry
+            if viewport.region.contains_point(s.location)
+        )
+        before, _ = distinct_ids(filled.result)
+        assert leaver in before
+        ShardMover(fed).absorb_leaves([leaver])
+        again = door.execute(viewport)
+        assert not again.cache_hit
+        assert distinct_ids(again.result)[0] == before - {leaver}
+        # Cell-precise, like a move: the far viewport stays warm.
+        assert door.execute(far).cache_hit

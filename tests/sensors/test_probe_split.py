@@ -8,6 +8,8 @@ separately.
 
 from __future__ import annotations
 
+import pytest
+
 from repro import AvailabilityModel, SensorNetwork
 from tests.conftest import make_registry
 
@@ -67,6 +69,56 @@ def test_sample_attempts_records_nothing():
     assert len(attempts) == 20
     assert net.stats.probes_attempted == 0
     assert all(net.availability_model.observed_probes(sid) == 0 for sid in ids)
+
+
+def _columns(attempts):
+    return (
+        [a.ok for a in attempts],
+        [a.timed_out for a in attempts],
+        [a.latency_seconds for a in attempts],
+    )
+
+
+@pytest.mark.parametrize("timeout", [None, 0.25, 0.15])
+def test_columns_equal_attempts_without_jitter(timeout):
+    """No latency draw: the per-contact order and the batch order are
+    one stream, so the columns are ``sample_attempts(ids)`` transposed."""
+    a = _network(timeout_seconds=timeout)
+    b = _network(timeout_seconds=timeout)
+    ids = [s.sensor_id for s in a.sensors()][:70]
+    for chunk in (ids[:1], ids[1:40], [], ids[40:]):
+        assert a.sample_attempts(chunk, columns=True) == _columns(
+            b.sample_attempts(chunk)
+        )
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("timeout", [None, 0.25])
+def test_columns_are_the_one_at_a_time_stream_with_jitter(timeout):
+    """With jitter a contact draws availability then latency, so k
+    same-instant contacts are k one-id calls, not one k-id call."""
+    a = _network(latency_jitter=0.3, timeout_seconds=timeout)
+    b = _network(latency_jitter=0.3, timeout_seconds=timeout)
+    ids = [s.sensor_id for s in a.sensors()][:70]
+    for chunk in (ids[:1], ids[1:40], [], ids[40:]):
+        assert a.sample_attempts(chunk, columns=True) == _columns(
+            [b.sample_attempts([sid])[0] for sid in chunk]
+        )
+    assert a._rng.bit_generator.state == b._rng.bit_generator.state
+    if timeout is not None:
+        _, timed_out, latencies = a.sample_attempts(ids, columns=True)
+        assert any(timed_out) and max(latencies) == timeout
+
+
+def test_columns_record_nothing_and_reject_unknown_ids():
+    net = _network()
+    before = net._rng.bit_generator.state
+    with pytest.raises(KeyError):
+        net.sample_attempts([0, 10**9], columns=True)
+    assert net._rng.bit_generator.state == before, "no draw before the id check"
+    net.sample_attempts([0, 1, 2], columns=True)
+    assert net.stats.probes_attempted == 0
+    assert net.availability_model.observed_probes(0) == 0
 
 
 def test_snapshot_carries_new_counters():
