@@ -47,8 +47,8 @@ from repro.bench.frontdoor import make_livelocal_portal
 from repro.bench.harness import StreamSummary
 from repro.bench.report import run_stamp
 from repro.geoblocks import GeoBlockConfig, PolygonResult, SlidingWindow
-from repro.geoblocks.planner import cells_covering
 from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry.grid import cells_covering
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.workloads import LiveLocalWorkload, PolygonWorkload
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import subprocess
 import time
+from dataclasses import asdict
 from typing import Mapping, Sequence
 
 
@@ -152,36 +153,14 @@ def network_counters(stats) -> dict[str, object]:
 
 
 def transport_counters(stats) -> dict[str, object]:
-    """The reportable slice of a dispatcher's ``TransportStats``."""
-    return {
-        "rounds": stats.rounds,
-        "overlapped_rounds": stats.overlapped_rounds,
-        "attempts": stats.attempts,
-        "retries": stats.retries,
-        "timeouts": stats.timeouts,
-        "unavailable": stats.unavailable,
-        "dedup_inflight": stats.dedup_inflight,
-        "dedup_recent": stats.dedup_recent,
-        "cooldown_skips": stats.cooldown_skips,
-        "streamed_readings": stats.streamed_readings,
-        "stream_flushes": stats.stream_flushes,
-        "maintenance_ops": stats.maintenance_ops,
-    }
+    """Every counter of a dispatcher's ``TransportStats``."""
+    return asdict(stats)
 
 
 def storage_counters(stats) -> dict[str, object]:
-    """The reportable slice of a ``StorageStats`` (the storage engine's
+    """Every counter of a ``StorageStats`` (the storage engine's
     cumulative disk accounting)."""
-    return {
-        "page_reads": stats.page_reads,
-        "page_writes": stats.page_writes,
-        "wal_appends": stats.wal_appends,
-        "wal_fsyncs": stats.wal_fsyncs,
-        "wal_records_replayed": stats.wal_records_replayed,
-        "torn_tail_truncations": stats.torn_tail_truncations,
-        "checkpoints": stats.checkpoints,
-        "recoveries": stats.recoveries,
-    }
+    return asdict(stats)
 
 
 def _fmt(cell: object) -> str:

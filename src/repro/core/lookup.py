@@ -455,8 +455,6 @@ def _serve_leaf(
                 answer.cached_readings.append(reading)
                 cached_ids.add(sensor.sensor_id)
                 served += 1
-        if cached_ids:
-            tree.touch_cached(leaf, cached_ids, now)
     probe_ids = [s.sensor_id for s in matching if s.sensor_id not in cached_ids]
     to_probe.extend(probe_ids)
     answer.terminals.append(

@@ -365,9 +365,7 @@ def _collect_cached(
         if not fresh:
             return 0, set()
         answer.cached_readings.extend(fresh)
-        ids = {r.sensor_id for r in fresh}
-        tree.touch_cached(node, ids, now)
-        return len(fresh), ids
+        return len(fresh), {r.sensor_id for r in fresh}
     if node.agg_cache is None or not tree.config.aggregate_caching_enabled:
         return 0, set()
     answer.stats.cached_nodes_accessed += 1
@@ -410,10 +408,7 @@ def _decompose_cached(
         take = min(len(fresh), int(math.ceil(target)))
         chosen = fresh[:take]
         answer.cached_readings.extend(chosen)
-        ids = {r.sensor_id for r in chosen}
-        if ids:
-            tree.touch_cached(node, ids, now)
-        return len(chosen), ids
+        return len(chosen), {r.sensor_id for r in chosen}
     answer.stats.cached_nodes_accessed += 1
     consumed = 0
     ids: set[int] = set()

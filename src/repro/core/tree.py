@@ -127,12 +127,6 @@ class COLRTree:
         # viewport answers overlapping fresh writes drop out — cached
         # results see exactly the deltas the slot caches see.
         self.ingest_listeners: list = []
-        # Reading-level listeners: ``fn(readings, fetched_at)`` fires
-        # with the *actual batch* after every cache ingestion, alongside
-        # the coarse ``ingest_listeners`` above.  The geoblock grid
-        # subscribes here — mirroring per-cell aggregates needs the
-        # readings themselves, not just the dirty bounding box.
-        self.reading_listeners: list = []
         # Durable-storage hooks (both ``None`` on an in-memory tree).
         # ``wal_sink`` is called as ``fn(readings, fetched_at)`` after a
         # batch is fully applied to the caches — the portal points it at
@@ -140,8 +134,9 @@ class COLRTree:
         # journaled (recovery priming runs with the sink detached, so
         # replay is never re-journaled).  ``storage_meter`` is the
         # engine's :class:`~repro.storage.stats.StorageStats`;
-        # ``probe_and_cache`` meters its deltas into ``QueryStats`` so
-        # disk I/O shows up next to probe accounting.
+        # ``probe_and_cache`` and the batch executor meter its deltas
+        # into ``QueryStats`` (``_meter_storage``) so disk I/O shows up
+        # next to probe accounting.
         self.wal_sink = None
         self.storage_meter = None
         # The flattened traversal kernel + spatial plan cache.
@@ -320,11 +315,7 @@ class COLRTree:
             return []
         if self.transport is None:
             raise RuntimeError("this tree has no sensor network attached")
-        io_base = (
-            self.storage_meter.io_counters()
-            if self.storage_meter is not None
-            else None
-        )
+        io_base = self._storage_io()
         rnd = self.transport.collect(
             ids,
             now,
@@ -351,18 +342,29 @@ class COLRTree:
         self._meter_storage(stats, io_base)
         return list(rnd.readings.values())
 
+    def _storage_io(self) -> tuple[int, int, int, int] | None:
+        """The storage engine's serving-path counters now (``None`` on
+        an in-memory tree): the base :meth:`_meter_storage` charges
+        from."""
+        if self.storage_meter is None:
+            return None
+        return self.storage_meter.io_counters()
+
     def _meter_storage(
         self, stats: QueryStats, io_base: tuple[int, int, int, int] | None
-    ) -> None:
-        """Charge the storage I/O performed since ``io_base`` (the
-        engine's counters at probe start) to this query's stats."""
+    ) -> tuple[int, int, int, int] | None:
+        """Charge the storage I/O performed since ``io_base`` to a
+        query's stats.  Returns the counters now, the base of the next
+        charge — the one probe round of :meth:`probe_and_cache` drops
+        it, the batch executor chains it across a tick's queries."""
         if io_base is None:
-            return
-        reads, writes, appends, fsyncs = self.storage_meter.io_counters()
-        stats.page_reads += reads - io_base[0]
-        stats.page_writes += writes - io_base[1]
-        stats.wal_appends += appends - io_base[2]
-        stats.wal_fsyncs += fsyncs - io_base[3]
+            return None
+        io_now = self.storage_meter.io_counters()
+        stats.page_reads += io_now[0] - io_base[0]
+        stats.page_writes += io_now[1] - io_base[1]
+        stats.wal_appends += io_now[2] - io_base[2]
+        stats.wal_fsyncs += io_now[3] - io_base[3]
+        return io_now
 
     def insert_reading(self, reading: Reading, fetched_at: float) -> int:
         """Cache one reading and propagate aggregates to the root.
@@ -398,7 +400,6 @@ class COLRTree:
             if self.wal_sink is not None:
                 self.wal_sink([reading], fetched_at)
             self._notify_ingest([leaf], 1)
-            self._notify_readings([reading], fetched_at)
             return ops
         node = leaf.parent
         while node is not None:
@@ -409,7 +410,6 @@ class COLRTree:
         if self.wal_sink is not None:
             self.wal_sink([reading], fetched_at)
         self._notify_ingest([leaf], 1)
-        self._notify_readings([reading], fetched_at)
         return ops
 
     def insert_readings_batch(self, readings: Iterable[Reading], fetched_at: float) -> int:
@@ -483,7 +483,6 @@ class COLRTree:
             if self.wal_sink is not None:
                 self.wal_sink(batch, fetched_at)
             self._notify_ingest(touched_leaves.values(), len(batch))
-            self._notify_readings(batch, fetched_at)
             return ops
         # Phase 2: merge each touched leaf's deltas into its ancestor
         # chain, so every ancestor sees one delta per slot regardless of
@@ -536,15 +535,7 @@ class COLRTree:
         if self.wal_sink is not None:
             self.wal_sink(batch, fetched_at)
         self._notify_ingest(touched_leaves.values(), len(batch))
-        self._notify_readings(batch, fetched_at)
         return ops
-
-    def _notify_readings(self, readings: list[Reading], fetched_at: float) -> None:
-        """Fire the reading-level listeners with the applied batch."""
-        if not self.reading_listeners or not readings:
-            return
-        for listener in list(self.reading_listeners):
-            listener(readings, fetched_at)
 
     def _notify_ingest(self, leaves: Iterable[COLRNode], count: int) -> None:
         """Fire the write-delta listeners with the touched leaves'
@@ -572,14 +563,6 @@ class COLRTree:
         self._cache_registry.clear()
         self._slot_heap.clear()
         self._cached_count = 0
-
-    def touch_cached(self, leaf: COLRNode, sensor_ids: set[int], now: float) -> None:
-        """Hook invoked when cached readings answer a query.
-
-        The paper's replacement policy is least recently *fetched*, so a
-        read does not refresh eviction priority; the hook exists for
-        subclasses / instrumentation."""
-        del leaf, sensor_ids, now
 
     # ------------------------------------------------------------------
     # Maintenance internals

@@ -37,7 +37,7 @@ cache, same stats) — pinned by ``tests/federation/test_parity.py``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.aggregates import AggregateSketch
@@ -70,6 +70,15 @@ __all__ = [
     "ShardDownError",
     "StreamingGather",
 ]
+
+# The ``BatchStats`` counters a federated tick sums over its shards'
+# sub-batches; the other three it works out itself (its own query count,
+# the collection makespan, the coordinator's wall clock).
+_BATCH_COUNTERS = tuple(
+    f.name
+    for f in fields(BatchStats)
+    if f.name not in ("queries", "collection_seconds", "wall_seconds")
+)
 
 
 class ShardDownError(RuntimeError):
@@ -1381,16 +1390,8 @@ class FederatedPortal:
         slot_seconds: list[float] = [0.0]
         for shard_id, batch in shard_batches.items():
             s = batch.stats
-            stats.probes_requested += s.probes_requested
-            stats.probes_issued += s.probes_issued
-            stats.probes_contacted += s.probes_contacted
-            stats.probes_coalesced += s.probes_coalesced
-            stats.probes_deduped += s.probes_deduped
-            stats.probes_cooldown_skipped += s.probes_cooldown_skipped
-            stats.probes_retried += s.probes_retried
-            stats.probes_timed_out += s.probes_timed_out
-            stats.batch_shared_plans += s.batch_shared_plans
-            stats.maintenance_ops += s.maintenance_ops
+            for name in _BATCH_COUNTERS:
+                setattr(stats, name, getattr(stats, name) + getattr(s, name))
             slot = s.collection_seconds + tick.penalties.get(shard_id, 0.0)
             slot_seconds.append(slot)
             shard_seconds[shard_id] = (
@@ -1489,7 +1490,6 @@ class FederatedPortal:
         each shard's own ``stats()``."""
         self._ensure_index()
         assert self._directory is not None
-        f = self.stats
         return {
             "total_sensors": len(self.registry),
             "n_shards": len(self._shards),
@@ -1503,30 +1503,7 @@ class FederatedPortal:
                 }
                 for e in self._directory.entries()
             ],
-            "federation": {
-                "queries": f.queries,
-                "batch_ticks": f.batch_ticks,
-                "subqueries_scattered": f.subqueries_scattered,
-                "exact_broadcasts": f.exact_broadcasts,
-                "sampled_splits": f.sampled_splits,
-                "shards_routed": f.shards_routed,
-                "zero_share_skips": f.zero_share_skips,
-                "shard_attempts": f.shard_attempts,
-                "shard_retries": f.shard_retries,
-                "shard_failures": f.shard_failures,
-                "shard_timeouts": f.shard_timeouts,
-                "shard_cooldown_skips": f.shard_cooldown_skips,
-                "partial_answers": f.partial_answers,
-                "redistributions": f.redistributions,
-                "redistribution_rounds_run": f.redistribution_rounds_run,
-                "topup_subqueries": f.topup_subqueries,
-                "topup_sensors_gained": f.topup_sensors_gained,
-                "sampled_shortfall": f.sampled_shortfall,
-                "streaming_queries": f.streaming_queries,
-                "deferred_shard_answers": f.deferred_shard_answers,
-                "shard_recoveries": f.shard_recoveries,
-                "recovery_seconds_total": f.recovery_seconds_total,
-            },
+            "federation": asdict(self.stats),
             "shards": {
                 i: self._shard_op(i, "stats") for i in range(len(self._shards))
             },

@@ -6,7 +6,6 @@ from repro.frontdoor.cache import (
     CacheStats,
     TieredResultCache,
     result_oldest_timestamp,
-    tile_cover,
 )
 from repro.frontdoor.config import AdmissionConfig, FrontDoorConfig
 from repro.frontdoor.frontdoor import FrontDoor, FrontDoorBatchResult, FrontDoorResult
@@ -27,5 +26,4 @@ __all__ = [
     "TieredResultCache",
     "TokenBucket",
     "result_oldest_timestamp",
-    "tile_cover",
 ]

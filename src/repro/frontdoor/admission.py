@@ -18,7 +18,7 @@ silent — the bench gates on the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.frontdoor.config import AdmissionConfig
 
@@ -68,13 +68,8 @@ class AdmissionStats:
         return self.shed / self.offered if self.offered else 0.0
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed_rate": self.shed_rate,
-            "shed_queue": self.shed_queue,
-            "shed_fraction": self.shed_fraction,
-        }
+        """Every counter by field name, plus the derived ``shed_fraction``."""
+        return {**asdict(self), "shed_fraction": self.shed_fraction}
 
 
 class AdmissionController:

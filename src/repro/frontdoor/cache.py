@@ -8,11 +8,13 @@ Two tiers, one freshness semantics:
   ``PortalResult`` verbatim — for sampled queries that is the *same
   draw* the fill produced (no portal RNG is consumed), for exact
   queries it is bit-identical to a warm recompute.
-* **L2 — tile cache.**  Exact rectangular viewports decompose into a
-  cover of fixed-extent tiles; per-tile exact answers are cached and
-  composed into covering answers (readings deduplicated across shared
-  tile edges).  One hot tile then serves every viewport that overlaps
-  it — the CDN-tile pattern over slot-cache data.
+* **L2 — tile cache.**  Exact rectangular and polygon viewports
+  decompose into a cover of fixed-extent tiles — cells of the grid in
+  :mod:`repro.geometry.grid`, the geoblock cells' grid at another
+  extent; per-tile exact answers are cached and composed into covering
+  answers (readings deduplicated across shared tile edges).  One hot
+  tile then serves every viewport that overlaps it — the CDN-tile
+  pattern over slot-cache data.
 
 Validity is *exactly* the slot-cache story, no second freshness regime:
 
@@ -38,23 +40,28 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Hashable
 
 from repro.core.plancache import region_fingerprint
 from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import Polygon, Rect
+from repro.geometry.grid import Cell, cell_rect, cells_covering, rasterize
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
 __all__ = [
     "CacheStats",
+    "Raster",
     "TieredResultCache",
-    "polygon_cover",
     "result_oldest_timestamp",
-    "tile_cover",
 ]
+
+# One request's tile cover: its tiles in scan order, each flagged
+# *interior* (the tile lies wholly inside the viewport, so its cached
+# answer passes into a compose uncropped).
+Raster = list[tuple[Cell, bool]]
 
 
 def result_oldest_timestamp(result: PortalResult) -> float:
@@ -71,46 +78,6 @@ def result_oldest_timestamp(result: PortalResult) -> float:
         for sketch in answer.cached_sketches:
             oldest = min(oldest, sketch.oldest_timestamp)
     return oldest
-
-
-def tile_cover(
-    region: Rect, tile_extent: float
-) -> list[tuple[int, int]]:
-    """The tile ids ``(ix, iy)`` covering a rectangle.
-
-    Tiles are the closed squares ``[ix*e, (ix+1)*e] x [iy*e,
-    (iy+1)*e]``.  A region edge landing exactly on a tile boundary does
-    not drag in the next (measure-zero-overlap) tile.
-    """
-    e = tile_extent
-    ix0 = math.floor(region.min_x / e)
-    iy0 = math.floor(region.min_y / e)
-    ix1 = max(ix0, math.ceil(region.max_x / e) - 1)
-    iy1 = max(iy0, math.ceil(region.max_y / e) - 1)
-    return [
-        (ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)
-    ]
-
-
-def tile_rect(tile: tuple[int, int], tile_extent: float) -> Rect:
-    ix, iy = tile
-    e = tile_extent
-    return Rect(ix * e, iy * e, (ix + 1) * e, (iy + 1) * e)
-
-
-def polygon_cover(
-    region: Polygon, tile_extent: float
-) -> list[tuple[int, int]]:
-    """The tile ids a polygon viewport actually touches: its bounding
-    box's cover minus the tiles the polygon misses entirely (the
-    geoblock-style *cell union* — for a non-convex polygon this is a
-    strict subset of the box cover, which is what makes polygon cache
-    entries invalidate per-cell instead of per-bounding-box)."""
-    return [
-        tile
-        for tile in tile_cover(region.bounding_box, tile_extent)
-        if region.intersects_rect(tile_rect(tile, tile_extent))
-    ]
 
 
 @dataclass
@@ -141,22 +108,8 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "lookups": self.lookups,
-            "l1_hits": self.l1_hits,
-            "l2_hits": self.l2_hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "stores": self.stores,
-            "tile_stores": self.tile_stores,
-            "uncacheable": self.uncacheable,
-            "l1_evictions": self.l1_evictions,
-            "l2_evictions": self.l2_evictions,
-            "invalidated_slot": self.invalidated_slot,
-            "invalidated_stale": self.invalidated_stale,
-            "invalidated_write": self.invalidated_write,
-            "invalidated_generation": self.invalidated_generation,
-        }
+        """Every counter by field name, plus the derived ``hit_rate``."""
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 @dataclass
@@ -430,11 +383,19 @@ class TieredResultCache:
         return entry.result
 
     def put_viewport(
-        self, query: SensorQuery, result: PortalResult, now: float, generation: int
+        self,
+        query: SensorQuery,
+        result: PortalResult,
+        now: float,
+        generation: int,
+        raster: Raster | None = None,
     ) -> bool:
         """Store a filled viewport answer.  Partial (degraded) answers
         are refused — a revived shard must never be shadowed by the gap
-        it left behind."""
+        it left behind.  A polygon's entry invalidates per covered tile:
+        ``raster`` hands in the request's cover (see :meth:`raster`)
+        when the lookup already made it; without one, or for a polygon
+        that does not compose from tiles, the cover is made here."""
         if self.config.l1_capacity <= 0:
             return False
         key = self.l1_key(query)
@@ -444,10 +405,11 @@ class TieredResultCache:
         region = query.region
         cells: tuple[Rect, ...] | None = None
         if not isinstance(region, Rect):
-            cover = polygon_cover(region, self.config.tile_extent_degrees)
-            if 0 < len(cover) <= self.config.max_tiles_per_cover:
+            cover = raster or self._cover(region)
+            if cover:
                 cells = tuple(
-                    tile_rect(t, self.config.tile_extent_degrees) for t in cover
+                    cell_rect(tile, self.config.tile_extent_degrees)
+                    for tile, _ in cover
                 )
             region = Rect.from_points(region.vertices)
         self._l1.put(
@@ -472,15 +434,42 @@ class TieredResultCache:
     # ------------------------------------------------------------------
     # L2 (tiles)
     # ------------------------------------------------------------------
+    def raster(self, query: SensorQuery) -> Raster:
+        """The tile cover a query composes from, made once per request
+        and handed to :meth:`get_tiles` (before and after a fill) and
+        :meth:`put_viewport`.  Empty when the query does not compose
+        from tiles at all: L2 is off, the query is not
+        :meth:`tile_eligible`, or its cover is oversized."""
+        if not self.config.l2_enabled or not self.tile_eligible(query):
+            return []
+        return self._cover(query.region)
+
+    def _cover(self, region: Rect | Polygon) -> Raster:
+        """A region's tiles (none if over ``max_tiles_per_cover``).  A
+        rectangle's are all interior: the front door serves rectangles
+        quantized to their tile union."""
+        e = self.config.tile_extent_degrees
+        if isinstance(region, Rect):
+            cover = [(tile, True) for tile in cells_covering(region, e)]
+        else:
+            interior, boundary = rasterize(region, e)
+            cover = sorted(
+                [(tile, True) for tile in interior]
+                + [(tile, False) for tile in boundary]
+            )
+        return cover if len(cover) <= self.config.max_tiles_per_cover else []
+
     def get_tiles(
         self,
         query: SensorQuery,
+        raster: Raster,
         now: float,
         generation: int,
         record: bool = True,
         locate=None,
-    ) -> tuple[_Composed | None, list[tuple[int, int]]]:
-        """Try to compose the query's answer from cached tiles.
+    ) -> tuple[_Composed | None, list[Cell]]:
+        """Try to compose the query's answer from the cached tiles of
+        its ``raster``.
 
         Returns ``(composed, missing_tiles)``: a full compose when every
         covering tile is cached and valid, else ``(None, missing)`` so
@@ -493,33 +482,21 @@ class TieredResultCache:
         crop boundary tiles of a polygon viewport; without it polygon
         queries are not composable here.
         """
-        if not self.config.l2_enabled or not self.tile_eligible(query):
+        if not raster or (locate is None and not isinstance(query.region, Rect)):
             return None, []
-        region = query.region
-        if isinstance(region, Rect):
-            tiles = tile_cover(region, self.config.tile_extent_degrees)
-        else:
-            if locate is None:
-                return None, []
-            tiles = polygon_cover(region, self.config.tile_extent_degrees)
-        if not tiles or len(tiles) > self.config.max_tiles_per_cover:
-            return None, []
-        entries: list[tuple[tuple[int, int], _Entry]] = []
-        missing: list[tuple[int, int]] = []
-        for tile in tiles:
+        entries: list[tuple[bool, _Entry]] = []
+        missing: list[Cell] = []
+        for tile, interior in raster:
             entry = self._get(self._l2, self.tile_key(tile, query), now, generation)
             if entry is None:
                 missing.append(tile)
             else:
-                entries.append((tile, entry))
+                entries.append((interior, entry))
         if missing:
             return None, missing
-        if isinstance(region, Rect):
-            composed = self._compose(query, [e for _, e in entries])
-        else:
-            composed = self._compose_polygon(query, entries, locate)
-            if composed is None:
-                return None, []
+        composed = self._compose(query, entries, locate)
+        if composed is None:
+            return None, []
         if record:
             self.stats.l2_hits += 1
         return composed, []
@@ -538,7 +515,7 @@ class TieredResultCache:
         self._l2.put(
             self.tile_key(tile, query),
             _Entry(
-                region=tile_rect(tile, self.config.tile_extent_degrees),
+                region=cell_rect(tile, self.config.tile_extent_degrees),
                 result=result,
                 slot_window=slot_of(now, self.slot_seconds),
                 generation=generation,
@@ -552,8 +529,21 @@ class TieredResultCache:
             self.stats.l2_evictions += 1
         return True
 
-    def _compose(self, query: SensorQuery, entries: list[_Entry]) -> _Composed:
-        """Merge per-tile answers into one covering answer.
+    def _compose(
+        self,
+        query: SensorQuery,
+        entries: list[tuple[bool, _Entry]],
+        locate,
+    ) -> _Composed | None:
+        """Merge per-tile answers into one exact covering answer.
+
+        Interior tiles (every tile of a rectangle's cover) pass their
+        answers wholesale, readings *and* aggregate sketches; boundary
+        tiles of a polygon are cropped per sensor via ``locate`` +
+        ``contains_point``.  A boundary tile whose cached answer carries
+        anonymous node sketches cannot be cropped — the compose reports
+        failure (``None``) and the caller falls through to the portal's
+        exact polygon path.
 
         Readings are deduplicated by sensor id (a sensor sitting
         exactly on a shared tile edge answers both tiles' fills); the
@@ -564,63 +554,12 @@ class TieredResultCache:
         """
         from repro.core.lookup import QueryAnswer
 
-        merged = QueryAnswer()
-        seen: set[int] = set()
-        oldest = math.inf
-        regions: list[Rect] = []
-        for entry in entries:
-            regions.append(entry.region)
-            oldest = min(oldest, entry.oldest_timestamp)
-            for answer in entry.result.answers:
-                for reading in list(answer.probed_readings) + list(
-                    answer.cached_readings
-                ):
-                    if reading.sensor_id in seen:
-                        continue
-                    seen.add(reading.sensor_id)
-                    merged.cached_readings.append(reading)
-                merged.cached_sketches.extend(answer.cached_sketches)
-                merged.cached_sketch_nodes.extend(answer.cached_sketch_nodes)
-        result = PortalResult(
-            query=query,
-            groups=[],
-            answers=[merged],
-            processing_seconds=0.0,
-            collection_seconds=0.0,
-            sample_requested=None,
-        )
-        return _Composed(
-            result=result,
-            tiles=len(entries),
-            oldest_timestamp=oldest,
-            regions=regions,
-        )
-
-    def _compose_polygon(
-        self,
-        query: SensorQuery,
-        entries: list[tuple[tuple[int, int], _Entry]],
-        locate,
-    ) -> _Composed | None:
-        """Merge per-tile answers into one exact polygon answer.
-
-        Tiles fully inside the polygon pass their answers wholesale
-        (readings *and* aggregate sketches); boundary tiles are cropped
-        per sensor via ``locate`` + ``contains_point``.  A boundary tile
-        whose cached answer carries anonymous node sketches cannot be
-        cropped — the compose reports failure (``None``) and the caller
-        falls through to the portal's exact polygon path.
-        """
-        from repro.core.lookup import QueryAnswer
-
         region = query.region
-        assert isinstance(region, Polygon)
         merged = QueryAnswer()
         seen: set[int] = set()
         oldest = math.inf
         regions: list[Rect] = []
-        for _, entry in entries:
-            interior = region.contains_rect(entry.region)
+        for interior, entry in entries:
             if not interior and any(
                 answer.cached_sketches for answer in entry.result.answers
             ):

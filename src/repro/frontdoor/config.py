@@ -64,12 +64,6 @@ class FrontDoorConfig:
     max_tiles_per_cover:
         Viewports covering more tiles than this bypass the tile layer
         (a whole-country pan would otherwise fan out absurdly).
-    quantize_viewports:
-        Expand eligible rectangular viewports to their covering tile
-        union *before* caching or execution — the map-UI contract where
-        the client renders tiles and crops.  Nearby jittered viewports
-        of one hotspot then share cache entries, which is where most of
-        the L1 hit rate comes from.
     l1_hit_seconds / l2_tile_compose_seconds:
         Modeled serving cost of a cache hit: an L1 hit costs a lookup;
         an L2 hit costs the lookup plus one compose step per tile.
@@ -84,7 +78,6 @@ class FrontDoorConfig:
     tile_extent_degrees: float = 0.5
     l2_capacity: int = 4096
     max_tiles_per_cover: int = 64
-    quantize_viewports: bool = True
     l1_hit_seconds: float = 250e-6
     l2_tile_compose_seconds: float = 50e-6
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)

@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.frontdoor.admission import AdmissionController
-from repro.frontdoor.cache import TieredResultCache, tile_cover, tile_rect
+from repro.frontdoor.cache import Raster, TieredResultCache
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import Polygon, Rect
+from repro.geometry.grid import Cell, cell_rect, cells_covering
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
@@ -188,7 +189,7 @@ class FrontDoor:
         serving contract, not a cache trick, so cache-on/cache-off
         comparisons stay apples-to-apples.
         """
-        if not self.config.quantize_viewports or not self._tile_serveable(query):
+        if not self._tile_serveable(query):
             return query
         if isinstance(query.region, Polygon):
             # Polygon viewports quantize at the L2 layer (their cover is
@@ -197,7 +198,7 @@ class FrontDoor:
             # there is no coarser region to rewrite the query to.
             return query
         assert isinstance(query.region, Rect)
-        tiles = tile_cover(query.region, self.config.tile_extent_degrees)
+        tiles = cells_covering(query.region, self.config.tile_extent_degrees)
         if not tiles or len(tiles) > self.config.max_tiles_per_cover:
             return query
         e = self.config.tile_extent_degrees
@@ -226,42 +227,44 @@ class FrontDoor:
                 return FrontDoorResult(query, verdict, None, None, 0.0)
         q = self.quantize(query)
         generation = self._cache_generation()
+        raster: Raster = []
         if generation is not None:
-            hit, missing = self._lookup(q, now, generation)
+            hit, raster, missing = self._lookup(q, now, generation)
             if hit is not None:
                 return hit
             if missing:
-                served = self._fill_tiles(q, missing, now, generation)
+                served = self._fill_tiles(q, raster, missing, now, generation)
                 if served is not None:
                     return served
             self.cache.stats.misses += 1
         result = self._run_portal(q)
-        self._store_viewport(q, result)
+        self._store_viewport(q, result, raster)
         return FrontDoorResult(
             q, "served", "portal", result, result.end_to_end_seconds
         )
 
     def _lookup(
         self, q: SensorQuery, now: float, generation: int
-    ) -> tuple[FrontDoorResult | None, list[tuple[int, int]]]:
+    ) -> tuple[FrontDoorResult | None, Raster, list[Cell]]:
         """The cache ladder for one quantized query: the L1 viewport
         entry, then the L2 tile composition (promoted to L1 so the next
         identical viewport hits there).  Returns the served hit, or
-        ``None`` plus the tiles a tile-composable query still lacks."""
+        ``None`` plus the request's raster (empty: not tile-composable
+        here) and the tiles of it still missing."""
         hit = self.cache.get_viewport(q, now, generation)
         if hit is not None:
             return (
                 FrontDoorResult(q, "served", "l1", hit, self.config.l1_hit_seconds),
                 [],
+                [],
             )
-        if not (self.config.l2_enabled and self._tile_serveable(q)):
-            return None, []
+        raster = self.cache.raster(q) if self._tile_serveable(q) else []
         composed, missing = self.cache.get_tiles(
-            q, now, generation, locate=self._sensor_locator()
+            q, raster, now, generation, locate=self._sensor_locator()
         )
         if composed is None:
-            return None, missing
-        self.cache.put_viewport(q, composed.result, now, generation)
+            return None, raster, missing
+        self.cache.put_viewport(q, composed.result, now, generation, raster)
         served = FrontDoorResult(
             q,
             "served",
@@ -271,7 +274,7 @@ class FrontDoor:
             + composed.tiles * self.config.l2_tile_compose_seconds,
             tiles_composed=composed.tiles,
         )
-        return served, []
+        return served, raster, []
 
     def _run_portal(self, q: SensorQuery) -> PortalResult:
         """Direct (uncached) execution: polygon viewports take the
@@ -283,7 +286,8 @@ class FrontDoor:
     def _fill_tiles(
         self,
         q: SensorQuery,
-        missing: list[tuple[int, int]],
+        raster: Raster,
+        missing: list[Cell],
         now: float,
         generation: int,
     ) -> FrontDoorResult | None:
@@ -292,19 +296,19 @@ class FrontDoor:
         cover.  Returns ``None`` (fall back to direct execution) if any
         fill came back partial — gaps are never cached or composed."""
         e = self.config.tile_extent_degrees
-        fills = [replace(q, region=tile_rect(t, e)) for t in missing]
+        fills = [replace(q, region=cell_rect(t, e)) for t in missing]
         batch = self.portal.execute_batch(fills)
         if any(getattr(r, "partial", False) for r in batch.results):
             return None
         for tile, result in zip(missing, batch.results):
             self.cache.put_tile(tile, q, result, now, generation)
-        composed, still_missing = self.cache.get_tiles(
-            q, now, generation, record=False, locate=self._sensor_locator()
+        composed, _ = self.cache.get_tiles(
+            q, raster, now, generation, record=False, locate=self._sensor_locator()
         )
         if composed is None:
             return None
         self.cache.stats.misses += 1
-        self.cache.put_viewport(q, composed.result, now, generation)
+        self.cache.put_viewport(q, composed.result, now, generation, raster)
         service = (
             batch.stats.collection_seconds
             + sum(r.processing_seconds for r in batch.results)
@@ -319,10 +323,13 @@ class FrontDoor:
             tiles_composed=composed.tiles,
         )
 
-    def _store_viewport(self, q: SensorQuery, result: PortalResult) -> None:
+    def _store_viewport(
+        self, q: SensorQuery, result: PortalResult, raster: Raster
+    ) -> None:
         generation = self._cache_generation()
         if generation is not None:
-            self.cache.put_viewport(q, result, self.portal.clock.now(), generation)
+            now = self.portal.clock.now()
+            self.cache.put_viewport(q, result, now, generation, raster)
 
     # ------------------------------------------------------------------
     # Batch serving
@@ -335,28 +342,29 @@ class FrontDoor:
         now = self.portal.clock.now()
         generation = self._cache_generation()
         results: list[FrontDoorResult | None] = [None] * len(queries)
-        plans: list[tuple[str, SensorQuery, list[tuple[int, int]]]] = []
+        plans: list[tuple[str, SensorQuery, Raster]] = []
         needed: dict = {}  # tile cache key -> (tile, exemplar query)
         for i, query in enumerate(queries):
             q = self.quantize(query)
+            raster: Raster = []
             if generation is not None:
-                results[i], missing = self._lookup(q, now, generation)
+                results[i], raster, missing = self._lookup(q, now, generation)
                 if results[i] is not None:
-                    plans.append(("hit", q, []))
+                    plans.append(("hit", q, raster))
                     continue
                 if missing:
                     for tile in missing:
                         needed.setdefault(self.cache.tile_key(tile, q), (tile, q))
                     self.cache.stats.misses += 1
-                    plans.append(("tiles", q, missing))
+                    plans.append(("tiles", q, raster))
                     continue
                 self.cache.stats.misses += 1
-            plans.append(("direct", q, []))
+            plans.append(("direct", q, raster))
         direct_indices = [i for i, p in enumerate(plans) if p[0] == "direct"]
         fill_items = list(needed.values())
         e = self.config.tile_extent_degrees
         portal_queries = [plans[i][1] for i in direct_indices] + [
-            replace(q, region=tile_rect(tile, e)) for tile, q in fill_items
+            replace(q, region=cell_rect(tile, e)) for tile, q in fill_items
         ]
         batch_service = 0.0
         if portal_queries:
@@ -366,8 +374,8 @@ class FrontDoor:
             )
             for slot, i in enumerate(direct_indices):
                 result = batch.results[slot]
-                q = plans[i][1]
-                self._store_viewport(q, result)
+                _, q, raster = plans[i]
+                self._store_viewport(q, result, raster)
                 results[i] = FrontDoorResult(
                     q, "served", "portal", result, result.end_to_end_seconds
                 )
@@ -378,17 +386,17 @@ class FrontDoor:
                     self.cache.put_tile(tile, q, result, now, generation)
         # Compose the tile-planned queries from the now-filled cache.
         portal_service = batch_service
-        for i, (kind, q, _missing) in enumerate(plans):
+        for i, (kind, q, raster) in enumerate(plans):
             if kind != "tiles":
                 continue
             composed = None
             if generation is not None:
                 composed, _ = self.cache.get_tiles(
-                    q, now, generation, record=False,
+                    q, raster, now, generation, record=False,
                     locate=self._sensor_locator(),
                 )
             if composed is not None:
-                self.cache.put_viewport(q, composed.result, now, generation)
+                self.cache.put_viewport(q, composed.result, now, generation, raster)
                 compose_cost = composed.tiles * self.config.l2_tile_compose_seconds
                 batch_service += compose_cost
                 results[i] = FrontDoorResult(

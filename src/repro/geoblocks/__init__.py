@@ -8,11 +8,9 @@ it fuses a pre-aggregated **geoblock grid** with the COLR slot cache:
 
 ``GeoBlockGrid`` (:mod:`repro.geoblocks.grid`)
     A configurable-cell-size grid over the portal's sensor population.
-    Each cell mirrors its sensors' latest readings and maintains a
-    per-cell aggregate sketch, kept fresh by subscribing to every
-    tree's reading listeners — probe fills, grouped-delta batch
-    ingestion and streamed transport ingestion all land here the
-    instant the slot caches see them.
+    A cell stores only which sensors it owns; serving it reads those
+    sensors' current entries from the leaf slot caches, so the grid is
+    a view — nothing is copied, nothing is invalidated.
 
 ``plan_polygon`` (:mod:`repro.geoblocks.planner`)
     Rasterizes a polygon into fully *interior* cells (servable from the
@@ -34,13 +32,7 @@ it fuses a pre-aggregated **geoblock grid** with the COLR slot cache:
 
 from repro.geoblocks.config import GeoBlockConfig
 from repro.geoblocks.grid import GeoBlockGrid
-from repro.geoblocks.planner import (
-    CellPlan,
-    cell_of_point,
-    cell_rect,
-    cells_covering,
-    plan_polygon,
-)
+from repro.geoblocks.planner import CellPlan, plan_polygon
 from repro.geoblocks.executor import PolygonResult
 from repro.geoblocks.windows import SlidingWindow, WindowResult
 
@@ -51,8 +43,5 @@ __all__ = [
     "PolygonResult",
     "SlidingWindow",
     "WindowResult",
-    "cell_of_point",
-    "cell_rect",
-    "cells_covering",
     "plan_polygon",
 ]

@@ -9,8 +9,8 @@ The executor is the portal-side half of the geoblock subsystem:
 2. An eligible genuine polygon (exact, un-zoomed query on an uncapped
    portal) is rasterized by :func:`repro.geoblocks.planner.plan_polygon`;
    interior cells are served probe-free from the grid when their whole
-   population is fresh-mirrored (falling back to an exact per-cell tree
-   query otherwise), boundary cells run exact COLR sub-queries over the
+   population is fresh in the leaf slot caches (falling back to an exact
+   per-cell tree query otherwise), boundary cells run exact COLR sub-queries over the
    Sutherland–Hodgman clip of the polygon to the cell.
 3. Everything else (sampled, zoomed, capped) falls back to
    ``portal.execute`` — ``Polygon`` implements the full Region
@@ -30,12 +30,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core.lookup import QueryAnswer
-from repro.geoblocks.planner import (
-    boundary_subregion,
-    cell_rect,
-    plan_polygon,
-)
+from repro.geoblocks.planner import boundary_subregion, plan_polygon
 from repro.geometry import Polygon, Rect
+from repro.geometry.grid import cell_rect
 from repro.portal.portal import PortalResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,7 +47,7 @@ class PolygonResult(PortalResult):
     ``interior_cells`` / ``boundary_cells`` count plan cells summed over
     the per-type trees the query fanned out to (matching how the
     per-query stats counters accumulate); ``grid_cells_served`` of the
-    interior cells were answered probe-free from the grid mirror, and
+    interior cells were answered probe-free from the grid, and
     ``interior_probes`` counts live probes the interior fallbacks paid —
     zero on a warm grid, which the geoblocks bench gates on.
     """
@@ -134,9 +131,9 @@ def execute_polygon(
             served = grid.serve_cell(sensor_type, cell, now, staleness)
             if served is not None:
                 grid_served += 1
-                # Scanning the mirror is the modeled work of a grid
-                # serve — the same per-reading charge the leaf caches
-                # pay, with no traversal and no probes.
+                # Scanning the cell's entries is the modeled work of a
+                # grid serve — the same per-reading charge the leaf
+                # caches pay, with no traversal and no probes.
                 merged.stats.readings_scanned += len(served)
                 for reading in served:
                     if reading.sensor_id not in seen:

@@ -1,44 +1,37 @@
-"""The pre-aggregated geoblock grid.
+"""The geoblock grid: per-cell populations and a view over the leaf
+slot caches.
 
 One grid serves one portal: every registered sensor is assigned to
-exactly one (half-open) cell per its location, and each cell keeps
+exactly one (half-open) cell per its location.  That population is all
+a cell stores.  Readings are not copied here — serving a cell reads
+each of its sensors' current entry straight from the sensor's leaf
+:class:`~repro.core.slots.LeafSlotCache`, so the grid sees every probe
+fill, batch ingestion, displacement, expiry and capacity eviction the
+moment the slot caches apply it, and can never hold more than they do
+(the global cache-size constraint of Section IV-A bounds it too).  A
+cell whose whole population holds a fresh entry is servable
+**probe-free**; anything less falls back to the exact COLR-Tree path
+for that cell.
 
-* a **mirror** of its sensors' latest readings, and
-* a **per-cell aggregate sketch** maintained incrementally,
-
-both kept fresh by subscribing to every per-type tree's
-``reading_listeners`` — probe fills, grouped-delta batch ingestion and
-streamed transport ingestion all update the grid the moment the slot
-caches apply them.  A cell whose whole population holds a fresh
-mirrored reading is servable **probe-free**; anything less falls back
-to the exact COLR-Tree path for that cell.
-
-The grid is rebuilt lazily when the portal's index generation moves
-(sensors registered, index rebuilt): populations are re-derived from
-the registry and the mirrors restart cold, exactly like the slot
-caches of freshly rebuilt trees.
+Populations are re-derived from the registry when the portal's index
+generation moves (sensors registered, index rebuilt); the freshly
+rebuilt trees' cold slot caches are what the view then reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.aggregates import AggregateSketch
 from repro.geoblocks.config import GeoBlockConfig
-from repro.geoblocks.planner import cell_of_point
+from repro.geometry.grid import cell_of_point
 from repro.sensors.sensor import Reading
 
 
 @dataclass
 class CellState:
-    """One cell's population, reading mirror and running aggregate."""
+    """One cell's population: its sensors' ids, ascending."""
 
     population: list[int] = field(default_factory=list)
-    readings: dict[int, Reading] = field(default_factory=dict)
-    sketch: AggregateSketch = field(default_factory=AggregateSketch)
-    # Bumped on every mirror write; sliding windows revalidate their
-    # cached per-cell snapshots against this.
-    version: int = 0
 
 
 @dataclass
@@ -47,8 +40,6 @@ class GridStats:
 
     cells_served: int = 0
     cell_fallbacks: int = 0
-    readings_mirrored: int = 0
-    listener_batches: int = 0
     rebuilds: int = 0
 
 
@@ -61,97 +52,64 @@ class GeoBlockGrid:
         self.stats = GridStats()
         self.generation = -1
         self._cells: dict[str, dict[tuple[int, int], CellState]] = {}
-        self._cell_of: dict[str, dict[int, tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """(Re)build populations and re-attach listeners when the
-        portal's index generation moved; a no-op otherwise."""
+        """(Re)build populations when the portal's index generation
+        moved; a no-op otherwise."""
         portal = self.portal
         portal._ensure_index()
         if self.generation == portal.index_generation:
             return
         c = self.config.cell_degrees
         self._cells = {}
-        self._cell_of = {}
         for sensor in portal.registry:
             cell = cell_of_point(sensor.location, c)
             states = self._cells.setdefault(sensor.sensor_type, {})
             states.setdefault(cell, CellState()).population.append(
                 sensor.sensor_id
             )
-            self._cell_of.setdefault(sensor.sensor_type, {})[
-                sensor.sensor_id
-            ] = cell
         for states in self._cells.values():
             for state in states.values():
                 state.population.sort()
-        for sensor_type, tree in portal._trees.items():
-            tree.reading_listeners.append(self._listener_for(sensor_type))
         self.generation = portal.index_generation
         self.stats.rebuilds += 1
 
-    def _listener_for(self, sensor_type: str):
-        """One tree's reading listener: mirror each applied reading into
-        its owning cell and roll the cell's sketch forward (the grid's
-        grouped-delta analogue — one listener call per ingested batch)."""
-        cells = self._cells.get(sensor_type, {})
-        cell_of = self._cell_of.get(sensor_type, {})
-
-        def on_readings(readings: list[Reading], fetched_at: float) -> None:
-            self.stats.listener_batches += 1
-            for reading in readings:
-                cell = cell_of.get(reading.sensor_id)
-                if cell is None:
-                    continue
-                state = cells[cell]
-                prev = state.readings.get(reading.sensor_id)
-                if prev is not None and prev.timestamp > reading.timestamp:
-                    continue
-                state.readings[reading.sensor_id] = reading
-                if prev is not None:
-                    state.sketch.remove(prev.value)
-                state.sketch.add(reading.value, reading.timestamp)
-                state.version += 1
-                self.stats.readings_mirrored += 1
-
-        return on_readings
-
     # ------------------------------------------------------------------
-    # Introspection
+    # The view
     # ------------------------------------------------------------------
     def cell_state(
         self, sensor_type: str, cell: tuple[int, int]
     ) -> CellState | None:
         return self._cells.get(sensor_type, {}).get(cell)
 
-    def cell_version(self, sensor_type: str, cell: tuple[int, int]) -> int:
-        """The cell's mirror version (``-1`` for unpopulated cells, so
-        window snapshots of empty cells revalidate cheaply too)."""
-        state = self.cell_state(sensor_type, cell)
-        return state.version if state is not None else -1
-
-    def cell_aggregate(
-        self, sensor_type: str, cell: tuple[int, int]
-    ) -> AggregateSketch | None:
-        """The cell's maintained aggregate sketch over the latest
-        mirrored reading of every sensor heard from (no freshness
-        bound).  A dirty min/max (a displaced extremum) is repaired here
-        from the mirror, exactly like a slot cache recomputation."""
+    def fresh_readings(
+        self,
+        sensor_type: str,
+        cell: tuple[int, int],
+        now: float,
+        max_staleness: float,
+    ) -> list[Reading]:
+        """What the leaf slot caches can serve right now for a cell's
+        population, in sensor-id order: each sensor's current entry if
+        it is unexpired and within the freshness bound (the leaf-level
+        rule of :meth:`LeafSlotCache.fresh_readings`)."""
         state = self.cell_state(sensor_type, cell)
         if state is None:
-            return None
-        if state.sketch.minmax_dirty:
-            state.sketch = AggregateSketch.of(
-                (r.value, r.timestamp) for r in state.readings.values()
-            )
-        return state.sketch
+            return []
+        tree = self.portal._trees[sensor_type]
+        out: list[Reading] = []
+        for sensor_id in state.population:
+            cache = tree.leaf_for(sensor_id).leaf_cache
+            cached = cache.get(sensor_id) if cache is not None else None
+            if cached is not None and cached.reading.is_fresh_at(
+                now, max_staleness
+            ):
+                out.append(cached.reading)
+        return out
 
-    # ------------------------------------------------------------------
-    # Serving
-    # ------------------------------------------------------------------
     def serve_cell(
         self,
         sensor_type: str,
@@ -160,20 +118,14 @@ class GeoBlockGrid:
         max_staleness: float,
     ) -> list[Reading] | None:
         """The cell's full population as fresh readings (sensor-id
-        order), or ``None`` when any sensor lacks a mirrored reading
+        order), or ``None`` when any sensor lacks a cached reading
         within the freshness bound — the caller then falls back to the
         exact tree path for this cell.  An unpopulated cell serves the
         empty answer (trivially complete)."""
-        state = self._cells.get(sensor_type, {}).get(cell)
-        if state is None:
-            self.stats.cells_served += 1
-            return []
-        out: list[Reading] = []
-        for sensor_id in state.population:
-            reading = state.readings.get(sensor_id)
-            if reading is None or not reading.is_fresh_at(now, max_staleness):
-                self.stats.cell_fallbacks += 1
-                return None
-            out.append(reading)
+        readings = self.fresh_readings(sensor_type, cell, now, max_staleness)
+        state = self.cell_state(sensor_type, cell)
+        if state is not None and len(readings) < len(state.population):
+            self.stats.cell_fallbacks += 1
+            return None
         self.stats.cells_served += 1
-        return out
+        return readings

@@ -2,15 +2,13 @@
 
 A polygon query is answered cell-by-cell: cells fully inside the
 polygon (*interior*) are candidates for probe-free serving from the
-grid mirror, cells the polygon boundary passes through (*boundary*)
+grid, cells the polygon boundary passes through (*boundary*)
 delegate to exact COLR-Tree sub-queries over the Sutherland–Hodgman
 clip of the polygon to the cell rectangle.
 
-Cell membership of a *sensor* is half-open — a sensor belongs to the
-cell ``[ix*c, (ix+1)*c) x [iy*c, (iy+1)*c)`` — so the grid assigns each
-sensor to exactly one cell.  Cell *geometry* (classification, clipping,
-sub-query regions) uses the closed rectangle; the resulting overlap at
-shared cell edges is removed at compose time by sensor-id dedup.
+The grid arithmetic (half-open cell ownership of a *sensor*, closed
+cell *geometry*, the interior/boundary raster) is
+:mod:`repro.geometry.grid`, shared with the front door's tiles.
 """
 
 from __future__ import annotations
@@ -19,36 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.geometry import GeoPoint, Polygon, Rect
-
-
-def cell_of_point(p: GeoPoint, cell_degrees: float) -> tuple[int, int]:
-    """The (half-open) cell owning a point."""
-    return (
-        math.floor(p.x / cell_degrees),
-        math.floor(p.y / cell_degrees),
-    )
-
-
-def cell_rect(cell: tuple[int, int], cell_degrees: float) -> Rect:
-    """The closed rectangle of one cell."""
-    ix, iy = cell
-    c = cell_degrees
-    return Rect(ix * c, iy * c, (ix + 1) * c, (iy + 1) * c)
-
-
-def cells_covering(bbox: Rect, cell_degrees: float) -> list[tuple[int, int]]:
-    """The cells whose closed rectangles cover a bounding box.
-
-    Same floor/ceil arithmetic as the front door's ``tile_cover``: an
-    edge landing exactly on a cell boundary does not drag in the next
-    (measure-zero-overlap) cell.
-    """
-    c = cell_degrees
-    ix0 = math.floor(bbox.min_x / c)
-    iy0 = math.floor(bbox.min_y / c)
-    ix1 = max(ix0, math.ceil(bbox.max_x / c) - 1)
-    iy1 = max(iy0, math.ceil(bbox.max_y / c) - 1)
-    return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
+from repro.geometry.grid import cell_rect, rasterize
 
 
 @dataclass(frozen=True)
@@ -83,14 +52,7 @@ def plan_polygon(
     ny = max(1, math.ceil(bbox.max_y / c) - math.floor(bbox.min_y / c))
     if nx * ny > max_cells:
         return None
-    interior: list[tuple[int, int]] = []
-    boundary: list[tuple[int, int]] = []
-    for cell in cells_covering(bbox, c):
-        rect = cell_rect(cell, c)
-        if polygon.contains_rect(rect):
-            interior.append(cell)
-        elif polygon.intersects_rect(rect):
-            boundary.append(cell)
+    interior, boundary = rasterize(polygon, c)
     return CellPlan(
         cell_degrees=c, interior=tuple(interior), boundary=tuple(boundary)
     )

@@ -11,13 +11,16 @@ from the previous step's snapshots and only the symmetric difference
 (the enter strip; the leave strip is dropped) is recomputed.
 
 A reused snapshot is **revalidated, not trusted blindly**: it must be
-from the grid's current generation, at the cell's current mirror
-version, and all of its readings must still be fresh and unexpired at
-the new step time.  Any miss recaptures the cell — from the grid mirror
-when the whole population is fresh there, else from an exact COLR-Tree
-sub-query over the cell rectangle (filtered to the cell's half-open
-population, so cells partition sensors and per-cell sketches sum
-without dedup).
+from the grid's current generation, and its readings must be exactly
+what the leaf slot caches can serve for the cell's population at the
+new step time — an ingest, displacement, eviction, expiry or staleness
+lapse in the cell since the capture shows up as a difference (on a
+``caching_enabled=False`` tree there are no slot caches to compare
+with, and a snapshot serves while its own readings stay fresh).  Any
+miss recaptures the cell — from the grid when the whole population is
+fresh in the slot caches, else from an exact COLR-Tree sub-query over
+the cell rectangle (filtered to the cell's half-open population, so
+cells partition sensors and per-cell sketches sum without dedup).
 
 The temporal dimension is a ring of the last ``temporal_steps`` per-step
 sketches; the window aggregate combines the ring, giving "avg over the
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 
 from repro.core.aggregates import AggregateSketch, combine
 from repro.core.lookup import QueryAnswer
-from repro.geoblocks.planner import cell_of_point, cell_rect, cells_covering
 from repro.geometry import Polygon, Rect
+from repro.geometry.grid import cell_of_point, cell_rect, cells_covering, rasterize
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 from repro.sensors.sensor import Reading
@@ -46,21 +49,17 @@ class CellSnapshot:
     probed_ids: frozenset[int]
     sketch: AggregateSketch
     generation: int
-    version: int
-    oldest_timestamp: float
-    min_expires: float
 
     def valid_at(self, grid, sensor_type: str, cell: tuple[int, int],
                  now: float, max_staleness: float) -> bool:
         if self.generation != grid.generation:
             return False
-        if self.version != grid.cell_version(sensor_type, cell):
-            return False
-        if not self.readings:
-            return True
-        return (
-            self.oldest_timestamp >= now - max_staleness
-            and now < self.min_expires
+        if not grid.portal._trees[sensor_type].config.caching_enabled:
+            # No slot caches to differ from: the snapshot is the only
+            # copy, and serves while its own readings stay fresh.
+            return all(r.is_fresh_at(now, max_staleness) for r in self.readings)
+        return self.readings == tuple(
+            grid.fresh_readings(sensor_type, cell, now, max_staleness)
         )
 
 
@@ -86,7 +85,6 @@ class SlidingWindow:
         staleness_seconds: float,
         sensor_type: str = "generic",
         aggregate: str = "avg",
-        cell_degrees: float | None = None,
         temporal_steps: int = 1,
     ) -> None:
         if temporal_steps < 1:
@@ -95,10 +93,9 @@ class SlidingWindow:
         self.staleness_seconds = staleness_seconds
         self.sensor_type = sensor_type
         self.aggregate = aggregate
-        grid = portal.geoblocks()
-        self.cell_degrees = (
-            cell_degrees if cell_degrees is not None else grid.config.cell_degrees
-        )
+        # The grid's cells: a snapshot is captured from, and revalidated
+        # against, the grid's population of its cell.
+        self.cell_degrees = portal.geoblocks().config.cell_degrees
         self.temporal_steps = temporal_steps
         self._snapshots: dict[tuple[int, int], CellSnapshot] = {}
         self._ring: deque[AggregateSketch] = deque(maxlen=temporal_steps)
@@ -108,18 +105,15 @@ class SlidingWindow:
     def _cover(self, region: Rect | Polygon) -> list[tuple[int, int]]:
         if isinstance(region, Rect):
             return cells_covering(region, self.cell_degrees)
-        return [
-            cell
-            for cell in cells_covering(region.bounding_box, self.cell_degrees)
-            if region.intersects_rect(cell_rect(cell, self.cell_degrees))
-        ]
+        interior, boundary = rasterize(region, self.cell_degrees)
+        return sorted(interior + boundary)
 
     def _capture(
         self, grid, tree, cell: tuple[int, int], now: float
     ) -> tuple[CellSnapshot, QueryAnswer | None]:
-        """Capture one cell: grid mirror when fully fresh, exact tree
+        """Capture one cell: from the grid when fully fresh, exact tree
         sub-query otherwise.  Returns the snapshot plus the tree
-        sub-answer (None on a mirror serve) so the caller can charge the
+        sub-answer (None on a grid serve) so the caller can charge the
         step's stats once, at capture time only."""
         served = grid.serve_cell(
             self.sensor_type, cell, now, self.staleness_seconds
@@ -158,13 +152,6 @@ class SlidingWindow:
                 (r.value, r.timestamp) for r in readings
             ),
             generation=grid.generation,
-            version=grid.cell_version(self.sensor_type, cell),
-            oldest_timestamp=min(
-                (r.timestamp for r in readings), default=float("inf")
-            ),
-            min_expires=min(
-                (r.expires_at for r in readings), default=float("inf")
-            ),
         )
         return snapshot, sub
 

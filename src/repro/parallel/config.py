@@ -22,29 +22,16 @@ class ParallelConfig:
         :func:`repro.core.flat.auto_tile_nodes`; pass an explicit value
         to pin it (tests sweep tiny tiles).  Labels are bit-identical
         for any value.
-    start_method:
-        ``multiprocessing`` start method for the workers.  ``"fork"``
-        (the default, and the only supported value on this code path)
-        lets the bootstrap payload and socket pair be inherited instead
-        of pickled.
     verify_adoption:
         When true (the default) each worker compares the shared-memory
         arrays against its locally rebuilt kernel before adopting them —
         a one-time O(index) guard that publisher and worker built the
         same tree.  Disable for faster worker startup on large fleets.
-    shm_prefix:
-        Name prefix of the published segments.
     """
 
     tile_nodes: int | None = None
-    start_method: str = "fork"
     verify_adoption: bool = True
-    shm_prefix: str = SHM_PREFIX
 
     def __post_init__(self) -> None:
         if self.tile_nodes is not None and self.tile_nodes < 1:
             raise ValueError("tile_nodes must be positive or None")
-        if self.start_method != "fork":
-            raise ValueError('start_method must be "fork"')
-        if not self.shm_prefix or "/" in self.shm_prefix:
-            raise ValueError("shm_prefix must be a non-empty flat name")

@@ -69,8 +69,10 @@ class ParallelFederatedPortal(FederatedPortal):
                 else auto_tile_nodes()
             )
             self.config = replace(self.config, classify_tile_nodes=tile)
-        self._mp = multiprocessing.get_context(self.parallel.start_method)
-        self._registry = SegmentRegistry(self.parallel.shm_prefix)
+        # fork: the bootstrap payload and socket pair are inherited by
+        # the workers instead of pickled.
+        self._mp = multiprocessing.get_context("fork")
+        self._registry = SegmentRegistry()
         self._manifests: dict[int, dict[str, SegmentManifest]] = {}
         self._workers: dict[int, _Worker] = {}
         self._clock_start = self.clock.now()

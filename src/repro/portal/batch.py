@@ -167,6 +167,11 @@ def execute_batch(
     # Pass 2 — drain every submitted round to resolution (in overlap
     # mode the rounds share the connection pool and event queue;
     # otherwise they resolve one at a time in submission order).
+    # Storage I/O is metered from here on: streamed ingestion journals
+    # during the drain, the explicit ingestion of pass 3 as it runs.
+    io_base = (
+        portal.storage.stats.io_counters() if portal.storage is not None else None
+    )
     dispatcher.drain([w[5] for w in tree_work if w[5] is not None])
 
     # Pass 3 — per-query attribution, identical to the sequential
@@ -232,6 +237,11 @@ def execute_batch(
                     qstats.maintenance_ops += tree.insert_readings_batch(
                         owned_readings, fetched_at=now
                     )
+            if owned:
+                # The I/O since the last charge is this query's own
+                # ingestion — or, for the first owner after a streamed
+                # drain, what the drain journaled for the whole tick.
+                io_base = tree._meter_storage(qstats, io_base)
             tree.stats.record(qstats)
             answers[qi][id(tree)] = answer
         if coalesced_total := sum(

@@ -28,7 +28,6 @@ class RebalanceConfig:
     split_factor: float = 2.0
     merge_fraction: float = 0.25
     imbalance_tolerance: float = 0.10
-    min_shard_population: int = 1
     split_load_factor: float | None = None
 
     def __post_init__(self) -> None:
@@ -40,7 +39,5 @@ class RebalanceConfig:
             raise ValueError("merge_fraction must be in (0, 1)")
         if self.imbalance_tolerance < 0.0:
             raise ValueError("imbalance_tolerance must be non-negative")
-        if self.min_shard_population < 1:
-            raise ValueError("min_shard_population must be at least 1")
         if self.split_load_factor is not None and self.split_load_factor <= 1.0:
             raise ValueError("split_load_factor must exceed 1.0")

@@ -95,7 +95,7 @@ class Rebalancer:
         mean = fed.directory.total_weight() / len(fed.directory)
         # 1. Population split: heaviest shard beyond the split factor.
         heavy_id, heavy_w = max(weights, key=lambda t: (t[1], -t[0]))
-        if heavy_w > cfg.split_factor * mean and heavy_w >= 2 * cfg.min_shard_population:
+        if heavy_w > cfg.split_factor * mean and heavy_w >= 2:
             return _Plan("split", (heavy_id,), reason=f"population {heavy_w}")
         # 2. Load split: hotspot shard taking an outsized query share.
         if cfg.split_load_factor is not None and self._load:
@@ -109,7 +109,7 @@ class Rebalancer:
             if (
                 hot is not None
                 and self._load.get(hot[0], 0) > cfg.split_load_factor * mean_load
-                and hot[1] >= 2 * cfg.min_shard_population
+                and hot[1] >= 2
             ):
                 return _Plan(
                     "split", (hot[0],), reason=f"load {self._load[hot[0]]}"
@@ -128,7 +128,7 @@ class Rebalancer:
         gap = heavy_w - light_w
         if mean > 0 and gap / mean > cfg.imbalance_tolerance and gap >= 2:
             batch = min(cfg.max_moves_per_step, gap // 2)
-            batch = min(batch, heavy_w - cfg.min_shard_population)
+            batch = min(batch, heavy_w - 1)  # never empties the shard
             if batch >= 1:
                 movers = self._pick_movers(heavy_id, light_id, batch)
                 if movers:

@@ -30,3 +30,46 @@ class TestFormatTable:
     def test_mixed_types(self):
         text = format_table(["a", "b", "c"], [[True, 42, "txt"]])
         assert "True" in text and "42" in text and "txt" in text
+
+
+def test_counter_dictionaries_keep_their_keys():
+    """The counter dictionaries are built from ``dataclasses.fields``;
+    ``benchmarks/e2e/harness.py`` and the bench drivers read them by
+    key, so the emitted key sets are pinned here."""
+    from repro.bench.report import storage_counters, transport_counters
+    from repro.federation import FederatedPortal
+    from repro.frontdoor import AdmissionStats, CacheStats
+    from repro.geometry import GeoPoint
+    from repro.storage.stats import StorageStats
+    from repro.transport.dispatcher import TransportStats
+
+    assert set(CacheStats().as_dict()) == {
+        "lookups", "l1_hits", "l2_hits", "misses", "hit_rate", "stores",
+        "tile_stores", "uncacheable", "l1_evictions", "l2_evictions",
+        "invalidated_slot", "invalidated_stale", "invalidated_write",
+        "invalidated_generation",
+    }
+    assert set(AdmissionStats().as_dict()) == {
+        "offered", "admitted", "shed_rate", "shed_queue", "shed_fraction",
+    }
+    assert set(transport_counters(TransportStats())) == {
+        "rounds", "overlapped_rounds", "attempts", "retries", "timeouts",
+        "unavailable", "dedup_inflight", "dedup_recent", "cooldown_skips",
+        "streamed_readings", "stream_flushes", "maintenance_ops",
+    }
+    assert set(storage_counters(StorageStats())) == {
+        "page_reads", "page_writes", "wal_appends", "wal_fsyncs",
+        "wal_records_replayed", "torn_tail_truncations", "checkpoints",
+        "recoveries",
+    }
+    fed = FederatedPortal(n_shards=1)
+    fed.register_sensor(GeoPoint(1.0, 1.0), expiry_seconds=300.0)
+    assert set(fed.stats_summary()["federation"]) == {
+        "queries", "batch_ticks", "subqueries_scattered", "exact_broadcasts",
+        "sampled_splits", "shards_routed", "zero_share_skips",
+        "shard_attempts", "shard_retries", "shard_failures", "shard_timeouts",
+        "shard_cooldown_skips", "partial_answers", "redistributions",
+        "redistribution_rounds_run", "topup_subqueries",
+        "topup_sensors_gained", "sampled_shortfall", "streaming_queries",
+        "deferred_shard_answers", "shard_recoveries", "recovery_seconds_total",
+    }

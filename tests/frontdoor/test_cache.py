@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregates import AggregateSketch
 from repro.core.lookup import QueryAnswer
-from repro.frontdoor import FrontDoorConfig, TieredResultCache, tile_cover
-from repro.frontdoor.cache import result_oldest_timestamp, tile_rect
+from repro.frontdoor import FrontDoorConfig, TieredResultCache
+from repro.frontdoor.cache import result_oldest_timestamp
 from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry.grid import cell_rect, cells_covering
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 from repro.sensors.sensor import Reading
@@ -53,36 +55,36 @@ def _query(region, staleness: float = 120.0, **kwargs) -> SensorQuery:
 # ----------------------------------------------------------------------
 class TestTileCover:
     def test_interior_rect_single_tile(self):
-        assert tile_cover(Rect(0.1, 0.1, 0.4, 0.4), 0.5) == [(0, 0)]
+        assert cells_covering(Rect(0.1, 0.1, 0.4, 0.4), 0.5) == [(0, 0)]
 
     def test_aligned_rect_is_exactly_its_tiles(self):
-        tiles = tile_cover(Rect(1.0, 0.5, 2.0, 1.5), 0.5)
+        tiles = cells_covering(Rect(1.0, 0.5, 2.0, 1.5), 0.5)
         assert sorted(tiles) == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
     def test_boundary_edge_does_not_drag_in_next_tile(self):
         # max edge exactly on the 0.5 boundary: the next (measure-zero
         # overlap) column must not appear.
-        assert tile_cover(Rect(0.0, 0.0, 0.5, 0.5), 0.5) == [(0, 0)]
+        assert cells_covering(Rect(0.0, 0.0, 0.5, 0.5), 0.5) == [(0, 0)]
 
     def test_negative_coordinates(self):
-        assert tile_cover(Rect(-0.4, -0.4, -0.1, -0.1), 0.5) == [(-1, -1)]
+        assert cells_covering(Rect(-0.4, -0.4, -0.1, -0.1), 0.5) == [(-1, -1)]
 
     def test_degenerate_point_rect_covered(self):
-        assert tile_cover(Rect(0.7, 0.7, 0.7, 0.7), 0.5) == [(1, 1)]
+        assert cells_covering(Rect(0.7, 0.7, 0.7, 0.7), 0.5) == [(1, 1)]
 
     def test_tiles_union_covers_region(self):
         region = Rect(1.23, -4.56, 7.89, 2.34)
-        tiles = tile_cover(region, 0.5)
-        min_x = min(tile_rect(t, 0.5).min_x for t in tiles)
-        min_y = min(tile_rect(t, 0.5).min_y for t in tiles)
-        max_x = max(tile_rect(t, 0.5).max_x for t in tiles)
-        max_y = max(tile_rect(t, 0.5).max_y for t in tiles)
+        tiles = cells_covering(region, 0.5)
+        min_x = min(cell_rect(t, 0.5).min_x for t in tiles)
+        min_y = min(cell_rect(t, 0.5).min_y for t in tiles)
+        max_x = max(cell_rect(t, 0.5).max_x for t in tiles)
+        max_y = max(cell_rect(t, 0.5).max_y for t in tiles)
         assert min_x <= region.min_x and min_y <= region.min_y
         assert max_x >= region.max_x and max_y >= region.max_y
 
     def test_tile_rect_roundtrip(self):
         for tile in [(0, 0), (-3, 7), (12, -1)]:
-            assert tile_cover(tile_rect(tile, 0.5), 0.5) == [tile]
+            assert cells_covering(cell_rect(tile, 0.5), 0.5) == [tile]
 
 
 class TestOldestTimestamp:
@@ -208,18 +210,18 @@ class TestL1:
 class TestL2:
     def _fill_tiles(self, cache, q, tiles, readings_per_tile):
         for tile, readings in zip(tiles, readings_per_tile):
-            tile_q = _query(tile_rect(tile, cache.config.tile_extent_degrees))
+            tile_q = _query(cell_rect(tile, cache.config.tile_extent_degrees))
             cache.put_tile(tile, q, _result(tile_q, readings), now=0.0, generation=1)
 
     def test_missing_tiles_reported_then_composed(self):
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0.1, 0.1, 0.9, 0.4))  # two 0.5-degree tiles
-        tiles = tile_cover(q.region, 0.5)
+        tiles = cells_covering(q.region, 0.5)
         assert len(tiles) == 2
-        composed, missing = cache.get_tiles(q, now=0.0, generation=1)
+        composed, missing = cache.get_tiles(q, cache.raster(q), now=0.0, generation=1)
         assert composed is None and sorted(missing) == sorted(tiles)
         self._fill_tiles(cache, q, tiles, [[_reading(1)], [_reading(2)]])
-        composed, missing = cache.get_tiles(q, now=0.0, generation=1)
+        composed, missing = cache.get_tiles(q, cache.raster(q), now=0.0, generation=1)
         assert missing == [] and composed is not None
         assert composed.tiles == 2
         assert composed.result.result_weight == 2
@@ -228,12 +230,12 @@ class TestL2:
     def test_compose_deduplicates_shared_edge_sensors(self):
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0.1, 0.1, 0.9, 0.4))
-        tiles = tile_cover(q.region, 0.5)
+        tiles = cells_covering(q.region, 0.5)
         # Sensor 7 sits on the shared tile edge: both fills carry it.
         self._fill_tiles(
             cache, q, tiles, [[_reading(1), _reading(7)], [_reading(7), _reading(2)]]
         )
-        composed, _ = cache.get_tiles(q, now=0.0, generation=1)
+        composed, _ = cache.get_tiles(q, cache.raster(q), now=0.0, generation=1)
         assert composed is not None
         ids = sorted(
             r.sensor_id for r in composed.result.answers[0].cached_readings
@@ -244,16 +246,16 @@ class TestL2:
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0.1, 0.1, 0.4, 0.4))
         self._fill_tiles(cache, q, [(0, 0)], [[_reading(1)]])
-        composed, _ = cache.get_tiles(q, now=0.0, generation=1, record=False)
+        composed, _ = cache.get_tiles(q, cache.raster(q), now=0.0, generation=1, record=False)
         assert composed is not None
         assert cache.stats.l2_hits == 0
 
     def test_ineligible_and_oversized_covers_opt_out(self):
         cache = TieredResultCache(_config(max_tiles_per_cover=4), SLOT)
         sampled = _query(Rect(0, 0, 1, 1), sample_size=10)
-        assert cache.get_tiles(sampled, now=0.0, generation=1) == (None, [])
+        assert cache.get_tiles(sampled, cache.raster(sampled), now=0.0, generation=1) == (None, [])
         huge = _query(Rect(0, 0, 9.9, 9.9))
-        assert cache.get_tiles(huge, now=0.0, generation=1) == (None, [])
+        assert cache.get_tiles(huge, cache.raster(huge), now=0.0, generation=1) == (None, [])
 
     def test_l2_eviction_bounds_tile_count(self):
         cache = TieredResultCache(_config(l2_capacity=3), SLOT)
@@ -262,6 +264,69 @@ class TestL2:
             cache.put_tile((i, 0), q, _result(q, []), now=0.0, generation=1)
         assert len(cache) == 3
         assert cache.stats.l2_evictions == 2
+
+    def test_one_compose_serves_rectangles_and_polygons(self):
+        """What the two compose bodies returned, from the one that
+        replaced them: a rectangle passes every tile wholesale; a
+        polygon passes interior tiles wholesale and crops boundary tiles
+        per sensor, and gives up on a boundary tile it cannot crop."""
+        cache = TieredResultCache(_config(tile_extent_degrees=1.0), SLOT)
+        box = Rect(0.0, 0.0, 3.0, 3.0)
+        triangle = Polygon([GeoPoint(0.0, 0.0), GeoPoint(3.0, 0.0), GeoPoint(0.0, 3.0)])
+        rect_q, poly_q = _query(box), _query(triangle)
+        rect_raster = cache.raster(rect_q)
+        poly_raster = cache.raster(poly_q)
+        assert all(interior for _, interior in rect_raster)
+        assert dict(poly_raster)[(0, 0)] and not dict(poly_raster)[(1, 1)]
+        assert (2, 2) not in dict(poly_raster)  # in the box cover only
+        # Two sensors per tile, ids 10*ix+iy+{0, 100}: one near the
+        # tile's lower-left corner, one near its upper-right.
+        locations: dict[int, GeoPoint] = {}
+        sketch = AggregateSketch.of([(5.0, 0.0)])
+        for (ix, iy), _ in rect_raster:
+            low, high = 10 * ix + iy, 10 * ix + iy + 100
+            locations[low] = GeoPoint(ix + 0.1, iy + 0.1)
+            locations[high] = GeoPoint(ix + 0.9, iy + 0.9)
+            answer = QueryAnswer(probed_readings=[_reading(low), _reading(high)])
+            if (ix, iy) == (0, 0):
+                answer.cached_sketches.append(sketch)
+                answer.cached_sketch_nodes.append(7)
+            tile_q = _query(cell_rect((ix, iy), 1.0))
+            result = PortalResult(tile_q, [], [answer], 0.0, 0.0)
+            cache.put_tile((ix, iy), rect_q, result, now=0.0, generation=1)
+
+        def composed_ids(q, raster):
+            composed, missing = cache.get_tiles(
+                q, raster, now=0.0, generation=1, locate=locations.get
+            )
+            assert missing == [] and composed is not None
+            (answer,) = composed.result.answers
+            assert answer.cached_sketches == [sketch]
+            assert answer.cached_sketch_nodes == [7]
+            assert composed.tiles == len(raster)
+            return [r.sensor_id for r in answer.cached_readings]
+
+        assert sorted(composed_ids(rect_q, rect_raster)) == sorted(locations)
+        expected = [
+            sid
+            for (ix, iy), interior in poly_raster
+            for sid in (10 * ix + iy, 10 * ix + iy + 100)
+            if interior or triangle.contains_point(locations[sid])
+        ]
+        assert 11 in expected and 111 not in expected  # (1, 1) was cropped
+        assert composed_ids(poly_q, poly_raster) == expected
+        # A sketch in a boundary tile is anonymous: it cannot be cropped.
+        spoiled = QueryAnswer(cached_sketches=[sketch], cached_sketch_nodes=[9])
+        cache.put_tile(
+            (1, 1), rect_q,
+            PortalResult(_query(cell_rect((1, 1), 1.0)), [], [spoiled], 0.0, 0.0),
+            now=0.0, generation=1,
+        )
+        assert cache.get_tiles(
+            poly_q, poly_raster, now=0.0, generation=1, locate=locations.get
+        ) == (None, [])
+        composed, _ = cache.get_tiles(rect_q, rect_raster, now=0.0, generation=1)
+        assert composed.result.answers[0].cached_sketches == [sketch, sketch]
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +357,7 @@ class TestInvalidateRegion:
 
 
 # Half-tile lattice coordinates: every other one sits on a tile edge, as
-# computed by ``k * e / 2`` where ``tile_rect`` computes ``ix * e``.
+# computed by ``k * e / 2`` where ``cell_rect`` computes ``ix * e``.
 _LATTICE = st.integers(-6, 12)
 _SIZE = st.sampled_from([0, 1, 2, 3, 5, 9, 40])  # half-tiles: index levels 0-5
 _OPS = st.lists(
@@ -372,7 +437,8 @@ class TestWriteDeltaIndex:
                 # A slot window later: whatever is looked up has expired.
                 now += SLOT * (kw % 2)
                 cache.get_viewport(_query(rect, sensor_type=str(kw)), now, 1)
-                cache.get_tiles(_query(rect), now, 1)
+                tiled = _query(rect)
+                cache.get_tiles(tiled, cache.raster(tiled), now, 1)
             elif kind == "dirty":
                 expected = {
                     id(store): {
@@ -396,16 +462,16 @@ class TestWriteDeltaIndex:
     @pytest.mark.parametrize("extent", [0.5, 0.1])
     def test_delta_touching_an_entry_only_at_a_tile_edge(self, extent):
         """Rectangles are closed: a delta that shares one edge point with
-        an entry drops it, though ``tile_cover`` gives them no tile in
+        an entry drops it, though ``cells_covering`` gives them no tile in
         common."""
         cache = TieredResultCache(_config(tile_extent_degrees=extent), SLOT)
         for ix in range(1, 9):
-            q = _query(tile_rect((ix, ix), extent))
+            q = _query(cell_rect((ix, ix), extent))
             cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
             cache.put_tile((ix, ix), q, _result(q, []), now=0.0, generation=1)
-            corner = tile_rect((ix + 1, ix + 1), extent)
+            corner = cell_rect((ix + 1, ix + 1), extent)
             touch = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
-            assert not set(tile_cover(touch, extent)) & {(ix, ix)}
+            assert not set(cells_covering(touch, extent)) & {(ix, ix)}
             assert cache.invalidate_region(touch) == 2, ix
         assert len(cache) == 0
 

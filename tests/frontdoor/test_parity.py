@@ -22,8 +22,8 @@ from repro.bench.federation import (
     make_federation,
 )
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
-from repro.frontdoor.cache import tile_cover, tile_rect
 from repro.geometry import Rect
+from repro.geometry.grid import cell_rect, cells_covering
 from repro.portal.query import SensorQuery
 
 from tests.frontdoor.conftest import (
@@ -152,10 +152,10 @@ extents = st.sampled_from([0.25, 0.5, 1.0])
 @settings(max_examples=60, deadline=None)
 def test_tile_cover_properties(x1, x2, y1, y2, e):
     region = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-    tiles = tile_cover(region, e)
+    tiles = cells_covering(region, e)
     assert tiles, "every rectangle (even degenerate) gets a cover"
     assert len(tiles) == len(set(tiles)), "no duplicate tiles"
-    rects = [tile_rect(t, e) for t in tiles]
+    rects = [cell_rect(t, e) for t in tiles]
     union = Rect(
         min(r.min_x for r in rects),
         min(r.min_y for r in rects),

@@ -10,8 +10,8 @@ alive, where a bounding-box entry would have been dropped.
 from __future__ import annotations
 
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
-from repro.frontdoor.cache import polygon_cover
 from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry.grid import cells_covering, rasterize
 from repro.portal.query import SensorQuery
 from repro.sensors.sensor import Reading
 
@@ -68,18 +68,9 @@ def _query() -> SensorQuery:
 
 
 def test_the_corner_tile_is_genuinely_uncovered():
-    cover = polygon_cover(TRIANGLE, 0.5)
-    bbox_cover = polygon_cover(
-        Polygon(
-            [
-                GeoPoint(0.5, 0.5),
-                GeoPoint(4.5, 0.5),
-                GeoPoint(4.5, 4.5),
-                GeoPoint(0.5, 4.5),
-            ]
-        ),
-        0.5,
-    )
+    interior, boundary = rasterize(TRIANGLE, 0.5)
+    cover = interior + boundary
+    bbox_cover = cells_covering(TRIANGLE.bounding_box, 0.5)
     assert (8, 8) in bbox_cover
     assert (8, 8) not in cover
 
@@ -125,3 +116,19 @@ def test_bounding_box_viewport_would_have_been_evicted():
     assert door.execute(bbox).cache_hit
     _write(portal, CORNER)
     assert door.execute(bbox).served_from == "portal"
+
+
+def test_a_polygon_stored_without_a_raster_still_invalidates_per_cell():
+    # With L2 off the lookup makes no raster to hand on; ``put_viewport``
+    # then covers the polygon itself instead of falling back to its box.
+    portal = _portal()
+    door = _door(portal, l2_enabled=False)
+    door.execute(_query())
+    (entry,) = door.cache._l1.entries.values()
+    interior, boundary = rasterize(TRIANGLE, door.config.tile_extent_degrees)
+    assert entry.cells is not None
+    assert len(entry.cells) == len(interior) + len(boundary)
+    _write(portal, CORNER)
+    assert door.execute(_query()).cache_hit
+    _write(portal, INSIDE)
+    assert door.execute(_query()).served_from == "portal"

@@ -39,17 +39,25 @@ def make_portal(
     max_cells: int = 4096,
     max_sensors_per_query: int | None = None,
     extra_locations: tuple[tuple[float, float], ...] = (),
+    cache_capacity: int | None = None,
+    caching_enabled: bool = True,
 ) -> SensorMapPortal:
     """A uniform reliable fleet with a geoblock grid.
 
     ``extra_locations`` appends sensors at exact coordinates (cell
-    corners, edges) for dedup and ownership tests.
+    corners, edges) for dedup and ownership tests; ``cache_capacity``
+    is the trees' global cache-size constraint (Section IV-A) and
+    ``caching_enabled=False`` builds them without slot caches.
     """
-    key = (n, seed, cell_degrees, max_cells, max_sensors_per_query, extra_locations)
+    key = (
+        n, seed, cell_degrees, max_cells, max_sensors_per_query,
+        extra_locations, cache_capacity, caching_enabled,
+    )
     prototype = _PROTOTYPES.get(key)
     if prototype is None:
         prototype = _build_portal(
-            n, seed, cell_degrees, max_cells, max_sensors_per_query, extra_locations
+            n, seed, cell_degrees, max_cells, max_sensors_per_query,
+            extra_locations, cache_capacity, caching_enabled,
         )
         _PROTOTYPES[key] = prototype
     return copy.deepcopy(prototype)
@@ -62,9 +70,16 @@ def _build_portal(
     max_cells: int,
     max_sensors_per_query: int | None,
     extra_locations: tuple[tuple[float, float], ...],
+    cache_capacity: int | None,
+    caching_enabled: bool,
 ) -> SensorMapPortal:
     portal = SensorMapPortal(
-        config=COLRTreeConfig(max_expiry_seconds=600.0, slot_seconds=120.0),
+        config=COLRTreeConfig(
+            max_expiry_seconds=600.0,
+            slot_seconds=120.0,
+            cache_capacity=cache_capacity,
+            caching_enabled=caching_enabled,
+        ),
         max_sensors_per_query=max_sensors_per_query,
         geoblocks=GeoBlockConfig(
             cell_degrees=cell_degrees, max_cells_per_query=max_cells

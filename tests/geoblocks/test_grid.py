@@ -1,12 +1,16 @@
-"""The geoblock grid: populations, listener mirroring, cell serving."""
+"""The geoblock grid: populations, and cell serving as a view over the
+leaf slot caches."""
 
 import pytest
 
-from repro.geoblocks.planner import cell_of_point, cell_rect
+from repro.geoblocks.windows import SlidingWindow
+from repro.geometry import Rect
+from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
 from repro.sensors.sensor import Reading
 
 from tests.geoblocks.conftest import (
     CELL_DEGREES,
+    EXTENT,
     STALENESS,
     exact_query,
     make_portal,
@@ -23,7 +27,7 @@ def populated_cell(portal):
 
 
 def warm_cell(portal):
-    """A populated cell whose mirror has been filled by a query."""
+    """A populated cell whose sensors a query has just probed."""
     grid = portal.geoblocks()
     cell, population = populated_cell(portal)
     portal.execute(exact_query(cell_rect(cell, CELL_DEGREES)))
@@ -65,7 +69,7 @@ class TestSync:
         grid2 = portal.geoblocks()
         assert grid2 is grid
         assert grid.stats.rebuilds == rebuilds + 1
-        # Mirrors restart cold, exactly like freshly rebuilt slot caches.
+        # The view now reads the rebuilt trees' cold slot caches.
         assert grid.serve_cell("generic", cell, now, STALENESS) is None
 
 
@@ -74,7 +78,6 @@ class TestServeCell:
         portal = make_portal(n=20, seed=2)
         grid = portal.geoblocks()
         assert grid.serve_cell("generic", (999, 999), 0.0, STALENESS) == []
-        assert grid.cell_version("generic", (999, 999)) == -1
 
     def test_cold_populated_cell_falls_back(self):
         portal = make_portal(n=60, seed=2)
@@ -94,9 +97,6 @@ class TestServeCell:
         assert served is not None
         # The full population, in sensor-id order.
         assert [r.sensor_id for r in served] == population
-        assert grid.stats.readings_mirrored >= len(population)
-        assert grid.stats.listener_batches > 0
-        assert grid.cell_version("generic", cell) >= len(population)
 
     def test_stale_mirror_falls_back(self):
         portal = make_portal(n=60, seed=2)
@@ -107,79 +107,65 @@ class TestServeCell:
         ) is None
 
 
-class TestListener:
-    def test_out_of_band_write_updates_mirror_and_version(self):
-        portal = make_portal(n=60, seed=3)
-        grid, cell, population = warm_cell(portal)
-        now = portal.clock.now()
-        version = grid.cell_version("generic", cell)
-        sensor_id = population[0]
-        tree = portal._trees["generic"]
-        tree.insert_readings_batch(
-            [Reading(sensor_id, 123.456, now + 1.0, now + 600.0)],
-            fetched_at=now + 1.0,
-        )
-        assert grid.cell_version("generic", cell) == version + 1
-        state = grid.cell_state("generic", cell)
-        assert state.readings[sensor_id].value == 123.456
+class TestView:
+    """Cells hold no readings of their own: what ``serve_cell`` returns
+    is what the leaf slot caches hold at that moment."""
 
-    def test_older_timestamp_does_not_regress_the_mirror(self):
-        portal = make_portal(n=60, seed=3)
-        grid, cell, population = warm_cell(portal)
-        version = grid.cell_version("generic", cell)
-        sensor_id = population[0]
-        state = grid.cell_state("generic", cell)
-        mirrored = state.readings[sensor_id]
-        tree = portal._trees["generic"]
-        tree.insert_readings_batch(
-            [
-                Reading(
-                    sensor_id,
-                    -1.0,
-                    mirrored.timestamp - 10.0,
-                    mirrored.expires_at,
-                )
-            ],
-            fetched_at=portal.clock.now(),
-        )
-        assert state.readings[sensor_id] == mirrored
-        assert grid.cell_version("generic", cell) == version
+    # 2.5-degree cells: 4 x 4 of them tile the extent, ~19 sensors each.
+    COARSE = 2.5
 
+    def all_cells(self):
+        cells = cells_covering(Rect(0.0, 0.0, EXTENT, EXTENT), self.COARSE)
+        assert len(cells) == 16
+        return cells
 
-class TestCellAggregate:
-    def test_tracks_the_mirror(self):
-        portal = make_portal(n=60, seed=4)
-        grid, cell, population = warm_cell(portal)
-        sketch = grid.cell_aggregate("generic", cell)
-        state = grid.cell_state("generic", cell)
-        values = [r.value for r in state.readings.values()]
-        assert sketch.count == len(values)
-        assert sketch.total == sum(values)
-        assert sketch.minimum == min(values)
-        assert sketch.maximum == max(values)
-
-    def test_displaced_extremum_is_repaired(self):
-        portal = make_portal(n=60, seed=4)
-        grid, cell, population = warm_cell(portal)
-        now = portal.clock.now()
-        state = grid.cell_state("generic", cell)
-        top = max(state.readings.values(), key=lambda r: r.value)
-        tree = portal._trees["generic"]
-        # Replace the cell's maximum with a small value: the incremental
-        # remove marks min/max dirty, and cell_aggregate repairs from
-        # the mirror like a slot-cache recomputation.
-        tree.insert_readings_batch(
-            [Reading(top.sensor_id, -999.0, now + 1.0, now + 600.0)],
-            fetched_at=now + 1.0,
-        )
-        assert state.sketch.minmax_dirty
-        sketch = grid.cell_aggregate("generic", cell)
-        assert not sketch.minmax_dirty
-        values = [r.value for r in state.readings.values()]
-        assert sketch.maximum == max(values)
-        assert sketch.minimum == -999.0
-
-    def test_unpopulated_cell_has_no_aggregate(self):
-        portal = make_portal(n=20, seed=4)
+    def test_out_of_band_write_is_served_and_refreshes_one_window_cell(self):
+        portal = make_portal(seed=3)
         grid = portal.geoblocks()
-        assert grid.cell_aggregate("generic", (999, 999)) is None
+        view = Rect(2.0, 2.0, 5.0, 5.0)
+        window = SlidingWindow(portal, staleness_seconds=STALENESS)
+        first = window.step(view)
+        assert first.cells_refreshed == 9
+        target = first.answers[0].probed_readings[0].sensor_id
+        cell = cell_of_point(portal.registry.get(target).location, CELL_DEGREES)
+        now = portal.clock.now()
+        written = Reading(target, 123.456, now, now + 600.0)
+        portal._trees["generic"].insert_readings_batch([written], fetched_at=now)
+        # No listener ran and nothing was copied: the very next serve
+        # reads the new entry out of the leaf.
+        served = grid.serve_cell("generic", cell, now, STALENESS)
+        assert served is not None and written in served
+        second = window.step(view)
+        assert (second.cells_refreshed, second.cells_reused) == (1, 8)
+
+    def test_capacity_bounded_tree_serves_nothing_beyond_its_slot_caches(self):
+        # Section IV-A's global cache-size constraint bounds the grid
+        # too: after a full warm-up the trees hold 10 readings, so no
+        # ~19-sensor cell is complete (a mirror of the ingest stream
+        # held all 300 and served every cell).
+        portal = make_portal(seed=7, cell_degrees=self.COARSE, cache_capacity=10)
+        grid = portal.geoblocks()
+        portal.execute(exact_query(Rect(0.0, 0.0, EXTENT, EXTENT)))
+        tree = portal._trees["generic"]
+        assert tree.cached_reading_count == 10
+        now = portal.clock.now()
+        held = 0
+        for cell in self.all_cells():
+            assert grid.serve_cell("generic", cell, now, STALENESS) is None
+            held += len(grid.fresh_readings("generic", cell, now, STALENESS))
+        assert held == 10
+
+    def test_grid_first_built_after_a_warm_up_serves_every_cell(self):
+        # The readings were ingested before any grid existed; a view
+        # needs no history (a listener-fed mirror started empty here).
+        portal = make_portal(seed=7, cell_degrees=self.COARSE)
+        portal.execute(exact_query(Rect(0.0, 0.0, EXTENT, EXTENT)))
+        assert portal._geoblocks is None
+        grid = portal.geoblocks()
+        now = portal.clock.now()
+        total = 0
+        for cell in self.all_cells():
+            served = grid.serve_cell("generic", cell, now, STALENESS)
+            assert served is not None
+            total += len(served)
+        assert total == 300

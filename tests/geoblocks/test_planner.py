@@ -6,12 +6,10 @@ from repro.geoblocks.planner import (
     CellClipRegion,
     CellPlan,
     boundary_subregion,
-    cell_of_point,
-    cell_rect,
-    cells_covering,
     plan_polygon,
 )
 from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
 
 
 def diamond() -> Polygon:

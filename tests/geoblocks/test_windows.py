@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.geoblocks.planner import cell_of_point, cell_rect, cells_covering
 from repro.geoblocks.windows import SlidingWindow
 from repro.geometry import Rect
+from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
 from repro.portal.continuous import ContinuousQueryManager
 from repro.sensors.sensor import Reading
 
@@ -121,6 +121,28 @@ class TestRevalidation:
         r = w.step(VIEW)
         assert r.cells_reused == empty
         assert r.cells_refreshed == 9 - empty
+
+    def test_tree_without_slot_caches_reuses_while_fresh(self):
+        """With ``caching_enabled=False`` the snapshot is the only copy
+        of a cell's readings: it is reused while they stay fresh (no
+        re-probe per step), and recaptured once they lapse."""
+        portal = make_portal(seed=4, caching_enabled=False)
+        assert portal.geoblocks().fresh_readings(
+            "generic", (3, 3), portal.clock.now(), STALENESS
+        ) == []
+        w = window(portal)
+        r0 = w.step(VIEW)
+        assert readings_of(r0) and r0.cells_refreshed == 9
+        probes = portal.network.stats.probes_attempted
+        portal.clock.advance(STALENESS / 2)
+        r1 = w.step(VIEW)
+        assert (r1.cells_reused, r1.cells_refreshed) == (9, 0)
+        assert readings_of(r1) == readings_of(r0)
+        assert portal.network.stats.probes_attempted == probes
+        portal.clock.advance(STALENESS / 2 + 1.0)
+        r2 = w.step(VIEW)
+        assert r2.cells_refreshed > 0
+        assert portal.network.stats.probes_attempted > probes
 
     @pytest.mark.slow  # re-registers mid-test: full index rebuild
     def test_index_rebuild_invalidates_snapshots(self):

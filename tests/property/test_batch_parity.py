@@ -9,6 +9,7 @@ exact/sampled access path, cold/warmed cache.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +17,15 @@ import numpy as np
 
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
+from repro.storage import StorageConfig
+from repro.transport import TransportConfig
 
 
-def _build_portal(availability: float = 1.0, n: int = 150) -> SensorMapPortal:
+def _build_portal(
+    availability: float = 1.0, n: int = 150, **portal_kwargs
+) -> SensorMapPortal:
     rng = np.random.default_rng(5)
-    portal = SensorMapPortal(max_sensors_per_query=None)
+    portal = SensorMapPortal(max_sensors_per_query=None, **portal_kwargs)
     for x, y in rng.random((n, 2)) * 100:
         portal.register_sensor(
             GeoPoint(float(x), float(y)),
@@ -115,3 +120,57 @@ class TestSingletonBitIdentity:
         seq = _build_portal().execute(query)
         batch = _build_portal().execute_batch([query])
         _assert_identical(seq, batch.results[0])
+
+
+IO_FIELDS = ("page_reads", "page_writes", "wal_appends", "wal_fsyncs")
+
+
+def _booked_io(results) -> tuple[int, ...]:
+    """The storage I/O a set of results carries in its ``QueryStats``."""
+    return tuple(
+        sum(getattr(a.stats, name) for r in results for a in r.answers)
+        for name in IO_FIELDS
+    )
+
+
+@pytest.mark.parametrize(
+    "transport", [None, TransportConfig()], ids=["parity", "configured"]
+)
+class TestDurablePortal:
+    """With ``storage=`` attached every ingestion is journaled and the
+    disk I/O it causes is metered into ``QueryStats`` — on the batch
+    path as on the sequential one."""
+
+    def _portal(self, data_dir, transport) -> SensorMapPortal:
+        return _build_portal(
+            storage=StorageConfig(data_dir=data_dir, fsync_enabled=False),
+            transport=transport,
+        )
+
+    def test_singleton_books_what_execute_books(self, tmp_path, transport):
+        query = SensorQuery(
+            region=Rect(10.0, 10.0, 70.0, 70.0), staleness_seconds=120.0
+        )
+        seq = self._portal(tmp_path / "seq", transport).execute(query)
+        batch = self._portal(tmp_path / "batch", transport).execute_batch([query])
+        assert seq.answers[0].stats.wal_appends > 0
+        assert _booked_io(batch.results) == _booked_io([seq])
+        if transport is None:
+            _assert_identical(seq, batch.results[0])
+
+    def test_a_tick_books_the_engines_own_delta(self, tmp_path, transport):
+        portal = self._portal(tmp_path / "tick", transport)
+        queries = [
+            SensorQuery(region=region, staleness_seconds=120.0, sample_size=size)
+            for region, size in (
+                (Rect(10.0, 10.0, 50.0, 50.0), None),
+                (Rect(30.0, 30.0, 80.0, 80.0), None),  # overlaps the first
+                (Rect(60.0, 0.0, 100.0, 40.0), 15),  # sampled: runs alone
+            )
+        ]
+        before = portal.storage.stats.io_counters()
+        batch = portal.execute_batch(queries)
+        after = portal.storage.stats.io_counters()
+        delta = tuple(b - a for a, b in zip(before, after))
+        assert delta[2] > 0
+        assert _booked_io(batch.results) == delta

@@ -21,6 +21,7 @@ from repro.storage import StorageConfig, StorageEngine
 
 WRITER = textwrap.dedent(
     """
+    import os
     import sys
 
     from repro.geometry import GeoPoint
@@ -54,8 +55,10 @@ WRITER = textwrap.dedent(
         engine.sync()
         # Progress is only advertised after the sync: everything up to
         # this batch is on disk, so recovery must produce at least i+1.
-        with open(progress_path, "w") as f:
+        # Replaced, not rewritten: a kill must never find the file empty.
+        with open(progress_path + ".next", "w") as f:
             f.write(str(i + 1))
+        os.replace(progress_path + ".next", progress_path)
     """
 )
 
