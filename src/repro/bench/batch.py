@@ -30,76 +30,30 @@ availability 0.85: failed probes are not cached, so sequential execution
 re-contacts flaky sensors once per overlapping query while the batch
 tick asks once — the probe-count series quantifies exactly that.
 
-Results land in ``BENCH_batch.json`` (or ``--output``).  ``--quick``
-shrinks the workload for CI smoke runs (parity still asserted);
-``--check`` additionally asserts the acceptance thresholds (>=3x
-modeled throughput and strictly fewer probes at 64 concurrent).
+Gates: answer parity at every level; >=3x modeled throughput and
+strictly fewer probes at every level of 64+ concurrent viewports.
 
-Run with ``PYTHONPATH=src python -m repro.bench.batch``.
+Run with ``PYTHONPATH=src python -m repro.bench batch``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.bench.report import run_stamp
-from repro.geometry import GeoPoint, Rect
+from repro.bench.fleets import hotspot_viewports, uncapped_portal, uniform_fleet
+from repro.bench.runner import Bench
 from repro.portal import SensorMapPortal, SensorQuery
 
-EXTENT = 100.0
-STALENESS = 120.0
 TIMING_AVAILABILITY = 0.85
+# Zoomed-in tiles (a few dozen sensors each): the regime where
+# sequential execution pays one collector round trip per query while a
+# batch tick packs the union into a few.
+VIEWPORT_HALF_RANGE = (1.0, 2.0)
 
 
 def make_portal(n_sensors: int, availability: float, seed: int) -> SensorMapPortal:
-    rng = np.random.default_rng(seed)
-    portal = SensorMapPortal(max_sensors_per_query=None)
-    xs = rng.uniform(0.0, EXTENT, n_sensors)
-    ys = rng.uniform(0.0, EXTENT, n_sensors)
-    expiries = rng.uniform(120.0, 600.0, n_sensors)
-    for i in range(n_sensors):
-        portal.register_sensor(
-            GeoPoint(float(xs[i]), float(ys[i])),
-            expiry_seconds=float(expiries[i]),
-            availability=availability,
-        )
-    portal.rebuild_index()
-    return portal
-
-
-def make_viewports(level: int, seed: int) -> list[SensorQuery]:
-    """``level`` concurrent viewport queries drawn round-robin from a
-    pool of distinct hotspots — the many-users-same-map-tile shape that
-    makes coalescing matter.  Pool size grows sublinearly with the
-    level so higher concurrency means more sharing, not just more
-    regions.  Viewports are zoomed-in tiles (a few dozen sensors each):
-    the regime where sequential execution pays one collector round trip
-    per query while a batch tick packs the union into a few."""
-    pool_size = max(1, level // 4)
-    rng = np.random.default_rng(seed)
-    pool = []
-    for _ in range(pool_size):
-        cx = float(rng.uniform(15.0, EXTENT - 15.0))
-        cy = float(rng.uniform(15.0, EXTENT - 15.0))
-        half = float(rng.uniform(1.0, 2.0))
-        pool.append(
-            Rect(
-                max(0.0, cx - half),
-                max(0.0, cy - half),
-                min(EXTENT, cx + half),
-                min(EXTENT, cy + half),
-            )
-        )
-    return [
-        SensorQuery(region=pool[i % pool_size], staleness_seconds=STALENESS)
-        for i in range(level)
-    ]
+    return uncapped_portal(uniform_fleet(n_sensors, seed, availability=availability))
 
 
 def check_parity(
@@ -111,7 +65,7 @@ def check_parity(
     seq_portal = make_portal(n_sensors, availability=1.0, seed=seed)
     batch_portal = make_portal(n_sensors, availability=1.0, seed=seed)
     for level in levels:
-        queries = make_viewports(level, seed + level)
+        queries = hotspot_viewports(level, seed + level, VIEWPORT_HALF_RANGE)
         seq_results = [seq_portal.execute(q) for q in queries]
         batch = batch_portal.execute_batch(queries)
         for i, (s, b) in enumerate(zip(seq_results, batch.results)):
@@ -183,8 +137,8 @@ def time_level(
         "concurrency": n,
         "distinct_viewports": len({q.region for q in queries}),
         "modeled_seconds": {"sequential": seq_s, "batch": bat_s},
-        "throughput_qps": {"sequential": n / seq_s, "batch": n / bat_s},
-        "throughput_speedup": seq_s / bat_s,
+        "modeled_throughput_qps": {"sequential": n / seq_s, "batch": n / bat_s},
+        "modeled_speedup": seq_s / bat_s,
         "wall_seconds": {"sequential": seq_w, "batch": bat_w},
         "wall_speedup": seq_w / bat_w,
         "probes": {
@@ -201,102 +155,40 @@ def time_level(
     }
 
 
-def run_batch_bench(
-    n_sensors: int = 40_000,
-    levels: Sequence[int] = (1, 8, 64, 256),
-    reps: int = 3,
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    if quick:
-        n_sensors, levels, reps = 2_500, (1, 8, 64), 2
-    bench_start = time.perf_counter()
-
+def run(n_sensors: int, levels: Sequence[int], reps: int, seed: int) -> dict:
     check_parity(n_sensors, levels, seed)
 
     seq_portal = make_portal(n_sensors, TIMING_AVAILABILITY, seed)
     batch_portal = make_portal(n_sensors, TIMING_AVAILABILITY, seed)
-    per_level = [
-        time_level(
-            seq_portal, batch_portal, make_viewports(level, seed + level), reps
+    phases = {
+        f"level_{level}": time_level(
+            seq_portal,
+            batch_portal,
+            hotspot_viewports(level, seed + level, VIEWPORT_HALF_RANGE),
+            reps,
         )
         for level in levels
-    ]
+    }
+    gated = [row for row in phases.values() if row["concurrency"] >= 64]
     return {
-        "benchmark": "batch_executor",
-        **run_stamp(),
-        "workload": {
-            "n_sensors": n_sensors,
-            "levels": list(levels),
-            "reps": reps,
-            "seed": seed,
-            "quick": quick,
-            "staleness_seconds": STALENESS,
-            "timing_availability": TIMING_AVAILABILITY,
+        "phases": phases,
+        "checks": {
+            # check_parity raises: reaching this line is the pass.
+            "answers_identical_at_every_level": True,
+            "has_level_with_64_concurrent": bool(gated),
+            "modeled_throughput_ge_3x_at_64_concurrent": all(
+                row["modeled_speedup"] >= 3.0 for row in gated
+            ),
+            "fewer_probes_at_64_concurrent": all(
+                row["probes"]["batch"] < row["probes"]["sequential"] for row in gated
+            ),
         },
-        "parity": "identical",
-        "wall_seconds": time.perf_counter() - bench_start,
-        "levels": per_level,
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=40_000)
-    parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (parity still asserted)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="assert the acceptance thresholds "
-        "(>=3x throughput, strictly fewer probes at 64 concurrent)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_batch.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_batch_bench(
-        n_sensors=args.sensors, reps=args.reps, seed=args.seed, quick=args.quick
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    for row in result["levels"]:
-        print(
-            f"  {row['concurrency']:>4} viewports "
-            f"({row['distinct_viewports']:>2} distinct): "
-            f"{row['throughput_qps']['sequential']:8.1f} -> "
-            f"{row['throughput_qps']['batch']:8.1f} q/s "
-            f"({row['throughput_speedup']:.1f}x), probes "
-            f"{row['probes']['sequential']} -> {row['probes']['batch']} "
-            f"({row['probe_ratio']:.2f}x)"
-        )
-    print(f"batch bench -> {args.output}")
-    if args.check:
-        checked = [r for r in result["levels"] if r["concurrency"] >= 64]
-        if not checked:
-            print("FAIL: no level with >=64 concurrent viewports")
-            return 1
-        for row in checked:
-            if row["throughput_speedup"] < 3.0:
-                print(
-                    f"FAIL: {row['concurrency']} concurrent throughput "
-                    f"{row['throughput_speedup']:.2f}x < 3x"
-                )
-                return 1
-            if row["probes"]["batch"] >= row["probes"]["sequential"]:
-                print(
-                    f"FAIL: {row['concurrency']} concurrent probes not reduced "
-                    f"({row['probes']['batch']} >= {row['probes']['sequential']})"
-                )
-                return 1
-        print("acceptance thresholds met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="batch",
+    full={"n_sensors": 40_000, "levels": (1, 8, 64, 256), "reps": 3, "seed": 0},
+    quick={"n_sensors": 2_500, "levels": (1, 8, 64), "reps": 2, "seed": 0},
+    run=run,
+)

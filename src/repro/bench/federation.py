@@ -37,42 +37,44 @@ round re-splits the shortfall over the healthy shards' residual pools
 and the achieved size must recover to within 2% of the target (or every
 routed shard must be provably drained).
 
-Results land in ``BENCH_federation.json`` (or ``--output``).
-``--quick`` shrinks the fleet for CI smoke runs (both parity gates, the
-degradation probe and the shortfall probe still run); ``--check``
-additionally asserts the acceptance thresholds (>= 1.5x batch-query
-throughput at 4 shards vs 1, partial — not failed — answers with a dead
-shard, and the shortfall-recovery bounds above).
+Gates: both parity gates; >= 1.5x modeled batch-query throughput at 4
+shards vs 1; partial — not failed — answers with a dead shard; and the
+shortfall-recovery bounds above.  ``--quick`` shrinks the fleet; every
+gate and probe still runs.
 
-Run with ``PYTHONPATH=src python -m repro.bench.federation``.
+Run with ``PYTHONPATH=src python -m repro.bench federation``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
 from dataclasses import replace
-from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.bench.report import run_stamp
+from repro.bench.fleets import (
+    EXTENT,
+    FLAKY_FRACTION,
+    NETWORK_OPTIONS,
+    RELIABLE_AVAILABILITY,
+    SENSOR_TYPES,
+    STALENESS,
+    TICK_SECONDS,
+    flaky_mix,
+    hotspot_viewports,
+    uncapped_portal,
+    uniform_fleet,
+)
+from repro.bench.report import WallTimer, timed
+from repro.bench.runner import Bench
 from repro.core.config import COLRTreeConfig
 from repro.federation import FederatedPortal, FederationConfig, make_partitioner
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
+from repro.sensors.sensor import Sensor
 from repro.transport import TransportConfig
 
-EXTENT = 100.0
-STALENESS = 120.0
-TICK_SECONDS = 45.0
-SENSOR_TYPES = ("temperature", "humidity", "wind", "rain")
-RELIABLE_AVAILABILITY = 0.95
-FLAKY_AVAILABILITY = 0.35
-FLAKY_FRACTION = 0.3
-NETWORK_OPTIONS = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
+# Wide-area viewports spread over the whole extent, so a grid
+# federation sees work on every shard.
+VIEWPORT_HALF_RANGE = (8.0, 20.0)
 
 BENCH_FEDERATION = FederationConfig(
     shard_retry_budget=1,
@@ -82,23 +84,14 @@ BENCH_FEDERATION = FederationConfig(
 
 
 def _fleet(
-    n_sensors: int,
-    seed: int,
-    flaky_fraction: float,
-    reliable_availability: float = RELIABLE_AVAILABILITY,
-):
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, EXTENT, n_sensors)
-    ys = rng.uniform(0.0, EXTENT, n_sensors)
-    expiries = rng.uniform(120.0, 600.0, n_sensors)
-    flaky = rng.random(n_sensors) < flaky_fraction
-    for i in range(n_sensors):
-        yield (
-            GeoPoint(float(xs[i]), float(ys[i])),
-            float(expiries[i]),
-            SENSOR_TYPES[i % len(SENSOR_TYPES)],
-            FLAKY_AVAILABILITY if flaky[i] else reliable_availability,
-        )
+    n_sensors: int, seed: int, flaky_fraction: float, reliable_availability: float
+) -> list[Sensor]:
+    return uniform_fleet(
+        n_sensors,
+        seed,
+        types=SENSOR_TYPES,
+        availability=flaky_mix(flaky_fraction, reliable_availability),
+    )
 
 
 def make_unsharded(
@@ -110,29 +103,20 @@ def make_unsharded(
     network_options: dict | None = None,
     config: COLRTreeConfig | None = None,
 ) -> SensorMapPortal:
-    portal = SensorMapPortal(
+    return uncapped_portal(
+        _fleet(n_sensors, seed, flaky_fraction, reliable_availability),
         config=config,
-        max_sensors_per_query=None,
         transport=transport,
         network_options=dict(
             NETWORK_OPTIONS if network_options is None else network_options
         ),
     )
-    for location, expiry, sensor_type, availability in _fleet(
-        n_sensors, seed, flaky_fraction, reliable_availability
-    ):
-        portal.register_sensor(
-            location, expiry, sensor_type=sensor_type, availability=availability
-        )
-    portal.rebuild_index()
-    return portal
 
 
 def make_federation(
     n_sensors: int,
     seed: int,
     n_shards: int,
-    partitioner_kind: str = "grid",
     transport: TransportConfig | None = None,
     flaky_fraction: float = FLAKY_FRACTION,
     reliable_availability: float = RELIABLE_AVAILABILITY,
@@ -141,7 +125,7 @@ def make_federation(
     config: COLRTreeConfig | None = None,
 ) -> FederatedPortal:
     portal = FederatedPortal(
-        partitioner=make_partitioner(partitioner_kind, n_shards, seed=seed),
+        partitioner=make_partitioner("grid", n_shards, seed=seed),
         config=config,
         max_sensors_per_query=None,
         transport=transport,
@@ -150,45 +134,9 @@ def make_federation(
         ),
         federation=BENCH_FEDERATION if federation is None else federation,
     )
-    for location, expiry, sensor_type, availability in _fleet(
-        n_sensors, seed, flaky_fraction, reliable_availability
-    ):
-        portal.register_sensor(
-            location, expiry, sensor_type=sensor_type, availability=availability
-        )
+    portal.register_all(_fleet(n_sensors, seed, flaky_fraction, reliable_availability))
     portal.rebuild_index()
     return portal
-
-
-def make_viewports(
-    level: int, seed: int, half_range: tuple[float, float] = (8.0, 20.0)
-) -> list[SensorQuery]:
-    """``level`` concurrent viewports drawn round-robin from a hotspot
-    pool spread over the whole extent, so a grid federation sees work on
-    every shard (same pool shape as ``bench.transport``, but the default
-    viewports are wide-area: thousands of in-region sensors at the
-    40k-fleet scale, so probe rounds are volume-bound — many connection
-    waves — rather than one fixed round trip, which is the regime where
-    splitting the fleet splits collection time)."""
-    pool_size = max(1, level // 4)
-    rng = np.random.default_rng(seed)
-    pool = []
-    for _ in range(pool_size):
-        cx = float(rng.uniform(15.0, EXTENT - 15.0))
-        cy = float(rng.uniform(15.0, EXTENT - 15.0))
-        half = float(rng.uniform(*half_range))
-        pool.append(
-            Rect(
-                max(0.0, cx - half),
-                max(0.0, cy - half),
-                min(EXTENT, cx + half),
-                min(EXTENT, cy + half),
-            )
-        )
-    return [
-        SensorQuery(region=pool[i % pool_size], staleness_seconds=STALENESS)
-        for i in range(level)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +196,28 @@ def _assert_identical(context: str, a, b) -> None:
         raise AssertionError(f"parity[{context}]: timings diverged")
 
 
+def assert_matrix_identical(name: str, a, b) -> int:
+    """Run the parity query matrix through portals ``a`` and ``b`` —
+    each query on its own, then the matrix as one batch — cold, then
+    warm one tick later (slot caches reused); every answer and the batch
+    stats must match exactly.  Returns the number of cells compared."""
+    cells = 0
+    for phase in ("cold", "warm"):
+        for qi, query in enumerate(_parity_queries()):
+            _assert_identical(f"{name}/{phase}/q{qi}", a.execute(query), b.execute(query))
+            cells += 1
+        batch_a = a.execute_batch(_parity_queries())
+        batch_b = b.execute_batch(_parity_queries())
+        for qi, (ra, rb) in enumerate(zip(batch_a.results, batch_b.results)):
+            _assert_identical(f"{name}/{phase}/batch-q{qi}", ra, rb)
+            cells += 1
+        if batch_a.stats != batch_b.stats:
+            raise AssertionError(f"parity[{name}/{phase}]: batch stats diverged")
+        a.clock.advance(TICK_SECONDS)
+        b.clock.advance(TICK_SECONDS)
+    return cells
+
+
 def check_single_shard_parity(n_sensors: int, seed: int) -> int:
     """Gate 1: a one-shard federation must be a bit-identical
     pass-through of the unsharded portal on every query shape, cold and
@@ -260,33 +230,10 @@ def check_single_shard_parity(n_sensors: int, seed: int) -> int:
         ("flaky-transport", FLAKY_FRACTION, TransportConfig.parity()),
     ]
     for name, flaky_fraction, transport in variants:
-        plain = make_unsharded(
-            n_sensors, seed, transport=transport, flaky_fraction=flaky_fraction
-        )
-        fed = make_federation(
-            n_sensors,
-            seed,
-            n_shards=1,
-            transport=transport,
-            flaky_fraction=flaky_fraction,
-        )
-        for phase in ("cold", "warm"):
-            for qi, query in enumerate(_parity_queries()):
-                _assert_identical(
-                    f"{name}/{phase}/q{qi}", plain.execute(query), fed.execute(query)
-                )
-                cells += 1
-            # Batch path over the same matrix, then advance into the
-            # next phase so "warm" reuses slot caches across a tick.
-            a = plain.execute_batch(_parity_queries())
-            b = fed.execute_batch(_parity_queries())
-            for qi, (ra, rb) in enumerate(zip(a.results, b.results)):
-                _assert_identical(f"{name}/{phase}/batch-q{qi}", ra, rb)
-                cells += 1
-            if a.stats != b.stats:
-                raise AssertionError(f"parity[{name}/{phase}]: batch stats diverged")
-            plain.clock.advance(TICK_SECONDS)
-            fed.clock.advance(TICK_SECONDS)
+        fleet = {"transport": transport, "flaky_fraction": flaky_fraction}
+        plain = make_unsharded(n_sensors, seed, **fleet)
+        fed = make_federation(n_sensors, seed, n_shards=1, **fleet)
+        cells += assert_matrix_identical(name, plain, fed)
         if plain.network.stats != fed.shard(0).network.stats:
             raise AssertionError(f"parity[{name}]: network counters diverged")
     return cells
@@ -303,22 +250,19 @@ def check_conservation(n_sensors: int, seed: int, shard_counts: Sequence[int]) -
     cannot blur the comparison (warm-cache identity is gate 1's job at
     one shard; warm multi-shard answers legitimately differ because the
     shard trees cache different node aggregates)."""
-    det = {"latency_jitter": 0.0}
-    # Oversampling off on both sides: with every sensor reliable but
-    # *unobserved*, the Beta-prior estimate of 0.5 would double each
-    # leaf's probe count, and that rounding noise lands differently on
-    # one big tree than on eight small ones — exactly the kind of drift
-    # this gate is not about.
-    exact = COLRTreeConfig(oversampling_enabled=False)
+    deterministic = {
+        "flaky_fraction": 0.0,
+        "reliable_availability": 1.0,
+        "network_options": {"latency_jitter": 0.0},
+        # Oversampling off on both sides: with every sensor reliable but
+        # *unobserved*, the Beta-prior estimate of 0.5 would double each
+        # leaf's probe count, and that rounding noise lands differently
+        # on one big tree than on eight small ones — exactly the kind of
+        # drift this gate is not about.
+        "config": COLRTreeConfig(oversampling_enabled=False),
+    }
     for qi, query in enumerate(_parity_queries()):
-        reference = make_unsharded(
-            n_sensors,
-            seed,
-            flaky_fraction=0.0,
-            reliable_availability=1.0,
-            network_options=det,
-            config=exact,
-        )
+        reference = make_unsharded(n_sensors, seed, **deterministic)
         want = reference.execute(query).result_weight
         for n_shards in shard_counts:
             if n_shards == 1:
@@ -327,10 +271,7 @@ def check_conservation(n_sensors: int, seed: int, shard_counts: Sequence[int]) -
                 n_sensors,
                 seed,
                 n_shards,
-                flaky_fraction=0.0,
-                reliable_availability=1.0,
-                network_options=det,
-                config=exact,
+                **deterministic,
                 # This gate measures what Algorithm 1's *scatter split*
                 # conserves on its own; cross-shard top-up rounds
                 # legitimately add weight on top and are gated
@@ -363,34 +304,41 @@ def check_conservation(n_sensors: int, seed: int, shard_counts: Sequence[int]) -
 # ----------------------------------------------------------------------
 # Throughput
 # ----------------------------------------------------------------------
-def run_shard_count(
-    n_sensors: int,
-    n_shards: int,
-    level: int,
-    ticks: int,
-    seed: int,
-    partitioner_kind: str,
-) -> dict:
-    fed = make_federation(n_sensors, seed, n_shards, partitioner_kind)
-    queries = make_viewports(level, seed + level)
+def drive_ticks(fed: FederatedPortal, queries: Sequence[SensorQuery], ticks: int) -> dict:
+    """Run ``ticks`` batch ticks; report modeled and wall seconds."""
     modeled = 0.0
-    wall = time.perf_counter()
-    for _ in range(ticks):
-        batch = fed.execute_batch(queries)
-        # The tick's modeled cost is the slowest shard's sub-batch
-        # (processing + collection + maintenance + penalties): shards
-        # run concurrently, the gather waits for the stragglers.
-        modeled += max(batch.shard_seconds.values(), default=0.0)
-        fed.clock.advance(TICK_SECONDS)
-    wall = time.perf_counter() - wall
+    coordinator_wall = 0.0
+    with WallTimer() as timer:
+        for _ in range(ticks):
+            batch = fed.execute_batch(queries)
+            # The tick's modeled cost is the slowest shard's sub-batch
+            # (processing + collection + maintenance + penalties):
+            # shards run concurrently, the gather waits for the
+            # stragglers.
+            modeled += max(batch.shard_seconds.values(), default=0.0)
+            coordinator_wall += batch.stats.wall_seconds
+            fed.clock.advance(TICK_SECONDS)
+    return {
+        "modeled_seconds": modeled,
+        "wall_seconds": timer.seconds,
+        "batch_wall_seconds": coordinator_wall,
+    }
+
+
+def run_shard_count(
+    n_sensors: int, n_shards: int, level: int, ticks: int, seed: int
+) -> dict:
+    fed = make_federation(n_sensors, seed, n_shards)
+    driven = drive_ticks(
+        fed, hotspot_viewports(level, seed + level, VIEWPORT_HALF_RANGE), ticks
+    )
     probes = sum(s.network.stats.probes_attempted for s in fed.shards())
     n_queries = ticks * level
     return {
         "shards": n_shards,
         "queries": n_queries,
-        "modeled_seconds": modeled,
-        "wall_seconds": wall,
-        "modeled_throughput_qps": n_queries / max(1e-12, modeled),
+        **driven,
+        "modeled_throughput_qps": n_queries / max(1e-12, driven["modeled_seconds"]),
         "probes_attempted": probes,
         "subqueries_scattered": fed.stats.subqueries_scattered,
         "shard_populations": [e.weight for e in fed.directory.entries()],
@@ -401,7 +349,7 @@ SHORTFALL_FLAKY_AVAILABILITY = 0.1
 SHORTFALL_CALIBRATION_OBS = 400
 
 
-def _skewed_fleet(n_sensors: int, seed: int):
+def _skewed_availability(rng, xs):
     """A spatially availability-skewed fleet: sensors in the left half
     of the extent are near-dead (a = 0.1), the right half is perfectly
     reliable.  Under a spatial grid partitioner this concentrates the
@@ -409,20 +357,7 @@ def _skewed_fleet(n_sensors: int, seed: int):
     where per-shard Algorithm 2 cannot help — the flaky shards' whole
     in-region pools are too small to deliver their overlap-weighted
     shares — and only a cross-shard top-up can close the gap."""
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, EXTENT, n_sensors)
-    ys = rng.uniform(0.0, EXTENT, n_sensors)
-    expiries = rng.uniform(120.0, 600.0, n_sensors)
-    for i in range(n_sensors):
-        availability = (
-            SHORTFALL_FLAKY_AVAILABILITY if xs[i] < EXTENT / 2.0 else 1.0
-        )
-        yield (
-            GeoPoint(float(xs[i]), float(ys[i])),
-            float(expiries[i]),
-            SENSOR_TYPES[i % len(SENSOR_TYPES)],
-            availability,
-        )
+    return [SHORTFALL_FLAKY_AVAILABILITY if x < EXTENT / 2.0 else 1.0 for x in xs]
 
 
 def make_skewed_federation(
@@ -441,10 +376,11 @@ def make_skewed_federation(
             redistribution_rounds=max(redistribution_rounds, 0),
         ),
     )
-    for location, expiry, sensor_type, availability in _skewed_fleet(n_sensors, seed):
-        fed.register_sensor(
-            location, expiry, sensor_type=sensor_type, availability=availability
+    fed.register_all(
+        uniform_fleet(
+            n_sensors, seed, types=SENSOR_TYPES, availability=_skewed_availability
         )
+    )
     fed.rebuild_index()
     obs = SHORTFALL_CALIBRATION_OBS
     for shard in fed.shards():
@@ -469,7 +405,6 @@ def run_shortfall_recovery(
     residual pool for the top-up to draw on.  Shortfall and recovery
     are reported against ``sample_requested`` — the federated target in
     readings, which is the unit ``result_weight`` counts in."""
-    wall_start = time.perf_counter()
     target_units = n_sensors // 8
     query = SensorQuery(
         region=Rect(0.0, 0.0, EXTENT, EXTENT),
@@ -507,14 +442,12 @@ def run_shortfall_recovery(
         "all_pools_exhausted": len(result_on.pool_exhausted_shards) >= n_shards,
         "topup_collection_charged": result_on.collection_seconds
         > result_off.collection_seconds,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
 def run_degradation(n_sensors: int, seed: int, n_shards: int) -> dict:
     """Kill one shard of a federation mid-workload; the answers must
     degrade to flagged partials, never raise."""
-    wall_start = time.perf_counter()
     fed = make_federation(n_sensors, seed, n_shards)
     wide = SensorQuery(
         region=Rect(0.0, 0.0, EXTENT, EXTENT), staleness_seconds=STALENESS
@@ -523,7 +456,7 @@ def run_degradation(n_sensors: int, seed: int, n_shards: int) -> dict:
     victim = n_shards // 2
     fed.kill_shard(victim)
     degraded = fed.execute(wide)
-    batch = fed.execute_batch(make_viewports(8, seed))
+    batch = fed.execute_batch(hotspot_viewports(8, seed, VIEWPORT_HALF_RANGE))
     fed.revive_shard(victim)
     recovered = fed.execute(wide)
     return {
@@ -536,177 +469,74 @@ def run_degradation(n_sensors: int, seed: int, n_shards: int) -> dict:
         "batch_partial": batch.partial,
         "recovered_partial": recovered.partial,
         "shard_retries": fed.stats.shard_retries,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
-def run_federation_bench(
-    n_sensors: int = 40_000,
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    level: int = 64,
-    ticks: int = 6,
-    seed: int = 0,
-    partitioner_kind: str = "grid",
-    quick: bool = False,
-    redistribution_rounds: int = 1,
+def run(
+    n_sensors: int,
+    shard_counts: Sequence[int],
+    level: int,
+    ticks: int,
+    shortfall_sensors: int,
+    seed: int,
 ) -> dict:
-    if quick:
-        n_sensors, shard_counts, level, ticks = 2_500, (1, 2, 4), 32, 4
-    bench_start = time.perf_counter()
+    gate_sensors = min(n_sensors, 4_000)
 
-    parity_cells = check_single_shard_parity(min(n_sensors, 4_000), seed)
-    check_conservation(min(n_sensors, 4_000), seed, shard_counts)
+    parity_cells = check_single_shard_parity(gate_sensors, seed)
+    check_conservation(gate_sensors, seed, shard_counts)
 
-    per_count = [
-        run_shard_count(n_sensors, n, level, ticks, seed, partitioner_kind)
-        for n in shard_counts
-    ]
-    base = per_count[0]["modeled_seconds"]
-    for row in per_count:
-        row["speedup_vs_1"] = base / max(1e-12, row["modeled_seconds"])
-    degradation = run_degradation(
-        min(n_sensors, 4_000), seed, n_shards=max(shard_counts)
-    )
-    shortfall = run_shortfall_recovery(
-        4_000 if quick else n_sensors,
-        seed,
-        n_shards=8,
-        redistribution_rounds=redistribution_rounds,
-    )
+    rows = {n: run_shard_count(n_sensors, n, level, ticks, seed) for n in shard_counts}
+    base = rows[shard_counts[0]]["modeled_seconds"]
+    for row in rows.values():
+        row["modeled_speedup_vs_1"] = base / max(1e-12, row["modeled_seconds"])
+    degradation = timed(run_degradation, gate_sensors, seed, max(shard_counts))
+    shortfall = timed(run_shortfall_recovery, shortfall_sensors, seed)
     return {
-        "benchmark": "federation_scatter_gather",
-        **run_stamp(),
-        "workload": {
-            "n_sensors": n_sensors,
-            "shard_counts": list(shard_counts),
-            "level": level,
-            "ticks": ticks,
-            "tick_seconds": TICK_SECONDS,
-            "seed": seed,
-            "quick": quick,
-            "partitioner": partitioner_kind,
-            "staleness_seconds": STALENESS,
-            "sensor_types": list(SENSOR_TYPES),
-            "flaky_fraction": FLAKY_FRACTION,
-            "availabilities": {
-                "reliable": RELIABLE_AVAILABILITY,
-                "flaky": FLAKY_AVAILABILITY,
-            },
-            "network": dict(NETWORK_OPTIONS),
-            "federation_config": {
-                "shard_retry_budget": BENCH_FEDERATION.shard_retry_budget,
-                "retry_backoff_base": BENCH_FEDERATION.retry_backoff_base,
-                "retry_backoff_multiplier": BENCH_FEDERATION.retry_backoff_multiplier,
-            },
-            "redistribution_rounds": redistribution_rounds,
+        "phases": {
+            "parity": {"cells": parity_cells},
+            **{f"shards_{n}": row for n, row in rows.items()},
+            "degradation": degradation,
+            "shortfall_recovery": shortfall,
         },
-        "parity": {"status": "identical", "cells": parity_cells},
-        "wall_seconds": time.perf_counter() - bench_start,
-        "shard_counts": per_count,
-        "degradation": degradation,
-        "shortfall_recovery": shortfall,
+        "checks": {
+            # Both parity gates raise: reaching this line is the pass.
+            "single_shard_bit_identical": parity_cells > 0,
+            "multi_shard_weights_conserved": True,
+            "modeled_speedup_ge_1.5x_at_4_shards": 4 in rows
+            and rows[4]["modeled_speedup_vs_1"] >= 1.5,
+            "dead_shard_degrades_to_partial": degradation["degraded_partial"]
+            and not degradation["recovered_partial"],
+            # Under 10% the probe is not exercising a real shortfall.
+            "first_round_shortfall_ge_10pct": shortfall[
+                "first_round_shortfall_fraction"
+            ]
+            >= 0.10,
+            "redistribution_recovers_or_pools_exhausted": shortfall[
+                "recovered_gap_fraction"
+            ]
+            <= 0.02
+            or shortfall["all_pools_exhausted"],
+        },
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=40_000)
-    parser.add_argument("--level", type=int, default=64)
-    parser.add_argument("--ticks", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--partitioner", choices=("grid", "kmeans"), default="grid"
-    )
-    parser.add_argument(
-        "--redistribution-rounds",
-        type=int,
-        default=1,
-        help="top-up scatter rounds the shortfall-recovery probe grants "
-        "the coordinator (the 'off' baseline always runs with 0)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (parity still asserted)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="assert the acceptance thresholds (>=1.5x modeled throughput "
-        "at 4 shards vs 1; dead shard degrades to partial answers)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_federation.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_federation_bench(
-        n_sensors=args.sensors,
-        level=args.level,
-        ticks=args.ticks,
-        seed=args.seed,
-        partitioner_kind=args.partitioner,
-        quick=args.quick,
-        redistribution_rounds=args.redistribution_rounds,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"parity: {result['parity']['cells']} cells identical")
-    for row in result["shard_counts"]:
-        print(
-            f"  {row['shards']:>2} shards: {row['queries']} queries in "
-            f"{row['modeled_seconds']:.2f}s modeled / "
-            f"{row['wall_seconds']:.2f}s wall "
-            f"({row['modeled_throughput_qps']:.1f} q/s, "
-            f"{row['speedup_vs_1']:.2f}x vs 1 shard, "
-            f"populations {row['shard_populations']})"
-        )
-    d = result["degradation"]
-    print(
-        f"  degradation: shard {d['victim']}/{d['shards']} killed -> partial="
-        f"{d['degraded_partial']} weight {d['healthy_weight']} -> "
-        f"{d['degraded_weight']}, recovered partial={d['recovered_partial']}"
-    )
-    s = result["shortfall_recovery"]
-    print(
-        f"  shortfall: {s['n_shards']} shards, target {s['target_readings']} -> "
-        f"round 1 {s['first_round_achieved']} "
-        f"({s['first_round_shortfall_fraction']:.1%} short), "
-        f"redistributed -> {s['recovered_achieved']} "
-        f"(gap {s['recovered_gap_fraction']:.1%}, "
-        f"+{s['topup_sensors_gained']} in "
-        f"{s['redistribution_rounds_run']} round(s))"
-    )
-    print(f"federation bench -> {args.output}")
-    if args.check:
-        four = [r for r in result["shard_counts"] if r["shards"] == 4]
-        if not four:
-            print("FAIL: no 4-shard level in the sweep")
-            return 1
-        if four[0]["speedup_vs_1"] < 1.5:
-            print(
-                f"FAIL: 4-shard modeled speedup {four[0]['speedup_vs_1']:.2f}x "
-                "< 1.5x vs 1 shard"
-            )
-            return 1
-        if not d["degraded_partial"] or d["recovered_partial"]:
-            print("FAIL: dead shard did not degrade to a flagged partial answer")
-            return 1
-        if s["first_round_shortfall_fraction"] < 0.10:
-            print(
-                f"FAIL: skewed-fleet first round only "
-                f"{s['first_round_shortfall_fraction']:.1%} short (< 10% — the "
-                "probe is not exercising a real shortfall)"
-            )
-            return 1
-        if s["recovered_gap_fraction"] > 0.02 and not s["all_pools_exhausted"]:
-            print(
-                f"FAIL: redistribution left a {s['recovered_gap_fraction']:.1%} "
-                "gap to target without provable pool exhaustion"
-            )
-            return 1
-        print("acceptance thresholds met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="federation",
+    full={
+        "n_sensors": 40_000,
+        "shard_counts": (1, 2, 4, 8),
+        "level": 64,
+        "ticks": 6,
+        "shortfall_sensors": 40_000,
+        "seed": 0,
+    },
+    quick={
+        "n_sensors": 2_500,
+        "shard_counts": (1, 2, 4),
+        "level": 32,
+        "ticks": 4,
+        "shortfall_sensors": 4_000,
+        "seed": 0,
+    },
+    run=run,
+)

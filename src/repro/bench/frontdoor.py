@@ -1,7 +1,7 @@
 """Front-door benchmark: tiered result cache, streaming gathers,
 admission control.
 
-Three probes, each with its own acceptance gate (``--check``):
+Three probes, each with its own acceptance gates:
 
 * **Cache tiers** — the Zipf multi-tenant Live-Local viewport stream
   runs through two identically built portals, one behind the tiered
@@ -22,37 +22,29 @@ Three probes, each with its own acceptance gate (``--check``):
   actually happened; and the accounting is exact (offered == served +
   shed — nothing disappears silently).
 
-Results land in ``BENCH_frontdoor.json`` (or ``--output``); ``--quick``
-shrinks the fleet for CI smoke runs (every gate still asserted under
-``--check``).
+``--quick`` shrinks the fleet; every gate is still checked.
 
-Run with ``PYTHONPATH=src python -m repro.bench.frontdoor``.
+Run with ``PYTHONPATH=src python -m repro.bench frontdoor``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
-from typing import Sequence
-
 from repro.bench.federation import (
     BENCH_FEDERATION,
-    EXTENT,
-    STALENESS,
+    VIEWPORT_HALF_RANGE,
     _assert_identical,
     make_federation,
 )
+from repro.bench.fleets import STALENESS, hotspot_pool, uncapped_portal
 from repro.bench.harness import StreamSummary
-from repro.bench.report import run_stamp
+from repro.bench.report import timed
+from repro.bench.runner import Bench
 from repro.frontdoor import (
     AdmissionConfig,
     FrontDoor,
     FrontDoorConfig,
     OpenLoopRunner,
 )
-from repro.geometry import Rect
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.portal.continuous import ContinuousQueryManager
 from repro.workloads import LiveLocalWorkload, OpenLoopWorkload
@@ -64,12 +56,8 @@ CACHE_OFF = FrontDoorConfig(
 
 
 def make_livelocal_portal(n_sensors: int, seed: int) -> SensorMapPortal:
-    """The Live-Local fleet behind an uncapped portal (the front door's
-    tile layer needs exact sub-queries to stay exact)."""
-    portal = SensorMapPortal(max_sensors_per_query=None)
-    portal.register_all(LiveLocalWorkload(n_sensors=n_sensors, seed=seed).sensors())
-    portal.rebuild_index()
-    return portal
+    """The Live-Local fleet behind an uncapped portal."""
+    return uncapped_portal(LiveLocalWorkload(n_sensors=n_sensors, seed=seed).sensors())
 
 
 def make_requests(n_sensors: int, n_requests: int, seed: int, target_qps: float):
@@ -94,7 +82,6 @@ def run_cache_probe(
     each arrival so slot windows age realistically.  Serving cost is
     ``FrontDoorResult.service_seconds`` — queueing is probe 3's
     subject, not this one's."""
-    wall_start = time.perf_counter()
     requests = make_requests(n_sensors, n_requests, seed, target_qps)
     out: dict = {"n_sensors": n_sensors, "n_requests": n_requests}
     services: dict[str, list] = {}
@@ -131,7 +118,6 @@ def run_cache_probe(
     out["hit_p99_speedup"] = (
         off_p99 / hit_services.p99 if hit_services.count else 0.0
     )
-    out["wall_seconds"] = time.perf_counter() - wall_start
     return out
 
 
@@ -139,26 +125,10 @@ def run_cache_probe(
 # Probe 2: streaming gathers
 # ----------------------------------------------------------------------
 def _standing_viewports(n: int, seed: int) -> list[SensorQuery]:
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        cx = float(rng.uniform(15.0, EXTENT - 15.0))
-        cy = float(rng.uniform(15.0, EXTENT - 15.0))
-        half = float(rng.uniform(8.0, 20.0))
-        out.append(
-            SensorQuery(
-                region=Rect(
-                    max(0.0, cx - half),
-                    max(0.0, cy - half),
-                    min(EXTENT, cx + half),
-                    min(EXTENT, cy + half),
-                ),
-                staleness_seconds=STALENESS,
-            )
-        )
-    return out
+    return [
+        SensorQuery(region=region, staleness_seconds=STALENESS)
+        for region in hotspot_pool(n, seed, VIEWPORT_HALF_RANGE)
+    ]
 
 
 def run_streaming_probe(
@@ -174,7 +144,6 @@ def run_streaming_probe(
     synchronous manager waits out the dead shard's retry penalty every
     tick; the streaming manager publishes at the deadline and defers
     the stragglers to the next refresh."""
-    wall_start = time.perf_counter()
 
     # Healthy-fleet bit-identity: the streaming final IS the sync
     # gather.  Twin federations (execute consumes shard RNG, so one
@@ -241,7 +210,6 @@ def run_streaming_probe(
         "streaming_vs_sync": stream_p99 / sync_p99 if sync_p99 else 1.0,
         "deferred_shard_answers": fed_stream.stats.deferred_shard_answers,
         "streaming_queries": fed_stream.stats.streaming_queries,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
@@ -263,7 +231,6 @@ def run_admission_probe(
     in ``max_batch``-sized batches (the runner's shape — batched
     traversals are most of the serving capacity) and the warm-half mean
     per-request cost sets capacity."""
-    wall_start = time.perf_counter()
     calibration = make_requests(n_sensors, min(96, max(1, n_requests)), seed + 1, 10.0)
     door = FrontDoor(make_livelocal_portal(n_sensors, seed), CACHE_OFF)
     per_request: list[float] = []
@@ -312,122 +279,42 @@ def run_admission_probe(
     off_p99 = out["off"]["report"]["latency"]["p99"]
     on_p99 = out["on"]["report"]["latency"]["p99"]
     out["p99_ratio_on_vs_off"] = on_p99 / off_p99 if off_p99 else 1.0
-    out["wall_seconds"] = time.perf_counter() - wall_start
     return out
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_frontdoor_bench(
-    n_sensors: int = 40_000,
-    n_requests: int = 2_000,
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    if quick:
-        n_sensors, n_requests = 2_500, 300
-    bench_start = time.perf_counter()
-    cache = run_cache_probe(n_sensors, n_requests, seed)
-    streaming = run_streaming_probe(min(n_sensors, 4_000), seed)
+def run(n_sensors: int, n_requests: int, seed: int) -> dict:
+    cache = timed(run_cache_probe, n_sensors, n_requests, seed)
+    streaming = timed(run_streaming_probe, min(n_sensors, 4_000), seed)
     # The unprotected baseline's pain is its backlog, which takes a
     # long enough open-loop horizon to accumulate — don't shrink the
     # stream below 600 arrivals except in quick mode.
-    admission = run_admission_probe(
-        min(n_sensors, 4_000), min(n_requests, 600), seed
+    admission = timed(
+        run_admission_probe, min(n_sensors, 4_000), min(n_requests, 600), seed
     )
-    checks = {
-        "warm_hit_rate_ge_50pct": cache["on"]["warm_hit_rate"] >= 0.50,
-        "hit_p99_speedup_ge_5x": cache["hit_p99_speedup"] >= 5.0,
-        "streaming_p99_le_0.7x_sync": streaming["streaming_vs_sync"] <= 0.7,
-        "streaming_final_bit_identical": streaming["identity_cells"] > 0,
-        "admission_p99_le_0.5x_unprotected": admission["p99_ratio_on_vs_off"] <= 0.5,
-        "admission_shed_metered": admission["on"]["admission"]["shed_rate"]
-        + admission["on"]["admission"]["shed_queue"]
-        > 0,
-        "admission_accounting_exact": admission["on"]["accounting_exact"]
-        and admission["off"]["accounting_exact"],
-    }
     return {
-        "benchmark": "frontdoor",
-        **run_stamp(wall_seconds=time.perf_counter() - bench_start),
-        "workload": {
-            "n_sensors": n_sensors,
-            "n_requests": n_requests,
-            "seed": seed,
-            "quick": quick,
-            "cache_config": {
-                "l1_capacity": CACHE_ON.l1_capacity,
-                "tile_extent_degrees": CACHE_ON.tile_extent_degrees,
-                "l2_capacity": CACHE_ON.l2_capacity,
-                "max_tiles_per_cover": CACHE_ON.max_tiles_per_cover,
-            },
+        "phases": {"cache": cache, "streaming": streaming, "admission": admission},
+        "checks": {
+            "warm_hit_rate_ge_50pct": cache["on"]["warm_hit_rate"] >= 0.50,
+            "hit_p99_speedup_ge_5x": cache["hit_p99_speedup"] >= 5.0,
+            "streaming_p99_le_0.7x_sync": streaming["streaming_vs_sync"] <= 0.7,
+            "streaming_final_bit_identical": streaming["identity_cells"] > 0,
+            "admission_p99_le_0.5x_unprotected": admission["p99_ratio_on_vs_off"]
+            <= 0.5,
+            "admission_shed_metered": admission["on"]["admission"]["shed_rate"]
+            + admission["on"]["admission"]["shed_queue"]
+            > 0,
+            "admission_accounting_exact": admission["on"]["accounting_exact"]
+            and admission["off"]["accounting_exact"],
         },
-        "cache": cache,
-        "streaming": streaming,
-        "admission": admission,
-        "checks": checks,
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=40_000)
-    parser.add_argument("--requests", type=int, default=2_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (gates still assertable)"
-    )
-    parser.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_frontdoor.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_frontdoor_bench(
-        n_sensors=args.sensors,
-        n_requests=args.requests,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    c = result["cache"]
-    print(
-        f"cache: warm hit rate {c['on']['warm_hit_rate']:.1%} "
-        f"(l1 {c['on']['served_from']['l1']} / l2 {c['on']['served_from']['l2']} "
-        f"/ portal {c['on']['served_from']['portal']}), "
-        f"hit p99 speedup {c['hit_p99_speedup']:.1f}x"
-    )
-    s = result["streaming"]
-    print(
-        f"streaming: degraded tick p99 {s['degraded_streaming_p99']:.3f}s vs "
-        f"sync {s['degraded_sync_p99']:.3f}s "
-        f"({s['streaming_vs_sync']:.2f}x, deadline {s['deadline_seconds']:.3f}s, "
-        f"{s['deferred_shard_answers']} deferred answers, "
-        f"{s['identity_cells']} healthy finals bit-identical)"
-    )
-    a = result["admission"]
-    print(
-        f"admission: offered {a['offered_qps']:.1f} q/s (2x sustainable), "
-        f"p99 {a['on']['report']['latency']['p99']:.2f}s with admission vs "
-        f"{a['off']['report']['latency']['p99']:.2f}s without "
-        f"({a['p99_ratio_on_vs_off']:.2f}x), shed "
-        f"{a['on']['report']['shed_fraction']:.1%}"
-    )
-    print(f"frontdoor bench -> {args.output}")
-    if args.check:
-        failed = [name for name, ok in result["checks"].items() if not ok]
-        if failed:
-            for name in failed:
-                print(f"FAIL: {name}")
-            return 1
-        print("acceptance thresholds met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="frontdoor",
+    full={"n_sensors": 40_000, "n_requests": 2_000, "seed": 0},
+    quick={"n_sensors": 2_500, "n_requests": 300, "seed": 0},
+    run=run,
+)

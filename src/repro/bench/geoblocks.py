@@ -1,6 +1,6 @@
 """Geoblocks benchmark: polygon planning, grid serving, sliding windows.
 
-Four probes, each with its own acceptance gate (``--check``):
+Four probes, each with its own acceptance gates:
 
 * **Rectangle parity** — an axis-aligned rectangle drawn as a polygon
   must be answered by ``execute_polygon`` bit-identically (answer,
@@ -26,31 +26,29 @@ Four probes, each with its own acceptance gate (``--check``):
   fraction.
 
 The polygon stream itself (``repro.workloads.polygons``) also runs
-cold-then-warm end to end for throughput/shape reporting.  Results
-land in ``BENCH_geoblocks.json`` (or ``--output``); ``--quick``
-shrinks the fleet for CI smoke runs (every gate still asserted under
-``--check``).
+cold-then-warm end to end for throughput/shape reporting.
+``--quick`` shrinks the fleet; every gate is still checked.
 
-Run with ``PYTHONPATH=src python -m repro.bench.geoblocks``.
+Run with ``PYTHONPATH=src python -m repro.bench geoblocks``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.bench.federation import _assert_identical, make_federation
+from repro.bench.fleets import EXTENT, uncapped_portal
 from repro.bench.frontdoor import make_livelocal_portal
 from repro.bench.harness import StreamSummary
-from repro.bench.report import run_stamp
+from repro.bench.report import timed
+from repro.bench.runner import Bench
 from repro.geoblocks import GeoBlockConfig, PolygonResult, SlidingWindow
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cells_covering
 from repro.portal import SensorMapPortal, SensorQuery
-from repro.workloads import LiveLocalWorkload, PolygonWorkload
+from repro.workloads import CITIES, LiveLocalWorkload, PolygonWorkload
 
 STALENESS = 900.0
 SENSOR_TYPE = "restaurant"  # the Live-Local fleet's type
@@ -76,18 +74,13 @@ def make_polygon_portal(
     n_sensors: int, seed: int, cell_degrees: float = CELL_DEGREES
 ) -> SensorMapPortal:
     """The Live-Local fleet behind an uncapped portal with a geoblock
-    grid (the polygon fast path requires exact sub-queries)."""
-    portal = SensorMapPortal(
-        max_sensors_per_query=None,
-        geoblocks=GeoBlockConfig(cell_degrees=cell_degrees),
-    )
-    portal.register_all(
+    grid."""
+    return uncapped_portal(
         LiveLocalWorkload(
             n_sensors=n_sensors, expiry_seconds=2.0 * STALENESS, seed=seed
-        ).sensors()
+        ).sensors(),
+        geoblocks=GeoBlockConfig(cell_degrees=cell_degrees),
     )
-    portal.rebuild_index()
-    return portal
 
 
 def _sensor_ids(result) -> set[int]:
@@ -105,7 +98,6 @@ def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
     """``execute_polygon`` on a rectangle drawn as a polygon must be a
     bit-identical pass-through of ``execute`` on the ``Rect`` — cold and
     warm, unsharded and federated."""
-    wall_start = time.perf_counter()
     rects = [
         spec.region
         for spec in LiveLocalWorkload(
@@ -134,10 +126,6 @@ def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
 
     # Federated: the coordinator scatters execute_polygon to the shards;
     # a rectangle-polygon must normalize before any clipping happens.
-    from repro.bench.federation import EXTENT
-
-    import numpy as np
-
     rng = np.random.default_rng(seed + 9)
     fed_a = make_federation(n_sensors, seed, n_shards)
     fed_b = make_federation(n_sensors, seed, n_shards)
@@ -163,7 +151,6 @@ def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
         "n_shards": n_shards,
         "single_cells": single_cells,
         "federated_cells": federated_cells,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
@@ -177,7 +164,6 @@ def run_conservation_probe(
     contains: twin fresh portals, one answering through the geoblock
     planner and one through the exact Region path, must return exactly
     the same sensor-id sets for every workload family."""
-    wall_start = time.perf_counter()
     workload = PolygonWorkload(
         n_sensors=n_sensors,
         n_queries=n_polygons,
@@ -190,14 +176,10 @@ def run_conservation_probe(
     # rebuilds): one composes through the cell plan, one answers via the
     # exact Region path.
     sensors = workload.sensors()
-    portal_grid = SensorMapPortal(
-        max_sensors_per_query=None,
-        geoblocks=GeoBlockConfig(cell_degrees=CELL_DEGREES),
+    portal_grid = uncapped_portal(
+        sensors, geoblocks=GeoBlockConfig(cell_degrees=CELL_DEGREES)
     )
-    portal_exact = SensorMapPortal(max_sensors_per_query=None)
-    for portal in (portal_grid, portal_exact):
-        portal.register_all(sensors)
-        portal.rebuild_index()
+    portal_exact = uncapped_portal(sensors)
     compared = 0
     mismatches = 0
     grid_path = 0
@@ -220,7 +202,6 @@ def run_conservation_probe(
         "mismatches": mismatches,
         "grid_path": grid_path,
         "by_family": by_family,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
@@ -237,7 +218,6 @@ def run_sweep_probe(
     reading listeners, then the warm run must serve every interior cell
     from the mirror with zero interior probes.  Finer grids push more
     of the cover into the (probe-free) interior."""
-    wall_start = time.perf_counter()
     workload = PolygonWorkload(
         n_sensors=n_sensors,
         n_queries=8,
@@ -281,7 +261,6 @@ def run_sweep_probe(
         "n_sensors": n_sensors,
         "bbox_area_degrees2": region.bounding_box.area,
         "levels": levels,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
@@ -299,7 +278,6 @@ def run_window_probe(
     """A viewport panning one cell east per step: each step must reuse
     exactly the cells shared with the previous cover and refresh only
     the enter strip."""
-    wall_start = time.perf_counter()
     portal = make_polygon_portal(n_sensors, seed, cell_degrees=cell_degrees)
     window = SlidingWindow(
         portal,
@@ -310,8 +288,6 @@ def run_window_probe(
     )
     # Start over the densest metro in the fleet (New York) so the
     # window actually aggregates sensors, and pan east.
-    from repro.workloads import CITIES
-
     anchor = max(CITIES, key=lambda c: c.population)
     span = viewport_cells * cell_degrees
     records = []
@@ -361,7 +337,6 @@ def run_window_probe(
         "window_cells_reused_total": portal.network.stats.window_cells_reused,
         "aggregated_any": any(r["window_aggregate"] is not None for r in records),
         "records": records,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
@@ -372,7 +347,6 @@ def run_stream_probe(n_sensors: int, n_queries: int, seed: int) -> dict:
     """The full polygon workload through one portal, twice: the cold
     pass pays probes and warms the grid, the warm pass measures how
     much of the stream the mirror then serves."""
-    wall_start = time.perf_counter()
     workload = PolygonWorkload(
         n_sensors=n_sensors,
         n_queries=n_queries,
@@ -385,176 +359,90 @@ def run_stream_probe(n_sensors: int, n_queries: int, seed: int) -> dict:
     out: dict = {"n_sensors": n_sensors, "n_queries": n_queries}
     t0 = portal.clock.now()
     for name in ("cold", "warm"):
-        grid_path = 0
-        grid_cells_served = 0
-        interior_cells = 0
-        boundary_cells = 0
-        interior_probes = 0
-        probe_free = 0
-        processing = StreamSummary()
+        results = []
         for spec in specs:
             if name == "cold":
                 target = t0 + spec.at_time
                 if target > portal.clock.now():
                     portal.clock.advance(target - portal.clock.now())
-            result = portal.execute_polygon(
-                SensorQuery(
-                    region=spec.region,
-                    staleness_seconds=spec.staleness_seconds,
+            results.append(
+                portal.execute_polygon(
+                    SensorQuery(
+                        region=spec.region,
+                        staleness_seconds=spec.staleness_seconds,
+                    )
                 )
             )
-            processing.add(result.processing_seconds)
-            if isinstance(result, PolygonResult):
-                grid_path += 1
-                grid_cells_served += result.grid_cells_served
-                interior_cells += result.interior_cells
-                boundary_cells += result.boundary_cells
-                interior_probes += result.interior_probes
-                if result.interior_probes == 0:
-                    probe_free += 1
+        planned = [r for r in results if isinstance(r, PolygonResult)]
         out[name] = {
-            "grid_path": grid_path,
-            "interior_cells": interior_cells,
-            "boundary_cells": boundary_cells,
-            "grid_cells_served": grid_cells_served,
-            "interior_probes": interior_probes,
-            "interior_probe_free_queries": probe_free,
-            "processing_seconds": processing.as_dict(),
+            "grid_path": len(planned),
+            "interior_cells": sum(r.interior_cells for r in planned),
+            "boundary_cells": sum(r.boundary_cells for r in planned),
+            "grid_cells_served": sum(r.grid_cells_served for r in planned),
+            "interior_probes": sum(r.interior_probes for r in planned),
+            "interior_probe_free_queries": sum(
+                r.interior_probes == 0 for r in planned
+            ),
+            "processing_seconds": StreamSummary(
+                r.processing_seconds for r in results
+            ).as_dict(),
         }
     out["grid"] = portal.geoblocks().stats.__dict__.copy()
     out["network"] = {
         "polygon_cells_interior": portal.network.stats.polygon_cells_interior,
         "polygon_cells_boundary": portal.network.stats.polygon_cells_boundary,
     }
-    out["wall_seconds"] = time.perf_counter() - wall_start
     return out
 
 
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
-def run_geoblocks_bench(
-    n_sensors: int = 40_000,
-    n_queries: int = 300,
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    if quick:
-        n_sensors, n_queries = 2_500, 60
-    bench_start = time.perf_counter()
-    parity = run_parity_probe(min(n_sensors, 4_000), seed)
-    conservation = run_conservation_probe(min(n_sensors, 8_000), seed)
-    sweep = run_sweep_probe(min(n_sensors, 8_000), seed)
-    window = run_window_probe(min(n_sensors, 8_000), seed)
-    stream = run_stream_probe(n_sensors, n_queries, seed)
+def run(n_sensors: int, n_queries: int, seed: int) -> dict:
+    parity = timed(run_parity_probe, min(n_sensors, 4_000), seed)
+    conservation = timed(run_conservation_probe, min(n_sensors, 8_000), seed)
+    sweep = timed(run_sweep_probe, min(n_sensors, 8_000), seed)
+    window = timed(run_window_probe, min(n_sensors, 8_000), seed)
+    stream = timed(run_stream_probe, n_sensors, n_queries, seed)
     fractions = [level["boundary_fraction"] for level in sweep["levels"]]
-    checks = {
-        "rect_parity_single_portal": parity["single_cells"] > 0,
-        "rect_parity_federated": parity["federated_cells"] > 0,
-        "polygon_conservation": conservation["mismatches"] == 0
-        and conservation["compared"] > 0,
-        "warm_interior_probe_free": all(
-            level["warm_interior_probes"] == 0 for level in sweep["levels"]
-        )
-        and stream["warm"]["interior_probes"] == 0,
-        "warm_interior_grid_served": all(
-            level["warm_grid_cells_served"] == level["interior_cells"]
-            for level in sweep["levels"]
-        ),
-        "boundary_fraction_shrinks_with_cells": all(
-            a >= b for a, b in zip(fractions, fractions[1:])
-        )
-        and fractions[-1] < fractions[0],
-        "stream_warm_serves_interior_from_grid": stream["warm"]["grid_cells_served"]
-        > 0,
-        "window_exact_symmetric_difference": window["exact_symmetric_difference"],
-        "window_reused_fraction_ge_60pct": window["steady_reused_fraction"] >= 0.60,
-    }
     return {
-        "benchmark": "geoblocks",
-        **run_stamp(wall_seconds=time.perf_counter() - bench_start),
-        "workload": {
-            "n_sensors": n_sensors,
-            "n_queries": n_queries,
-            "seed": seed,
-            "quick": quick,
-            "staleness_seconds": STALENESS,
-            "cell_degrees": CELL_DEGREES,
+        "phases": {
+            "parity": parity,
+            "conservation": conservation,
+            "sweep": sweep,
+            "window": window,
+            "stream": stream,
         },
-        "parity": parity,
-        "conservation": conservation,
-        "sweep": sweep,
-        "window": window,
-        "stream": stream,
-        "checks": checks,
+        "checks": {
+            "rect_parity_single_portal": parity["single_cells"] > 0,
+            "rect_parity_federated": parity["federated_cells"] > 0,
+            "polygon_conservation": conservation["mismatches"] == 0
+            and conservation["compared"] > 0,
+            "warm_interior_probe_free": all(
+                level["warm_interior_probes"] == 0 for level in sweep["levels"]
+            )
+            and stream["warm"]["interior_probes"] == 0,
+            "warm_interior_grid_served": all(
+                level["warm_grid_cells_served"] == level["interior_cells"]
+                for level in sweep["levels"]
+            ),
+            "boundary_fraction_shrinks_with_cells": all(
+                a >= b for a, b in zip(fractions, fractions[1:])
+            )
+            and fractions[-1] < fractions[0],
+            "stream_warm_serves_interior_from_grid": stream["warm"][
+                "grid_cells_served"
+            ]
+            > 0,
+            "window_exact_symmetric_difference": window[
+                "exact_symmetric_difference"
+            ],
+            "window_reused_fraction_ge_60pct": window["steady_reused_fraction"]
+            >= 0.60,
+        },
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=40_000)
-    parser.add_argument("--queries", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (gates still assertable)"
-    )
-    parser.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_geoblocks.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_geoblocks_bench(
-        n_sensors=args.sensors,
-        n_queries=args.queries,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    p = result["parity"]
-    print(
-        f"parity: {p['single_cells']} single-portal + "
-        f"{p['federated_cells']} federated rectangle-polygon cells bit-identical"
-    )
-    c = result["conservation"]
-    print(
-        f"conservation: {c['compared']} polygons, {c['mismatches']} mismatches "
-        f"({c['grid_path']} via the cell plan; families {c['by_family']})"
-    )
-    for level in result["sweep"]["levels"]:
-        print(
-            f"sweep {level['cell_degrees']:>4}°: "
-            f"{level['interior_cells']} interior / {level['boundary_cells']} boundary "
-            f"(boundary fraction {level['boundary_fraction']:.2f}), warm interior "
-            f"probes {level['warm_interior_probes']}, "
-            f"grid-served {level['warm_grid_cells_served']}"
-        )
-    w = result["window"]
-    print(
-        f"window: {w['steps']} steps, steady reused fraction "
-        f"{w['steady_reused_fraction']:.1%}, exact symmetric difference: "
-        f"{w['exact_symmetric_difference']}"
-    )
-    s = result["stream"]
-    print(
-        f"stream: {s['warm']['grid_path']}/{s['n_queries']} warm queries via the "
-        f"cell plan, {s['warm']['grid_cells_served']} cells grid-served, "
-        f"{s['warm']['interior_probes']} warm interior probes"
-    )
-    print(f"geoblocks bench -> {args.output}")
-    if args.check:
-        failed = [name for name, ok in result["checks"].items() if not ok]
-        if failed:
-            for name in failed:
-                print(f"FAIL: {name}")
-            return 1
-        print("acceptance thresholds met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="geoblocks",
+    full={"n_sensors": 40_000, "n_queries": 300, "seed": 0},
+    quick={"n_sensors": 2_500, "n_queries": 60, "seed": 0},
+    run=run,
+)

@@ -25,50 +25,37 @@ time a backend that changes answers):
   stat must match exactly.
 * **no leaked segments** — after every portal is closed, ``/dev/shm``
   must hold no segments with this run's prefix (asserted in teardown,
-  and again by ``--check``).
+  and recorded as a check).
 
-The wall-clock speedup gates are **core-count aware**: the ≥2× gate at
-4 workers needs ≥4 CPUs and the monotonic-to-8 gate needs ≥8; on
-smaller hosts they are reported as skipped (a fork worker cannot beat
-the in-process loop without a core to run on), while all three
-correctness gates above are enforced unconditionally.
+The worker sweep is capped at the host's core count (never below two
+workers), and the wall-clock speedup gates are **core-count aware**: the
+>=2x gate at 4 workers needs >=4 CPUs and the monotonic-to-8 gate needs
+>=8; on smaller hosts they are recorded as skipped (``None`` — a fork
+worker cannot beat the in-process loop without a core to run on), while
+all three correctness gates above are enforced unconditionally.
 
-Results land in ``BENCH_parallel.json`` (or ``--output``).  ``--quick``
-shrinks the fleet for CI smoke runs (all correctness gates still run);
-``--workers N`` caps the sweep at N workers; ``--check`` additionally
-asserts the acceptance gates.
-
-Run with ``PYTHONPATH=src python -m repro.bench.parallel``.
+Run with ``PYTHONPATH=src python -m repro.bench parallel``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import time
 from dataclasses import replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.bench.federation import (
     BENCH_FEDERATION,
-    FLAKY_AVAILABILITY,
-    FLAKY_FRACTION,
-    NETWORK_OPTIONS,
-    RELIABLE_AVAILABILITY,
-    SENSOR_TYPES,
-    STALENESS,
-    TICK_SECONDS,
-    _assert_identical,
+    VIEWPORT_HALF_RANGE,
     _parity_queries,
+    assert_matrix_identical,
+    drive_ticks,
     make_federation,
     make_unsharded,
-    make_viewports,
 )
-from repro.bench.report import WallTimer, run_stamp
+from repro.bench.fleets import SENSOR_TYPES, hotspot_viewports
+from repro.bench.runner import Bench
 from repro.core.flat import FlatKernel, auto_tile_nodes
 from repro.parallel import leaked_segments
 
@@ -90,7 +77,7 @@ def check_tiled_parity(n_sensors: int, seed: int) -> int:
     (tree, tile, region) cells compared."""
     portal = make_unsharded(n_sensors, seed)
     regions = [q.region for q in _parity_queries()]
-    regions += [q.region for q in make_viewports(8, seed + 99)]
+    regions += [q.region for q in hotspot_viewports(8, seed + 99, VIEWPORT_HALF_RANGE)]
     cells = 0
     sizes = TILE_SIZES + (auto_tile_nodes(),)
     for sensor_type in SENSOR_TYPES:
@@ -113,31 +100,12 @@ def check_process_parity(n_sensors: int, seed: int, n_shards: int = 2) -> int:
     in-process coordinator on the same fleet and seeds — per-answer
     fields, modeled timings, batch stats and federation counters — cold
     and warm.  Returns the number of (phase, query) cells compared."""
-    cells = 0
     inproc = make_federation(n_sensors, seed, n_shards)
     proc = make_federation(
         n_sensors, seed, n_shards, federation=PROCESS_FEDERATION
     )
     try:
-        for phase in ("cold", "warm"):
-            for qi, query in enumerate(_parity_queries()):
-                _assert_identical(
-                    f"process/{phase}/q{qi}",
-                    inproc.execute(query),
-                    proc.execute(query),
-                )
-                cells += 1
-            a = inproc.execute_batch(_parity_queries())
-            b = proc.execute_batch(_parity_queries())
-            for qi, (ra, rb) in enumerate(zip(a.results, b.results)):
-                _assert_identical(f"process/{phase}/batch-q{qi}", ra, rb)
-                cells += 1
-            if a.stats != b.stats:
-                raise AssertionError(
-                    f"parity[process/{phase}]: batch stats diverged"
-                )
-            inproc.clock.advance(TICK_SECONDS)
-            proc.clock.advance(TICK_SECONDS)
+        cells = assert_matrix_identical("process", inproc, proc)
         fa = inproc.stats_summary()["federation"]
         fb = proc.stats_summary()["federation"]
         if fa != fb:
@@ -150,40 +118,23 @@ def check_process_parity(n_sensors: int, seed: int, n_shards: int = 2) -> int:
 # ----------------------------------------------------------------------
 # Throughput
 # ----------------------------------------------------------------------
-def _drive(fed, queries: Sequence, ticks: int) -> dict:
-    """Run ``ticks`` batch ticks and report wall / modeled seconds."""
-    modeled = 0.0
-    coordinator_wall = 0.0
-    with WallTimer() as timer:
-        for _ in range(ticks):
-            batch = fed.execute_batch(queries)
-            modeled += max(batch.shard_seconds.values(), default=0.0)
-            coordinator_wall += batch.stats.wall_seconds
-            fed.clock.advance(TICK_SECONDS)
-    return {
-        "wall_seconds": timer.seconds,
-        "batch_wall_seconds": coordinator_wall,
-        "modeled_seconds": modeled,
-    }
-
-
 def run_worker_count(
     n_sensors: int, n_workers: int, level: int, ticks: int, seed: int
 ) -> dict:
     """One sweep row: the identical workload through the in-process
     coordinator and the process backend at ``n_workers`` shards."""
-    queries = make_viewports(level, seed + level)
+    queries = hotspot_viewports(level, seed + level, VIEWPORT_HALF_RANGE)
     n_queries = ticks * level
 
     inproc = make_federation(n_sensors, seed, n_workers)
-    baseline = _drive(inproc, queries, ticks)
+    baseline = drive_ticks(inproc, queries, ticks)
 
     proc = make_federation(
         n_sensors, seed, n_workers, federation=PROCESS_FEDERATION
     )
     try:
         worker_pids = [proc.worker_pid(i) for i in range(n_workers)]
-        process = _drive(proc, queries, ticks)
+        process = drive_ticks(proc, queries, ticks)
     finally:
         proc.close()
 
@@ -197,158 +148,71 @@ def run_worker_count(
             "inprocess": n_queries / max(1e-12, baseline["wall_seconds"]),
             "process": n_queries / max(1e-12, process["wall_seconds"]),
         },
-        "process_vs_inprocess_wall": baseline["wall_seconds"]
+        "wall_speedup_process_vs_inprocess": baseline["wall_seconds"]
         / max(1e-12, process["wall_seconds"]),
     }
 
 
-def run_parallel_bench(
-    n_sensors: int = 40_000,
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    level: int = 64,
-    ticks: int = 4,
-    seed: int = 0,
-    quick: bool = False,
+def run(
+    n_sensors: int, worker_counts: Sequence[int], level: int, ticks: int, seed: int
 ) -> dict:
-    if quick:
-        n_sensors, level, ticks = 2_500, 16, 2
-        worker_counts = tuple(n for n in worker_counts if n <= 4)
-    bench_start = time.perf_counter()
+    cores = os.cpu_count() or 1
+    worker_counts = [n for n in worker_counts if n <= max(2, cores)]
+    gate_sensors = min(n_sensors, 4_000)
 
-    tiled_cells = check_tiled_parity(min(n_sensors, 4_000), seed)
-    parity_cells = check_process_parity(min(n_sensors, 4_000), seed)
+    tiled_cells = check_tiled_parity(gate_sensors, seed)
+    process_cells = check_process_parity(gate_sensors, seed)
 
-    per_count = [
-        run_worker_count(n_sensors, n, level, ticks, seed) for n in worker_counts
-    ]
-    base = per_count[0]["process"]["wall_seconds"]
-    for row in per_count:
-        row["speedup_vs_1_worker"] = base / max(
+    rows = {
+        n: run_worker_count(n_sensors, n, level, ticks, seed) for n in worker_counts
+    }
+    base = rows[worker_counts[0]]["process"]["wall_seconds"]
+    for row in rows.values():
+        row["wall_speedup_vs_1_worker"] = base / max(
             1e-12, row["process"]["wall_seconds"]
         )
-
-    leaked = [s for s in leaked_segments()]
+    curve = [row["wall_speedup_vs_1_worker"] for row in rows.values()]
+    speedup_at_4 = monotonic_to_8 = None  # skipped without the cores
+    if cores >= 4 and 4 in rows:
+        speedup_at_4 = rows[4]["wall_speedup_vs_1_worker"] >= 2.0
+    if cores >= 8 and 8 in rows:
+        monotonic_to_8 = all(a <= b for a, b in zip(curve, curve[1:]))
+    leaked = leaked_segments()
     return {
-        "benchmark": "parallel_federation",
-        **run_stamp(),
-        "workload": {
-            "n_sensors": n_sensors,
-            "worker_counts": list(worker_counts),
-            "level": level,
-            "ticks": ticks,
-            "tick_seconds": TICK_SECONDS,
-            "seed": seed,
-            "quick": quick,
-            "cpu_count": os.cpu_count(),
-            "auto_tile_nodes": auto_tile_nodes(),
-            "tile_sizes_checked": list(TILE_SIZES),
-            "staleness_seconds": STALENESS,
-            "sensor_types": list(SENSOR_TYPES),
-            "flaky_fraction": FLAKY_FRACTION,
-            "availabilities": {
-                "reliable": RELIABLE_AVAILABILITY,
-                "flaky": FLAKY_AVAILABILITY,
+        "phases": {
+            "parity": {
+                "tiled_cells": tiled_cells,
+                "process_cells": process_cells,
+                "leaked_segments": leaked,
             },
-            "network": dict(NETWORK_OPTIONS),
-            "federation_config": {
-                "execution": PROCESS_FEDERATION.execution,
-                "shard_retry_budget": PROCESS_FEDERATION.shard_retry_budget,
-                "retry_backoff_base": PROCESS_FEDERATION.retry_backoff_base,
-                "retry_backoff_multiplier": (
-                    PROCESS_FEDERATION.retry_backoff_multiplier
-                ),
-            },
+            **{f"workers_{n}": row for n, row in rows.items()},
         },
-        "parity": {
-            "status": "identical",
-            "tiled_cells": tiled_cells,
-            "process_cells": parity_cells,
+        "checks": {
+            # Both parity gates raise: reaching this line is the pass.
+            "tiled_classification_identical": tiled_cells > 0,
+            "process_backend_bit_identical": process_cells > 0,
+            "no_leaked_segments": not leaked,
+            "wall_speedup_ge_2x_at_4_workers": speedup_at_4,
+            "wall_speedup_monotonic_to_8_workers": monotonic_to_8,
         },
-        "leaked_segments": leaked,
-        "wall_seconds": time.perf_counter() - bench_start,
-        "worker_counts": per_count,
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=40_000)
-    parser.add_argument("--level", type=int, default=64)
-    parser.add_argument("--ticks", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="cap the worker-count sweep (subset of 1/2/4/8)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (all gates still run)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="assert the acceptance gates (bit-identity and no-leak always; "
-        ">=2x wall throughput at 4 workers and monotonic scaling to 8 only "
-        "when the host has the cores)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_parallel.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    counts = tuple(n for n in (1, 2, 4, 8) if n <= max(1, args.workers))
-    result = run_parallel_bench(
-        n_sensors=args.sensors,
-        worker_counts=counts,
-        level=args.level,
-        ticks=args.ticks,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    print(
-        f"parity: tiled {result['parity']['tiled_cells']} cells, "
-        f"process backend {result['parity']['process_cells']} cells identical"
-    )
-    for row in result["worker_counts"]:
-        print(
-            f"  {row['workers']:>2} workers: {row['queries']} queries, wall "
-            f"{row['inprocess']['wall_seconds']:.2f}s inprocess -> "
-            f"{row['process']['wall_seconds']:.2f}s process "
-            f"({row['wall_throughput_qps']['process']:.1f} q/s, "
-            f"{row['speedup_vs_1_worker']:.2f}x vs 1 worker)"
-        )
-    print(f"parallel bench -> {args.output}")
-    if args.check:
-        if result["leaked_segments"]:
-            print(f"FAIL: leaked shm segments {result['leaked_segments']}")
-            return 1
-        cores = os.cpu_count() or 1
-        rows = {r["workers"]: r for r in result["worker_counts"]}
-        if cores >= 4 and 4 in rows and 1 in rows:
-            speedup = rows[4]["speedup_vs_1_worker"]
-            if speedup < 2.0:
-                print(f"FAIL: 4-worker wall speedup {speedup:.2f}x < 2x")
-                return 1
-            print(f"4-worker wall speedup {speedup:.2f}x >= 2x")
-        else:
-            print(f"2x-at-4-workers gate skipped ({cores} cores)")
-        if cores >= 8 and 8 in rows:
-            curve = [
-                rows[n]["speedup_vs_1_worker"] for n in (1, 2, 4, 8) if n in rows
-            ]
-            if any(b < a for a, b in zip(curve, curve[1:])):
-                print(f"FAIL: speedup curve not monotonic: {curve}")
-                return 1
-            print(f"speedup curve monotonic to 8 workers: {curve}")
-        else:
-            print(f"monotonic-to-8 gate skipped ({cores} cores)")
-        print("acceptance gates met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="parallel",
+    full={
+        "n_sensors": 40_000,
+        "worker_counts": (1, 2, 4, 8),
+        "level": 64,
+        "ticks": 4,
+        "seed": 0,
+    },
+    quick={
+        "n_sensors": 2_500,
+        "worker_counts": (1, 2),
+        "level": 16,
+        "ticks": 2,
+        "seed": 0,
+    },
+    run=run,
+)

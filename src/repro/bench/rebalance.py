@@ -1,6 +1,6 @@
 """Rebalance benchmark: probe-free migration, mid-rebalance conservation, churn.
 
-Three probes, each with its own acceptance gate (``--check``):
+Three probes, each with its own acceptance gates:
 
 * **Probe-free migration** — a warm federation migrates a sensor batch
   between shards (slot-cache entries shipped with their original fetch
@@ -22,32 +22,25 @@ Three probes, each with its own acceptance gate (``--check``):
   number of steps.  Gates: conservation holds at every probe tick and
   the bounded steps keep imbalance under control despite the drift.
 
-Results land in ``BENCH_rebalance.json`` (or ``--output``);
-``--quick`` shrinks the fleet for CI smoke runs (every gate still
-asserted under ``--check``).
+``--quick`` shrinks the fleet; every gate is still checked.
 
-Run with ``PYTHONPATH=src python -m repro.bench.rebalance``.
+Run with ``PYTHONPATH=src python -m repro.bench rebalance``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
-from repro.bench.report import run_stamp
+from repro.bench.fleets import EXTENT
+from repro.bench.report import timed
+from repro.bench.runner import Bench
 from repro.core.config import COLRTreeConfig
 from repro.federation import FederatedPortal
 from repro.geometry import GeoPoint, Rect
 from repro.portal.query import SensorQuery
-from repro.rebalance import JoinSpec, RebalanceConfig, Rebalancer, ShardMover
+from repro.rebalance import RebalanceConfig, Rebalancer, ShardMover
 from repro.workloads.churn import ChurnWorkload
 
-EXTENT = 100.0
 WHOLE = Rect(0.0, 0.0, EXTENT, EXTENT)
 
 
@@ -100,7 +93,6 @@ def _distinct_ids(result) -> tuple[set[int], int]:
 
 def run_probe_free(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
     """Migration vs cold rebuild, probe for probe."""
-    wall_start = time.perf_counter()
     query = SensorQuery(region=WHOLE, staleness_seconds=600.0)
     migrated = _uniform_fed(n_sensors, seed, n_shards)
     rebuilt = _uniform_fed(n_sensors, seed, n_shards)
@@ -135,13 +127,11 @@ def run_probe_free(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
         "migrate_weight": mig_result.result_weight,
         "migrate_duplicates": mig_raw - len(mig_ids),
         "rebuild_weight": reb_result.result_weight,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
 def run_conservation(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
     """Conservation-exact routing at every two-phase checkpoint."""
-    wall_start = time.perf_counter()
     fed = FederatedPortal(
         partitioner=_FixedStripsPartitioner(n_shards),
         config=COLRTreeConfig(caching_enabled=False, oversampling_enabled=False),
@@ -220,13 +210,11 @@ def run_conservation(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
         "initial_imbalance": initial,
         "final_imbalance": final,
         "conservation_failures": failures,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
 def run_churn(n_sensors: int, ticks: int, seed: int, n_shards: int = 4) -> dict:
     """Bounded rebalancing absorbing a drifting join/leave stream."""
-    wall_start = time.perf_counter()
     fed = _uniform_fed(n_sensors, seed, n_shards)
     workload = ChurnWorkload(
         extent=EXTENT,
@@ -276,119 +264,47 @@ def run_churn(n_sensors: int, ticks: int, seed: int, n_shards: int = 4) -> dict:
         "mean_imbalance": sum(imbalances) / len(imbalances) if imbalances else 0.0,
         "max_imbalance": max(imbalances, default=0.0),
         "conservation_failures": failures,
-        "wall_seconds": time.perf_counter() - wall_start,
     }
 
 
-def run_rebalance_bench(
-    n_sensors: int = 4_000,
-    ticks: int = 30,
-    seed: int = 0,
-    n_shards: int = 4,
-    quick: bool = False,
-) -> dict:
-    if quick:
-        n_sensors = min(n_sensors, 600)
-        ticks = min(ticks, 10)
-    bench_start = time.perf_counter()
-    probe_free = run_probe_free(n_sensors, seed, n_shards)
-    conservation = run_conservation(n_sensors, seed, n_shards)
-    churn = run_churn(n_sensors, ticks, seed, n_shards)
-    checks = {
-        # Moved sensors stay probe-free: migration costs zero probes
-        # while the legacy full rebuild pays at least one per sensor.
-        "migration_probe_free": probe_free["migrate_probes"] == 0,
-        "rebuild_pays_cold_storm": probe_free["rebuild_probes"]
-        >= probe_free["n_sensors"],
-        "migration_answer_complete": (
-            probe_free["migrate_weight"] == probe_free["n_sensors"]
-            and probe_free["rebuild_weight"] == probe_free["n_sensors"]
-            and probe_free["migrate_duplicates"] == 0
-        ),
-        # Routing conservation holds at every two-phase checkpoint.
-        "rebalance_made_progress": conservation["steps"] >= 1,
-        "conservation_exact_at_checkpoints": not conservation[
-            "conservation_failures"
-        ],
-        "imbalance_reduced": conservation["final_imbalance"]
-        < conservation["initial_imbalance"],
-        # Churn stays absorbed with bounded steps.
-        "churn_conservation_exact": not churn["conservation_failures"],
-        "churn_steps_bounded": churn["rebalance_steps"] <= 2 * churn["ticks"],
-    }
+def run(n_sensors: int, ticks: int, n_shards: int, seed: int) -> dict:
+    probe_free = timed(run_probe_free, n_sensors, seed, n_shards)
+    conservation = timed(run_conservation, n_sensors, seed, n_shards)
+    churn = timed(run_churn, n_sensors, ticks, seed, n_shards)
     return {
-        "config": {
-            "n_sensors": n_sensors,
-            "ticks": ticks,
-            "seed": seed,
-            "n_shards": n_shards,
-            "quick": quick,
+        "phases": {
+            "probe_free": probe_free,
+            "conservation": conservation,
+            "churn": churn,
         },
-        "probe_free": probe_free,
-        "conservation": conservation,
-        "churn": churn,
-        "checks": checks,
-        **run_stamp(wall_seconds=time.perf_counter() - bench_start),
+        "checks": {
+            # Moved sensors stay probe-free: migration costs zero probes
+            # while the legacy full rebuild pays at least one per sensor.
+            "migration_probe_free": probe_free["migrate_probes"] == 0,
+            "rebuild_pays_cold_storm": probe_free["rebuild_probes"]
+            >= probe_free["n_sensors"],
+            "migration_answer_complete": (
+                probe_free["migrate_weight"] == probe_free["n_sensors"]
+                and probe_free["rebuild_weight"] == probe_free["n_sensors"]
+                and probe_free["migrate_duplicates"] == 0
+            ),
+            # Routing conservation holds at every two-phase checkpoint.
+            "rebalance_made_progress": conservation["steps"] >= 1,
+            "conservation_exact_at_checkpoints": not conservation[
+                "conservation_failures"
+            ],
+            "imbalance_reduced": conservation["final_imbalance"]
+            < conservation["initial_imbalance"],
+            # Churn stays absorbed with bounded steps.
+            "churn_conservation_exact": not churn["conservation_failures"],
+            "churn_steps_bounded": churn["rebalance_steps"] <= 2 * churn["ticks"],
+        },
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=4_000)
-    parser.add_argument("--ticks", type=int, default=30)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (gates still assertable)"
-    )
-    parser.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_rebalance.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_rebalance_bench(
-        n_sensors=args.sensors,
-        ticks=args.ticks,
-        seed=args.seed,
-        n_shards=args.shards,
-        quick=args.quick,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    p = result["probe_free"]
-    print(
-        f"probe-free: moved {p['moved_sensors']} sensors for "
-        f"{p['migrate_probes']} probes vs {p['rebuild_probes']} cold-rebuild "
-        f"probes ({p['n_sensors']} sensors)"
-    )
-    c = result["conservation"]
-    print(
-        f"conservation: {c['steps']} steps ({', '.join(c['step_ops']) or 'none'}), "
-        f"{c['checkpoints']} checkpoints, imbalance "
-        f"{c['initial_imbalance']:.2f} -> {c['final_imbalance']:.2f}, "
-        f"{len(c['conservation_failures'])} failures"
-    )
-    h = result["churn"]
-    print(
-        f"churn: {h['ticks']} ticks, fleet {h['n_sensors_initial']} -> "
-        f"{h['n_sensors_final']}, {h['rebalance_steps']} bounded steps, "
-        f"mean imbalance {h['mean_imbalance']:.2f}, "
-        f"{len(h['conservation_failures'])} failures"
-    )
-    print(f"rebalance bench -> {args.output}")
-    if args.check:
-        failed = [name for name, ok in result["checks"].items() if not ok]
-        if failed:
-            for name in failed:
-                print(f"FAIL: {name}")
-            return 1
-        print("acceptance thresholds met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="rebalance",
+    full={"n_sensors": 4_000, "ticks": 30, "n_shards": 4, "seed": 0},
+    quick={"n_sensors": 600, "ticks": 10, "n_shards": 4, "seed": 0},
+    run=run,
+)

@@ -6,10 +6,12 @@ Every figure driver prints through this module so the regenerated
 
 from __future__ import annotations
 
+import os
 import subprocess
 import time
 from dataclasses import asdict
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Sequence
 
 
 class WallTimer:
@@ -39,52 +41,64 @@ class WallTimer:
         self._start = None
 
 
-def git_fingerprint() -> dict[str, object]:
+def timed(phase, *args) -> dict:
+    """Run one bench phase and record its host time beside its results."""
+    with WallTimer() as timer:
+        out = phase(*args)
+    out["wall_seconds"] = timer.seconds
+    return out
+
+
+def git_fingerprint(checkout: Path = Path(__file__).parent) -> dict[str, object]:
     """The commit this bench ran against, for artifact attribution.
 
     Returns ``{"git_commit": <sha or None>, "git_dirty": <bool or
-    None>}``.  ``None``s mean git itself was unavailable (artifact
+    None>}``, read from ``checkout`` (by default the one this module
+    lives in).  ``None``s mean git itself was unavailable (artifact
     built outside a checkout) — the artifact stays valid, just
     unattributed.  ``git_dirty`` is true when tracked files differ from
     the commit, so a perf number from an uncommitted tree can never
-    masquerade as the commit's.
+    masquerade as the commit's.  The root ``BENCH_*.json`` artifacts
+    are outputs, not inputs: rewriting one must not mark the run that
+    writes the next one dirty.
     """
+
+    def git(*argv: str) -> str:
+        return subprocess.run(
+            ["git", *argv],
+            cwd=checkout,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
+        commit = git("rev-parse", "HEAD")
+        status = git(
+            "status",
+            "--porcelain",
+            "--untracked-files=no",
+            "--",
+            ":(top)",
+            ":(top,exclude)BENCH_*.json",
+        )
     except (OSError, subprocess.SubprocessError):
         return {"git_commit": None, "git_dirty": None}
     return {"git_commit": commit, "git_dirty": bool(status)}
 
 
-def run_stamp(wall_seconds: float | None = None) -> dict[str, object]:
-    """The standard ``BENCH_*.json`` header fields: wall clock of the
-    run, when it ran, and which commit produced it."""
-    stamp: dict[str, object] = {"unix_time": int(time.time())}
-    if wall_seconds is not None:
-        stamp["wall_seconds"] = wall_seconds
-    stamp.update(git_fingerprint())
-    return stamp
-
-
-def summary_columns(summary: "Mapping[str, float] | object") -> tuple[float, ...]:
-    """The (p50, p95, p99) cells for a latency column triple — accepts a
-    :class:`repro.bench.harness.StreamSummary` or its ``as_dict``."""
-    if isinstance(summary, Mapping):
-        return (float(summary["p50"]), float(summary["p95"]), float(summary["p99"]))
-    return (float(summary.p50), float(summary.p95), float(summary.p99))
+def run_stamp(wall_seconds: float) -> dict[str, object]:
+    """The ``stamp`` of a ``BENCH_*.json``: when the run happened, how
+    long it took on which host, and which commit produced it — the only
+    part of an artifact, beside its ``*wall_*`` leaves, that differs
+    between two runs of one commit."""
+    return {
+        "unix_time": int(time.time()),
+        "wall_seconds": wall_seconds,
+        "cpu_count": os.cpu_count(),
+        **git_fingerprint(),
+    }
 
 
 def format_table(

@@ -29,7 +29,7 @@ measures what the storage engine costs and what recovery buys:
     revives it through disk recovery, and checks the modeled recovery
     time is reported and charged to the revived shard's next gather.
 
-Acceptance gates (asserted under ``--check``):
+Acceptance gates:
 
 - crash reopen bit-identical (weights and sums) with zero probes;
 - checkpoint reopen exact weights, sums to 1e-9 relative tolerance,
@@ -40,37 +40,32 @@ Acceptance gates (asserted under ``--check``):
 - ``revive_shard`` returns positive modeled recovery seconds and the
   next gather's collection makespan is at least that long.
 
-Results land in ``BENCH_storage.json`` (or ``--output``).  ``--quick``
-shrinks the workload for CI smoke runs (gates still asserted with
-``--check``).
+``--quick`` shrinks the workload; the gates are unchanged.
 
-Run with ``PYTHONPATH=src python -m repro.bench.storage``.
+Run with ``PYTHONPATH=src python -m repro.bench storage``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.bench.report import run_stamp
+from repro.bench.fleets import (
+    STALENESS,
+    TICK_SECONDS,
+    hotspot_pool,
+    uncapped_portal,
+    uniform_fleet,
+)
+from repro.bench.runner import Bench
 from repro.federation.federated import FederatedPortal
-from repro.geometry import GeoPoint, Rect
 from repro.portal import SensorMapPortal, SensorQuery
-from repro.sensors.registry import SensorRegistry
 from repro.sensors.sensor import Sensor
 from repro.storage import StorageConfig
 
-EXTENT = 100.0
-STALENESS = 120.0
-TICK_SECONDS = 45.0
-SENSOR_TYPES = ("temperature", "humidity")
 WARM_PROBE_RATIO_MAX = 0.2
 SUM_RTOL = 1e-9
 
@@ -79,19 +74,9 @@ def make_fleet(n_sensors: int, seed: int) -> list[Sensor]:
     """A deterministic sensor fleet, reusable across portal opens (the
     same ``Sensor`` objects register identically against a fresh portal
     and a recovered one)."""
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, EXTENT, n_sensors)
-    ys = rng.uniform(0.0, EXTENT, n_sensors)
-    expiries = rng.uniform(150.0, 600.0, n_sensors)
-    registry = SensorRegistry()
-    return [
-        registry.register(
-            GeoPoint(float(xs[i]), float(ys[i])),
-            expiry_seconds=float(expiries[i]),
-            sensor_type=SENSOR_TYPES[i % len(SENSOR_TYPES)],
-        )
-        for i in range(n_sensors)
-    ]
+    return uniform_fleet(
+        n_sensors, seed, expiry=(150.0, 600.0), types=("temperature", "humidity")
+    )
 
 
 def open_portal(
@@ -100,29 +85,14 @@ def open_portal(
     """Open (or recover) a portal over the fleet; ``data_dir=None``
     keeps it in-memory."""
     storage = StorageConfig(data_dir=data_dir) if data_dir is not None else None
-    portal = SensorMapPortal(
-        max_sensors_per_query=None, network_seed=seed, storage=storage
-    )
-    portal.register_all(list(fleet))
-    portal.rebuild_index()
-    return portal
+    return uncapped_portal(fleet, network_seed=seed, storage=storage)
 
 
 def make_viewports(n_viewports: int, seed: int) -> list[SensorQuery]:
-    rng = np.random.default_rng(seed)
-    queries = []
-    for _ in range(n_viewports):
-        cx = float(rng.uniform(10.0, EXTENT - 10.0))
-        cy = float(rng.uniform(10.0, EXTENT - 10.0))
-        half = float(rng.uniform(3.0, 8.0))
-        queries.append(
-            SensorQuery(
-                region=Rect(cx - half, cy - half, cx + half, cy + half),
-                staleness_seconds=STALENESS,
-                aggregate="sum",
-            )
-        )
-    return queries
+    return [
+        SensorQuery(region=region, staleness_seconds=STALENESS, aggregate="sum")
+        for region in hotspot_pool(n_viewports, seed, (3.0, 8.0), margin=10.0)
+    ]
 
 
 def run_tick(portal, queries: Sequence[SensorQuery]) -> dict:
@@ -317,137 +287,38 @@ def run_federation_phase(
     return out
 
 
-def gate_failures(result: dict) -> list[str]:
-    """Every acceptance-gate violation in a bench result (empty = pass)."""
-    single = result["single_portal"]
-    fed = result["federation"]
-    checks = [
-        ("durability overhead changed answers", single["overhead"]["answers_identical"]),
-        ("crash reopen not bit-identical", single["crash"]["bit_identical"]),
-        ("crash reopen not probe-free", single["crash"]["probe_free"]),
-        ("crash workload answered nothing", single["crash"]["nonzero_answers"]),
-        ("checkpoint reopen weights diverged", single["checkpoint"]["weights_exact"]),
-        ("checkpoint reopen sums diverged", single["checkpoint"]["sums_close"]),
-        ("checkpoint reopen not probe-free", single["checkpoint"]["probe_free"]),
-        ("recovery not deterministic", single["determinism"]["bit_identical"]),
-        (
-            f"warm restart probed too much "
-            f"(ratio {single['warm_probe_ratio']:.3f} > {WARM_PROBE_RATIO_MAX})",
-            single["warm_probe_ratio"] <= WARM_PROBE_RATIO_MAX,
-        ),
-        ("revive reported no recovery time", fed["revive_recovery_seconds"] > 0),
-        ("revive recovery not charged to gather", fed["recovery_charged_to_gather"]),
-        ("revived shard changed answers", fed["revived_bit_identical"]),
-    ]
-    return [message for message, ok in checks if not ok]
-
-
-def run_storage_bench(
-    n_sensors: int = 20_000,
-    n_viewports: int = 32,
-    ticks: int = 5,
-    seed: int = 0,
-    quick: bool = False,
-) -> dict:
-    if quick:
-        n_sensors, n_viewports, ticks = 2_000, 8, 3
-    bench_start = time.perf_counter()
+def run(n_sensors: int, n_viewports: int, ticks: int, seed: int) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="colr-bench-storage-"))
     try:
-        single = run_single_portal_phase(
-            n_sensors, n_viewports, ticks, seed, tmp
-        )
-        federation = run_federation_phase(
+        single = run_single_portal_phase(n_sensors, n_viewports, ticks, seed, tmp)
+        fed = run_federation_phase(
             max(200, n_sensors // 4), max(4, n_viewports // 4), seed, tmp
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    result = {
-        "benchmark": "storage_durability",
-        **run_stamp(),
-        "workload": {
-            "n_sensors": n_sensors,
-            "n_viewports": n_viewports,
-            "ticks": ticks,
-            "tick_seconds": TICK_SECONDS,
-            "staleness_seconds": STALENESS,
-            "seed": seed,
-            "quick": quick,
+    return {
+        "phases": {"single_portal": single, "federation": fed},
+        "checks": {
+            "durable_answers_identical": single["overhead"]["answers_identical"],
+            "crash_reopen_bit_identical": single["crash"]["bit_identical"],
+            "crash_reopen_probe_free": single["crash"]["probe_free"],
+            "crash_workload_answered": single["crash"]["nonzero_answers"],
+            "checkpoint_reopen_weights_exact": single["checkpoint"]["weights_exact"],
+            "checkpoint_reopen_sums_close": single["checkpoint"]["sums_close"],
+            "checkpoint_reopen_probe_free": single["checkpoint"]["probe_free"],
+            "recovery_deterministic": single["determinism"]["bit_identical"],
+            "warm_restart_probes_le_20pct_of_cold": single["warm_probe_ratio"]
+            <= WARM_PROBE_RATIO_MAX,
+            "revive_reports_recovery_seconds": fed["revive_recovery_seconds"] > 0,
+            "revive_recovery_charged_to_gather": fed["recovery_charged_to_gather"],
+            "revived_shard_bit_identical": fed["revived_bit_identical"],
         },
-        "single_portal": single,
-        "federation": federation,
-        "wall_seconds": time.perf_counter() - bench_start,
     }
-    result["gate_failures"] = gate_failures(result)
-    return result
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sensors", type=int, default=20_000)
-    parser.add_argument("--viewports", type=int, default=32)
-    parser.add_argument("--ticks", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale (gates unchanged)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless every acceptance gate passes",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_storage.json"),
-        help="where to write the JSON result",
-    )
-    args = parser.parse_args(argv)
-    result = run_storage_bench(
-        n_sensors=args.sensors,
-        n_viewports=args.viewports,
-        ticks=args.ticks,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
-    single = result["single_portal"]
-    fed = result["federation"]
-    print(
-        f"  overhead: memory {single['overhead']['memory_wall_seconds']:.2f}s, "
-        f"durable {single['overhead']['durable_wall_seconds']:.2f}s "
-        f"(wal {single['overhead']['wal_bytes']:,} B, "
-        f"{single['overhead']['io']['wal_appends']} appends, "
-        f"{single['overhead']['io']['wal_fsyncs']} fsyncs)"
-    )
-    print(
-        f"  crash recovery: {single['crash']['wal_records_replayed']} WAL "
-        f"records in {single['crash']['recovery_wall_seconds']*1e3:.1f} ms wall "
-        f"({single['crash']['recovery_modeled_seconds']*1e3:.2f} ms modeled), "
-        f"warm/cold probes {single['crash']['warm_probes']}/"
-        f"{single['crash']['cold_probes']}"
-    )
-    print(
-        f"  checkpoint: {single['checkpoint']['checkpoint_bytes']:,} B, "
-        f"{single['checkpoint']['checkpoint_pages']} pages, reopen "
-        f"{single['checkpoint']['recovery_wall_seconds']*1e3:.1f} ms wall"
-    )
-    print(
-        f"  federation: revive recovered in "
-        f"{fed['revive_recovery_seconds']*1e3:.2f} ms modeled "
-        f"(charged to gather: {fed['recovery_charged_to_gather']}), "
-        f"{fed['shard_recoveries']} recoveries total"
-    )
-    print(f"storage bench -> {args.output}")
-    if result["gate_failures"]:
-        for message in result["gate_failures"]:
-            print(f"GATE FAIL: {message}")
-        if args.check:
-            return 1
-    elif args.check:
-        print("acceptance gates met")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+BENCH = Bench(
+    name="storage",
+    full={"n_sensors": 20_000, "n_viewports": 32, "ticks": 5, "seed": 0},
+    quick={"n_sensors": 2_000, "n_viewports": 8, "ticks": 3, "seed": 0},
+    run=run,
+)

@@ -1,9 +1,10 @@
 """Command-line entry point: ``python -m repro <command>``.
 
 Commands regenerate the paper's figures and ablations at a chosen
-scale, or run a small interactive demo.  Output is the plain-text
-tables of :mod:`repro.bench.report`, suitable for redirecting into a
-results file.
+scale, run a small interactive demo, or run the subsystem benches
+(``repro bench``, the same runner as ``python -m repro.bench``).  Output
+is the plain-text tables of :mod:`repro.bench.report`, suitable for
+redirecting into a results file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 from typing import Sequence
+
+from repro.bench import runner
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "through the cell plan (cold, then probe-free from the warm "
         "grid) and a sliding analytic window panning across the map",
     )
-    transport = sub.add_parser(
-        "transport", help="async transport vs sync probing benchmark"
-    )
-    transport.add_argument("--sensors", type=int, default=40_000)
-    transport.add_argument("--quick", action="store_true")
     shard = sub.add_parser(
         "shard", help="partition a fleet and print the shard directory"
     )
@@ -116,79 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shards", type=int, default=4)
     shard.add_argument("--partitioner", choices=("grid", "kmeans"), default="grid")
     shard.add_argument("--seed", type=int, default=0)
-    federation = sub.add_parser(
-        "federation", help="sharded scatter-gather throughput benchmark"
+    storage = sub.add_parser("storage", help="inspect a durable data directory")
+    storage.add_argument("data_dir", type=Path, help="data directory to inspect")
+    bench = sub.add_parser(
+        "bench",
+        help="run subsystem benches (same as python -m repro.bench): "
+        "NAME... | --all [--quick] [--check] [--out DIR]",
     )
-    federation.add_argument("--sensors", type=int, default=40_000)
-    federation.add_argument(
-        "--partitioner", choices=("grid", "kmeans"), default="grid"
-    )
-    federation.add_argument(
-        "--redistribution-rounds",
-        type=int,
-        default=1,
-        help="cross-shard top-up rounds granted to the shortfall probe",
-    )
-    federation.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="benchmark the process execution backend instead "
-        "(repro.bench.parallel), sweeping worker counts up to N",
-    )
-    federation.add_argument("--quick", action="store_true")
-    frontdoor = sub.add_parser(
-        "frontdoor",
-        help="front-door benchmark: tiered result cache, streaming "
-        "gathers, admission control",
-    )
-    frontdoor.add_argument("--sensors", type=int, default=40_000)
-    frontdoor.add_argument("--requests", type=int, default=2_000)
-    frontdoor.add_argument("--quick", action="store_true")
-    frontdoor.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    geoblocks = sub.add_parser(
-        "geoblocks",
-        help="geoblocks benchmark: polygon cell plans, probe-free grid "
-        "serving, sliding analytic windows",
-    )
-    geoblocks.add_argument("--sensors", type=int, default=40_000)
-    geoblocks.add_argument("--queries", type=int, default=300)
-    geoblocks.add_argument("--quick", action="store_true")
-    geoblocks.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    rebalance = sub.add_parser(
-        "rebalance",
-        help="live rebalancing benchmark: probe-free migration, "
-        "conservation-exact checkpoints, bounded steps under churn",
-    )
-    rebalance.add_argument("--sensors", type=int, default=5_000)
-    rebalance.add_argument("--ticks", type=int, default=30)
-    rebalance.add_argument("--shards", type=int, default=4)
-    rebalance.add_argument("--seed", type=int, default=0)
-    rebalance.add_argument("--quick", action="store_true")
-    rebalance.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
-    storage = sub.add_parser(
-        "storage",
-        help="inspect a durable data directory, or run the storage "
-        "durability benchmark",
-    )
-    storage.add_argument(
-        "data_dir",
-        type=Path,
-        nargs="?",
-        default=None,
-        help="data directory to inspect (omit to run the benchmark)",
-    )
-    storage.add_argument("--sensors", type=int, default=20_000)
-    storage.add_argument("--quick", action="store_true")
-    storage.add_argument(
-        "--check", action="store_true", help="assert the acceptance gates"
-    )
+    runner.add_arguments(bench)
     return parser
 
 
@@ -276,83 +209,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 workers=args.workers,
             )
         return _demo(args.sensors, transport=args.transport)
-    if command == "transport":
-        from repro.bench.transport import main as transport_main
-
-        argv = ["--sensors", str(args.sensors)]
-        if args.quick:
-            argv.append("--quick")
-        return transport_main(argv)
     if command == "shard":
         return _shard(args.sensors, args.shards, args.partitioner, args.seed)
-    if command == "federation":
-        if args.workers > 0:
-            from repro.bench.parallel import main as parallel_main
-
-            argv = ["--sensors", str(args.sensors), "--workers", str(args.workers)]
-            if args.quick:
-                argv.append("--quick")
-            return parallel_main(argv)
-        from repro.bench.federation import main as federation_main
-
-        argv = [
-            "--sensors",
-            str(args.sensors),
-            "--partitioner",
-            args.partitioner,
-            "--redistribution-rounds",
-            str(args.redistribution_rounds),
-        ]
-        if args.quick:
-            argv.append("--quick")
-        return federation_main(argv)
-    if command == "frontdoor":
-        from repro.bench.frontdoor import main as frontdoor_main
-
-        argv = ["--sensors", str(args.sensors), "--requests", str(args.requests)]
-        if args.quick:
-            argv.append("--quick")
-        if args.check:
-            argv.append("--check")
-        return frontdoor_main(argv)
-    if command == "geoblocks":
-        from repro.bench.geoblocks import main as geoblocks_main
-
-        argv = ["--sensors", str(args.sensors), "--queries", str(args.queries)]
-        if args.quick:
-            argv.append("--quick")
-        if args.check:
-            argv.append("--check")
-        return geoblocks_main(argv)
-    if command == "rebalance":
-        from repro.bench.rebalance import main as rebalance_main
-
-        argv = [
-            "--sensors",
-            str(args.sensors),
-            "--ticks",
-            str(args.ticks),
-            "--shards",
-            str(args.shards),
-            "--seed",
-            str(args.seed),
-        ]
-        if args.quick:
-            argv.append("--quick")
-        if args.check:
-            argv.append("--check")
-        return rebalance_main(argv)
     if command == "storage":
-        if args.data_dir is not None:
-            return _storage_inspect(args.data_dir)
-        from repro.bench.storage import main as storage_main
-
-        argv = ["--sensors", str(args.sensors)]
-        if args.quick:
-            argv.append("--quick")
-        if args.check:
-            argv.append("--check")
-        return storage_main(argv)
+        return _storage_inspect(args.data_dir)
+    if command == "bench":
+        return runner.run_from_args(args)
     raise AssertionError(f"unhandled command {command!r}")  # pragma: no cover
 
 

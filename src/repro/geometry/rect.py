@@ -30,7 +30,10 @@ class Rect:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        # Written as a negated conjunction so a NaN bound (every
+        # comparison false) is rejected too; ±inf bounds stay legal for
+        # unbounded regions.
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise ValueError(
                 f"invalid Rect: ({self.min_x}, {self.min_y}) .. "
                 f"({self.max_x}, {self.max_y})"

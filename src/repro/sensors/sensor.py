@@ -9,6 +9,7 @@ reading must be discarded once the reading expires (Section IV).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.geometry import GeoPoint
@@ -48,6 +49,8 @@ class Sensor:
     def __post_init__(self) -> None:
         if self.sensor_id < 0:
             raise ValueError("sensor_id must be non-negative")
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise ValueError(f"sensor location must be finite, got {self.location}")
         if self.expiry_seconds <= 0:
             raise ValueError("expiry_seconds must be positive")
         if not 0.0 <= self.availability <= 1.0:

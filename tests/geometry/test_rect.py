@@ -10,6 +10,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rect(0, 1, 1, 0)
 
+    def test_nan_bounds_rejected_infinite_bounds_kept(self):
+        nan, inf = float("nan"), float("inf")
+        for bounds in ((nan, 0, 1, 1), (0, nan, 1, 1), (0, 0, nan, 1), (0, 0, 1, nan)):
+            with pytest.raises(ValueError):
+                Rect(*bounds)
+        unbounded = Rect(-inf, -inf, inf, inf)
+        assert unbounded.contains_point(GeoPoint(1e300, -1e300))
+
     def test_from_points(self):
         r = Rect.from_points([GeoPoint(1, 5), GeoPoint(-2, 3), GeoPoint(0, 9)])
         assert (r.min_x, r.min_y, r.max_x, r.max_y) == (-2, 3, 1, 9)

@@ -24,6 +24,21 @@ class TestSensorValidation:
         with pytest.raises(ValueError):
             make_sensor(sensor_id=-1)
 
+    def test_non_finite_location_rejected(self):
+        for x, y in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                make_sensor(location=GeoPoint(x, y))
+
+    def test_portal_registration_rejects_nan_location(self):
+        """Used to be accepted here and kill ``rebuild_index()`` later with
+        ``ValueError: Probabilities contain NaN``."""
+        from repro.portal import SensorMapPortal
+
+        portal = SensorMapPortal()
+        with pytest.raises(ValueError, match="finite"):
+            portal.register_sensor(GeoPoint(float("nan"), 1.0), expiry_seconds=300.0)
+        assert len(portal.registry) == 0
+
     def test_nonpositive_expiry_rejected(self):
         with pytest.raises(ValueError):
             make_sensor(expiry_seconds=0.0)

@@ -51,3 +51,22 @@ class TestMoreCommands:
     def test_fig6_runs_small(self, capsys):
         assert main(["fig6", "--sensors", "1200", "--queries", "20"]) == 0
         assert "Figure 6" in capsys.readouterr().out
+
+
+class TestBenchCommand:
+    def test_bench_runs_through_the_one_runner(self, tmp_path, capsys):
+        argv = ["bench", "traversal", "--quick", "--check", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "BENCH_traversal.json").exists()
+        assert "traversal bench (quick): checks" in capsys.readouterr().out
+
+    def test_forwarding_subcommands_are_gone(self):
+        for old in ("transport", "federation", "frontdoor", "geoblocks", "rebalance"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([old, "--quick"])
+
+    def test_storage_only_inspects(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["storage"])
+        assert main(["storage", str(tmp_path)]) == 1
+        assert "not a data directory" in capsys.readouterr().out
