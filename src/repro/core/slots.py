@@ -27,7 +27,6 @@ younger than the query slot" rule, and it is never less correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.aggregates import AggregateSketch
@@ -64,12 +63,18 @@ def slot_usable(slot: int, now: float, slot_seconds: float) -> bool:
     return slot >= slot_of(now, slot_seconds) + 1
 
 
-@dataclass(frozen=True, slots=True)
 class CachedReading:
-    """A raw reading held in a leaf slot cache, with LRF bookkeeping."""
+    """A raw reading held in a leaf slot cache, with LRF bookkeeping
+    and the expiry slot it is filed under — computed once, when the
+    entry is made, and read from here by everything that later unfiles
+    or re-aggregates it."""
 
-    reading: Reading
-    fetched_at: float
+    __slots__ = ("reading", "fetched_at", "slot")
+
+    def __init__(self, reading: Reading, fetched_at: float, slot: int) -> None:
+        self.reading = reading
+        self.fetched_at = fetched_at
+        self.slot = slot
 
 
 class LeafSlotCache:
@@ -112,24 +117,33 @@ class LeafSlotCache:
         the previous value, which the caller must decrement out of the
         ancestor aggregates (Section IV-B).
         """
+        displaced = self.put(
+            reading, fetched_at, slot_of(reading.expires_at, self.slot_seconds)
+        )
+        return None if displaced is None else displaced.reading
+
+    def put(
+        self, reading: Reading, fetched_at: float, slot: int
+    ) -> CachedReading | None:
+        """:meth:`insert` for a caller that already knows the reading's
+        slot (the tree computes it once per ingested reading); returns
+        the displaced *entry*, whose ``slot`` says where it was filed."""
         displaced = self.remove(reading.sensor_id)
-        slot = slot_of(reading.expires_at, self.slot_seconds)
-        self._by_sensor[reading.sensor_id] = CachedReading(reading, fetched_at)
+        self._by_sensor[reading.sensor_id] = CachedReading(reading, fetched_at, slot)
         self._slots.setdefault(slot, set()).add(reading.sensor_id)
         return displaced
 
-    def remove(self, sensor_id: int) -> Reading | None:
-        """Drop one sensor's cached reading; returns it if present."""
+    def remove(self, sensor_id: int) -> CachedReading | None:
+        """Drop one sensor's cached entry; returns it if present."""
         cached = self._by_sensor.pop(sensor_id, None)
         if cached is None:
             return None
-        slot = slot_of(cached.reading.expires_at, self.slot_seconds)
-        members = self._slots.get(slot)
+        members = self._slots.get(cached.slot)
         if members is not None:
             members.discard(sensor_id)
             if not members:
-                del self._slots[slot]
-        return cached.reading
+                del self._slots[cached.slot]
+        return cached
 
     def prune_expired(self, now: float) -> list[Reading]:
         """Drop all readings in slots entirely behind ``now``; returns
@@ -191,6 +205,14 @@ class LeafSlotCache:
     def all_readings(self) -> Iterator[Reading]:
         for cached in self._by_sensor.values():
             yield cached.reading
+
+    def slot_readings(self, slot: int) -> list[Reading]:
+        """The readings filed under one slot, in the order they were
+        cached (a float fold over them is reproducible; the slot's id
+        set has no order to offer)."""
+        if slot not in self._slots:
+            return []
+        return [c.reading for c in self._by_sensor.values() if c.slot == slot]
 
     def entries(self) -> Iterator[CachedReading]:
         """Every cached entry with its fetch stamp (checkpoint export)."""

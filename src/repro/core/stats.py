@@ -90,8 +90,12 @@ class QueryStats:
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another stats record into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in QUERY_STATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+# Every counter by name, computed once: ``merge`` runs per (query, tree).
+QUERY_STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
 
 
 @dataclass

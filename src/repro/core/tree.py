@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -385,11 +386,10 @@ class COLRTree:
         # value (it is added to every ancestor afterwards).
         displaced = leaf.leaf_cache.remove(reading.sensor_id)
         if displaced is not None:
-            old_slot = slot_of(displaced.expires_at, self.config.slot_seconds)
-            ops += self._decrement_path(leaf, old_slot, displaced.value)
-            self._registry_remove(old_slot, displaced.sensor_id)
-        leaf.leaf_cache.insert(reading, fetched_at)
+            ops += self._decrement_path(leaf, displaced.slot, displaced.reading.value)
+            self._registry_remove(displaced.slot, reading.sensor_id)
         new_slot = slot_of(reading.expires_at, self.config.slot_seconds)
+        leaf.leaf_cache.put(reading, fetched_at, new_slot)
         if new_slot not in self._cache_registry:
             heapq.heappush(self._slot_heap, new_slot)
         self._cache_registry.setdefault(new_slot, {})[reading.sensor_id] = fetched_at
@@ -444,40 +444,45 @@ class COLRTree:
             return 0
         slot_seconds = self.config.slot_seconds
         ops = 0
-        # Phase 1: leaf-level application, grouped by leaf.
+        # Phase 1: leaf-level application, grouped by leaf.  Each
+        # reading is touched once: one leaf lookup, one slot
+        # computation, one displacement (the displaced entry remembers
+        # the slot it was filed under).
         touched_leaves: dict[int, COLRNode] = {}
-        leaf_adds: dict[int, dict[int, AggregateSketch]] = {}
-        leaf_removes: dict[int, dict[int, list[float]]] = {}
+        leaf_adds: dict[int, dict[int, AggregateSketch]] = defaultdict(
+            lambda: defaultdict(AggregateSketch)
+        )
+        leaf_removes: dict[int, dict[int, list[float]]] = defaultdict(
+            lambda: defaultdict(list)
+        )
         aggregating = self.config.aggregate_caching_enabled
+        leaf_of = self._leaf_of
+        registry = self._cache_registry
         for reading in batch:
-            leaf = self._leaf_of.get(reading.sensor_id)
+            sensor_id = reading.sensor_id
+            leaf = leaf_of.get(sensor_id)
             if leaf is None:
-                raise KeyError(
-                    f"sensor {reading.sensor_id} is not indexed by this tree"
-                )
+                raise KeyError(f"sensor {sensor_id} is not indexed by this tree")
             assert leaf.leaf_cache is not None
             ops += 1
-            displaced = leaf.leaf_cache.remove(reading.sensor_id)
-            if displaced is not None:
-                old_slot = slot_of(displaced.expires_at, slot_seconds)
-                if aggregating:
-                    leaf_removes.setdefault(leaf.node_id, {}).setdefault(
-                        old_slot, []
-                    ).append(displaced.value)
-                self._registry_remove(old_slot, displaced.sensor_id)
-            leaf.leaf_cache.insert(reading, fetched_at)
+            leaf_id = leaf.node_id
             new_slot = slot_of(reading.expires_at, slot_seconds)
-            if new_slot not in self._cache_registry:
+            displaced = leaf.leaf_cache.put(reading, fetched_at, new_slot)
+            if displaced is not None:
+                if aggregating:
+                    leaf_removes[leaf_id][displaced.slot].append(
+                        displaced.reading.value
+                    )
+                self._registry_remove(displaced.slot, sensor_id)
+            members = registry.get(new_slot)
+            if members is None:
                 heapq.heappush(self._slot_heap, new_slot)
-            self._cache_registry.setdefault(new_slot, {})[
-                reading.sensor_id
-            ] = fetched_at
+                members = registry[new_slot] = {}
+            members[sensor_id] = fetched_at
             self._cached_count += 1
-            touched_leaves[leaf.node_id] = leaf
+            touched_leaves[leaf_id] = leaf
             if aggregating:
-                leaf_adds.setdefault(leaf.node_id, {}).setdefault(
-                    new_slot, AggregateSketch()
-                ).add(reading.value, reading.timestamp)
+                leaf_adds[leaf_id][new_slot].add(reading.value, reading.timestamp)
         if not aggregating:
             ops += self._enforce_capacity()
             if self.wal_sink is not None:
@@ -594,9 +599,8 @@ class COLRTree:
         for child in node.children:
             if child.is_leaf:
                 assert child.leaf_cache is not None
-                for reading in child.leaf_cache.all_readings():
-                    if slot_of(reading.expires_at, self.config.slot_seconds) == slot:
-                        sketch.add(reading.value, reading.timestamp)
+                for reading in child.leaf_cache.slot_readings(slot):
+                    sketch.add(reading.value, reading.timestamp)
             else:
                 assert child.agg_cache is not None
                 child_sketch = child.agg_cache.sketch(slot)
@@ -678,7 +682,9 @@ class COLRTree:
                 assert leaf.leaf_cache is not None
                 removed = leaf.leaf_cache.remove(sensor_id)
                 if removed is not None:
-                    ops += 1 + self._decrement_path(leaf, oldest, removed.value)
+                    ops += 1 + self._decrement_path(
+                        leaf, oldest, removed.reading.value
+                    )
                 del members[sensor_id]
                 self._cached_count -= 1
             if not members:

@@ -49,6 +49,7 @@ from repro.federation.partitioner import GridPartitioner, Partitioner
 from repro.federation.streaming import ShardArrival, StreamingGather
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal.batch import BatchStats
+from repro.portal.grouping import GroupView, concat_groups
 from repro.portal.parser import parse_query
 from repro.portal.portal import PortalResult, SensorMapPortal
 from repro.portal.query import SensorQuery
@@ -131,9 +132,10 @@ def _dedup_topup_result(result: PortalResult, new_ids: set[int]) -> None:
     round 1 (that is the communication-efficient part: the repeat costs
     no probes).  The merged federated answer must not report a sensor
     twice, so the repeat portion is dropped here — readings filtered in
-    place, display groups rebuilt from the surviving readings (groups
-    carrying only anonymous aggregates are kept as-is; sampled answers
-    do not produce them)."""
+    place.  Ungrouped display groups are a view over those lists and
+    follow by themselves; ``CLUSTER``/zoom groups are eager lists and
+    are cut down to the surviving readings (groups carrying only
+    anonymous aggregates are kept as-is)."""
     for answer in result.answers:
         answer.probed_readings = [
             r for r in answer.probed_readings if r.sensor_id in new_ids
@@ -141,6 +143,8 @@ def _dedup_topup_result(result: PortalResult, new_ids: set[int]) -> None:
         answer.cached_readings = [
             r for r in answer.cached_readings if r.sensor_id in new_ids
         ]
+    if isinstance(result.groups, GroupView):
+        return
     groups = []
     for group in result.groups:
         if not group.readings:
@@ -1266,7 +1270,7 @@ class FederatedPortal:
         for shard_id in sorted(shard_results):
             result = shard_results[shard_id]
             answers.extend(result.answers)
-            groups.extend(result.groups)
+            groups.append(result.groups)
             processing += result.processing_seconds
             slot_seconds.append(
                 result.collection_seconds + penalties.get(shard_id, 0.0)
@@ -1300,7 +1304,7 @@ class FederatedPortal:
             topup_results = tuple(topup.extra)
             for _, result in topup.extra:
                 answers.extend(result.answers)
-                groups.extend(result.groups)
+                groups.append(result.groups)
                 processing += result.processing_seconds
             rounds_run = topup.rounds_run
             gained = topup.sensors_gained
@@ -1308,7 +1312,7 @@ class FederatedPortal:
             exhausted = topup.pool_exhausted
         return FederatedResult(
             query=query,
-            groups=groups,
+            groups=concat_groups(groups),
             answers=answers,
             processing_seconds=processing,
             collection_seconds=collection,

@@ -48,6 +48,7 @@ from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import Polygon, Rect
 from repro.geometry.grid import Cell, cell_rect, cells_covering, rasterize
+from repro.portal.grouping import GroupView
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
@@ -71,12 +72,13 @@ def result_oldest_timestamp(result: PortalResult) -> float:
     invalidate it)."""
     oldest = math.inf
     for answer in result.answers:
-        for reading in answer.probed_readings:
-            oldest = min(oldest, reading.timestamp)
-        for reading in answer.cached_readings:
-            oldest = min(oldest, reading.timestamp)
-        for sketch in answer.cached_sketches:
-            oldest = min(oldest, sketch.oldest_timestamp)
+        for readings in (answer.probed_readings, answer.cached_readings):
+            if readings:
+                oldest = min(oldest, min(r.timestamp for r in readings))
+        if answer.cached_sketches:
+            oldest = min(
+                oldest, min(s.oldest_timestamp for s in answer.cached_sketches)
+            )
     return oldest
 
 
@@ -549,8 +551,9 @@ class TieredResultCache:
         exactly on a shared tile edge answers both tiles' fills); the
         composed answer carries them as *cached* readings — they were
         served from the tile cache, whatever their role at fill time.
-        Display groups are not rebuilt (tile-eligible queries carry no
-        grouping; the map composes tiles client-side).
+        Its display groups are the view over that merged answer,
+        resolving sensor locations through the tiles' own views — the
+        groups the same viewport gets when executed directly.
         """
         from repro.core.lookup import QueryAnswer
 
@@ -587,7 +590,9 @@ class TieredResultCache:
                     )
         result = PortalResult(
             query=query,
-            groups=[],
+            groups=GroupView.over(
+                merged, [entry.result.groups for _, entry in entries]
+            ),
             answers=[merged],
             processing_seconds=0.0,
             collection_seconds=0.0,

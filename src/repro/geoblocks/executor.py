@@ -102,7 +102,7 @@ def execute_polygon(
     else:
         trees = dict(portal._trees)
 
-    from repro.portal.grouping import group_answer
+    from repro.portal.grouping import concat_groups, group_answer
 
     answers: list[QueryAnswer] = []
     groups = []
@@ -163,13 +163,13 @@ def execute_polygon(
         answers.append(merged)
         processing += portal.cost_model.processing_seconds(merged.stats)
         collection += merged.stats.collection_latency_seconds
-        groups.extend(group_answer(merged, query.cluster_miles, tree=tree))
+        groups.append(group_answer(merged, query.cluster_miles, tree=tree))
     net = portal.network.stats
     net.polygon_cells_interior += len(plan.interior) * len(trees)
     net.polygon_cells_boundary += len(plan.boundary) * len(trees)
     return PolygonResult(
         query=query,
-        groups=groups,
+        groups=concat_groups(groups),
         answers=answers,
         processing_seconds=processing,
         collection_seconds=collection,

@@ -13,7 +13,8 @@ queries with a ``CLUSTER`` distance (viewport grouping) and a
 ``group_answer``
     Viewport grouping: near-by result sensors merged into groups with
     per-group aggregates, cached aggregates placed at their node's
-    center.
+    center.  Without ``CLUSTER`` the groups are a view over the answer,
+    built when read.
 ``SensorMapPortal``
     The end-to-end facade: registration, index (re)builds, query
     execution with latency accounting.

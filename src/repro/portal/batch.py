@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.shared_scan import ScanRequest, coalesce_probes, shared_range_scan
-from repro.portal.grouping import DisplayGroup, group_answer, group_by_terminal
+from repro.portal.grouping import (
+    DisplayGroup,
+    concat_groups,
+    group_answer,
+    group_by_terminal,
+)
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
@@ -269,7 +274,7 @@ def execute_batch(
     results: list[PortalResult] = []
     for qi, query in enumerate(queries):
         query_answers: list["QueryAnswer"] = []
-        groups: list[DisplayGroup] = []
+        groups: list[Sequence[DisplayGroup]] = []
         processing = 0.0
         collection = 0.0
         for tree in per_query_trees[qi]:
@@ -278,13 +283,13 @@ def execute_batch(
             processing += portal.cost_model.processing_seconds(answer.stats)
             collection += answer.stats.collection_latency_seconds
             if query.zoom_level is not None:
-                groups.extend(group_by_terminal(answer, tree, query.zoom_level))
+                groups.append(group_by_terminal(answer, tree, query.zoom_level))
             else:
-                groups.extend(group_answer(answer, query.cluster_miles, tree=tree))
+                groups.append(group_answer(answer, query.cluster_miles, tree=tree))
         results.append(
             PortalResult(
                 query=query,
-                groups=groups,
+                groups=concat_groups(groups),
                 answers=query_answers,
                 processing_seconds=processing,
                 collection_seconds=collection,

@@ -6,18 +6,28 @@ per-group aggregate (Section III-B).  We group raw result readings on a
 grid of ``cluster_miles`` cells (two sensors in one cell are within
 roughly the cluster distance) and pass cached node-level aggregates
 through as their own groups anchored at the node's bounding-box center.
+
+Without ``CLUSTER`` (and without a zoom level) every reading is its own
+group, so the groups say nothing the answer does not: they are a
+:class:`GroupView`, a read-only sequence that builds each
+:class:`DisplayGroup` from the answer's lists when it is read.  The
+serving path — execute, gather, compose, the reply frame of a worker
+process — never walks readings to make display objects nobody asked
+for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.lookup import QueryAnswer
 from repro.geometry import GeoPoint
 from repro.geometry.point import miles_to_degrees_lat, miles_to_degrees_lon
-from repro.sensors.sensor import Reading
+from repro.sensors.sensor import Reading, Sensor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tree import COLRTree
@@ -41,61 +51,214 @@ class DisplayGroup:
         return self.sketch.result(function)
 
 
+def _readings(answer: QueryAnswer) -> Iterator[Reading]:
+    return chain(answer.probed_readings, answer.cached_readings)
+
+
+def _center(sources: tuple[Mapping, ...], sensor_id: int) -> GeoPoint:
+    for source in sources:
+        hit = source.get(sensor_id)
+        if hit is not None:
+            return hit.location if isinstance(hit, Sensor) else hit
+    raise KeyError(f"no location known for sensor {sensor_id}")
+
+
+def _reading_group(sources: tuple[Mapping, ...], reading: Reading) -> DisplayGroup:
+    sketch = AggregateSketch()
+    sketch.add(reading.value, reading.timestamp)
+    return DisplayGroup(
+        center=_center(sources, reading.sensor_id), sketch=sketch, readings=[reading]
+    )
+
+
+class GroupView(Sequence[DisplayGroup]):
+    """The display groups of ungrouped answers, as a read-only view.
+
+    One group per probed reading, then per cached reading, then per
+    cached sketch, answer after answer — element for element the list
+    an eager loop over the same answers builds, and equal to it under
+    ``==``.  Nothing is built until the view is iterated, indexed or
+    compared; ``len`` only adds list lengths.  The answers' lists are
+    read at access time, so filtering an answer's readings in place
+    (the federation's top-up dedup) filters its groups.
+
+    A view is a tuple of parts, one ``(answer, sources,
+    sketch_centers)`` per answer.  ``sources`` say where a reading's
+    sensor sits: ``sensor_id -> Sensor`` mappings held by reference (a
+    tree's build-time table) or ``sensor_id -> GeoPoint`` dicts (what a
+    view pickles as) — never a tree, a portal or a closure over one: a
+    cached result must not keep a replaced shard's index alive.
+    ``sketch_centers`` are the centers of the answer's cached sketches,
+    parallel to them.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: Iterable[tuple]) -> None:
+        self._parts = tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(
+            len(answer.probed_readings)
+            + len(answer.cached_readings)
+            + len(answer.cached_sketches)
+            for answer, _, _ in self._parts
+        )
+
+    def __iter__(self) -> Iterator[DisplayGroup]:
+        for answer, sources, sketch_centers in self._parts:
+            for reading in _readings(answer):
+                yield _reading_group(sources, reading)
+            # Cached node-level aggregates stay whole: their membership
+            # is opaque, so each is one group at the node's center.
+            for sketch, node_id, center in zip(
+                answer.cached_sketches, answer.cached_sketch_nodes, sketch_centers
+            ):
+                yield DisplayGroup(
+                    center=center, sketch=sketch.copy(), from_cache_node=node_id
+                )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for answer, sources, sketch_centers in self._parts:
+                for readings in (answer.probed_readings, answer.cached_readings):
+                    if index < len(readings):
+                        return _reading_group(sources, readings[index])
+                    index -= len(readings)
+                if index < len(answer.cached_sketches):
+                    return DisplayGroup(
+                        center=sketch_centers[index],
+                        sketch=answer.cached_sketches[index].copy(),
+                        from_cache_node=answer.cached_sketch_nodes[index],
+                    )
+                index -= len(answer.cached_sketches)
+        raise IndexError("group index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (GroupView, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<GroupView of {len(self)} groups over {len(self._parts)} answers>"
+
+    def __reduce__(self):
+        """Pickle as the answers plus each one's own ``sensor_id ->
+        center`` dict: a reply frame carries no ``DisplayGroup`` and no
+        sensor table, and the unpickled view resolves through the dict
+        exactly as this one does through its sources."""
+        return GroupView, (
+            tuple(
+                (
+                    answer,
+                    (
+                        {
+                            r.sensor_id: _center(sources, r.sensor_id)
+                            for r in _readings(answer)
+                        },
+                    ),
+                    sketch_centers,
+                )
+                for answer, sources, sketch_centers in self._parts
+            ),
+        )
+
+    @classmethod
+    def over(
+        cls, answer: QueryAnswer, pieces: Iterable[Sequence[DisplayGroup]]
+    ) -> "GroupView":
+        """The view of an answer merged from the answers behind
+        ``pieces`` (the front door's tile compose): it resolves through
+        their sources, and its cached sketches are theirs in order."""
+        parts = [
+            part
+            for piece in pieces
+            if isinstance(piece, GroupView)
+            for part in piece._parts
+        ]
+        sources = {id(source): source for _, sources, _ in parts for source in sources}
+        centers = tuple(center for _, _, centers in parts for center in centers)
+        return cls(((answer, tuple(sources.values()), centers),))
+
+
+def concat_groups(pieces: Sequence[Sequence[DisplayGroup]]) -> Sequence[DisplayGroup]:
+    """Per-tree (or per-shard) groups as one sequence, in order.  Views
+    concatenate into a view — no group is built; clustered and zoom
+    groups are lists and concatenate into a list."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if all(isinstance(piece, GroupView) for piece in pieces):
+        return GroupView(chain.from_iterable(piece._parts for piece in pieces))
+    return [group for piece in pieces for group in piece]
+
+
 def group_answer(
     answer: QueryAnswer,
     cluster_miles: float | None,
     tree: "COLRTree | None" = None,
     sensor_location=None,
-) -> list[DisplayGroup]:
+) -> Sequence[DisplayGroup]:
     """Group a query answer for display.
 
     ``sensor_location`` maps a sensor id to a :class:`GeoPoint`; when
-    omitted, ``tree.sensor`` is used.  With ``cluster_miles=None`` every
-    reading becomes its own group (full zoom).
+    omitted, the tree's sensors are used.  With ``cluster_miles=None``
+    every reading is its own group (full zoom) and the result is a
+    :class:`GroupView` over ``answer``.
     """
-    if sensor_location is None:
-        if tree is None:
-            raise ValueError("need a tree or a sensor_location function")
-        sensor_location = lambda sid: tree.sensor(sid).location  # noqa: E731
-
-    groups: list[DisplayGroup] = []
-    readings = list(answer.probed_readings) + list(answer.cached_readings)
-    if cluster_miles is None:
-        for reading in readings:
-            sketch = AggregateSketch()
-            sketch.add(reading.value, reading.timestamp)
-            groups.append(
-                DisplayGroup(center=sensor_location(reading.sensor_id), sketch=sketch,
-                             readings=[reading])
-            )
+    if sensor_location is None and tree is None:
+        raise ValueError("need a tree or a sensor_location function")
+    nodes = answer.cached_sketch_nodes
+    if tree is not None:
+        sketch_centers = tuple([tree.node(node_id).bbox.center for node_id in nodes])
     else:
-        cells: dict[tuple[int, int], DisplayGroup] = {}
-        dlat = miles_to_degrees_lat(cluster_miles)
-        for reading in readings:
-            loc = sensor_location(reading.sensor_id)
-            dlon = miles_to_degrees_lon(cluster_miles, at_lat=loc.lat)
-            key = (int(loc.x // dlon), int(loc.y // dlat))
-            group = cells.get(key)
-            if group is None:
-                group = DisplayGroup(center=loc, sketch=AggregateSketch())
-                cells[key] = group
-                groups.append(group)
-            group.sketch.add(reading.value, reading.timestamp)
-            group.readings.append(reading)
-        # Re-center each group on its members.
-        for group in groups:
-            if group.readings:
-                xs = [sensor_location(r.sensor_id).x for r in group.readings]
-                ys = [sensor_location(r.sensor_id).y for r in group.readings]
-                group.center = GeoPoint(sum(xs) / len(xs), sum(ys) / len(ys))
+        sketch_centers = (GeoPoint(0.0, 0.0),) * len(nodes)
+
+    if cluster_miles is None:
+        if sensor_location is None:
+            # The tree's build-time table, written once in ``__init__``.
+            source = tree._sensors
+        else:
+            source = {
+                r.sensor_id: sensor_location(r.sensor_id) for r in _readings(answer)
+            }
+        return GroupView(((answer, (source,), sketch_centers),))
+
+    if sensor_location is None:
+        sensor_location = lambda sid: tree.sensor(sid).location  # noqa: E731
+    groups: list[DisplayGroup] = []
+    cells: dict[tuple[int, int], DisplayGroup] = {}
+    dlat = miles_to_degrees_lat(cluster_miles)
+    for reading in _readings(answer):
+        loc = sensor_location(reading.sensor_id)
+        dlon = miles_to_degrees_lon(cluster_miles, at_lat=loc.lat)
+        key = (int(loc.x // dlon), int(loc.y // dlat))
+        group = cells.get(key)
+        if group is None:
+            group = DisplayGroup(center=loc, sketch=AggregateSketch())
+            cells[key] = group
+            groups.append(group)
+        group.sketch.add(reading.value, reading.timestamp)
+        group.readings.append(reading)
+    # Re-center each group on its members.
+    for group in groups:
+        if group.readings:
+            xs = [sensor_location(r.sensor_id).x for r in group.readings]
+            ys = [sensor_location(r.sensor_id).y for r in group.readings]
+            group.center = GeoPoint(sum(xs) / len(xs), sum(ys) / len(ys))
 
     # Cached node-level aggregates stay whole: their membership is
     # opaque, so each becomes one group at the node's center.
-    for sketch, node_id in zip(answer.cached_sketches, answer.cached_sketch_nodes):
-        if tree is not None:
-            center = tree.node(node_id).bbox.center
-        else:
-            center = GeoPoint(0.0, 0.0)
+    for sketch, node_id, center in zip(
+        answer.cached_sketches, answer.cached_sketch_nodes, sketch_centers
+    ):
         groups.append(
             DisplayGroup(center=center, sketch=sketch.copy(), from_cache_node=node_id)
         )

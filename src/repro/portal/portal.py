@@ -20,7 +20,12 @@ from repro.core.lookup import QueryAnswer
 from repro.core.stats import ProcessingCostModel
 from repro.core.tree import COLRTree
 from repro.geometry import GeoPoint
-from repro.portal.grouping import DisplayGroup, group_answer, group_by_terminal
+from repro.portal.grouping import (
+    DisplayGroup,
+    concat_groups,
+    group_answer,
+    group_by_terminal,
+)
 from repro.portal.parser import parse_query
 from repro.portal.query import SensorQuery
 from repro.sensors.availability import AvailabilityModel
@@ -52,10 +57,15 @@ class PortalResult:
     itself — the federation coordinator reads these to decide whether a
     shard's shortfall is worth redistributing and whether the shard has
     pool left to borrow.
+
+    ``groups`` is read-only.  For a query with neither ``CLUSTER`` nor a
+    zoom level it is a view over ``answers`` that builds each group when
+    read (:class:`~repro.portal.grouping.GroupView`); it compares equal
+    to the list of the same groups.
     """
 
     query: SensorQuery
-    groups: list[DisplayGroup]
+    groups: Sequence[DisplayGroup]
     answers: list[QueryAnswer]
     processing_seconds: float
     collection_seconds: float
@@ -485,7 +495,7 @@ class SensorMapPortal:
         else:
             trees = list(self._trees.values())
         answers: list[QueryAnswer] = []
-        groups: list[DisplayGroup] = []
+        groups: list[Sequence[DisplayGroup]] = []
         processing = 0.0
         collection = 0.0
         sample_size = self._effective_sample_size(query.sample_size, len(trees))
@@ -501,12 +511,12 @@ class SensorMapPortal:
             processing += self.cost_model.processing_seconds(answer.stats)
             collection += answer.stats.collection_latency_seconds
             if query.zoom_level is not None:
-                groups.extend(group_by_terminal(answer, tree, query.zoom_level))
+                groups.append(group_by_terminal(answer, tree, query.zoom_level))
             else:
-                groups.extend(group_answer(answer, query.cluster_miles, tree=tree))
+                groups.append(group_answer(answer, query.cluster_miles, tree=tree))
         return PortalResult(
             query=query,
-            groups=groups,
+            groups=concat_groups(groups),
             answers=answers,
             processing_seconds=processing,
             collection_seconds=collection,

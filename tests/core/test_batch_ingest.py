@@ -48,6 +48,24 @@ def _cache_state(tree):
     return leaves, aggs, tree.cached_reading_count
 
 
+def _bookkeeping(tree):
+    """Insertion orders of the ingest bookkeeping: the global registry
+    (slot -> sensor -> fetched_at) and each leaf's sensor and slot
+    tables.  Eviction and recomputation iterate these, so batched and
+    one-by-one ingestion must leave them in the same order."""
+    registry = [(slot, list(m.items())) for slot, m in tree._cache_registry.items()]
+    leaves = [
+        (
+            node.node_id,
+            [(sid, c.fetched_at) for sid, c in node.leaf_cache._by_sensor.items()],
+            [(slot, sorted(ids)) for slot, ids in node.leaf_cache._slots.items()],
+        )
+        for node in tree.nodes()
+        if node.is_leaf and node.leaf_cache is not None
+    ]
+    return registry, leaves
+
+
 def _exact_slot_truth(tree):
     """Ground-truth per-(internal node, slot) aggregates recomputed from
     the leaf contents — what a from-scratch rebuild would hold."""
@@ -180,6 +198,82 @@ class TestBatchedIngestionEquivalence:
         _assert_state_equal(seq, bat)
         leaf = bat.leaf_for(sensors[0].sensor_id)
         assert leaf.leaf_cache.get(sensors[0].sensor_id).reading.value == -3.0
+
+    def test_same_sensor_twice_in_one_slot(self):
+        """Both reports of a sensor fall in one expiry slot: the second
+        displaces the first out of the slot it is about to re-enter
+        (the leaf's slot set empties and is re-made in between)."""
+        seq, bat = _build_pair()
+        sensor_id = seq.network.sensors()[0].sensor_id
+        batch = [
+            Reading(sensor_id=sensor_id, value=4.0, timestamp=0.0, expires_at=200.0),
+            Reading(sensor_id=sensor_id, value=9.0, timestamp=1.0, expires_at=210.0),
+        ]
+        for r in batch:
+            seq.insert_reading(r, fetched_at=2.0)
+        assert bat.insert_readings_batch(batch, fetched_at=2.0) == 12
+        _assert_state_equal(seq, bat)
+        assert _bookkeeping(seq) == _bookkeeping(bat)
+        cached = bat.leaf_for(sensor_id).leaf_cache.get(sensor_id)
+        assert (cached.reading.value, cached.fetched_at) == (9.0, 2.0)
+        assert bat.cached_reading_count == 1
+
+    def test_scripted_batches_match_one_by_one_exactly(self):
+        """Integer-valued readings make every float sum exact, so the
+        grouped deltas must reproduce the one-by-one loop bit for bit —
+        totals and the insertion order of every bookkeeping dict
+        included.  The op counts are what ``insert_readings_batch``
+        returned before ingestion became single-pass (PR 17): the
+        modeled maintenance cost may not move."""
+        seq, bat = _build_pair(
+            COLRTreeConfig(
+                max_expiry_seconds=600.0, slot_seconds=120.0, fanout=3, leaf_capacity=8
+            )
+        )
+        assert seq.height() >= 3
+        sensors = seq.network.sensors()
+        first = [
+            Reading(
+                sensor_id=s.sensor_id,
+                value=float(i % 7 - 3),
+                timestamp=float(i % 5),
+                expires_at=130.0 + 120.0 * (i % 3),
+            )
+            for i, s in enumerate(sensors[:60])
+        ]
+        # Updates: some stay in their slot, some move, extremes leave
+        # (min/max recomputation), and three sensors report twice.
+        second = [
+            Reading(
+                sensor_id=s.sensor_id,
+                value=float(11 - i % 23),
+                timestamp=20.0 + i % 4,
+                expires_at=140.0 + 120.0 * (i % 4),
+            )
+            for i, s in enumerate(sensors[10:90:2])
+        ]
+        second += [
+            Reading(sensor_id=s.sensor_id, value=-8.0, timestamp=25.0, expires_at=400.0)
+            for s in sensors[10:16:2]
+        ]
+        ops = []
+        for fetched_at, batch in ((5.0, first), (30.0, second)):
+            for r in batch:
+                seq.insert_reading(r, fetched_at=fetched_at)
+            ops.append(bat.insert_readings_batch(batch, fetched_at=fetched_at))
+            seq_leaves, seq_aggs, seq_count = _cache_state(seq)
+            bat_leaves, bat_aggs, bat_count = _cache_state(bat)
+            assert (seq_leaves, seq_count) == (bat_leaves, bat_count)
+            # count, total, minimum, maximum — exactly.
+            assert {
+                node: {slot: agg[:4] for slot, agg in slots.items()}
+                for node, slots in seq_aggs.items()
+            } == {
+                node: {slot: agg[:4] for slot, agg in slots.items()}
+                for node, slots in bat_aggs.items()
+            }
+            assert _bookkeeping(seq) == _bookkeeping(bat)
+        assert ops == [99, 160]
 
     def test_fewer_maintenance_ops_than_sequential(self):
         seq, bat = _build_pair()

@@ -51,6 +51,29 @@ class TestLeafSlotCache:
     def test_remove_absent_returns_none(self):
         assert LeafSlotCache(120.0).remove(5) is None
 
+    def test_entry_remembers_the_slot_it_is_filed_under(self):
+        cache = LeafSlotCache(120.0)
+        old = reading(sensor_id=7, timestamp=0.0, lifetime=100.0)
+        new = reading(sensor_id=7, timestamp=0.0, lifetime=500.0)
+        cache.insert(old, fetched_at=0.0)
+        assert cache.get(7).slot == slot_of(100.0, 120.0)
+        displaced = cache.put(new, fetched_at=1.0, slot=slot_of(500.0, 120.0))
+        assert (displaced.reading, displaced.slot) == (old, slot_of(100.0, 120.0))
+        assert cache.slot_ids() == [slot_of(500.0, 120.0)]
+        removed = cache.remove(7)
+        assert (removed.reading, removed.fetched_at, removed.slot) == (
+            new, 1.0, slot_of(500.0, 120.0),
+        )
+        assert len(cache) == 0 and cache.slot_ids() == []
+
+    def test_slot_readings_in_caching_order(self):
+        cache = LeafSlotCache(120.0)
+        for sensor_id, lifetime in ((9, 130.0), (2, 500.0), (5, 140.0), (1, 150.0)):
+            cache.insert(reading(sensor_id=sensor_id, lifetime=lifetime), 0.0)
+        cache.insert(reading(sensor_id=9, value=3.0, lifetime=135.0), 1.0)  # re-cached: last
+        assert [r.sensor_id for r in cache.slot_readings(1)] == [5, 1, 9]
+        assert cache.slot_readings(2) == []
+
     def test_slot_bookkeeping(self):
         cache = LeafSlotCache(120.0)
         cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)

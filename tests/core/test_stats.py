@@ -1,6 +1,13 @@
+from dataclasses import fields
+
 import pytest
 
-from repro.core.stats import ProcessingCostModel, QueryStats, TreeStats
+from repro.core.stats import (
+    QUERY_STATS_FIELDS,
+    ProcessingCostModel,
+    QueryStats,
+    TreeStats,
+)
 
 
 class TestQueryStats:
@@ -16,6 +23,16 @@ class TestQueryStats:
         assert a.nodes_traversed == 5
         assert a.sensors_probed == 6
         assert a.collection_latency_seconds == 0.75
+
+    def test_merge_walks_every_declared_counter(self):
+        # ``merge`` iterates a tuple computed once after the class body;
+        # a counter added to the dataclass must land in it.
+        assert QUERY_STATS_FIELDS == tuple(f.name for f in fields(QueryStats))
+        ones = QueryStats(**{name: 1 for name in QUERY_STATS_FIELDS})
+        total = QueryStats()
+        total.merge(ones)
+        total.merge(ones)
+        assert total == QueryStats(**{name: 2 for name in QUERY_STATS_FIELDS})
 
 
 class TestTreeStats:

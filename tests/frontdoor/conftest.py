@@ -114,12 +114,23 @@ def aggregates(result) -> tuple[float, float, float, float]:
     return count, total, lo, hi
 
 
+def groups_by_sensor(result) -> dict[int, tuple]:
+    """sensor id -> (center, size, sum) of its one-reading display
+    group (ungrouped queries: every enumerated reading has one)."""
+    return {
+        group.readings[0].sensor_id: (group.center, group.size, group.sketch.total)
+        for group in result.groups
+        if len(group.readings) == 1
+    }
+
+
 def assert_same_content(a, b, context: str = "") -> None:
     """The user-visible answer is identical, whatever its internal
     shape (tile-composed answers enumerate readings that a direct
     execution may have served as node sketches, so this compares what
     the map renders: the represented-sensor weight, the aggregates, and
-    the value of every sensor both sides enumerated)."""
+    the value and display group of every sensor both sides
+    enumerated)."""
     assert a.result_weight == b.result_weight, context
     ca, sa, mina, maxa = aggregates(a)
     cb, sb, minb, maxb = aggregates(b)
@@ -129,3 +140,9 @@ def assert_same_content(a, b, context: str = "") -> None:
     va, vb = values_by_sensor(a), values_by_sensor(b)
     for sensor_id in va.keys() & vb.keys():
         assert va[sensor_id] == vb[sensor_id], context
+    for result in (a, b):
+        assert sum(g.size for g in result.groups) == result.result_weight, context
+    ga, gb = groups_by_sensor(a), groups_by_sensor(b)
+    assert ga.keys() == va.keys() and gb.keys() == vb.keys(), context
+    for sensor_id in ga.keys() & gb.keys():
+        assert ga[sensor_id] == gb[sensor_id], context

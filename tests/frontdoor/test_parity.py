@@ -30,6 +30,7 @@ from tests.frontdoor.conftest import (
     EXTENT,
     assert_same_content,
     exact_query,
+    groups_by_sensor,
     make_portal,
 )
 
@@ -74,6 +75,21 @@ class TestCacheParity:
             tiers.append(res_on.served_from)
         # The stream genuinely exercised both hit tiers.
         assert "l1" in tiers and "l2" in tiers
+
+    def test_one_group_per_reading_whichever_tier_serves(self):
+        # One viewport, served by the portal, then from L1 — and, on a
+        # door without an L1, composed from L2 tiles.
+        viewport = exact_query(Rect(1.2, 1.3, 2.8, 2.9))
+        served = {}
+        for config in (ON, FrontDoorConfig(l1_capacity=0, admission=NO_ADMISSION)):
+            door = FrontDoor(make_portal(), config)
+            for _ in range(2):
+                res = door.execute(viewport)
+                served[res.served_from] = res.result
+        assert set(served) == {"portal", "l1", "l2"}
+        for tier, result in served.items():
+            assert len(result.groups) == result.result_weight > 0, tier
+            assert groups_by_sensor(result) == groups_by_sensor(served["portal"]), tier
 
     def test_parity_holds_as_the_clock_advances_within_the_slot(self):
         door_on, door_off = _twin_doors(seed=1)

@@ -10,8 +10,9 @@ and ``execute_batch``, a one-subscription
 ``ContinuousQueryManager.tick``, ``RelCOLRTree.query`` and a two-shard
 ``FederatedPortal`` — built without a transport config, or with
 ``TransportConfig()`` under ``--transport``.  Every answer's sensor
-ids, values and ``QueryStats`` fields, and every ``NetworkStats``
-counter, go into one SHA-256 per section.
+ids, values and ``QueryStats`` fields, every portal result's display
+groups in order, and every ``NetworkStats`` counter, go into one
+SHA-256 per section.
 
 ``QueryStats.probes_timed_out`` is summed beside the digest instead of
 into it: the inline ``network.probe`` branches that PR 13 removed never
@@ -79,6 +80,19 @@ class Section:
         self.lines: list[str] = []
         self.timed_out = 0
 
+    def add_result(self, result) -> None:
+        """A portal result: its answers, then its display groups in the
+        order the result reports them."""
+        self.add(result.answers)
+        self.lines.append(
+            repr(
+                [
+                    (g.center.x, g.center.y, g.size, g.sketch.total, g.from_cache_node)
+                    for g in result.groups
+                ]
+            )
+        )
+
     def add(self, answers) -> None:
         for a in answers:
             probed = sorted((r.sensor_id, r.value) for r in a.probed_readings)
@@ -127,17 +141,17 @@ def main() -> None:
     for tick in range(TICKS):
         qs = queries(tick)
         for q in qs:
-            sections["execute"].add(single.execute(q).answers)
-            sections["federated"].add(federated.execute(q).answers)
+            sections["execute"].add_result(single.execute(q))
+            sections["federated"].add_result(federated.execute(q))
         result = batch.execute_batch(qs)
         for r in result.results:
-            sections["execute_batch"].add(r.answers)
+            sections["execute_batch"].add_result(r)
         stats = asdict(result.stats)
         del stats["wall_seconds"], stats["probes_timed_out"]
         sections["execute_batch"].lines.append(repr(sorted(stats.items())))
         for subscription, delta in manager.tick():
             sections["continuous"].lines.append(repr(delta))
-            sections["continuous"].add(subscription.last_result.answers)
+            sections["continuous"].add_result(subscription.last_result)
         for portal in (single, batch, standing, federated):
             portal.clock.advance(TICK_SECONDS)
     sections["execute"].lines.append(repr(asdict(single.network.stats)))
