@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Hashable
 
 from repro.core.plancache import region_fingerprint
@@ -570,9 +571,7 @@ class TieredResultCache:
             regions.append(entry.region)
             oldest = min(oldest, entry.oldest_timestamp)
             for answer in entry.result.answers:
-                for reading in list(answer.probed_readings) + list(
-                    answer.cached_readings
-                ):
+                for reading in chain(answer.probed_readings, answer.cached_readings):
                     if reading.sensor_id in seen:
                         continue
                     if not interior:

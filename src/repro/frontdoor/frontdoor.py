@@ -153,19 +153,20 @@ class FrontDoor:
         return self.cache.invalidate_region(region)
 
     def _sensor_locator(self):
-        """A sensor-id → location resolver over the in-process trees, or
-        ``None`` on the process backend (whose polygon viewports then
-        skip L2 composition and run the portal's exact path)."""
-        trees = self._local_trees()
-        if not trees:
+        """A sensor-id → location resolver over the in-process trees'
+        build-time sensor tables (first tree holding the id wins; no
+        live tree, no location), or ``None`` on the process backend
+        (whose polygon viewports then skip L2 composition and run the
+        portal's exact path)."""
+        tables = [tree._sensors for tree in self._local_trees()]
+        if not tables:
             return None
 
         def locate(sensor_id: int):
-            for tree in trees:
-                try:
-                    return tree.sensor(sensor_id).location
-                except KeyError:
-                    continue
+            for table in tables:
+                sensor = table.get(sensor_id)
+                if sensor is not None:
+                    return sensor.location
             return None
 
         return locate

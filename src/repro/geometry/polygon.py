@@ -5,15 +5,32 @@ portal's query dialect carries them as a vertex list.  Internally the
 index prunes with the polygon's bounding box (rectangle math is cheap)
 and only falls back to exact point-in-polygon / rectangle-relation tests
 where the bounding box is ambiguous.
+
+The exact tests read a per-polygon *edge table* built once at
+construction: one row of plain floats per edge, holding everything a
+test would otherwise re-derive from two ``GeoPoint``s for every point
+and every rectangle.  A polygon is paid for once, when it is drawn or
+clipped, and per edge afterwards.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.geometry.point import GeoPoint
 from repro.geometry.rect import Rect
+
+# One edge a -> b of the ring:
+#   ax, ay, bx, by, bx - ax, by - ay,
+#   the on-segment tolerance 1e-12 * (1 + |ax| + |bx| + |ay| + |by|),
+#   the on-segment box min(ax, bx) - 1e-12, max(ax, bx) + 1e-12,
+#                      min(ay, by) - 1e-12, max(ay, by) + 1e-12.
+# A point p is *on* the edge when it is in the box and
+# |orient(a, b, p)| = |dx * (py - ay) - dy * (px - ax)| is within the
+# tolerance.
+_EdgeRow = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -21,11 +38,14 @@ class Polygon:
     """A simple (non self-intersecting) polygon given by its vertices.
 
     The vertex ring may be given in either winding order and need not be
-    explicitly closed.  At least three vertices are required.
+    explicitly closed.  At least three vertices are required, all finite.
+    Equality, hashing and pickling go by ``vertices`` alone; the
+    bounding box and the edge table are rebuilt from them.
     """
 
     vertices: tuple[GeoPoint, ...]
     _bbox: Rect = field(init=False, repr=False, compare=False)
+    _edges: tuple[_EdgeRow, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: Iterable[GeoPoint]) -> None:
         verts = tuple(vertices)
@@ -33,8 +53,20 @@ class Polygon:
             verts = verts[:-1]
         if len(verts) < 3:
             raise ValueError("a polygon needs at least 3 distinct vertices")
+        xs = [v.x for v in verts]
+        ys = [v.y for v in verts]
+        # min()/max() hide a NaN that is not the first vertex, so the
+        # bounding box cannot be trusted to reject it.
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            raise ValueError(f"polygon vertices must be finite, got {verts}")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_bbox", Rect.from_points(verts))
+        object.__setattr__(self, "_bbox", Rect(min(xs), min(ys), max(xs), max(ys)))
+        object.__setattr__(self, "_edges", _edge_table(xs, ys))
+
+    def __reduce__(self):
+        # Vertices only: the default would ship the edge table (~100 B
+        # an edge) in every sub-query frame that crosses the op pipe.
+        return (type(self), (self.vertices,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -60,14 +92,7 @@ class Polygon:
     @property
     def area(self) -> float:
         """Unsigned area via the shoelace formula."""
-        total = 0.0
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            total += a.x * b.y - b.x * a.y
-        return abs(total) / 2.0
+        return _ring_area(self.vertices)
 
     def as_rect(self) -> "Rect | None":
         """The equivalent axis-aligned rectangle, when this polygon is
@@ -94,20 +119,25 @@ class Polygon:
     # ------------------------------------------------------------------
     def contains_point(self, p: GeoPoint) -> bool:
         """Even-odd point-in-polygon test; boundary points count inside."""
-        if not self._bbox.contains_point(p):
+        return self._contains_xy(p.x, p.y)
+
+    def _contains_xy(self, px: float, py: float) -> bool:
+        """``contains_point`` on bare coordinates.  One pass over the
+        edge table: a point on any edge is inside, otherwise the parity
+        of the edges a ray towards +x crosses decides."""
+        bbox = self._bbox
+        if not (bbox.min_x <= px <= bbox.max_x and bbox.min_y <= py <= bbox.max_y):
             return False
-        verts = self.vertices
-        n = len(verts)
         inside = False
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            if _on_segment(p, a, b):
+        for ax, ay, _, by, dx, dy, tol, lo_x, hi_x, lo_y, hi_y in self._edges:
+            if (
+                lo_x <= px <= hi_x
+                and lo_y <= py <= hi_y
+                and not abs(dx * (py - ay) - dy * (px - ax)) > tol
+            ):
                 return True
-            if (a.y > p.y) != (b.y > p.y):
-                x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if p.x < x_cross:
-                    inside = not inside
+            if (ay > py) != (by > py) and px < ax + (py - ay) * dx / dy:
+                inside = not inside
         return inside
 
     def intersects_rect(self, rect: Rect) -> bool:
@@ -115,19 +145,110 @@ class Polygon:
         if not self._bbox.intersects(rect):
             return False
         # Any polygon vertex inside the rect, or any rect corner inside
-        # the polygon, or any edge pair crossing.
-        if any(rect.contains_point(v) for v in self.vertices):
+        # the polygon, or any edge pair crossing or touching.
+        x0, y0, x1, y1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+        for row in self._edges:
+            if x0 <= row[0] <= x1 and y0 <= row[1] <= y1:
+                return True
+        contains = self._contains_xy
+        if contains(x0, y0) or contains(x1, y0) or contains(x1, y1) or contains(x0, y1):
             return True
-        if any(self.contains_point(c) for c in rect.corners()):
-            return True
-        rect_edges = _rect_edges(rect)
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            for c, d in rect_edges:
-                if _segments_intersect(a, b, c, d):
+        return self._edges_meet(x0, y0, x1, y1, touching=True)
+
+    def _edges_meet(
+        self, x0: float, y0: float, x1: float, y1: float, touching: bool
+    ) -> bool:
+        """True when a polygon edge *properly crosses* an edge of the
+        rectangle ``[x0, x1] x [y0, y1]`` (the two cross at a point
+        interior to both) or, with ``touching``, when an endpoint of one
+        lies on the other.
+
+        The rectangle's edges run c0 -> c1 -> c2 -> c3 -> c0 through its
+        corners counterclockwise from the lower-left.  For a polygon
+        edge ab and a rectangle edge cd the two segments properly cross
+        when c and d lie strictly on opposite sides of ab *and* a and b
+        strictly on opposite sides of cd.  The four corners' sides of ab
+        are computed once per polygon edge and serve all four rectangle
+        edges; the second half is looked at only for a rectangle edge
+        whose corners ab separates.  Every pair's verdict is a
+        conjunction of comparisons on the same float expressions
+        whatever the order, and the answer is a disjunction over pairs,
+        so neither the sharing nor the laziness can change it.
+        """
+        # d - c for the four rectangle edges.
+        ex0, ey0 = x1 - x0, y0 - y0
+        ex1, ey1 = x1 - x1, y1 - y0
+        ex2, ey2 = x0 - x1, y1 - y1
+        ex3, ey3 = x0 - x0, y0 - y1
+        if touching:
+            # The rectangle edges' own on-segment tolerances and boxes.
+            abs_x0, abs_x1, abs_y0, abs_y1 = abs(x0), abs(x1), abs(y0), abs(y1)
+            tol0 = 1e-12 * (1.0 + abs_x0 + abs_x1 + abs_y0 + abs_y0)
+            tol1 = 1e-12 * (1.0 + abs_x1 + abs_x1 + abs_y0 + abs_y1)
+            tol2 = 1e-12 * (1.0 + abs_x1 + abs_x0 + abs_y1 + abs_y1)
+            tol3 = 1e-12 * (1.0 + abs_x0 + abs_x0 + abs_y1 + abs_y0)
+            x0_lo, x0_hi, x1_lo, x1_hi = x0 - 1e-12, x0 + 1e-12, x1 - 1e-12, x1 + 1e-12
+            y0_lo, y0_hi, y1_lo, y1_hi = y0 - 1e-12, y0 + 1e-12, y1 - 1e-12, y1 + 1e-12
+        for ax, ay, bx, by, dx, dy, tol, lo_x, hi_x, lo_y, hi_y in self._edges:
+            # orient(a, b, corner) for the four corners.
+            tx0, tx1, ty0, ty1 = x0 - ax, x1 - ax, y0 - ay, y1 - ay
+            o_c0 = dx * ty0 - dy * tx0
+            o_c1 = dx * ty0 - dy * tx1
+            o_c2 = dx * ty1 - dy * tx1
+            o_c3 = dx * ty1 - dy * tx0
+            s0, s1, s2, s3 = o_c0 > 0, o_c1 > 0, o_c2 > 0, o_c3 > 0
+            if s0 != s1 and o_c0 != 0 and o_c1 != 0:
+                o_a = ex0 * (ay - y0) - ey0 * (ax - x0)
+                o_b = ex0 * (by - y0) - ey0 * (bx - x0)
+                if (o_a > 0) != (o_b > 0) and o_a != 0 and o_b != 0:
+                    return True
+            if s1 != s2 and o_c1 != 0 and o_c2 != 0:
+                o_a = ex1 * (ay - y0) - ey1 * (ax - x1)
+                o_b = ex1 * (by - y0) - ey1 * (bx - x1)
+                if (o_a > 0) != (o_b > 0) and o_a != 0 and o_b != 0:
+                    return True
+            if s2 != s3 and o_c2 != 0 and o_c3 != 0:
+                o_a = ex2 * (ay - y1) - ey2 * (ax - x1)
+                o_b = ex2 * (by - y1) - ey2 * (bx - x1)
+                if (o_a > 0) != (o_b > 0) and o_a != 0 and o_b != 0:
+                    return True
+            if s3 != s0 and o_c3 != 0 and o_c0 != 0:
+                o_a = ex3 * (ay - y1) - ey3 * (ax - x0)
+                o_b = ex3 * (by - y1) - ey3 * (bx - x0)
+                if (o_a > 0) != (o_b > 0) and o_a != 0 and o_b != 0:
+                    return True
+            if not touching:
+                continue
+            # A corner on ab.
+            if lo_x <= x0 <= hi_x:
+                if lo_y <= y0 <= hi_y and not abs(o_c0) > tol:
+                    return True
+                if lo_y <= y1 <= hi_y and not abs(o_c3) > tol:
+                    return True
+            if lo_x <= x1 <= hi_x:
+                if lo_y <= y0 <= hi_y and not abs(o_c1) > tol:
+                    return True
+                if lo_y <= y1 <= hi_y and not abs(o_c2) > tol:
+                    return True
+            # a on a rectangle edge (every vertex is the a of one row,
+            # so b's turn comes with the next row).
+            if x0_lo <= ax <= x1_hi:
+                if y0_lo <= ay <= y0_hi and not abs(
+                    ex0 * (ay - y0) - ey0 * (ax - x0)
+                ) > tol0:
+                    return True
+                if y1_lo <= ay <= y1_hi and not abs(
+                    ex2 * (ay - y1) - ey2 * (ax - x1)
+                ) > tol2:
+                    return True
+            if y0_lo <= ay <= y1_hi:
+                if x1_lo <= ax <= x1_hi and not abs(
+                    ex1 * (ay - y0) - ey1 * (ax - x1)
+                ) > tol1:
+                    return True
+                if x0_lo <= ax <= x0_hi and not abs(
+                    ex3 * (ay - y1) - ey3 * (ax - x0)
+                ) > tol3:
                     return True
         return False
 
@@ -203,41 +324,44 @@ class Polygon:
         """
         if not self._bbox.contains_rect(rect):
             return False
-        if not all(self.contains_point(c) for c in rect.corners()):
-            return False
-        rect_edges = _rect_edges(rect)
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            for c, d in rect_edges:
-                if _segments_properly_intersect(a, b, c, d):
-                    return False
-        return self._touched_edge_pieces_inside(rect)
-
-    def _touched_edge_pieces_inside(self, rect: Rect) -> bool:
-        """Polygon vertices lying exactly on a rectangle edge split it
-        into pieces; true when every piece's midpoint is inside.  (Exact
-        coordinate equality is what clipping produces: it stamps the
-        clip bound into the vertex.)"""
-        for horizontal, fixed, lo, hi in (
-            (True, rect.min_y, rect.min_x, rect.max_x),
-            (True, rect.max_y, rect.min_x, rect.max_x),
-            (False, rect.min_x, rect.min_y, rect.max_y),
-            (False, rect.max_x, rect.min_y, rect.max_y),
+        x0, y0, x1, y1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+        contains = self._contains_xy
+        if not (
+            contains(x0, y0) and contains(x1, y0) and contains(x1, y1) and contains(x0, y1)
         ):
-            if horizontal:
-                cuts = {v.x for v in self.vertices if v.y == fixed and lo < v.x < hi}
-            else:
-                cuts = {v.y for v in self.vertices if v.x == fixed and lo < v.y < hi}
-            if not cuts:
-                continue
-            bounds = [lo, *sorted(cuts), hi]
-            for a, b in zip(bounds, bounds[1:]):
-                mid = (a + b) / 2.0
-                point = GeoPoint(mid, fixed) if horizontal else GeoPoint(fixed, mid)
-                if not self.contains_point(point):
+            return False
+        if self._edges_meet(x0, y0, x1, y1, touching=False):
+            return False
+        return self._touched_edge_pieces_inside(x0, y0, x1, y1)
+
+    def _touched_edge_pieces_inside(
+        self, x0: float, y0: float, x1: float, y1: float
+    ) -> bool:
+        """Polygon vertices lying exactly on an edge of the rectangle
+        ``[x0, x1] x [y0, y1]`` split it into pieces; true when every
+        piece's midpoint is inside.  (Exact coordinate equality is what
+        clipping produces: it stamps the clip bound into the vertex.)"""
+        # (horizontal?, the rectangle edge's fixed coordinate) -> where
+        # along that edge vertices sit.
+        cuts: dict[tuple[bool, float], set[float]] = {}
+        for row in self._edges:
+            vx, vy = row[0], row[1]
+            if x0 < vx < x1:
+                if vy == y0:
+                    cuts.setdefault((True, y0), set()).add(vx)
+                if vy == y1:
+                    cuts.setdefault((True, y1), set()).add(vx)
+            if y0 < vy < y1:
+                if vx == x0:
+                    cuts.setdefault((False, x0), set()).add(vy)
+                if vx == x1:
+                    cuts.setdefault((False, x1), set()).add(vy)
+        contains = self._contains_xy
+        for (horizontal, fixed), along in cuts.items():
+            bounds = [x0, *sorted(along), x1] if horizontal else [y0, *sorted(along), y1]
+            for start, end in zip(bounds, bounds[1:]):
+                mid = (start + end) / 2.0
+                if not (contains(mid, fixed) if horizontal else contains(fixed, mid)):
                     return False
         return True
 
@@ -304,46 +428,30 @@ def _collapse_collinear(points: list[GeoPoint]) -> list[GeoPoint]:
     return out
 
 
-def _rect_edges(rect: Rect) -> list[tuple[GeoPoint, GeoPoint]]:
-    c0, c1, c2, c3 = rect.corners()
-    return [(c0, c1), (c1, c2), (c2, c3), (c3, c0)]
-
-
 def _orient(a: GeoPoint, b: GeoPoint, c: GeoPoint) -> float:
     """Signed area of the triangle (a, b, c); >0 means counterclockwise."""
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def _on_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
-    """True when ``p`` lies on the closed segment ``ab``."""
-    if abs(_orient(a, b, p)) > 1e-12 * (1.0 + abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y)):
-        return False
-    return (
-        min(a.x, b.x) - 1e-12 <= p.x <= max(a.x, b.x) + 1e-12
-        and min(a.y, b.y) - 1e-12 <= p.y <= max(a.y, b.y) + 1e-12
-    )
-
-
-def _segments_intersect(a: GeoPoint, b: GeoPoint, c: GeoPoint, d: GeoPoint) -> bool:
-    """Closed-segment intersection (touching endpoints count)."""
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    return (
-        _on_segment(c, a, b)
-        or _on_segment(d, a, b)
-        or _on_segment(a, c, d)
-        or _on_segment(b, c, d)
-    )
-
-
-def _segments_properly_intersect(a: GeoPoint, b: GeoPoint, c: GeoPoint, d: GeoPoint) -> bool:
-    """Proper crossing test: the segments cross at an interior point."""
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    return ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and 0 not in (o1, o2, o3, o4)
+def _edge_table(xs: list[float], ys: list[float]) -> tuple[_EdgeRow, ...]:
+    """One ``_EdgeRow`` per edge of the ring, in ring order."""
+    rows = []
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
+        lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
+        rows.append(
+            (
+                ax,
+                ay,
+                bx,
+                by,
+                bx - ax,
+                by - ay,
+                1e-12 * (1.0 + abs(ax) + abs(bx) + abs(ay) + abs(by)),
+                lo_x - 1e-12,
+                hi_x + 1e-12,
+                lo_y - 1e-12,
+                hi_y + 1e-12,
+            )
+        )
+    return tuple(rows)

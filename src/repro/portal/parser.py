@@ -14,6 +14,8 @@ a rectangle shorthand and a type filter::
 
 ``Rect(min_lat, min_lon, max_lat, max_lon)`` may be used in place of
 ``Polygon``.  Keywords are case-insensitive; whitespace is free-form.
+Coordinates are read by ``float()`` (``47.5``, ``-122``, ``.5``,
+``1e-3``); a region's parentheses may hold nothing else.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ _TYPE_RE = re.compile(r"s\.type\s*=\s*'([^']*)'", re.IGNORECASE)
 _CLUSTER_RE = re.compile(r"cluster\s+(\d+(?:\.\d+)?)\s*miles?", re.IGNORECASE)
 _SAMPLE_RE = re.compile(r"samplesize\s+(\d+)", re.IGNORECASE)
 _ZOOM_RE = re.compile(r"zoom\s+(\d+)", re.IGNORECASE)
-_PAIR_RE = re.compile(r"\(?\s*(-?\d+(?:\.\d+)?)\s*,\s*(-?\d+(?:\.\d+)?)\s*\)?")
+# The body of Polygon(...): parenthesised vertices, comma-separated.
+_RING_RE = re.compile(r"\([^()]*\)(?:\s*,\s*\([^()]*\))*")
+_VERTEX_RE = re.compile(r"\(([^()]*)\)")
 
 _UNIT_SECONDS = {
     "sec": 1.0,
@@ -104,19 +108,44 @@ def _parse_region(sql: str) -> Rect | Polygon:
             raise QueryParseError(f"bad Rect coordinates: {exc}") from None
         if min_lat > max_lat or min_lon > max_lon:
             raise QueryParseError("Rect bounds are inverted")
-        return Rect(min_lon, min_lat, max_lon, max_lat)
+        try:
+            return Rect(min_lon, min_lat, max_lon, max_lat)
+        except ValueError as exc:  # a NaN bound compares as not inverted
+            raise QueryParseError(f"bad Rect: {exc}") from None
     poly_match = _POLYGON_RE.search(sql)
     if poly_match is None:
         raise QueryParseError(
             "query needs S.location WITHIN Polygon(...) or Rect(...)"
         )
-    pairs = [(float(a), float(b)) for a, b in _PAIR_RE.findall(poly_match.group(1))]
+    pairs = _parse_vertices(poly_match.group(1))
     if len(pairs) < 3:
         raise QueryParseError("Polygon(...) needs at least 3 (lat, lon) vertices")
     try:
         return Polygon.from_latlon_pairs(pairs)
     except ValueError as exc:
         raise QueryParseError(f"bad polygon: {exc}") from None
+
+
+def _parse_vertices(body: str) -> list[tuple[float, float]]:
+    """``(lat, lon), (lat, lon), ...`` and nothing else: text the
+    vertex list does not account for is an error, not something to scan
+    past (a vertex that fails to match would silently change the
+    region)."""
+    if _RING_RE.fullmatch(body) is None:
+        raise QueryParseError(
+            "Polygon(...) must hold comma-separated (lat, lon) pairs, "
+            f"got {body!r}"
+        )
+    pairs = []
+    for vertex in _VERTEX_RE.findall(body):
+        parts = vertex.split(",")
+        if len(parts) != 2:
+            raise QueryParseError(f"polygon vertex ({vertex}) is not a (lat, lon) pair")
+        try:
+            pairs.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise QueryParseError(f"bad polygon coordinates: {exc}") from None
+    return pairs
 
 
 def _parse_time_window(sql: str) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from repro.geometry import GeoPoint, Polygon, Rect
@@ -128,3 +130,27 @@ class TestRectRelations:
         for probe in [Rect(3, 3, 4, 4), Rect(0, 0, 2.5, 2.5), Rect(9, 9, 11, 11)]:
             assert p.intersects_rect(probe) == r.intersects_rect(probe)
             assert p.contains_rect(probe) == r.contains_rect(probe)
+
+
+class TestNonFiniteVertices:
+    """``min(0, nan)`` is 0, so the bounding box only ever saw a NaN in
+    the first vertex; everywhere else it used to slip through and every
+    predicate answered from garbage."""
+
+    RING = [GeoPoint(0, 0), GeoPoint(1, 0), GeoPoint(1, 1)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_rejected_wherever_it_sits(self, bad, position):
+        for vertex in (GeoPoint(bad, 0.5), GeoPoint(0.5, bad)):
+            ring = self.RING[:position] + [vertex] + self.RING[position:]
+            with pytest.raises(ValueError, match="finite"):
+                Polygon(ring)
+
+    def test_from_latlon_pairs_rejects_it_too(self):
+        with pytest.raises(ValueError, match="finite"):
+            Polygon.from_latlon_pairs([(47, -122), (math.nan, -121), (48, -121)])
+
+    def test_an_unbounded_rect_has_no_polygon(self):
+        with pytest.raises(ValueError, match="finite"):
+            Polygon.from_rect(Rect(-math.inf, 0, 1, 1))

@@ -14,6 +14,15 @@ ids, values and ``QueryStats`` fields, every portal result's display
 groups in order, and every ``NetworkStats`` counter, go into one
 SHA-256 per section.
 
+Twelve more ticks over a denser fleet drive the polygon paths with a
+convex hexagon, a concave ring, a thin corridor and a rectangle drawn
+as a polygon: ``SensorMapPortal.execute_polygon`` (geoblock planner,
+clipped boundary sub-queries), the two-shard
+``FederatedPortal.execute_polygon`` (clipped routing), and a
+``FrontDoor`` over a two-shard federation asked each viewport twice —
+the first request fills and composes tiles (boundary tiles cropped per
+sensor), the second is served by the cached tier.
+
 ``QueryStats.probes_timed_out`` is summed beside the digest instead of
 into it: the inline ``network.probe`` branches that PR 13 removed never
 copied the network's timeouts into it, so without a transport config it
@@ -31,7 +40,8 @@ import numpy as np
 
 from repro import AvailabilityModel, COLRTreeConfig, SensorNetwork
 from repro.federation import FederatedPortal
-from repro.geometry import GeoPoint, Rect
+from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
+from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.portal.continuous import ContinuousQueryManager
 from repro.relcolr import RelCOLRTree
@@ -42,13 +52,17 @@ TICKS = 40
 TICK_SECONDS = 45.0
 TYPES = ("temperature", "wind")
 NETWORK = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
+POLYGON_TICKS = 12
+POLYGON_EXTENT = 10.0
 
 
-def fleet(n: int, seed: int):
+def fleet(n: int, seed: int, extent: float = 100.0):
     rng = np.random.default_rng(seed)
     for i in range(n):
         yield dict(
-            location=GeoPoint(float(rng.uniform(0, 100)), float(rng.uniform(0, 100))),
+            location=GeoPoint(
+                float(rng.uniform(0, extent)), float(rng.uniform(0, extent))
+            ),
             expiry_seconds=float(rng.uniform(120, 600)),
             sensor_type=TYPES[i % len(TYPES)],
             availability=0.35 if rng.random() < 0.3 else 0.95,
@@ -70,6 +84,52 @@ def queries(tick: int) -> list[SensorQuery]:
             )
         )
     return out
+
+
+def polygon_queries(tick: int) -> list[SensorQuery]:
+    """A convex hexagon, a concave ring, a thin corridor and a rectangle
+    drawn as a polygon, each somewhere new every tick."""
+    rng = np.random.default_rng(2000 + tick)
+
+    def ring(radii) -> Polygon:
+        cx, cy = (float(v) for v in rng.uniform(2.5, 7.5, 2))
+        turn = float(rng.uniform(0, 2 * np.pi))
+        step = 2 * np.pi / len(radii)
+        return Polygon(
+            GeoPoint(
+                cx + r * float(np.cos(turn + i * step)),
+                cy + r * float(np.sin(turn + i * step)),
+            )
+            for i, r in enumerate(radii)
+        )
+
+    def corridor() -> Polygon:
+        cx, cy = (float(v) for v in rng.uniform(2.5, 7.5, 2))
+        turn = float(rng.uniform(0, np.pi))
+        ux, uy = 1.4 * float(np.cos(turn)), 1.4 * float(np.sin(turn))
+        px, py = -0.08 * uy, 0.08 * ux
+        return Polygon(
+            [
+                GeoPoint(cx - ux + px, cy - uy + py),
+                GeoPoint(cx + ux + px, cy + uy + py),
+                GeoPoint(cx + ux - px, cy + uy - py),
+                GeoPoint(cx - ux - px, cy - uy - py),
+            ]
+        )
+
+    def rectangle() -> Polygon:
+        cx, cy = (float(v) for v in rng.uniform(2.5, 7.5, 2))
+        return Polygon.from_rect(Rect(cx - 1.2, cy - 0.8, cx + 1.2, cy + 0.8))
+
+    regions = [ring([1.4] * 6), ring([1.5, 0.7] * 5), corridor(), rectangle()]
+    return [
+        SensorQuery(
+            region=region,
+            staleness_seconds=120.0,
+            sensor_type=TYPES[0] if k % 2 else None,
+        )
+        for k, region in enumerate(regions)
+    ]
 
 
 class Section:
@@ -110,14 +170,14 @@ class Section:
         return hashlib.sha256("\n".join(self.lines).encode()).hexdigest()[:16]
 
 
-def build(cls, transport, **extra):
+def build(cls, transport, extent: float = 100.0, **extra):
     portal = cls(
         max_sensors_per_query=None,
         transport=transport,
         network_options=dict(NETWORK),
         **extra,
     )
-    for spec in fleet(600, seed=3):
+    for spec in fleet(600, seed=3, extent=extent):
         portal.register_sensor(**spec)
     portal.rebuild_index()
     return portal
@@ -159,6 +219,33 @@ def main() -> None:
     sections["continuous"].lines.append(repr(asdict(standing.network.stats)))
     for shard in federated.shards():
         sections["federated"].lines.append(repr(asdict(shard.network.stats)))
+
+    # The polygon paths, over a fleet dense enough to fill their cells.
+    polygon = build(SensorMapPortal, transport, extent=POLYGON_EXTENT)
+    fed_polygon = build(FederatedPortal, transport, extent=POLYGON_EXTENT, n_shards=2)
+    behind_door = build(FederatedPortal, transport, extent=POLYGON_EXTENT, n_shards=2)
+    door = FrontDoor(
+        behind_door, FrontDoorConfig(admission=AdmissionConfig(enabled=False))
+    )
+    for name in ("polygon", "fed_polygon", "frontdoor"):
+        sections[name] = Section()
+    for tick in range(POLYGON_TICKS):
+        for q in polygon_queries(tick):
+            sections["polygon"].add_result(polygon.execute_polygon(q))
+            sections["fed_polygon"].add_result(fed_polygon.execute_polygon(q))
+            for _ in range(2):  # tile fill + compose, then the cached tier
+                served = door.execute(q)
+                sections["frontdoor"].lines.append(
+                    repr((served.status, served.served_from, served.tiles_composed))
+                )
+                sections["frontdoor"].add_result(served.result)
+        for portal in (polygon, fed_polygon, behind_door):
+            portal.clock.advance(TICK_SECONDS)
+    sections["polygon"].lines.append(repr(asdict(polygon.network.stats)))
+    for name, federation in (("fed_polygon", fed_polygon), ("frontdoor", behind_door)):
+        for shard in federation.shards():
+            sections[name].lines.append(repr(asdict(shard.network.stats)))
+    sections["frontdoor"].lines.append(repr(sorted(asdict(door.cache.stats).items())))
 
     # RelCOLRTree.query over the same kind of fleet.
     registry = SensorRegistry()

@@ -112,3 +112,57 @@ class TestErrors:
                 "SELECT count(*) FROM sensor S WHERE S.location WITHIN "
                 "Rect(5,5,1,1) AND S.time BETWEEN now()-1 AND now()"
             )
+
+
+def _within(region: str):
+    return parse_query(
+        f"SELECT count(*) FROM sensor S WHERE S.location WITHIN {region} "
+        "AND S.time BETWEEN now()-1 AND now()"
+    )
+
+
+class TestRegionsAreParsedStrictly:
+    """The vertex list used to be *scanned* for digit pairs, so whatever
+    the scan could not match changed the region instead of failing."""
+
+    def test_exponent_is_part_of_the_number(self):
+        # Was read as lat -3: the scan started at the "-3" of "1e-3".
+        region = _within("Polygon((1e-3, 2), (3, 4), (5, 0))").region
+        assert region == Polygon.from_latlon_pairs([(0.001, 2), (3, 4), (5, 0)])
+
+    def test_leading_dot_is_part_of_the_number(self):
+        # Was read as lat 5.
+        region = _within("Polygon((.5, 1), (3, 4), (5, 0))").region
+        assert region == Polygon.from_latlon_pairs([(0.5, 1), (3, 4), (5, 0)])
+
+    def test_a_vertex_missing_its_comma_is_an_error(self):
+        # Was the triangle of the other three vertices.
+        with pytest.raises(QueryParseError, match=r"47\.5 -122"):
+            _within("Polygon((47.5 -122), (47.7, -122.1), (47.6, -121.9), (47.0, -121))")
+
+    def test_rect_nan_bound_is_a_parse_error(self):
+        # Was a bare ValueError from Rect: NaN compares as "not inverted".
+        with pytest.raises(QueryParseError):
+            _within("Rect(nan, 0, 1, 1)")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(1, 2), (3, 4), (5, 0) and more",
+            "(1, 2), (3, 4), (5, 0),",
+            "(1, 2) (3, 4), (5, 0)",
+            "(1, 2, 3), (3, 4), (5, 0)",
+            "(1, two), (3, 4), (5, 0)",
+            "(1, 2), (nan, 4), (5, 0)",
+            "(1, 2), (3, inf), (5, 0)",
+            "1, 2, 3, 4, 5, 0",
+            "",
+        ],
+    )
+    def test_text_the_vertex_list_does_not_account_for(self, body):
+        with pytest.raises(QueryParseError):
+            _within(f"Polygon({body})")
+
+    def test_whitespace_and_signs_are_free(self):
+        region = _within("Polygon( ( +1 ,2. ) ,\n(3,-4),(5,0) )").region
+        assert region == Polygon.from_latlon_pairs([(1, 2), (3, -4), (5, 0)])
