@@ -44,46 +44,60 @@ def kmeans_cluster(
     k = min(k, n)
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    centers = _kmeans_plus_plus(points, k, rng)
+    px = np.ascontiguousarray(points[:, 0])
+    py = np.ascontiguousarray(points[:, 1])
+    centers = _kmeans_plus_plus(px, py, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for iteration in range(max_iters):
         # Assign each point to its nearest center.
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distance(px[:, None], py[:, None], centers.T)
         new_labels = d2.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
+        if iteration > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        # Recompute centers; re-seed empty clusters at the farthest point.
-        for j in range(k):
-            members = points[labels == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
-            else:
-                farthest = d2.min(axis=1).argmax()
-                centers[j] = points[farthest]
+        # Recompute centers (per-cluster sums accumulate in index order);
+        # re-seed empty clusters at the farthest point.
+        counts = np.bincount(labels, minlength=k)
+        occupied = counts > 0
+        sizes = counts[occupied]
+        for axis, column in enumerate((px, py)):
+            sums = np.bincount(labels, weights=column, minlength=k)
+            centers[occupied, axis] = sums[occupied] / sizes
+        if not occupied.all():
+            centers[~occupied] = points[d2.min(axis=1).argmax()]
     return labels
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    px: np.ndarray, py: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """k-means++ seeding: spread initial centers proportionally to
     squared distance from the chosen set."""
-    n = points.shape[0]
+    n = px.shape[0]
     centers = np.empty((k, 2), dtype=np.float64)
     first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest_d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    centers[0] = px[first], py[first]
+    closest_d2 = _squared_distance(px, py, centers[0])
     for j in range(1, k):
         total = closest_d2.sum()
         if total <= 0.0:
             # All remaining points coincide with a center; any choice works.
-            centers[j:] = points[int(rng.integers(n))]
+            fill = int(rng.integers(n))
+            centers[j:] = px[fill], py[fill]
             break
         probs = closest_d2 / total
         choice = int(rng.choice(n, p=probs))
-        centers[j] = points[choice]
-        d2 = ((points - centers[j]) ** 2).sum(axis=1)
-        closest_d2 = np.minimum(closest_d2, d2)
+        centers[j] = px[choice], py[choice]
+        closest_d2 = np.minimum(closest_d2, _squared_distance(px, py, centers[j]))
     return centers
+
+
+def _squared_distance(px: np.ndarray, py: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to ``center`` — one ``(x, y)``,
+    or a ``(2, k)`` block of centers against ``(n, 1)`` columns."""
+    dx = px - center[0]
+    dy = py - center[1]
+    return dx * dx + dy * dy
 
 
 def build_colr_tree(
@@ -137,10 +151,6 @@ class _IdCounter:
         return value
 
 
-def _locations(sensors: Sequence[Sensor]) -> np.ndarray:
-    return np.array([[s.location.x, s.location.y] for s in sensors], dtype=np.float64)
-
-
 def _leaf(sensors: list[Sensor], ids: _IdCounter) -> COLRNode:
     bbox = Rect.from_points(s.location for s in sensors)
     return COLRNode(node_id=ids.take(), level=0, bbox=bbox, sensors=sensors)
@@ -153,26 +163,28 @@ def _build_kmeans(
     rng: np.random.Generator,
     ids: _IdCounter,
 ) -> COLRNode:
-    if len(sensors) <= leaf_capacity:
-        return _leaf(sensors, ids)
-    points = _locations(sensors)
-    labels = kmeans_cluster(points, fanout, rng)
-    groups = [
-        [sensors[i] for i in np.flatnonzero(labels == j)]
-        for j in range(labels.max() + 1)
-    ]
-    groups = [g for g in groups if g]
-    if len(groups) <= 1:
-        # Coincident points defeat clustering; split evenly instead so
-        # recursion always terminates.
-        half = max(1, len(sensors) // 2)
-        groups = [sensors[:half], sensors[half:]]
-        groups = [g for g in groups if g]
+    """Recursive k-means over one coordinate array for the whole tree:
+    every level clusters and splits its population by index."""
+    coords = np.array([[s.location.x, s.location.y] for s in sensors], dtype=np.float64)
+
+    def build(members: np.ndarray) -> COLRNode:
+        groups: list[np.ndarray] = []
+        if members.size > leaf_capacity:
+            labels = kmeans_cluster(coords[members], fanout, rng)
+            groups = [members[labels == j] for j in range(labels.max() + 1)]
+            groups = [g for g in groups if g.size]
+            if len(groups) <= 1:
+                # Coincident points defeat clustering; split evenly instead
+                # so recursion always terminates.
+                half = max(1, members.size // 2)
+                groups = [g for g in (members[:half], members[half:]) if g.size]
         if len(groups) <= 1:
-            return _leaf(sensors, ids)
-    children = [_build_kmeans(g, fanout, leaf_capacity, rng, ids) for g in groups]
-    bbox = Rect.union_of([c.bbox for c in children])
-    return COLRNode(node_id=ids.take(), level=0, bbox=bbox, children=children)
+            return _leaf([sensors[i] for i in members.tolist()], ids)
+        children = [build(g) for g in groups]
+        bbox = Rect.union_of([c.bbox for c in children])
+        return COLRNode(node_id=ids.take(), level=0, bbox=bbox, children=children)
+
+    return build(np.arange(len(sensors)))
 
 
 def _build_str(

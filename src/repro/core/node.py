@@ -39,6 +39,7 @@ class COLRNode:
         "agg_cache",
         "availability",
         "availability_refreshed_at",
+        "__weakref__",
     )
 
     def __init__(

@@ -171,6 +171,15 @@ class COLRTree:
         """Raw readings currently cached across all leaves."""
         return self._cached_count
 
+    def unlink(self) -> None:
+        """Clear every node's ``parent`` link — the structure's only
+        back-references — so dropping the last reference to a replaced
+        tree frees its nodes and slot caches by reference counting
+        instead of waiting for a cycle collection.  The tree must not be
+        queried or ingested into afterwards."""
+        for node in self._nodes.values():
+            node.parent = None
+
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------

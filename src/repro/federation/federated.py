@@ -594,6 +594,7 @@ class FederatedPortal:
         if self._shard_storage(shard_id) is None:
             return 0.0
         shard = self._build_shard(shard_id, self._groups[shard_id])
+        self._shards[shard_id].discard()
         self._shards[shard_id] = shard
         return shard.recovery_seconds
 
@@ -644,9 +645,7 @@ class FederatedPortal:
         staged = self._build_shard(shard_id, group)
         if primed:
             staged.install_cache_entries(list(primed))
-            if durable:
-                staged.checkpoint()
-        elif durable:
+        if durable:
             staged.checkpoint()
         return staged
 
@@ -694,7 +693,7 @@ class FederatedPortal:
             old = self._shards.pop(shard_id)
             self._groups.pop(shard_id)
             self._states.pop(shard_id, None)
-            old.close()
+            old.discard()
             shard_cfg = self._shard_storage(shard_id)
             if shard_cfg is not None:
                 from repro.storage.engine import wipe_data_dir
@@ -705,7 +704,7 @@ class FederatedPortal:
             if shard_id < len(self._shards):
                 old = self._shards[shard_id]
                 if old is not staged[shard_id]:
-                    old.close()
+                    old.discard()
                 self._shards[shard_id] = staged[shard_id]
                 self._groups[shard_id] = list(changes[shard_id])
             elif shard_id == len(self._shards):

@@ -247,8 +247,7 @@ class SensorMapPortal:
                     continue
                 fresh.append(sensor)
             self.registry.register_all(fresh)
-            for sensor in fresh:
-                self.storage.journal_register(sensor)
+            self.storage.journal_register_all(fresh)
         else:
             self.registry.register_all(sensors)
         self._index_dirty = True
@@ -444,6 +443,21 @@ class SensorMapPortal:
         """Flush and close the storage engine (no-op without storage)."""
         if self.storage is not None and not self.storage.closed:
             self.storage.close()
+
+    def discard(self) -> None:
+        """Close a portal that has been replaced, and drop its index so
+        reference counting frees it at once.  The trees' node ``parent``
+        links, their WAL sink (a bound method of this portal) and the
+        geoblock grid's back-reference are cycles that would otherwise
+        keep every node and slot cache alive until a generation-2
+        collection.  :meth:`close` alone leaves an in-memory portal
+        queryable; a discarded one has no index any more."""
+        self.close()
+        for tree in self._trees.values():
+            tree.wal_sink = None
+            tree.unlink()
+        self._trees = {}
+        self._geoblocks = None
 
     def crash(self) -> None:
         """Simulate abrupt process death: abandon the WAL mid-flight

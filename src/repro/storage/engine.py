@@ -7,11 +7,13 @@ One engine owns one data directory::
     wal-<N>.log          redo log of everything since checkpoint N
 
 Write path: every acknowledged slot-cache batch (and every sensor
-registration) appends one WAL record.  ``checkpoint()`` writes a fresh
-checkpoint file and a fresh empty WAL, makes both durable, then
-atomically flips the manifest (tmp + fsync + rename + directory fsync)
-and deletes the superseded pair — a crash at any instant leaves a
-consistent (checkpoint, wal) pair reachable.
+registration) appends one WAL record; a registration batch
+(``register_all``) appends its records in one write and one group
+commit.  ``checkpoint()`` writes a fresh checkpoint file and a fresh
+empty WAL, makes both durable, then atomically flips the manifest (tmp
++ fsync + rename + directory fsync) and deletes the superseded pair — a
+crash at any instant leaves a consistent (checkpoint, wal) pair
+reachable.
 
 Recovery on open: read the manifested checkpoint (if any), group its
 cached readings into priming batches, then replay the WAL — torn tails
@@ -27,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from repro.sensors.sensor import Reading, Sensor
 from repro.storage import wal as wal_mod
@@ -210,6 +213,11 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def journal_register(self, sensor: Sensor) -> None:
         self._wal.append(("sensor", sensor_record(sensor)))
+
+    def journal_register_all(self, sensors: Iterable[Sensor]) -> None:
+        """Journal a registration batch: one record per sensor, as
+        :meth:`journal_register` writes it, in one group commit."""
+        self._wal.append_many(("sensor", sensor_record(s)) for s in sensors)
 
     def journal_batch(self, readings: list[Reading], fetched_at: float) -> None:
         if not readings:

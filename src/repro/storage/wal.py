@@ -13,6 +13,10 @@ kill (SIGKILL, the failure the kill/revive benchmarks simulate) loses
 nothing that was acknowledged.  ``fsync`` runs once per
 ``fsync_batch`` appends (group commit): an *OS* crash can lose at most
 the last unsynced batch, which recovery's prefix property absorbs.
+``append_many`` holds a batch to the same contract as a unit: every
+frame is flushed to the OS on return, and the whole batch is fsynced
+as soon as ``fsync_batch`` records are pending — so a batch at least
+that long returns fully synced.
 """
 
 from __future__ import annotations
@@ -22,11 +26,17 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
+from typing import Iterable
 
 from repro.storage.stats import StorageStats
 
 MAGIC = b"COLRWAL1"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+
+
+def _frame(record: object) -> bytes:
+    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 class WriteAheadLog:
@@ -63,12 +73,29 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: object) -> None:
         """Journal one record: frame, flush to the OS, group-commit."""
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._file.write(payload)
+        self._file.write(_frame(record))
+        self._commit(1)
+
+    def append_many(self, records: Iterable[object]) -> None:
+        """Journal a batch: one frame per record — the bytes of one
+        :meth:`append` each — handed to the OS as one write + flush,
+        then one group-commit decision for the whole batch.  An empty
+        batch touches nothing."""
+        frames = bytearray()
+        count = 0
+        for record in records:
+            frames += _frame(record)
+            count += 1
+        if count:
+            self._file.write(frames)
+            self._commit(count)
+
+    def _commit(self, count: int) -> None:
+        """Flush ``count`` just-written records to the OS and apply the
+        group-commit rule to them as a unit."""
         self._file.flush()
-        self.stats.wal_appends += 1
-        self._pending += 1
+        self.stats.wal_appends += count
+        self._pending += count
         if self._pending >= self.fsync_batch:
             self._fsync()
 

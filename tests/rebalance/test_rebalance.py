@@ -4,6 +4,9 @@ dense ids, churn absorption, the two-phase flip's conservation, warm
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.rebalance import (
     Rebalancer,
     ShardMover,
 )
+from repro.storage import StorageConfig
 
 from tests.rebalance.conftest import (
     STALENESS,
@@ -346,3 +350,74 @@ class TestFrontDoorIntegration:
         assert distinct_ids(again.result)[0] == before - {leaver}
         # Cell-precise, like a move: the far viewport stays warm.
         assert door.execute(far).cache_hit
+
+
+class TestReplacedShardsAreFreed:
+    """A restage drops the replaced shard portal; its trees' cycles
+    (node ``parent`` links, the WAL sink bound to the portal) are broken
+    at the drop, so it is freed there and not by a later collection."""
+
+    def durable_fed(self, tmp_path) -> FederatedPortal:
+        fed = FederatedPortal(
+            n_shards=2,
+            max_sensors_per_query=None,
+            storage=StorageConfig(data_dir=tmp_path / "fed", fsync_enabled=False),
+        )
+        rng = np.random.default_rng(4)
+        for x, y in rng.uniform(0.0, 100.0, (300, 2)):
+            fed.register_sensor(GeoPoint(float(x), float(y)), expiry_seconds=STALENESS)
+        fed.rebuild_index()
+        return fed
+
+    def watch(self, fed) -> list[weakref.ref]:
+        refs = []
+        for shard in fed.shards():
+            tree = shard.tree("generic")
+            refs += [weakref.ref(shard), weakref.ref(tree), weakref.ref(tree.root)]
+        return refs
+
+    def test_absorb_joins_frees_the_replaced_trees_without_the_collector(
+        self, tmp_path
+    ):
+        fed = self.durable_fed(tmp_path)
+        door = FrontDoor(fed, FrontDoorConfig(admission=AdmissionConfig(enabled=False)))
+        near = SensorQuery(region=Rect(0.0, 0.0, 60.0, 60.0), staleness_seconds=STALENESS)
+        far = SensorQuery(region=Rect(97.0, 97.0, 99.0, 99.0), staleness_seconds=STALENESS)
+        held = door.execute(near).result  # a GroupView over the old trees' answers
+        door.execute(far)
+        replaced = self.watch(fed)
+        gc.collect()
+        gc.disable()
+        try:
+            # One join inside each shard's box: both shards restage.
+            ShardMover(fed).absorb_joins(
+                [
+                    JoinSpec(location=e.mbr.center, expiry_seconds=STALENESS)
+                    for e in fed.directory.entries()
+                ]
+            )
+            assert [ref() for ref in replaced] == [None] * 6
+        finally:
+            gc.enable()
+        # What was made before the step holds the sensor table and
+        # readings, never nodes: it still resolves.
+        assert len(held.groups) == held.result_weight > 0
+        assert {g.readings[0].sensor_id for g in held.groups} == distinct_ids(held)[0]
+        assert door.execute(far).cache_hit
+        assert door.execute(near).result.result_weight == held.result_weight + 1
+        fed.close()
+
+    def test_revive_frees_the_crashed_portal(self, tmp_path):
+        fed = self.durable_fed(tmp_path)
+        fed.execute(EXACT)
+        crashed = self.watch(fed)[:3]
+        gc.collect()
+        gc.disable()
+        try:
+            fed.kill_shard(0)
+            fed.revive_shard(0)
+            assert [ref() for ref in crashed] == [None] * 3
+        finally:
+            gc.enable()
+        assert fed.execute(EXACT).result_weight == 300
+        fed.close()

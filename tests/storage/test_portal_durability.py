@@ -99,6 +99,61 @@ class TestCrashRecovery:
         portal.close()
 
 
+class TestRegistrationBatch:
+    """``register_all`` journals its fresh sensors as one group commit."""
+
+    def durable(self, tmp_path) -> SensorMapPortal:
+        return SensorMapPortal(
+            max_sensors_per_query=None, storage=StorageConfig(data_dir=tmp_path / "data")
+        )
+
+    def test_crash_before_first_checkpoint_keeps_every_registration(self, tmp_path):
+        fleet = make_fleet(n=1000)
+        portal = self.durable(tmp_path)
+        fsyncs = portal.storage.stats.wal_fsyncs
+        portal.register_all(list(fleet))
+        # 1,000 >= wal_fsync_batch: the whole batch is synced on return.
+        assert portal.storage.stats.wal_appends == 1000
+        assert portal.storage.stats.wal_fsyncs == fsyncs + 1
+        portal.crash()
+
+        reopened = self.durable(tmp_path)
+        assert reopened.last_recovery.wal_records == 1000
+        assert reopened.registry.all() == sorted(fleet, key=lambda s: s.sensor_id)
+        wal = next((tmp_path / "data").glob("wal-*.log"))
+        size = wal.stat().st_size
+        reopened.register_all(list(fleet))  # all known: nothing is fresh
+        assert reopened.storage.stats.wal_appends == 0
+        assert wal.stat().st_size == size
+        reopened.close()
+
+    def test_empty_registration_neither_writes_nor_fsyncs(self, tmp_path):
+        portal = self.durable(tmp_path)
+        portal.register_all(make_fleet(n=3))  # 3 records pending, unsynced
+        wal = next((tmp_path / "data").glob("wal-*.log"))
+        size, fsyncs = wal.stat().st_size, portal.storage.stats.wal_fsyncs
+        portal.register_all([])
+        assert wal.stat().st_size == size
+        assert portal.storage.stats.wal_fsyncs == fsyncs
+        assert portal.storage.stats.wal_appends == 3
+        portal.close()
+
+    def test_journal_matches_one_register_per_sensor(self, tmp_path):
+        fleet = make_fleet(n=50)
+        batch = self.durable(tmp_path / "batch")
+        batch.register_all(list(fleet))
+        single = self.durable(tmp_path / "single")
+        for sensor in fleet:
+            single.storage.journal_register(sensor)
+        logs = [
+            next((tmp_path / name / "data").glob("wal-*.log")).read_bytes()
+            for name in ("batch", "single")
+        ]
+        assert logs[0] == logs[1]
+        batch.close()
+        single.close()
+
+
 class TestCheckpointReopen:
     def test_clean_checkpoint_round_trip(self, tmp_path):
         fleet = make_fleet()

@@ -1,5 +1,9 @@
 """Write-ahead log: replay order, group commit, torn-tail truncation."""
 
+import pickle
+import struct
+import zlib
+
 from repro.storage import WriteAheadLog
 from repro.storage.stats import StorageStats
 from repro.storage.wal import MAGIC, replay
@@ -58,6 +62,81 @@ class TestGroupCommit:
         wal.crash()
         assert wal.stats.wal_fsyncs == 0
         assert len(replay(path)) == 1
+
+
+class TestAppendMany:
+    def test_file_is_byte_identical_to_one_append_per_record(self, tmp_path):
+        records = make_records(40) + [("sensor", (7, 1.5, -2.5, 600.0, "wind", 0.9, ()))]
+        with WriteAheadLog(tmp_path / "one.log") as one:
+            for record in records:
+                one.append(record)
+        with WriteAheadLog(tmp_path / "many.log") as many:
+            many.append_many(records)
+        raw = (tmp_path / "many.log").read_bytes()
+        assert raw == (tmp_path / "one.log").read_bytes()
+        assert many.stats.wal_appends == one.stats.wal_appends == 41
+        # ... and both are the documented layout, frame for frame.
+        payloads = [pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL) for r in records]
+        assert raw == MAGIC + b"".join(
+            struct.pack("<II", len(p), zlib.crc32(p)) + p for p in payloads
+        )
+        assert replay(tmp_path / "many.log") == records
+
+    def test_batch_at_least_fsync_batch_long_returns_fully_synced(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "w.log", fsync_batch=4)
+        before = wal.stats.wal_fsyncs
+        wal.append_many(make_records(10))
+        assert wal.stats.wal_fsyncs - before == 1
+        wal.sync()  # nothing pending: no further fsync
+        assert wal.stats.wal_fsyncs - before == 1
+        assert wal.stats.wal_appends == 10
+
+    def test_short_batch_stays_pending_until_the_boundary(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "w.log", fsync_batch=4)
+        before = wal.stats.wal_fsyncs
+        wal.append_many(make_records(3))
+        assert wal.stats.wal_fsyncs - before == 0
+        wal.append(("batch", 9.0, ()))
+        assert wal.stats.wal_fsyncs - before == 1
+
+    def test_empty_batch_writes_nothing_and_moves_no_boundary(self, tmp_path):
+        path = tmp_path / "w.log"
+        wal = WriteAheadLog(path, fsync_batch=4)
+        wal.append_many(make_records(3))
+        size, fsyncs = path.stat().st_size, wal.stats.wal_fsyncs
+        wal.append_many([])
+        assert path.stat().st_size == size
+        assert (wal.stats.wal_fsyncs, wal.stats.wal_appends) == (fsyncs, 3)
+        wal.append(("batch", 9.0, ()))  # the fourth pending record
+        assert wal.stats.wal_fsyncs == fsyncs + 1
+
+    def test_fsync_disabled_still_flushes_the_batch(self, tmp_path):
+        path = tmp_path / "w.log"
+        wal = WriteAheadLog(path, fsync_batch=1, fsync_enabled=False)
+        wal.append_many(make_records(5))
+        wal.crash()
+        assert wal.stats.wal_fsyncs == 0
+        assert replay(path) == make_records(5)
+
+    def test_batch_torn_at_any_byte_replays_the_intact_prefix(self, tmp_path):
+        records = make_records(5)
+        source = tmp_path / "whole.log"
+        with WriteAheadLog(source) as wal:
+            wal.append_many(records)
+        raw = source.read_bytes()
+        boundaries = [len(MAGIC)]
+        for record in records:
+            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            boundaries.append(boundaries[-1] + 8 + len(payload))
+        assert boundaries[-1] == len(raw)
+        torn = tmp_path / "torn.log"
+        for cut in range(len(MAGIC), len(raw) + 1):
+            torn.write_bytes(raw[:cut])
+            intact = sum(1 for b in boundaries[1:] if b <= cut)
+            stats = StorageStats()
+            assert replay(torn, stats=stats) == records[:intact]
+            assert stats.torn_tail_truncations == (0 if cut in boundaries else 1)
+            assert torn.stat().st_size == boundaries[intact]
 
 
 class TestTornTail:
