@@ -5,34 +5,24 @@ shared ``SimClock`` — no query has ever finished faster on real
 hardware because of sharding.  This one drives the same 40k-sensor
 fleet and multi-tick batch workload as ``bench.federation`` through the
 **process execution backend** (``FederationConfig.execution="process"``,
-one worker process per shard over shared-memory flat kernels) at
-1 / 2 / 4 / 8 workers, and times the host clock.  The in-process
-coordinator runs the identical workload at each shard count as the
-baseline column, so the table shows exactly what true parallelism buys
-over simulated concurrency.
+one worker process per shard) at 1 / 2 / 4 / 8 workers, and times the
+host clock.  The in-process coordinator runs the identical workload at
+each shard count as the baseline column, so the table shows exactly
+what true parallelism buys over simulated concurrency.
 
-Three correctness gates run before any timing (the benchmark refuses to
-time a backend that changes answers):
-
-* **tiled classification parity** — ``FlatKernel.classify`` with
-  cache-sized tiling must produce bit-identical labels to the
-  monolithic pass over a mixed rect/polygon region workload, across a
-  spread of tile sizes (including degenerate 1-node tiles).
-* **process-backend bit-identity** — a process-mode federation and an
-  in-process federation built from the same fleet and seeds run the
-  same query matrix (exact / sampled x rect / polygon, cold and warm,
-  sequential and batch) and every per-answer field, timing and batch
-  stat must match exactly.
-* **no leaked segments** — after every portal is closed, ``/dev/shm``
-  must hold no segments with this run's prefix (asserted in teardown,
-  and recorded as a check).
+One correctness gate runs before any timing (the benchmark refuses to
+time a backend that changes answers): **process-backend bit-identity** —
+a process-mode federation and an in-process federation built from the
+same fleet and seeds run the same query matrix (exact / sampled x rect /
+polygon, cold and warm, sequential and batch) and every per-answer
+field, timing and batch stat must match exactly.
 
 The worker sweep is capped at the host's core count (never below two
 workers), and the wall-clock speedup gates are **core-count aware**: the
 >=2x gate at 4 workers needs >=4 CPUs and the monotonic-to-8 gate needs
 >=8; on smaller hosts they are recorded as skipped (``None`` — a fork
 worker cannot beat the in-process loop without a core to run on), while
-all three correctness gates above are enforced unconditionally.
+the correctness gate above is enforced unconditionally.
 
 Run with ``PYTHONPATH=src python -m repro.bench parallel``.
 """
@@ -43,58 +33,25 @@ import os
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from repro.bench.federation import (
     BENCH_FEDERATION,
     VIEWPORT_HALF_RANGE,
-    _parity_queries,
     assert_matrix_identical,
     drive_ticks,
     make_federation,
-    make_unsharded,
 )
-from repro.bench.fleets import SENSOR_TYPES, hotspot_viewports
+from repro.bench.fleets import hotspot_viewports
 from repro.bench.runner import Bench
-from repro.core.flat import FlatKernel, auto_tile_nodes
-from repro.parallel import leaked_segments
 
 # The bench federation config with the process backend switched on;
 # everything else (retry budget, backoff) identical to the in-process
 # rows so the comparison isolates the execution backend.
 PROCESS_FEDERATION = replace(BENCH_FEDERATION, execution="process")
 
-TILE_SIZES = (1, 7, 64, 1024)
-
 
 # ----------------------------------------------------------------------
-# Gates
+# Gate
 # ----------------------------------------------------------------------
-def check_tiled_parity(n_sensors: int, seed: int) -> int:
-    """Gate: tiled classification must label every node identically to
-    the monolithic pass, for every sensor-type tree, region shape and
-    tile size (including the auto-sized L2 tile).  Returns the number of
-    (tree, tile, region) cells compared."""
-    portal = make_unsharded(n_sensors, seed)
-    regions = [q.region for q in _parity_queries()]
-    regions += [q.region for q in hotspot_viewports(8, seed + 99, VIEWPORT_HALF_RANGE)]
-    cells = 0
-    sizes = TILE_SIZES + (auto_tile_nodes(),)
-    for sensor_type in SENSOR_TYPES:
-        root = portal.tree(sensor_type).root
-        mono = FlatKernel(root)
-        for tile in sizes:
-            tiled = FlatKernel(root, tile_nodes=tile)
-            for region in regions:
-                if not np.array_equal(mono.classify(region), tiled.classify(region)):
-                    raise AssertionError(
-                        f"tiled parity: {sensor_type} tile={tile} "
-                        f"labels diverge on {region!r}"
-                    )
-                cells += 1
-    return cells
-
-
 def check_process_parity(n_sensors: int, seed: int, n_shards: int = 2) -> int:
     """Gate: the process backend must be answer-bit-identical to the
     in-process coordinator on the same fleet and seeds — per-answer
@@ -160,7 +117,6 @@ def run(
     worker_counts = [n for n in worker_counts if n <= max(2, cores)]
     gate_sensors = min(n_sensors, 4_000)
 
-    tiled_cells = check_tiled_parity(gate_sensors, seed)
     process_cells = check_process_parity(gate_sensors, seed)
 
     rows = {
@@ -177,21 +133,14 @@ def run(
         speedup_at_4 = rows[4]["wall_speedup_vs_1_worker"] >= 2.0
     if cores >= 8 and 8 in rows:
         monotonic_to_8 = all(a <= b for a, b in zip(curve, curve[1:]))
-    leaked = leaked_segments()
     return {
         "phases": {
-            "parity": {
-                "tiled_cells": tiled_cells,
-                "process_cells": process_cells,
-                "leaked_segments": leaked,
-            },
+            "parity": {"process_cells": process_cells},
             **{f"workers_{n}": row for n, row in rows.items()},
         },
         "checks": {
-            # Both parity gates raise: reaching this line is the pass.
-            "tiled_classification_identical": tiled_cells > 0,
+            # The parity gate raises: reaching this line is the pass.
             "process_backend_bit_identical": process_cells > 0,
-            "no_leaked_segments": not leaked,
             "wall_speedup_ge_2x_at_4_workers": speedup_at_4,
             "wall_speedup_monotonic_to_8_workers": monotonic_to_8,
         },

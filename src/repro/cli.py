@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="run the federated demo on the process execution backend with "
-        "one worker process per shard (implies --shards N when --shards "
-        "is not given; 0 keeps in-process execution)",
+        help="run the federated demo on the process execution backend: one "
+        "worker process per shard, each building its own shard (implies "
+        "--shards N when --shards is not given; 0 keeps in-process execution)",
     )
     demo.add_argument(
         "--qps",
@@ -282,8 +282,8 @@ def _demo_federated(
 ) -> int:
     """Scripted tour of the scatter-gather federation: directory, a few
     queries, and graceful degradation with a killed shard.  With
-    ``workers`` > 0 the shards run as real worker processes over
-    shared-memory kernels (the process execution backend)."""
+    ``workers`` > 0 the shards run as real worker processes (the
+    process execution backend)."""
     import numpy as np
 
     from repro.federation import FederatedPortal, FederationConfig

@@ -74,14 +74,6 @@ class COLRTreeConfig:
         kept per tree (LRU evicted).  Plans stay valid for the tree's
         lifetime because the spatial structure is immutable after bulk
         load; only temporal/slot-cache state is per-query.
-    classify_tile_nodes:
-        When set, the kernel's vectorized node classification runs tile
-        by tile over chunks of this many nodes instead of one
-        whole-array pass, keeping the working set CPU-cache-resident on
-        large fleets.  Labels are bit-identical either way.  ``None``
-        (the default) keeps the monolithic pass;
-        :func:`repro.core.flat.auto_tile_nodes` derives an L2-sized
-        value from ``/sys`` cache info.
     availability_refresh_seconds:
         How often per-node mean availability estimates are recomputed
         from the historical model.
@@ -105,7 +97,6 @@ class COLRTreeConfig:
     redistribution_enabled: bool = True
     reversible_aggregates: bool = False
     plan_cache_size: int = 256
-    classify_tile_nodes: int | None = None
     availability_refresh_seconds: float = 600.0
     seed: int = 0
 
@@ -131,8 +122,6 @@ class COLRTreeConfig:
             raise ValueError("default_sample_size must be non-negative")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be at least 1")
-        if self.classify_tile_nodes is not None and self.classify_tile_nodes < 1:
-            raise ValueError("classify_tile_nodes must be positive or None")
 
     @property
     def n_slots(self) -> int:

@@ -31,38 +31,12 @@ invariants the kernel leans on:
 ``preorder_rank`` additionally records each node's position in the
 depth-first preorder, so fully vectorized scans can emit terminals in
 traversal order without walking pointers.
-
-Cache-conscious tiling
-----------------------
-On large fleets the kernel's coordinate arrays outgrow the CPU caches:
-a 40k-sensor tree carries ~180 KB per coordinate array, so one
-monolithic classification streams ~1 MB through the vectorized
-three-way test and every pass re-fetches from L3/DRAM.  Setting
-``tile_nodes`` (or :attr:`COLRTreeConfig.classify_tile_nodes`) splits
-the level-contiguous node range into fixed-size tiles processed
-independently, so each tile's working set (four coordinate slices, the
-mask temporaries and the label slice) stays resident in L2 while the
-interval arithmetic runs — the shape "Fast Query Processing by
-Distributing an Index over CPU Caches" shows beating both a monolithic
-index and naive threading.  Tiling is elementwise re-bracketing only:
-the labels are bit-identical to the monolithic pass (gated by
-``tests/property/test_tiled_classify_props.py``).
-``auto_tile_nodes()`` sizes tiles from ``/sys`` cache info with a safe
-default when the hierarchy is unreadable.
-
-The static arrays can also be exported to (and adopted from) shared
-memory — see :meth:`FlatKernel.shared_arrays` /
-:meth:`FlatKernel.adopt_arrays`; the parallel execution layer
-(:mod:`repro.parallel`) publishes them once per index build so worker
-processes map the spatial half of every shard zero-copy.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -79,99 +53,12 @@ DISJOINT = 0
 PARTIAL = 1
 CONTAINED = 2
 
-# The static arrays that define the spatial half of a kernel.  They are
-# frozen at build time, so they can be published to shared memory once
-# and mapped read-only by any number of worker processes; everything
-# else on the kernel (node references, plain-list mirrors) is cheap
-# process-local state derived from them.
-SHARED_ARRAY_FIELDS = (
-    "min_x",
-    "min_y",
-    "max_x",
-    "max_y",
-    "weight",
-    "level",
-    "is_leaf",
-    "parent",
-    "child_start",
-    "child_count",
-    "level_starts",
-    "leaf_start",
-    "leaf_end",
-    "sensor_ids",
-    "sensor_x",
-    "sensor_y",
-    "preorder_rank",
-    "preorder_leaves",
-    "pre_leaf_sizes",
-    "pre_leaf_bounds",
-    "pre_leaf_starts",
-    "pre_sensor_perm",
-    "pre_sensor_ids",
-    "pre_sensor_x",
-    "pre_sensor_y",
-    "_pre_leaf_node_ids",
-    "_pre_leaf_levels",
-)
-
-# Classification working set per node: four float64 coordinate reads,
-# the int8 label write, and the boolean mask temporaries the vectorized
-# three-way test materializes.  Used to convert a cache size into a
-# tile length.
-_CLASSIFY_BYTES_PER_NODE = 4 * 8 + 1 + 6 * 1
-
-# Fallback tile length when the cache hierarchy is unreadable: 16k
-# nodes ≈ 640 KB working set, inside any L2 this code will plausibly
-# meet, and large enough that the per-tile Python overhead stays
-# negligible.
-DEFAULT_TILE_NODES = 16_384
-
-
-@functools.lru_cache(maxsize=1)
-def l2_cache_bytes() -> int | None:
-    """Per-core L2 size from ``/sys``, or ``None`` when unreadable.
-
-    ``index2`` is the unified L2 on every Linux topology this targets;
-    sizes are reported like ``"2048K"``.
-    """
-    path = Path("/sys/devices/system/cpu/cpu0/cache/index2/size")
-    try:
-        text = path.read_text().strip()
-    except OSError:
-        return None
-    try:
-        if text.endswith(("K", "k")):
-            return int(text[:-1]) * 1024
-        if text.endswith(("M", "m")):
-            return int(text[:-1]) * 1024 * 1024
-        return int(text)
-    except ValueError:
-        return None
-
-
-def auto_tile_nodes(cache_bytes: int | None = None) -> int:
-    """A tile length whose classification working set fits in L2.
-
-    Targets half the cache (the other half keeps the query's unrelated
-    hot state — plan cache entries, slot-cache dictionaries — from
-    being evicted by the scan), rounded down to a multiple of 1024 so
-    tile boundaries stay allocator-friendly.  Falls back to
-    :data:`DEFAULT_TILE_NODES` when ``/sys`` offers no cache info.
-    """
-    if cache_bytes is None:
-        cache_bytes = l2_cache_bytes()
-    if cache_bytes is None or cache_bytes <= 0:
-        return DEFAULT_TILE_NODES
-    nodes = (cache_bytes // 2) // _CLASSIFY_BYTES_PER_NODE
-    return max(1024, (nodes // 1024) * 1024)
-
 
 class FlatKernel:
     """Immutable struct-of-arrays snapshot of a built hierarchy."""
 
     __slots__ = (
         "n_nodes",
-        "tile_nodes",
         "nodes",
         "index_of",
         "min_x",
@@ -206,13 +93,7 @@ class FlatKernel:
         "_is_leaf_list",
     )
 
-    def __init__(self, root: "COLRNode", tile_nodes: int | None = None) -> None:
-        """``tile_nodes`` switches classification to the cache-resident
-        tiled pass (``None`` keeps the monolithic pass; labels are
-        bit-identical either way)."""
-        if tile_nodes is not None and tile_nodes < 1:
-            raise ValueError("tile_nodes must be positive or None")
-        self.tile_nodes = tile_nodes
+    def __init__(self, root: "COLRNode") -> None:
         order: list["COLRNode"] = []
         queue: deque["COLRNode"] = deque([root])
         while queue:
@@ -338,70 +219,48 @@ class FlatKernel:
         """Label every node DISJOINT / PARTIAL / CONTAINED against
         ``region``.
 
-        For rectangular regions the three-way test is computed with
-        pure interval arithmetic (exact) — over all nodes at once, or
-        tile by tile when :attr:`tile_nodes` is set (the tiled pass
-        re-brackets the same elementwise operations, so the labels are
-        bit-identical while each tile's working set stays L2-resident).
-        For polygonal (or other) regions, a vectorized bounding-box pass
-        first settles every node the bbox can settle, then the exact
-        region predicates run level by level on the undecided frontier
-        only: children of DISJOINT / CONTAINED nodes inherit the
-        parent's label (sound because a child's bbox lies inside its
-        parent's), so exact tests are paid only where the region
-        boundary actually passes.
+        For rectangular regions the three-way test is computed for all
+        nodes at once (pure interval arithmetic, exact).  For polygonal
+        (or other) regions, a vectorized bounding-box pass first settles
+        every node the bbox can settle, then the exact region predicates
+        run level by level on the undecided frontier only: children of
+        DISJOINT / CONTAINED nodes inherit the parent's label (sound
+        because a child's bbox lies inside its parent's), so exact tests
+        are paid only where the region boundary actually passes.
         """
         if isinstance(region, Rect):
             return self._classify_rect(region)
         return self._classify_generic(region)
 
-    def _tile_ranges(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """``[lo, hi)`` split into ``tile_nodes``-sized chunks (one
-        chunk when tiling is off or the range already fits)."""
-        tile = self.tile_nodes
-        if tile is None or hi - lo <= tile:
-            return [(lo, hi)]
-        return [(t, min(t + tile, hi)) for t in range(lo, hi, tile)]
-
     def _classify_rect(self, r: Rect) -> np.ndarray:
+        disjoint = (
+            (self.min_x > r.max_x)
+            | (self.max_x < r.min_x)
+            | (self.min_y > r.max_y)
+            | (self.max_y < r.min_y)
+        )
+        contained = (
+            (r.min_x <= self.min_x)
+            & (self.max_x <= r.max_x)
+            & (r.min_y <= self.min_y)
+            & (self.max_y <= r.max_y)
+        )
         labels = np.full(self.n_nodes, PARTIAL, dtype=np.int8)
-        for lo, hi in self._tile_ranges(0, self.n_nodes):
-            min_x = self.min_x[lo:hi]
-            min_y = self.min_y[lo:hi]
-            max_x = self.max_x[lo:hi]
-            max_y = self.max_y[lo:hi]
-            disjoint = (
-                (min_x > r.max_x)
-                | (max_x < r.min_x)
-                | (min_y > r.max_y)
-                | (max_y < r.min_y)
-            )
-            contained = (
-                (r.min_x <= min_x)
-                & (max_x <= r.max_x)
-                & (r.min_y <= min_y)
-                & (max_y <= r.max_y)
-            )
-            seg = labels[lo:hi]
-            seg[contained] = CONTAINED
-            seg[disjoint] = DISJOINT
+        labels[contained] = CONTAINED
+        labels[disjoint] = DISJOINT
         return labels
 
     def _classify_generic(self, region: Region) -> np.ndarray:
         qb = region_bbox(region)
         # Bbox screens, matching the early-outs of the exact predicates:
         # bbox-disjoint nodes cannot intersect, and a node whose bbox is
-        # not fully inside the region's bbox cannot be contained.  The
-        # screen is computed tile by tile so each chunk of the SoA
-        # arrays stays cache-resident; the result is elementwise, so the
-        # labels match the monolithic pass exactly.
-        bbox_disjoint = np.empty(self.n_nodes, dtype=bool)
-        for lo, hi in self._tile_ranges(0, self.n_nodes):
-            np.logical_or(
-                (self.min_x[lo:hi] > qb.max_x) | (self.max_x[lo:hi] < qb.min_x),
-                (self.min_y[lo:hi] > qb.max_y) | (self.max_y[lo:hi] < qb.min_y),
-                out=bbox_disjoint[lo:hi],
-            )
+        # not fully inside the region's bbox cannot be contained.
+        bbox_disjoint = (
+            (self.min_x > qb.max_x)
+            | (self.max_x < qb.min_x)
+            | (self.min_y > qb.max_y)
+            | (self.max_y < qb.min_y)
+        )
         labels = np.full(self.n_nodes, PARTIAL, dtype=np.int8)
         nodes = self.nodes
         starts = self.level_starts
@@ -418,19 +277,16 @@ class FlatKernel:
 
         labels[0] = exact(0)
         for level in range(1, len(starts) - 1):
-            # Levels are contiguous in BFS order, so tiling a level is a
-            # further sub-bracketing of the same node range.
-            for lo, hi in self._tile_ranges(int(starts[level]), int(starts[level + 1])):
-                plabels = labels[self.parent[lo:hi]]
-                # A child bbox lies inside its parent's, so a parent
-                # that is wholly in (or wholly out of) the region
-                # settles every descendant; only the PARTIAL frontier
-                # needs exact tests.
-                seg = labels[lo:hi]
-                settled = plabels != PARTIAL
-                seg[settled] = plabels[settled]
-                for off in np.flatnonzero(~settled):
-                    seg[off] = exact(lo + int(off))
+            lo, hi = int(starts[level]), int(starts[level + 1])
+            plabels = labels[self.parent[lo:hi]]
+            # A child bbox lies inside its parent's, so a parent that is
+            # wholly in (or wholly out of) the region settles every
+            # descendant; only the PARTIAL frontier needs exact tests.
+            seg = labels[lo:hi]
+            settled = plabels != PARTIAL
+            seg[settled] = plabels[settled]
+            for off in np.flatnonzero(~settled):
+                seg[off] = exact(lo + int(off))
         return labels
 
     # ------------------------------------------------------------------
@@ -503,46 +359,6 @@ class FlatKernel:
                 & (y <= region.max_y)
             )
         return None
-
-    # ------------------------------------------------------------------
-    # Shared-memory export / import
-    # ------------------------------------------------------------------
-    def shared_arrays(self) -> dict[str, np.ndarray]:
-        """The static numpy arrays of the kernel, keyed by attribute
-        name — the exact set a shared-memory publisher must carry for
-        :meth:`adopt_arrays` to reconstruct a working kernel."""
-        return {name: getattr(self, name) for name in SHARED_ARRAY_FIELDS}
-
-    def adopt_arrays(
-        self, arrays: Mapping[str, np.ndarray], *, verify: bool = True
-    ) -> None:
-        """Swap the kernel's private arrays for externally backed views
-        (e.g. ``multiprocessing.shared_memory`` maps).
-
-        Every field in :data:`SHARED_ARRAY_FIELDS` must be present with
-        matching dtype and shape.  With ``verify=True`` the contents are
-        also compared against the current arrays — a cheap one-time
-        guard that the publisher and this process built the same tree
-        (both sides build deterministically from the same sensors, so a
-        mismatch means a bug, not noise).
-        """
-        for name in SHARED_ARRAY_FIELDS:
-            if name not in arrays:
-                raise KeyError(f"adopt_arrays missing field {name!r}")
-            new = arrays[name]
-            old = getattr(self, name)
-            if new.dtype != old.dtype or new.shape != old.shape:
-                raise ValueError(
-                    f"adopt_arrays field {name!r}: expected "
-                    f"{old.dtype}{old.shape}, got {new.dtype}{new.shape}"
-                )
-            if verify and not np.array_equal(new, old):
-                raise ValueError(
-                    f"adopt_arrays field {name!r}: contents differ from "
-                    "locally built kernel (publisher/worker tree mismatch)"
-                )
-        for name in SHARED_ARRAY_FIELDS:
-            setattr(self, name, arrays[name])
 
     # ------------------------------------------------------------------
     # Visited set (for fully vectorized scans)

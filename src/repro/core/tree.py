@@ -141,7 +141,7 @@ class COLRTree:
         self.wal_sink = None
         self.storage_meter = None
         # The flattened traversal kernel + spatial plan cache.
-        self.kernel = FlatKernel(self.root, tile_nodes=self.config.classify_tile_nodes)
+        self.kernel = FlatKernel(self.root)
         self.plan_cache = SpatialPlanCache(self.config.plan_cache_size)
 
     # ------------------------------------------------------------------

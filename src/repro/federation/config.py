@@ -59,12 +59,12 @@ class FederationConfig:
         keeps every shard a ``SensorMapPortal`` inside the
         coordinator's process — fully deterministic, zero IPC.
         ``"process"`` runs each shard in its own worker process
-        (:class:`repro.parallel.ParallelFederatedPortal`): the static
-        flat-kernel arrays are published once over
-        ``multiprocessing.shared_memory`` and only query descriptors /
-        answers cross the worker pipes, so shard work genuinely
-        overlaps on the wall clock.  Answers are bit-identical across
-        backends for the same seed.
+        (:class:`repro.parallel.ProcessBackend`): the coordinator holds
+        sockets and pids only, each worker builds its shard from the
+        same ``ShardSpec``, and only query descriptors / answers cross
+        the worker pipes, so shard work genuinely overlaps on the wall
+        clock.  Answers are bit-identical across backends for the same
+        seed.  This field is the only backend selector.
     """
 
     shard_retry_budget: int = 1

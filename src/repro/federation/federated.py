@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.aggregates import AggregateSketch
 from repro.core.config import COLRTreeConfig
 from repro.core.stats import ProcessingCostModel
+from repro.federation.backend import InProcessBackend, ShardDownError, ShardSpec
 from repro.federation.config import FederationConfig
 from repro.federation.directory import ShardDirectory, ShardRoute
 from repro.federation.partitioner import GridPartitioner, Partitioner
@@ -80,10 +81,6 @@ _BATCH_COUNTERS = tuple(
     for f in fields(BatchStats)
     if f.name not in ("queries", "collection_seconds", "wall_seconds")
 )
-
-
-class ShardDownError(RuntimeError):
-    """A shard did not answer (killed, crashed, unreachable)."""
 
 
 def _result_sensor_ids(result: PortalResult) -> set[int]:
@@ -317,29 +314,17 @@ class _Scatter:
 class FederatedPortal:
     """N portal shards behind one scatter-gather front end.
 
-    Two execution backends share this coordinator logic, selected by
-    ``FederationConfig.execution``: ``"inprocess"`` (this class — every
-    shard is a ``SensorMapPortal`` in the coordinator's process) and
-    ``"process"`` (``repro.parallel.ParallelFederatedPortal`` — each
-    shard lives in its own worker process over shared-memory kernels).
-    All shard interaction funnels through two hooks the process backend
-    overrides: :meth:`_shard_op` (one named call on one shard) and
-    :meth:`_attempt_calls` (one attempt at a batch of calls, sequential
-    here, pipelined across workers there).  The retry budget, backoff,
-    cooldown and recovery charge live once, in :meth:`_scatter_calls`.
+    Where the shards run is the backend's business
+    (:mod:`repro.federation.backend`), chosen once from
+    ``FederationConfig.execution``: ``"inprocess"`` keeps every shard a
+    ``SensorMapPortal`` in the coordinator's process, ``"process"`` runs
+    each in its own worker process.  The coordinator hands a backend one
+    :class:`~repro.federation.backend.ShardSpec` per shard and from then
+    on reaches shards by id only — one named ``call``, or one ``attempt``
+    at a batch of calls (sequential in-process, pipelined across
+    workers).  The retry budget, backoff, cooldown and recovery charge
+    live once, in :meth:`_scatter_calls`.
     """
-
-    def __new__(cls, *args, **kwargs):
-        federation = kwargs.get("federation")
-        if (
-            cls is FederatedPortal
-            and federation is not None
-            and getattr(federation, "execution", "inprocess") == "process"
-        ):
-            from repro.parallel.portal import ParallelFederatedPortal
-
-            return super().__new__(ParallelFederatedPortal)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -384,7 +369,12 @@ class FederatedPortal:
         self._network_seed = network_seed
         self._network_options = dict(network_options) if network_options else {}
         self.storage_config = storage
-        self._shards: list[SensorMapPortal] = []
+        if self.federation.execution == "process":
+            from repro.parallel.portal import ProcessBackend
+
+            self._backend = ProcessBackend(self.clock)
+        else:
+            self._backend = InProcessBackend(self.clock)
         self._groups: list[list[Sensor]] = []
         self._directory: ShardDirectory | None = None
         self._states: dict[int, _ShardState] = {}
@@ -430,7 +420,7 @@ class FederatedPortal:
     # Index lifecycle
     # ------------------------------------------------------------------
     def rebuild_index(self) -> None:
-        """Partition the fleet and (re)build one portal per shard.
+        """Partition the fleet and (re)build every shard.
 
         Kill switches and health state survive a rebuild per shard id
         (the operator killed "shard 3", not a particular index build);
@@ -451,29 +441,39 @@ class FederatedPortal:
         # Compact away empty shards (a k-means run on a tiny fleet can
         # starve a cluster) so every built shard has an index.
         groups = [g for g in groups if g]
-        for shard in self._shards:
-            shard.close()
+        self._backend.close()
         if self.storage_config is not None:
             self._wipe_stale_shard_dirs(groups)
         self._directory = ShardDirectory(groups)
         self._groups = groups
-        self._shards = []
         self._states = {
             shard_id: self._states.get(shard_id, _ShardState())
             for shard_id in range(len(groups))
         }
-        for shard_id, group in enumerate(groups):
-            self._shards.append(self._build_shard(shard_id, group))
+        recovered = self._backend.build_all(
+            [self._spec(shard_id, group) for shard_id, group in enumerate(groups)]
+        )
+        for shard_id, seconds in enumerate(recovered):
+            self._charge_recovery(shard_id, seconds)
         self._index_dirty = False
         self.index_generation += 1
 
-    def _shard_storage(self, shard_id: int) -> "StorageConfig | None":
-        """The storage config one shard portal should own, or ``None``
-        (no storage configured; the process backend overrides this to
-        keep the engines in its worker processes)."""
-        if self.storage_config is None:
-            return None
-        return self.storage_config.for_shard(shard_id)
+    def _spec(self, shard_id: int, group: list[Sensor]) -> ShardSpec:
+        """What shard ``shard_id`` is built from on either backend; its
+        durable directory is ``storage.data_dir/shard-<id>``."""
+        storage = self.storage_config
+        return ShardSpec(
+            shard_id=shard_id,
+            sensors=group,
+            config=self.config,
+            cost_model=self.cost_model,
+            value_fn=self._value_fn,
+            network_seed=self._network_seed + shard_id,
+            max_sensors_per_query=self.max_sensors_per_query,
+            transport=self.transport_config,
+            network_options=self._network_options,
+            storage=None if storage is None else storage.for_shard(shard_id),
+        )
 
     def _wipe_stale_shard_dirs(self, groups: list[list[Sensor]]) -> None:
         """Wipe any shard directory whose durable sensor set no longer
@@ -495,26 +495,6 @@ class FederatedPortal:
             wipe_data_dir(shard_cfg.path)
             shard_id += 1
 
-    def _build_shard(self, shard_id: int, group: list[Sensor]) -> SensorMapPortal:
-        """Construct (or, over a warm data directory, *recover*) one
-        shard portal.  Recovery seconds are charged to the shard's next
-        gather via its ``pending_recovery_seconds``."""
-        shard = SensorMapPortal(
-            config=self.config,
-            cost_model=self.cost_model,
-            value_fn=self._value_fn,
-            network_seed=self._network_seed + shard_id,
-            clock=self.clock,
-            max_sensors_per_query=self.max_sensors_per_query,
-            transport=self.transport_config,
-            network_options=dict(self._network_options),
-            storage=self._shard_storage(shard_id),
-        )
-        shard.register_all(group)
-        shard.rebuild_index()
-        self._charge_recovery(shard_id, shard.recovery_seconds)
-        return shard
-
     def _charge_recovery(self, shard_id: int, seconds: float) -> float:
         """Book one shard recovery: its modeled replay seconds delay
         the shard's next gather.  Returns ``seconds``."""
@@ -526,13 +506,13 @@ class FederatedPortal:
         return seconds
 
     def _ensure_index(self) -> None:
-        if self._index_dirty or not self._shards:
+        if self._index_dirty or not self._groups:
             self.rebuild_index()
 
     @property
     def n_shards(self) -> int:
         self._ensure_index()
-        return len(self._shards)
+        return len(self._groups)
 
     @property
     def directory(self) -> ShardDirectory:
@@ -541,12 +521,20 @@ class FederatedPortal:
         return self._directory
 
     def shard(self, shard_id: int) -> SensorMapPortal:
-        self._ensure_index()
-        return self._shards[shard_id]
+        """One shard portal held in this process (``IndexError`` for a
+        shard that lives in a worker)."""
+        return self.shards()[shard_id]
 
     def shards(self) -> list[SensorMapPortal]:
+        """The shard portals held in this process: all of them
+        in-process, none when shards live in workers."""
         self._ensure_index()
-        return list(self._shards)
+        return self._backend.portals()
+
+    def worker_pid(self, shard_id: int) -> int | None:
+        """The pid of the worker process serving a shard, or ``None``
+        (in-process shard, or a worker known to be dead)."""
+        return self._backend.pid(shard_id)
 
     def shard_members(self, shard_id: int) -> list[Sensor]:
         """The sensors one shard currently owns (copy)."""
@@ -554,25 +542,21 @@ class FederatedPortal:
         return list(self._groups[shard_id])
 
     def sensor_types(self) -> list[str]:
-        self._ensure_index()
         types: set[str] = set()
-        for shard in self._shards:
-            types.update(shard.sensor_types())
+        for entry in self.directory.entries():
+            types |= entry.sensor_types
         return sorted(types)
 
     # ------------------------------------------------------------------
     # Shard health
     # ------------------------------------------------------------------
     def kill_shard(self, shard_id: int) -> None:
-        """Simulate a shard outage: scatters to it raise until revived.
-
-        With storage attached the outage is a real crash — the shard's
-        WAL handle is abandoned mid-flight (no final fsync, no
-        checkpoint), so revival must replay the log."""
+        """A shard outage: scatters to it fail until revived.  The
+        backend makes it real — an abandoned WAL for a durable
+        in-process shard, SIGKILL for a worker."""
         self._ensure_index()
         self._states[shard_id].killed = True
-        if self._shard_storage(shard_id) is not None:
-            self._shards[shard_id].crash()
+        self._backend.kill(shard_id)
 
     def shard_killed(self, shard_id: int) -> bool:
         """Whether the operator's kill switch is on for this shard."""
@@ -581,22 +565,20 @@ class FederatedPortal:
 
     def revive_shard(self, shard_id: int) -> float:
         """Bring a killed shard back; returns the modeled recovery
-        seconds (0.0 for in-memory shards, which revive instantly with
-        their caches intact).  With storage attached the shard portal is
-        rebuilt from its data directory — checkpoint pages and WAL
-        records replay, caches re-install — and the recovery time is
-        charged to the shard's next gather."""
+        seconds, also charged to the shard's next gather.  An in-memory
+        in-process shard revives instantly with its caches intact
+        (0.0); a worker restarts cold; with storage attached either
+        backend rebuilds the shard from its data directory — checkpoint
+        pages and WAL records replay, caches re-install."""
         self._ensure_index()
         state = self._states[shard_id]
         state.killed = False
         state.consecutive_failures = 0
         state.down_until = 0.0
-        if self._shard_storage(shard_id) is None:
-            return 0.0
-        shard = self._build_shard(shard_id, self._groups[shard_id])
-        self._shards[shard_id].discard()
-        self._shards[shard_id] = shard
-        return shard.recovery_seconds
+        return self._charge_recovery(
+            shard_id,
+            self._backend.revive(self._spec(shard_id, self._groups[shard_id])),
+        )
 
     # ------------------------------------------------------------------
     # Live rebalancing (membership changes without a full rebuild)
@@ -618,36 +600,7 @@ class FederatedPortal:
         if self._states[shard_id].killed:
             raise ShardDownError(f"shard {shard_id} is down")
         ids = list(sensor_ids) if sensor_ids is not None else None
-        return list(self._shard_op(shard_id, "export_cache", ids))
-
-    def _stage_shard(
-        self,
-        shard_id: int,
-        group: list[Sensor],
-        primed: Sequence[tuple] = (),
-    ):
-        """Build (but do not install) a shard portal for its new
-        membership, priming it with migrated cache entries.
-
-        In-memory shards stage fully off to the side: the old portal
-        keeps serving until :meth:`_commit_membership` swaps references.
-        Durable shards must close the old engine first (one WAL writer
-        per directory) and wipe the stale on-disk sensor set, then
-        checkpoint the primed state so a crash after commit recovers the
-        *new* membership warm."""
-        durable = self._shard_storage(shard_id) is not None
-        if durable:
-            from repro.storage.engine import wipe_data_dir
-
-            if shard_id < len(self._shards):
-                self._shards[shard_id].close()
-            wipe_data_dir(self.storage_config.for_shard(shard_id).path)
-        staged = self._build_shard(shard_id, group)
-        if primed:
-            staged.install_cache_entries(list(primed))
-        if durable:
-            staged.checkpoint()
-        return staged
+        return list(self._backend.call(shard_id, "export_cache", ids))
 
     def rebalance_apply(
         self,
@@ -662,90 +615,44 @@ class FederatedPortal:
         ``changes`` maps shard id -> its complete new population (ids at
         the current count append shards); ``primed`` carries migrated
         cache entries per target shard; ``drop`` removes trailing shard
-        ids.  Staging happens entirely before the commit — a query
-        racing the step routes via the old directory to the old portals
-        (all still installed) or, after the flip, via the new directory
-        to the new portals.  Either owner answers; never both, never
-        neither.  ``on_staged`` (tests, fault injection) runs between
-        the phases.  No ``index_generation`` bump: caches above stay
-        valid except where :meth:`notify_rebalance` invalidates."""
+        ids.  Only the affected shards cycle — the rest keep serving
+        untouched.  A query racing the step routes via the old directory
+        to the old owners or, after the flip, via the new directory to
+        the new ones.  Either owner answers; never both, never neither.
+        ``on_staged`` (tests, fault injection) runs between the phases.
+        No ``index_generation`` bump: caches above stay valid except
+        where :meth:`notify_rebalance` invalidates."""
         self._ensure_index()
+        assert self._directory is not None
+        surviving = len(self._groups) - len(drop)
+        appended = sorted(shard_id for shard_id in changes if shard_id >= surviving)
+        if appended != list(range(surviving, surviving + len(appended))):
+            raise ValueError(f"staged shards {appended} would leave a gap")
         staged = {
-            shard_id: self._stage_shard(
-                shard_id, group, (primed or {}).get(shard_id, ())
+            shard_id: self._backend.stage(
+                self._spec(shard_id, group), (primed or {}).get(shard_id, ())
             )
             for shard_id, group in sorted(changes.items())
         }
         if on_staged is not None:
             on_staged()
-        self._commit_membership(staged, changes, drop)
-
-    def _commit_membership(
-        self,
-        staged: Mapping[int, "SensorMapPortal"],
-        changes: Mapping[int, list[Sensor]],
-        drop: Sequence[int] = (),
-    ) -> None:
-        """Phase two: install staged shards and flip the directory."""
-        assert self._directory is not None
-        surviving = len(self._shards) - len(drop)
+        recovered = self._backend.commit(staged, drop)
         for shard_id in sorted(drop, reverse=True):
-            old = self._shards.pop(shard_id)
             self._groups.pop(shard_id)
             self._states.pop(shard_id, None)
-            old.discard()
-            shard_cfg = self._shard_storage(shard_id)
-            if shard_cfg is not None:
+            if self.storage_config is not None:
                 from repro.storage.engine import wipe_data_dir
 
-                wipe_data_dir(shard_cfg.path)
-        assert len(self._shards) == surviving
-        for shard_id in sorted(staged):
-            if shard_id < len(self._shards):
-                old = self._shards[shard_id]
-                if old is not staged[shard_id]:
-                    old.discard()
-                self._shards[shard_id] = staged[shard_id]
+                wipe_data_dir(self.storage_config.for_shard(shard_id).path)
+        for shard_id in sorted(changes):
+            if shard_id < len(self._groups):
                 self._groups[shard_id] = list(changes[shard_id])
-            elif shard_id == len(self._shards):
-                self._shards.append(staged[shard_id])
-                self._groups.append(list(changes[shard_id]))
             else:
-                raise ValueError(f"staged shard {shard_id} would leave a gap")
+                self._groups.append(list(changes[shard_id]))
             self._states.setdefault(shard_id, _ShardState())
+            self._charge_recovery(shard_id, recovered[shard_id])
         # The commit point for routing: one atomic row-list swap.
         self._directory.refresh(changes, drop=drop)
-
-    def _shard_op(self, shard_id: int, op: str, *args: object) -> object:
-        """Run one named portal operation on one shard.
-
-        The in-process backend calls the wrapped ``SensorMapPortal``
-        directly; the process backend ships ``(op, args)`` over the
-        worker's message pipe instead.  Raise :class:`ShardDownError`
-        to signal an unreachable shard.
-        """
-        return getattr(self._shards[shard_id], op)(*args)
-
-    def _attempt_calls(
-        self, calls: Sequence[tuple[int, str, tuple]]
-    ) -> dict[int, object]:
-        """Attempt each ``(shard_id, op, args)`` call once and return the
-        replies of the shards that answered, keyed by shard id; a shard
-        that raised :class:`ShardDownError` is simply absent.
-
-        The in-process backend runs the calls sequentially — modeled
-        concurrency is already captured by the gather-makespan
-        arithmetic.  The process backend overrides this with a
-        send-all-then-receive-all pipeline so the shards genuinely
-        overlap on the wall clock.
-        """
-        answered: dict[int, object] = {}
-        for shard_id, op, args in calls:
-            try:
-                answered[shard_id] = self._shard_op(shard_id, op, *args)
-            except ShardDownError:
-                pass
-        return answered
 
     def _scatter_calls(
         self,
@@ -759,7 +666,7 @@ class FederatedPortal:
         latency for the gather deadline).
 
         Each round attempts every still-unanswered shard once
-        (:meth:`_attempt_calls`); a shard that stays silent is charged
+        (the backend's ``attempt``); a shard that stays silent is charged
         the next exponential backoff step and retried in the following
         round.  Once the budget is spent the shard is marked failed and,
         when configured, enters coordinator cooldown.  Delays accumulate
@@ -786,7 +693,7 @@ class FederatedPortal:
                 break
             self.stats.shard_attempts += len(pending)
             # A killed shard fails the attempt without doing any work.
-            answered = self._attempt_calls(
+            answered = self._backend.attempt(
                 [c for c in pending if not self._states[c[0]].killed]
             )
             for shard_id in answered:
@@ -1439,11 +1346,11 @@ class FederatedPortal:
     # ------------------------------------------------------------------
     def explain(self, query: SensorQuery) -> dict[str, object]:
         """Federated EXPLAIN: the scatter plan plus each routed shard's
-        own EXPLAIN (read-only; no retries, killed shards are skipped
-        and listed), and the redistribution plan — whether a shortfall
-        on this query *would* trigger cross-shard top-up rounds, the
-        round bound, and the per-shard pool estimates the residual
-        split would draw on."""
+        own EXPLAIN (read-only; no retries, killed or unreachable shards
+        are skipped and listed), and the redistribution plan — whether a
+        shortfall on this query *would* trigger cross-shard top-up
+        rounds, the round bound, and the per-shard pool estimates the
+        residual split would draw on."""
         self._ensure_index()
         routes = self._route(query)
         plan = self._scatter_plan(query, routes)
@@ -1453,7 +1360,10 @@ class FederatedPortal:
             if self._states[shard_id].killed:
                 skipped.append(shard_id)
                 continue
-            per_shard[shard_id] = self._shard_op(shard_id, "explain", subquery)
+            try:
+                per_shard[shard_id] = self._backend.call(shard_id, "explain", subquery)
+            except ShardDownError:
+                skipped.append(shard_id)
         coverages = [float(e["cache_coverage"]) for e in per_shard.values()]
         cfg = self.federation
         target = self._federated_target(query)
@@ -1490,12 +1400,13 @@ class FederatedPortal:
 
     def stats_summary(self) -> dict[str, object]:
         """Operational summary: directory, coordinator counters, and
-        each shard's own ``stats()``."""
+        each shard's own ``stats()`` — ``{"down": True}`` for a shard
+        that cannot be reached (its counters died with it)."""
         self._ensure_index()
         assert self._directory is not None
         return {
             "total_sensors": len(self.registry),
-            "n_shards": len(self._shards),
+            "n_shards": len(self._groups),
             "directory": [
                 {
                     "shard": e.shard_id,
@@ -1507,10 +1418,14 @@ class FederatedPortal:
                 for e in self._directory.entries()
             ],
             "federation": asdict(self.stats),
-            "shards": {
-                i: self._shard_op(i, "stats") for i in range(len(self._shards))
-            },
+            "shards": {i: self._shard_stats(i) for i in range(len(self._groups))},
         }
+
+    def _shard_stats(self, shard_id: int) -> dict[str, object]:
+        try:
+            return self._backend.call(shard_id, "stats")
+        except ShardDownError:
+            return {"down": True}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1521,18 +1436,16 @@ class FederatedPortal:
         if self.storage_config is None:
             raise RuntimeError("federation has no storage attached")
         self._ensure_index()
-        for shard_id in range(len(self._shards)):
+        for shard_id in range(len(self._groups)):
             if self._states[shard_id].killed:
                 continue
-            self._shard_op(shard_id, "checkpoint")
+            self._backend.call(shard_id, "checkpoint")
 
     def close(self) -> None:
-        """Release coordinator-held resources: flush and close each
-        shard's storage engine (a no-op for in-memory shards).  The
-        process backend overrides this to shut workers down and unlink
-        its shared-memory segments."""
-        for shard in self._shards:
-            shard.close()
+        """Release the shards: flush and close each in-process shard's
+        storage engine (a no-op for in-memory shards, which stay
+        queryable), or shut every worker process down."""
+        self._backend.close()
 
     def __enter__(self) -> "FederatedPortal":
         return self

@@ -28,8 +28,7 @@ streaming changes is *when* answers become publishable:
 Works identically on both federation backends — the streaming path is
 a publish-time policy over the coordinator's one scatter → retry →
 gather spine (``_scatter_round1`` then ``_finish``), which reaches the
-shards only through the ``_attempt_calls`` / ``_shard_op`` hooks the
-process backend overrides.
+shards only through its backend's ``attempt`` / ``call``.
 """
 
 from __future__ import annotations

@@ -87,13 +87,6 @@ class FrontDoor:
         self.config = config if config is not None else FrontDoorConfig()
         self.cache = TieredResultCache(self.config, portal.config.slot_seconds)
         self.admission = AdmissionController(self.config.admission)
-        # Process-backend shards live in worker processes; there are no
-        # coordinator-side trees to listen on (and no coordinator write
-        # path to miss).
-        self._process_backend = (
-            getattr(getattr(portal, "federation", None), "execution", "inprocess")
-            == "process"
-        )
         self._attached_generation = -1
         # A live rebalance replaces shard trees without bumping the
         # index generation (so the cache survives the membership change
@@ -120,8 +113,9 @@ class FrontDoor:
             self.cache.invalidate_region(Rect(loc.x, loc.y, loc.x, loc.y))
 
     def _local_trees(self) -> list:
-        if self._process_backend:
-            return []
+        """The trees held in this process — none for shards that live
+        in worker processes (nothing here to listen on, and no
+        coordinator write path to miss)."""
         portal = self.portal
         if hasattr(portal, "_trees"):
             return list(portal._trees.values())

@@ -1,38 +1,27 @@
-"""True-parallel shard execution over shared-memory flat kernels.
+"""True-parallel shard execution: one worker process per shard.
 
 The in-process federation (:mod:`repro.federation`) models concurrency:
 shard collection latencies combine as a makespan on one simulated
 clock, but every shard's Python work runs serially in the coordinator.
-This package runs each shard's ``SensorMapPortal`` in its own worker
-*process* so the per-shard work genuinely overlaps on the wall clock:
+This package is the backend that runs each shard's ``SensorMapPortal``
+in its own worker *process*, so the per-shard work genuinely overlaps
+on the wall clock:
 
-- The static half of every shard's :class:`~repro.core.flat.FlatKernel`
-  (already contiguous numpy arrays) is published once per rebuild via
-  ``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`) and
-  mapped zero-copy by the worker.
+- The coordinator holds sockets and pids and no shard state
+  (:class:`~repro.parallel.portal.ProcessBackend`); each forked worker
+  builds — or recovers — its shard deterministically from the same
+  :class:`~repro.federation.backend.ShardSpec` the in-process backend
+  builds from (:mod:`repro.parallel.worker`).
 - Only query descriptors, probe outcomes and stats cross the worker's
   socket pair, as length-prefixed pickle frames
   (:mod:`repro.parallel.framing`) — per-query communication is
   O(answer), never O(index).
-- Inside a worker, the kernel's level-contiguous node range is
-  classified in L2-sized tiles (``classify_tile_nodes``, auto-sized
-  from ``/sys`` cache info by :func:`repro.core.flat.auto_tile_nodes`)
-  so the vectorized pass stays cache-resident on large fleets.
 
-Select the backend with ``FederationConfig(execution="process")`` —
-``FederatedPortal(...)`` then builds a
-:class:`~repro.parallel.portal.ParallelFederatedPortal` with the same
-coordinator semantics and bit-identical answers on the same seed.
+Select it with ``FederationConfig(execution="process")``:
+``FederatedPortal(...)`` keeps the same coordinator semantics and
+returns bit-identical answers on the same seed.
 """
 
-from repro.parallel.config import ParallelConfig
-from repro.parallel.portal import ParallelFederatedPortal
-from repro.parallel.shm import SegmentManifest, SegmentRegistry, leaked_segments
+from repro.parallel.portal import ProcessBackend
 
-__all__ = [
-    "ParallelConfig",
-    "ParallelFederatedPortal",
-    "SegmentManifest",
-    "SegmentRegistry",
-    "leaked_segments",
-]
+__all__ = ["ProcessBackend"]

@@ -3,8 +3,8 @@
 The coordinator and each worker speak a trivially debuggable wire
 format: a 4-byte big-endian payload length followed by a pickle
 (highest protocol).  Frames are small by construction — query
-descriptors outbound, answers/stats inbound — because the index itself
-crosses via shared memory, never the pipe.
+descriptors outbound, answers/stats inbound — because the index never
+crosses the pipe: each worker builds its own.
 """
 
 from __future__ import annotations

@@ -32,7 +32,11 @@ FORMAT_VERSION = 2
 
 # COLRTreeConfig fields that existed when older snapshots were written
 # and have since been removed; dropped from the stored config on load.
-RETIRED_CONFIG_KEYS = ("flat_kernel_enabled", "plan_cache_enabled")
+RETIRED_CONFIG_KEYS = (
+    "flat_kernel_enabled",
+    "plan_cache_enabled",
+    "classify_tile_nodes",
+)
 
 
 class SnapshotError(ValueError):

@@ -194,7 +194,7 @@ class Rebalancer:
         fed = self.fed
         directory = fed.directory
         n = len(directory)
-        assert n == len(fed.shards()), "directory/shard count mismatch"
+        assert n == fed.n_shards, "directory/shard count mismatch"
         seen: dict[int, int] = {}
         total = 0
         for shard_id in range(n):

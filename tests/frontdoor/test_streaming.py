@@ -5,7 +5,6 @@ continuous-query manager's deadline path, and the process backend."""
 from __future__ import annotations
 
 from repro.federation import FederationConfig
-from repro.parallel import ParallelFederatedPortal
 from repro.portal.continuous import ContinuousQueryManager
 
 from tests.frontdoor.conftest import (
@@ -104,7 +103,7 @@ class TestProcessBackend:
         inproc = make_fed(n=300, seed=5, n_shards=2)
         proc = make_fed(n=300, seed=5, n_shards=2, execution="process")
         try:
-            assert isinstance(proc, ParallelFederatedPortal)
+            assert proc.worker_pid(0) is not None  # shards live in workers
             query = exact_query(Rect(1.0, 1.0, 9.0, 9.0))
             for phase in ("cold", "warm"):
                 _assert_identical(

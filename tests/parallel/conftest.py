@@ -1,19 +1,24 @@
-"""Shared teardown: no test in this package may leak shm segments.
+"""Shared teardown: no test in this package may orphan a worker.
 
-Every test runs inside a fixture that scans ``/dev/shm`` afterwards —
-the acceptance criterion "no leaked shared-memory segments after test
-runs" is enforced structurally, not per-test.
+Every test runs inside a fixture that checks
+``multiprocessing.active_children()`` afterwards — a portal that was
+not closed, or a ``close()`` that lost track of a worker, fails the test
+that caused it (and the stragglers are killed so it fails only that
+one).
 """
 
 from __future__ import annotations
 
-import pytest
+import multiprocessing
 
-from repro.parallel import leaked_segments
+import pytest
 
 
 @pytest.fixture(autouse=True)
-def assert_no_leaked_segments():
-    assert leaked_segments() == [], "segments leaked by an earlier test"
+def assert_no_orphan_workers():
     yield
-    assert leaked_segments() == [], "test leaked /dev/shm segments"
+    orphans = multiprocessing.active_children()
+    for child in orphans:
+        child.kill()
+        child.join()
+    assert orphans == [], "test left worker processes running"

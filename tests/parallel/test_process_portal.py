@@ -1,15 +1,16 @@
 """The process execution backend end to end.
 
-Workers are real forked processes over shared-memory kernels, so these
-tests cover the contracts the in-process suite cannot: answer
-bit-identity across the pipe, crash degradation with a killed *process*
-(not a simulated flag), revival with fresh segment maps, and the
-rebuild → republish lifecycle.  The package conftest asserts no
-``/dev/shm`` leak after every test.
+Workers are real forked processes, so these tests cover the contracts
+the in-process suite cannot: answer bit-identity across the pipe, crash
+degradation with a killed *process* (not a simulated flag), revival as a
+fresh process, the rebuild → respawn lifecycle, and a coordinator that
+holds no shard state of its own.  The package conftest asserts no
+orphaned worker after every test.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -17,9 +18,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.tree import COLRTree
 from repro.federation import FederatedPortal, FederationConfig
+from repro.federation.backend import InProcessBackend
 from repro.geometry import GeoPoint, Polygon, Rect
-from repro.parallel import ParallelFederatedPortal, leaked_segments
+from repro.parallel import ProcessBackend
 from repro.portal import SensorQuery
 from repro.storage import StorageConfig
 
@@ -78,9 +81,13 @@ def _assert_identical(a, b):
 class TestDispatch:
     def test_execution_field_selects_backend(self):
         with _build("process") as portal:
-            assert isinstance(portal, ParallelFederatedPortal)
+            assert isinstance(portal._backend, ProcessBackend)
+            assert portal.shards() == []
+            assert portal.worker_pid(0) is not None
         inproc = _build("inprocess")
-        assert not isinstance(inproc, ParallelFederatedPortal)
+        assert isinstance(inproc._backend, InProcessBackend)
+        assert len(inproc.shards()) == inproc.n_shards
+        assert inproc.worker_pid(0) is None
 
     def test_invalid_execution_rejected(self):
         with pytest.raises(ValueError):
@@ -237,7 +244,6 @@ class TestDegradation:
 class TestLifecycle:
     def test_rebuild_republishes_segments_and_respawns(self):
         with _build("process") as proc:
-            before_segments = set(proc._registry.segment_names())
             before_pids = {proc.worker_pid(i) for i in range(proc.n_shards)}
             wide = SensorQuery(
                 region=Rect(0.0, 0.0, EXTENT, EXTENT), staleness_seconds=STALENESS
@@ -245,9 +251,7 @@ class TestLifecycle:
             first = proc.execute(wide)
 
             proc.rebuild_index()
-            after_segments = set(proc._registry.segment_names())
             after_pids = {proc.worker_pid(i) for i in range(proc.n_shards)}
-            assert before_segments.isdisjoint(after_segments)
             assert before_pids.isdisjoint(after_pids)
 
             again = proc.execute(wide)
@@ -256,21 +260,54 @@ class TestLifecycle:
 
     def test_close_unlinks_everything(self):
         proc = _build("process")
-        assert leaked_segments() != []
+        assert len(multiprocessing.active_children()) == proc.n_shards
         proc.close()
-        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
         # close is idempotent
         proc.close()
 
     def test_stats_and_explain_survive_dead_worker(self):
+        wide = SensorQuery(
+            region=Rect(0.0, 0.0, EXTENT, EXTENT), staleness_seconds=STALENESS
+        )
         with _build("process") as proc:
+            proc.execute(wide)
+            assert proc.stats_summary()["shards"][0]["network"]["probes_attempted"] > 0
             proc.kill_shard(0)
             summary = proc.stats_summary()
             assert "federation" in summary
-            plan = proc.explain(
+            # The dead worker's counters died with it: no build-time zeros.
+            assert summary["shards"][0] == {"down": True}
+            assert "down" not in summary["shards"][1]
+            assert proc.explain(wide)["skipped_shards"] == [0]
+
+            # A worker that crashed without kill_shard reads the same way.
+            os.kill(proc.worker_pid(1), signal.SIGKILL)
+            plan = proc.explain(wide)
+            assert plan["skipped_shards"] == [0, 1] and plan["shards"] == {}
+            assert proc.stats_summary()["shards"][1] == {"down": True}
+
+    def test_coordinator_builds_no_trees(self, monkeypatch):
+        """Shards live in the workers only: neither a rebuild nor a
+        membership change constructs a COLR-Tree in this process."""
+        built = []
+        init = COLRTree.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(os.getpid())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(COLRTree, "__init__", counting)
+        with _build("process") as proc:
+            proc.rebuild_index()
+            members = [proc.shard_members(i) for i in range(2)]
+            moved, members[0] = members[0][:5], members[0][5:]
+            members[1] = members[1] + moved
+            proc.rebalance_apply({0: members[0], 1: members[1]})
+            assert proc.execute(
                 SensorQuery(
                     region=Rect(0.0, 0.0, EXTENT, EXTENT),
                     staleness_seconds=STALENESS,
                 )
-            )
-            assert plan is not None
+            ).result_weight > 0
+        assert built == []

@@ -177,7 +177,11 @@ class TestOlderSnapshots:
         # Written by the commit before flat_kernel_enabled /
         # plan_cache_enabled were removed: 60 sensors, all cached at t=0.
         meta, _, _ = read_checkpoint(GOLDEN_PR12)
-        assert {"flat_kernel_enabled", "plan_cache_enabled"} <= set(meta["config"])
+        assert {
+            "flat_kernel_enabled",
+            "plan_cache_enabled",
+            "classify_tile_nodes",
+        } <= set(meta["config"])
         restored = load_tree(GOLDEN_PR12)
         assert len(restored) == 60
         assert restored.config == COLRTreeConfig(
@@ -188,3 +192,20 @@ class TestOlderSnapshots:
         )
         assert answer.result_weight == 60
         assert answer.stats.sensors_probed == 0
+
+    def test_stored_tile_size_is_dropped(self, tmp_path):
+        # The golden file stores classify_tile_nodes=None; a snapshot
+        # saved by a tiled portal carried a number.  Labels were
+        # bit-identical for every tile size, so dropping it keeps answers.
+        snap = tmp_path / "tiled.snap"
+        snap.write_bytes(GOLDEN_PR12.read_bytes())
+        _resave(
+            snap,
+            meta=lambda m: {**m, "config": {**m["config"], "classify_tile_nodes": 26_624}},
+        )
+        restored = load_tree(snap)
+        assert restored.config == load_tree(GOLDEN_PR12).config
+        answer = restored.query(
+            Rect(0, 0, 100, 100), now=2.0, max_staleness=600.0, sample_size=0
+        )
+        assert (answer.result_weight, answer.stats.sensors_probed) == (60, 0)
