@@ -92,6 +92,9 @@ def run_worker_count(
     try:
         worker_pids = [proc.worker_pid(i) for i in range(n_workers)]
         process = drive_ticks(proc, queries, ticks)
+        # What the drive moved over the op pipe: a frame-size number
+        # that, unlike the wall columns, repeats exactly for a seed.
+        reply_bytes = proc._backend.reply_bytes
     finally:
         proc.close()
 
@@ -101,6 +104,8 @@ def run_worker_count(
         "worker_pids_distinct": len(set(worker_pids)),
         "inprocess": baseline,
         "process": process,
+        "reply_bytes": reply_bytes,
+        "reply_bytes_per_query": reply_bytes / n_queries,
         "wall_throughput_qps": {
             "inprocess": n_queries / max(1e-12, baseline["wall_seconds"]),
             "process": n_queries / max(1e-12, process["wall_seconds"]),

@@ -18,11 +18,12 @@ and serves viewport queries cache-first:
 Invalidation is wired, not polled: the front door registers ingest
 listeners on every in-process tree so ``insert_readings_batch`` deltas
 drop exactly the overlapping entries, and keys every entry on the
-portal's ``index_generation`` so a rebuild strands the lot.  The
-process-backend federation exposes no coordinator write path (workers
-serve an immutable snapshot); its caches are invalidated by generation
-and slot advancement, plus :meth:`FrontDoor.invalidate_region` for
-out-of-band writes.
+portal's ``index_generation`` so a rebuild strands the lot.  On the
+process-backend federation the trees — and their writes: each worker
+owns its shard and its WAL — live in the workers, where the front door
+cannot listen, and replies do not carry write deltas yet; its caches
+are invalidated by generation and slot advancement, plus
+:meth:`FrontDoor.invalidate_region` for out-of-band writes.
 
 Admission control (:class:`~repro.frontdoor.admission.AdmissionController`)
 rides along for the open-loop harness; ``execute`` applies it when

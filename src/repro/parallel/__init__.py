@@ -12,10 +12,11 @@ on the wall clock:
   builds — or recovers — its shard deterministically from the same
   :class:`~repro.federation.backend.ShardSpec` the in-process backend
   builds from (:mod:`repro.parallel.worker`).
-- Only query descriptors, probe outcomes and stats cross the worker's
-  socket pair, as length-prefixed pickle frames
-  (:mod:`repro.parallel.framing`) — per-query communication is
-  O(answer), never O(index).
+- Only query descriptors, answers and stats cross the worker's socket
+  pair, as length-prefixed frames (:mod:`repro.parallel.framing`) whose
+  hot replies are packed columns rather than object graphs
+  (:mod:`repro.parallel.wire`) — per-query communication is O(answer),
+  never O(index).
 
 Select it with ``FederationConfig(execution="process")``:
 ``FederatedPortal(...)`` keeps the same coordinator semantics and

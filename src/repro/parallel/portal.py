@@ -8,14 +8,16 @@ pids, no portals — each worker builds (or recovers) its shard from the
 (one writer per WAL), so a SIGKILLed worker is a genuine crash and its
 respawn a genuine recovery.
 
-- ``call`` ships one ``(op, args, now)`` envelope and unpickles the
-  reply; a broken pipe surfaces as
-  :class:`~repro.federation.backend.ShardDownError`, so a crashed
+- ``call`` ships one ``("op", seq, op, args, now)`` envelope and reads
+  the reply that echoes ``seq`` (:mod:`repro.parallel.wire` says what a
+  reply frame holds); a broken pipe — or a reply out of step — surfaces
+  as :class:`~repro.federation.backend.ShardDownError`, so a crashed
   worker degrades exactly like a killed in-process shard (flagged
   partial answer, retry budget, cooldown).
 - ``attempt`` pipelines one attempt at a scatter round: every routed
   worker receives its frame *before* any reply is read, so the shards'
-  Python work genuinely overlaps on the wall clock.
+  Python work genuinely overlaps on the wall clock; every reply sent
+  for is read, whatever the others said.
 
 Retry, backoff, cooldown, recovery charges and failure accounting are
 not here: the coordinator's one ``_scatter_calls`` loop drives either
@@ -27,28 +29,40 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.federation.backend import ShardDownError
 from repro.federation.federated import FederatedPortal
-from repro.parallel.framing import recv_frame, send_frame
+from repro.parallel.framing import recv_frame, recv_frame_sized, send_frame
+from repro.parallel.wire import unpack
 from repro.parallel.worker import worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.backend import ShardSpec
     from repro.sensors.clock import SimClock
+    from repro.sensors.sensor import Sensor
 
 __all__ = ["ParallelFederatedPortal", "ProcessBackend"]
 
 
 @dataclass
 class _Worker:
-    """Coordinator-side handle of one shard process."""
+    """Coordinator-side handle of one shard process.
+
+    ``sensors`` is the spawning spec's fleet by id, held by reference:
+    the table unpacked answers resolve display centers through, as an
+    in-process answer does through its tree's.  ``pending`` holds the
+    ``(seq, args)`` of every op sent and not yet answered, oldest first.
+    """
 
     process: multiprocessing.process.BaseProcess
     sock: socket.socket
+    sensors: "dict[int, Sensor]"
     alive: bool = True
+    seq: int = 0
+    pending: "deque[tuple[int, tuple]]" = field(default_factory=deque)
 
 
 class ProcessBackend:
@@ -60,6 +74,9 @@ class ProcessBackend:
         # instead of pickled.
         self._mp = multiprocessing.get_context("fork")
         self._workers: dict[int, _Worker] = {}
+        #: Payload bytes of every op reply read so far (deterministic
+        #: for a seed; the parallel bench reports it).
+        self.reply_bytes = 0
 
     def portals(self) -> list:
         return []
@@ -91,15 +108,19 @@ class ProcessBackend:
         )
         process.start()
         child_sock.close()
+        # Made while the worker builds its trees, so it costs no set-up.
+        sensors = {sensor.sensor_id: sensor for sensor in spec.sensors}
         try:
-            kind, payload = recv_frame(parent_sock)
+            _, kind, payload = recv_frame(parent_sock)
         except (EOFError, OSError) as exc:
             parent_sock.close()
             raise RuntimeError(f"shard {shard_id} worker died during bootstrap") from exc
         if kind != "ok":
             parent_sock.close()
             raise RuntimeError(f"shard {shard_id} worker bootstrap failed:\n{payload}")
-        self._workers[shard_id] = _Worker(process=process, sock=parent_sock)
+        self._workers[shard_id] = _Worker(
+            process=process, sock=parent_sock, sensors=sensors
+        )
         return float(payload["recovery_seconds"])
 
     def kill(self, shard_id: int) -> None:
@@ -195,20 +216,34 @@ class ProcessBackend:
         if worker is None or not worker.alive:
             raise ShardDownError(f"shard {shard_id} worker is not running")
         try:
-            send_frame(worker.sock, ("op", op, args, self.clock.now()))
+            send_frame(worker.sock, ("op", worker.seq + 1, op, args, self.clock.now()))
         except OSError as exc:
             self.kill(shard_id)
             raise ShardDownError(f"shard {shard_id} worker died: {exc}") from exc
+        worker.seq += 1
+        worker.pending.append((worker.seq, args))
 
     def _recv(self, shard_id: int) -> object:
+        """The reply to the oldest unanswered op.  A worker's ``err``
+        raises ``RuntimeError`` with the pipe still in step; a reply
+        that does not echo the op's sequence number is never handed
+        out — the worker is killed instead."""
+        worker = self._workers[shard_id]
+        seq, args = worker.pending.popleft()
         try:
-            kind, payload = recv_frame(self._workers[shard_id].sock)
+            (echoed, kind, payload), size = recv_frame_sized(worker.sock)
         except (EOFError, OSError) as exc:
             self.kill(shard_id)
             raise ShardDownError(f"shard {shard_id} worker died: {exc}") from exc
-        if kind == "ok":
-            return payload
-        raise RuntimeError(f"shard {shard_id} worker error:\n{payload}")
+        if echoed != seq:
+            self.kill(shard_id)
+            raise ShardDownError(
+                f"shard {shard_id} worker answered op {echoed}, not op {seq}"
+            )
+        if kind == "err":
+            raise RuntimeError(f"shard {shard_id} worker error:\n{payload}")
+        self.reply_bytes += size
+        return unpack(kind, payload, worker.sensors, args)
 
     def call(self, shard_id: int, op: str, *args: object) -> object:
         self._send(shard_id, op, args)
@@ -217,7 +252,8 @@ class ProcessBackend:
     def attempt(self, calls: Sequence[tuple[int, str, tuple]]) -> dict[int, object]:
         """Send every frame of the round before reading any reply, so
         all routed workers compute concurrently; a worker that cannot be
-        reached, or dies before replying, is absent from the result."""
+        reached, or dies before replying, is absent from the result.  A
+        worker's error is raised only once every reply has been read."""
         sent: list[int] = []
         for shard_id, op, args in calls:
             try:
@@ -226,11 +262,16 @@ class ProcessBackend:
                 continue
             sent.append(shard_id)
         answered: dict[int, object] = {}
+        error: RuntimeError | None = None
         for shard_id in sent:
             try:
                 answered[shard_id] = self._recv(shard_id)
             except ShardDownError:
                 pass
+            except RuntimeError as exc:
+                error = error or exc
+        if error is not None:
+            raise error
         return answered
 
 

@@ -6,13 +6,20 @@ from the :class:`~repro.federation.backend.ShardSpec` it was forked with
 and RNG stream the in-process backend would hold).  From then on the
 loop is a plain request/reply server over one socket:
 
-``("op", name, args, now)``
+``("op", seq, name, args, now)``
     Advance the worker clock to ``now`` (the coordinator's simulated
     time travels inside every envelope so freshness bounds agree), run
-    ``portal.<name>(*args)``, reply ``("ok", result)`` or
-    ``("err", traceback_text)``.
+    ``portal.<name>(*args)``, reply ``(seq, kind, payload)``: the
+    result as :func:`repro.parallel.wire.pack` frames it, or
+    ``(seq, "err", traceback_text)``.  ``seq`` is the coordinator's
+    per-worker op counter, echoed so a reply can never be taken for
+    another op's.
 ``("shutdown",)``
-    Reply ``("ok", None)`` and exit 0.
+    Reply ``(None, "ok", None)`` and exit 0.
+
+Every frame a worker sends is such a triple; the bootstrap
+acknowledgement and replies to frames that are not ops carry ``None``
+for ``seq``.
 
 A crash of any kind simply drops the socket; the coordinator sees
 ``EOFError`` and degrades the shard like a timeout.
@@ -24,7 +31,8 @@ import socket
 import traceback
 
 from repro.federation.backend import ShardSpec, build_portal
-from repro.parallel.framing import recv_frame, send_frame
+from repro.parallel.framing import FrameTooLargeError, recv_frame, send_frame
+from repro.parallel.wire import pack
 from repro.sensors.clock import SimClock
 
 __all__ = ["worker_main"]
@@ -49,7 +57,7 @@ def worker_main(
         portal = build_portal(spec, SimClock(clock_now))
     except BaseException:
         try:
-            send_frame(sock, ("err", traceback.format_exc()))
+            send_frame(sock, (None, "err", traceback.format_exc()))
         finally:
             sock.close()
         raise SystemExit(1)
@@ -59,6 +67,7 @@ def worker_main(
     send_frame(
         sock,
         (
+            None,
             "ok",
             {
                 "shard_id": spec.shard_id,
@@ -72,22 +81,26 @@ def worker_main(
         except (EOFError, OSError):
             break
         if not isinstance(frame, tuple) or not frame:
-            send_frame(sock, ("err", f"malformed frame: {frame!r}"))
+            send_frame(sock, (None, "err", f"malformed frame: {frame!r}"))
             continue
         if frame[0] == "shutdown":
-            send_frame(sock, ("ok", None))
+            send_frame(sock, (None, "ok", None))
             break
         if frame[0] != "op":
-            send_frame(sock, ("err", f"unknown frame kind: {frame[0]!r}"))
+            send_frame(sock, (None, "err", f"unknown frame kind: {frame[0]!r}"))
             continue
-        _, op, args, now = frame
+        _, seq, op, args, now = frame
         try:
             portal.clock.advance_to(now)
-            result = getattr(portal, op)(*args)
-            reply = ("ok", result)
-        except BaseException:
-            reply = ("err", traceback.format_exc())
-        send_frame(sock, reply)
+            reply = (seq, *pack(getattr(portal, op)(*args), args))
+        except Exception:
+            reply = (seq, "err", traceback.format_exc())
+        try:
+            send_frame(sock, reply)
+        except FrameTooLargeError:
+            # Nothing was written: the pipe is in step, so say so and
+            # stay up rather than look like a crash.
+            send_frame(sock, (seq, "err", traceback.format_exc()))
     sock.close()
     # A clean exit (coordinator shutdown or EOF) flushes the WAL; a
     # SIGKILL never reaches this line — that is the crash being modeled.

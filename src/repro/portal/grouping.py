@@ -11,9 +11,10 @@ Without ``CLUSTER`` (and without a zoom level) every reading is its own
 group, so the groups say nothing the answer does not: they are a
 :class:`GroupView`, a read-only sequence that builds each
 :class:`DisplayGroup` from the answer's lists when it is read.  The
-serving path — execute, gather, compose, the reply frame of a worker
-process — never walks readings to make display objects nobody asked
-for.
+serving path — execute, gather, compose — never walks readings to make
+display objects nobody asked for, and a worker's reply frame carries
+the answers alone (:mod:`repro.parallel.wire`): the coordinator puts
+the view back over them.
 """
 
 from __future__ import annotations
@@ -85,17 +86,22 @@ class GroupView(Sequence[DisplayGroup]):
     A view is a tuple of parts, one ``(answer, sources,
     sketch_centers)`` per answer.  ``sources`` say where a reading's
     sensor sits: ``sensor_id -> Sensor`` mappings held by reference (a
-    tree's build-time table) or ``sensor_id -> GeoPoint`` dicts (what a
-    view pickles as) — never a tree, a portal or a closure over one: a
-    cached result must not keep a replaced shard's index alive.
-    ``sketch_centers`` are the centers of the answer's cached sketches,
-    parallel to them.
+    tree's build-time table, the process coordinator's per-shard table)
+    or ``sensor_id -> GeoPoint`` dicts (what a view pickles as) — never
+    a tree, a portal or a closure over one: a cached result must not
+    keep a replaced shard's index alive.  ``sketch_centers`` are the
+    centers of the answer's cached sketches, parallel to them.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[tuple]) -> None:
         self._parts = tuple(parts)
+
+    @property
+    def parts(self) -> tuple[tuple, ...]:
+        """The ``(answer, sources, sketch_centers)`` triples."""
+        return self._parts
 
     def __len__(self) -> int:
         return sum(
@@ -152,9 +158,10 @@ class GroupView(Sequence[DisplayGroup]):
 
     def __reduce__(self):
         """Pickle as the answers plus each one's own ``sensor_id ->
-        center`` dict: a reply frame carries no ``DisplayGroup`` and no
-        sensor table, and the unpickled view resolves through the dict
-        exactly as this one does through its sources."""
+        center`` dict — no ``DisplayGroup`` and no sensor table; the
+        unpickled view resolves through the dict exactly as this one
+        does through its sources.  (The op pipe's hot replies do not
+        come this way: see :mod:`repro.parallel.wire`.)"""
         return GroupView, (
             tuple(
                 (

@@ -6,7 +6,14 @@ import socket
 
 import pytest
 
-from repro.parallel.framing import MAX_FRAME_BYTES, recv_frame, send_frame
+from repro.parallel import framing
+from repro.parallel.framing import (
+    MAX_FRAME_BYTES,
+    FrameTooLargeError,
+    recv_frame,
+    recv_frame_sized,
+    send_frame,
+)
 
 
 class _SocketPair:
@@ -38,9 +45,24 @@ class TestFraming:
             with pytest.raises(EOFError):
                 recv_frame(b)
 
+    def test_sized_read_reports_the_payload_bytes(self):
+        with _SocketPair() as (a, b):
+            send_frame(a, b"x" * 1000)
+            obj, size = recv_frame_sized(b)
+            assert obj == b"x" * 1000 and 1000 < size < 1100
+
     def test_oversize_frame_rejected(self):
         with _SocketPair() as (a, b):
             # Hand-craft a header claiming an absurd length.
             b.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
             with pytest.raises(EOFError):
                 recv_frame(a)
+
+    def test_oversize_frame_refused_before_any_byte_is_sent(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 64)
+        with _SocketPair() as (a, b):
+            with pytest.raises(FrameTooLargeError, match="exceeds the 64 cap"):
+                send_frame(a, b"x" * 100)
+            # The stream is still in step: the next frame is the next read.
+            send_frame(a, "small")
+            assert recv_frame(b) == "small"

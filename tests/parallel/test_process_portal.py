@@ -20,9 +20,9 @@ import pytest
 
 from repro.core.tree import COLRTree
 from repro.federation import FederatedPortal, FederationConfig
-from repro.federation.backend import InProcessBackend
+from repro.federation.backend import InProcessBackend, ShardDownError
 from repro.geometry import GeoPoint, Polygon, Rect
-from repro.parallel import ProcessBackend
+from repro.parallel import ProcessBackend, framing
 from repro.portal import SensorQuery
 from repro.storage import StorageConfig
 
@@ -239,6 +239,56 @@ class TestDegradation:
                 )
             )
             assert proc.worker_pid(0) == survivor_pid
+
+
+class TestPipeStaysInStep:
+    """One reply per op, matched by sequence number: a failed op must
+    not shift every later reply by one."""
+
+    def test_err_reply_leaves_no_reply_unread(self):
+        with _build("process") as proc:
+            backend = proc._backend
+            with pytest.raises(RuntimeError, match="no_such_op"):
+                backend.attempt([(0, "no_such_op", ()), (1, "stats", ())])
+            # Shard 1's ``stats`` reply was read, not left for this call.
+            assert backend.call(1, "export_cache", []) == []
+            assert backend.call(0, "export_cache", []) == []
+            assert "network" in backend.call(1, "stats")
+            assert not proc.execute(_queries()[0]).partial
+
+    def test_reply_out_of_step_kills_the_worker_instead_of_answering(self):
+        with _build("process") as proc:
+            backend = proc._backend
+            # An op the coordinator forgot it sent: its reply is now the
+            # next thing in the pipe.
+            backend._send(1, "stats", ())
+            backend._workers[1].pending.clear()
+            with pytest.raises(ShardDownError, match="answered op 1, not op 2"):
+                backend.call(1, "export_cache", [])
+            assert proc.worker_pid(1) is None
+            assert proc.worker_pid(0) is not None
+
+    def test_oversized_reply_is_an_error_not_a_crash(self, monkeypatch):
+        # Workers fork with the patched cap: big enough for the
+        # bootstrap ack and an empty list, not for an answer.
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 400)
+        with _build("process") as proc:
+            pid = proc.worker_pid(0)
+            wide = SensorQuery(
+                region=Rect(0.0, 0.0, EXTENT, EXTENT), staleness_seconds=STALENESS
+            )
+            with pytest.raises(RuntimeError, match="FrameTooLargeError"):
+                proc._backend.call(0, "execute", wide)
+            assert proc.worker_pid(0) == pid
+            assert proc._backend.call(0, "export_cache", []) == []
+
+    def test_oversized_op_is_refused_before_it_is_sent(self, monkeypatch):
+        with _build("process") as proc:
+            monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 400)
+            with pytest.raises(framing.FrameTooLargeError):
+                proc._backend.call(0, "install_cache_entries", [b"x" * 1000])
+            monkeypatch.undo()
+            assert proc._backend.call(0, "export_cache", []) == []
 
 
 class TestLifecycle:
