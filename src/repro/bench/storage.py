@@ -28,6 +28,13 @@ measures what the storage engine costs and what recovery buys:
     A durable federation kills one shard (a real crash of its engine),
     revives it through disk recovery, and checks the modeled recovery
     time is reported and charged to the revived shard's next gather.
+    Then it restages one shard in place with its own warm cache
+    (``rebalance_apply``) and counts the ``os.fsync`` calls that takes
+    — a restaged shard is written once, as ``checkpoint-1``.
+
+Byte counts: ``wal_bytes_per_reading`` (framed batch bytes of the
+durable run's WAL over the readings they carry), ``checkpoint_bytes``
+and ``fsyncs_per_restage`` are counts, deterministic per seed.
 
 Acceptance gates:
 
@@ -38,7 +45,8 @@ Acceptance gates:
 - warm-restart first tick issues <= 20% of the cold first tick's
   probes;
 - ``revive_shard`` returns positive modeled recovery seconds and the
-  next gather's collection makespan is at least that long.
+  next gather's collection makespan is at least that long;
+- a restage takes at most five fsyncs and leaves the shard warm.
 
 ``--quick`` shrinks the workload; the gates are unchanged.
 
@@ -47,11 +55,13 @@ Run with ``PYTHONPATH=src python -m repro.bench storage``.
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.bench.fleets import (
     STALENESS,
@@ -65,9 +75,12 @@ from repro.federation.federated import FederatedPortal
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.sensors.sensor import Sensor
 from repro.storage import StorageConfig
+from repro.storage import codec
+from repro.storage.wal import replay
 
 WARM_PROBE_RATIO_MAX = 0.2
 SUM_RTOL = 1e-9
+RESTAGE_FSYNCS_MAX = 5
 
 
 def make_fleet(n_sensors: int, seed: int) -> list[Sensor]:
@@ -141,6 +154,34 @@ def drive_ticks(portal, queries: Sequence[SensorQuery], ticks: int) -> list[dict
     return out
 
 
+@contextmanager
+def counting_fsyncs() -> Iterator[list[int]]:
+    """Count ``os.fsync`` calls inside the block (into ``calls[0]``)."""
+    calls = [0]
+    real = os.fsync
+
+    def counting(fd: int) -> None:
+        calls[0] += 1
+        real(fd)
+
+    os.fsync = counting
+    try:
+        yield calls
+    finally:
+        os.fsync = real
+
+
+def wal_bytes_per_reading(path: Path) -> float:
+    """Framed bytes of a WAL's batch records per reading they carry."""
+    size = readings = 0
+    for payload in replay(path, truncate_torn_tail=False):
+        frame = codec.decode_frame(payload)
+        if frame[0] == "batch":
+            size += 8 + len(payload)  # the frame's length and CRC words
+            readings += len(frame[2])
+    return size / max(1, readings)
+
+
 def run_single_portal_phase(
     n_sensors: int, n_viewports: int, ticks: int, seed: int, tmp: Path
 ) -> dict:
@@ -165,6 +206,7 @@ def run_single_portal_phase(
         k: getattr(durable.storage.stats, k)
         for k in ("page_reads", "page_writes", "wal_appends", "wal_fsyncs")
     }
+    per_reading = wal_bytes_per_reading(data_dir / "wal-1.log")
     cold_probes = durable_ticks[0]["probes"]
     reference_clock = durable.clock.now()
     reference = run_tick(durable, queries)  # warm, probe-free baseline
@@ -243,6 +285,7 @@ def run_single_portal_phase(
             "wal_bytes": sum(
                 p.stat().st_size for p in data_dir.glob("wal-*.log")
             ),
+            "wal_bytes_per_reading": per_reading,
         },
         "crash": crash_gate,
         "checkpoint": checkpoint_gate,
@@ -270,6 +313,10 @@ def run_federation_phase(
     degraded = run_tick(portal, queries)
     recovery_seconds = portal.revive_shard(0)
     revived = run_tick(portal, queries)
+    warm = portal.rebalance_capture(0)
+    with counting_fsyncs() as fsyncs:
+        portal.rebalance_apply({0: portal.shard_members(0)}, primed={0: warm})
+    restaged = run_tick(portal, queries)
     out = {
         "n_shards": portal.n_shards,
         "cold_probes": warm_ticks[0]["probes"],
@@ -282,6 +329,8 @@ def run_federation_phase(
         - sum(degraded["weights"]),
         "shard_recoveries": portal.stats.shard_recoveries,
         "recovery_seconds_total": portal.stats.recovery_seconds_total,
+        "fsyncs_per_restage": fsyncs[0],
+        "restaged_probes": restaged["probes"],
     }
     portal.close()
     return out
@@ -312,6 +361,9 @@ def run(n_sensors: int, n_viewports: int, ticks: int, seed: int) -> dict:
             "revive_reports_recovery_seconds": fed["revive_recovery_seconds"] > 0,
             "revive_recovery_charged_to_gather": fed["recovery_charged_to_gather"],
             "revived_shard_bit_identical": fed["revived_bit_identical"],
+            "restage_writes_once_and_stays_warm": fed["fsyncs_per_restage"]
+            <= RESTAGE_FSYNCS_MAX
+            and fed["restaged_probes"] == 0,
         },
     }
 

@@ -72,8 +72,21 @@ class ShardSpec:
     storage: "StorageConfig | None"
 
 
-def build_portal(spec: ShardSpec, clock: "SimClock") -> SensorMapPortal:
-    """Construct (or recover) the shard portal a spec describes."""
+def build_portal(
+    spec: ShardSpec, clock: "SimClock", primed: Sequence[tuple] = ()
+) -> SensorMapPortal:
+    """Construct (or recover) the shard portal a spec describes, with the
+    ``primed`` cache entries (``(reading, fetched_at)``, migrated from
+    other shards) installed.
+
+    A data directory that holds state is recovered from.  One that holds
+    none is written once, after the build: the engine opens straight at
+    the in-memory image, primed entries included, as ``checkpoint-1``
+    (:meth:`SensorMapPortal.open_storage`) — no registration log, no
+    checkpoint rotating one away."""
+    from repro.storage.engine import holds_state
+
+    recover = spec.storage is not None and holds_state(spec.storage)
     portal = SensorMapPortal(
         config=spec.config,
         cost_model=spec.cost_model,
@@ -83,10 +96,14 @@ def build_portal(spec: ShardSpec, clock: "SimClock") -> SensorMapPortal:
         max_sensors_per_query=spec.max_sensors_per_query,
         transport=spec.transport,
         network_options=dict(spec.network_options),
-        storage=spec.storage,
+        storage=spec.storage if recover else None,
     )
     portal.register_all(spec.sensors)
     portal.rebuild_index()
+    if primed:
+        portal.install_cache_entries(list(primed))
+    if spec.storage is not None and not recover:
+        portal.open_storage(spec.storage)
     return portal
 
 
@@ -143,22 +160,20 @@ class InProcessBackend:
         primed with migrated cache entries.
 
         In-memory shards stage fully off to the side: the old portal
-        keeps serving until :meth:`commit`.  Durable shards must close
+        keeps serving until :meth:`commit`.  Durable shards must release
         the old engine first (one WAL writer per directory) and wipe the
-        stale on-disk sensor set, then checkpoint the primed state so a
-        crash after commit recovers the *new* membership warm."""
+        stale on-disk sensor set; the new shard is then written once, as
+        a checkpoint of the primed state, so a crash after commit
+        recovers the *new* membership warm."""
         if spec.storage is not None:
             from repro.storage.engine import wipe_data_dir
 
             if spec.shard_id < len(self._portals):
-                self._portals[spec.shard_id].close()
+                # Abandon the old WAL, as crash() does: a final fsync
+                # would sync a file the wipe deletes next.
+                self._portals[spec.shard_id].crash()
             wipe_data_dir(spec.storage.path)
-        staged = build_portal(spec, self.clock)
-        if primed:
-            staged.install_cache_entries(list(primed))
-        if spec.storage is not None:
-            staged.checkpoint()
-        return staged
+        return build_portal(spec, self.clock, primed)
 
     def commit(
         self, staged: Mapping[int, SensorMapPortal], drop: Sequence[int] = ()

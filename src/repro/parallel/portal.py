@@ -94,15 +94,16 @@ class ProcessBackend:
     def build_all(self, specs: Sequence["ShardSpec"]) -> list[float]:
         return [self._spawn(spec) for spec in specs]
 
-    def _spawn(self, spec: "ShardSpec") -> float:
-        """Fork one worker and wait for its bootstrap acknowledgement.
-        Returns the modeled recovery seconds the worker reported (a
-        respawn over a warm data directory)."""
+    def _spawn(self, spec: "ShardSpec", primed: Sequence[tuple] = ()) -> float:
+        """Fork one worker, built with the ``primed`` cache entries, and
+        wait for its bootstrap acknowledgement.  Returns the modeled
+        recovery seconds the worker reported (a respawn over a warm data
+        directory)."""
         shard_id = spec.shard_id
         parent_sock, child_sock = socket.socketpair()
         process = self._mp.Process(
             target=worker_main,
-            args=(child_sock, parent_sock, spec, self.clock.now()),
+            args=(child_sock, parent_sock, spec, self.clock.now(), primed),
             daemon=True,
             name=f"colr-shard-{shard_id}",
         )
@@ -188,10 +189,10 @@ class ProcessBackend:
     def commit(self, staged: Mapping[int, tuple], drop: Sequence[int] = ()) -> dict[int, float]:
         """Only the affected shards cycle: their workers shut down
         cleanly (WAL flushed), their durable directories are wiped to
-        the new sensor sets, and new workers spawn.  Migrated cache
-        entries ship to the new workers over the op pipe (followed by a
-        checkpoint when storage is attached), so moved sensors stay
-        probe-free."""
+        the new sensor sets, and new workers spawn — each forked with
+        its migrated cache entries, which it builds in (and, with
+        storage attached, writes as its first checkpoint), so moved
+        sensors stay probe-free."""
         for shard_id in sorted(set(staged) | set(drop)):
             self._shutdown(shard_id)
         recovered: dict[int, float] = {}
@@ -201,11 +202,7 @@ class ProcessBackend:
                 from repro.storage.engine import wipe_data_dir
 
                 wipe_data_dir(spec.storage.path)
-            recovered[shard_id] = self._spawn(spec)
-            if primed:
-                self.call(shard_id, "install_cache_entries", primed)
-            if spec.storage is not None:
-                self.call(shard_id, "checkpoint")
+            recovered[shard_id] = self._spawn(spec, primed)
         return recovered
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import socket
 import traceback
+from typing import Sequence
 
 from repro.federation.backend import ShardSpec, build_portal
 from repro.parallel.framing import FrameTooLargeError, recv_frame, send_frame
@@ -43,18 +44,21 @@ def worker_main(
     peer_sock: socket.socket | None,
     spec: ShardSpec,
     clock_now: float,
+    primed: Sequence[tuple] = (),
 ) -> None:
     """Entry point of the forked worker process.
 
     ``peer_sock`` is the coordinator's end inherited across the fork —
     closed here so an EOF on ``sock`` really means the coordinator went
     away (and vice versa).  ``clock_now`` is the coordinator's simulated
-    time at the fork, where the worker's own clock starts.
+    time at the fork, where the worker's own clock starts.  ``primed``
+    are the migrated cache entries a restaged shard is built with,
+    inherited like the spec.
     """
     if peer_sock is not None:
         peer_sock.close()
     try:
-        portal = build_portal(spec, SimClock(clock_now))
+        portal = build_portal(spec, SimClock(clock_now), primed)
     except BaseException:
         try:
             send_frame(sock, (None, "err", traceback.format_exc()))

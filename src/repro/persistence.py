@@ -12,14 +12,18 @@ which also re-validates them against the restored clock).
 
 A snapshot file is the storage engine's checkpoint container — a
 CRC-checksummed page file (see ``repro.storage.checkpoint``) holding the
-snapshot meta, the sensors and the cached readings; it shares the exact
-codecs crash recovery uses.  Anything else raises ``SnapshotError``.
-Networks and availability histories are runtime objects the caller
-re-wires.
+snapshot meta, the sensors and the cached readings as the
+``repro.storage.codec`` layouts crash recovery uses.  The meta stores
+every ``COLRTreeConfig`` field by name; on load a stored key that is no
+longer a field is dropped and a missing one takes its default.  Anything
+else — a file of an older format among them, with the converter named —
+raises ``SnapshotError``.  Networks and availability histories are
+runtime objects the caller re-wires.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from repro.core.config import COLRTreeConfig
@@ -28,15 +32,7 @@ from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading
 
-FORMAT_VERSION = 2
-
-# COLRTreeConfig fields that existed when older snapshots were written
-# and have since been removed; dropped from the stored config on load.
-RETIRED_CONFIG_KEYS = (
-    "flat_kernel_enabled",
-    "plan_cache_enabled",
-    "classify_tile_nodes",
-)
+FORMAT_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -79,6 +75,7 @@ def load_tree(
     restored sensors; pass an explicit network to re-wire a live one.
     """
     from repro.storage.checkpoint import is_checkpoint_file, read_checkpoint
+    from repro.storage.codec import FormatError
     from repro.storage.pager import PageCorruptionError
 
     path = Path(path)
@@ -88,17 +85,19 @@ def load_tree(
         meta, sensors, cached = read_checkpoint(path)
     except PageCorruptionError as exc:
         raise SnapshotError(f"corrupt snapshot: {exc}") from exc
+    except FormatError as exc:
+        raise SnapshotError(f"unreadable snapshot: {exc}") from exc
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     if not sensors:
         raise SnapshotError("snapshot holds no sensors")
     try:
-        stored = dict(meta["config"])
-        for key in RETIRED_CONFIG_KEYS:
-            stored.pop(key, None)
-        config = COLRTreeConfig(**stored)
-    except (KeyError, TypeError) as exc:
+        known = {f.name for f in fields(COLRTreeConfig)}
+        config = COLRTreeConfig(
+            **{key: value for key, value in meta["config"].items() if key in known}
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
     if network is None:
         network = SensorNetwork(

@@ -283,19 +283,44 @@ class SensorMapPortal:
             )
         if self.storage is not None:
             # Prime the recovered cache batches BEFORE attaching the WAL
-            # sink, so replay is never re-journaled; afterwards every
-            # acknowledged ingestion flows back into the log and every
-            # query meters the disk I/O it caused.
+            # sink, so replay is never re-journaled.
             self._prime_recovered()
-            for tree in self._trees.values():
-                tree.wal_sink = self._journal_ingest
-                tree.storage_meter = self.storage.stats
+            self._attach_wal_sink()
         self._index_dirty = False
         self.index_generation += 1
 
     # ------------------------------------------------------------------
     # Durable storage
     # ------------------------------------------------------------------
+    def open_storage(self, storage: "StorageConfig") -> None:
+        """Make this in-memory portal durable in a directory that holds
+        no state.  The engine opens straight at the portal's image
+        (:meth:`StorageEngine.create`: its sensors, cached readings and
+        clock as ``checkpoint-1``, an empty WAL), so nothing is written
+        twice; from then on the portal journals and recovers exactly
+        like one constructed with ``storage``."""
+        from repro.storage.engine import StorageEngine
+
+        if self.storage is not None:
+            raise RuntimeError("portal already has storage attached")
+        self._ensure_index()
+        self.storage = StorageEngine.create(
+            storage,
+            sensors=self.registry.all(),
+            cached=self._cached_entries(),
+            clock_now=self.clock.now(),
+        )
+        self.storage_config = storage
+        self.last_recovery = self.storage.recovered
+        self._attach_wal_sink()
+
+    def _attach_wal_sink(self) -> None:
+        """From here every acknowledged ingestion flows into the log and
+        every query meters the disk I/O it caused."""
+        for tree in self._trees.values():
+            tree.wal_sink = self._journal_ingest
+            tree.storage_meter = self.storage.stats
+
     def _prime_recovered(self) -> None:
         """Re-install recovered cache batches into freshly built trees.
 
@@ -375,10 +400,10 @@ class SensorMapPortal:
         boundaries preserved, first-seen order — the same discipline as
         ``_prime_recovered``) and inserted as maintenance batches, never
         probes.  The WAL sink is detached while priming — durability for
-        migrated state comes from the checkpoint the rebalance protocol
-        issues right after the install, not from re-journaling readings
-        another shard already acknowledged.  Returns readings installed
-        (readings for unknown sensors/types are skipped)."""
+        migrated state comes from the checkpoint the restaged shard is
+        written as (:meth:`open_storage`), not from re-journaling
+        readings another shard already acknowledged.  Returns readings
+        installed (readings for unknown sensors/types are skipped)."""
         self._ensure_index()
         type_of = {s.sensor_id: s.sensor_type for s in self.registry}
         batches: dict[float, dict[str, list["Reading"]]] = {}

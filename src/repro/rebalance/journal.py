@@ -18,17 +18,22 @@ directory before touching disk:
     From here the step **rolls forward**: the ``after`` map is
     authoritative.
 ``committed``
-    Advanced after the flip; cleared when the step finishes.  Recovery
-    treats it exactly like ``prepared`` (roll forward) — the flip is
-    coordinator state that a restart rebuilds from the map anyway.
+    After the flip the journal is deleted: with no journal pending the
+    shard directories hold the ``after`` map, which a restart rebuilds
+    from.  (Writing a ``committed`` record first would buy nothing —
+    recovery would roll it forward exactly like ``prepared`` — and cost
+    two fsyncs a step; a file that does say ``committed`` still rolls
+    forward.)
 
 :func:`resolve_pending` performs that resolution on reopen and returns
 the authoritative ``sensor id -> shard id`` assignment, which callers
 feed to :class:`~repro.federation.partitioner.FixedPartitioner` to
 rebuild the federation with exactly the membership the crash decided.
 
-The journal file itself is written atomically (tmp + ``os.replace`` +
-directory-order fsync), so recovery never sees a torn journal.
+The journal file itself is written atomically (tmp + fsync +
+``os.replace`` + directory fsync), so recovery never sees a torn
+journal, and a transition that returned survives an OS crash.  Each
+transition is a fail point (``journal.<phase>``, before its write).
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
+
+from repro import failpoints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.config import StorageConfig
@@ -51,11 +58,14 @@ _FORWARD_PHASES = frozenset({"prepared", "committed"})
 
 
 def _atomic_write(path: Path, payload: dict) -> None:
+    from repro.storage.engine import fsync_dir
+
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload, sort_keys=True))
     with open(tmp, "rb") as handle:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fsync_dir(path.parent)
 
 
 @dataclass
@@ -88,15 +98,19 @@ class MigrationJournal:
         self.phase = "intent"
         self.before = {int(k): sorted(int(i) for i in v) for k, v in before.items()}
         self.after = {int(k): sorted(int(i) for i in v) for k, v in after.items()}
+        failpoints.hit("journal.intent")
         self._flush()
 
     def advance(self, phase: str) -> None:
-        if phase not in ("prepared", "committed"):
+        if phase != "prepared":
             raise ValueError(f"cannot advance to {phase!r}")
+        failpoints.hit("journal.prepared")
         self.phase = phase
         self._flush()
 
     def clear(self) -> None:
+        """Commit the step: delete the journal."""
+        failpoints.hit("journal.committed")
         self.path.unlink(missing_ok=True)
 
     def _flush(self) -> None:

@@ -28,12 +28,13 @@ Shard ids stay dense: ``split`` appends the next id, ``merge`` and
 emptied-by-leave shards are compacted by *swap-remove* (the last shard
 renumbers into the vacated slot), so only the touched shards rebuild.
 
-``failpoint`` is a test hook called at named points (``"captured"``,
-``"intent"``, ``"prepared"``); it may raise to simulate a coordinator
-crash between the phases, or SIGKILL a worker out-of-band.  A failpoint
-that raises leaves the *in-memory* coordinator un-flipped (old
-membership — consistent); a durable federation is recovered from the
-journal instead of reusing the object.
+Three :mod:`fail points <repro.failpoints>` mark the phases
+(``mover.captured``, ``mover.intent``, ``mover.prepared``); an armed
+hook may raise there to simulate a coordinator crash between the
+phases, or SIGKILL a worker out-of-band.  A hook that raises leaves the
+*in-memory* coordinator un-flipped (old membership — consistent); a
+durable federation is recovered from the journal instead of reusing
+the object.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro import failpoints
 from repro.federation.federated import ShardDownError
 from repro.geometry import GeoPoint
 from repro.rebalance.journal import MigrationJournal
@@ -80,11 +82,9 @@ class ShardMover:
         self,
         fed: "FederatedPortal",
         on_phase: Callable[[str], None] | None = None,
-        failpoint: Callable[[str], None] | None = None,
     ) -> None:
         self.fed = fed
         self.on_phase = on_phase
-        self.failpoint = failpoint
 
     # ------------------------------------------------------------------
     # Operations (all reduce to _retarget)
@@ -266,7 +266,7 @@ class ShardMover:
                 raise MigrationAborted(
                     f"source shard {owner} is down"
                 ) from exc
-        self._fail("captured")
+        failpoints.hit("mover.captured")
         target_ids = {sid: {s.sensor_id for s in g} for sid, g in changes.items()}
         primed = {
             sid: [
@@ -287,17 +287,16 @@ class ShardMover:
                     for sid, g in enumerate(final_groups)
                 },
             )
-        self._fail("intent")
+        failpoints.hit("mover.intent")
 
         def on_staged() -> None:
             if journal is not None:
                 journal.advance("prepared")
-            self._fail("prepared")
+            failpoints.hit("mover.prepared")
             self._emit("prepared")
 
         fed.rebalance_apply(changes, primed=primed, drop=drop, on_staged=on_staged)
         if journal is not None:
-            journal.advance("committed")
             journal.clear()
         moved = [
             s
@@ -335,7 +334,3 @@ class ShardMover:
     def _emit(self, phase: str) -> None:
         if self.on_phase is not None:
             self.on_phase(phase)
-
-    def _fail(self, point: str) -> None:
-        if self.failpoint is not None:
-            self.failpoint(point)

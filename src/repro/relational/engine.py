@@ -14,19 +14,11 @@ from repro.relational.triggers import Trigger, TriggerEvent, TriggerInvocation, 
 
 
 class Database:
-    """A named collection of tables plus a trigger set.
+    """A named collection of tables plus a trigger set."""
 
-    ``pager`` (optional, a :class:`repro.storage.pager.Pager`) spills
-    every table to disk through a paged B+-tree: reads stay in-memory,
-    mutations write through, and creating a table whose B+-tree already
-    holds rows reloads them (database reopen).  ``None`` keeps the
-    historical purely in-memory behavior.
-    """
-
-    def __init__(self, max_trigger_depth: int = 32, pager=None) -> None:
+    def __init__(self, max_trigger_depth: int = 32) -> None:
         self._tables: dict[str, Table] = {}
         self._triggers = TriggerSet(max_depth=max_trigger_depth)
-        self._pager = pager
 
     # ------------------------------------------------------------------
     # DDL
@@ -35,25 +27,13 @@ class Database:
         if schema.name in self._tables:
             raise ValueError(f"table {schema.name!r} already exists")
         table = Table(schema)
-        if self._pager is not None:
-            from repro.storage.bplus import BPlusTree, PagedTableBacking
-
-            backing = PagedTableBacking(BPlusTree(self._pager, schema.name))
-            table.attach_backing(backing, load=len(backing.tree) > 0)
         self._tables[schema.name] = table
         return table
-
-    def sync(self) -> None:
-        """Flush the paged tables to disk (no-op without a pager)."""
-        if self._pager is not None:
-            self._pager.sync()
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise KeyError(f"no table named {name!r}")
-        table = self._tables.pop(name)
-        if table.backing is not None:
-            table.backing.clear()
+        del self._tables[name]
 
     def table(self, name: str) -> Table:
         try:

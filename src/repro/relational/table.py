@@ -16,33 +16,12 @@ Row = dict[str, object]
 
 
 class Table:
-    """In-memory heap of rows with a primary key and hash indexes.
+    """In-memory heap of rows with a primary key and hash indexes."""
 
-    ``backing`` (optional) is a write-through persistence hook — an
-    object with ``store(key, row)`` / ``erase(key)`` / ``rows()``
-    (see :class:`repro.storage.bplus.PagedTableBacking`).  Reads keep
-    coming from memory; every mutation mirrors into the backing, and a
-    reopened database reloads the rows from it before serving.
-    """
-
-    def __init__(self, schema: TableSchema, backing=None) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._rows: dict[tuple, Row] = {}
         self._indexes: dict[str, dict[object, set[tuple]]] = {}
-        self.backing = backing
-
-    def attach_backing(self, backing, load: bool = False) -> None:
-        """Attach a persistence backing; with ``load=True`` the backing's
-        rows replace the in-memory heap first (database reopen)."""
-        self.backing = None
-        if load:
-            if self._rows:
-                raise ValueError(
-                    f"table {self.name!r} already has rows; refusing to load"
-                )
-            for row in backing.rows():
-                self._store(row)
-        self.backing = backing
 
     # ------------------------------------------------------------------
     # Shape
@@ -84,8 +63,6 @@ class Table:
         self._rows[key] = full
         for column, index in self._indexes.items():
             index.setdefault(full.get(column), set()).add(key)
-        if self.backing is not None:
-            self.backing.store(key, full)
 
     def _erase(self, key: tuple) -> Row:
         row = self._rows.pop(key)
@@ -95,8 +72,6 @@ class Table:
                 bucket.discard(key)
                 if not bucket:
                     del index[row.get(column)]
-        if self.backing is not None:
-            self.backing.erase(key)
         return row
 
     def _modify(self, key: tuple, changes: Row) -> tuple[Row, Row]:

@@ -53,7 +53,6 @@ class RelCOLRTree:
         build_method: str = "str",
         availability_model=None,
         transport: TransportConfig | None = None,
-        pager=None,
     ) -> None:
         self.config = config if config is not None else COLRTreeConfig()
         self.network = network
@@ -70,12 +69,11 @@ class RelCOLRTree:
                 network, transport if transport is not None else TransportConfig.parity()
             )
         self.names = names if names is not None else SchemaNames()
-        # ``pager`` spills every relation to disk through paged B+-trees
-        # (see repro.storage); ``wal_sink``, when set by the owning
-        # portal, journals each acknowledged cache batch exactly like
-        # ``COLRTree.wal_sink`` — callable(readings, fetched_at).
+        # ``wal_sink``, when set by the owning portal, journals each
+        # acknowledged cache batch exactly like ``COLRTree.wal_sink`` —
+        # callable(readings, fetched_at).
         self.wal_sink = None
-        self.db = Database(pager=pager)
+        self.db = Database()
         root = build_colr_tree(
             sensors,
             fanout=self.config.fanout,

@@ -3,11 +3,12 @@
 A checkpoint captures everything a portal needs to resume — the
 registered sensors, the cached readings with their fetch times, and a
 small meta record (clock, config fingerprint) — as three record heaps
-inside one page file.  Checkpoints are written whole to a fresh file
-and then flipped into the manifest, so a crash mid-checkpoint can never
-tear the previous one.
+inside one page file, one columnar :mod:`codec <repro.storage.codec>`
+record each.  Checkpoints are written whole to a fresh file and then
+flipped into the manifest, so a crash mid-checkpoint can never tear the
+previous one.
 
-The same container doubles as persistence format v2
+The same container doubles as the snapshot format
 (:mod:`repro.persistence`): a snapshot file *is* a single-file
 checkpoint.
 
@@ -24,65 +25,13 @@ bit-identical *including* totals.
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 
-from repro.geometry import GeoPoint
 from repro.sensors.sensor import Reading, Sensor
+from repro.storage import codec
 from repro.storage.heap import RecordHeap
 from repro.storage.pager import MAGIC, Pager
 from repro.storage.stats import StorageStats
-
-# ----------------------------------------------------------------------
-# Record codecs (shared with the WAL)
-# ----------------------------------------------------------------------
-
-
-def sensor_record(sensor: Sensor) -> tuple:
-    return (
-        sensor.sensor_id,
-        sensor.location.x,
-        sensor.location.y,
-        sensor.expiry_seconds,
-        sensor.sensor_type,
-        sensor.availability,
-        tuple(sensor.metadata),
-    )
-
-
-def sensor_from_record(record: tuple) -> Sensor:
-    sid, x, y, expiry, sensor_type, availability, metadata = record
-    return Sensor(
-        sensor_id=int(sid),
-        location=GeoPoint(float(x), float(y)),
-        expiry_seconds=float(expiry),
-        sensor_type=str(sensor_type),
-        availability=float(availability),
-        metadata=tuple((str(k), str(v)) for k, v in metadata),
-    )
-
-
-def reading_record(reading: Reading) -> tuple:
-    return (reading.sensor_id, reading.value, reading.timestamp, reading.expires_at)
-
-
-def reading_from_record(record: tuple) -> Reading:
-    sid, value, timestamp, expires_at = record
-    return Reading(
-        sensor_id=int(sid),
-        value=float(value),
-        timestamp=float(timestamp),
-        expires_at=float(expires_at),
-    )
-
-
-def _dumps(obj: object) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# ----------------------------------------------------------------------
-# Checkpoint container
-# ----------------------------------------------------------------------
 
 
 def is_checkpoint_file(path: str | Path) -> bool:
@@ -104,23 +53,22 @@ def write_checkpoint(
     stats: StorageStats | None = None,
     fsync: bool = True,
 ) -> None:
-    """Write one whole checkpoint file (truncating any existing file)."""
+    """Write one whole checkpoint file (truncating any existing file).
+
+    A write that fails part-way leaves a file no manifest names; the
+    next open sweeps it."""
     path = Path(path)
     if path.exists():
         path.unlink()
     pager = Pager(path, page_size=page_size, stats=stats)
-    try:
-        RecordHeap(pager, "meta").append(_dumps(dict(meta)))
-        RecordHeap(pager, "sensors").append_many(
-            _dumps(sensor_record(s))
-            for s in sorted(sensors, key=lambda s: s.sensor_id)
-        )
-        ordered = sorted(cached, key=lambda rf: (rf[1], rf[0].sensor_id))
-        RecordHeap(pager, "readings").append_many(
-            _dumps((reading_record(r), fetched_at)) for r, fetched_at in ordered
-        )
-    finally:
-        pager.close(fsync=fsync)
+    RecordHeap(pager, "meta").append(codec.encode_meta(dict(meta)))
+    RecordHeap(pager, "sensors").append(
+        codec.encode_sensors(sorted(sensors, key=lambda s: s.sensor_id))
+    )
+    RecordHeap(pager, "readings").append(
+        codec.encode_cached(sorted(cached, key=lambda rf: (rf[1], rf[0].sensor_id)))
+    )
+    pager.close(fsync=fsync)
 
 
 def read_checkpoint(
@@ -131,19 +79,24 @@ def read_checkpoint(
 
     ``cached_readings`` come back in stored order — sorted by
     ``(fetched_at, sensor_id)`` — ready to group into priming batches.
+    A file of another format raises
+    :class:`~repro.storage.codec.FormatError` naming the converter.
     """
     pager = Pager(Path(path), stats=stats)
     try:
-        meta_records = RecordHeap(pager, "meta").read_all()
-        meta = pickle.loads(meta_records[0]) if meta_records else {}
-        sensors = [
-            sensor_from_record(pickle.loads(rec))
-            for rec in RecordHeap(pager, "sensors").records()
-        ]
-        cached = []
-        for rec in RecordHeap(pager, "readings").records():
-            reading_rec, fetched_at = pickle.loads(rec)
-            cached.append((reading_from_record(reading_rec), float(fetched_at)))
+        meta_rec, sensor_rec, cached_rec = (
+            RecordHeap(pager, name).read_all() for name in ("meta", "sensors", "readings")
+        )
+        if len(meta_rec) != 1 or len(sensor_rec) != 1 or len(cached_rec) != 1:
+            raise codec.FormatError(
+                "checkpoint sections hold "
+                f"{len(meta_rec)} / {len(sensor_rec)} / {len(cached_rec)} records, not one each"
+            )
+        meta = codec.decode_meta(meta_rec[0])
+        sensors = codec.decode_sensors(sensor_rec[0])
+        cached = codec.decode_cached(cached_rec[0])
+    except codec.FormatError as exc:
+        raise codec.format_error(path, str(exc)) from None
     finally:
         pager.close(fsync=False)
     return meta, sensors, cached

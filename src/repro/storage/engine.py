@@ -6,6 +6,9 @@ One engine owns one data directory::
     checkpoint-<N>.db    immutable page file written at checkpoint N
     wal-<N>.log          redo log of everything since checkpoint N
 
+Every file holds :mod:`codec <repro.storage.codec>` layouts; nothing
+is pickled.
+
 Write path: every acknowledged slot-cache batch (and every sensor
 registration) appends one WAL record; a registration batch
 (``register_all``) appends its records in one write and one group
@@ -13,7 +16,11 @@ commit.  ``checkpoint()`` writes a fresh checkpoint file and a fresh
 empty WAL, makes both durable, then atomically flips the manifest (tmp
 + fsync + rename + directory fsync) and deletes the superseded pair — a
 crash at any instant leaves a consistent (checkpoint, wal) pair
-reachable.
+reachable.  :meth:`StorageEngine.create` opens a directory that holds
+no state straight at an in-memory image: ``checkpoint-1`` of that
+image, an empty ``wal-1`` and the manifest — a shard (re)build writes
+its sensors once, not as a registration log that a checkpoint then
+rotates away.
 
 Recovery on open: read the manifested checkpoint (if any), group its
 cached readings into priming batches, then replay the WAL — torn tails
@@ -31,16 +38,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from repro import failpoints
 from repro.sensors.sensor import Reading, Sensor
+from repro.storage import codec
 from repro.storage import wal as wal_mod
-from repro.storage.checkpoint import (
-    group_by_fetch,
-    read_checkpoint,
-    reading_from_record,
-    sensor_from_record,
-    sensor_record,
-    write_checkpoint,
-)
+from repro.storage.checkpoint import group_by_fetch, read_checkpoint, write_checkpoint
 from repro.storage.config import StorageConfig
 from repro.storage.stats import StorageStats
 from repro.storage.wal import WriteAheadLog
@@ -80,10 +82,8 @@ class StorageEngine:
     """Durable state of one portal (or one federation shard)."""
 
     def __init__(self, config: StorageConfig) -> None:
-        self.config = config
-        self.stats = StorageStats()
-        self.dir = config.path
-        self.dir.mkdir(parents=True, exist_ok=True)
+        """Open a data directory, recovering whatever state it holds."""
+        self._open_dir(config)
         manifest = self._read_manifest()
         if manifest is None:
             self.epoch = 1
@@ -94,13 +94,68 @@ class StorageEngine:
             self.checkpoint_name = manifest.get("checkpoint")
         self.recovered = self._recover()
         self._sweep_stale_files()
-        self._wal = WriteAheadLog(
-            self._wal_path(self.epoch),
-            stats=self.stats,
-            fsync_batch=config.wal_fsync_batch,
-            fsync_enabled=config.fsync_enabled,
-        )
+        self._wal = self._open_wal(self.epoch)
+
+    @classmethod
+    def create(
+        cls,
+        config: StorageConfig,
+        sensors: list[Sensor],
+        cached: list[tuple[Reading, float]],
+        clock_now: float,
+    ) -> "StorageEngine":
+        """Open a directory that holds no state straight at an in-memory
+        image: ``checkpoint-1`` of ``sensors`` and ``cached`` (fsync),
+        an empty ``wal-1`` (fsync), a directory fsync, then the manifest
+        naming both (tmp + fsync + rename + directory fsync).  Files a
+        crashed earlier attempt left — no manifest names them — are
+        deleted first.  Nothing is recovered: the image is already in
+        memory."""
+        engine = cls.__new__(cls)
+        engine._open_dir(config)
+        if engine._manifest_path().exists():
+            raise FileExistsError(f"{engine.dir} already holds a manifest")
+        wipe_data_dir(engine.dir)
+        engine.epoch = 1
+        engine.checkpoint_name = engine._checkpoint_path(1).name
+        engine.recovered = RecoveredState()
+        engine._write_checkpoint(1, sensors, cached, clock_now)
+        engine._wal = engine._open_wal(1)
+        engine._fsync_dir()
+        engine._write_manifest()
+        return engine
+
+    def _open_dir(self, config: StorageConfig) -> None:
+        self.config = config
+        self.stats = StorageStats()
+        self.dir = config.path
+        self.dir.mkdir(parents=True, exist_ok=True)
         self._closed = False
+
+    def _open_wal(self, epoch: int) -> WriteAheadLog:
+        return WriteAheadLog(
+            self._wal_path(epoch),
+            stats=self.stats,
+            fsync_batch=self.config.wal_fsync_batch,
+            fsync_enabled=self.config.fsync_enabled,
+        )
+
+    def _write_checkpoint(
+        self,
+        epoch: int,
+        sensors: list[Sensor],
+        cached: list[tuple[Reading, float]],
+        clock_now: float,
+    ) -> None:
+        write_checkpoint(
+            self._checkpoint_path(epoch),
+            meta={"epoch": epoch, "clock_now": float(clock_now)},
+            sensors=sensors,
+            cached=cached,
+            page_size=self.config.page_size,
+            stats=self.stats,
+            fsync=self.config.fsync_enabled,
+        )
 
     # ------------------------------------------------------------------
     # Manifest
@@ -133,22 +188,18 @@ class StorageEngine:
             "checkpoint": self.checkpoint_name,
         }
         tmp = self._manifest_path().with_suffix(".tmp")
+        failpoints.hit("manifest.write")
         with open(tmp, "w") as f:
             json.dump(manifest, f)
             f.flush()
             if self.config.fsync_enabled:
                 os.fsync(f.fileno())
+        failpoints.hit("manifest.rename")
         os.replace(tmp, self._manifest_path())
         self._fsync_dir()
 
     def _fsync_dir(self) -> None:
-        if not self.config.fsync_enabled:
-            return
-        fd = os.open(self.dir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_dir(self.dir, self.config.fsync_enabled)
 
     def _sweep_stale_files(self) -> None:
         """Delete checkpoint/WAL files a crashed checkpoint left behind
@@ -176,16 +227,13 @@ class StorageEngine:
             state.batches = group_by_fetch(cached)
             state.clock_now = float(meta.get("clock_now", 0.0))
             state.checkpoint_pages = self.stats.page_reads - reads_before
-        records = wal_mod.replay(self._wal_path(self.epoch), stats=self.stats)
+        records = _replay_frames(self._wal_path(self.epoch), self.stats)
         sensors_by_id = {s.sensor_id: s for s in state.sensors}
         for record in records:
-            kind = record[0]
-            if kind == "sensor":
-                sensor = sensor_from_record(record[1])
-                sensors_by_id[sensor.sensor_id] = sensor
-            elif kind == "batch":
-                fetched_at = float(record[1])
-                batch = [reading_from_record(r) for r in record[2]]
+            if record[0] == "sensors":
+                sensors_by_id.update((s.sensor_id, s) for s in record[1])
+            else:
+                _, fetched_at, batch = record
                 state.batches.append((fetched_at, batch))
                 state.clock_now = max(state.clock_now, fetched_at)
         state.sensors = [sensors_by_id[sid] for sid in sorted(sensors_by_id)]
@@ -212,26 +260,17 @@ class StorageEngine:
     # Journaling
     # ------------------------------------------------------------------
     def journal_register(self, sensor: Sensor) -> None:
-        self._wal.append(("sensor", sensor_record(sensor)))
+        self._wal.append(codec.encode_sensors_frame([sensor]))
 
     def journal_register_all(self, sensors: Iterable[Sensor]) -> None:
         """Journal a registration batch: one record per sensor, as
         :meth:`journal_register` writes it, in one group commit."""
-        self._wal.append_many(("sensor", sensor_record(s)) for s in sensors)
+        self._wal.append_many(codec.encode_sensors_frame([s]) for s in sensors)
 
     def journal_batch(self, readings: list[Reading], fetched_at: float) -> None:
         if not readings:
             return
-        self._wal.append(
-            (
-                "batch",
-                float(fetched_at),
-                tuple(
-                    (r.sensor_id, r.value, r.timestamp, r.expires_at)
-                    for r in readings
-                ),
-            )
-        )
+        self._wal.append(codec.encode_batch(readings, float(fetched_at)))
 
     def sync(self) -> None:
         self._wal.sync()
@@ -248,25 +287,8 @@ class StorageEngine:
         """Write a fresh checkpoint, rotate the WAL, flip the manifest."""
         new_epoch = self.epoch + 1
         checkpoint_name = self._checkpoint_path(new_epoch).name
-        write_checkpoint(
-            self._checkpoint_path(new_epoch),
-            meta={
-                "format": 2,
-                "epoch": new_epoch,
-                "clock_now": float(clock_now),
-            },
-            sensors=sensors,
-            cached=cached,
-            page_size=self.config.page_size,
-            stats=self.stats,
-            fsync=self.config.fsync_enabled,
-        )
-        new_wal = WriteAheadLog(
-            self._wal_path(new_epoch),
-            stats=self.stats,
-            fsync_batch=self.config.wal_fsync_batch,
-            fsync_enabled=self.config.fsync_enabled,
-        )
+        self._write_checkpoint(new_epoch, sensors, cached, clock_now)
+        new_wal = self._open_wal(new_epoch)
         self._fsync_dir()
         old_epoch = self.epoch
         old_checkpoint = self.checkpoint_name
@@ -307,6 +329,30 @@ class StorageEngine:
 # ----------------------------------------------------------------------
 
 
+def fsync_dir(path: str | Path, enabled: bool = True) -> None:
+    """Make a directory's entries (a rename, a new file) durable."""
+    failpoints.hit("dir.fsync")
+    if not enabled:
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replay_frames(
+    path: Path, stats: StorageStats, truncate_torn_tail: bool = True
+) -> list[tuple]:
+    """The WAL's intact records, decoded; a frame that passes its CRC but
+    does not decode is a format error, not a torn tail."""
+    payloads = wal_mod.replay(path, stats=stats, truncate_torn_tail=truncate_torn_tail)
+    try:
+        return [codec.decode_frame(payload) for payload in payloads]
+    except codec.FormatError as exc:
+        raise codec.format_error(path, str(exc)) from None
+
+
 def describe_data_dir(data_dir: str | Path) -> dict:
     """Read-only inspection of a data directory (the CLI's view).
 
@@ -341,8 +387,8 @@ def describe_data_dir(data_dir: str | Path) -> dict:
         }
     wal_path = data_dir / f"wal-{epoch}.log"
     if wal_path.exists():
-        records = wal_mod.replay(wal_path, stats=stats, truncate_torn_tail=False)
-        registrations = sum(1 for r in records if r[0] == "sensor")
+        records = _replay_frames(wal_path, stats, truncate_torn_tail=False)
+        registrations = sum(len(r[1]) for r in records if r[0] == "sensors")
         batches = [r for r in records if r[0] == "batch"]
         out["wal"] = {
             "file": wal_path.name,
@@ -367,6 +413,13 @@ def _page_size_of(path: Path) -> int:
     return struct.unpack_from("<I", head, 12)[0] or 4096
 
 
+def holds_state(config: StorageConfig) -> bool:
+    """Whether a data directory was opened before (it has a manifest).
+    One that was not recovers nothing and may be created at an image
+    (:meth:`StorageEngine.create`)."""
+    return (config.path / MANIFEST_NAME).exists()
+
+
 def stored_sensor_ids(config: StorageConfig) -> set[int]:
     """The sensor ids a data directory holds durably (empty when the
     directory has no state).  Read-only — used by the federation to
@@ -385,19 +438,19 @@ def stored_sensor_ids(config: StorageConfig) -> set[int]:
         _, sensors, _ = read_checkpoint(data_dir / checkpoint_name)
         ids.update(s.sensor_id for s in sensors)
     wal_path = data_dir / f"wal-{int(manifest['epoch'])}.log"
-    for record in wal_mod.replay(wal_path, truncate_torn_tail=False):
-        if record[0] == "sensor":
-            ids.add(int(record[1][0]))
+    for record in _replay_frames(wal_path, StorageStats(), truncate_torn_tail=False):
+        if record[0] == "sensors":
+            ids.update(s.sensor_id for s in record[1])
     return ids
 
 
 def wipe_data_dir(data_dir: str | Path) -> None:
     """Delete every engine-owned file in a data directory (manifest,
-    checkpoints, WALs, relational spill), leaving the directory."""
+    checkpoints, WALs), leaving the directory."""
     data_dir = Path(data_dir)
     if not data_dir.exists():
         return
     (data_dir / MANIFEST_NAME).unlink(missing_ok=True)
-    for pattern in ("checkpoint-*.db", "wal-*.log", "tables.db"):
+    for pattern in ("checkpoint-*.db", "wal-*.log"):
         for path in data_dir.glob(pattern):
             path.unlink()

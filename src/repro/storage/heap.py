@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable, Iterator
 
-from repro.storage.pager import Pager
+from repro.storage.pager import PageCorruptionError, Pager
 
 _LEN = struct.Struct("<I")
 
@@ -27,10 +27,14 @@ class RecordHeap:
         self.pager = pager
         self.name = name
         self._key = f"heap:{name}"
-        entry = pager.catalog_get(self._key)
-        if entry is None:
-            entry = {"head": 0, "tail": 0, "count": 0, "tail_used": 0}
-            pager.catalog_put(self._key, entry)
+        # A heap enters the catalog on its first append, so opening one
+        # to read never writes.
+        entry = pager.catalog_get(self._key) or {
+            "head": 0,
+            "tail": 0,
+            "count": 0,
+            "tail_used": 0,
+        }
         self._head = int(entry["head"])
         self._tail = int(entry["tail"])
         self._count = int(entry["count"])
@@ -46,36 +50,38 @@ class RecordHeap:
         self.append_many([record])
 
     def append_many(self, records: Iterable[bytes]) -> None:
-        """Append records as one frame stream (one catalog update)."""
+        """Append records as one frame stream: the whole page run is
+        allocated at once and the header written once, by the catalog
+        update."""
         records = list(records)
         if not records:
             return
         data = b"".join(_LEN.pack(len(r)) + r for r in records)
-        count = len(records)
         capacity = self.pager.capacity
-        if self._head == 0:
-            self._head = self._tail = self.pager.allocate()
-            self._tail_used = 0
         # Refill the partially-used tail page, then spill into fresh
-        # pages, linking as we go.
-        tail_payload, _ = self.pager.read(self._tail)
-        assert len(tail_payload) == self._tail_used
-        buffer = tail_payload + data
-        page_id = self._tail
-        offset = 0
-        while True:
-            chunk = buffer[offset : offset + capacity]
-            offset += len(chunk)
-            if offset < len(buffer):
-                next_id = self.pager.allocate()
-                self.pager.write(page_id, chunk, next_id)
-                page_id = next_id
-            else:
-                self.pager.write(page_id, chunk, 0)
-                self._tail = page_id
-                self._tail_used = len(chunk)
-                break
-        self._count += count
+        # pages.
+        if self._head:
+            tail_payload, _ = self.pager.read(self._tail)
+            if len(tail_payload) != self._tail_used:
+                raise PageCorruptionError(
+                    f"heap {self.name!r}: tail page holds {len(tail_payload)} B, "
+                    f"catalog says {self._tail_used}"
+                )
+            buffer = tail_payload + data
+            pages = [self._tail]
+        else:
+            buffer = data
+            pages = []
+        n_pages = max(1, -(-len(buffer) // capacity))
+        pages += self.pager.allocate_run(n_pages - len(pages))
+        if not self._head:
+            self._head = pages[0]
+        for i, page_id in enumerate(pages):
+            next_id = pages[i + 1] if i + 1 < len(pages) else 0
+            self.pager.write(page_id, buffer[i * capacity : (i + 1) * capacity], next_id)
+        self._tail = pages[-1]
+        self._tail_used = len(buffer) - (n_pages - 1) * capacity
+        self._count += len(records)
         self._save()
 
     def clear(self) -> None:
@@ -122,8 +128,6 @@ class RecordHeap:
                 del stream[: _LEN.size + length]
                 emitted += 1
         if emitted != self._count:
-            from repro.storage.pager import PageCorruptionError
-
             raise PageCorruptionError(
                 f"heap {self.name!r}: {emitted} records decoded, "
                 f"catalog says {self._count}"

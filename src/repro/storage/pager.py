@@ -10,32 +10,34 @@ Page 0 is the header page::
     u32 crc | 8s magic | u32 page_size | u32 page_count
             | u32 free_head | u32 catalog_len | catalog JSON
 
-The catalog maps structure names (heaps, B+-trees) to their root page
+The catalog maps structure names (record heaps) to their head page
 ids and metadata — the page file's "system tables".  Data pages (ids
 >= 1) are::
 
     u32 crc | u32 next | u32 used | payload (used bytes)
 
-``next`` chains pages into streams (heap files, oversized B+-tree
-nodes) and threads the free-list; 0 terminates (page 0 can never be a
+``next`` chains pages into streams (heap files) and threads the
+free-list; 0 terminates (page 0 can never be a
 data page).  The CRC covers everything after the checksum field, over
 the full page, so a short write at the tail of the file is equally
 detected.
 
 The pager is deliberately *not* crash-safe on its own: callers that
 need atomicity write fresh files and flip a manifest
-(:mod:`repro.storage.engine`), or accept sync-granularity durability
-(the relational spill).  What the pager guarantees is detection —
+(:mod:`repro.storage.engine`).  What the pager guarantees is
+detection —
 :class:`PageCorruptionError` instead of garbage.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
 
+from repro import failpoints
 from repro.storage.stats import StorageStats
 
 MAGIC = b"COLRPG1\x00"
@@ -60,6 +62,7 @@ class Pager:
         self.path = Path(path)
         self.stats = stats if stats is not None else StorageStats()
         self._closed = False
+        self._written = False  # a reader's close writes nothing
         if self.path.exists() and self.path.stat().st_size > 0:
             self._file = open(self.path, "r+b")
             self._load_header(page_size)
@@ -119,8 +122,10 @@ class Pager:
         )
         page[_HEADER_FIXED.size : _HEADER_FIXED.size + len(body)] = body
         struct.pack_into("<I", page, 0, zlib.crc32(bytes(page[4:])))
+        failpoints.hit("page.write")
         self._file.seek(0)
         self._file.write(bytes(page))
+        self._written = True
         self.stats.page_writes += 1
 
     def catalog_get(self, name: str) -> dict | None:
@@ -147,16 +152,24 @@ class Pager:
     def allocate(self) -> int:
         """A free data page id: popped from the free-list, or a fresh
         page appended to the file."""
-        if self.free_head:
-            page_id = self.free_head
-            _, self.free_head = self.read(page_id)
-            self._flush_header()
-            return page_id
-        page_id = self.page_count
-        self.page_count += 1
-        self.write(page_id, b"", 0)
+        (page_id,) = self.allocate_run(1)
         self._flush_header()
         return page_id
+
+    def allocate_run(self, count: int) -> list[int]:
+        """``count`` data page ids for the caller to write: free-list
+        pages first, then fresh pages past the end of the file.  The
+        header is not rewritten here — the caller's next
+        :meth:`catalog_put` (or :meth:`sync`) records the new count and
+        free-list head once for the whole run."""
+        ids: list[int] = []
+        while self.free_head and len(ids) < count:
+            ids.append(self.free_head)
+            _, self.free_head = self.read(self.free_head)
+        fresh = count - len(ids)
+        ids.extend(range(self.page_count, self.page_count + fresh))
+        self.page_count += fresh
+        return ids
 
     def free(self, page_id: int) -> None:
         """Return one page to the free-list."""
@@ -187,8 +200,10 @@ class Pager:
         _DATA_FIXED.pack_into(page, 0, 0, next_page, len(payload))
         page[DATA_HEADER_SIZE : DATA_HEADER_SIZE + len(payload)] = payload
         struct.pack_into("<I", page, 0, zlib.crc32(bytes(page[4:])))
+        failpoints.hit("page.write")
         self._file.seek(page_id * self.page_size)
         self._file.write(bytes(page))
+        self._written = True
         self.stats.page_writes += 1
 
     def read(self, page_id: int) -> tuple[bytes, int]:
@@ -219,12 +234,14 @@ class Pager:
     # Lifecycle
     # ------------------------------------------------------------------
     def sync(self, fsync: bool = True) -> None:
-        """Flush the header and OS buffers to stable storage."""
+        """Flush the header and OS buffers to stable storage (nothing to
+        do for a pager that has not written)."""
+        if not self._written:
+            return
         self._flush_header()
         self._file.flush()
+        failpoints.hit("page.fsync")
         if fsync:
-            import os
-
             os.fsync(self._file.fileno())
 
     def close(self, fsync: bool = True) -> None:

@@ -1,10 +1,13 @@
 """The redo-only write-ahead log.
 
 Every acknowledged slot-cache ingestion appends one record; recovery
-replays the records (in order) on top of the last checkpoint.  Records
-are pickled payloads framed as ``u32 len | u32 crc32 | payload`` after
+replays the records (in order) on top of the last checkpoint.  A record
+is an opaque byte payload (:mod:`repro.storage.codec` says what the
+engine puts in one), framed as ``u32 len | u32 crc32 | payload`` after
 an 8-byte magic header, so a torn tail — a crash mid-append — is
-detected by length or CRC and truncated instead of replayed.
+detected by length or CRC and truncated instead of replayed.  A file
+whose header is another format's magic is never truncated: replay
+raises :class:`~repro.storage.codec.FormatError` naming the converter.
 
 Durability contract
 -------------------
@@ -22,20 +25,20 @@ that long returns fully synced.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from pathlib import Path
 from typing import Iterable
 
+from repro import failpoints
+from repro.storage.codec import format_error
 from repro.storage.stats import StorageStats
 
-MAGIC = b"COLRWAL1"
+MAGIC = b"COLRWAL2"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
 
-def _frame(record: object) -> bytes:
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+def _frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -58,11 +61,13 @@ class WriteAheadLog:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._file = open(self.path, "ab")
         if fresh:
+            failpoints.hit("wal.write")
             self._file.write(MAGIC)
             self._file.flush()
             self._fsync()
 
     def _fsync(self) -> None:
+        failpoints.hit("wal.fsync")
         if self.fsync_enabled:
             os.fsync(self._file.fileno())
             self.stats.wal_fsyncs += 1
@@ -71,22 +76,24 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append(self, record: object) -> None:
+    def append(self, payload: bytes) -> None:
         """Journal one record: frame, flush to the OS, group-commit."""
-        self._file.write(_frame(record))
+        failpoints.hit("wal.write")
+        self._file.write(_frame(payload))
         self._commit(1)
 
-    def append_many(self, records: Iterable[object]) -> None:
+    def append_many(self, payloads: Iterable[bytes]) -> None:
         """Journal a batch: one frame per record — the bytes of one
         :meth:`append` each — handed to the OS as one write + flush,
         then one group-commit decision for the whole batch.  An empty
         batch touches nothing."""
         frames = bytearray()
         count = 0
-        for record in records:
-            frames += _frame(record)
+        for payload in payloads:
+            frames += _frame(payload)
             count += 1
         if count:
+            failpoints.hit("wal.write")
             self._file.write(frames)
             self._commit(count)
 
@@ -134,29 +141,33 @@ def replay(
     path: str | Path,
     stats: StorageStats | None = None,
     truncate_torn_tail: bool = True,
-) -> list[object]:
-    """Read every intact record of a WAL file, in append order.
+) -> list[bytes]:
+    """Read every intact record payload of a WAL file, in append order.
 
     A torn tail — short frame, short payload, or CRC mismatch — ends
     the replay at the last intact record; with ``truncate_torn_tail``
     the file is truncated there so the next append writes over the
-    garbage.  A missing file replays as empty.
+    garbage.  A header cut short is a torn header (the whole file is
+    reset); a complete header that is not :data:`MAGIC` raises.  A
+    missing file replays as empty.
     """
     path = Path(path)
     if stats is None:
         stats = StorageStats()
     if not path.exists():
         return []
-    records: list[object] = []
+    records: list[bytes] = []
     with open(path, "r+b") as f:
         header = f.read(len(MAGIC))
         if header != MAGIC:
-            # Unrecognizable header: treat the whole file as torn.
+            if len(header) == len(MAGIC) or not MAGIC.startswith(header):
+                raise format_error(path, f"WAL magic {header!r} is not {MAGIC!r}")
+            # A crash while the header itself was being written.
+            stats.torn_tail_truncations += 1
             if truncate_torn_tail:
                 f.seek(0)
                 f.truncate(0)
                 f.write(MAGIC)
-                stats.torn_tail_truncations += 1
             return []
         good_offset = f.tell()
         torn = False
@@ -172,11 +183,7 @@ def replay(
             if len(payload) < length or zlib.crc32(payload) != crc:
                 torn = True
                 break
-            try:
-                records.append(pickle.loads(payload))
-            except Exception:
-                torn = True
-                break
+            records.append(payload)
             good_offset = f.tell()
         if torn:
             stats.torn_tail_truncations += 1

@@ -24,6 +24,7 @@ from repro.federation.backend import InProcessBackend, ShardDownError
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.parallel import ProcessBackend, framing
 from repro.portal import SensorQuery
+from repro.sensors.clock import SimClock
 from repro.storage import StorageConfig
 
 N_SENSORS = 300
@@ -361,3 +362,34 @@ class TestLifecycle:
                 )
             ).result_weight > 0
         assert built == []
+
+
+class TestRestage:
+    def test_same_spec_and_primed_write_identical_checkpoint_on_both_backends(
+        self, tmp_path
+    ):
+        """A restaged shard is built with its migrated cache in-process or
+        in a freshly forked worker, and written once: the two
+        ``checkpoint-1`` files are byte-identical."""
+        from dataclasses import replace
+
+        fed = _build("inprocess")
+        fed.execute(_queries()[0])
+        primed = fed.rebalance_capture(0)
+        assert primed
+        spec = fed._spec(0, fed.shard_members(0))
+        now = fed.clock.now()
+        specs = {
+            name: replace(
+                spec, storage=StorageConfig(data_dir=tmp_path / name, fsync_enabled=False)
+            )
+            for name in ("inprocess", "process")
+        }
+        InProcessBackend(SimClock(now)).stage(specs["inprocess"], primed).close()
+        backend = ProcessBackend(SimClock(now))
+        try:
+            backend.commit({0: backend.stage(specs["process"], primed)})
+        finally:
+            backend.close()
+        files = [tmp_path / name / "checkpoint-1.db" for name in specs]
+        assert files[0].read_bytes() == files[1].read_bytes()

@@ -17,6 +17,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro import failpoints
 from repro.core.config import COLRTreeConfig
 from repro.federation import FederatedPortal, FederationConfig
 from repro.federation.partitioner import FixedPartitioner
@@ -37,11 +38,11 @@ class _Crash(RuntimeError):
 
 
 def _crash_at(point: str):
-    def failpoint(reached: str) -> None:
+    def hook(reached: str) -> None:
         if reached == point:
             raise _Crash(point)
 
-    return failpoint
+    return failpoints.armed(hook)
 
 
 def _fleet(n: int = 60, seed: int = 3):
@@ -85,9 +86,9 @@ class TestCoordinatorCrash:
     def test_crash_before_intent_leaves_no_journal(self, tmp_path):
         fleet = _fleet()
         fed = _durable_fed(fleet, tmp_path)
-        mover = ShardMover(fed, failpoint=_crash_at("captured"))
+        mover = ShardMover(fed)
         movers = [s.sensor_id for s in fed.shard_members(0)[:5]]
-        with pytest.raises(_Crash):
+        with pytest.raises(_Crash), _crash_at("mover.captured"):
             mover.move(movers, src=0, dst=1)
         # Nothing durable was touched yet: no journal, nothing pending.
         storage = StorageConfig(data_dir=tmp_path / "fed", fsync_enabled=False)
@@ -103,9 +104,9 @@ class TestCoordinatorCrash:
             sid: sorted(s.sensor_id for s in fed.shard_members(sid))
             for sid in range(3)
         }
-        mover = ShardMover(fed, failpoint=_crash_at("intent"))
+        mover = ShardMover(fed)
         movers = [s.sensor_id for s in fed.shard_members(0)[:5]]
-        with pytest.raises(_Crash):
+        with pytest.raises(_Crash), _crash_at("mover.intent"):
             mover.move(movers, src=0, dst=1)
         del fed, mover  # the coordinator is gone; recovery is disk-only
 
@@ -138,9 +139,9 @@ class TestCoordinatorCrash:
     def test_crash_between_prepare_and_commit_rolls_forward(self, tmp_path):
         fleet = _fleet()
         fed = _durable_fed(fleet, tmp_path)
-        mover = ShardMover(fed, failpoint=_crash_at("prepared"))
+        mover = ShardMover(fed)
         movers = [s.sensor_id for s in fed.shard_members(0)[:5]]
-        with pytest.raises(_Crash):
+        with pytest.raises(_Crash), _crash_at("mover.prepared"):
             mover.move(movers, src=0, dst=1)
         del fed, mover
 
@@ -174,8 +175,8 @@ class TestCoordinatorCrash:
     def test_crashed_split_rolls_forward_to_the_new_shard_count(self, tmp_path):
         fleet = _fleet(n=80, seed=5)
         fed = _durable_fed(fleet, tmp_path)
-        mover = ShardMover(fed, failpoint=_crash_at("prepared"))
-        with pytest.raises(_Crash):
+        mover = ShardMover(fed)
+        with pytest.raises(_Crash), _crash_at("mover.prepared"):
             mover.split(0)
         del fed, mover
         storage = StorageConfig(data_dir=tmp_path / "fed", fsync_enabled=False)
@@ -232,13 +233,14 @@ class TestWorkerSigkill:
             assert dst_pid is not None and bystander_pid is not None
 
             def kill_dst(point: str) -> None:
-                if point == "captured":
+                if point == "mover.captured":
                     os.kill(dst_pid, signal.SIGKILL)
                     os.waitpid(dst_pid, 0)
 
-            mover = ShardMover(fed, failpoint=kill_dst)
+            mover = ShardMover(fed)
             movers = [s.sensor_id for s in fed.shard_members(0)[:6]]
-            moved = mover.move(movers, src=0, dst=1)
+            with failpoints.armed(kill_dst):
+                moved = mover.move(movers, src=0, dst=1)
             assert sorted(s.sensor_id for s in moved) == sorted(movers)
             # The affected shards respawned; the bystander never cycled.
             assert fed.worker_pid(1) not in (None, dst_pid)
@@ -259,13 +261,14 @@ class TestWorkerSigkill:
             assert src_pid is not None
 
             def kill_src(point: str) -> None:
-                if point == "captured":
+                if point == "mover.captured":
                     os.kill(src_pid, signal.SIGKILL)
                     os.waitpid(src_pid, 0)
 
-            mover = ShardMover(fed, failpoint=kill_src)
+            mover = ShardMover(fed)
             movers = [s.sensor_id for s in fed.shard_members(0)[:6]]
-            mover.move(movers, src=0, dst=2)
+            with failpoints.armed(kill_src):
+                mover.move(movers, src=0, dst=2)
             result = fed.execute(EXACT)
             assert result.result_weight == len(fed.registry)
             assert not result.partial

@@ -198,3 +198,74 @@ class TestHygiene:
         info = describe_data_dir(tmp_path / "data")
         assert info["wal"]["torn_tail"] is True
         assert wal_path.stat().st_size == size  # not truncated
+
+
+class TestCreateAtImage:
+    """``StorageEngine.create``: a directory with no state opens straight
+    at an in-memory image, written once."""
+
+    def image(self):
+        sensors = make_sensors(5)
+        cached = [(r, 30.0) for r in make_batch(sensors[:3], 30.0)]
+        return sensors, cached
+
+    def test_reopen_recovers_the_image_from_the_checkpoint_alone(self, tmp_path):
+        sensors, cached = self.image()
+        engine = StorageEngine.create(config(tmp_path), sensors, cached, clock_now=45.0)
+        assert not engine.recovered.has_state and engine.recovery_cost_seconds == 0.0
+        engine.journal_batch(make_batch(sensors[3:], 50.0), fetched_at=50.0)
+        engine.crash()
+        data = tmp_path / "data"
+        assert sorted(p.name for p in data.iterdir()) == [
+            "MANIFEST.json",
+            "checkpoint-1.db",
+            "wal-1.log",
+        ]
+        rec = StorageEngine(config(tmp_path)).recovered
+        assert rec.sensors == sensors
+        assert rec.batches == [(30.0, [r for r, _ in cached]), (50.0, make_batch(sensors[3:], 50.0))]
+        assert rec.wal_records == 1  # no registration records
+        assert rec.clock_now == 50.0
+
+    def test_five_fsyncs_and_no_rotation(self, tmp_path, monkeypatch):
+        import os
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        sensors, cached = self.image()
+        engine = StorageEngine.create(
+            StorageConfig(data_dir=tmp_path / "data"), sensors, cached, clock_now=0.0
+        )
+        # checkpoint-1, wal-1, the directory, MANIFEST.tmp, the directory.
+        assert len(calls) == 5
+        assert engine.epoch == 1 and engine.stats.checkpoints == 0
+        engine.close()
+
+    def test_refuses_a_directory_that_holds_state(self, tmp_path):
+        StorageEngine(config(tmp_path)).close()
+        with pytest.raises(FileExistsError):
+            StorageEngine.create(config(tmp_path), make_sensors(1), [], clock_now=0.0)
+
+    def test_deletes_files_no_manifest_names(self, tmp_path):
+        # What a crash between a wipe's manifest unlink and its WAL unlink
+        # leaves behind must not be appended to.
+        engine = StorageEngine(config(tmp_path))
+        engine.journal_batch(make_batch(make_sensors(2), 1.0), fetched_at=1.0)
+        engine.crash()
+        (tmp_path / "data" / "MANIFEST.json").unlink()
+        StorageEngine.create(config(tmp_path), make_sensors(2), [], clock_now=0.0).close()
+        rec = StorageEngine(config(tmp_path)).recovered
+        assert rec.batches == [] and rec.wal_records == 0
+
+
+class TestFormats:
+    def test_older_wal_raises_naming_the_converter_and_is_kept(self, tmp_path):
+        from repro.storage import FormatError
+
+        StorageEngine(config(tmp_path)).close()
+        wal = tmp_path / "data" / "wal-1.log"
+        wal.write_bytes(b"COLRWAL1")
+        with pytest.raises(FormatError, match="python -m repro.convert"):
+            StorageEngine(config(tmp_path))
+        assert wal.read_bytes() == b"COLRWAL1"

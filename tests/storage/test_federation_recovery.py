@@ -128,3 +128,43 @@ class TestStaleDirectories:
         # The out-of-range shard-2 directory was wiped of durable state.
         assert not (tmp_path / "fed" / "shard-2" / "MANIFEST.json").exists()
         repartitioned.close()
+
+
+class TestRestage:
+    def test_restage_writes_the_shard_once_in_five_fsyncs(self, tmp_path, monkeypatch):
+        import os
+
+        fleet = make_fleet(n=120)
+        portal = FederatedPortal(
+            n_shards=2,
+            max_sensors_per_query=None,
+            storage=StorageConfig(data_dir=tmp_path / "fed"),
+        )
+        portal.register_all(list(fleet))
+        portal.rebuild_index()
+        portal.execute(QUERY)  # journals batches the group commit leaves pending
+        group = portal.shard_members(0)
+        primed = portal.rebalance_capture(0)
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        staged = portal._backend.stage(portal._spec(0, group), primed)
+        # checkpoint-1, wal-1, the directory, MANIFEST.tmp, the directory:
+        # no final fsync of the WAL the wipe deletes, no registration log,
+        # no rotation.
+        assert len(calls) == 5
+        data = tmp_path / "fed" / "shard-0"
+        assert sorted(p.name for p in data.iterdir()) == [
+            "MANIFEST.json",
+            "checkpoint-1.db",
+            "wal-1.log",
+        ]
+        assert (data / "wal-1.log").stat().st_size == 8  # the magic alone
+        assert sorted(staged.export_cache(), key=_key) == sorted(primed, key=_key)
+        portal._backend.commit({0: staged})
+        portal.close()
+
+
+def _key(entry):
+    reading, fetched_at = entry
+    return reading.sensor_id, fetched_at

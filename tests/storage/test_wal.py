@@ -1,16 +1,26 @@
 """Write-ahead log: replay order, group commit, torn-tail truncation."""
 
-import pickle
 import struct
 import zlib
 
-from repro.storage import WriteAheadLog
+import pytest
+
+from repro.geometry import GeoPoint
+from repro.sensors.sensor import Reading, Sensor
+from repro.storage import FormatError, WriteAheadLog
+from repro.storage.codec import encode_batch, encode_sensors_frame
 from repro.storage.stats import StorageStats
 from repro.storage.wal import MAGIC, replay
 
 
-def make_records(n: int) -> list[object]:
-    return [("batch", float(i), ((i, i * 0.5, float(i), float(i + 60)),)) for i in range(n)]
+def make_records(n: int) -> list[bytes]:
+    return [
+        encode_batch([Reading(i, i * 0.5, float(i), float(i + 60))], float(i))
+        for i in range(n)
+    ]
+
+
+EMPTY_BATCH = encode_batch([], 9.0)
 
 
 class TestReplay:
@@ -58,7 +68,7 @@ class TestGroupCommit:
     def test_fsync_disabled_still_flushes(self, tmp_path):
         path = tmp_path / "w.log"
         wal = WriteAheadLog(path, fsync_batch=1, fsync_enabled=False)
-        wal.append(("sensor", (1,)))
+        wal.append(encode_sensors_frame([Sensor(1, GeoPoint(0.0, 0.0), 60.0)]))
         wal.crash()
         assert wal.stats.wal_fsyncs == 0
         assert len(replay(path)) == 1
@@ -66,7 +76,9 @@ class TestGroupCommit:
 
 class TestAppendMany:
     def test_file_is_byte_identical_to_one_append_per_record(self, tmp_path):
-        records = make_records(40) + [("sensor", (7, 1.5, -2.5, 600.0, "wind", 0.9, ()))]
+        records = make_records(40) + [
+            encode_sensors_frame([Sensor(7, GeoPoint(1.5, -2.5), 600.0, "wind", 0.9)])
+        ]
         with WriteAheadLog(tmp_path / "one.log") as one:
             for record in records:
                 one.append(record)
@@ -76,9 +88,8 @@ class TestAppendMany:
         assert raw == (tmp_path / "one.log").read_bytes()
         assert many.stats.wal_appends == one.stats.wal_appends == 41
         # ... and both are the documented layout, frame for frame.
-        payloads = [pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL) for r in records]
         assert raw == MAGIC + b"".join(
-            struct.pack("<II", len(p), zlib.crc32(p)) + p for p in payloads
+            struct.pack("<II", len(p), zlib.crc32(p)) + p for p in records
         )
         assert replay(tmp_path / "many.log") == records
 
@@ -96,7 +107,7 @@ class TestAppendMany:
         before = wal.stats.wal_fsyncs
         wal.append_many(make_records(3))
         assert wal.stats.wal_fsyncs - before == 0
-        wal.append(("batch", 9.0, ()))
+        wal.append(EMPTY_BATCH)
         assert wal.stats.wal_fsyncs - before == 1
 
     def test_empty_batch_writes_nothing_and_moves_no_boundary(self, tmp_path):
@@ -107,7 +118,7 @@ class TestAppendMany:
         wal.append_many([])
         assert path.stat().st_size == size
         assert (wal.stats.wal_fsyncs, wal.stats.wal_appends) == (fsyncs, 3)
-        wal.append(("batch", 9.0, ()))  # the fourth pending record
+        wal.append(EMPTY_BATCH)  # the fourth pending record
         assert wal.stats.wal_fsyncs == fsyncs + 1
 
     def test_fsync_disabled_still_flushes_the_batch(self, tmp_path):
@@ -126,8 +137,7 @@ class TestAppendMany:
         raw = source.read_bytes()
         boundaries = [len(MAGIC)]
         for record in records:
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            boundaries.append(boundaries[-1] + 8 + len(payload))
+            boundaries.append(boundaries[-1] + 8 + len(record))
         assert boundaries[-1] == len(raw)
         torn = tmp_path / "torn.log"
         for cut in range(len(MAGIC), len(raw) + 1):
@@ -169,27 +179,42 @@ class TestTornTail:
 
     def test_append_after_truncation_continues_cleanly(self, tmp_path):
         path = tmp_path / "w.log"
+        first, second = encode_batch([], 0.0), encode_batch([], 1.0)
         with WriteAheadLog(path) as wal:
-            wal.append(("batch", 0.0, ()))
+            wal.append(first)
         with open(path, "ab") as f:
             f.write(b"\x01")  # torn frame
         replay(path)  # truncates
         with WriteAheadLog(path) as wal:
-            wal.append(("batch", 1.0, ()))
-        assert replay(path) == [("batch", 0.0, ()), ("batch", 1.0, ())]
+            wal.append(second)
+        assert replay(path) == [first, second]
 
-    def test_unrecognizable_header_resets_file(self, tmp_path):
+    def test_torn_header_resets_file(self, tmp_path):
         path = tmp_path / "w.log"
-        path.write_bytes(b"not a wal file at all")
+        for torn in (b"", MAGIC[:1], MAGIC[:-1]):
+            path.write_bytes(torn)
+            stats = StorageStats()
+            assert replay(path, stats=stats) == []
+            assert stats.torn_tail_truncations == 1
+            assert path.read_bytes() == MAGIC
+
+    @pytest.mark.parametrize(
+        "header", [b"COLRWAL1" + b"\x00" * 8, b"not a wal file at all"]
+    )
+    def test_older_or_foreign_magic_raises_naming_the_converter(self, tmp_path, header):
+        path = tmp_path / "w.log"
+        path.write_bytes(header)
         stats = StorageStats()
-        assert replay(path, stats=stats) == []
-        assert stats.torn_tail_truncations == 1
-        assert path.read_bytes() == MAGIC
+        for truncate in (True, False):
+            with pytest.raises(FormatError, match="python -m repro.convert"):
+                replay(path, stats=stats, truncate_torn_tail=truncate)
+        assert stats.torn_tail_truncations == 0
+        assert path.read_bytes() == header  # never truncated
 
     def test_read_only_replay_leaves_file_alone(self, tmp_path):
         path = tmp_path / "w.log"
         with WriteAheadLog(path) as wal:
-            wal.append(("batch", 0.0, ()))
+            wal.append(EMPTY_BATCH)
         with open(path, "ab") as f:
             f.write(b"\x01")
         size = path.stat().st_size

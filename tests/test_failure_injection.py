@@ -11,6 +11,7 @@ from repro import (
     Rect,
     SensorNetwork,
     SensorRegistry,
+    failpoints,
 )
 
 from tests.conftest import make_registry, make_tree
@@ -201,12 +202,12 @@ class TestRebalanceFaults:
         )
 
         def die(point: str) -> None:
-            if point == "captured":
+            if point == "mover.captured":
                 raise MigrationAborted("shard lost mid-step")
 
-        rebalancer.mover.failpoint = die
         version = fed.directory.version
-        reports = rebalancer.run(max_steps=4)
+        with failpoints.armed(die):
+            reports = rebalancer.run(max_steps=4)
         assert [r.op for r in reports] == ["aborted"]
         assert fed.directory.version == version
         rebalancer.verify_invariants()
@@ -225,12 +226,12 @@ class TestRebalanceFaults:
         }
 
         def crash(point: str) -> None:
-            if point == "prepared":
+            if point == "mover.prepared":
                 raise _Boom
 
-        mover = ShardMover(fed, failpoint=crash)
+        mover = ShardMover(fed)
         movers = [s.sensor_id for s in fed.shard_members(0)[:8]]
-        with pytest.raises(_Boom):
+        with pytest.raises(_Boom), failpoints.armed(crash):
             mover.move(movers, src=0, dst=1)
         after = {
             sid: sorted(s.sensor_id for s in fed.shard_members(sid))

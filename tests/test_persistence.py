@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from repro import COLRTreeConfig, Rect
+from repro.convert import convert
 from repro.persistence import SnapshotError, load_tree, save_tree
 from repro.storage.checkpoint import read_checkpoint, write_checkpoint
 
@@ -159,10 +160,12 @@ class TestErrors:
         with pytest.raises(SnapshotError, match="malformed snapshot"):
             load_tree(snap)
 
-    def test_unknown_config_key_rejected(self, snap):
+    def test_unknown_config_key_dropped(self, snap, warm_tree):
+        # Stored keys are matched against COLRTreeConfig's fields by
+        # rule: one that is not a field (any more) is dropped, so
+        # removing a field never strands a snapshot.
         _resave(snap, meta=lambda m: {**m, "config": {**m["config"], "bogus": 1}})
-        with pytest.raises(SnapshotError, match="malformed snapshot"):
-            load_tree(snap)
+        assert load_tree(snap).config == warm_tree.config
 
     def test_empty_sensor_list_rejected(self, snap):
         _resave(snap, sensors=[])
@@ -171,18 +174,32 @@ class TestErrors:
 
 
 class TestOlderSnapshots:
-    """Files written before ``COLRTreeConfig`` lost fields must load."""
+    """A format-2 (pickled) snapshot is refused with the converter named,
+    and loads once converted — including the keys of ``COLRTreeConfig``
+    fields removed since it was written."""
 
-    def test_pr12_snapshot_loads_warm(self):
+    @pytest.fixture
+    def converted(self, tmp_path):
+        snap = tmp_path / "pr12.snap"
+        snap.write_bytes(GOLDEN_PR12.read_bytes())
+        assert convert(snap) == [snap]
+        assert convert(snap) == []  # already current
+        return snap
+
+    def test_unconverted_snapshot_names_the_converter(self):
+        with pytest.raises(SnapshotError, match="python -m repro.convert"):
+            load_tree(GOLDEN_PR12)
+
+    def test_pr12_snapshot_loads_warm(self, converted):
         # Written by the commit before flat_kernel_enabled /
         # plan_cache_enabled were removed: 60 sensors, all cached at t=0.
-        meta, _, _ = read_checkpoint(GOLDEN_PR12)
+        meta, _, _ = read_checkpoint(converted)
         assert {
             "flat_kernel_enabled",
             "plan_cache_enabled",
             "classify_tile_nodes",
         } <= set(meta["config"])
-        restored = load_tree(GOLDEN_PR12)
+        restored = load_tree(converted)
         assert len(restored) == 60
         assert restored.config == COLRTreeConfig(
             max_expiry_seconds=600.0, slot_seconds=120.0
@@ -193,18 +210,18 @@ class TestOlderSnapshots:
         assert answer.result_weight == 60
         assert answer.stats.sensors_probed == 0
 
-    def test_stored_tile_size_is_dropped(self, tmp_path):
+    def test_stored_tile_size_is_dropped(self, converted):
         # The golden file stores classify_tile_nodes=None; a snapshot
         # saved by a tiled portal carried a number.  Labels were
         # bit-identical for every tile size, so dropping it keeps answers.
-        snap = tmp_path / "tiled.snap"
-        snap.write_bytes(GOLDEN_PR12.read_bytes())
         _resave(
-            snap,
+            converted,
             meta=lambda m: {**m, "config": {**m["config"], "classify_tile_nodes": 26_624}},
         )
-        restored = load_tree(snap)
-        assert restored.config == load_tree(GOLDEN_PR12).config
+        restored = load_tree(converted)
+        assert restored.config == COLRTreeConfig(
+            max_expiry_seconds=600.0, slot_seconds=120.0
+        )
         answer = restored.query(
             Rect(0, 0, 100, 100), now=2.0, max_staleness=600.0, sample_size=0
         )
