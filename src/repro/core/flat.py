@@ -346,20 +346,6 @@ class FlatKernel:
             return [sensors[j] for j in np.flatnonzero(mask)]
         return [s for s in node.sensors if region.contains_point(s.location)]
 
-    def in_region_mask(self, region: Region) -> np.ndarray | None:
-        """Boolean membership mask over the flat sensor arrays, or
-        ``None`` when the region offers no vectorized point test."""
-        if isinstance(region, Rect):
-            x = self.sensor_x
-            y = self.sensor_y
-            return (
-                (region.min_x <= x)
-                & (x <= region.max_x)
-                & (region.min_y <= y)
-                & (y <= region.max_y)
-            )
-        return None
-
     # ------------------------------------------------------------------
     # Visited set (for fully vectorized scans)
     # ------------------------------------------------------------------

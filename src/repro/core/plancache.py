@@ -118,8 +118,3 @@ class SpatialPlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -75,10 +75,11 @@ def shared_range_scan(
     indistinguishable from sequential scans.
     """
     batch_plans: dict[object, SpatialPlan] = {}
+    shared = len(requests) > 1  # a lone request has no peer to share with
     out: list[tuple[QueryAnswer, list[int]]] = []
     for request in requests:
         answer = QueryAnswer()
-        key = region_fingerprint(request.region)
+        key = region_fingerprint(request.region) if shared else None
         plan = batch_plans.get(key) if key is not None else None
         if plan is not None:
             # Inherited classification: meter what was skipped.  The

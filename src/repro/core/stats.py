@@ -90,8 +90,9 @@ class QueryStats:
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another stats record into this one."""
+        mine, theirs = self.__dict__, other.__dict__
         for name in QUERY_STATS_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+            mine[name] += theirs[name]
 
 
 # Every counter by name, computed once: ``merge`` runs per (query, tree).

@@ -45,7 +45,7 @@ from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
 from repro.transport.config import TransportConfig
-from repro.transport.dispatcher import ProbeDispatcher
+from repro.transport.dispatcher import ProbeDispatcher, ProbeRound
 
 
 class COLRTree:
@@ -332,7 +332,22 @@ class COLRTree:
             tree=self,
             max_staleness=math.inf if max_staleness is None else max_staleness,
         )
-        stats.sensors_probed += len(ids)
+        return self._book_round(rnd, len(ids), now, stats, io_base)
+
+    def _book_round(
+        self,
+        rnd: ProbeRound,
+        requested: int,
+        now: float,
+        stats: QueryStats,
+        io_base: tuple[int, int, int, int] | None,
+    ) -> list[Reading]:
+        """Charge a resolved probe round of ``requested`` sensors to the
+        one query that issued it: its probe and transport counters, the
+        ingestion of its fresh readings (the dispatcher's own, when it
+        streams them) and the storage I/O since ``io_base``.  Returns
+        the round's readings in arrival order."""
+        stats.sensors_probed += requested
         stats.probe_successes += len(rnd.readings)
         stats.probe_batches += 1
         stats.collection_latency_seconds += rnd.latency_seconds

@@ -123,7 +123,13 @@ class InProcessBackend:
         return None
 
     def build_all(self, specs: Sequence[ShardSpec]) -> list[float]:
-        self._portals = [build_portal(spec, self.clock) for spec in specs]
+        """Build the fleet; the portals it replaces are discarded, as
+        :meth:`commit` and :meth:`revive` discard theirs."""
+        replaced, self._portals = self._portals, [
+            build_portal(spec, self.clock) for spec in specs
+        ]
+        for portal in replaced:
+            portal.discard()
         return [portal.recovery_seconds for portal in self._portals]
 
     def call(self, shard_id: int, op: str, *args: object) -> object:

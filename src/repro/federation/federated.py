@@ -16,7 +16,9 @@ Query flow:
    shard; sampled queries split the target across routed shards by
    overlap-weighted shard weights (Algorithm 1's share rule one level
    above the trees), shares summing exactly to the target.  Shards
-   whose share rounds to zero are skipped.
+   whose share rounds to zero are skipped.  Each shard receives all
+   the sub-queries planned for it as one ``execute_batch`` call — a
+   lone query is a batch of one (:meth:`FederatedPortal._scatter_plans`).
 3. **Gather** — per-shard answers merge in shard-id order: readings and
    sketches concatenate (each shard already enforced the freshness
    bound), processing sums, collection is the *makespan* across shards
@@ -24,10 +26,11 @@ Query flow:
 4. **Degrade** — a shard that raises :class:`ShardDownError` is retried
    up to ``FederationConfig.shard_retry_budget`` times with
    transport-style exponential backoff charged to its gather slot; a
-   shard whose sub-answer blew ``shard_timeout_seconds`` is dropped and
-   charged the timeout.  Either way the merged answer carries the
-   failed/timed-out shard ids and a ``partial`` flag instead of an
-   exception, and a repeatedly failing shard can be put in cooldown.
+   shard whose slowest sub-answer blew ``shard_timeout_seconds`` is
+   dropped and charged the timeout.  Either way the merged answer
+   carries the failed/timed-out shard ids and a ``partial`` flag
+   instead of an exception, and a repeatedly failing shard can be put
+   in cooldown.
 
 With one shard every query path is a bit-identical pass-through around
 the wrapped ``SensorMapPortal`` (same network RNG stream, same plan
@@ -295,20 +298,28 @@ class _TopupOutcome:
 @dataclass
 class _Scatter:
     """One scatter round sorted by outcome: the shards that answered
-    (``shard_results`` — ``PortalResult`` replies, or a tick's
-    ``BatchResult`` sub-batches), the ones that never did (``failed``)
-    or blew the gather deadline (``timed_out``), and the
-    retry/recovery/timeout seconds each is charged in the gather
-    makespan (``penalties``).  :meth:`FederatedPortal._finish` attaches
-    the query's ``topup``."""
+    (``shard_results`` — ``PortalResult`` replies, or the
+    ``BatchResult`` sub-batches of :meth:`FederatedPortal._scatter_plans`),
+    the ones that never did (``failed``) or blew the gather deadline
+    (``timed_out``), the retry/recovery/timeout seconds each is charged
+    in the gather makespan (``penalties``) and the retries each took
+    (``retries``).  :meth:`FederatedPortal._finish` attaches the query's
+    ``topup``."""
 
     routes: Sequence[ShardRoute] = ()
     penalties: dict[int, float] = field(default_factory=dict)
     shard_results: dict = field(default_factory=dict)
     failed: list[int] = field(default_factory=list)
     timed_out: list[int] = field(default_factory=list)
-    retries: int = 0
+    retries: dict[int, int] = field(default_factory=dict)
     topup: _TopupOutcome | None = None
+
+
+def _slowest_answer(batch: "BatchResult") -> float:
+    """The gather deadline reads a sub-batch reply by its slowest
+    answer, so one query's reply times out exactly as its answer would
+    alone."""
+    return max((r.collection_seconds for r in batch.results), default=0.0)
 
 
 class FederatedPortal:
@@ -703,7 +714,7 @@ class FederatedPortal:
             for shard_id, _, _ in pending:
                 if attempt < cfg.shard_retry_budget:
                     self.stats.shard_retries += 1
-                    scatter.retries += 1
+                    scatter.retries[shard_id] = scatter.retries.get(shard_id, 0) + 1
                     penalties[shard_id] += (
                         cfg.retry_backoff_base * cfg.retry_backoff_multiplier**attempt
                     )
@@ -911,7 +922,7 @@ class FederatedPortal:
             shares = ShardDirectory.split_target_capped(shortfall, residual, caps)
             gained_this_round = 0
             round_shares: dict[int, int] = {}
-            round_calls: list[tuple[int, str, tuple]] = []
+            round_plan: list[tuple[int, SensorQuery]] = []
             for route in residual:
                 sid = route.shard_id
                 share = shares.get(sid, 0)
@@ -926,10 +937,8 @@ class FederatedPortal:
                 units = -(-(len(seen) + share) // rpu)
                 self.stats.topup_subqueries += 1
                 round_shares[sid] = share
-                round_calls.append(
-                    (sid, "execute", (replace(query, sample_size=units),))
-                )
-            round_ = self._scatter_calls(round_calls)
+                round_plan.append((sid, replace(query, sample_size=units)))
+            (round_,), _ = self._scatter_plans([round_plan], [residual])
             outcome.failed += round_.failed
             outcome.timed_out += round_.timed_out
             round_slots = [0.0]
@@ -970,20 +979,69 @@ class FederatedPortal:
     def execute_sql(self, sql: str) -> FederatedResult:
         return self.execute(parse_query(sql))
 
-    def _scatter_round1(self, query: SensorQuery, op: str = "execute") -> _Scatter:
-        """Route, plan and run one query's first scatter round.
+    def _scatter_queries(
+        self, queries: Sequence[SensorQuery]
+    ) -> tuple[list[_Scatter], _Scatter]:
+        """Every query's first scatter round: route and plan each, then
+        :meth:`_scatter_plans`.  The one path the synchronous, the
+        streaming and the batch gather share, so for the same queries
+        they issue byte-identical shard calls in the same order — the
+        shard-side RNG streams, and therefore the answers, agree."""
+        self._ensure_index()
+        # Routing first surfaces an unknown type before any counting.
+        routes_list = [self._route(query) for query in queries]
+        self.stats.queries += len(queries)
+        plans = [
+            self._scatter_plan(query, routes)
+            for query, routes in zip(queries, routes_list)
+        ]
+        self.stats.subqueries_scattered += sum(map(len, plans))
+        return self._scatter_plans(plans, routes_list)
 
-        Shared by the synchronous and the streaming gather — both paths
-        issue byte-identical shard calls in the same order, so the
-        shard-side RNG streams (and therefore the answers) agree.
-        """
-        self.stats.queries += 1
-        routes = self._route(query)
-        plan = self._scatter_plan(query, routes)
-        self.stats.subqueries_scattered += len(plan)
-        return self._scatter_calls(
-            [(shard_id, op, (subquery,)) for shard_id, subquery in plan], routes
+    def _scatter_plans(
+        self,
+        plans: Sequence[Sequence[tuple[int, SensorQuery]]],
+        routes_list: Sequence[Sequence[ShardRoute]],
+    ) -> tuple[list[_Scatter], _Scatter]:
+        """Run one scatter round for several queries' plans: each shard
+        receives every sub-query planned for it as one ``execute_batch``
+        call (shard-local coalescing applies across them), and the
+        answers are dealt back per query.
+
+        Returns one :class:`_Scatter` per plan — its shards' answers,
+        the failed and timed-out shards it routed to and their retries —
+        and the round itself, whose ``shard_results`` are the shards'
+        ``BatchResult`` replies.  All of them share the round's
+        ``penalties``."""
+        # Per shard, its sub-queries and the query each one answers.
+        subqueries: dict[int, list[SensorQuery]] = {}
+        owners: dict[int, list[int]] = {}
+        for qi, plan in enumerate(plans):
+            for shard_id, subquery in plan:
+                subqueries.setdefault(shard_id, []).append(subquery)
+                owners.setdefault(shard_id, []).append(qi)
+        tick = self._scatter_calls(
+            [
+                (shard_id, "execute_batch", (subqueries[shard_id],))
+                for shard_id in sorted(subqueries)
+            ],
+            collection_seconds=_slowest_answer,
         )
+        scatters = [
+            _Scatter(routes=routes, penalties=tick.penalties) for routes in routes_list
+        ]
+        if tick.failed or tick.timed_out or tick.retries:
+            for scatter, plan in zip(scatters, plans):
+                routed = {shard_id for shard_id, _ in plan}
+                scatter.failed = [sid for sid in tick.failed if sid in routed]
+                scatter.timed_out = [sid for sid in tick.timed_out if sid in routed]
+                scatter.retries = {
+                    sid: n for sid, n in tick.retries.items() if sid in routed
+                }
+        for shard_id, batch in tick.shard_results.items():
+            for qi, result in zip(owners[shard_id], batch.results):
+                scatters[qi].shard_results[shard_id] = result
+        return scatters, tick
 
     def _finish(
         self,
@@ -1003,9 +1061,9 @@ class FederatedPortal:
     def execute(self, query: SensorQuery) -> FederatedResult:
         """Scatter one query, gather — then, for sampled queries that
         came up short, run the bounded cross-shard top-up rounds before
-        merging."""
-        self._ensure_index()
-        return self._finish(query, self._scatter_round1(query))
+        merging.  The scatter is :meth:`execute_batch`'s, for a batch of
+        one, without the tick's accounting."""
+        return self._finish(query, self._scatter_queries((query,))[0][0])
 
     def execute_polygon(self, query: SensorQuery) -> FederatedResult:
         """Scatter one polygon query through the per-shard geoblock path.
@@ -1031,7 +1089,16 @@ class FederatedPortal:
                 return self.execute(replace(query, region=rect))
         if isinstance(region, Rect) or self._federated_target(query) is not None:
             return self.execute(query)
-        return self._finish(query, self._scatter_round1(query, op="execute_polygon"))
+        # Shards have no polygon batch: one ``execute_polygon`` call each.
+        routes = self._route(query)
+        self.stats.queries += 1
+        plan = self._scatter_plan(query, routes)
+        self.stats.subqueries_scattered += len(plan)
+        scatter = self._scatter_calls(
+            [(shard_id, "execute_polygon", (subquery,)) for shard_id, subquery in plan],
+            routes,
+        )
+        return self._finish(query, scatter)
 
     def execute_streaming(
         self, query: SensorQuery, deadline_seconds: float | None = None
@@ -1057,7 +1124,7 @@ class FederatedPortal:
         """
         self._ensure_index()
         self.stats.streaming_queries += 1
-        scatter = self._scatter_round1(query)
+        scatter = self._scatter_queries((query,))[0][0]
         penalties = scatter.penalties
         arrivals = [
             ShardArrival(sid, r.collection_seconds + penalties.get(sid, 0.0), "ok")
@@ -1228,7 +1295,7 @@ class FederatedPortal:
             shard_results=shard_results,
             failed_shards=tuple(failed),
             timed_out_shards=tuple(timed_out),
-            shard_retries=scatter.retries,
+            shard_retries=sum(scatter.retries.values()),
             topup_results=topup_results,
             redistribution_rounds_run=rounds_run,
             topup_sensors_gained=gained,
@@ -1249,43 +1316,10 @@ class FederatedPortal:
         wall_start = time.perf_counter()
         self._ensure_index()
         self.stats.batch_ticks += 1
-        self.stats.queries += len(queries)
         if not queries:
             return FederatedBatchResult(stats=BatchStats())
-        routes_list = [self._route(q) for q in queries]
-        plans = [
-            self._scatter_plan(q, routes)
-            for q, routes in zip(queries, routes_list)
-        ]
-        per_shard: dict[int, list[tuple[int, SensorQuery]]] = {}
-        for qi, plan in enumerate(plans):
-            self.stats.subqueries_scattered += len(plan)
-            for shard_id, subquery in plan:
-                per_shard.setdefault(shard_id, []).append((qi, subquery))
-        tick = self._scatter_calls(
-            [
-                (shard_id, "execute_batch", ([q for _, q in per_shard[shard_id]],))
-                for shard_id in sorted(per_shard)
-            ],
-            collection_seconds=lambda batch: batch.stats.collection_seconds,
-        )
+        scatters, tick = self._scatter_queries(queries)
         shard_batches: dict[int, "BatchResult"] = tick.shard_results
-
-        # Per-query reassembly, in each query's own shard-id order.
-        scatters = []
-        for routes, plan in zip(routes_list, plans):
-            routed = {shard_id for shard_id, _ in plan}
-            scatters.append(
-                _Scatter(
-                    routes=routes,
-                    penalties=tick.penalties,
-                    failed=[sid for sid in tick.failed if sid in routed],
-                    timed_out=[sid for sid in tick.timed_out if sid in routed],
-                )
-            )
-        for shard_id, batch in shard_batches.items():
-            for (qi, _), result in zip(per_shard[shard_id], batch.results):
-                scatters[qi].shard_results[shard_id] = result
         # Per-query cross-shard top-up (round 2+): each short sampled
         # query re-scatters its shortfall after the tick's first gather.
         # The re-scatters run concurrently across queries (each is its

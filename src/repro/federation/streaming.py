@@ -27,8 +27,9 @@ streaming changes is *when* answers become publishable:
 
 Works identically on both federation backends — the streaming path is
 a publish-time policy over the coordinator's one scatter → retry →
-gather spine (``_scatter_round1`` then ``_finish``), which reaches the
-shards only through its backend's ``attempt`` / ``call``.
+gather spine (``_scatter_queries`` for a batch of one, then
+``_finish``), which reaches the shards only through its backend's
+``attempt`` / ``call``.
 """
 
 from __future__ import annotations
@@ -74,16 +75,6 @@ class StreamingGather:
     arrivals: tuple[ShardArrival, ...]
     first: "FederatedResult"
     final: "FederatedResult"
-
-    @property
-    def time_to_first_seconds(self) -> float:
-        """Modeled seconds until ``first`` was publishable."""
-        return self.first.collection_seconds
-
-    @property
-    def time_to_final_seconds(self) -> float:
-        """Modeled seconds until the complete answer was assembled."""
-        return self.final.collection_seconds
 
     @property
     def deferred_shards(self) -> tuple[int, ...]:

@@ -10,10 +10,13 @@ and serves viewport queries cache-first:
 2. the **L1** exact-viewport LRU is probed, then the **L2** tile
    cache composed; a hit costs microseconds of modeled time instead of
    a portal execution;
-3. a miss runs the portal — tile-composable queries fill exactly their
-   missing tiles through ``execute_batch`` (shared traversals), every
-   other query runs directly — and the full answers (never partial
-   ones) are stored for the next viewer.
+3. misses take one miss path, whether they arrive one by one
+   (``execute``) or as a batch (``execute_batch``): every distinct
+   missing tile and every other rectangle miss run as one portal batch
+   (shared traversals; a lone query is the portal's ``execute``, its
+   batch of one), tile-planned queries compose from the filled tiles,
+   and polygon misses run the portal's geoblock path — and the full
+   answers (never partial ones) are stored for the next viewer.
 
 Invalidation is wired, not polled: the front door registers ingest
 listeners on every in-process tree so ``insert_readings_batch`` deltas
@@ -44,6 +47,10 @@ from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
 __all__ = ["FrontDoor", "FrontDoorBatchResult", "FrontDoorResult"]
+
+# A request the cache could not serve: the quantized query, its tile
+# raster (empty when not tile-composable) and the tiles still missing.
+_Miss = tuple[SensorQuery, Raster, list[Cell]]
 
 
 @dataclass
@@ -215,51 +222,61 @@ class FrontDoor:
         queue_depth: int = 0,
     ) -> FrontDoorResult:
         """Serve one request cache-first.  With a ``tenant``, admission
-        runs first and a shed request never touches cache or portal."""
+        runs first and a shed request never touches cache or portal.  A
+        miss takes :meth:`execute_batch`'s miss path, as a batch of one."""
         now = self.portal.clock.now()
         if tenant is not None:
             verdict = self.admission.offer(tenant, now, queue_depth)
             if verdict != "admit":
                 return FrontDoorResult(query, verdict, None, None, 0.0)
-        q = self.quantize(query)
         generation = self._cache_generation()
-        raster: Raster = []
-        if generation is not None:
-            hit, raster, missing = self._lookup(q, now, generation)
-            if hit is not None:
-                return hit
-            if missing:
-                served = self._fill_tiles(q, raster, missing, now, generation)
-                if served is not None:
-                    return served
-            self.cache.stats.misses += 1
-        result = self._run_portal(q)
-        self._store_viewport(q, result, raster)
-        return FrontDoorResult(
-            q, "served", "portal", result, result.end_to_end_seconds
-        )
+        hit, miss = self._lookup(self.quantize(query), now, generation)
+        if hit is not None:
+            return hit
+        return self._serve_misses([miss], now, generation)[0][0]
+
+    def execute_batch(self, queries: list[SensorQuery]) -> FrontDoorBatchResult:
+        """Serve a batch cache-first with ONE portal batch for every
+        miss: direct misses and all distinct missing tiles share the
+        portal's batched traversals.  Admission is the serving loop's
+        job (arrival time, live queue depth), not this method's."""
+        now = self.portal.clock.now()
+        generation = self._cache_generation()
+        results: list[FrontDoorResult | None] = []
+        misses: list[_Miss] = []
+        for query in queries:
+            hit, miss = self._lookup(self.quantize(query), now, generation)
+            results.append(hit)
+            if miss is not None:
+                misses.append(miss)
+        served, service = self._serve_misses(misses, now, generation)
+        served_iter = iter(served)
+        final = [r if r is not None else next(served_iter) for r in results]
+        hit_cost = sum(r.service_seconds for r in final if r.cache_hit)
+        return FrontDoorBatchResult(final, service + hit_cost)
 
     def _lookup(
-        self, q: SensorQuery, now: float, generation: int
-    ) -> tuple[FrontDoorResult | None, Raster, list[Cell]]:
+        self, q: SensorQuery, now: float, generation: int | None
+    ) -> tuple[FrontDoorResult | None, "_Miss | None"]:
         """The cache ladder for one quantized query: the L1 viewport
         entry, then the L2 tile composition (promoted to L1 so the next
-        identical viewport hits there).  Returns the served hit, or
-        ``None`` plus the request's raster (empty: not tile-composable
-        here) and the tiles of it still missing."""
+        identical viewport hits there).  Returns the served hit, or the
+        miss: the query, its raster (empty: not tile-composable here)
+        and the tiles of it still missing.  ``generation=None`` bypasses
+        the cache, and the miss is not counted."""
+        if generation is None:
+            return None, (q, [], [])
         hit = self.cache.get_viewport(q, now, generation)
         if hit is not None:
-            return (
-                FrontDoorResult(q, "served", "l1", hit, self.config.l1_hit_seconds),
-                [],
-                [],
-            )
+            l1_hit_seconds = self.config.l1_hit_seconds
+            return FrontDoorResult(q, "served", "l1", hit, l1_hit_seconds), None
         raster = self.cache.raster(q) if self._tile_serveable(q) else []
         composed, missing = self.cache.get_tiles(
             q, raster, now, generation, locate=self._sensor_locator()
         )
         if composed is None:
-            return None, raster, missing
+            self.cache.stats.misses += 1
+            return None, (q, raster, missing)
         self.cache.put_viewport(q, composed.result, now, generation, raster)
         served = FrontDoorResult(
             q,
@@ -270,7 +287,84 @@ class FrontDoor:
             + composed.tiles * self.config.l2_tile_compose_seconds,
             tiles_composed=composed.tiles,
         )
-        return served, raster, []
+        return served, None
+
+    def _serve_misses(
+        self, misses: "list[_Miss]", now: float, generation: int | None
+    ) -> tuple[list[FrontDoorResult], float]:
+        """The one miss path: rectangle misses without missing tiles and
+        every distinct missing tile run as ONE portal batch; tile-planned
+        queries then compose from the filled cache.  Polygon misses, and
+        tile-planned queries that cannot compose (a fill came back
+        partial, or a boundary tile could not be cropped), are served
+        directly — polygons through the portal's geoblock path — and
+        stored as viewports.  Partial answers are never stored.
+        Returns the served results in order and the modeled makespan."""
+        direct: list[int] = []
+        fills: dict = {}  # tile cache key -> (tile, exemplar query)
+        for i, (q, _, missing) in enumerate(misses):
+            if missing:
+                for tile in missing:
+                    fills.setdefault(self.cache.tile_key(tile, q), (tile, q))
+            elif not isinstance(q.region, Polygon):
+                direct.append(i)
+        portal_queries = [misses[i][0] for i in direct]
+        if fills:
+            e = self.config.tile_extent_degrees
+            portal_queries += [
+                replace(q, region=cell_rect(tile, e)) for tile, q in fills.values()
+            ]
+        results: list[FrontDoorResult | None] = [None] * len(misses)
+        service = 0.0
+        if portal_queries:
+            answered, service = self._portal_batch(portal_queries)
+            for i, result in zip(direct, answered):
+                results[i] = self._served_directly(misses[i], result)
+            for (tile, q), result in zip(fills.values(), answered[len(direct) :]):
+                if generation is not None and not getattr(result, "partial", False):
+                    self.cache.put_tile(tile, q, result, now, generation)
+        portal_service = service
+        for i, (q, raster, missing) in enumerate(misses):
+            if results[i] is not None:
+                continue
+            composed = None
+            if missing:
+                composed, _ = self.cache.get_tiles(
+                    q, raster, now, generation, record=False,
+                    locate=self._sensor_locator(),
+                )
+            if composed is None:
+                result = self._run_portal(q)
+                service += result.end_to_end_seconds
+                results[i] = self._served_directly(misses[i], result)
+                continue
+            self.cache.put_viewport(q, composed.result, now, generation, raster)
+            compose_cost = composed.tiles * self.config.l2_tile_compose_seconds
+            service += compose_cost
+            results[i] = FrontDoorResult(
+                q,
+                "served",
+                "portal",
+                composed.result,
+                portal_service + compose_cost,
+                tiles_composed=composed.tiles,
+            )
+        return results, service
+
+    def _portal_batch(
+        self, queries: list[SensorQuery]
+    ) -> tuple[list[PortalResult], float]:
+        """One portal batch: its answers and the modeled seconds it took
+        (collection makespan plus processing).  A lone query is the
+        portal's ``execute`` — its batch of one, without the tick's
+        accounting — and took its own end-to-end seconds."""
+        if len(queries) == 1:
+            result = self.portal.execute(queries[0])
+            return [result], result.end_to_end_seconds
+        batch = self.portal.execute_batch(queries)
+        return batch.results, batch.stats.collection_seconds + sum(
+            r.processing_seconds for r in batch.results
+        )
 
     def _run_portal(self, q: SensorQuery) -> PortalResult:
         """Direct (uncached) execution: polygon viewports take the
@@ -279,145 +373,14 @@ class FrontDoor:
             return self.portal.execute_polygon(q)
         return self.portal.execute(q)
 
-    def _fill_tiles(
-        self,
-        q: SensorQuery,
-        raster: Raster,
-        missing: list[Cell],
-        now: float,
-        generation: int,
-    ) -> FrontDoorResult | None:
-        """Miss path for a tile-composable query: fill exactly the
-        missing tiles in one shared portal batch, then compose the full
-        cover.  Returns ``None`` (fall back to direct execution) if any
-        fill came back partial — gaps are never cached or composed."""
-        e = self.config.tile_extent_degrees
-        fills = [replace(q, region=cell_rect(t, e)) for t in missing]
-        batch = self.portal.execute_batch(fills)
-        if any(getattr(r, "partial", False) for r in batch.results):
-            return None
-        for tile, result in zip(missing, batch.results):
-            self.cache.put_tile(tile, q, result, now, generation)
-        composed, _ = self.cache.get_tiles(
-            q, raster, now, generation, record=False, locate=self._sensor_locator()
-        )
-        if composed is None:
-            return None
-        self.cache.stats.misses += 1
-        self.cache.put_viewport(q, composed.result, now, generation, raster)
-        service = (
-            batch.stats.collection_seconds
-            + sum(r.processing_seconds for r in batch.results)
-            + composed.tiles * self.config.l2_tile_compose_seconds
-        )
-        return FrontDoorResult(
-            q,
-            "served",
-            "portal",
-            composed.result,
-            service,
-            tiles_composed=composed.tiles,
-        )
-
-    def _store_viewport(
-        self, q: SensorQuery, result: PortalResult, raster: Raster
-    ) -> None:
+    def _served_directly(self, miss: "_Miss", result: PortalResult) -> FrontDoorResult:
+        """A portal answer served as is, and stored as the viewport."""
+        q, raster, _ = miss
         generation = self._cache_generation()
         if generation is not None:
             now = self.portal.clock.now()
             self.cache.put_viewport(q, result, now, generation, raster)
-
-    # ------------------------------------------------------------------
-    # Batch serving
-    # ------------------------------------------------------------------
-    def execute_batch(self, queries: list[SensorQuery]) -> FrontDoorBatchResult:
-        """Serve a batch cache-first with ONE portal batch for every
-        miss: direct misses and all distinct missing tiles share the
-        portal's batched traversals.  Admission is the serving loop's
-        job (arrival time, live queue depth), not this method's."""
-        now = self.portal.clock.now()
-        generation = self._cache_generation()
-        results: list[FrontDoorResult | None] = [None] * len(queries)
-        plans: list[tuple[str, SensorQuery, Raster]] = []
-        needed: dict = {}  # tile cache key -> (tile, exemplar query)
-        for i, query in enumerate(queries):
-            q = self.quantize(query)
-            raster: Raster = []
-            if generation is not None:
-                results[i], raster, missing = self._lookup(q, now, generation)
-                if results[i] is not None:
-                    plans.append(("hit", q, raster))
-                    continue
-                if missing:
-                    for tile in missing:
-                        needed.setdefault(self.cache.tile_key(tile, q), (tile, q))
-                    self.cache.stats.misses += 1
-                    plans.append(("tiles", q, raster))
-                    continue
-                self.cache.stats.misses += 1
-            plans.append(("direct", q, raster))
-        direct_indices = [i for i, p in enumerate(plans) if p[0] == "direct"]
-        fill_items = list(needed.values())
-        e = self.config.tile_extent_degrees
-        portal_queries = [plans[i][1] for i in direct_indices] + [
-            replace(q, region=cell_rect(tile, e)) for tile, q in fill_items
-        ]
-        batch_service = 0.0
-        if portal_queries:
-            batch = self.portal.execute_batch(portal_queries)
-            batch_service = batch.stats.collection_seconds + sum(
-                r.processing_seconds for r in batch.results
-            )
-            for slot, i in enumerate(direct_indices):
-                result = batch.results[slot]
-                _, q, raster = plans[i]
-                self._store_viewport(q, result, raster)
-                results[i] = FrontDoorResult(
-                    q, "served", "portal", result, result.end_to_end_seconds
-                )
-            offset = len(direct_indices)
-            for slot, (tile, q) in enumerate(fill_items):
-                result = batch.results[offset + slot]
-                if generation is not None and not getattr(result, "partial", False):
-                    self.cache.put_tile(tile, q, result, now, generation)
-        # Compose the tile-planned queries from the now-filled cache.
-        portal_service = batch_service
-        for i, (kind, q, raster) in enumerate(plans):
-            if kind != "tiles":
-                continue
-            composed = None
-            if generation is not None:
-                composed, _ = self.cache.get_tiles(
-                    q, raster, now, generation, record=False,
-                    locate=self._sensor_locator(),
-                )
-            if composed is not None:
-                self.cache.put_viewport(q, composed.result, now, generation, raster)
-                compose_cost = composed.tiles * self.config.l2_tile_compose_seconds
-                batch_service += compose_cost
-                results[i] = FrontDoorResult(
-                    q,
-                    "served",
-                    "portal",
-                    composed.result,
-                    portal_service + compose_cost,
-                    tiles_composed=composed.tiles,
-                )
-            else:
-                # A fill came back partial (degraded shard), or a
-                # polygon compose could not crop a boundary tile: serve
-                # this query directly, uncached.
-                result = self._run_portal(q)
-                batch_service += result.end_to_end_seconds
-                results[i] = FrontDoorResult(
-                    q, "served", "portal", result, result.end_to_end_seconds
-                )
-        hit_cost = sum(
-            r.service_seconds for r in results if r is not None and r.cache_hit
-        )
-        final = [r for r in results if r is not None]
-        assert len(final) == len(queries)
-        return FrontDoorBatchResult(final, batch_service + hit_cost)
+        return FrontDoorResult(q, "served", "portal", result, result.end_to_end_seconds)
 
     # ------------------------------------------------------------------
     # Accounting

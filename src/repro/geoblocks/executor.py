@@ -95,12 +95,7 @@ def execute_polygon(
 
     portal._ensure_index()
     now = portal.clock.now()
-    if query.sensor_type is not None:
-        if query.sensor_type not in portal._trees:
-            raise KeyError(f"no sensors of type {query.sensor_type!r} registered")
-        trees = {query.sensor_type: portal._trees[query.sensor_type]}
-    else:
-        trees = dict(portal._trees)
+    trees, _ = portal._resolve(query)
 
     from repro.portal.grouping import concat_groups, group_answer
 

@@ -1,6 +1,7 @@
-"""The batch query executor: one tick's queries as one unit of work.
+"""The portal's query executor: one tick's queries as one unit of work.
 
-``execute_batch`` gives a set of in-flight queries the amortization the
+Every portal query runs here — ``SensorMapPortal.execute(q)`` is
+``execute_batch([q]).results[0]``.  A tick gets the amortization the
 paper's portal workload demands (Section II: many users, overlapping
 viewports, the same live sensors).  Per sensor-type tree it
 
@@ -16,21 +17,27 @@ viewports, the same live sensors).  Per sensor-type tree it
    reading.
 
 Probe work is attributed to each sensor's *owner* (the first requesting
-query); later requesters record ``probes_coalesced``.  Sampled queries
+query); later requesters record ``probes_coalesced``.  A probe round
+with one participant is that query's own round, booked by the same
+``COLRTree._book_round`` that books a lone ``COLRTree.query``'s:
+readings in arrival order and, when the dispatcher streams ingestion,
+the streamed maintenance on the query.  A shared round's streamed
+maintenance cannot be split by query and is the tick's.  Sampled queries
 cannot share traversals (layered sampling probes mid-descent through
 the tree RNG), so they execute sequentially after the exact phase.
 
-A singleton batch is bit-identical to ``SensorMapPortal.execute``: same
-plan-cache interaction, same probe order (hence the same network RNG
-draws), same ingestion, same stats.  The property tests in
-``tests/property/test_batch_parity.py`` enforce this.
+A singleton batch is bit-identical to one ``COLRTree.query`` per type
+tree (same plan-cache interaction, same probe order, hence the same
+network RNG draws, same ingestion, same stats):
+``tests/property/test_batch_parity.py`` holds it to that loop, kept as
+``tests/portal/reference_execute.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.shared_scan import ScanRequest, coalesce_probes, shared_range_scan
 from repro.portal.grouping import (
@@ -46,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.lookup import QueryAnswer
     from repro.core.tree import COLRTree
     from repro.portal.portal import SensorMapPortal
-    from repro.sensors.sensor import Reading
+    from repro.transport.dispatcher import ProbeRound
 
 __all__ = ["BatchResult", "BatchStats", "execute_batch"]
 
@@ -63,9 +70,10 @@ class BatchStats:
     ``probes_contacted`` is what actually hit the wire after the
     dispatcher's dedup/cooldown tables (≤ ``probes_issued``), the
     transport counters break the difference down, ``maintenance_ops``
-    carries the streamed-ingestion trigger work (not attributed to
-    individual queries), and ``collection_seconds`` is the tick's
-    *makespan* when rounds overlap, else the sequential per-tree sum.
+    carries the streamed-ingestion trigger work of shared probe rounds
+    (not attributable to one query), and ``collection_seconds`` is the
+    tick's *makespan* when rounds overlap, else the sequential per-tree
+    sum.
 
     ``collection_seconds`` is *modeled* (simulated-clock) time;
     ``wall_seconds`` is the real time this process spent executing the
@@ -98,6 +106,86 @@ class BatchResult:
     stats: BatchStats = field(default_factory=BatchStats)
 
 
+def _tally(owner: dict[int, int], n: int, sensor_ids) -> list[int]:
+    """How many of ``sensor_ids`` each of a round's ``n`` participants
+    owns."""
+    counts = [0] * n
+    for sensor_id in sensor_ids:
+        counts[owner[sensor_id]] += 1
+    return counts
+
+
+def _share_round(
+    tree: "COLRTree",
+    scans: list,
+    union: list[int],
+    owner: dict[int, int],
+    rnd: "ProbeRound",
+    now: float,
+    stats: BatchStats,
+    io_base: tuple[int, int, int, int] | None,
+) -> tuple[int, int, int, int] | None:
+    """Attribute a probe round several queries shared: each sensor's
+    probe, outcome and ingestion to its owner, its reading to every
+    requester.  Streamed maintenance cannot be split by query and is the
+    tick's.  Returns the storage counters the next charge starts from."""
+    n = len(scans)
+    readings = rnd.readings
+    owned = _tally(owner, n, union)
+    successes = _tally(owner, n, readings)
+    deduped = _tally(owner, n, rnd.deduped)
+    cooldown = _tally(owner, n, rnd.cooldown_skipped)
+    timed = _tally(owner, n, rnd.timed_out)
+    retried = [0] * n
+    for sid, count in rnd.retries_by_sensor.items():
+        retried[owner[sid]] += count
+    streaming = tree.transport.streams_ingestion
+    if streaming:
+        stats.maintenance_ops += rnd.maintenance_ops
+    else:
+        # What each owner ingests: its probed readings, less those the
+        # dispatcher served from its tables.
+        served = rnd.deduped_set
+        fresh: list[list] = [[] for _ in range(n)]
+        for sid in union:
+            reading = readings.get(sid)
+            if reading is not None and sid not in served:
+                fresh[owner[sid]].append(reading)
+    for local, (answer, to_probe) in enumerate(scans):
+        if not to_probe:
+            continue
+        qstats = answer.stats
+        stats.probes_requested += len(to_probe)
+        coalesced = len(to_probe) - owned[local]
+        stats.probes_coalesced += coalesced
+        qstats.probes_coalesced += coalesced
+        qstats.sensors_probed += owned[local]
+        qstats.probe_successes += successes[local]
+        qstats.probes_deduped += deduped[local]
+        qstats.probes_cooldown_skipped += cooldown[local]
+        qstats.probes_timed_out += timed[local]
+        qstats.probes_retried += retried[local]
+        # The per-query view of the shared network batch: each
+        # participant waited out the one collection round.
+        qstats.probe_batches += 1
+        qstats.collection_latency_seconds += rnd.latency_seconds
+        answer.probed_readings.extend(
+            readings[sid] for sid in to_probe if sid in readings
+        )
+        if owned[local]:
+            if not streaming and fresh[local]:
+                qstats.maintenance_ops += tree.insert_readings_batch(
+                    fresh[local], fetched_at=now
+                )
+            # The I/O since the last charge is this query's own ingestion
+            # — or, for the first owner after a streamed drain, what the
+            # drain journaled for the whole tick.
+            io_base = tree._meter_storage(qstats, io_base)
+    if saved := sum(len(p) for _, p in scans) - len(union):
+        tree.network.record_coalesced(saved)
+    return io_base
+
+
 def execute_batch(
     portal: "SensorMapPortal", queries: Sequence[SensorQuery]
 ) -> BatchResult:
@@ -113,174 +201,147 @@ def execute_batch(
     portal._ensure_index()
     now = portal.clock.now()
 
-    # Resolve each query's trees and effective sample size exactly as
-    # execute() would, surfacing unknown-type errors before any work.
-    per_query_trees: list[list["COLRTree"]] = []
-    per_query_sample: list[int] = []
-    for query in queries:
-        if query.sensor_type is not None:
-            if query.sensor_type not in portal._trees:
-                raise KeyError(f"no sensors of type {query.sensor_type!r} registered")
-            trees = [portal._trees[query.sensor_type]]
-        else:
-            trees = list(portal._trees.values())
-        per_query_trees.append(trees)
-        per_query_sample.append(
-            portal._effective_sample_size(query.sample_size, len(trees))
-        )
+    # Resolve every query's trees and sample size up front, surfacing
+    # unknown-type errors before any work.
+    resolved = list(map(portal._resolve, queries))
 
     # Partition (query, tree) pairs: exact scans batch per tree; sampled
     # ones run alone (their probes happen mid-traversal, RNG-driven).
     sampling_on = portal.config.sampling_enabled
-    exact_by_tree: dict[int, tuple["COLRTree", list[int]]] = {}
+    exact_by_tree: dict["COLRTree", list[int]] = {}
     sampled_pairs: list[tuple[int, "COLRTree"]] = []
-    for qi, trees in enumerate(per_query_trees):
-        sampled = sampling_on and per_query_sample[qi] > 0
-        for tree in trees:
-            if sampled:
-                sampled_pairs.append((qi, tree))
-            else:
-                exact_by_tree.setdefault(id(tree), (tree, []))[1].append(qi)
+    for qi, (trees, sample_size) in enumerate(resolved):
+        if sampling_on and sample_size > 0:
+            sampled_pairs += [(qi, tree) for tree in trees.values()]
+        else:
+            for tree in trees.values():
+                exact_by_tree.setdefault(tree, []).append(qi)
 
-    # Answers keyed by (query index, tree identity) so assembly below
-    # can emit them in each query's own tree order.
-    answers: list[dict[int, "QueryAnswer"]] = [{} for _ in queries]
+    # Answers keyed by (query index, tree) so assembly below can emit
+    # them in each query's own tree order.
+    answers: dict[tuple[int, "COLRTree"], "QueryAnswer"] = {}
 
-    # Pass 1 — per tree: prune, classify (shared scans), coalesce, and
-    # *submit* the probe round; all trees' rounds are drained together
-    # below, which is what lets them overlap in simulated wall time.
-    dispatcher = portal.dispatcher
-    tree_work: list[tuple] = []
-    for tree, query_indices in exact_by_tree.values():
-        tree._prune_expired(now)
-        scans = shared_range_scan(
-            tree,
-            [
-                ScanRequest(queries[qi].region, queries[qi].staleness_seconds)
-                for qi in query_indices
-            ],
-            now,
-        )
-        union, owner = coalesce_probes([to_probe for _, to_probe in scans])
-        stats.probes_issued += len(union)
-        rnd = None
-        if union:
-            staleness = min(queries[qi].staleness_seconds for qi in query_indices)
-            rnd = dispatcher.submit(union, now, tree=tree, max_staleness=staleness)
-        tree_work.append((tree, query_indices, scans, union, owner, rnd))
-
-    # Pass 2 — drain every submitted round to resolution (in overlap
-    # mode the rounds share the connection pool and event queue;
-    # otherwise they resolve one at a time in submission order).
-    # Storage I/O is metered from here on: streamed ingestion journals
-    # during the drain, the explicit ingestion of pass 3 as it runs.
-    io_base = (
-        portal.storage.stats.io_counters() if portal.storage is not None else None
-    )
-    dispatcher.drain([w[5] for w in tree_work if w[5] is not None])
-
-    # Pass 3 — per-query attribution, identical to the sequential
-    # executor's accounting.
-    streaming = dispatcher.streams_ingestion
-    round_latencies: list[float] = []
-    for tree, query_indices, scans, union, owner, rnd in tree_work:
-        readings: Mapping[int, "Reading"] = {}
-        latency = 0.0
-        deduped_set: frozenset[int] = frozenset()
-        cooldown_set: frozenset[int] = frozenset()
-        timed_set: frozenset[int] = frozenset()
-        retries_by_sensor: dict[int, int] = {}
-        if rnd is not None:
-            readings = rnd.readings
-            latency = rnd.latency_seconds
-            deduped_set = rnd.deduped_set
-            cooldown_set = rnd.cooldown_set
-            timed_set = frozenset(rnd.timed_out)
-            retries_by_sensor = rnd.retries_by_sensor
-            stats.probes_contacted += len(rnd.contacted)
-            stats.probes_deduped += len(rnd.deduped)
-            stats.probes_cooldown_skipped += len(rnd.cooldown_skipped)
-            stats.probes_retried += rnd.retries
-            stats.probes_timed_out += len(rnd.timed_out)
-            stats.maintenance_ops += rnd.maintenance_ops
-            round_latencies.append(latency)
-        for local, (qi, (answer, to_probe)) in enumerate(zip(query_indices, scans)):
-            qstats = answer.stats
-            if qstats.batch_shared_nodes:
-                stats.batch_shared_plans += 1
-            stats.probes_requested += len(to_probe)
-            owned = [sid for sid in to_probe if owner[sid] == local]
-            coalesced = len(to_probe) - len(owned)
-            qstats.sensors_probed += len(owned)
-            qstats.probe_successes += sum(1 for sid in owned if sid in readings)
-            qstats.probes_coalesced += coalesced
-            stats.probes_coalesced += coalesced
-            if rnd is not None and owned:
-                qstats.probes_deduped += sum(1 for sid in owned if sid in deduped_set)
-                qstats.probes_cooldown_skipped += sum(
-                    1 for sid in owned if sid in cooldown_set
-                )
-                qstats.probes_timed_out += sum(1 for sid in owned if sid in timed_set)
-                qstats.probes_retried += sum(
-                    retries_by_sensor.get(sid, 0) for sid in owned
-                )
-            if to_probe:
-                # The per-query view of the shared network batch: each
-                # participant waited out the one collection round.
-                qstats.probe_batches += 1
-                qstats.collection_latency_seconds += latency
-            answer.probed_readings.extend(
-                readings[sid] for sid in to_probe if sid in readings
+    # A tick's trees form one group: their rounds are submitted, then
+    # drained together, which is what lets them overlap in simulated
+    # wall time.  A lone query's trees are one group each (``zip`` makes
+    # the one-tree groups): its type trees are collected one after
+    # another, each round drained and booked before the next tree is
+    # scanned, so its collection is the sum its answer reports and its
+    # draws match one ``COLRTree.query`` per tree.
+    dispatcher = portal._dispatcher
+    work = list(exact_by_tree.items())
+    for group in [work] if len(queries) > 1 else zip(work):
+        # Pass 1 — per tree: prune, classify (shared scans), coalesce, and
+        # *submit* the probe round.
+        submitted = []
+        rounds = []
+        for tree, query_indices in group:
+            tree._prune_expired(now)
+            scans = shared_range_scan(
+                tree,
+                [
+                    ScanRequest(queries[qi].region, queries[qi].staleness_seconds)
+                    for qi in query_indices
+                ],
+                now,
             )
-            if not streaming:
-                owned_readings = [
-                    readings[sid]
-                    for sid in owned
-                    if sid in readings and sid not in deduped_set
-                ]
-                if owned_readings:
-                    qstats.maintenance_ops += tree.insert_readings_batch(
-                        owned_readings, fetched_at=now
+            if len(scans) == 1:
+                # One participant owns its whole probe list, in order.
+                union, owner = scans[0][1], None
+            else:
+                union, owner = coalesce_probes([to_probe for _, to_probe in scans])
+            stats.probes_issued += len(union)
+            rnd = None
+            if union:
+                staleness = min(queries[qi].staleness_seconds for qi in query_indices)
+                rnd = dispatcher.submit(union, now, tree=tree, max_staleness=staleness)
+                rounds.append(rnd)
+            submitted.append((tree, query_indices, scans, union, owner, rnd))
+
+        # Pass 2 — drain the group's rounds to resolution (in overlap mode
+        # they share the connection pool and event queue; otherwise they
+        # resolve one at a time in submission order).
+        # Storage I/O is metered from here on: streamed ingestion journals
+        # during the drain, the explicit ingestion of pass 3 as it runs.
+        io_base = None
+        if rounds:
+            if portal.storage is not None:
+                io_base = portal.storage.stats.io_counters()
+            dispatcher.drain(rounds)
+
+        # Pass 3 — per-query attribution.
+        latencies: list[float] = []
+        for tree, query_indices, scans, union, owner, rnd in submitted:
+            if rnd is not None:  # else no scan has anything to probe
+                latencies.append(rnd.latency_seconds)
+                stats.probes_contacted += len(rnd.contacted)
+                stats.probes_deduped += len(rnd.deduped)
+                stats.probes_cooldown_skipped += len(rnd.cooldown_skipped)
+                stats.probes_retried += rnd.retries
+                stats.probes_timed_out += len(rnd.timed_out)
+            if len(scans) == 1:
+                # One participant: the round is that query's own, booked
+                # as a lone query's probe round is.
+                answer, to_probe = scans[0]
+                stats.probes_requested += len(to_probe)
+                if rnd is not None:
+                    answer.probed_readings.extend(
+                        tree._book_round(rnd, len(to_probe), now, answer.stats, io_base)
                     )
-            if owned:
-                # The I/O since the last charge is this query's own
-                # ingestion — or, for the first owner after a streamed
-                # drain, what the drain journaled for the whole tick.
-                io_base = tree._meter_storage(qstats, io_base)
-            tree.stats.record(qstats)
-            answers[qi][id(tree)] = answer
-        if coalesced_total := sum(
-            len(to_probe) for _, to_probe in scans
-        ) - len(union):
-            tree.network.record_coalesced(coalesced_total)
+                    io_base = tree._storage_io()
+            elif rnd is not None:
+                io_base = _share_round(
+                    tree, scans, union, owner, rnd, now, stats, io_base
+                )
+            for qi, (answer, _) in zip(query_indices, scans):
+                if answer.stats.batch_shared_nodes:
+                    stats.batch_shared_plans += 1
+                tree.stats.record(answer.stats)
+                answers[qi, tree] = answer
 
-    # Collection accounting: sequential rounds sum; overlapping rounds
-    # cost the tick their makespan.
-    if dispatcher.config.overlap_enabled:
-        stats.collection_seconds += max(round_latencies, default=0.0)
-    else:
-        stats.collection_seconds += sum(round_latencies)
+        # Collection accounting: sequential rounds sum; overlapping
+        # rounds cost their makespan.
+        if dispatcher.config.overlap_enabled:
+            stats.collection_seconds += max(latencies, default=0.0)
+        else:
+            stats.collection_seconds += sum(latencies)
 
+    # Sampled queries run one after another once the exact phase is
+    # done: the tick books their probes and adds their collection.  Their
+    # maintenance stays theirs (it is in their processing seconds).
     for qi, tree in sampled_pairs:
         query = queries[qi]
-        answers[qi][id(tree)] = tree.query(
+        answer = answers[qi, tree] = tree.query(
             query.region,
             now=now,
             max_staleness=query.staleness_seconds,
-            sample_size=per_query_sample[qi],
+            sample_size=resolved[qi][1],
             terminal_level=query.zoom_level,
         )
+        s = answer.stats
+        stats.probes_requested += s.sensors_probed
+        stats.probes_issued += s.sensors_probed
+        stats.probes_contacted += (
+            s.sensors_probed - s.probes_deduped - s.probes_cooldown_skipped
+        )
+        stats.probes_deduped += s.probes_deduped
+        stats.probes_cooldown_skipped += s.probes_cooldown_skipped
+        stats.probes_retried += s.probes_retried
+        stats.probes_timed_out += s.probes_timed_out
+        stats.collection_seconds += s.collection_latency_seconds
 
     results: list[PortalResult] = []
+    cost_model = portal.cost_model
     for qi, query in enumerate(queries):
+        trees, sample_size = resolved[qi]
         query_answers: list["QueryAnswer"] = []
         groups: list[Sequence[DisplayGroup]] = []
         processing = 0.0
         collection = 0.0
-        for tree in per_query_trees[qi]:
-            answer = answers[qi][id(tree)]
+        for tree in trees.values():
+            answer = answers[qi, tree]
             query_answers.append(answer)
-            processing += portal.cost_model.processing_seconds(answer.stats)
+            processing += cost_model.processing_seconds(answer.stats)
             collection += answer.stats.collection_latency_seconds
             if query.zoom_level is not None:
                 groups.append(group_by_terminal(answer, tree, query.zoom_level))
@@ -294,9 +355,7 @@ def execute_batch(
                 processing_seconds=processing,
                 collection_seconds=collection,
                 sample_requested=(
-                    per_query_sample[qi] * len(per_query_trees[qi])
-                    if per_query_sample[qi] and sampling_on
-                    else None
+                    sample_size * len(trees) if sample_size and sampling_on else None
                 ),
             )
         )

@@ -12,7 +12,7 @@ latency accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import COLRTreeConfig
@@ -20,12 +20,10 @@ from repro.core.lookup import QueryAnswer
 from repro.core.stats import ProcessingCostModel
 from repro.core.tree import COLRTree
 from repro.geometry import GeoPoint
-from repro.portal.grouping import (
-    DisplayGroup,
-    concat_groups,
-    group_answer,
-    group_by_terminal,
-)
+from repro.portal.grouping import DisplayGroup
+# Imported by name for the e2e tracer's table of trace points, which
+# still lists it here (ROADMAP item 6(e) retires that table).
+from repro.portal.grouping import group_answer  # noqa: F401
 from repro.portal.parser import parse_query
 from repro.portal.query import SensorQuery
 from repro.sensors.availability import AvailabilityModel
@@ -52,11 +50,9 @@ class PortalResult:
     ``sample_requested`` is the portal's *effective* sample target for
     the query (cap semantics applied, summed across the per-type trees
     it fanned out to), or ``None`` for an exact lookup.  Together with
-    :attr:`sample_achieved` / :attr:`pool_exhausted` it surfaces the
+    :attr:`result_weight` / :attr:`pool_exhausted` it surfaces the
     achieved-vs-requested story the layered sampler used to keep to
-    itself — the federation coordinator reads these to decide whether a
-    shard's shortfall is worth redistributing and whether the shard has
-    pool left to borrow.
+    itself.
 
     ``groups`` is read-only.  For a query with neither ``CLUSTER`` nor a
     zoom level it is a view over ``answers`` that builds each group when
@@ -78,20 +74,6 @@ class PortalResult:
     @property
     def result_weight(self) -> int:
         return sum(a.result_weight for a in self.answers)
-
-    @property
-    def sample_achieved(self) -> int:
-        """Readings represented in the answer — what the request got."""
-        return self.result_weight
-
-    @property
-    def sample_shortfall(self) -> int:
-        """How far the answer fell short of the requested sample size
-        (0 for exact lookups and for answers that met or over-delivered
-        the target, e.g. via cached aggregates)."""
-        if self.sample_requested is None:
-            return 0
-        return max(0, self.sample_requested - self.result_weight)
 
     @property
     def pool_exhausted(self) -> bool:
@@ -524,47 +506,9 @@ class SensorMapPortal:
         return self.execute(parse_query(sql))
 
     def execute(self, query: SensorQuery) -> PortalResult:
-        """Execute one portal query at the current simulated time."""
-        self._ensure_index()
-        now = self.clock.now()
-        if query.sensor_type is not None:
-            if query.sensor_type not in self._trees:
-                raise KeyError(f"no sensors of type {query.sensor_type!r} registered")
-            trees = [self._trees[query.sensor_type]]
-        else:
-            trees = list(self._trees.values())
-        answers: list[QueryAnswer] = []
-        groups: list[Sequence[DisplayGroup]] = []
-        processing = 0.0
-        collection = 0.0
-        sample_size = self._effective_sample_size(query.sample_size, len(trees))
-        for tree in trees:
-            answer = tree.query(
-                query.region,
-                now=now,
-                max_staleness=query.staleness_seconds,
-                sample_size=sample_size,
-                terminal_level=query.zoom_level,
-            )
-            answers.append(answer)
-            processing += self.cost_model.processing_seconds(answer.stats)
-            collection += answer.stats.collection_latency_seconds
-            if query.zoom_level is not None:
-                groups.append(group_by_terminal(answer, tree, query.zoom_level))
-            else:
-                groups.append(group_answer(answer, query.cluster_miles, tree=tree))
-        return PortalResult(
-            query=query,
-            groups=concat_groups(groups),
-            answers=answers,
-            processing_seconds=processing,
-            collection_seconds=collection,
-            sample_requested=(
-                sample_size * len(trees)
-                if sample_size and self.config.sampling_enabled
-                else None
-            ),
-        )
+        """Execute one portal query at the current simulated time: a
+        batch of one."""
+        return self.execute_batch((query,)).results[0]
 
     def execute_batch(self, queries: "Sequence[SensorQuery]") -> "BatchResult":
         """Execute a set of in-flight queries as one batch tick.
@@ -572,12 +516,22 @@ class SensorMapPortal:
         Distinct regions classify once per batch, each live sensor is
         probed at most once (readings fan out to every requesting
         query), and probed readings enter the caches as grouped deltas.
-        ``execute_batch([q])`` is bit-identical to ``execute(q)``; see
-        :mod:`repro.portal.batch`.
+        See :mod:`repro.portal.batch`.
         """
-        from repro.portal.batch import execute_batch
+        return _execute_batch(self, queries)
 
-        return execute_batch(self, queries)
+    def _resolve(self, query: SensorQuery) -> tuple[dict[str, COLRTree], int | None]:
+        """The type trees a query fans out to (by type, in index order;
+        the mapping may be the portal's own — do not mutate it) and its
+        effective sample size.  Raises ``KeyError`` for a type with no
+        sensors.  Call with the index built."""
+        if query.sensor_type is None:
+            trees = self._trees
+        elif query.sensor_type in self._trees:
+            trees = {query.sensor_type: self._trees[query.sensor_type]}
+        else:
+            raise KeyError(f"no sensors of type {query.sensor_type!r} registered")
+        return trees, self._effective_sample_size(query.sample_size, len(trees))
 
     def geoblocks(self) -> "GeoBlockGrid":
         """The portal's (lazily built) geoblock grid, synced to the
@@ -659,13 +613,7 @@ class SensorMapPortal:
         "cache_coverage": float}``.
         """
         self._ensure_index()
-        if query.sensor_type is not None:
-            if query.sensor_type not in self._trees:
-                raise KeyError(f"no sensors of type {query.sensor_type!r} registered")
-            trees = {query.sensor_type: self._trees[query.sensor_type]}
-        else:
-            trees = dict(self._trees)
-        sample_size = self._effective_sample_size(query.sample_size, len(trees))
+        trees, sample_size = self._resolve(query)
         plans = {
             name: tree.explain(
                 query.region,
@@ -702,3 +650,7 @@ class SensorMapPortal:
         if requested is None or requested == 0:
             return per_tree_cap
         return min(requested, per_tree_cap)
+
+
+# Last, because the executor imports ``PortalResult`` from this module.
+from repro.portal.batch import execute_batch as _execute_batch  # noqa: E402

@@ -49,9 +49,6 @@ class Database:
             raise KeyError(f"trigger targets unknown table {trigger.table!r}")
         self._triggers.register(trigger)
 
-    def drop_trigger(self, name: str) -> None:
-        self._triggers.drop(name)
-
     # ------------------------------------------------------------------
     # DML (statement-level, trigger-firing)
     # ------------------------------------------------------------------

@@ -108,16 +108,6 @@ class RelCOLRTree:
             return None
         return self.db.table(self.names.cache(int(meta["level"]))).get((node_id, slot))
 
-    def node_bbox(self, node_id: int) -> Rect:
-        meta = self.db.table(self.names.node_meta).get((node_id,))
-        if meta is None:
-            raise KeyError(f"unknown node {node_id}")
-        return Rect(
-            float(meta["min_x"]),
-            float(meta["min_y"]),
-            float(meta["max_x"]),
-            float(meta["max_y"]),
-        )
 
     # ------------------------------------------------------------------
     # Reading maintenance (pure DML; triggers do the bookkeeping)

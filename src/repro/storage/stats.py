@@ -11,7 +11,7 @@ converts the replay counters into deterministic modeled seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,7 +38,3 @@ class StorageStats:
             self.wal_appends,
             self.wal_fsyncs,
         )
-
-    def snapshot(self) -> "StorageStats":
-        """A copy safe to keep while the engine keeps running."""
-        return replace(self)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -88,9 +88,6 @@ class TransportStats:
     @property
     def dedup_hits(self) -> int:
         return self.dedup_inflight + self.dedup_recent
-
-    def snapshot(self) -> "TransportStats":
-        return replace(self)
 
 
 class _Pending:
@@ -154,12 +151,6 @@ class ProbeRound:
         self.outstanding: set[int] = set()
         self.finish_time = now
         self._stream_buffer: list[Reading] = []
-
-    @property
-    def failed(self) -> tuple[int, ...]:
-        """Combined failure list (``unavailable + timed_out``) for
-        callers that do not care which mode a sensor failed in."""
-        return tuple(self.unavailable) + tuple(self.timed_out)
 
     @property
     def retries(self) -> int:

@@ -75,16 +75,16 @@ class TestTopupShardFailure:
     def _arm_second_call_failure(self, fed, shard_id):
         """The shard answers its round-1 sub-query, then goes down."""
         shard = fed.shard(shard_id)
-        real = shard.execute
+        real = shard.execute_batch
         calls = {"n": 0}
 
-        def flaky_execute(query):
+        def flaky_execute_batch(queries):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise ShardDownError(f"shard {shard_id} crashed mid-top-up")
-            return real(query)
+            return real(queries)
 
-        shard.execute = flaky_execute
+        shard.execute_batch = flaky_execute_batch
         return calls, real
 
     def test_crash_during_topup_keeps_round1_and_flags_partial(self):
@@ -112,7 +112,7 @@ class TestTopupShardFailure:
         # the shard's slot caches and dedup tables with zero new wire
         # traffic.
         shard = fed.shard(3)
-        shard.execute = real
+        shard.execute_batch = real
         fed.revive_shard(3)
         fed.federation = replace(fed.federation, redistribution_rounds=0)
         attempted = shard.network.stats.probes_attempted
@@ -133,17 +133,18 @@ class TestTopupShardFailure:
         round-1 answer met."""
         fed = _skewed_federation(rounds=1, timeout=1e6)
         shard = fed.shard(3)
-        real = shard.execute
+        real = shard.execute_batch
         calls = {"n": 0}
 
-        def slow_execute(query):
+        def slow_execute_batch(queries):
             calls["n"] += 1
-            result = real(query)
+            batch = real(queries)
             if calls["n"] >= 2:
-                return replace(result, collection_seconds=2e6)
-            return result
+                slow = [replace(r, collection_seconds=2e6) for r in batch.results]
+                return replace(batch, results=slow)
+            return batch
 
-        shard.execute = slow_execute
+        shard.execute_batch = slow_execute_batch
         result = fed.execute(_query())
         assert calls["n"] == 2
         assert result.partial

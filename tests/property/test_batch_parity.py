@@ -1,10 +1,13 @@
-"""Bit-identity of ``execute_batch([q])`` with ``execute(q)``.
+"""Bit-identity of ``execute_batch([q])`` with the sequential executor.
 
-The acceptance contract of the batch executor: a singleton batch takes
-exactly the sequential path's decisions — same plan-cache interaction,
-same probe order (hence the same network RNG draws), same ingestion,
-same stats — for every query shape: rect/polygon region,
-exact/sampled access path, cold/warmed cache.
+``SensorMapPortal.execute(q)`` is ``execute_batch([q]).results[0]``; the
+per-tree ``COLRTree.query`` loop it used to run is kept as
+``tests/portal/reference_execute.py``.  The contract: a singleton batch
+takes exactly that loop's decisions — same plan-cache interaction, same
+probe order (hence the same network RNG draws), same ingestion, same
+stats — for every query shape: rect/polygon region, exact/sampled
+access path, cold/warmed cache, one or two sensor types, with and
+without a configured transport.
 """
 
 from __future__ import annotations
@@ -19,17 +22,19 @@ from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.storage import StorageConfig
 from repro.transport import TransportConfig
+from tests.portal.reference_execute import reference_execute
 
 
 def _build_portal(
-    availability: float = 1.0, n: int = 150, **portal_kwargs
+    availability: float = 1.0, n: int = 150, types: int = 1, **portal_kwargs
 ) -> SensorMapPortal:
     rng = np.random.default_rng(5)
     portal = SensorMapPortal(max_sensors_per_query=None, **portal_kwargs)
-    for x, y in rng.random((n, 2)) * 100:
+    for i, (x, y) in enumerate(rng.random((n, 2)) * 100):
         portal.register_sensor(
             GeoPoint(float(x), float(y)),
             expiry_seconds=300.0,
+            sensor_type=f"t{i % types}",
             availability=availability,
         )
     portal.rebuild_index()
@@ -76,11 +81,20 @@ TRIANGLES = st.tuples(
 )
 
 
+def _transport(configured: bool) -> TransportConfig | None:
+    return TransportConfig() if configured else None
+
+
 class TestSingletonBitIdentity:
     @settings(max_examples=12, deadline=None)
-    @given(region=RECTS, sampled=st.booleans(), warmed=st.booleans())
-    def test_rect_queries(self, region, sampled, warmed):
-        self._check(region, sampled, warmed)
+    @given(
+        region=RECTS,
+        sampled=st.booleans(),
+        warmed=st.booleans(),
+        configured=st.booleans(),
+    )
+    def test_rect_queries(self, region, sampled, warmed, configured):
+        self._check(region, sampled, warmed, transport=_transport(configured))
 
     @settings(max_examples=12, deadline=None)
     @given(region=TRIANGLES, sampled=st.booleans(), warmed=st.booleans())
@@ -88,28 +102,51 @@ class TestSingletonBitIdentity:
         self._check(region, sampled, warmed)
 
     @settings(max_examples=8, deadline=None)
-    @given(region=RECTS, sampled=st.booleans())
-    def test_flaky_network(self, region, sampled):
-        self._check(region, sampled, warmed=False, availability=0.8)
+    @given(region=RECTS, sampled=st.booleans(), configured=st.booleans())
+    def test_flaky_network(self, region, sampled, configured):
+        self._check(
+            region,
+            sampled,
+            warmed=False,
+            availability=0.8,
+            transport=_transport(configured),
+        )
 
-    def _check(self, region, sampled, warmed, availability=1.0):
+    @settings(max_examples=8, deadline=None)
+    @given(region=RECTS, warmed=st.booleans(), configured=st.booleans())
+    def test_two_type_trees(self, region, warmed, configured):
+        """A lone query over two type trees collects them one after the
+        other, as the sequential loop did — also when the dispatcher
+        could overlap the two rounds."""
+        self._check(
+            region,
+            False,
+            warmed,
+            availability=0.8,
+            types=2,
+            transport=_transport(configured),
+        )
+
+    def _check(self, region, sampled, warmed, availability=1.0, **build):
         query = SensorQuery(
             region=region,
             staleness_seconds=120.0,
             sample_size=20 if sampled else None,
         )
-        seq_portal = _build_portal(availability)
-        batch_portal = _build_portal(availability)
+        portals = [_build_portal(availability, **build) for _ in range(3)]
         if warmed:
             warm = SensorQuery(
                 region=Rect(20.0, 20.0, 70.0, 70.0), staleness_seconds=120.0
             )
-            seq_portal.execute(warm)
-            batch_portal.execute(warm)
-        seq = seq_portal.execute(query)
+            for portal in portals:
+                reference_execute(portal, warm)
+        reference, batch_portal, single_portal = portals
+        seq = reference_execute(reference, query)
         batch = batch_portal.execute_batch([query])
         assert len(batch.results) == 1
         _assert_identical(seq, batch.results[0])
+        _assert_identical(seq, single_portal.execute(query))
+        assert batch_portal.network.stats == reference.network.stats
 
     def test_zoom_level_grouping(self):
         query = SensorQuery(
@@ -117,7 +154,7 @@ class TestSingletonBitIdentity:
             staleness_seconds=120.0,
             zoom_level=1,
         )
-        seq = _build_portal().execute(query)
+        seq = reference_execute(_build_portal(), query)
         batch = _build_portal().execute_batch([query])
         _assert_identical(seq, batch.results[0])
 
@@ -151,12 +188,11 @@ class TestDurablePortal:
         query = SensorQuery(
             region=Rect(10.0, 10.0, 70.0, 70.0), staleness_seconds=120.0
         )
-        seq = self._portal(tmp_path / "seq", transport).execute(query)
+        seq = reference_execute(self._portal(tmp_path / "seq", transport), query)
         batch = self._portal(tmp_path / "batch", transport).execute_batch([query])
         assert seq.answers[0].stats.wal_appends > 0
         assert _booked_io(batch.results) == _booked_io([seq])
-        if transport is None:
-            _assert_identical(seq, batch.results[0])
+        _assert_identical(seq, batch.results[0])
 
     def test_a_tick_books_the_engines_own_delta(self, tmp_path, transport):
         portal = self._portal(tmp_path / "tick", transport)

@@ -421,3 +421,17 @@ class TestReplacedShardsAreFreed:
             gc.enable()
         assert fed.execute(EXACT).result_weight == 300
         fed.close()
+
+    def test_rebuild_frees_every_replaced_portal(self, tmp_path):
+        fed = self.durable_fed(tmp_path)
+        fed.execute(EXACT)
+        replaced = self.watch(fed)
+        gc.collect()
+        gc.disable()
+        try:
+            fed.rebuild_index()
+            assert [ref() for ref in replaced] == [None] * 6
+        finally:
+            gc.enable()
+        assert fed.execute(EXACT).result_weight == 300
+        fed.close()

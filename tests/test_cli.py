@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -41,6 +43,41 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "indexed 500 sensors" in out
         assert "cold" in out and "warm" in out
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--shards", "4"], "federated 500 sensors across 4 shards"),
+            (["--workers", "2"], "across 2 shards (2 worker processes)"),
+            (["--qps", "20"], "front door over 500 sensors"),
+            (["--churn", "--shards", "4"], "every sensor has exactly one owner"),
+            (["--polygon"], "geoblock grid over 500 sensors"),
+        ],
+        ids=["shards", "workers", "qps", "churn", "polygon"],
+    )
+    def test_demo_variants_run(self, flags, expected, capsys):
+        before = set(multiprocessing.active_children())
+        assert main(["demo", "--sensors", "500", *flags]) == 0
+        assert expected in capsys.readouterr().out
+        # No worker process outlives the demo that forked it.
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_durable_demo_warm_restarts(self, tmp_path, capsys):
+        argv = ["demo", "--sensors", "500", "--data-dir", str(tmp_path / "data")]
+        assert main(argv) == 0
+        assert "cold start" in capsys.readouterr().out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "warm restart: 500 sensors" in out
+        assert "tick 0: probed    0 sensors" in out
+
+    @pytest.mark.parametrize("partitioner", ["grid", "kmeans"])
+    def test_shard_prints_the_directory_and_plan(self, partitioner, capsys):
+        argv = ["shard", "--sensors", "500", "--partitioner", partitioner]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"{partitioner} partitioner: 500 sensors -> 4 shards" in out
+        assert "scatter plan for viewport" in out
 
 
 class TestMoreCommands:

@@ -1,0 +1,228 @@
+"""A lone query is a batch of one, at every layer.
+
+``execute(q)`` on the portal, the federation coordinator and the front
+door serves ``q`` through the same path ``execute_batch([q])`` does, so
+the two agree on everything a result carries.  Each ``TestDivergence``
+case is a place where they used to disagree: shard retries, the gather
+deadline on a sampled query, and a polygon miss at the front door.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.federation import FederatedPortal, FederationConfig
+from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
+from repro.geoblocks.executor import PolygonResult
+from repro.geometry import GeoPoint, Polygon, Rect
+from repro.portal import SensorMapPortal, SensorQuery
+from repro.transport import TransportConfig
+
+NETWORK = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
+
+
+def _fleet(portal, n=400, extent=100.0, types=("temperature", "wind")):
+    rng = np.random.default_rng(11)
+    for i, (x, y) in enumerate(rng.random((n, 2)) * extent):
+        portal.register_sensor(
+            GeoPoint(float(x), float(y)),
+            expiry_seconds=300.0,
+            sensor_type=types[i % len(types)],
+            availability=0.5 if i % 7 == 0 else 0.95,
+        )
+    portal.rebuild_index()
+    return portal
+
+
+def _portal(**kwargs):
+    kwargs.setdefault("max_sensors_per_query", None)
+    return _fleet(SensorMapPortal(network_options=dict(NETWORK), **kwargs))
+
+
+def _federation(federation=None, **kwargs):
+    kwargs.setdefault("max_sensors_per_query", None)
+    return _fleet(
+        FederatedPortal(
+            n_shards=4,
+            network_options=dict(NETWORK),
+            federation=federation,
+            **kwargs,
+        )
+    )
+
+
+def _readings(result):
+    return [
+        (r.sensor_id, r.value)
+        for a in result.answers
+        for r in list(a.probed_readings) + list(a.cached_readings)
+    ]
+
+
+def _same(a, b):
+    """Two results carry the same answer, stats and accounting."""
+    assert type(a) is type(b)
+    assert len(a.answers) == len(b.answers)
+    for x, y in zip(a.answers, b.answers):
+        assert x.probed_readings == y.probed_readings
+        assert x.cached_readings == y.cached_readings
+        assert x.cached_sketches == y.cached_sketches
+        assert x.stats == y.stats
+    assert list(a.groups) == list(b.groups)
+    assert a.processing_seconds == b.processing_seconds
+    assert a.collection_seconds == b.collection_seconds
+    assert a.sample_requested == b.sample_requested
+    for name in (
+        "failed_shards",
+        "timed_out_shards",
+        "shard_retries",
+        "redistribution_rounds_run",
+        "topup_sensors_gained",
+        "sampled_shortfall",
+    ):
+        assert getattr(a, name, None) == getattr(b, name, None), name
+
+
+HEXAGON = Polygon(
+    GeoPoint(50.0 + 18.0 * math.cos(a), 50.0 + 18.0 * math.sin(a))
+    for a in (k * math.pi / 3 for k in range(6))
+)
+
+VIEWPORTS = [
+    SensorQuery(region=Rect(10.0, 10.0, 60.0, 55.0), staleness_seconds=120.0),
+    SensorQuery(
+        region=Rect(30.0, 20.0, 90.0, 80.0), staleness_seconds=120.0, sample_size=25
+    ),
+    SensorQuery(
+        region=Rect(0.0, 40.0, 45.0, 100.0),
+        staleness_seconds=120.0,
+        sensor_type="wind",
+    ),
+    SensorQuery(region=HEXAGON, staleness_seconds=120.0),
+]
+QUERIES = st.sampled_from(VIEWPORTS)
+
+
+class TestExecuteIsABatchOfOne:
+    """Twin stacks: one asked ``execute(q)``, the other
+    ``execute_batch([q])``, tick after tick."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(queries=st.lists(QUERIES, min_size=1, max_size=4), configured=st.booleans())
+    def test_portal(self, queries, configured):
+        transport = TransportConfig() if configured else None
+        single, batch = _portal(transport=transport), _portal(transport=transport)
+        for query in queries:
+            _same(single.execute(query), batch.execute_batch([query]).results[0])
+            for portal in (single, batch):
+                portal.clock.advance(40.0)
+        assert single.network.stats == batch.network.stats
+
+    @settings(max_examples=10, deadline=None)
+    @given(queries=st.lists(QUERIES, min_size=1, max_size=4), configured=st.booleans())
+    def test_federation(self, queries, configured):
+        transport = TransportConfig() if configured else None
+        single = _federation(transport=transport)
+        batch = _federation(transport=transport)
+        for query in queries:
+            _same(single.execute(query), batch.execute_batch([query]).results[0])
+            for fed in (single, batch):
+                fed.clock.advance(40.0)
+        for a, b in zip(single.shards(), batch.shards()):
+            assert a.network.stats == b.network.stats
+
+    @pytest.mark.parametrize("l2_enabled", [True, False], ids=["l2", "no-l2"])
+    def test_front_door(self, l2_enabled):
+        config = FrontDoorConfig(
+            l2_enabled=l2_enabled, admission=AdmissionConfig(enabled=False)
+        )
+        single = FrontDoor(_federation(), config)
+        batch = FrontDoor(_federation(), config)
+        for query in VIEWPORTS * 2:
+            one = single.execute(query)
+            (other,) = batch.execute_batch([query]).results
+            assert (one.served_from, one.tiles_composed) == (
+                other.served_from,
+                other.tiles_composed,
+            )
+            assert one.service_seconds == other.service_seconds
+            _same(one.result, other.result)
+        assert single.cache.stats == batch.cache.stats
+
+
+class TestDivergence:
+    def test_shard_retries_count_on_the_batch_path(self):
+        """A killed shard under ``shard_retry_budget=2``: each lone
+        query's ``shard_retries`` is the retries of the shards it routed
+        to, through either entry point."""
+        config = FederationConfig(shard_retry_budget=2)
+        single, batch = _federation(config), _federation(config)
+        for fed in (single, batch):
+            fed.kill_shard(1)
+        wide = SensorQuery(region=Rect(0.0, 0.0, 100.0, 100.0), staleness_seconds=120.0)
+        one = single.execute(wide)
+        (other,) = batch.execute_batch([wide]).results
+        assert one.failed_shards == other.failed_shards == (1,)
+        assert one.shard_retries == other.shard_retries == 2
+        # A query that does not route to the dead shard took no retries
+        # of its own, though it shares the tick with one that did.
+        corner = SensorQuery(region=Rect(0.0, 0.0, 10.0, 10.0), staleness_seconds=120.0)
+        tick = _federation(config)
+        tick.kill_shard(1)
+        with_wide, with_corner = tick.execute_batch([wide, corner]).results
+        assert with_wide.shard_retries == 2
+        assert 1 not in {r.shard_id for r in tick.directory.route(corner.region)}
+        assert with_corner.shard_retries == 0
+
+    def test_a_sampled_answer_meets_the_shard_deadline_on_the_batch_path(self):
+        """A 1 µs gather deadline: the shards' sampled answers all take
+        longer, so every routed shard times out through either entry
+        point and nothing is returned."""
+        config = FederationConfig(shard_timeout_seconds=1e-6)
+        sampled = SensorQuery(
+            region=Rect(0.0, 0.0, 100.0, 100.0),
+            staleness_seconds=120.0,
+            sample_size=40,
+        )
+        one = _federation(config).execute(sampled)
+        (other,) = _federation(config).execute_batch([sampled]).results
+        assert one.timed_out_shards == other.timed_out_shards == (0, 1, 2, 3)
+        assert other.result_weight == one.result_weight == 0
+
+    def test_a_polygon_miss_takes_the_geoblock_path_on_the_batch_path(self):
+        """With L2 off an exact hexagon is a direct miss; both entry
+        points serve it through the portal's geoblock planner."""
+        config = FrontDoorConfig(
+            l2_enabled=False, admission=AdmissionConfig(enabled=False)
+        )
+        hexagon = SensorQuery(region=HEXAGON, staleness_seconds=120.0)
+        one = FrontDoor(_portal(), config).execute(hexagon)
+        (other,) = FrontDoor(_portal(), config).execute_batch([hexagon]).results
+        assert isinstance(one.result, PolygonResult)
+        assert isinstance(other.result, PolygonResult)
+        assert _readings(one.result) == _readings(other.result)
+        assert other.result.interior_cells + other.result.boundary_cells > 0
+
+
+class TestSampledQueriesBillTheTick:
+    def test_a_sampled_singleton_books_its_probes_and_collection(self):
+        portal = _portal(transport=TransportConfig())
+        sampled = SensorQuery(
+            region=Rect(10.0, 10.0, 90.0, 90.0),
+            staleness_seconds=120.0,
+            sample_size=40,
+        )
+        batch = portal.execute_batch([sampled])
+        (result,) = batch.results
+        probed = sum(a.stats.sensors_probed for a in result.answers)
+        assert probed > 0
+        assert batch.stats.probes_requested == batch.stats.probes_issued == probed
+        assert batch.stats.collection_seconds == result.collection_seconds > 0.0
+        assert batch.stats.probes_retried == sum(
+            a.stats.probes_retried for a in result.answers
+        )
