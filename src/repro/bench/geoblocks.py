@@ -3,16 +3,16 @@
 Four probes, each with its own acceptance gates:
 
 * **Rectangle parity** — an axis-aligned rectangle drawn as a polygon
-  must be answered by ``execute_polygon`` bit-identically (answer,
-  probes, stats, timings) to ``execute`` on the equivalent ``Rect``,
-  cold and warm, on a single portal and across a 4-shard federation.
-  Compared with the federation bench's own parity comparator over twin
-  identically seeded portals (execution warms caches, so one portal
-  cannot serve both sides).
+  must be answered bit-identically (answer, probes, stats, timings) to
+  the equivalent ``Rect``, cold and warm, on a single portal and across
+  a 4-shard federation.  Compared with the federation bench's own
+  parity comparator over twin identically seeded portals (execution
+  warms caches, so one portal cannot serve both sides).
 * **Conservation** — genuine (non-rectangular) polygons from every
-  workload family must return exactly the sensors the portal's exact
-  Region path returns: the composed cell plan may change *how* the
-  answer is collected, never *what* it contains.
+  workload family must return exactly the sensors the plain tree
+  traversal returns (``tree.query`` per type tree, exact): the composed
+  cell plan may change *how* the answer is collected, never *what* it
+  contains.
 * **Cell-size sweep** — one fixed polygon planned at several cell
   sizes, each over a fresh portal, cold run then warm run.  Gates: on
   the warm grid every interior cell is served from the mirror with
@@ -83,10 +83,10 @@ def make_polygon_portal(
     )
 
 
-def _sensor_ids(result) -> set[int]:
+def _sensor_ids(answers) -> set[int]:
     return {
         r.sensor_id
-        for a in result.answers
+        for a in answers
         for r in list(a.probed_readings) + list(a.cached_readings)
     }
 
@@ -95,9 +95,8 @@ def _sensor_ids(result) -> set[int]:
 # Probe 1: rectangle parity (single portal + federated)
 # ----------------------------------------------------------------------
 def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
-    """``execute_polygon`` on a rectangle drawn as a polygon must be a
-    bit-identical pass-through of ``execute`` on the ``Rect`` — cold and
-    warm, unsharded and federated."""
+    """A rectangle drawn as a polygon must be answered bit-identically
+    to the ``Rect`` — cold and warm, unsharded and federated."""
     rects = [
         spec.region
         for spec in LiveLocalWorkload(
@@ -120,12 +119,12 @@ def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
             _assert_identical(
                 f"rect-parity/single/{phase}/q{i}",
                 portal_a.execute(rect_query),
-                portal_b.execute_polygon(poly_query),
+                portal_b.execute(poly_query),
             )
             single_cells += 1
 
-    # Federated: the coordinator scatters execute_polygon to the shards;
-    # a rectangle-polygon must normalize before any clipping happens.
+    # Federated: a rectangle-polygon must normalize before any routing
+    # or clipping happens.
     rng = np.random.default_rng(seed + 9)
     fed_a = make_federation(n_sensors, seed, n_shards)
     fed_b = make_federation(n_sensors, seed, n_shards)
@@ -143,7 +142,7 @@ def run_parity_probe(n_sensors: int, seed: int, n_shards: int = 4) -> dict:
             _assert_identical(
                 f"rect-parity/federated/{phase}/q{i}",
                 fed_a.execute(rect_query),
-                fed_b.execute_polygon(poly_query),
+                fed_b.execute(poly_query),
             )
             federated_cells += 1
     return {
@@ -162,8 +161,8 @@ def run_conservation_probe(
 ) -> dict:
     """The cell plan changes how the answer is collected, never what it
     contains: twin fresh portals, one answering through the geoblock
-    planner and one through the exact Region path, must return exactly
-    the same sensor-id sets for every workload family."""
+    planner and one through the plain tree traversal, must return
+    exactly the same sensor-id sets for every workload family."""
     workload = PolygonWorkload(
         n_sensors=n_sensors,
         n_queries=n_polygons,
@@ -173,13 +172,14 @@ def run_conservation_probe(
         seed=seed,
     )
     # Twin portals over the workload's own fleet (not merely same-seed
-    # rebuilds): one composes through the cell plan, one answers via the
-    # exact Region path.
+    # rebuilds): one composes through the cell plan, one answers with
+    # one exact traversal per type tree.
     sensors = workload.sensors()
     portal_grid = uncapped_portal(
         sensors, geoblocks=GeoBlockConfig(cell_degrees=CELL_DEGREES)
     )
     portal_exact = uncapped_portal(sensors)
+    trees = [portal_exact.tree(name) for name in portal_exact.sensor_types()]
     compared = 0
     mismatches = 0
     grid_path = 0
@@ -188,9 +188,17 @@ def run_conservation_probe(
         query = SensorQuery(
             region=spec.region, staleness_seconds=spec.staleness_seconds
         )
-        via_grid = portal_grid.execute_polygon(query)
-        via_exact = portal_exact.execute(query)
-        if _sensor_ids(via_grid) != _sensor_ids(via_exact):
+        via_grid = portal_grid.execute(query)
+        via_exact = [
+            tree.query(
+                query.region,
+                now=portal_exact.clock.now(),
+                max_staleness=query.staleness_seconds,
+                sample_size=0,
+            )
+            for tree in trees
+        ]
+        if _sensor_ids(via_grid.answers) != _sensor_ids(via_exact):
             mismatches += 1
         if isinstance(via_grid, PolygonResult):
             grid_path += 1
@@ -237,8 +245,8 @@ def run_sweep_probe(
     levels = []
     for cell_degrees in cell_sizes:
         portal = make_polygon_portal(n_sensors, seed, cell_degrees=cell_degrees)
-        cold = portal.execute_polygon(query)
-        warm = portal.execute_polygon(query)
+        cold = portal.execute(query)
+        warm = portal.execute(query)
         assert isinstance(cold, PolygonResult) and isinstance(warm, PolygonResult)
         total = warm.interior_cells + warm.boundary_cells
         levels.append(
@@ -317,7 +325,7 @@ def run_window_probe(
                 "cells_reused": result.cells_reused,
                 "cells_refreshed": result.cells_refreshed,
                 "expected_reuse": expected_reuse,
-                "sensors": len(_sensor_ids(result)),
+                "sensors": len(_sensor_ids(result.answers)),
                 "window_aggregate": result.window_aggregate,
             }
         )
@@ -366,7 +374,7 @@ def run_stream_probe(n_sensors: int, n_queries: int, seed: int) -> dict:
                 if target > portal.clock.now():
                     portal.clock.advance(target - portal.clock.now())
             results.append(
-                portal.execute_polygon(
+                portal.execute(
                     SensorQuery(
                         region=spec.region,
                         staleness_seconds=spec.staleness_seconds,

@@ -503,7 +503,7 @@ def _demo_polygon(n_sensors: int) -> int:
     )
     query = SensorQuery(region=spec.region, staleness_seconds=900.0)
     for label in ("cold", "warm"):
-        result = portal.execute_polygon(query)
+        result = portal.execute(query)
         assert isinstance(result, PolygonResult)
         probes = sum(a.stats.sensors_probed for a in result.answers)
         print(

@@ -12,13 +12,15 @@ Query flow:
 1. **Route** — the :class:`~repro.federation.directory.ShardDirectory`
    intersects the query region with the shard MBRs (typed queries also
    require the shard to host the type).
-2. **Scatter** — exact queries broadcast unchanged to every routed
-   shard; sampled queries split the target across routed shards by
-   overlap-weighted shard weights (Algorithm 1's share rule one level
-   above the trees), shares summing exactly to the target.  Shards
-   whose share rounds to zero are skipped.  Each shard receives all
-   the sub-queries planned for it as one ``execute_batch`` call — a
-   lone query is a batch of one (:meth:`FederatedPortal._scatter_plans`).
+2. **Scatter** — exact queries broadcast to every routed shard, a
+   genuine polygon clipped to each shard's MBR; sampled queries split
+   the target across routed shards by overlap-weighted shard weights
+   (Algorithm 1's share rule one level above the trees), shares summing
+   exactly to the target.  Shards whose share rounds to zero are
+   skipped.  Each shard receives all the sub-queries planned for it as
+   one ``execute_batch`` call — a lone query is a batch of one, and a
+   polygon an ordinary sub-query its shard's executor may answer
+   through a geoblock cell plan (:meth:`FederatedPortal._scatter_plans`).
 3. **Gather** — per-shard answers merge in shard-id order: readings and
    sketches concatenate (each shard already enforced the freshness
    bound), processing sums, collection is the *makespan* across shards
@@ -51,12 +53,12 @@ from repro.federation.config import FederationConfig
 from repro.federation.directory import ShardDirectory, ShardRoute
 from repro.federation.partitioner import GridPartitioner, Partitioner
 from repro.federation.streaming import ShardArrival, StreamingGather
-from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry import GeoPoint, Polygon
 from repro.portal.batch import BatchStats
 from repro.portal.grouping import GroupView, concat_groups
 from repro.portal.parser import parse_query
 from repro.portal.portal import PortalResult, SensorMapPortal
-from repro.portal.query import SensorQuery
+from repro.portal.query import SensorQuery, normalize_region
 from repro.sensors.clock import SimClock
 from repro.sensors.registry import SensorRegistry
 from repro.sensors.sensor import Sensor
@@ -298,9 +300,10 @@ class _TopupOutcome:
 @dataclass
 class _Scatter:
     """One scatter round sorted by outcome: the shards that answered
-    (``shard_results`` — ``PortalResult`` replies, or the
-    ``BatchResult`` sub-batches of :meth:`FederatedPortal._scatter_plans`),
-    the ones that never did (``failed``) or blew the gather deadline
+    (``shard_results`` — one query's ``PortalResult`` answers, or the
+    round's ``BatchResult`` sub-batches in
+    :meth:`FederatedPortal._scatter_plans`), the ones that never did
+    (``failed``) or blew the gather deadline
     (``timed_out``), the retry/recovery/timeout seconds each is charged
     in the gather makespan (``penalties``) and the retries each took
     (``retries``).  :meth:`FederatedPortal._finish` attaches the query's
@@ -313,13 +316,6 @@ class _Scatter:
     timed_out: list[int] = field(default_factory=list)
     retries: dict[int, int] = field(default_factory=dict)
     topup: _TopupOutcome | None = None
-
-
-def _slowest_answer(batch: "BatchResult") -> float:
-    """The gather deadline reads a sub-batch reply by its slowest
-    answer, so one query's reply times out exactly as its answer would
-    alone."""
-    return max((r.collection_seconds for r in batch.results), default=0.0)
 
 
 class FederatedPortal:
@@ -665,16 +661,12 @@ class FederatedPortal:
         # The commit point for routing: one atomic row-list swap.
         self._directory.refresh(changes, drop=drop)
 
-    def _scatter_calls(
-        self,
-        calls: Sequence[tuple[int, str, tuple]],
-        routes: Sequence[ShardRoute] = (),
-        collection_seconds=lambda reply: reply.collection_seconds,
-    ) -> _Scatter:
+    def _scatter_calls(self, calls: Sequence[tuple[int, str, tuple]]) -> _Scatter:
         """Run one scatter of ``(shard_id, op, args)`` calls under the
         retry budget and sort the shards into answered / failed / timed
-        out (``collection_seconds`` reads a reply's modeled collection
-        latency for the gather deadline).
+        out.  A ``BatchResult`` reply meets the gather deadline by its
+        slowest answer, so one query's reply times out exactly as its
+        answer would alone.
 
         Each round attempts every still-unanswered shard once
         (the backend's ``attempt``); a shard that stays silent is charged
@@ -685,7 +677,7 @@ class FederatedPortal:
         """
         cfg = self.federation
         now = self.clock.now()
-        scatter = _Scatter(routes=routes)
+        scatter = _Scatter()
         penalties = scatter.penalties
         pending: list[tuple[int, str, tuple]] = []
         for call in calls:
@@ -725,14 +717,17 @@ class FederatedPortal:
                         state.down_until = now + cfg.cooldown_seconds
                     self.stats.shard_failures += 1
         for shard_id, _, _ in calls:
-            if shard_id not in replies:
+            reply = replies.get(shard_id)
+            if reply is None:
                 scatter.failed.append(shard_id)
             elif self._shard_timed_out(
-                collection_seconds(replies[shard_id]), penalties, shard_id
+                max((r.collection_seconds for r in reply.results), default=0.0),
+                penalties,
+                shard_id,
             ):
                 scatter.timed_out.append(shard_id)
             else:
-                scatter.shard_results[shard_id] = replies[shard_id]
+                scatter.shard_results[shard_id] = reply
         return scatter
 
     # ------------------------------------------------------------------
@@ -801,16 +796,13 @@ class FederatedPortal:
         Answer-preserving: every sensor of the shard lies inside its
         MBR, so polygon ∩ MBR keeps exactly the shard's in-polygon
         sensors (clipping is boundary-inclusive, like ``contains_point``).
-        Single-shard scatters and rectangles (including polygons that
-        *are* axis-aligned rectangles) pass through untouched, keeping
-        the 1-shard federation bit-identical to the unsharded portal.
+        Single-shard scatters and rectangles (a rectangle drawn as a
+        polygon is one by now: :func:`normalize_region`) pass through
+        untouched, keeping the 1-shard federation bit-identical to the
+        unsharded portal.
         """
         region = query.region
-        if (
-            n_routed <= 1
-            or not isinstance(region, Polygon)
-            or region.as_rect() is not None
-        ):
+        if n_routed <= 1 or not isinstance(region, Polygon):
             return query
         assert self._directory is not None
         clipped = region.clip_to_rect(self._directory.entry(shard_id).mbr)
@@ -1024,8 +1016,7 @@ class FederatedPortal:
             [
                 (shard_id, "execute_batch", (subqueries[shard_id],))
                 for shard_id in sorted(subqueries)
-            ],
-            collection_seconds=_slowest_answer,
+            ]
         )
         scatters = [
             _Scatter(routes=routes, penalties=tick.penalties) for routes in routes_list
@@ -1063,42 +1054,11 @@ class FederatedPortal:
         came up short, run the bounded cross-shard top-up rounds before
         merging.  The scatter is :meth:`execute_batch`'s, for a batch of
         one, without the tick's accounting."""
+        query = normalize_region(query)
         return self._finish(query, self._scatter_queries((query,))[0][0])
 
-    def execute_polygon(self, query: SensorQuery) -> FederatedResult:
-        """Scatter one polygon query through the per-shard geoblock path.
-
-        Rectangles — plain ``Rect`` regions and polygons that *are*
-        axis-aligned rectangles — dispatch to :meth:`execute` and are
-        bit-identical to it.  Sampled (or cap-demoted) polygon queries
-        also go through :meth:`execute` — the layered sampler is exact
-        over the ``Polygon`` region and the shares must be split by the
-        usual overlap rule.  A genuinely exact polygon scatters the
-        shards' ``execute_polygon`` with each sub-query clipped to the
-        shard's MBR (:meth:`_clip_subquery`), so every shard answers its
-        own polygon piece from its geoblock grid and clipped boundary
-        sub-queries; the gather merges shard answers as usual (sensors
-        are partitioned across shards, so no cross-shard dedup is
-        needed).
-        """
-        self._ensure_index()
-        region = query.region
-        if isinstance(region, Polygon):
-            rect = region.as_rect()
-            if rect is not None:
-                return self.execute(replace(query, region=rect))
-        if isinstance(region, Rect) or self._federated_target(query) is not None:
-            return self.execute(query)
-        # Shards have no polygon batch: one ``execute_polygon`` call each.
-        routes = self._route(query)
-        self.stats.queries += 1
-        plan = self._scatter_plan(query, routes)
-        self.stats.subqueries_scattered += len(plan)
-        scatter = self._scatter_calls(
-            [(shard_id, "execute_polygon", (subquery,)) for shard_id, subquery in plan],
-            routes,
-        )
-        return self._finish(query, scatter)
+    # Only because the e2e tracer's TRACE_POINTS names it (ROADMAP item 6(e)).
+    execute_polygon = execute
 
     def execute_streaming(
         self, query: SensorQuery, deadline_seconds: float | None = None
@@ -1124,6 +1084,7 @@ class FederatedPortal:
         """
         self._ensure_index()
         self.stats.streaming_queries += 1
+        query = normalize_region(query)
         scatter = self._scatter_queries((query,))[0][0]
         penalties = scatter.penalties
         arrivals = [
@@ -1318,6 +1279,7 @@ class FederatedPortal:
         self.stats.batch_ticks += 1
         if not queries:
             return FederatedBatchResult(stats=BatchStats())
+        queries = list(map(normalize_region, queries))
         scatters, tick = self._scatter_queries(queries)
         shard_batches: dict[int, "BatchResult"] = tick.shard_results
         # Per-query cross-shard top-up (round 2+): each short sampled
@@ -1386,6 +1348,7 @@ class FederatedPortal:
         rounds, the round bound, and the per-shard pool estimates the
         residual split would draw on."""
         self._ensure_index()
+        query = normalize_region(query)
         routes = self._route(query)
         plan = self._scatter_plan(query, routes)
         per_shard: dict[int, dict[str, object]] = {}

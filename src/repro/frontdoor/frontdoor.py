@@ -12,11 +12,12 @@ and serves viewport queries cache-first:
    a portal execution;
 3. misses take one miss path, whether they arrive one by one
    (``execute``) or as a batch (``execute_batch``): every distinct
-   missing tile and every other rectangle miss run as one portal batch
-   (shared traversals; a lone query is the portal's ``execute``, its
-   batch of one), tile-planned queries compose from the filled tiles,
-   and polygon misses run the portal's geoblock path — and the full
-   answers (never partial ones) are stored for the next viewer.
+   missing tile and every other miss, rectangle or polygon, run as one
+   portal batch (shared traversals; a lone query is the portal's
+   ``execute``, its batch of one; the portal's executor plans an exact
+   polygon on its geoblock grid), tile-planned queries compose from the
+   filled tiles — and the full answers (never partial ones) are stored
+   for the next viewer.
 
 Invalidation is wired, not polled: the front door registers ingest
 listeners on every in-process tree so ``insert_readings_batch`` deltas
@@ -158,8 +159,8 @@ class FrontDoor:
         """A sensor-id → location resolver over the in-process trees'
         build-time sensor tables (first tree holding the id wins; no
         live tree, no location), or ``None`` on the process backend
-        (whose polygon viewports then skip L2 composition and run the
-        portal's exact path)."""
+        (whose polygon viewports then skip L2 composition and are
+        served as direct misses)."""
         tables = [tree._sensors for tree in self._local_trees()]
         if not tables:
             return None
@@ -292,21 +293,22 @@ class FrontDoor:
     def _serve_misses(
         self, misses: "list[_Miss]", now: float, generation: int | None
     ) -> tuple[list[FrontDoorResult], float]:
-        """The one miss path: rectangle misses without missing tiles and
-        every distinct missing tile run as ONE portal batch; tile-planned
-        queries then compose from the filled cache.  Polygon misses, and
-        tile-planned queries that cannot compose (a fill came back
-        partial, or a boundary tile could not be cropped), are served
-        directly — polygons through the portal's geoblock path — and
-        stored as viewports.  Partial answers are never stored.
-        Returns the served results in order and the modeled makespan."""
+        """The one miss path: misses without missing tiles (rectangles
+        and polygons alike — the portal decides how to answer a polygon)
+        and every distinct missing tile run as ONE portal batch;
+        tile-planned queries then compose from the filled cache.  A
+        tile-planned query that cannot compose (a fill came back
+        partial, or a boundary tile could not be cropped) is served
+        directly by the portal's ``execute``.  Direct answers are stored
+        as viewports; partial answers never are.  Returns the served
+        results in order and the modeled makespan."""
         direct: list[int] = []
         fills: dict = {}  # tile cache key -> (tile, exemplar query)
         for i, (q, _, missing) in enumerate(misses):
             if missing:
                 for tile in missing:
                     fills.setdefault(self.cache.tile_key(tile, q), (tile, q))
-            elif not isinstance(q.region, Polygon):
+            else:
                 direct.append(i)
         portal_queries = [misses[i][0] for i in direct]
         if fills:
@@ -334,7 +336,7 @@ class FrontDoor:
                     locate=self._sensor_locator(),
                 )
             if composed is None:
-                result = self._run_portal(q)
+                result = self.portal.execute(q)
                 service += result.end_to_end_seconds
                 results[i] = self._served_directly(misses[i], result)
                 continue
@@ -365,13 +367,6 @@ class FrontDoor:
         return batch.results, batch.stats.collection_seconds + sum(
             r.processing_seconds for r in batch.results
         )
-
-    def _run_portal(self, q: SensorQuery) -> PortalResult:
-        """Direct (uncached) execution: polygon viewports take the
-        portal's geoblock path, everything else the plain one."""
-        if isinstance(q.region, Polygon):
-            return self.portal.execute_polygon(q)
-        return self.portal.execute(q)
 
     def _served_directly(self, miss: "_Miss", result: PortalResult) -> FrontDoorResult:
         """A portal answer served as is, and stored as the viewport."""

@@ -18,11 +18,13 @@ it fuses a pre-aggregated **geoblock grid** with the COLR slot cache:
     COLR-Tree sub-queries over the Sutherland–Hodgman clip of the
     polygon to the cell).
 
-``execute_polygon`` (:mod:`repro.geoblocks.executor`)
-    Composes one :class:`PolygonResult` from the cell plan with exact
-    sensor dedup at shared cell edges.  An axis-aligned rectangular
-    polygon short-circuits to the plain rectangle path and is
-    bit-identical to ``SensorMapPortal.execute``.
+``plan_query`` / ``execute_polygon`` (:mod:`repro.geoblocks.executor`)
+    What the portal's batch executor calls: ``plan_query`` decides,
+    once per query, whether an exact polygon is answered through a cell
+    plan; ``execute_polygon`` composes a planned polygon's per-tree
+    answers with exact sensor dedup at shared cell edges, and the
+    executor builds its :class:`PolygonResult`.  Any entry point reaches
+    this path — there is no polygon method to call.
 
 ``SlidingWindow`` (:mod:`repro.geoblocks.windows`)
     Moving-viewport / k-step temporal analytic windows that reuse the

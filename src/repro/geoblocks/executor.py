@@ -1,20 +1,17 @@
-"""Polygon query execution: cell plan → composed ``PolygonResult``.
+"""Polygon query execution: cell plan → per-tree composed answers.
 
-The executor is the portal-side half of the geoblock subsystem:
-
-1. An axis-aligned **rectangular polygon** is detected up front and
-   dispatched down the plain rectangle path — ``execute_polygon`` on
-   such a region is bit-identical (answer, probes, stats) to
-   ``execute`` on the equivalent ``Rect``.
-2. An eligible genuine polygon (exact, un-zoomed query on an uncapped
-   portal) is rasterized by :func:`repro.geoblocks.planner.plan_polygon`;
-   interior cells are served probe-free from the grid when their whole
-   population is fresh in the leaf slot caches (falling back to an exact
-   per-cell tree query otherwise), boundary cells run exact COLR sub-queries over the
-   Sutherland–Hodgman clip of the polygon to the cell.
-3. Everything else (sampled, zoomed, capped) falls back to
-   ``portal.execute`` — ``Polygon`` implements the full Region
-   protocol, so the tree answers it exactly without the grid.
+The portal's batch executor (:mod:`repro.portal.batch`) asks
+:func:`plan_query` once per query whether to answer it through a cell
+plan; every query it is not planned for takes the plain traversal
+(``Polygon`` implements the full Region protocol, so the tree answers it
+exactly without the grid).  A planned polygon is rasterized by
+:func:`repro.geoblocks.planner.plan_polygon`; interior cells are served
+probe-free from the grid when their whole population is fresh in the
+leaf slot caches (falling back to an exact per-cell tree query
+otherwise), boundary cells run exact COLR sub-queries over the
+Sutherland–Hodgman clip of the polygon to the cell.
+:func:`execute_polygon` returns one composed answer per type tree and
+the plan's counts; the batch executor builds the :class:`PolygonResult`.
 
 Compose dedups sensors **by id** at shared cell edges: sub-queries use
 closed cell geometry, so a sensor sitting exactly on an edge can answer
@@ -26,16 +23,17 @@ sketch could not be deduplicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.lookup import QueryAnswer
-from repro.geoblocks.planner import boundary_subregion, plan_polygon
-from repro.geometry import Polygon, Rect
+from repro.geoblocks.planner import CellPlan, boundary_subregion, plan_polygon
+from repro.geometry import Polygon
 from repro.geometry.grid import cell_rect
 from repro.portal.portal import PortalResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.tree import COLRTree
     from repro.portal.portal import SensorMapPortal
     from repro.portal.query import SensorQuery
 
@@ -58,51 +56,39 @@ class PolygonResult(PortalResult):
     interior_probes: int = 0
 
 
-def grid_eligible(portal: "SensorMapPortal", query: "SensorQuery") -> bool:
-    """Whether the geoblock fast path may serve this query: the compose
-    is exact per-sensor, so the portal must be uncapped and the query
-    exact and un-zoomed (grouping via ``cluster_miles`` composes fine —
-    it groups the merged readings)."""
-    return (
-        portal.max_sensors_per_query is None
+def plan_query(portal: "SensorMapPortal", query: "SensorQuery") -> CellPlan | None:
+    """The cell plan ``query`` is answered through, or ``None`` for the
+    plain traversal.  The compose is exact per sensor, so only a genuine
+    polygon on an uncapped portal, exact and un-zoomed, is planned
+    (grouping via ``cluster_miles`` composes fine — it groups the merged
+    readings), and only when its cover fits the grid's cell budget."""
+    region = query.region
+    if not (
+        isinstance(region, Polygon)
+        and portal.max_sensors_per_query is None
         and query.sample_size in (None, 0)
         and query.zoom_level is None
-    )
+    ):
+        return None
+    config = portal.geoblocks().config
+    return plan_polygon(region, config.cell_degrees, config.max_cells_per_query)
 
 
 def execute_polygon(
-    portal: "SensorMapPortal", query: "SensorQuery"
-) -> PortalResult:
-    """Execute a polygon viewport against one portal (see module doc)."""
-    region = query.region
-    if isinstance(region, Rect):
-        return portal.execute(query)
-    assert isinstance(region, Polygon)
-    rect = region.as_rect()
-    if rect is not None:
-        # Rectangle drawn as a polygon: the rectangle path *is* the
-        # exact answer, and normalizing the region keeps the result
-        # (including its query field) bit-identical to execute().
-        return portal.execute(replace(query, region=rect))
-    if not grid_eligible(portal, query):
-        return portal.execute(query)
+    portal: "SensorMapPortal",
+    query: "SensorQuery",
+    plan: CellPlan,
+    trees: "Mapping[str, COLRTree]",
+    now: float,
+) -> tuple[list[QueryAnswer], tuple[int, int, int, int]]:
+    """Answer one planned polygon on each of its type trees.
+
+    Returns one composed answer per tree, in ``trees`` order, and the
+    :class:`PolygonResult` counts: interior cells, boundary cells, grid
+    cells served and interior probes."""
     grid = portal.geoblocks()
-    plan = plan_polygon(
-        region, grid.config.cell_degrees, grid.config.max_cells_per_query
-    )
-    if plan is None:
-        return portal.execute(query)
-
-    portal._ensure_index()
-    now = portal.clock.now()
-    trees, _ = portal._resolve(query)
-
-    from repro.portal.grouping import concat_groups, group_answer
-
+    region = query.region
     answers: list[QueryAnswer] = []
-    groups = []
-    processing = 0.0
-    collection = 0.0
     grid_served = 0
     interior_probes = 0
     staleness = query.staleness_seconds
@@ -156,21 +142,9 @@ def execute_polygon(
         merged.stats.polygon_cells_interior += len(plan.interior)
         merged.stats.polygon_cells_boundary += len(plan.boundary)
         answers.append(merged)
-        processing += portal.cost_model.processing_seconds(merged.stats)
-        collection += merged.stats.collection_latency_seconds
-        groups.append(group_answer(merged, query.cluster_miles, tree=tree))
+    interior = len(plan.interior) * len(trees)
+    boundary = len(plan.boundary) * len(trees)
     net = portal.network.stats
-    net.polygon_cells_interior += len(plan.interior) * len(trees)
-    net.polygon_cells_boundary += len(plan.boundary) * len(trees)
-    return PolygonResult(
-        query=query,
-        groups=concat_groups(groups),
-        answers=answers,
-        processing_seconds=processing,
-        collection_seconds=collection,
-        sample_requested=None,
-        interior_cells=len(plan.interior) * len(trees),
-        boundary_cells=len(plan.boundary) * len(trees),
-        grid_cells_served=grid_served,
-        interior_probes=interior_probes,
-    )
+    net.polygon_cells_interior += interior
+    net.polygon_cells_boundary += boundary
+    return answers, (interior, boundary, grid_served, interior_probes)

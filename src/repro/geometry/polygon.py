@@ -99,10 +99,9 @@ class Polygon:
         exactly one (its four vertices are the four corners of its own
         bounding box), else ``None``.
 
-        The polygon query planners use this to detect rectangles drawn
-        as polygons and route them down the plain rectangle path, which
-        keeps ``execute_polygon`` bit-identical to ``execute`` on such
-        regions.  Degenerate (zero-area) rings are never rectangles.
+        ``repro.portal.query.normalize_region`` uses this to answer a
+        rectangle drawn as a polygon as the ``Rect`` itself, bit for bit.
+        Degenerate (zero-area) rings are never rectangles.
         """
         if len(self.vertices) != 4:
             return None

@@ -6,18 +6,19 @@ module decides what that object is.  A worker turns every reply into
 with :func:`unpack`; the kind is chosen from the reply itself, never
 from a setting.
 
-``"result"`` / ``"batch"`` — the hot replies (``execute``,
-``execute_polygon``, ``execute_batch``) whose groups are a
-:class:`~repro.portal.grouping.GroupView` travel as columns, not as an
+``"batch"`` — the hot reply, and the only op the coordinator scatters
+(``execute_batch``: a lone query is a batch of one, a polygon an
+ordinary query): a ``BatchResult`` whose results' groups are each a
+:class:`~repro.portal.grouping.GroupView` travels as columns, not as an
 object graph::
 
-    result payload = (table, [result_row])
     batch payload  = ((table, [result_row, ...]), BatchStats)
     table      = (array('q') sensor ids, array('d') values,
                   array('d') timestamps, array('d') expiries)
     result_row = (class, [answer_row, ...], processing_seconds,
                   collection_seconds, sample_requested,
-                  subclass extras, query or None)
+                  subclass extras (a PolygonResult's four counts),
+                  query or None)
     answer_row = (array('I') probed rows, array('I') cached rows,
                   cached_sketches, cached_sketch_nodes, terminals,
                   QueryStats as a tuple in QUERY_STATS_FIELDS order,
@@ -39,10 +40,10 @@ object graph::
   object back.
 
 ``"ok"`` — everything else is the reply object itself, pickled by the
-framing: ``CLUSTER`` / zoom-level results (their groups are
-``DisplayGroup`` lists), readings whose values are not floats (a custom
-``value_fn``; an ``array('d')`` would silently coerce them), ``stats``,
-``explain``, ``export_cache``, ``checkpoint``.
+framing: batches with ``CLUSTER`` / zoom-level results (their groups are
+``DisplayGroup`` lists) or readings whose values are not floats (a
+custom ``value_fn``; an ``array('d')`` would silently coerce them),
+``stats``, ``explain``, ``export_cache``, ``checkpoint``.
 
 :data:`CARRIED` names, per dataclass, the fields the columnar arm moves;
 ``tests/parallel/test_wire.py`` holds it equal to ``dataclasses.fields``
@@ -105,10 +106,6 @@ def pack(reply: object, args: tuple) -> tuple[str, object]:
         frame = _pack_results(reply.results, args[0])
         if frame is not None:
             return "batch", (frame, reply.stats)
-    elif isinstance(reply, PortalResult):
-        frame = _pack_results((reply,), args[:1])
-        if frame is not None:
-            return "result", frame
     return "ok", reply
 
 
@@ -117,9 +114,6 @@ def unpack(
 ) -> object:
     """The reply a ``(kind, payload)`` stands for, given the shard's
     sensor table and the ``args`` the op was sent with."""
-    if kind == "result":
-        (result,) = _unpack_results(payload, sensors, args[:1])
-        return result
     if kind == "batch":
         frame, stats = payload
         return BatchResult(_unpack_results(frame, sensors, args[0]), stats)

@@ -23,8 +23,12 @@ with one participant is that query's own round, booked by the same
 readings in arrival order and, when the dispatcher streams ingestion,
 the streamed maintenance on the query.  A shared round's streamed
 maintenance cannot be split by query and is the tick's.  Sampled queries
-cannot share traversals (layered sampling probes mid-descent through
-the tree RNG), so they execute sequentially after the exact phase.
+(layered sampling probes mid-descent through the tree RNG) and *planned*
+polygons — exact genuine polygons the geoblock executor answers cell by
+cell (:func:`repro.geoblocks.executor.plan_query`), each result a
+``PolygonResult`` — run alone after the exact phase, booked into the
+tick the same way.  A rectangle drawn as a polygon is its ``Rect``
+(:func:`repro.portal.query.normalize_region`).
 
 A singleton batch is bit-identical to one ``COLRTree.query`` per type
 tree (same plan-cache interaction, same probe order, hence the same
@@ -40,6 +44,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.shared_scan import ScanRequest, coalesce_probes, shared_range_scan
+# The module, not its functions: the e2e tracer wraps
+# ``execute_polygon`` on it, so the name is looked up at call time.
+from repro.geoblocks import executor as geoblocks
 from repro.portal.grouping import (
     DisplayGroup,
     concat_groups,
@@ -47,11 +54,12 @@ from repro.portal.grouping import (
     group_by_terminal,
 )
 from repro.portal.portal import PortalResult
-from repro.portal.query import SensorQuery
+from repro.portal.query import SensorQuery, normalize_region
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.lookup import QueryAnswer
     from repro.core.tree import COLRTree
+    from repro.geoblocks.planner import CellPlan
     from repro.portal.portal import SensorMapPortal
     from repro.transport.dispatcher import ProbeRound
 
@@ -200,19 +208,25 @@ def execute_batch(
         return BatchResult(stats=stats)
     portal._ensure_index()
     now = portal.clock.now()
+    queries = list(map(normalize_region, queries))
 
     # Resolve every query's trees and sample size up front, surfacing
     # unknown-type errors before any work.
     resolved = list(map(portal._resolve, queries))
 
-    # Partition (query, tree) pairs: exact scans batch per tree; sampled
-    # ones run alone (their probes happen mid-traversal, RNG-driven).
+    # Partition: exact scans batch per tree; sampled queries and planned
+    # polygons run alone, in query order (a sampled query's probes happen
+    # mid-traversal, RNG-driven; a planned one's per cell).
     sampling_on = portal.config.sampling_enabled
     exact_by_tree: dict["COLRTree", list[int]] = {}
-    sampled_pairs: list[tuple[int, "COLRTree"]] = []
+    alone: list[int] = []
+    plans: dict[int, "CellPlan"] = {}
     for qi, (trees, sample_size) in enumerate(resolved):
         if sampling_on and sample_size > 0:
-            sampled_pairs += [(qi, tree) for tree in trees.values()]
+            alone.append(qi)
+        elif (plan := geoblocks.plan_query(portal, queries[qi])) is not None:
+            plans[qi] = plan
+            alone.append(qi)
         else:
             for tree in trees.values():
                 exact_by_tree.setdefault(tree, []).append(qi)
@@ -306,29 +320,42 @@ def execute_batch(
         else:
             stats.collection_seconds += sum(latencies)
 
-    # Sampled queries run one after another once the exact phase is
-    # done: the tick books their probes and adds their collection.  Their
-    # maintenance stays theirs (it is in their processing seconds).
-    for qi, tree in sampled_pairs:
+    # Sampled queries and planned polygons run one after another once the
+    # exact phase is done: the tick books their probes and adds their
+    # collection.  Their maintenance stays theirs (it is in their
+    # processing seconds).
+    cells: dict[int, tuple[int, int, int, int]] = {}
+    for qi in alone:
         query = queries[qi]
-        answer = answers[qi, tree] = tree.query(
-            query.region,
-            now=now,
-            max_staleness=query.staleness_seconds,
-            sample_size=resolved[qi][1],
-            terminal_level=query.zoom_level,
-        )
-        s = answer.stats
-        stats.probes_requested += s.sensors_probed
-        stats.probes_issued += s.sensors_probed
-        stats.probes_contacted += (
-            s.sensors_probed - s.probes_deduped - s.probes_cooldown_skipped
-        )
-        stats.probes_deduped += s.probes_deduped
-        stats.probes_cooldown_skipped += s.probes_cooldown_skipped
-        stats.probes_retried += s.probes_retried
-        stats.probes_timed_out += s.probes_timed_out
-        stats.collection_seconds += s.collection_latency_seconds
+        trees, sample_size = resolved[qi]
+        if qi in plans:
+            own, cells[qi] = geoblocks.execute_polygon(
+                portal, query, plans[qi], trees, now
+            )
+        else:
+            own = [
+                tree.query(
+                    query.region,
+                    now=now,
+                    max_staleness=query.staleness_seconds,
+                    sample_size=sample_size,
+                    terminal_level=query.zoom_level,
+                )
+                for tree in trees.values()
+            ]
+        for tree, answer in zip(trees.values(), own):
+            answers[qi, tree] = answer
+            s = answer.stats
+            stats.probes_requested += s.sensors_probed
+            stats.probes_issued += s.sensors_probed
+            stats.probes_contacted += (
+                s.sensors_probed - s.probes_deduped - s.probes_cooldown_skipped
+            )
+            stats.probes_deduped += s.probes_deduped
+            stats.probes_cooldown_skipped += s.probes_cooldown_skipped
+            stats.probes_retried += s.probes_retried
+            stats.probes_timed_out += s.probes_timed_out
+            stats.collection_seconds += s.collection_latency_seconds
 
     results: list[PortalResult] = []
     cost_model = portal.cost_model
@@ -347,16 +374,17 @@ def execute_batch(
                 groups.append(group_by_terminal(answer, tree, query.zoom_level))
             else:
                 groups.append(group_answer(answer, query.cluster_miles, tree=tree))
+        extras = cells.get(qi, ())
+        cls = geoblocks.PolygonResult if extras else PortalResult
         results.append(
-            PortalResult(
-                query=query,
-                groups=concat_groups(groups),
-                answers=query_answers,
-                processing_seconds=processing,
-                collection_seconds=collection,
-                sample_requested=(
-                    sample_size * len(trees) if sample_size and sampling_on else None
-                ),
+            cls(
+                query,
+                concat_groups(groups),
+                query_answers,
+                processing,
+                collection,
+                sample_size * len(trees) if sample_size and sampling_on else None,
+                *extras,
             )
         )
     stats.wall_seconds = time.perf_counter() - wall_start

@@ -130,8 +130,8 @@ class SensorMapPortal:
         probe-free for fresh slots.  ``None`` (the default) keeps the
         historical in-memory behavior bit-identical.
 
-        ``geoblocks`` configures the pre-aggregated geoblock grid behind
-        ``execute_polygon`` (``repro.geoblocks``); ``None`` uses the
+        ``geoblocks`` configures the geoblock grid the executor plans
+        exact polygon queries on (``repro.geoblocks``); ``None`` uses the
         default grid config.  The grid itself is built lazily on the
         first polygon query that needs it."""
         if max_sensors_per_query is not None and max_sensors_per_query < 1:
@@ -543,19 +543,8 @@ class SensorMapPortal:
         self._geoblocks.sync()
         return self._geoblocks
 
-    def execute_polygon(self, query: SensorQuery) -> PortalResult:
-        """Execute a polygon-region query via the geoblock planner.
-
-        An axis-aligned rectangular polygon (or a plain ``Rect`` region)
-        is answered bit-identically to :meth:`execute`; a genuine
-        polygon on an uncapped portal composes grid-served interior
-        cells with exact clipped boundary sub-queries; everything else
-        falls back to :meth:`execute` (``Polygon`` is a full Region).
-        See :mod:`repro.geoblocks.executor`.
-        """
-        from repro.geoblocks.executor import execute_polygon
-
-        return execute_polygon(self, query)
+    # Only because the e2e tracer's TRACE_POINTS names it (ROADMAP item 6(e)).
+    execute_polygon = execute
 
     def stats(self) -> dict[str, object]:
         """Operational summary: per-type index shape, cache occupancy,

@@ -9,7 +9,7 @@ extensions — ``CLUSTER`` (viewport grouping distance in miles) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.geometry import Polygon, Rect
 
@@ -65,3 +65,16 @@ class SensorQuery:
             raise ValueError("sample_size must be non-negative when given")
         if self.zoom_level is not None and self.zoom_level < 0:
             raise ValueError("zoom_level must be non-negative when given")
+
+
+def normalize_region(query: SensorQuery) -> SensorQuery:
+    """``query`` with a rectangle drawn as a polygon replaced by its
+    ``Rect``; any other query as it is.  The portal's executor and the
+    federation coordinator apply it first, so only a genuine polygon is
+    ever answered as one."""
+    region = query.region
+    if isinstance(region, Polygon):
+        rect = region.as_rect()
+        if rect is not None:
+            return replace(query, region=rect)
+    return query

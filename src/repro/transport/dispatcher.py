@@ -318,7 +318,8 @@ class ProbeDispatcher:
         the shared event queue is processed until every target round
         resolves (other rounds' events are processed as encountered —
         that is the overlap); otherwise rounds run one at a time in
-        submission order.
+        submission order, and a target waiting on another round's
+        in-flight probe has that owner round run first.
         """
         targets = [
             r
@@ -331,6 +332,18 @@ class ProbeDispatcher:
             self._run(self._events, self._conn, targets)
         else:
             wanted = set(targets)  # rounds hash by identity
+            # Only the owner's run contacts a sensor a waiter attached to
+            # (a dedup still outstanding); owners were submitted first, so
+            # they run first below.
+            stack = list(targets)
+            while stack:
+                rnd = stack.pop()
+                for sid in rnd.deduped:
+                    if sid in rnd.outstanding:
+                        owner = self._inflight[sid].rounds[0]
+                        if owner not in wanted:
+                            wanted.add(owner)
+                            stack.append(owner)
             for rnd in [r for r in self._unresolved if r in wanted]:
                 if rnd.resolved:
                     continue

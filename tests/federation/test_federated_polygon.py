@@ -15,6 +15,7 @@ from repro.federation import FederatedPortal
 from repro.geoblocks.executor import PolygonResult
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
+from tests.portal.reference_execute import reference_execute
 
 # Spans all four GridPartitioner quadrants of the 100x100 extent while
 # keeping the bounding box under the default 4096-cell plan budget.
@@ -63,7 +64,8 @@ def _values(result) -> dict[int, float]:
 class TestConservation:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_multi_shard_polygon_conserves_the_exact_answer(self, n_shards):
-        exact = _unsharded().execute(QUERY)
+        # The plain traversal: ``execute`` would plan the triangle too.
+        exact = reference_execute(_unsharded(), QUERY)
         assert len(_ids(exact)) > 0
         fed = _federation(n_shards=n_shards)
         merged = fed.execute_polygon(QUERY)

@@ -65,17 +65,21 @@ def _shard(n: int = 150, seed: int = 0, value_fn=None, availability: float = 1.0
     return portal, {s.sensor_id: s for s in portal.registry.all()}
 
 
-def _call(portal: SensorMapPortal, query: SensorQuery) -> PortalResult:
-    op = "execute_polygon" if isinstance(query.region, Polygon) else "execute"
-    return getattr(portal, op)(query)
-
-
 def _over_the_pipe(reply, args: tuple, sensors) -> tuple[str, object]:
     kind, payload = pack(reply, args)
     kind, payload = pickle.loads(
         pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
     )
     return kind, unpack(kind, payload, sensors, args)
+
+
+def _alone_over_the_pipe(
+    result: PortalResult, query: SensorQuery, sensors
+) -> tuple[str, PortalResult]:
+    """One result as a lone query's reply travels: in the batch frame of
+    an ``execute_batch([query])``."""
+    kind, back = _over_the_pipe(BatchResult([result]), ([query],), sensors)
+    return kind, back.results[0]
 
 
 def _all_readings(results) -> list[Reading]:
@@ -116,9 +120,9 @@ class TestRoundTrip:
         batch, _ = _shard(seed=seed, availability=availability)
         for _tick in range(2):  # cold, then warm: cached readings and sketches
             for query in asked:
-                result = _call(single, query)
-                kind, back = _over_the_pipe(result, (query,), sensors)
-                assert kind == "result"
+                result = single.execute(query)
+                kind, back = _alone_over_the_pipe(result, query, sensors)
+                assert kind == "batch"
                 assert type(back) is type(result)
                 # query, groups, answers, timings, sample_requested
                 assert back == result
@@ -143,7 +147,7 @@ class TestRoundTrip:
         portal.clock.advance(1.0)
         warm = portal.execute(wide)
         sampled = portal.execute(replace(wide, sample_size=20))
-        polygon = portal.execute_polygon(replace(wide, region=TRIANGLE))
+        polygon = portal.execute(replace(wide, region=TRIANGLE))
         empty = portal.execute(replace(wide, region=REGIONS["empty"]))
         assert any(a.probed_readings for a in cold.answers)
         assert any(a.cached_sketches for a in warm.answers)
@@ -151,21 +155,21 @@ class TestRoundTrip:
         assert isinstance(polygon, PolygonResult) and polygon.boundary_cells > 0
         assert empty.result_weight == 0
         for result in (cold, warm, sampled, polygon, empty):
-            kind, back = _over_the_pipe(result, (result.query,), sensors)
-            assert kind == "result" and back == result
+            kind, back = _alone_over_the_pipe(result, result.query, sensors)
+            assert kind == "batch" and back == result
             assert type(back) is type(result)
 
     def test_an_echoed_query_is_not_sent_and_a_rewritten_one_is(self):
         portal, sensors = _shard()
         echoed = SensorQuery(region=REGIONS["rect"], staleness_seconds=STALENESS)
-        result = portal.execute(echoed)
-        assert b"SensorQuery" not in pickle.dumps(pack(result, (echoed,)))
-        assert _over_the_pipe(result, (echoed,), sensors)[1].query is echoed
+        tick = portal.execute_batch([echoed])
+        assert b"SensorQuery" not in pickle.dumps(pack(tick, ([echoed],)))
+        assert _over_the_pipe(tick, ([echoed],), sensors)[1].results[0].query is echoed
         # A rectangle drawn as a polygon comes back with a Rect region.
         drawn = replace(echoed, region=REGIONS["rect_as_polygon"])
-        result = portal.execute_polygon(drawn)
+        result = portal.execute(drawn)
         assert result.query != drawn
-        _, back = _over_the_pipe(result, (drawn,), sensors)
+        _, back = _alone_over_the_pipe(result, drawn, sensors)
         assert back.query == result.query and back == result
 
 
@@ -199,7 +203,7 @@ class TestGroupsResolveThroughTheShardTable:
     def test_unpacked_views_hold_the_table_by_reference(self):
         portal, sensors = _shard()
         query = SensorQuery(region=REGIONS["rect"], staleness_seconds=STALENESS)
-        _, back = _over_the_pipe(portal.execute(query), (query,), sensors)
+        _, back = _alone_over_the_pipe(portal.execute(query), query, sensors)
         assert len(back.groups.parts) == len(back.answers) > 0
         for (viewed, sources, _), answer in zip(back.groups.parts, back.answers):
             assert viewed is answer
@@ -217,7 +221,7 @@ class TestGroupsResolveThroughTheShardTable:
         portal.clock.advance(1.0)
         live += [portal.execute(tile) for tile in tiles]  # warm: with sketches
         unpacked = [
-            _over_the_pipe(result, (result.query,), sensors)[1] for result in live
+            _alone_over_the_pipe(result, result.query, sensors)[1] for result in live
         ]
 
         def compose(results):
@@ -246,25 +250,27 @@ class TestPickleArm:
         portal, sensors = _shard()
         base = SensorQuery(region=REGIONS["wide"], staleness_seconds=STALENESS)
         for query in (replace(base, cluster_miles=40.0), replace(base, zoom_level=1)):
-            result = portal.execute(query)
+            tick = portal.execute_batch([query])
+            (result,) = tick.results
             assert isinstance(result.groups, list) and result.groups
-            back = self._assert_plain(result, (query,), sensors)
-            assert isinstance(back.groups, list)
+            back = self._assert_plain(tick, ([query],), sensors)
+            assert isinstance(back.results[0].groups, list)
             tick = portal.execute_batch([base, query])
             self._assert_plain(tick, ([base, query],), sensors)
 
     def test_values_that_are_not_floats_keep_their_type(self):
         portal, sensors = _shard(value_fn=lambda sensor, now: sensor.sensor_id % 7)
         query = SensorQuery(region=REGIONS["wide"], staleness_seconds=STALENESS)
-        result = portal.execute(query)
-        back = self._assert_plain(result, (query,), sensors)
-        values = [r.value for r in _all_readings([back])]
+        tick = portal.execute_batch([query])
+        back = self._assert_plain(tick, ([query],), sensors)
+        values = [r.value for r in _all_readings(back.results)]
         assert values and all(type(v) is int for v in values)
 
     def test_everything_that_is_not_a_result(self):
         portal, sensors = _shard()
         query = SensorQuery(region=REGIONS["rect"], staleness_seconds=STALENESS)
-        portal.execute(query)
+        # No op returns a lone result: one is pickled whole.
+        self._assert_plain(portal.execute(query), (query,), sensors)
         for op, args in (
             ("stats", ()),
             ("explain", (query,)),
@@ -276,10 +282,10 @@ class TestPickleArm:
     def test_a_result_from_an_op_without_a_query_argument(self):
         portal, sensors = _shard()
         query = SensorQuery(region=REGIONS["rect"], staleness_seconds=STALENESS)
-        result = portal.execute(query)
-        # Nothing to echo against: the query itself is sent.
-        kind, back = _over_the_pipe(result, (), sensors)
-        assert kind == "ok" and back == result
+        tick = portal.execute_batch([query])
+        # Nothing to align the results with: the reply is sent whole.
+        kind, back = _over_the_pipe(tick, (), sensors)
+        assert kind == "ok" and back == tick
 
 
 class TestSchemaGuard:
@@ -315,9 +321,11 @@ class TestSchemaGuard:
             grid_cells_served=3,
             interior_probes=4,
         )
-        kind, payload = pack(result, (query,))
-        assert kind == "result"
-        back = unpack(*pickle.loads(pickle.dumps((kind, payload))), sensors, (query,))
+        kind, payload = pack(BatchResult([result]), ([query],))
+        assert kind == "batch"
+        (back,) = unpack(
+            *pickle.loads(pickle.dumps((kind, payload))), sensors, ([query],)
+        ).results
         for name in (f.name for f in fields(PolygonResult) if f.name != "groups"):
             assert getattr(back, name) == getattr(result, name), name
         assert back.answers[0].stats == stats

@@ -7,17 +7,20 @@ takes exactly that loop's decisions — same plan-cache interaction, same
 probe order (hence the same network RNG draws), same ingestion, same
 stats — for every query shape: rect/polygon region, exact/sampled
 access path, cold/warmed cache, one or two sensor types, with and
-without a configured transport.
+without a configured transport.  A polygon the executor plans on its
+geoblock grid is answered differently by design; it is held to
+``execute`` bit for bit and to the loop's sensor set.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
+from repro.geoblocks import GeoBlockConfig, PolygonResult, plan_polygon
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.portal import SensorMapPortal, SensorQuery
 from repro.storage import StorageConfig
@@ -56,6 +59,14 @@ def _assert_identical(seq_result, batch_result):
     assert seq_result.groups == batch_result.groups
     assert seq_result.processing_seconds == batch_result.processing_seconds
     assert seq_result.collection_seconds == batch_result.collection_seconds
+
+
+def _sensor_ids(result) -> set[int]:
+    return {
+        r.sensor_id
+        for a in result.answers
+        for r in list(a.probed_readings) + list(a.cached_readings)
+    }
 
 
 RECTS = st.tuples(
@@ -99,7 +110,35 @@ class TestSingletonBitIdentity:
     @settings(max_examples=12, deadline=None)
     @given(region=TRIANGLES, sampled=st.booleans(), warmed=st.booleans())
     def test_polygon_queries(self, region, sampled, warmed):
-        self._check(region, sampled, warmed)
+        """The plain polygon traversal: on a fine grid with a one-cell
+        budget the executor plans nothing."""
+        grid = GeoBlockConfig(cell_degrees=0.01, max_cells_per_query=1)
+        assume(plan_polygon(region, grid.cell_degrees, 1) is None)
+        self._check(region, sampled, warmed, geoblocks=grid)
+
+    @settings(max_examples=8, deadline=None)
+    @given(region=TRIANGLES, warmed=st.booleans())
+    def test_planned_polygon_queries(self, region, warmed):
+        """An exact polygon whose cover fits the cell budget is planned:
+        ``execute`` is its singleton batch bit for bit, and the composed
+        answer holds the sensors the plain traversal returns."""
+        query = SensorQuery(region=region, staleness_seconds=120.0)
+        grid = GeoBlockConfig(cell_degrees=10.0)
+        reference, batch_portal, single_portal = (
+            _build_portal(geoblocks=grid) for _ in range(3)
+        )
+        if warmed:
+            warm = SensorQuery(
+                region=Rect(20.0, 20.0, 70.0, 70.0), staleness_seconds=120.0
+            )
+            for portal in (reference, batch_portal, single_portal):
+                reference_execute(portal, warm)
+        (planned,) = batch_portal.execute_batch([query]).results
+        assert isinstance(planned, PolygonResult)
+        assert planned.interior_cells + planned.boundary_cells > 0
+        _assert_identical(planned, single_portal.execute(query))
+        assert batch_portal.network.stats == single_portal.network.stats
+        assert _sensor_ids(planned) == _sensor_ids(reference_execute(reference, query))
 
     @settings(max_examples=8, deadline=None)
     @given(region=RECTS, sampled=st.booleans(), configured=st.booleans())

@@ -1,10 +1,14 @@
-"""A lone query is a batch of one, at every layer.
+"""A lone query is a batch of one, and a polygon is a query, at every
+layer.
 
 ``execute(q)`` on the portal, the federation coordinator and the front
 door serves ``q`` through the same path ``execute_batch([q])`` does, so
-the two agree on everything a result carries.  Each ``TestDivergence``
-case is a place where they used to disagree: shard retries, the gather
-deadline on a sampled query, and a polygon miss at the front door.
+the two agree on everything a result carries — and so does
+``execute_polygon(q)``, an alias.  Each ``TestDivergence`` case is a
+place where they used to disagree: shard retries, the gather deadline on
+a sampled query, and a polygon miss at the front door.
+``TestOnePolygonPath`` holds every other entry point a polygon can reach
+to the geoblock cell plan the executor decides on.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from repro.federation import FederatedPortal, FederationConfig
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
 from repro.geoblocks.executor import PolygonResult
 from repro.geometry import GeoPoint, Polygon, Rect
-from repro.portal import SensorMapPortal, SensorQuery
+from repro.portal import ContinuousQueryManager, SensorMapPortal, SensorQuery, parse_query
 from repro.transport import TransportConfig
 
 NETWORK = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
@@ -92,6 +96,7 @@ HEXAGON = Polygon(
     GeoPoint(50.0 + 18.0 * math.cos(a), 50.0 + 18.0 * math.sin(a))
     for a in (k * math.pi / 3 for k in range(6))
 )
+HEXAGON_QUERY = SensorQuery(region=HEXAGON, staleness_seconds=120.0)
 
 VIEWPORTS = [
     SensorQuery(region=Rect(10.0, 10.0, 60.0, 55.0), staleness_seconds=120.0),
@@ -103,38 +108,59 @@ VIEWPORTS = [
         staleness_seconds=120.0,
         sensor_type="wind",
     ),
-    SensorQuery(region=HEXAGON, staleness_seconds=120.0),
+    HEXAGON_QUERY,
 ]
 QUERIES = st.sampled_from(VIEWPORTS)
 
 
 class TestExecuteIsABatchOfOne:
-    """Twin stacks: one asked ``execute(q)``, the other
-    ``execute_batch([q])``, tick after tick."""
+    """Triplet stacks: one asked ``execute(q)``, one
+    ``execute_polygon(q)``, the third ``execute_batch([q])``, tick after
+    tick."""
 
     @settings(max_examples=10, deadline=None)
     @given(queries=st.lists(QUERIES, min_size=1, max_size=4), configured=st.booleans())
     def test_portal(self, queries, configured):
         transport = TransportConfig() if configured else None
-        single, batch = _portal(transport=transport), _portal(transport=transport)
+        single, alias, batch = (_portal(transport=transport) for _ in range(3))
         for query in queries:
-            _same(single.execute(query), batch.execute_batch([query]).results[0])
-            for portal in (single, batch):
+            one = single.execute(query)
+            _same(one, alias.execute_polygon(query))
+            _same(one, batch.execute_batch([query]).results[0])
+            for portal in (single, alias, batch):
                 portal.clock.advance(40.0)
-        assert single.network.stats == batch.network.stats
+        assert single.network.stats == alias.network.stats == batch.network.stats
 
     @settings(max_examples=10, deadline=None)
     @given(queries=st.lists(QUERIES, min_size=1, max_size=4), configured=st.booleans())
     def test_federation(self, queries, configured):
         transport = TransportConfig() if configured else None
-        single = _federation(transport=transport)
-        batch = _federation(transport=transport)
+        single, alias, batch = (_federation(transport=transport) for _ in range(3))
         for query in queries:
-            _same(single.execute(query), batch.execute_batch([query]).results[0])
-            for fed in (single, batch):
+            one = single.execute(query)
+            _same(one, alias.execute_polygon(query))
+            _same(one, batch.execute_batch([query]).results[0])
+            for fed in (single, alias, batch):
                 fed.clock.advance(40.0)
-        for a, b in zip(single.shards(), batch.shards()):
-            assert a.network.stats == b.network.stats
+        for a, b, c in zip(single.shards(), alias.shards(), batch.shards()):
+            assert a.network.stats == b.network.stats == c.network.stats
+
+    def test_federated_polygon_on_the_process_backend(self):
+        """The process backend sends a polygon as an ordinary
+        ``execute_batch`` sub-query, and its shards plan it."""
+        config = FederationConfig(execution="process")
+        stacks = [_federation(config) for _ in range(3)]
+        try:
+            single, alias, batch = stacks
+            one = single.execute(HEXAGON_QUERY)
+            _same(one, alias.execute_polygon(HEXAGON_QUERY))
+            _same(one, batch.execute_batch([HEXAGON_QUERY]).results[0])
+            assert len(one.shard_results) > 1
+            for result in one.shard_results.values():
+                assert isinstance(result, PolygonResult)
+        finally:
+            for fed in stacks:
+                fed.close()
 
     @pytest.mark.parametrize("l2_enabled", [True, False], ids=["l2", "no-l2"])
     def test_front_door(self, l2_enabled):
@@ -207,6 +233,64 @@ class TestDivergence:
         assert isinstance(other.result, PolygonResult)
         assert _readings(one.result) == _readings(other.result)
         assert other.result.interior_cells + other.result.boundary_cells > 0
+
+
+class TestOnePolygonPath:
+    """A genuine exact polygon reaches the geoblock cell plan from every
+    entry point, not only from the one named after it."""
+
+    def test_execute_sql(self):
+        ring = ", ".join(f"({v.y!r}, {v.x!r})" for v in HEXAGON.vertices)
+        sql = (
+            f"SELECT count(*) FROM sensor S WHERE S.location WITHIN Polygon({ring}) "
+            "AND S.time BETWEEN now()-2 AND now() mins"
+        )
+        result = _portal().execute_sql(sql)
+        assert isinstance(result, PolygonResult)
+        _same(result, _portal().execute_polygon(parse_query(sql)))
+
+    def test_continuous_subscription(self):
+        portal = _portal()
+        manager = ContinuousQueryManager(portal)
+        subscription = manager.subscribe(HEXAGON_QUERY, refresh_seconds=45.0)
+        manager.tick()
+        assert isinstance(subscription.last_result, PolygonResult)
+        _same(subscription.last_result, _portal().execute_polygon(HEXAGON_QUERY))
+
+    def test_execute_streaming(self):
+        final = _federation().execute_streaming(HEXAGON_QUERY).final
+        assert len(final.shard_results) > 1
+        for result in final.shard_results.values():
+            assert isinstance(result, PolygonResult)
+        _same(final, _federation().execute_polygon(HEXAGON_QUERY))
+
+    def test_front_door_sends_polygon_and_rectangle_misses_in_one_batch(self):
+        """Two direct misses, one a polygon: one ``execute_batch`` call
+        per routed shard, and no other shard op."""
+        fed = _federation()
+        door = FrontDoor(
+            fed,
+            FrontDoorConfig(l2_enabled=False, admission=AdmissionConfig(enabled=False)),
+        )
+        sent: list[tuple[int, str]] = []
+        attempt = fed._backend.attempt
+
+        def counting(calls):
+            sent.extend((shard_id, op) for shard_id, op, _ in calls)
+            return attempt(calls)
+
+        fed._backend.attempt = counting
+        rectangle = VIEWPORTS[0]
+        served = door.execute_batch([HEXAGON_QUERY, rectangle]).results
+        assert [r.served_from for r in served] == ["portal", "portal"]
+        routed = {
+            route.shard_id
+            for query in (HEXAGON_QUERY, rectangle)
+            for route in fed.directory.route(query.region)
+        }
+        assert sorted(sent) == [(shard_id, "execute_batch") for shard_id in sorted(routed)]
+        for result in served[0].result.shard_results.values():
+            assert isinstance(result, PolygonResult)
 
 
 class TestSampledQueriesBillTheTick:

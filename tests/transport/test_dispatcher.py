@@ -105,6 +105,32 @@ def test_inflight_waiters_share_one_contact():
     assert d.stats.dedup_inflight == len(ids)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        TransportConfig.parity(),
+        TransportConfig.parity(max_retries=2),
+        TransportConfig(seed=5, inflight_ttl=0.0, cooldown_seconds=0.0),
+    ],
+    ids=["sync", "retries", "overlap"],
+)
+def test_draining_a_waiter_alone_runs_the_round_it_waits_on(config):
+    """``drain([waiter])`` while the waiter's shared sensor is the owner
+    round's to contact: the owner runs too, and both resolve whole."""
+    _, net = _network()
+    s0, s1, s2 = (s.sensor_id for s in net.sensors()[:3])
+    d = ProbeDispatcher(net, config)
+    owner = d.submit([s0, s1], now=0.0)
+    waiter = d.submit([s1, s2], now=0.0)
+    assert waiter.deduped == [s1]
+    d.drain([waiter])
+    assert owner.resolved and waiter.resolved
+    assert set(owner.readings) == {s0, s1}
+    assert set(waiter.readings) == {s1, s2}
+    assert owner.readings[s1] is waiter.readings[s1]
+    assert net.stats.probes_attempted == 3
+
+
 # ----------------------------------------------------------------------
 # Retry / backoff
 # ----------------------------------------------------------------------
