@@ -15,9 +15,10 @@ This module provides the per-tree batch primitives the executor
 (:mod:`repro.portal.batch`) composes:
 
 :func:`shared_range_scan`
-    runs every exact scan of a batch over one tree, resolving each
-    region's spatial plan at most once *per batch* and metering reuse
-    in ``QueryStats.batch_shared_nodes``.
+    runs every exact scan of a batch over one tree — viewports and
+    geoblock-planned polygons alike — resolving each region's spatial
+    plan at most once *per batch* and metering reuse in
+    ``QueryStats.batch_shared_nodes``.
 
 :func:`coalesce_probes`
     merges the per-query probe lists into one deduplicated union in
@@ -51,10 +52,13 @@ class ScanRequest:
 
     (``now`` is shared by the whole batch — a tick reads the clock
     once — so it is a :func:`shared_range_scan` argument, not a field.)
+    ``aggregate_termination=False`` keeps the answer per sensor (no
+    node-level sketch), as a geoblock-planned polygon's answer is.
     """
 
     region: Region
     max_staleness: float
+    aggregate_termination: bool = True
 
 
 def shared_range_scan(
@@ -93,7 +97,8 @@ def shared_range_scan(
                 batch_plans[key] = plan
         out.append(
             scan_with_plan(
-                tree, request.region, now, request.max_staleness, plan, answer
+                tree, request.region, now, request.max_staleness, plan, answer,
+                aggregate_termination=request.aggregate_termination,
             )
         )
     return out

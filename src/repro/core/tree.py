@@ -204,10 +204,9 @@ class COLRTree:
         ``aggregate_termination=False`` disables sketch
         early-termination on the exact path, so the answer carries only
         per-sensor readings (probed or cache-served) and never an
-        anonymous node-level aggregate.  The geoblock polygon planner
-        needs this for its boundary-cell sub-queries: composing cells
-        dedups shared-edge sensors *by id*, which a sketch cannot
-        provide.  The default keeps every existing path bit-identical.
+        anonymous node-level aggregate — the answer a geoblock-planned
+        polygon gets (the batch executor's ``ScanRequest`` carries the
+        same flag).  The default keeps every existing path bit-identical.
         """
         if max_staleness < 0:
             raise ValueError("max_staleness must be non-negative")

@@ -29,6 +29,7 @@ POINTS = (
     "manifest.write",  # MANIFEST.tmp is written and fsynced
     "manifest.rename",  # MANIFEST.tmp replaces MANIFEST.json
     "dir.fsync",  # a directory's entries are made durable
+    "dir.wipe",  # a wipe, its manifest gone, deletes its next data file
     "journal.intent",  # the rebalance journal records a step's intent
     "journal.prepared",  # ... advances to prepared (roll forward from here)
     "journal.committed",  # ... is deleted: the step is committed

@@ -14,17 +14,17 @@ it fuses a pre-aggregated **geoblock grid** with the COLR slot cache:
 
 ``plan_polygon`` (:mod:`repro.geoblocks.planner`)
     Rasterizes a polygon into fully *interior* cells (servable from the
-    grid without probing) and *boundary* cells (delegated to exact
-    COLR-Tree sub-queries over the Sutherland–Hodgman clip of the
-    polygon to the cell).
+    grid without probing) and *boundary* cells (the ring the outline
+    passes through).
 
 ``plan_query`` / ``execute_polygon`` (:mod:`repro.geoblocks.executor`)
     What the portal's batch executor calls: ``plan_query`` decides,
-    once per query, whether an exact polygon is answered through a cell
-    plan; ``execute_polygon`` composes a planned polygon's per-tree
-    answers with exact sensor dedup at shared cell edges, and the
-    executor builds its :class:`PolygonResult`.  Any entry point reaches
-    this path — there is no polygon method to call.
+    once per query, whether an exact polygon is planned;
+    ``execute_polygon`` is the plan step — which interior cells the
+    grid can serve, and the :class:`PolygonResult` counts.  The answer
+    itself is one exact scan of the polygon, riding the tick's shared
+    scan.  Any entry point reaches this path — there is no polygon
+    method to call.
 
 ``SlidingWindow`` (:mod:`repro.geoblocks.windows`)
     Moving-viewport / k-step temporal analytic windows that reuse the

@@ -1,24 +1,22 @@
-"""Polygon query execution: cell plan → per-tree composed answers.
+"""Polygon query planning: a polygon's cell plan, and its provenance.
 
 The portal's batch executor (:mod:`repro.portal.batch`) asks
-:func:`plan_query` once per query whether to answer it through a cell
-plan; every query it is not planned for takes the plain traversal
-(``Polygon`` implements the full Region protocol, so the tree answers it
-exactly without the grid).  A planned polygon is rasterized by
-:func:`repro.geoblocks.planner.plan_polygon`; interior cells are served
-probe-free from the grid when their whole population is fresh in the
-leaf slot caches (falling back to an exact per-cell tree query
-otherwise), boundary cells run exact COLR sub-queries over the
-Sutherland–Hodgman clip of the polygon to the cell.
-:func:`execute_polygon` returns one composed answer per type tree and
-the plan's counts; the batch executor builds the :class:`PolygonResult`.
+:func:`plan_query` once per query whether an exact polygon is planned on
+the geoblock grid.  A planned polygon is answered like every other exact
+query: one scan of the polygon itself (``Polygon`` implements the full
+Region protocol), riding the tick's shared scan, with per-sensor answers
+(``aggregate_termination=False``).  That is exact, and it is what the
+grid would serve: an interior cell is servable only when every sensor in
+it holds a fresh entry in the leaf slot caches
+(:meth:`~repro.geoblocks.grid.GeoBlockGrid.serve_cell`), and the grid is
+a view over those same caches, so the traversal returns those readings
+from cache with no probe — and each in-polygon sensor exactly once.
 
-Compose dedups sensors **by id** at shared cell edges: sub-queries use
-closed cell geometry, so a sensor sitting exactly on an edge can answer
-two adjacent cells; the first occurrence wins.  Boundary/interior
-fallback sub-queries run with ``aggregate_termination=False`` so every
-result is an identifiable per-sensor reading — an anonymous node-level
-sketch could not be deduplicated.
+The plan is provenance.  :func:`repro.geoblocks.planner.plan_polygon`
+rasterizes the polygon into interior and boundary cells, and
+:func:`execute_polygon` — the plan step, run as the tick begins — checks
+which interior cells the grid can serve and produces the
+:class:`PolygonResult` counts.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.lookup import QueryAnswer
-from repro.geoblocks.planner import CellPlan, boundary_subregion, plan_polygon
+from repro.geoblocks.planner import CellPlan, plan_polygon
 from repro.geometry import Polygon
-from repro.geometry.grid import cell_rect
 from repro.portal.portal import PortalResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,14 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class PolygonResult(PortalResult):
-    """A composed polygon answer plus its cell-plan provenance.
+    """A planned polygon's answer plus its cell-plan provenance.
 
-    ``interior_cells`` / ``boundary_cells`` count plan cells summed over
-    the per-type trees the query fanned out to (matching how the
-    per-query stats counters accumulate); ``grid_cells_served`` of the
-    interior cells were answered probe-free from the grid, and
-    ``interior_probes`` counts live probes the interior fallbacks paid —
-    zero on a warm grid, which the geoblocks bench gates on.
+    Every count sums over the per-type trees the query fanned out to
+    (matching how the per-query stats counters accumulate):
+
+    - ``interior_cells`` / ``boundary_cells``: the plan's cells;
+    - ``grid_cells_served``: interior cells whose whole population was
+      fresh in the leaf slot caches when the tick began;
+    - ``interior_probes``: this query's probes of sensors whose
+      half-open cell is interior — zero on a warm grid, which the
+      geoblocks bench gates on.
     """
 
     interior_cells: int = 0
@@ -57,10 +56,9 @@ class PolygonResult(PortalResult):
 
 
 def plan_query(portal: "SensorMapPortal", query: "SensorQuery") -> CellPlan | None:
-    """The cell plan ``query`` is answered through, or ``None`` for the
-    plain traversal.  The compose is exact per sensor, so only a genuine
-    polygon on an uncapped portal, exact and un-zoomed, is planned
-    (grouping via ``cluster_miles`` composes fine — it groups the merged
+    """The cell plan of ``query``, or ``None`` when it is not planned.
+    Only a genuine polygon on an uncapped portal, exact and un-zoomed,
+    is planned (grouping via ``cluster_miles`` is fine — it groups the
     readings), and only when its cover fits the grid's cell budget."""
     region = query.region
     if not (
@@ -80,71 +78,29 @@ def execute_polygon(
     plan: CellPlan,
     trees: "Mapping[str, COLRTree]",
     now: float,
-) -> tuple[list[QueryAnswer], tuple[int, int, int, int]]:
-    """Answer one planned polygon on each of its type trees.
+) -> tuple[list[int], set[int]]:
+    """The plan step of one planned polygon, run before any probe of its
+    tick lands in the slot caches.
 
-    Returns one composed answer per tree, in ``trees`` order, and the
-    :class:`PolygonResult` counts: interior cells, boundary cells, grid
-    cells served and interior probes."""
+    Returns the :class:`PolygonResult` counts — interior cells, boundary
+    cells, grid cells served, interior probes — and the ids of the
+    sensors of every interior cell the grid cannot serve.  The probe
+    count starts at zero: the batch executor adds the query's own
+    probes of those sensors once its scan has run.  (A sensor of a
+    servable cell is fresh for the whole tick, so it is never probed.)"""
     grid = portal.geoblocks()
-    region = query.region
-    answers: list[QueryAnswer] = []
-    grid_served = 0
-    interior_probes = 0
     staleness = query.staleness_seconds
-    for sensor_type, tree in trees.items():
-        merged = QueryAnswer()
-        seen: set[int] = set()
-
-        def fold(sub: QueryAnswer) -> None:
-            merged.stats.merge(sub.stats)
-            merged.terminals.extend(sub.terminals)
-            for reading in sub.probed_readings:
-                if reading.sensor_id not in seen:
-                    seen.add(reading.sensor_id)
-                    merged.probed_readings.append(reading)
-            for reading in sub.cached_readings:
-                if reading.sensor_id not in seen:
-                    seen.add(reading.sensor_id)
-                    merged.cached_readings.append(reading)
-
+    served = 0
+    unserved: set[int] = set()
+    for sensor_type in trees:
         for cell in plan.interior:
-            served = grid.serve_cell(sensor_type, cell, now, staleness)
-            if served is not None:
-                grid_served += 1
-                # Scanning the cell's entries is the modeled work of a
-                # grid serve — the same per-reading charge the leaf
-                # caches pay, with no traversal and no probes.
-                merged.stats.readings_scanned += len(served)
-                for reading in served:
-                    if reading.sensor_id not in seen:
-                        seen.add(reading.sensor_id)
-                        merged.cached_readings.append(reading)
+            if grid.serve_cell(sensor_type, cell, now, staleness) is not None:
+                served += 1
             else:
-                sub = tree.query(
-                    cell_rect(cell, plan.cell_degrees),
-                    now=now,
-                    max_staleness=staleness,
-                    sample_size=0,
-                    aggregate_termination=False,
-                )
-                interior_probes += sub.stats.sensors_probed
-                fold(sub)
-        for cell in plan.boundary:
-            sub = tree.query(
-                boundary_subregion(region, cell, plan.cell_degrees),
-                now=now,
-                max_staleness=staleness,
-                sample_size=0,
-                aggregate_termination=False,
-            )
-            fold(sub)
-        merged.stats.polygon_cells_interior += len(plan.interior)
-        merged.stats.polygon_cells_boundary += len(plan.boundary)
-        answers.append(merged)
+                unserved.update(grid.cell_state(sensor_type, cell).population)
     interior = len(plan.interior) * len(trees)
     boundary = len(plan.boundary) * len(trees)
     net = portal.network.stats
     net.polygon_cells_interior += interior
     net.polygon_cells_boundary += boundary
-    return answers, (interior, boundary, grid_served, interior_probes)
+    return [interior, boundary, served, 0], unserved

@@ -23,12 +23,17 @@ with one participant is that query's own round, booked by the same
 readings in arrival order and, when the dispatcher streams ingestion,
 the streamed maintenance on the query.  A shared round's streamed
 maintenance cannot be split by query and is the tick's.  Sampled queries
-(layered sampling probes mid-descent through the tree RNG) and *planned*
-polygons — exact genuine polygons the geoblock executor answers cell by
-cell (:func:`repro.geoblocks.executor.plan_query`), each result a
-``PolygonResult`` — run alone after the exact phase, booked into the
-tick the same way.  A rectangle drawn as a polygon is its ``Rect``
-(:func:`repro.portal.query.normalize_region`).
+(layered sampling probes mid-descent through the tree RNG) run alone
+after the exact phase, booked into the tick the same way.
+
+A *planned* polygon — an exact genuine polygon the geoblock executor
+plans on its cell grid (:func:`repro.geoblocks.executor.plan_query`),
+its result a ``PolygonResult`` — is one more exact scan of the tick:
+the polygon itself, with per-sensor answers.  Its plan step
+(:func:`repro.geoblocks.executor.execute_polygon`) reads the grid in the
+partition step, before any of the tick's probes land; the plan's counts
+are booked onto its answers with the exact phase's.  A rectangle drawn
+as a polygon is its ``Rect`` (:func:`repro.portal.query.normalize_region`).
 
 A singleton batch is bit-identical to one ``COLRTree.query`` per type
 tree (same plan-cache interaction, same probe order, hence the same
@@ -214,22 +219,28 @@ def execute_batch(
     # unknown-type errors before any work.
     resolved = list(map(portal._resolve, queries))
 
-    # Partition: exact scans batch per tree; sampled queries and planned
-    # polygons run alone, in query order (a sampled query's probes happen
-    # mid-traversal, RNG-driven; a planned one's per cell).
+    # Partition: exact scans batch per tree — a planned polygon's too,
+    # over the polygon itself; sampled queries run alone, in query order
+    # (their probes happen mid-traversal, RNG-driven).  A planned
+    # polygon's plan step reads the grid here, before any of the tick's
+    # probes land in the slot caches.
     sampling_on = portal.config.sampling_enabled
     exact_by_tree: dict["COLRTree", list[int]] = {}
-    alone: list[int] = []
+    sampled: list[int] = []
     plans: dict[int, "CellPlan"] = {}
+    cells: dict[int, list[int]] = {}
+    unserved: dict[int, set[int]] = {}
     for qi, (trees, sample_size) in enumerate(resolved):
         if sampling_on and sample_size > 0:
-            alone.append(qi)
-        elif (plan := geoblocks.plan_query(portal, queries[qi])) is not None:
+            sampled.append(qi)
+            continue
+        if (plan := geoblocks.plan_query(portal, queries[qi])) is not None:
             plans[qi] = plan
-            alone.append(qi)
-        else:
-            for tree in trees.values():
-                exact_by_tree.setdefault(tree, []).append(qi)
+            cells[qi], unserved[qi] = geoblocks.execute_polygon(
+                portal, queries[qi], plan, trees, now
+            )
+        for tree in trees.values():
+            exact_by_tree.setdefault(tree, []).append(qi)
 
     # Answers keyed by (query index, tree) so assembly below can emit
     # them in each query's own tree order.
@@ -254,7 +265,11 @@ def execute_batch(
             scans = shared_range_scan(
                 tree,
                 [
-                    ScanRequest(queries[qi].region, queries[qi].staleness_seconds)
+                    ScanRequest(
+                        queries[qi].region,
+                        queries[qi].staleness_seconds,
+                        aggregate_termination=qi not in plans,
+                    )
                     for qi in query_indices
                 ],
                 now,
@@ -307,11 +322,24 @@ def execute_batch(
                 io_base = _share_round(
                     tree, scans, union, owner, rnd, now, stats, io_base
                 )
-            for qi, (answer, _) in zip(query_indices, scans):
+            for local, (qi, (answer, to_probe)) in enumerate(
+                zip(query_indices, scans)
+            ):
                 if answer.stats.batch_shared_nodes:
                     stats.batch_shared_plans += 1
                 tree.stats.record(answer.stats)
                 answers[qi, tree] = answer
+                if qi in plans:
+                    # The plan's cells, booked on the planned answer, and
+                    # its interior probes: the ones this query owns.
+                    answer.stats.polygon_cells_interior += len(plans[qi].interior)
+                    answer.stats.polygon_cells_boundary += len(plans[qi].boundary)
+                    ids = unserved[qi]
+                    cells[qi][3] += sum(
+                        1
+                        for s in to_probe
+                        if s in ids and (owner is None or owner[s] == local)
+                    )
 
         # Collection accounting: sequential rounds sum; overlapping
         # rounds cost their makespan.
@@ -320,31 +348,20 @@ def execute_batch(
         else:
             stats.collection_seconds += sum(latencies)
 
-    # Sampled queries and planned polygons run one after another once the
-    # exact phase is done: the tick books their probes and adds their
-    # collection.  Their maintenance stays theirs (it is in their
-    # processing seconds).
-    cells: dict[int, tuple[int, int, int, int]] = {}
-    for qi in alone:
+    # Sampled queries run one after another once the exact phase is done:
+    # the tick books their probes and adds their collection.  Their
+    # maintenance stays theirs (it is in their processing seconds).
+    for qi in sampled:
         query = queries[qi]
         trees, sample_size = resolved[qi]
-        if qi in plans:
-            own, cells[qi] = geoblocks.execute_polygon(
-                portal, query, plans[qi], trees, now
+        for tree in trees.values():
+            answer = answers[qi, tree] = tree.query(
+                query.region,
+                now=now,
+                max_staleness=query.staleness_seconds,
+                sample_size=sample_size,
+                terminal_level=query.zoom_level,
             )
-        else:
-            own = [
-                tree.query(
-                    query.region,
-                    now=now,
-                    max_staleness=query.staleness_seconds,
-                    sample_size=sample_size,
-                    terminal_level=query.zoom_level,
-                )
-                for tree in trees.values()
-            ]
-        for tree, answer in zip(trees.values(), own):
-            answers[qi, tree] = answer
             s = answer.stats
             stats.probes_requested += s.sensors_probed
             stats.probes_issued += s.sensors_probed

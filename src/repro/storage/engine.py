@@ -84,6 +84,10 @@ class StorageEngine:
     def __init__(self, config: StorageConfig) -> None:
         """Open a data directory, recovering whatever state it holds."""
         self._open_dir(config)
+        if not holds_state(config):
+            # Files a wipe or a create cut short left behind: never
+            # replayed, since no manifest names them.
+            wipe_data_dir(self.dir)
         manifest = self._read_manifest()
         if manifest is None:
             self.epoch = 1
@@ -446,11 +450,14 @@ def stored_sensor_ids(config: StorageConfig) -> set[int]:
 
 def wipe_data_dir(data_dir: str | Path) -> None:
     """Delete every engine-owned file in a data directory (manifest,
-    checkpoints, WALs), leaving the directory."""
+    checkpoints, WALs), leaving the directory.  The manifest goes first:
+    a wipe cut short leaves a directory without one, which holds no
+    state whatever files remain."""
     data_dir = Path(data_dir)
     if not data_dir.exists():
         return
     (data_dir / MANIFEST_NAME).unlink(missing_ok=True)
     for pattern in ("checkpoint-*.db", "wal-*.log"):
         for path in data_dir.glob(pattern):
+            failpoints.hit("dir.wipe")
             path.unlink()

@@ -13,7 +13,7 @@ regions a user draws or a GIS layer supplies.  Three families:
     A thin oriented quadrilateral buffering a highway segment between
     two nearby cities (``repro.workloads.highways`` corridors) — long,
     narrow, and axis-*misaligned*, the worst case for MBR-based
-    answering and the best case for clipped boundary cells.
+    answering and the best case for a polygon-exact traversal.
 
 ``convex-random``
     The convex hull of a Gaussian point cloud around a hotspot city —

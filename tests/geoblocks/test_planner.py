@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.geoblocks.planner import (
-    CellClipRegion,
-    CellPlan,
-    boundary_subregion,
-    plan_polygon,
-)
+from repro.geoblocks.planner import CellPlan, plan_polygon
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
 
@@ -101,57 +96,3 @@ class TestPlanPolygon:
         assert plan.boundary_fraction == pytest.approx(0.75)
         assert CellPlan(1.0, (), ()).boundary_fraction == 0.0
 
-
-class TestBoundarySubregion:
-    def test_returns_clip_inside_the_cell(self):
-        # Every boundary cell yields either a genuine clip polygon
-        # (vertices confined to the cell) or the conjunction fallback
-        # for corner/edge-touch cells — the diamond's 45-degree edges
-        # produce both kinds.
-        polygon = diamond()
-        plan = plan_polygon(polygon, 1.0, max_cells=4096)
-        clips = 0
-        eps = 1e-9
-        for cell in plan.boundary:
-            sub = boundary_subregion(polygon, cell, 1.0)
-            rect = cell_rect(cell, 1.0)
-            if isinstance(sub, Polygon):
-                clips += 1
-                for v in sub.vertices:
-                    assert rect.min_x - eps <= v.x <= rect.max_x + eps
-                    assert rect.min_y - eps <= v.y <= rect.max_y + eps
-            else:
-                assert isinstance(sub, CellClipRegion)
-                assert sub.rect == rect
-                assert sub.polygon is polygon
-        assert clips > 0
-
-    def test_degenerate_clip_falls_back_to_conjunction(self):
-        # The triangle touches cell (-1, -1) only at the corner (0, 0):
-        # the clip has zero area, so the conjunction region steps in.
-        triangle = Polygon(
-            [GeoPoint(0.0, 0.0), GeoPoint(2.0, 0.0), GeoPoint(1.0, 2.0)]
-        )
-        sub = boundary_subregion(triangle, (-1, -1), 1.0)
-        assert isinstance(sub, CellClipRegion)
-        # The touch point is in both the cell and the closed polygon.
-        assert sub.contains_point(GeoPoint(0.0, 0.0))
-        # Inside the cell but outside the polygon: excluded.
-        assert not sub.contains_point(GeoPoint(-0.5, -0.5))
-        # Inside the polygon but outside the cell: excluded.
-        assert not sub.contains_point(GeoPoint(1.0, 0.5))
-
-    def test_conjunction_region_predicates(self):
-        triangle = Polygon(
-            [GeoPoint(0.0, 0.0), GeoPoint(2.0, 0.0), GeoPoint(1.0, 2.0)]
-        )
-        sub = CellClipRegion(polygon=triangle, rect=Rect(0.0, 0.0, 1.0, 1.0))
-        # The cell rect bounds the conjunction (the tree's traversal
-        # pruning requires a bounding box from every region).
-        assert sub.bounding_box == Rect(0.0, 0.0, 1.0, 1.0)
-        assert sub.intersects_rect(Rect(0.5, 0.1, 0.9, 0.4))
-        # Intersects the cell but not the polygon: rejected.
-        assert not sub.intersects_rect(Rect(-2.0, -2.0, -1.0, -1.0))
-        # contains_rect needs containment in both.
-        assert not sub.contains_rect(Rect(0.0, 0.0, 1.0, 1.0))
-        assert sub.contains_rect(Rect(0.8, 0.1, 1.0, 0.2))

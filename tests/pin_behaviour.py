@@ -17,7 +17,7 @@ SHA-256 per section.
 Twelve more ticks over a denser fleet drive the polygon paths with a
 convex hexagon, a concave ring, a thin corridor and a rectangle drawn
 as a polygon: ``SensorMapPortal.execute_polygon`` (geoblock planner,
-clipped boundary sub-queries), the two-shard
+one exact scan of the polygon), the two-shard
 ``FederatedPortal.execute_polygon`` (clipped routing), and a
 ``FrontDoor`` over a two-shard federation asked each viewport twice —
 the first request fills and composes tiles (boundary tiles cropped per
