@@ -299,6 +299,10 @@ def run(n_sensors: int, n_requests: int, seed: int) -> dict:
         "checks": {
             "warm_hit_rate_ge_50pct": cache["on"]["warm_hit_rate"] >= 0.50,
             "hit_p99_speedup_ge_5x": cache["hit_p99_speedup"] >= 5.0,
+            # A tile fill writes only the sensors of the tiles it fills,
+            # so it must not strand its own viewport's compose.
+            "fill_fallbacks_le_5pct_of_misses": cache["on"]["cache"]["fill_fallbacks"]
+            <= 0.05 * cache["on"]["cache"]["misses"],
             "streaming_p99_le_0.7x_sync": streaming["streaming_vs_sync"] <= 0.7,
             "streaming_final_bit_identical": streaming["identity_cells"] > 0,
             "admission_p99_le_0.5x_unprotected": admission["p99_ratio_on_vs_off"]

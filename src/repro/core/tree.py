@@ -40,7 +40,6 @@ from repro.core.plancache import SpatialPlan, SpatialPlanCache, region_fingerpri
 from repro.core.sampling import layered_sample
 from repro.core.slots import slot_of
 from repro.core.stats import ProcessingCostModel, QueryStats, TreeStats
-from repro.geometry import Rect
 from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
@@ -121,12 +120,12 @@ class COLRTree:
         self._slot_heap: list[int] = []
         self._cached_count = 0
         self.stats = TreeStats()
-        # Write-delta listeners: ``fn(dirty_rect, n_readings)`` fires
-        # after every cache ingestion (probe fill, streamed transport
-        # ingestion, prime_cache) with the bounding box of the touched
-        # leaves.  The front-door result cache subscribes here so
-        # viewport answers overlapping fresh writes drop out — cached
-        # results see exactly the deltas the slot caches see.
+        # Write-delta listeners: ``fn(sensors)`` fires after every
+        # cache ingestion (probe fill, streamed transport ingestion,
+        # prime_cache) with the sensors written, one per reading.  The
+        # front-door result cache subscribes here so viewport answers
+        # holding a written sensor drop out — cached results see exactly
+        # the deltas the slot caches see.
         self.ingest_listeners: list = []
         # Durable-storage hooks (both ``None`` on an in-memory tree).
         # ``wal_sink`` is called as ``fn(readings, fetched_at)`` after a
@@ -422,7 +421,7 @@ class COLRTree:
         if not self.config.aggregate_caching_enabled:
             if self.wal_sink is not None:
                 self.wal_sink([reading], fetched_at)
-            self._notify_ingest([leaf], 1)
+            self._notify_ingest([reading])
             return ops
         node = leaf.parent
         while node is not None:
@@ -432,7 +431,7 @@ class COLRTree:
             node = node.parent
         if self.wal_sink is not None:
             self.wal_sink([reading], fetched_at)
-        self._notify_ingest([leaf], 1)
+        self._notify_ingest([reading])
         return ops
 
     def insert_readings_batch(self, readings: Iterable[Reading], fetched_at: float) -> int:
@@ -510,7 +509,7 @@ class COLRTree:
             ops += self._enforce_capacity()
             if self.wal_sink is not None:
                 self.wal_sink(batch, fetched_at)
-            self._notify_ingest(touched_leaves.values(), len(batch))
+            self._notify_ingest(batch)
             return ops
         # Phase 2: merge each touched leaf's deltas into its ancestor
         # chain, so every ancestor sees one delta per slot regardless of
@@ -562,22 +561,22 @@ class COLRTree:
         ops += self._enforce_capacity()
         if self.wal_sink is not None:
             self.wal_sink(batch, fetched_at)
-        self._notify_ingest(touched_leaves.values(), len(batch))
+        self._notify_ingest(batch)
         return ops
 
-    def _notify_ingest(self, leaves: Iterable[COLRNode], count: int) -> None:
-        """Fire the write-delta listeners with the touched leaves'
-        bounding box.  Leaf bboxes (not reading coordinates) are used so
-        the process-backend coordinator and the in-process path agree on
-        the dirty region for the same ingestion."""
-        if not self.ingest_listeners or count <= 0:
+    def _notify_ingest(self, readings: Sequence[Reading]) -> None:
+        """Fire the write-delta listeners with the sensors a write
+        touched, one per reading.  A cached answer depends on exactly
+        the readings of the sensors in its region, so those sensors are
+        the whole delta; and a sensor id names the same sensor to
+        anyone holding a sensor table, a process-backend coordinator
+        included."""
+        if not self.ingest_listeners or not readings:
             return
-        rects = [leaf.bbox for leaf in leaves]
-        if not rects:
-            return
-        dirty = Rect.union_of(rects)
+        sensors = self._sensors
+        written = [sensors[reading.sensor_id] for reading in readings]
         for listener in list(self.ingest_listeners):
-            listener(dirty, count)
+            listener(written)
 
     def clear_caches(self) -> None:
         """Drop every cached reading and aggregate (leaf and internal),

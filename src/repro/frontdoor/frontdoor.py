@@ -19,15 +19,22 @@ and serves viewport queries cache-first:
    filled tiles — and the full answers (never partial ones) are stored
    for the next viewer.
 
-Invalidation is wired, not polled: the front door registers ingest
-listeners on every in-process tree so ``insert_readings_batch`` deltas
-drop exactly the overlapping entries, and keys every entry on the
-portal's ``index_generation`` so a rebuild strands the lot.  On the
+Invalidation is wired, not polled.  A write delta is the sensors a
+write touched: the front door registers an ingest listener on every
+in-process tree, and an ingestion drops exactly the entries whose
+region holds one of the sensors it wrote — so a viewport's own tile
+fill, which writes only the sensors of the tiles it fills, no longer
+drops the viewport's already-cached tiles from under its compose.  The
+writes of one of the front door's own portal calls are one delta,
+invalidated as the call returns; a committed rebalance's moved sensors
+are one more.  Every entry is also keyed on the portal's
+``index_generation``, so a rebuild strands the lot.  On the
 process-backend federation the trees — and their writes: each worker
 owns its shard and its WAL — live in the workers, where the front door
-cannot listen, and replies do not carry write deltas yet; its caches
-are invalidated by generation and slot advancement, plus
-:meth:`FrontDoor.invalidate_region` for out-of-band writes.
+cannot listen, and replies do not carry their written sensor ids yet;
+its caches are invalidated by generation and slot advancement, plus
+:meth:`FrontDoor.invalidate_region` for out-of-band writes known only
+by their extent.
 
 Admission control (:class:`~repro.frontdoor.admission.AdmissionController`)
 rides along for the open-loop harness; ``execute`` applies it when
@@ -97,11 +104,16 @@ class FrontDoor:
         self.cache = TieredResultCache(self.config, portal.config.slot_seconds)
         self.admission = AdmissionController(self.config.admission)
         self._attached_generation = -1
+        # The sensors written while one of our own portal calls runs:
+        # nothing reads the cache until it returns, so its writes are
+        # one delta, invalidated as it returns (``None``: not inside
+        # such a call, a write is invalidated as it lands).
+        self._written: list | None = None
         # A live rebalance replaces shard trees without bumping the
         # index generation (so the cache survives the membership change
-        # wholesale); it notifies us instead, and we invalidate only the
-        # moved sensors' cells and re-attach ingest listeners to the
-        # staged trees.
+        # wholesale); it notifies us instead, and we drop only the
+        # entries holding a moved sensor and re-attach ingest listeners
+        # to the staged trees.
         listeners = getattr(portal, "rebalance_listeners", None)
         if listeners is not None:
             listeners.append(self._on_rebalance)
@@ -109,17 +121,30 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # Invalidation wiring
     # ------------------------------------------------------------------
-    def _on_ingest(self, dirty: Rect, count: int) -> None:
-        self.cache.invalidate_region(dirty)
+    def _on_ingest(self, sensors) -> None:
+        """A write delta (the sensors a tree ingestion wrote, or a
+        rebalance moved): only entries holding one of them drop."""
+        if self._written is not None:
+            self._written.extend(sensors)
+        else:
+            self.cache.invalidate_sensors(sensors)
+
+    def _portal_call(self, call, arg):
+        """``call(arg)`` on the portal, its writes invalidated as one
+        delta when it returns."""
+        self._written = []
+        try:
+            return call(arg)
+        finally:
+            written, self._written = self._written, None
+            self.cache.invalidate_sensors(written)
 
     def _on_rebalance(self, moved) -> None:
-        """Cell-precise invalidation for a committed membership change:
-        only tiles touching a moved sensor's location drop; everything
-        else stays warm (the point of rebalancing over a rebuild)."""
+        """A committed membership change is a write delta of the moved
+        sensors: everything else stays warm (the point of rebalancing
+        over a rebuild)."""
         self._attached_generation = -1  # staged trees need listeners
-        for sensor in moved:
-            loc = sensor.location
-            self.cache.invalidate_region(Rect(loc.x, loc.y, loc.x, loc.y))
+        self._on_ingest(moved)
 
     def _local_trees(self) -> list:
         """The trees held in this process — none for shards that live
@@ -151,8 +176,8 @@ class FrontDoor:
         return generation
 
     def invalidate_region(self, region: Rect) -> int:
-        """Out-of-band write invalidation (process backend, external
-        ingestion)."""
+        """Out-of-band write invalidation, for writes known only by the
+        region they landed in (external ingestion)."""
         return self.cache.invalidate_region(region)
 
     def _sensor_locator(self):
@@ -297,11 +322,12 @@ class FrontDoor:
         and polygons alike — the portal decides how to answer a polygon)
         and every distinct missing tile run as ONE portal batch;
         tile-planned queries then compose from the filled cache.  A
-        tile-planned query that cannot compose (a fill came back
-        partial, or a boundary tile could not be cropped) is served
-        directly by the portal's ``execute``.  Direct answers are stored
-        as viewports; partial answers never are.  Returns the served
-        results in order and the modeled makespan."""
+        tile-planned query that cannot compose falls back to the
+        portal's ``execute`` (counted in ``CacheStats.fill_fallbacks``
+        by reason) and is charged the fill it waited for plus its own
+        execution.  Direct answers are stored as viewports; partial
+        answers never are.  Returns the served results in order and the
+        modeled makespan."""
         direct: list[int] = []
         fills: dict = {}  # tile cache key -> (tile, exemplar query)
         for i, (q, _, missing) in enumerate(misses):
@@ -318,27 +344,36 @@ class FrontDoor:
             ]
         results: list[FrontDoorResult | None] = [None] * len(misses)
         service = 0.0
+        partial_fills: set = set()
         if portal_queries:
             answered, service = self._portal_batch(portal_queries)
             for i, result in zip(direct, answered):
                 results[i] = self._served_directly(misses[i], result)
-            for (tile, q), result in zip(fills.values(), answered[len(direct) :]):
-                if generation is not None and not getattr(result, "partial", False):
+            for key, result in zip(fills, answered[len(direct) :]):
+                if getattr(result, "partial", False):
+                    partial_fills.add(key)
+                elif generation is not None:
+                    tile, q = fills[key]
                     self.cache.put_tile(tile, q, result, now, generation)
         portal_service = service
-        for i, (q, raster, missing) in enumerate(misses):
+        stats = self.cache.stats
+        for i, (q, raster, _) in enumerate(misses):
             if results[i] is not None:
                 continue
-            composed = None
-            if missing:
-                composed, _ = self.cache.get_tiles(
-                    q, raster, now, generation, record=False,
-                    locate=self._sensor_locator(),
-                )
+            composed, missing = self.cache.get_tiles(
+                q, raster, now, generation, record=False,
+                locate=self._sensor_locator(),
+            )
             if composed is None:
-                result = self.portal.execute(q)
+                if not missing:
+                    stats.fill_fallbacks_crop += 1
+                elif any(self.cache.tile_key(t, q) in partial_fills for t in missing):
+                    stats.fill_fallbacks_partial += 1
+                else:
+                    stats.fill_fallbacks_gone += 1
+                result = self._portal_call(self.portal.execute, q)
                 service += result.end_to_end_seconds
-                results[i] = self._served_directly(misses[i], result)
+                results[i] = self._served_directly(misses[i], result, portal_service)
                 continue
             self.cache.put_viewport(q, composed.result, now, generation, raster)
             compose_cost = composed.tiles * self.config.l2_tile_compose_seconds
@@ -361,21 +396,27 @@ class FrontDoor:
         portal's ``execute`` — its batch of one, without the tick's
         accounting — and took its own end-to-end seconds."""
         if len(queries) == 1:
-            result = self.portal.execute(queries[0])
+            result = self._portal_call(self.portal.execute, queries[0])
             return [result], result.end_to_end_seconds
-        batch = self.portal.execute_batch(queries)
+        batch = self._portal_call(self.portal.execute_batch, queries)
         return batch.results, batch.stats.collection_seconds + sum(
             r.processing_seconds for r in batch.results
         )
 
-    def _served_directly(self, miss: "_Miss", result: PortalResult) -> FrontDoorResult:
-        """A portal answer served as is, and stored as the viewport."""
+    def _served_directly(
+        self, miss: "_Miss", result: PortalResult, waited: float = 0.0
+    ) -> FrontDoorResult:
+        """A portal answer served as is, and stored as the viewport.
+        ``waited``: modeled seconds spent before the execution that
+        answered (a fallback's tile fill)."""
         q, raster, _ = miss
         generation = self._cache_generation()
         if generation is not None:
             now = self.portal.clock.now()
             self.cache.put_viewport(q, result, now, generation, raster)
-        return FrontDoorResult(q, "served", "portal", result, result.end_to_end_seconds)
+        return FrontDoorResult(
+            q, "served", "portal", result, waited + result.end_to_end_seconds
+        )
 
     # ------------------------------------------------------------------
     # Accounting

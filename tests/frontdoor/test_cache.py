@@ -17,7 +17,7 @@ from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cell_rect, cells_covering
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
-from repro.sensors.sensor import Reading
+from repro.sensors.sensor import Reading, Sensor
 
 SLOT = 120.0
 
@@ -498,6 +498,152 @@ class TestWriteDeltaIndex:
         assert cache.invalidate_region(Rect(-math.inf, -math.inf, math.inf, math.inf)) == 1
         assert len(cache) == 0
         self._assert_in_step(cache)
+
+
+def _holds(entry, point: GeoPoint) -> bool:
+    """The brute-force oracle: the entry's region (a polygon entry's
+    cover cells) holds the point, closed."""
+    return any(rect.contains_point(point) for rect in entry.cells or (entry.region,))
+
+
+# A written sensor's location: on the half-tile lattice (every other
+# coordinate on a tile edge, so corners too, the rest tile centres),
+# either coordinate nudged one ulp off it, or so far out that it has no
+# finite tile.
+_NUDGE = st.sampled_from([0, 0, 0, 1, -1])
+_WRITTEN = st.tuples(
+    _LATTICE, _LATTICE, _NUDGE, _NUDGE, st.sampled_from([0] * 9 + [1])
+)
+
+
+class TestWrittenSensors:
+    """A write delta is the written sensors: the tiers drop exactly the
+    entries whose region holds one of their locations — tiles, quantized
+    (tile-aligned) viewports, free viewports, polygon covers and
+    unbounded viewports alike, at a dyadic and a non-dyadic tile
+    extent."""
+
+    @staticmethod
+    def _point(
+        extent: float, kx: int, ky: int, nudge_x: int, nudge_y: int, far: int
+    ) -> GeoPoint:
+        half = extent / 2
+        x, y = kx * half, ky * half
+        if nudge_x:
+            x = math.nextafter(x, nudge_x * math.inf)
+        if nudge_y:
+            y = math.nextafter(y, nudge_y * math.inf)
+        return GeoPoint(1e308 if far else x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(
+                        ["tile", "quantized", "viewport", "polygon", "unbounded", "get"]
+                    ),
+                    st.tuples(_LATTICE, _LATTICE, _SIZE, _SIZE),
+                ),
+                st.tuples(st.just("write"), st.lists(_WRITTEN, min_size=1, max_size=8)),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        extent=st.sampled_from([0.5, 0.1]),
+    )
+    def test_drops_exactly_the_entries_holding_a_written_sensor(self, ops, extent):
+        cache = TieredResultCache(
+            _config(tile_extent_degrees=extent, l1_capacity=20, l2_capacity=30), SLOT
+        )
+        ids: dict[GeoPoint, int] = {}  # one id per location, as a registry
+        now = 0.0
+        for kind, args in ops:
+            if kind == "write":
+                points = [self._point(extent, *w) for w in args]
+                sensors = [
+                    Sensor(ids.setdefault(p, len(ids)), p, expiry_seconds=600.0)
+                    for p in points
+                ]
+                expected = {
+                    id(store): {
+                        key
+                        for key, entry in store.entries.items()
+                        if any(_holds(entry, p) for p in points)
+                    }
+                    for store in (cache._l1, cache._l2)
+                }
+                before = {id(s): set(s.entries) for s in (cache._l1, cache._l2)}
+                dropped = cache.invalidate_sensors(sensors)
+                assert dropped == sum(len(keys) for keys in expected.values())
+                for store in (cache._l1, cache._l2):
+                    assert set(store.entries) == before[id(store)] - expected[id(store)]
+                TestWriteDeltaIndex._assert_in_step(cache)
+                continue
+            ix, iy, w, h = args
+            if kind == "tile":
+                q = _query(cell_rect((ix, iy), extent))
+                cache.put_tile((ix, iy), q, _result(q, []), now=now, generation=1)
+            elif kind == "quantized":
+                # The tile union ``FrontDoor.quantize`` builds, by the
+                # same expressions, stored with its raster as the front
+                # door stores it: tile-aligned.
+                rect = Rect(ix * extent, iy * extent, (ix + w + 1) * extent, (iy + h + 1) * extent)
+                q = _query(rect, sensor_type=str(w))
+                raster = cache.raster(q)
+                cache.put_viewport(q, _result(q, []), now=now, generation=1, raster=raster)
+            elif kind == "viewport":
+                # A free rectangle on the half-tile lattice (a sampled or
+                # oversized viewport): not tile-aligned.
+                half = extent / 2
+                rect = Rect(ix * half, iy * half, (ix + w) * half, (iy + h) * half)
+                q = _query(rect, sensor_type=str(w))
+                cache.put_viewport(q, _result(q, []), now=now, generation=1)
+            elif kind == "polygon":
+                half = extent / 2
+                q = _query(
+                    Polygon(
+                        [
+                            GeoPoint(ix * half, iy * half),
+                            GeoPoint((ix + w + 1) * half, iy * half),
+                            GeoPoint(ix * half, (iy + h + 1) * half),
+                        ]
+                    )
+                )
+                cache.put_viewport(q, _result(q, []), now=now, generation=1)
+            elif kind == "unbounded":
+                q = _query(Rect(ix * extent, -math.inf, math.inf, iy * extent))
+                cache.put_viewport(q, _result(q, []), now=now, generation=1)
+            else:
+                now += SLOT * (w % 2)  # a slot window later: lookups expire
+                tiled = _query(cell_rect((ix, iy), extent))
+                cache.get_tiles(tiled, cache.raster(tiled), now, 1)
+            TestWriteDeltaIndex._assert_in_step(cache)
+
+    def test_a_sensor_on_a_shared_corner_drops_all_four_tiles(self):
+        cache = TieredResultCache(_config(tile_extent_degrees=0.1), SLOT)
+        for tile in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)]:
+            q = _query(cell_rect(tile, 0.1))
+            cache.put_tile(tile, q, _result(q, []), now=0.0, generation=1)
+        corner = cell_rect((3, 3), 0.1)
+        assert cache.invalidate_sensors([_sensor(0, corner.min_x, corner.min_y)]) == 4
+        assert [key[0] for key in cache._l2.entries] == [(4, 4)]
+
+    def test_a_write_beside_a_viewport_leaves_it_alone(self):
+        """Inside its tile's neighbour, not inside the viewport: the old
+        leaf-box delta dropped this entry whenever the writing leaf
+        straddled the edge."""
+        cache = TieredResultCache(_config(), SLOT)
+        q = _query(Rect(0.0, 0.0, 1.0, 1.0))
+        cache.put_viewport(q, _result(q, []), now=0.0, generation=1, raster=cache.raster(q))
+        assert cache._l1.entries[cache.l1_key(q)].tiles is not None
+        beside = [_sensor(0, 1.01, 0.5), _sensor(1, -0.2, 2.0)]
+        assert cache.invalidate_sensors(beside) == 0
+        assert cache.invalidate_sensors([_sensor(2, 1.0, 0.5)]) == 1
+
+
+def _sensor(sensor_id: int, x: float, y: float) -> Sensor:
+    return Sensor(sensor_id, GeoPoint(x, y), expiry_seconds=600.0)
 
 
 def test_rejects_nonpositive_slot_seconds():
