@@ -76,11 +76,7 @@ from repro.transport import TransportConfig
 # federation sees work on every shard.
 VIEWPORT_HALF_RANGE = (8.0, 20.0)
 
-BENCH_FEDERATION = FederationConfig(
-    shard_retry_budget=1,
-    retry_backoff_base=0.5,
-    retry_backoff_multiplier=2.0,
-)
+BENCH_FEDERATION = FederationConfig(shard_retry_budget=1)
 
 
 def _fleet(

@@ -30,7 +30,6 @@ Run with ``PYTHONPATH=src python -m repro.bench frontdoor``.
 from __future__ import annotations
 
 from repro.bench.federation import (
-    BENCH_FEDERATION,
     VIEWPORT_HALF_RANGE,
     _assert_identical,
     make_federation,
@@ -39,6 +38,7 @@ from repro.bench.fleets import STALENESS, hotspot_pool, uncapped_portal
 from repro.bench.harness import StreamSummary
 from repro.bench.report import timed
 from repro.bench.runner import Bench
+from repro.federation.federated import RETRY_BACKOFF_BASE
 from repro.frontdoor import (
     AdmissionConfig,
     FrontDoor,
@@ -192,8 +192,7 @@ def run_streaming_probe(
     # generous enough that a healthy gather always beats it, tight
     # enough to cut out the dead shard's retry backoff.
     fed_sync, sync_published, healthy_max = run_side(None, probe_deadline=True)
-    backoff = BENCH_FEDERATION.retry_backoff_base
-    deadline = min(healthy_max * 1.25, healthy_max + 0.5 * backoff)
+    deadline = min(healthy_max * 1.25, healthy_max + 0.5 * RETRY_BACKOFF_BASE)
     fed_stream, stream_published, _ = run_side(deadline)
 
     sync_p99 = StreamSummary(sync_published).p99

@@ -69,10 +69,8 @@ VIEWPORT_HALF_RANGE = (1.5, 3.0)
 # attempts on truly-dead sensors balloon past what dedup+cooldown save.
 BENCH_TRANSPORT = TransportConfig(
     max_retries=1,
-    backoff_base=0.5,
     inflight_ttl=STALENESS,
     cooldown_seconds=600.0,
-    cooldown_threshold=0.5,
     overlap_enabled=True,
 )
 

@@ -1,15 +1,20 @@
 """Configuration of a COLR-Tree instance.
 
 One dataclass holds every tunable so experiments can sweep parameters
-(slot size for Figure 2, cache limit and sample size for Figures 5/6)
-and so the evaluation's baseline configurations — plain R-tree
+(slot size for Figure 2, cache limit for Figures 5/6) and so the
+evaluation's baseline configurations — plain R-tree
 (``caching_enabled=False, sampling_enabled=False``) and hierarchical
 cache (``sampling_enabled=False``) — are just configs of the same code.
+The sample size is a query's own ``SAMPLESIZE`` clause; a query
+without one gets :data:`DEFAULT_SAMPLE_SIZE`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+# ``R`` for a query that carries no ``SAMPLESIZE`` clause.
+DEFAULT_SAMPLE_SIZE = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +59,6 @@ class COLRTreeConfig:
         Maximum number of raw readings cached across all leaves, or
         ``None`` for unlimited.  Figure 5 sweeps this as a fraction of
         the sensor population.
-    default_sample_size:
-        ``R`` used when a query does not carry a ``SAMPLESIZE`` clause.
     oversampling_enabled / redistribution_enabled:
         Ablation switches for the two robustness mechanisms of
         Algorithm 1 (on by default; Section V).
@@ -74,9 +77,6 @@ class COLRTreeConfig:
         kept per tree (LRU evicted).  Plans stay valid for the tree's
         lifetime because the spatial structure is immutable after bulk
         load; only temporal/slot-cache state is per-query.
-    availability_refresh_seconds:
-        How often per-node mean availability estimates are recomputed
-        from the historical model.
     seed:
         Seed for the index's own RNG (random sensor selection and
         randomized rounding of fractional targets).
@@ -92,12 +92,10 @@ class COLRTreeConfig:
     aggregate_caching_enabled: bool = True
     sampling_enabled: bool = True
     cache_capacity: int | None = None
-    default_sample_size: int = 30
     oversampling_enabled: bool = True
     redistribution_enabled: bool = True
     reversible_aggregates: bool = False
     plan_cache_size: int = 256
-    availability_refresh_seconds: float = 600.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -118,8 +116,6 @@ class COLRTreeConfig:
             )
         if self.cache_capacity is not None and self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative or None")
-        if self.default_sample_size < 0:
-            raise ValueError("default_sample_size must be non-negative")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be at least 1")
 

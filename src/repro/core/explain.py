@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.config import DEFAULT_SAMPLE_SIZE
 from repro.core.flat import CONTAINED, DISJOINT
 from repro.core.lookup import Region
 
@@ -93,7 +94,7 @@ def explain_query(
     if max_staleness < 0:
         raise ValueError("max_staleness must be non-negative")
     if sample_size is None:
-        sample_size = tree.config.default_sample_size
+        sample_size = DEFAULT_SAMPLE_SIZE
     sampled = tree.config.sampling_enabled and sample_size > 0
     t_level = (
         terminal_level if terminal_level is not None else tree.config.terminal_level

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.build import build_colr_tree
-from repro.core.config import COLRTreeConfig
+from repro.core.config import DEFAULT_SAMPLE_SIZE, COLRTreeConfig
 from repro.core.flat import DISJOINT, FlatKernel
 from repro.core.lookup import QueryAnswer, Region, range_lookup
 from repro.core.node import COLRNode
@@ -45,6 +45,10 @@ from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
 from repro.transport.config import TransportConfig
 from repro.transport.dispatcher import ProbeDispatcher, ProbeRound
+
+# How often (simulated seconds) a node's mean availability estimate is
+# recomputed from the historical model.
+AVAILABILITY_REFRESH_SECONDS = 600.0
 
 
 class COLRTree:
@@ -211,7 +215,7 @@ class COLRTree:
             raise ValueError("max_staleness must be non-negative")
         self._prune_expired(now)
         if sample_size is None:
-            sample_size = self.config.default_sample_size
+            sample_size = DEFAULT_SAMPLE_SIZE
         if self.config.sampling_enabled and sample_size > 0:
             answer = layered_sample(
                 self, region, now, max_staleness, sample_size,
@@ -286,11 +290,8 @@ class COLRTree:
     def node_availability(self, node: COLRNode, now: float) -> float:
         """Mean historical availability of the node's descendants
         (``a_i``), refreshed at most every
-        ``availability_refresh_seconds``."""
-        if (
-            now - node.availability_refreshed_at
-            >= self.config.availability_refresh_seconds
-        ):
+        :data:`AVAILABILITY_REFRESH_SECONDS`."""
+        if now - node.availability_refreshed_at >= AVAILABILITY_REFRESH_SECONDS:
             ids = node.descendant_ids
             if ids.size > 256:
                 # Even subsample: the estimate is a mean, and terminal

@@ -27,12 +27,11 @@ Query flow:
    (they collect concurrently).
 4. **Degrade** — a shard that raises :class:`ShardDownError` is retried
    up to ``FederationConfig.shard_retry_budget`` times with
-   transport-style exponential backoff charged to its gather slot; a
-   shard whose slowest sub-answer blew ``shard_timeout_seconds`` is
-   dropped and charged the timeout.  Either way the merged answer
-   carries the failed/timed-out shard ids and a ``partial`` flag
-   instead of an exception, and a repeatedly failing shard can be put
-   in cooldown.
+   transport-style exponential backoff (:data:`RETRY_BACKOFF_BASE`,
+   :data:`RETRY_BACKOFF_MULTIPLIER`) charged to its gather slot.  A
+   shard still silent after its budget is failed: the merged answer
+   carries its id in ``failed_shards`` and a ``partial`` flag instead
+   of an exception.  Every shard that answers is merged, however slow.
 
 With one shard every query path is a bit-identical pass-through around
 the wrapped ``SensorMapPortal`` (same network RNG stream, same plan
@@ -77,6 +76,12 @@ __all__ = [
     "ShardDownError",
     "StreamingGather",
 ]
+
+# Simulated seconds charged to a failed shard's gather slot before its
+# retry ``k`` (counting from 0): ``RETRY_BACKOFF_BASE *
+# RETRY_BACKOFF_MULTIPLIER**k``.
+RETRY_BACKOFF_BASE = 0.5
+RETRY_BACKOFF_MULTIPLIER = 2.0
 
 # The ``BatchStats`` counters a federated tick sums over its shards'
 # sub-batches; the other three it works out itself (its own query count,
@@ -180,8 +185,6 @@ class FederationStats:
     shard_attempts: int = 0
     shard_retries: int = 0
     shard_failures: int = 0
-    shard_timeouts: int = 0
-    shard_cooldown_skips: int = 0
     partial_answers: int = 0
     # Cross-shard REDISTRIBUTE accounting: queries whose first gather
     # came up short and triggered a top-up scatter, the rounds actually
@@ -215,7 +218,6 @@ class FederatedResult(PortalResult):
 
     shard_results: dict[int, PortalResult] = field(default_factory=dict)
     failed_shards: tuple[int, ...] = ()
-    timed_out_shards: tuple[int, ...] = ()
     # Healthy shards whose answers had not landed when this result was
     # published (streaming gathers only; the synchronous path never
     # defers).  A deferred shard's answer arrives in the *final* merge
@@ -239,9 +241,7 @@ class FederatedResult(PortalResult):
         """True when at least one routed shard's answer (first-round,
         top-up, or still in flight past a streaming deadline) is
         missing."""
-        return bool(
-            self.failed_shards or self.timed_out_shards or self.deferred_shards
-        )
+        return bool(self.failed_shards or self.deferred_shards)
 
 
 @dataclass
@@ -261,13 +261,12 @@ class FederatedBatchResult:
     shard_stats: dict[int, BatchStats] = field(default_factory=dict)
     shard_seconds: dict[int, float] = field(default_factory=dict)
     failed_shards: tuple[int, ...] = ()
-    timed_out_shards: tuple[int, ...] = ()
     redistribution_rounds_run: int = 0
     topup_sensors_gained: int = 0
 
     @property
     def partial(self) -> bool:
-        return bool(self.failed_shards or self.timed_out_shards)
+        return bool(self.failed_shards)
 
 
 @dataclass
@@ -275,8 +274,6 @@ class _ShardState:
     """Coordinator-side health record of one shard."""
 
     killed: bool = False
-    consecutive_failures: int = 0
-    down_until: float = 0.0
     # Modeled seconds the shard's last crash recovery took; consumed by
     # the next ``_scatter_calls`` as a one-time delay so the revival cost
     # lands on the gather clock instead of vanishing.
@@ -293,7 +290,6 @@ class _TopupOutcome:
     sensors_gained: int = 0
     shortfall: int = 0
     failed: list[int] = field(default_factory=list)
-    timed_out: list[int] = field(default_factory=list)
     pool_exhausted: tuple[int, ...] = ()
 
 
@@ -303,9 +299,8 @@ class _Scatter:
     (``shard_results`` — one query's ``PortalResult`` answers, or the
     round's ``BatchResult`` sub-batches in
     :meth:`FederatedPortal._scatter_plans`), the ones that never did
-    (``failed``) or blew the gather deadline
-    (``timed_out``), the retry/recovery/timeout seconds each is charged
-    in the gather makespan (``penalties``) and the retries each took
+    (``failed``), the retry/recovery seconds each is charged in the
+    gather makespan (``penalties``) and the retries each took
     (``retries``).  :meth:`FederatedPortal._finish` attaches the query's
     ``topup``."""
 
@@ -313,7 +308,6 @@ class _Scatter:
     penalties: dict[int, float] = field(default_factory=dict)
     shard_results: dict = field(default_factory=dict)
     failed: list[int] = field(default_factory=list)
-    timed_out: list[int] = field(default_factory=list)
     retries: dict[int, int] = field(default_factory=dict)
     topup: _TopupOutcome | None = None
 
@@ -329,8 +323,8 @@ class FederatedPortal:
     :class:`~repro.federation.backend.ShardSpec` per shard and from then
     on reaches shards by id only — one named ``call``, or one ``attempt``
     at a batch of calls (sequential in-process, pipelined across
-    workers).  The retry budget, backoff, cooldown and recovery charge
-    live once, in :meth:`_scatter_calls`.
+    workers).  The retry budget, backoff and recovery charge live once,
+    in :meth:`_scatter_calls`.
     """
 
     def __init__(
@@ -580,8 +574,6 @@ class FederatedPortal:
         self._ensure_index()
         state = self._states[shard_id]
         state.killed = False
-        state.consecutive_failures = 0
-        state.down_until = 0.0
         return self._charge_recovery(
             shard_id,
             self._backend.revive(self._spec(shard_id, self._groups[shard_id])),
@@ -663,35 +655,27 @@ class FederatedPortal:
 
     def _scatter_calls(self, calls: Sequence[tuple[int, str, tuple]]) -> _Scatter:
         """Run one scatter of ``(shard_id, op, args)`` calls under the
-        retry budget and sort the shards into answered / failed / timed
-        out.  A ``BatchResult`` reply meets the gather deadline by its
-        slowest answer, so one query's reply times out exactly as its
-        answer would alone.
+        retry budget and sort the shards into answered / failed.
 
         Each round attempts every still-unanswered shard once
         (the backend's ``attempt``); a shard that stays silent is charged
         the next exponential backoff step and retried in the following
-        round.  Once the budget is spent the shard is marked failed and,
-        when configured, enters coordinator cooldown.  Delays accumulate
-        into the shard's ``penalties`` slot of the gather makespan.
+        round.  Once the budget is spent the shard is marked failed.
+        Delays accumulate into the shard's ``penalties`` slot of the
+        gather makespan.
         """
-        cfg = self.federation
-        now = self.clock.now()
+        budget = self.federation.shard_retry_budget
         scatter = _Scatter()
         penalties = scatter.penalties
-        pending: list[tuple[int, str, tuple]] = []
-        for call in calls:
-            state = self._states[call[0]]
-            if state.down_until > now:
-                self.stats.shard_cooldown_skips += 1
-                continue
+        for shard_id, _, _ in calls:
             # A freshly revived shard pays its crash-recovery replay time
             # on its first gather (consumed exactly once).
-            penalties[call[0]] = state.pending_recovery_seconds
+            state = self._states[shard_id]
+            penalties[shard_id] = state.pending_recovery_seconds
             state.pending_recovery_seconds = 0.0
-            pending.append(call)
+        pending = list(calls)
         replies: dict[int, object] = {}
-        for attempt in range(cfg.shard_retry_budget + 1):
+        for attempt in range(budget + 1):
             if not pending:
                 break
             self.stats.shard_attempts += len(pending)
@@ -699,33 +683,21 @@ class FederatedPortal:
             answered = self._backend.attempt(
                 [c for c in pending if not self._states[c[0]].killed]
             )
-            for shard_id in answered:
-                self._states[shard_id].consecutive_failures = 0
             replies.update(answered)
             pending = [c for c in pending if c[0] not in answered]
             for shard_id, _, _ in pending:
-                if attempt < cfg.shard_retry_budget:
+                if attempt < budget:
                     self.stats.shard_retries += 1
                     scatter.retries[shard_id] = scatter.retries.get(shard_id, 0) + 1
                     penalties[shard_id] += (
-                        cfg.retry_backoff_base * cfg.retry_backoff_multiplier**attempt
+                        RETRY_BACKOFF_BASE * RETRY_BACKOFF_MULTIPLIER**attempt
                     )
                 else:
-                    state = self._states[shard_id]
-                    state.consecutive_failures += 1
-                    if cfg.cooldown_seconds > 0:
-                        state.down_until = now + cfg.cooldown_seconds
                     self.stats.shard_failures += 1
         for shard_id, _, _ in calls:
             reply = replies.get(shard_id)
             if reply is None:
                 scatter.failed.append(shard_id)
-            elif self._shard_timed_out(
-                max((r.collection_seconds for r in reply.results), default=0.0),
-                penalties,
-                shard_id,
-            ):
-                scatter.timed_out.append(shard_id)
             else:
                 scatter.shard_results[shard_id] = reply
         return scatter
@@ -852,7 +824,7 @@ class FederatedPortal:
         signals pool exhaustion or a top-up round gains less than its
         share (it has nothing left to give — its own Algorithm 2 already
         spread the request over its whole in-region pool), and when it
-        failed, timed out, was killed or sits in coordinator cooldown.
+        failed or was killed.
         Each round's collection is charged as one more slot of the gather
         makespan; per-sensor dedup across rounds is the shard
         dispatcher's in-flight/recently-probed tables' job.
@@ -899,12 +871,10 @@ class FederatedPortal:
             shortfall = target_readings - sum(achieved.values())
             if shortfall < 1:
                 break
-            now = self.clock.now()
-            exclude = drained | set(scatter.failed) | set(scatter.timed_out)
-            exclude |= set(outcome.failed) | set(outcome.timed_out)
+            exclude = drained | set(scatter.failed) | set(outcome.failed)
             for route in routes:
                 state = self._states.get(route.shard_id)
-                if state is None or state.killed or state.down_until > now:
+                if state is None or state.killed:
                     exclude.add(route.shard_id)
             assert self._directory is not None
             residual = self._directory.residual_routes(routes, achieved, exclude)
@@ -932,9 +902,8 @@ class FederatedPortal:
                 round_plan.append((sid, replace(query, sample_size=units)))
             (round_,), _ = self._scatter_plans([round_plan], [residual])
             outcome.failed += round_.failed
-            outcome.timed_out += round_.timed_out
             round_slots = [0.0]
-            for sid in round_.failed + round_.timed_out:
+            for sid in round_.failed:
                 round_slots.append(round_.penalties.get(sid, 0.0))
             for sid, result in round_.shard_results.items():
                 seen = delivered[sid]
@@ -1001,7 +970,7 @@ class FederatedPortal:
         answers are dealt back per query.
 
         Returns one :class:`_Scatter` per plan — its shards' answers,
-        the failed and timed-out shards it routed to and their retries —
+        the failed shards it routed to and their retries —
         and the round itself, whose ``shard_results`` are the shards'
         ``BatchResult`` replies.  All of them share the round's
         ``penalties``."""
@@ -1021,11 +990,10 @@ class FederatedPortal:
         scatters = [
             _Scatter(routes=routes, penalties=tick.penalties) for routes in routes_list
         ]
-        if tick.failed or tick.timed_out or tick.retries:
+        if tick.failed or tick.retries:
             for scatter, plan in zip(scatters, plans):
                 routed = {shard_id for shard_id, _ in plan}
                 scatter.failed = [sid for sid in tick.failed if sid in routed]
-                scatter.timed_out = [sid for sid in tick.timed_out if sid in routed]
                 scatter.retries = {
                     sid: n for sid, n in tick.retries.items() if sid in routed
                 }
@@ -1077,7 +1045,7 @@ class FederatedPortal:
           final``).
         * ``final`` — the complete merge.  Redistribution top-ups
           launch as soon as every *answering* shard has landed, so they
-          overlap a straggler's retry/timeout tail instead of queueing
+          overlap a failing shard's retry tail instead of queueing
           behind it; on a healthy fleet the launch instant is the
           round-1 makespan and the arithmetic (and the whole result)
           reduces bit-identically to the synchronous gather.
@@ -1091,14 +1059,10 @@ class FederatedPortal:
             ShardArrival(sid, r.collection_seconds + penalties.get(sid, 0.0), "ok")
             for sid, r in scatter.shard_results.items()
         ]
-        for status, shard_ids in (
-            ("failed", scatter.failed),
-            ("timed_out", scatter.timed_out),
-        ):
-            arrivals += [
-                ShardArrival(sid, penalties.get(sid, 0.0), status)
-                for sid in shard_ids
-            ]
+        arrivals += [
+            ShardArrival(sid, penalties.get(sid, 0.0), "failed")
+            for sid in scatter.failed
+        ]
         arrivals.sort(key=lambda a: (a.landed_at, a.shard_id))
         # Top-up rounds need every answering shard's round-1 count, so
         # the earliest the coordinator can launch them is the last *ok*
@@ -1129,7 +1093,7 @@ class FederatedPortal:
             topup_done = topup.rounds_run and (
                 topup_start + topup.collection_seconds <= deadline
             )
-            # Failures/timeouts only *known* by the deadline make the
+            # Failures only *known* by the deadline make the
             # published record; a shard still burning its retry backoff
             # is pending, exactly like a slow healthy one.
             first = self._gather(
@@ -1145,11 +1109,6 @@ class FederatedPortal:
                         a.shard_id
                         for a in arrivals
                         if a.status == "failed" and a.landed_at <= deadline
-                    ],
-                    timed_out=[
-                        a.shard_id
-                        for a in arrivals
-                        if a.status == "timed_out" and a.landed_at <= deadline
                     ],
                     topup=topup if topup_done else None,
                 ),
@@ -1171,18 +1130,6 @@ class FederatedPortal:
             final=final,
         )
 
-    def _shard_timed_out(
-        self, collection_seconds: float, penalties: dict[int, float], shard_id: int
-    ) -> bool:
-        """Apply the gather deadline: a too-slow shard's answer is
-        dropped and its slot charged exactly the timeout."""
-        timeout = self.federation.shard_timeout_seconds
-        if timeout is None or collection_seconds <= timeout:
-            return False
-        self.stats.shard_timeouts += 1
-        penalties[shard_id] = penalties.get(shard_id, 0.0) + timeout
-        return True
-
     def _gather(
         self,
         query: SensorQuery,
@@ -1193,10 +1140,9 @@ class FederatedPortal:
         ``scatter.topup`` is set) in shard-id order."""
         shard_results, penalties = scatter.shard_results, scatter.penalties
         topup = scatter.topup
-        failed, timed_out = list(scatter.failed), list(scatter.timed_out)
+        failed = list(scatter.failed)
         if topup is not None:
             failed += [sid for sid in topup.failed if sid not in failed]
-            timed_out += [sid for sid in topup.timed_out if sid not in timed_out]
         answers = []
         groups = []
         processing = 0.0
@@ -1210,10 +1156,10 @@ class FederatedPortal:
                 result.collection_seconds + penalties.get(shard_id, 0.0)
             )
         # Shards that never answered round 1 still occupy the gather
-        # until their retries/timeout ran out (a shard that answered
-        # round 1 but died in a top-up round is charged in the top-up's
-        # own makespan slot instead).
-        for shard_id in failed + timed_out:
+        # until their retries ran out (a shard that answered round 1 but
+        # died in a top-up round is charged in the top-up's own makespan
+        # slot instead).
+        for shard_id in failed:
             if shard_id not in shard_results:
                 slot_seconds.append(penalties.get(shard_id, 0.0))
         collection = max(slot_seconds, default=0.0)
@@ -1228,10 +1174,10 @@ class FederatedPortal:
                 collection += topup.collection_seconds
             elif topup.rounds_run:
                 # Streaming gather: top-ups launched the moment the last
-                # *answering* shard landed, overlapping any straggler's
-                # retry/timeout tail still holding the round-1 slot
-                # open.  With no straggler the launch instant is the
-                # makespan itself and this reduces to the additive sum.
+                # *answering* shard landed, overlapping any failing
+                # shard's retry tail still holding the round-1 slot open.
+                # With no failure the launch instant is the makespan
+                # itself and this reduces to the additive sum.
                 collection = max(
                     collection, topup_overlap_start + topup.collection_seconds
                 )
@@ -1255,7 +1201,6 @@ class FederatedPortal:
             ),
             shard_results=shard_results,
             failed_shards=tuple(failed),
-            timed_out_shards=tuple(timed_out),
             shard_retries=sum(scatter.retries.values()),
             topup_results=topup_results,
             redistribution_rounds_run=rounds_run,
@@ -1270,9 +1215,9 @@ class FederatedPortal:
         Each shard receives every sub-query routed to it as one
         ``execute_batch`` call, so shard-local coalescing/dedup applies
         across the whole tick; the gather reassembles per-query merged
-        results in submission order.  A shard that fails or times out
-        degrades every query that routed to it (those results come back
-        partial) without failing the tick.
+        results in submission order.  A shard that fails degrades every
+        query that routed to it (those results come back partial)
+        without failing the tick.
         """
         wall_start = time.perf_counter()
         self._ensure_index()
@@ -1305,7 +1250,7 @@ class FederatedPortal:
                 + slot
                 + s.maintenance_ops * self.cost_model.per_maintenance_op
             )
-        for shard_id in tick.failed + tick.timed_out:
+        for shard_id in tick.failed:
             slot = tick.penalties.get(shard_id, 0.0)
             slot_seconds.append(slot)
             shard_seconds[shard_id] = slot
@@ -1329,9 +1274,6 @@ class FederatedPortal:
             # per-query records already cover it alongside the top-up ones.
             failed_shards=tuple(
                 sorted({sid for r in results for sid in r.failed_shards})
-            ),
-            timed_out_shards=tuple(
-                sorted({sid for r in results for sid in r.timed_out_shards})
             ),
             redistribution_rounds_run=sum(r.redistribution_rounds_run for r in results),
             topup_sensors_gained=sum(r.topup_sensors_gained for r in results),

@@ -8,7 +8,7 @@ still in flight.
 
 The landing time of a shard's answer is exactly the slot it occupies in
 the synchronous gather makespan — its sub-answer's collection latency
-plus any retry/timeout penalty the coordinator charged it — so the
+plus any retry or recovery penalty the coordinator charged it — so the
 *final* streamed result is bit-identical to the synchronous gather on a
 healthy fleet (pinned by ``tests/frontdoor/test_parity.py``).  What
 streaming changes is *when* answers become publishable:
@@ -49,14 +49,14 @@ class ShardArrival:
     """One shard's round-1 outcome in the streaming timeline.
 
     ``landed_at`` is modeled seconds after the scatter: for an answering
-    shard, its collection latency plus retry penalties; for a failed or
-    timed-out shard, the instant its failure became known (backoff
-    exhausted / timeout fired).
+    shard, its collection latency plus retry penalties; for a failed
+    shard, the instant its failure became known (retry backoff
+    exhausted).
     """
 
     shard_id: int
     landed_at: float
-    status: str  # "ok" | "failed" | "timed_out"
+    status: str  # "ok" | "failed"
 
 
 @dataclass

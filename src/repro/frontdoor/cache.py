@@ -64,6 +64,14 @@ __all__ = [
     "result_oldest_timestamp",
 ]
 
+# The L2 tile grid: square tiles of ``TILE_EXTENT_DEGREES`` per side.
+TILE_EXTENT_DEGREES = 0.5
+# At most this many tile entries are kept (LRU evicted).
+L2_CAPACITY = 4096
+# A viewport covering more tiles than this bypasses the tile layer (a
+# whole-country pan would otherwise fan out absurdly).
+MAX_TILES_PER_COVER = 64
+
 # One request's tile cover: its tiles in scan order, each flagged
 # *interior* (the tile lies wholly inside the viewport, so its cached
 # answer passes into a compose uncropped).
@@ -557,7 +565,7 @@ class TieredResultCache:
             staleness_seconds=query.staleness_seconds,
             cells=cells,
             tiles=tiles,
-            span=_columns(reach, self.config.tile_extent_degrees),
+            span=_columns(reach, TILE_EXTENT_DEGREES),
         )
 
     # ------------------------------------------------------------------
@@ -603,7 +611,7 @@ class TieredResultCache:
             self.stats.uncacheable += 1
             return False
         region = query.region
-        e = self.config.tile_extent_degrees
+        e = TILE_EXTENT_DEGREES
         cells: tuple[Rect, ...] | None = None
         tiles: tuple[Cell, ...] | None = None
         if isinstance(region, Rect):
@@ -643,10 +651,10 @@ class TieredResultCache:
         return self._cover(query.region)
 
     def _cover(self, region: Rect | Polygon) -> Raster:
-        """A region's tiles (none if over ``max_tiles_per_cover``).  A
+        """A region's tiles (none if over :data:`MAX_TILES_PER_COVER`).  A
         rectangle's are all interior: the front door serves rectangles
         quantized to their tile union."""
-        e = self.config.tile_extent_degrees
+        e = TILE_EXTENT_DEGREES
         if isinstance(region, Rect):
             cover = [(tile, True) for tile in cells_covering(region, e)]
         else:
@@ -655,7 +663,7 @@ class TieredResultCache:
                 [(tile, True) for tile in interior]
                 + [(tile, False) for tile in boundary]
             )
-        return cover if len(cover) <= self.config.max_tiles_per_cover else []
+        return cover if len(cover) <= MAX_TILES_PER_COVER else []
 
     def get_tiles(
         self,
@@ -713,7 +721,7 @@ class TieredResultCache:
         self._l2.put(
             self.tile_key(tile, query),
             self._entry(
-                cell_rect(tile, self.config.tile_extent_degrees),
+                cell_rect(tile, TILE_EXTENT_DEGREES),
                 query,
                 result,
                 now,
@@ -722,7 +730,7 @@ class TieredResultCache:
             ),
         )
         self.stats.tile_stores += 1
-        while len(self._l2) > self.config.l2_capacity:
+        while len(self._l2) > L2_CAPACITY:
             self._l2.drop_oldest()
             self.stats.l2_evictions += 1
         return True
@@ -817,7 +825,7 @@ class TieredResultCache:
         """Drop every entry overlapping a written region — for writes
         known only by their extent (out-of-band ingestion); the same
         lookup as :meth:`invalidate_sensors`."""
-        span = _columns(dirty, self.config.tile_extent_degrees)
+        span = _columns(dirty, TILE_EXTENT_DEGREES)
         return self._drop_matching(
             lambda level, limit: _span_cells(span, level, limit),
             lambda entry: entry.overlaps(dirty),
@@ -863,7 +871,7 @@ class TieredResultCache:
         a sensor that does is held by exactly the tile-aligned entries
         naming its tile."""
         p = sensor.location
-        e = self.config.tile_extent_degrees
+        e = TILE_EXTENT_DEGREES
         try:
             ix, iy = math.floor(p.x / e), math.floor(p.y / e)
         except (OverflowError, ValueError):  # inf or nan: no finite tile

@@ -2,7 +2,10 @@
 
 One frozen dataclass per concern, mirroring ``FederationConfig`` /
 ``TransportConfig`` style so the bench and CLI can sweep knobs without
-touching code.
+touching code.  The tile grid, the L2 capacity and cover bound
+(:mod:`repro.frontdoor.cache`) and the modeled hit costs
+(:mod:`repro.frontdoor.frontdoor`) are module constants: no workload
+turns them.
 """
 
 from __future__ import annotations
@@ -52,44 +55,23 @@ class FrontDoorConfig:
     ----------
     l1_capacity:
         Maximum exact-viewport entries in the L1 LRU (0 disables L1).
-    l2_enabled / tile_extent_degrees / l2_capacity:
+    l2_enabled:
         The L2 tile cache: the world is quantized into square tiles of
-        ``tile_extent_degrees`` per side; exact rectangular viewports
-        are answered by composing the covering tile answers (CDN-style).
-        Only exact, ungrouped queries are tile-composable — sampled
-        answers are RNG draws and zoom/cluster grouping is not
-        reconstructible from tiles — and only on portals without a
-        collection cap (the cap would demote per-tile sub-queries to
-        sampling).
-    max_tiles_per_cover:
-        Viewports covering more tiles than this bypass the tile layer
-        (a whole-country pan would otherwise fan out absurdly).
-    l1_hit_seconds / l2_tile_compose_seconds:
-        Modeled serving cost of a cache hit: an L1 hit costs a lookup;
-        an L2 hit costs the lookup plus one compose step per tile.
-        Both are orders of magnitude below a portal execution, which is
-        the point of the tier.
+        :data:`~repro.frontdoor.cache.TILE_EXTENT_DEGREES` per side;
+        exact rectangular viewports are answered by composing the
+        covering tile answers (CDN-style).  Only exact, ungrouped
+        queries are tile-composable — sampled answers are RNG draws and
+        zoom/cluster grouping is not reconstructible from tiles — and
+        only on portals without a collection cap (the cap would demote
+        per-tile sub-queries to sampling).
     admission:
         See :class:`AdmissionConfig`.
     """
 
     l1_capacity: int = 512
     l2_enabled: bool = True
-    tile_extent_degrees: float = 0.5
-    l2_capacity: int = 4096
-    max_tiles_per_cover: int = 64
-    l1_hit_seconds: float = 250e-6
-    l2_tile_compose_seconds: float = 50e-6
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self) -> None:
         if self.l1_capacity < 0:
             raise ValueError("l1_capacity must be non-negative")
-        if self.tile_extent_degrees <= 0:
-            raise ValueError("tile_extent_degrees must be positive")
-        if self.l2_capacity < 1:
-            raise ValueError("l2_capacity must be at least 1")
-        if self.max_tiles_per_cover < 1:
-            raise ValueError("max_tiles_per_cover must be at least 1")
-        if self.l1_hit_seconds < 0 or self.l2_tile_compose_seconds < 0:
-            raise ValueError("hit costs must be non-negative")

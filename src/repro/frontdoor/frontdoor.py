@@ -47,7 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.frontdoor.admission import AdmissionController
-from repro.frontdoor.cache import Raster, TieredResultCache
+from repro.frontdoor.cache import (
+    MAX_TILES_PER_COVER,
+    TILE_EXTENT_DEGREES,
+    Raster,
+    TieredResultCache,
+)
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import Polygon, Rect
 from repro.geometry.grid import Cell, cell_rect, cells_covering
@@ -55,6 +60,12 @@ from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
 __all__ = ["FrontDoor", "FrontDoorBatchResult", "FrontDoorResult"]
+
+# Modeled serving cost of a cache hit: an L1 hit costs a lookup; an L2
+# hit costs the lookup plus one compose step per tile.  Both are orders
+# of magnitude below a portal execution, which is the point of the tier.
+L1_HIT_SECONDS = 250e-6
+L2_TILE_COMPOSE_SECONDS = 50e-6
 
 # A request the cache could not serve: the quantized query, its tile
 # raster (empty when not tile-composable) and the tiles still missing.
@@ -227,10 +238,10 @@ class FrontDoor:
             # there is no coarser region to rewrite the query to.
             return query
         assert isinstance(query.region, Rect)
-        tiles = cells_covering(query.region, self.config.tile_extent_degrees)
-        if not tiles or len(tiles) > self.config.max_tiles_per_cover:
+        e = TILE_EXTENT_DEGREES
+        tiles = cells_covering(query.region, e)
+        if not tiles or len(tiles) > MAX_TILES_PER_COVER:
             return query
-        e = self.config.tile_extent_degrees
         xs = [t[0] for t in tiles]
         ys = [t[1] for t in tiles]
         quantized = Rect(
@@ -294,8 +305,7 @@ class FrontDoor:
             return None, (q, [], [])
         hit = self.cache.get_viewport(q, now, generation)
         if hit is not None:
-            l1_hit_seconds = self.config.l1_hit_seconds
-            return FrontDoorResult(q, "served", "l1", hit, l1_hit_seconds), None
+            return FrontDoorResult(q, "served", "l1", hit, L1_HIT_SECONDS), None
         raster = self.cache.raster(q) if self._tile_serveable(q) else []
         composed, missing = self.cache.get_tiles(
             q, raster, now, generation, locate=self._sensor_locator()
@@ -309,8 +319,7 @@ class FrontDoor:
             "served",
             "l2",
             composed.result,
-            self.config.l1_hit_seconds
-            + composed.tiles * self.config.l2_tile_compose_seconds,
+            L1_HIT_SECONDS + composed.tiles * L2_TILE_COMPOSE_SECONDS,
             tiles_composed=composed.tiles,
         )
         return served, None
@@ -338,9 +347,9 @@ class FrontDoor:
                 direct.append(i)
         portal_queries = [misses[i][0] for i in direct]
         if fills:
-            e = self.config.tile_extent_degrees
             portal_queries += [
-                replace(q, region=cell_rect(tile, e)) for tile, q in fills.values()
+                replace(q, region=cell_rect(tile, TILE_EXTENT_DEGREES))
+                for tile, q in fills.values()
             ]
         results: list[FrontDoorResult | None] = [None] * len(misses)
         service = 0.0
@@ -376,7 +385,7 @@ class FrontDoor:
                 results[i] = self._served_directly(misses[i], result, portal_service)
                 continue
             self.cache.put_viewport(q, composed.result, now, generation, raster)
-            compose_cost = composed.tiles * self.config.l2_tile_compose_seconds
+            compose_cost = composed.tiles * L2_TILE_COMPOSE_SECONDS
             service += compose_cost
             results[i] = FrontDoorResult(
                 q,

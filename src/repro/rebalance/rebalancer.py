@@ -8,11 +8,13 @@ single two-phase migration.  Between steps the coordinator is entirely
 free to serve queries; during a step it serves them too (the flip is
 atomic), so the loop can run interleaved with production traffic.
 
-The triggers follow :class:`~repro.rebalance.config.RebalanceConfig`:
-population-based split/merge in SampleTree's population-bounded spirit,
-plus an optional *query-load* split trigger fed by
-:meth:`note_queries` (hotspot drift concentrates queries before it
-concentrates sensors).  :meth:`verify_invariants` asserts the
+The triggers are population-based split/merge in SampleTree's
+population-bounded spirit: a shard heavier than :data:`SPLIT_FACTOR` x
+the mean population splits, a shard lighter than :data:`MERGE_FRACTION`
+x the mean merges into its nearest neighbour; the move batch and the
+balance tolerance come from
+:class:`~repro.rebalance.config.RebalanceConfig`.
+:meth:`verify_invariants` asserts the
 conservation contract the test harness pins: dense shard ids, exact
 weight conservation, the shard groups partitioning the registry, and
 every sensor inside its shard's MBR.
@@ -21,7 +23,7 @@ every sensor inside its shard's MBR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.rebalance.config import RebalanceConfig
 from repro.rebalance.migration import MigrationAborted, ShardMover
@@ -30,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.federated import FederatedPortal
 
 __all__ = ["Rebalancer", "StepReport"]
+
+# A shard heavier than ``SPLIT_FACTOR`` x the mean population splits; one
+# lighter than ``MERGE_FRACTION`` x the mean merges into its nearest
+# alive neighbour.
+SPLIT_FACTOR = 2.0
+MERGE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class _Plan:
 
 
 class Rebalancer:
-    """Population/load-triggered incremental rebalancing."""
+    """Population-triggered incremental rebalancing."""
 
     def __init__(
         self,
@@ -62,15 +70,6 @@ class Rebalancer:
         self.fed = fed
         self.config = config if config is not None else RebalanceConfig()
         self.mover = ShardMover(fed, on_phase=on_phase)
-        self._load: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Load signal (optional trigger input)
-    # ------------------------------------------------------------------
-    def note_queries(self, shard_ids: Iterable[int]) -> None:
-        """Record which shards a query scattered to (hotspot signal)."""
-        for shard_id in shard_ids:
-            self._load[shard_id] = self._load.get(shard_id, 0) + 1
 
     # ------------------------------------------------------------------
     # Policy
@@ -95,36 +94,19 @@ class Rebalancer:
         mean = fed.directory.total_weight() / len(fed.directory)
         # 1. Population split: heaviest shard beyond the split factor.
         heavy_id, heavy_w = max(weights, key=lambda t: (t[1], -t[0]))
-        if heavy_w > cfg.split_factor * mean and heavy_w >= 2:
+        if heavy_w > SPLIT_FACTOR * mean and heavy_w >= 2:
             return _Plan("split", (heavy_id,), reason=f"population {heavy_w}")
-        # 2. Load split: hotspot shard taking an outsized query share.
-        if cfg.split_load_factor is not None and self._load:
-            total_load = sum(self._load.values())
-            mean_load = total_load / len(fed.directory)
-            hot = max(
-                (s for s in weights if self._load.get(s[0], 0) > 0),
-                key=lambda t: (self._load.get(t[0], 0), -t[0]),
-                default=None,
-            )
-            if (
-                hot is not None
-                and self._load.get(hot[0], 0) > cfg.split_load_factor * mean_load
-                and hot[1] >= 2
-            ):
-                return _Plan(
-                    "split", (hot[0],), reason=f"load {self._load[hot[0]]}"
-                )
         if len(weights) < 2:
             return None
-        # 3. Merge: starved shard folds into the nearest alive shard.
+        # 2. Merge: starved shard folds into the nearest alive shard.
         light_id, light_w = min(weights, key=lambda t: (t[1], t[0]))
-        if light_w < cfg.merge_fraction * mean:
+        if light_w < MERGE_FRACTION * mean:
             partner = self._nearest_alive(light_id)
             if partner is not None:
                 return _Plan(
                     "merge", (light_id, partner), reason=f"population {light_w}"
                 )
-        # 4. Bounded move from heaviest to lightest.
+        # 3. Bounded move from heaviest to lightest.
         gap = heavy_w - light_w
         if mean > 0 and gap / mean > cfg.imbalance_tolerance and gap >= 2:
             batch = min(cfg.max_moves_per_step, gap // 2)
@@ -146,7 +128,6 @@ class Rebalancer:
         fed = self.fed
         if plan is None:
             return StepReport("noop", "balanced", 0, fed.directory.version)
-        self._load = {}
         try:
             if plan.op == "split":
                 new_id = self.mover.split(plan.shards[0])

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.build import build_colr_tree
-from repro.core.config import COLRTreeConfig
+from repro.core.config import DEFAULT_SAMPLE_SIZE, COLRTreeConfig
 from repro.core.lookup import QueryAnswer, Region, TerminalRecord, region_bbox
 from repro.core.slots import slot_of
 from repro.geometry import GeoPoint, Rect
@@ -459,7 +459,7 @@ class RelCOLRTree:
     ) -> QueryAnswer:
         """Sensor selection → probe → DML maintenance → cache read."""
         if sample_size is None:
-            sample_size = self.config.default_sample_size
+            sample_size = DEFAULT_SAMPLE_SIZE
         self.expire(now)
         answer = QueryAnswer()
         target = sample_size if self.config.sampling_enabled else 10**9

@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.sensors.sensor import Reading, Sensor
 from repro.storage import codec
 from repro.storage.heap import RecordHeap
-from repro.storage.pager import MAGIC, Pager
+from repro.storage.pager import MAGIC, PAGE_SIZE, Pager
 from repro.storage.stats import StorageStats
 
 
@@ -49,7 +49,7 @@ def write_checkpoint(
     meta: dict,
     sensors: list[Sensor],
     cached: list[tuple[Reading, float]],
-    page_size: int = 4096,
+    page_size: int = PAGE_SIZE,
     stats: StorageStats | None = None,
     fsync: bool = True,
 ) -> None:

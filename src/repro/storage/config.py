@@ -3,12 +3,14 @@
 ``StorageConfig`` is the single opt-in knob: handing one to
 ``SensorMapPortal`` (or ``FederatedPortal``, which derives per-shard
 sub-directories with :meth:`StorageConfig.for_shard`) turns the
-in-memory portal into a durable one.  The cost constants convert
-recovery work (checkpoint pages read, WAL records replayed) into
-deterministic modeled seconds, exactly like
-:class:`~repro.core.stats.ProcessingCostModel` converts query work —
-so ``revive_shard`` can charge real recovery time to the gather clock
-without depending on host speed.
+in-memory portal into a durable one.  It says where the state lives and
+whether writes are fsynced — the host's durability posture.  The page
+size (:data:`repro.storage.pager.PAGE_SIZE`), the WAL group-commit width
+(:data:`repro.storage.wal.FSYNC_BATCH`) and the recovery cost constants
+(:mod:`repro.storage.engine`), which convert recovery work into
+deterministic modeled seconds the way
+:class:`~repro.core.stats.ProcessingCostModel` converts query work, are
+module constants.
 """
 
 from __future__ import annotations
@@ -27,34 +29,15 @@ class StorageConfig:
         Directory holding the manifest, checkpoint page file and WAL.
         Created on first open.  Federations place shard ``i`` under
         ``data_dir/shard-<i>``.
-    page_size:
-        Page file granularity in bytes (power of two, >= 256).
-    wal_fsync_batch:
-        Group-commit width: one ``fsync`` per this many WAL appends.
-        Every append is still flushed to the OS, so a process kill
-        (SIGKILL) loses nothing; the batch only bounds what an *OS*
-        crash could lose.
     fsync_enabled:
         ``False`` skips all fsyncs (tests and benchmarks that only
         simulate process crashes can run faster; durability against OS
-        crashes is then off).
-    per_page_read_seconds / per_wal_record_seconds:
-        Recovery cost model: modeled seconds per checkpoint page read
-        and per WAL record re-applied on open.
+        crashes is then off).  Every WAL append is still flushed to the
+        OS, so a process kill (SIGKILL) loses nothing either way.
     """
 
     data_dir: str | Path
-    page_size: int = 4096
-    wal_fsync_batch: int = 32
     fsync_enabled: bool = True
-    per_page_read_seconds: float = 100e-6
-    per_wal_record_seconds: float = 20e-6
-
-    def __post_init__(self) -> None:
-        if self.page_size < 256 or self.page_size & (self.page_size - 1):
-            raise ValueError("page_size must be a power of two >= 256")
-        if self.wal_fsync_batch < 1:
-            raise ValueError("wal_fsync_batch must be positive")
 
     @property
     def path(self) -> Path:

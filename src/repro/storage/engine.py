@@ -49,6 +49,10 @@ from repro.storage.wal import WriteAheadLog
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = 1
+# Recovery cost model: modeled seconds per checkpoint page read and per
+# WAL record re-applied on open (deterministic, host-independent).
+PER_PAGE_READ_SECONDS = 100e-6
+PER_WAL_RECORD_SECONDS = 20e-6
 
 
 @dataclass
@@ -140,7 +144,6 @@ class StorageEngine:
         return WriteAheadLog(
             self._wal_path(epoch),
             stats=self.stats,
-            fsync_batch=self.config.wal_fsync_batch,
             fsync_enabled=self.config.fsync_enabled,
         )
 
@@ -156,7 +159,6 @@ class StorageEngine:
             meta={"epoch": epoch, "clock_now": float(clock_now)},
             sensors=sensors,
             cached=cached,
-            page_size=self.config.page_size,
             stats=self.stats,
             fsync=self.config.fsync_enabled,
         )
@@ -252,12 +254,12 @@ class StorageEngine:
     @property
     def recovery_cost_seconds(self) -> float:
         """Modeled seconds the open-time recovery took: checkpoint pages
-        read plus WAL records re-applied, under the config's cost
-        constants (deterministic, host-independent)."""
+        read plus WAL records re-applied, at :data:`PER_PAGE_READ_SECONDS`
+        and :data:`PER_WAL_RECORD_SECONDS`."""
         rec = self.recovered
         return (
-            rec.checkpoint_pages * self.config.per_page_read_seconds
-            + rec.wal_records * self.config.per_wal_record_seconds
+            rec.checkpoint_pages * PER_PAGE_READ_SECONDS
+            + rec.wal_records * PER_WAL_RECORD_SECONDS
         )
 
     # ------------------------------------------------------------------

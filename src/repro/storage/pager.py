@@ -41,6 +41,9 @@ from repro import failpoints
 from repro.storage.stats import StorageStats
 
 MAGIC = b"COLRPG1\x00"
+# The page size a new file is written at; an existing file is read at
+# the size its header records.
+PAGE_SIZE = 4096
 _HEADER_FIXED = struct.Struct("<I8sIIII")  # crc, magic, page_size, count, free, cat_len
 _DATA_FIXED = struct.Struct("<III")  # crc, next, used
 DATA_HEADER_SIZE = _DATA_FIXED.size
@@ -56,7 +59,7 @@ class Pager:
     def __init__(
         self,
         path: str | Path,
-        page_size: int = 4096,
+        page_size: int = PAGE_SIZE,
         stats: StorageStats | None = None,
     ) -> None:
         self.path = Path(path)

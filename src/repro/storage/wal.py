@@ -14,7 +14,7 @@ Durability contract
 ``append`` always flushes Python's buffer to the OS, so a *process*
 kill (SIGKILL, the failure the kill/revive benchmarks simulate) loses
 nothing that was acknowledged.  ``fsync`` runs once per
-``fsync_batch`` appends (group commit): an *OS* crash can lose at most
+``fsync_batch`` (default :data:`FSYNC_BATCH`) appends (group commit): an *OS* crash can lose at most
 the last unsynced batch, which recovery's prefix property absorbs.
 ``append_many`` holds a batch to the same contract as a unit: every
 frame is flushed to the OS on return, and the whole batch is fsynced
@@ -36,6 +36,8 @@ from repro.storage.stats import StorageStats
 
 MAGIC = b"COLRWAL2"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+# Group-commit width: one ``fsync`` per this many appends.
+FSYNC_BATCH = 32
 
 
 def _frame(payload: bytes) -> bytes:
@@ -49,7 +51,7 @@ class WriteAheadLog:
         self,
         path: str | Path,
         stats: StorageStats | None = None,
-        fsync_batch: int = 32,
+        fsync_batch: int = FSYNC_BATCH,
         fsync_enabled: bool = True,
     ) -> None:
         self.path = Path(path)

@@ -12,10 +12,12 @@ per-sensor *attempts* on a simulated-time event queue:
   unconditionally), so overlapping ticks and back-to-back queries never
   contact a sensor twice within its freshness window.
 * **Retry / backoff / cooldown** — a failed attempt is retried up to
-  ``max_retries`` times with exponential backoff plus jitter (drawn from
-  the dispatcher's own RNG; the network RNG stream is untouched), and a
-  sensor whose logical probe fails while its historical availability
-  estimate is below ``cooldown_threshold`` is not contacted again for
+  ``max_retries`` times with exponential backoff (:data:`BACKOFF_BASE`
+  seconds, times :data:`BACKOFF_MULTIPLIER` per further attempt) plus
+  :data:`BACKOFF_JITTER` relative jitter drawn from the dispatcher's own
+  RNG (the network RNG stream is untouched), and a sensor whose logical
+  probe fails while its historical availability estimate is below
+  :data:`COOLDOWN_THRESHOLD` is not contacted again for
   ``cooldown_seconds``.
 * **Overlapping rounds** — all rounds share one pool of
   ``network.parallelism`` connections and one event queue, so multiple
@@ -29,8 +31,8 @@ per-sensor *attempts* on a simulated-time event queue:
   taking them singly.
 * **Streaming ingestion** — completed readings are flushed into the
   owning round's ``COLRTree.insert_readings_batch`` in completion order,
-  every ``stream_chunk`` completions, instead of waiting for the round's
-  slowest probe.
+  every :data:`STREAM_CHUNK` completions, instead of waiting for the
+  round's slowest probe.
 
 With ``TransportConfig.parity()`` (no retries, no overlap, no tables)
 the dispatcher degenerates to ``sample_attempts`` + ``complete_batch``
@@ -58,6 +60,19 @@ from repro.transport.config import TransportConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tree import COLRTree
+
+# Retry delay before attempt ``k + 1`` (simulated seconds):
+# ``BACKOFF_BASE * BACKOFF_MULTIPLIER**(k - 1)``, scaled by
+# ``1 + U(-BACKOFF_JITTER, +BACKOFF_JITTER)``.
+BACKOFF_BASE = 0.5
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.1
+# A failed sensor whose availability estimate is below this enters
+# cooldown (when ``TransportConfig.cooldown_seconds`` is positive).
+COOLDOWN_THRESHOLD = 0.5
+# Completed readings are flushed into the round's tree every this-many
+# completions (and at round end).
+STREAM_CHUNK = 64
 
 # Event kinds.  A completion's kind is its wire outcome, so the payload
 # of every event is just the ``_Pending``.
@@ -190,7 +205,7 @@ class ProbeDispatcher:
         # caches a failure: within the ttl the sensor is reported failed
         # without traffic.
         self._recent: dict[int, tuple[float, Reading | None]] = {}
-        self._cooldown_until: dict[int, float] = {}
+        self._cooldown_ends: dict[int, float] = {}
         # Submitted rounds not yet resolved, in submission order (a dict
         # for its ordered keys: a round leaves the moment it resolves).
         self._unresolved: dict[ProbeRound, None] = {}
@@ -252,14 +267,14 @@ class ProbeDispatcher:
                 self.stats.dedup_inflight += 1
                 net_stats.probes_deduped += 1
                 continue
-            until = self._cooldown_until.get(sid)
+            until = self._cooldown_ends.get(sid)
             if until is not None:
                 if now < until:
                     rnd.cooldown_skipped.append(sid)
                     self.stats.cooldown_skips += 1
                     net_stats.probes_cooldown_skipped += 1
                     continue
-                del self._cooldown_until[sid]
+                del self._cooldown_ends[sid]
             if cfg.inflight_ttl > 0:
                 entry = self._recent.get(sid)
                 if entry is not None and now - entry[0] < cfg.inflight_ttl:
@@ -445,11 +460,8 @@ class ProbeDispatcher:
         return self._resolve(pending, t, None, timed_out)
 
     def _backoff(self, failed_attempts: int) -> float:
-        cfg = self.config
-        delay = cfg.backoff_base * cfg.backoff_multiplier ** (failed_attempts - 1)
-        if cfg.backoff_jitter > 0:
-            delay *= 1.0 + cfg.backoff_jitter * float(self._rng.uniform(-1.0, 1.0))
-        return delay
+        delay = BACKOFF_BASE * BACKOFF_MULTIPLIER ** (failed_attempts - 1)
+        return delay * (1.0 + BACKOFF_JITTER * float(self._rng.uniform(-1.0, 1.0)))
 
     # ------------------------------------------------------------------
     # Resolution
@@ -467,8 +479,8 @@ class ProbeDispatcher:
             self._recent[sid] = (pending.now, reading)
         if reading is None and cfg.cooldown_seconds > 0:
             model = self.network.availability_model
-            if model is not None and model.estimate(sid) < cfg.cooldown_threshold:
-                self._cooldown_until[sid] = pending.now + cfg.cooldown_seconds
+            if model is not None and model.estimate(sid) < COOLDOWN_THRESHOLD:
+                self._cooldown_ends[sid] = pending.now + cfg.cooldown_seconds
         for i, rnd in enumerate(pending.rounds):
             rnd.outstanding.discard(sid)
             if pending.attempts > 1:
@@ -477,7 +489,7 @@ class ProbeDispatcher:
                 rnd.readings[sid] = reading
                 if i == 0 and rnd.tree is not None:
                     rnd._stream_buffer.append(reading)
-                    if len(rnd._stream_buffer) >= cfg.stream_chunk:
+                    if len(rnd._stream_buffer) >= STREAM_CHUNK:
                         self._flush(rnd)
             elif timed_out:
                 rnd.timed_out.append(sid)
@@ -536,8 +548,8 @@ class ProbeDispatcher:
                     self._recent[sid] = (pending.now, reading)
                 if reading is None and cfg.cooldown_seconds > 0:
                     model = net.availability_model
-                    if model is not None and model.estimate(sid) < cfg.cooldown_threshold:
-                        self._cooldown_until[sid] = pending.now + cfg.cooldown_seconds
+                    if model is not None and model.estimate(sid) < COOLDOWN_THRESHOLD:
+                        self._cooldown_ends[sid] = pending.now + cfg.cooldown_seconds
                 for waiter in pending.rounds:
                     waiter.outstanding.discard(sid)
                     if waiter is rnd:

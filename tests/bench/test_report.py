@@ -68,8 +68,8 @@ def test_counter_dictionaries_keep_their_keys():
     assert set(fed.stats_summary()["federation"]) == {
         "queries", "batch_ticks", "subqueries_scattered", "exact_broadcasts",
         "sampled_splits", "shards_routed", "zero_share_skips",
-        "shard_attempts", "shard_retries", "shard_failures", "shard_timeouts",
-        "shard_cooldown_skips", "partial_answers", "redistributions",
+        "shard_attempts", "shard_retries", "shard_failures",
+        "partial_answers", "redistributions",
         "redistribution_rounds_run", "topup_subqueries",
         "topup_sensors_gained", "sampled_shortfall", "streaming_queries",
         "deferred_shard_answers", "shard_recoveries", "recovery_seconds_total",

@@ -53,22 +53,19 @@ def make_fed(
     seed: int = 0,
     n_shards: int = 3,
     execution: str = "inprocess",
-    retry_backoff_base: float = 5.0,
+    shard_retry_budget: int = 1,
     availability: float = 1.0,
     extent: float = EXTENT,
 ) -> FederatedPortal:
-    """A reliable sharded fleet.  The generous retry backoff makes a
-    killed shard's failure land *well after* every healthy shard's
-    answer, so streaming-deadline tests can pick a deadline between the
-    two deterministically."""
+    """A reliable sharded fleet; a killed shard takes
+    ``shard_retry_budget`` retries before it fails."""
     portal = FederatedPortal(
         n_shards=n_shards,
         config=COLRTreeConfig(max_expiry_seconds=600.0, slot_seconds=SLOT_SECONDS),
         max_sensors_per_query=None,
         federation=FederationConfig(
             execution=execution,
-            shard_retry_budget=1,
-            retry_backoff_base=retry_backoff_base,
+            shard_retry_budget=shard_retry_budget,
         ),
     )
     rng = np.random.default_rng(seed)

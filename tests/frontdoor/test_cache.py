@@ -4,6 +4,8 @@ validity reasons, composition, and the stats accounting."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 from repro.core.aggregates import AggregateSketch
 from repro.core.lookup import QueryAnswer
 from repro.frontdoor import FrontDoorConfig, TieredResultCache
-from repro.frontdoor.cache import result_oldest_timestamp
+from repro.frontdoor import cache as cache_mod
+from repro.frontdoor.cache import (
+    L2_CAPACITY,
+    MAX_TILES_PER_COVER,
+    TILE_EXTENT_DEGREES,
+    result_oldest_timestamp,
+)
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cell_rect, cells_covering
 from repro.portal.portal import PortalResult
@@ -24,6 +32,25 @@ SLOT = 120.0
 
 def _config(**kwargs) -> FrontDoorConfig:
     return FrontDoorConfig(**kwargs)
+
+
+@contextmanager
+def _tile_constants(
+    extent: float,
+    l2_capacity: int = L2_CAPACITY,
+    max_tiles: int = MAX_TILES_PER_COVER,
+):
+    """The cache module's tile constants at other values, for the index
+    oracles below: the write-delta index must drop exactly what a scan
+    would at any tile extent (a dyadic and a non-dyadic one), through L2
+    evictions and through covers too large to keep."""
+    with mock.patch.multiple(
+        cache_mod,
+        TILE_EXTENT_DEGREES=extent,
+        L2_CAPACITY=l2_capacity,
+        MAX_TILES_PER_COVER=max_tiles,
+    ):
+        yield
 
 
 def _result(query: SensorQuery, readings: list[Reading]) -> PortalResult:
@@ -210,13 +237,13 @@ class TestL1:
 class TestL2:
     def _fill_tiles(self, cache, q, tiles, readings_per_tile):
         for tile, readings in zip(tiles, readings_per_tile):
-            tile_q = _query(cell_rect(tile, cache.config.tile_extent_degrees))
+            tile_q = _query(cell_rect(tile, TILE_EXTENT_DEGREES))
             cache.put_tile(tile, q, _result(tile_q, readings), now=0.0, generation=1)
 
     def test_missing_tiles_reported_then_composed(self):
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0.1, 0.1, 0.9, 0.4))  # two 0.5-degree tiles
-        tiles = cells_covering(q.region, 0.5)
+        tiles = cells_covering(q.region, TILE_EXTENT_DEGREES)
         assert len(tiles) == 2
         composed, missing = cache.get_tiles(q, cache.raster(q), now=0.0, generation=1)
         assert composed is None and sorted(missing) == sorted(tiles)
@@ -230,7 +257,7 @@ class TestL2:
     def test_compose_deduplicates_shared_edge_sensors(self):
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0.1, 0.1, 0.9, 0.4))
-        tiles = cells_covering(q.region, 0.5)
+        tiles = cells_covering(q.region, TILE_EXTENT_DEGREES)
         # Sensor 7 sits on the shared tile edge: both fills carry it.
         self._fill_tiles(
             cache, q, tiles, [[_reading(1), _reading(7)], [_reading(7), _reading(2)]]
@@ -251,28 +278,32 @@ class TestL2:
         assert cache.stats.l2_hits == 0
 
     def test_ineligible_and_oversized_covers_opt_out(self):
-        cache = TieredResultCache(_config(max_tiles_per_cover=4), SLOT)
+        cache = TieredResultCache(_config(), SLOT)
         sampled = _query(Rect(0, 0, 1, 1), sample_size=10)
         assert cache.get_tiles(sampled, cache.raster(sampled), now=0.0, generation=1) == (None, [])
-        huge = _query(Rect(0, 0, 9.9, 9.9))
+        huge = _query(Rect(0, 0, 9.9, 9.9))  # 20 x 20 tiles: over the cover bound
+        assert len(cells_covering(huge.region, TILE_EXTENT_DEGREES)) > MAX_TILES_PER_COVER
         assert cache.get_tiles(huge, cache.raster(huge), now=0.0, generation=1) == (None, [])
 
     def test_l2_eviction_bounds_tile_count(self):
-        cache = TieredResultCache(_config(l2_capacity=3), SLOT)
+        cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0, 0, 0.4, 0.4))
-        for i in range(5):
+        for i in range(L2_CAPACITY + 2):
             cache.put_tile((i, 0), q, _result(q, []), now=0.0, generation=1)
-        assert len(cache) == 3
+        assert len(cache) == L2_CAPACITY
         assert cache.stats.l2_evictions == 2
+        assert (0, 0) not in {key[0] for key in cache._l2.entries}
+        TestWriteDeltaIndex._assert_in_step(cache)
 
     def test_one_compose_serves_rectangles_and_polygons(self):
         """What the two compose bodies returned, from the one that
         replaced them: a rectangle passes every tile wholesale; a
         polygon passes interior tiles wholesale and crops boundary tiles
         per sensor, and gives up on a boundary tile it cannot crop."""
-        cache = TieredResultCache(_config(tile_extent_degrees=1.0), SLOT)
-        box = Rect(0.0, 0.0, 3.0, 3.0)
-        triangle = Polygon([GeoPoint(0.0, 0.0), GeoPoint(3.0, 0.0), GeoPoint(0.0, 3.0)])
+        e = TILE_EXTENT_DEGREES
+        cache = TieredResultCache(_config(), SLOT)
+        box = Rect(0.0, 0.0, 3 * e, 3 * e)
+        triangle = Polygon([GeoPoint(0.0, 0.0), GeoPoint(3 * e, 0.0), GeoPoint(0.0, 3 * e)])
         rect_q, poly_q = _query(box), _query(triangle)
         rect_raster = cache.raster(rect_q)
         poly_raster = cache.raster(poly_q)
@@ -285,13 +316,13 @@ class TestL2:
         sketch = AggregateSketch.of([(5.0, 0.0)])
         for (ix, iy), _ in rect_raster:
             low, high = 10 * ix + iy, 10 * ix + iy + 100
-            locations[low] = GeoPoint(ix + 0.1, iy + 0.1)
-            locations[high] = GeoPoint(ix + 0.9, iy + 0.9)
+            locations[low] = GeoPoint((ix + 0.1) * e, (iy + 0.1) * e)
+            locations[high] = GeoPoint((ix + 0.9) * e, (iy + 0.9) * e)
             answer = QueryAnswer(probed_readings=[_reading(low), _reading(high)])
             if (ix, iy) == (0, 0):
                 answer.cached_sketches.append(sketch)
                 answer.cached_sketch_nodes.append(7)
-            tile_q = _query(cell_rect((ix, iy), 1.0))
+            tile_q = _query(cell_rect((ix, iy), e))
             result = PortalResult(tile_q, [], [answer], 0.0, 0.0)
             cache.put_tile((ix, iy), rect_q, result, now=0.0, generation=1)
 
@@ -319,7 +350,7 @@ class TestL2:
         spoiled = QueryAnswer(cached_sketches=[sketch], cached_sketch_nodes=[9])
         cache.put_tile(
             (1, 1), rect_q,
-            PortalResult(_query(cell_rect((1, 1), 1.0)), [], [spoiled], 0.0, 0.0),
+            PortalResult(_query(cell_rect((1, 1), e)), [], [spoiled], 0.0, 0.0),
             now=0.0, generation=1,
         )
         assert cache.get_tiles(
@@ -403,15 +434,11 @@ class TestWriteDeltaIndex:
         max_tiles=st.sampled_from([1, 64]),  # 1: polygons keep no cells
     )
     def test_same_entries_dropped_as_a_full_scan(self, ops, extent, max_tiles):
-        cache = TieredResultCache(
-            _config(
-                tile_extent_degrees=extent,
-                l1_capacity=20,
-                l2_capacity=30,
-                max_tiles_per_cover=max_tiles,
-            ),
-            SLOT,
-        )
+        with _tile_constants(extent, l2_capacity=30, max_tiles=max_tiles):
+            self._run_script(ops, extent)
+
+    def _run_script(self, ops, extent: float) -> None:
+        cache = TieredResultCache(_config(l1_capacity=20), SLOT)
         now = 0.0
         for kind, (kx, ky, kw, kh) in ops:
             half = extent / 2
@@ -464,25 +491,27 @@ class TestWriteDeltaIndex:
         """Rectangles are closed: a delta that shares one edge point with
         an entry drops it, though ``cells_covering`` gives them no tile in
         common."""
-        cache = TieredResultCache(_config(tile_extent_degrees=extent), SLOT)
-        for ix in range(1, 9):
-            q = _query(cell_rect((ix, ix), extent))
-            cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
-            cache.put_tile((ix, ix), q, _result(q, []), now=0.0, generation=1)
-            corner = cell_rect((ix + 1, ix + 1), extent)
-            touch = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
-            assert not set(cells_covering(touch, extent)) & {(ix, ix)}
-            assert cache.invalidate_region(touch) == 2, ix
-        assert len(cache) == 0
+        with _tile_constants(extent):
+            cache = TieredResultCache(_config(), SLOT)
+            for ix in range(1, 9):
+                q = _query(cell_rect((ix, ix), extent))
+                cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
+                cache.put_tile((ix, ix), q, _result(q, []), now=0.0, generation=1)
+                corner = cell_rect((ix + 1, ix + 1), extent)
+                touch = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
+                assert not set(cells_covering(touch, extent)) & {(ix, ix)}
+                assert cache.invalidate_region(touch) == 2, ix
+            assert len(cache) == 0
 
     def test_replacing_a_tile_keeps_its_lru_position(self):
-        cache = TieredResultCache(_config(l2_capacity=2), SLOT)
+        cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0, 0, 0.4, 0.4))
+        for i in range(L2_CAPACITY):
+            cache.put_tile((i, 0), q, _result(q, []), now=0.0, generation=1)
         cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
-        cache.put_tile((1, 0), q, _result(q, []), now=0.0, generation=1)
-        cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
-        cache.put_tile((2, 0), q, _result(q, []), now=0.0, generation=1)
-        assert [key[0] for key in cache._l2.entries] == [(1, 0), (2, 0)]
+        cache.put_tile((L2_CAPACITY, 0), q, _result(q, []), now=0.0, generation=1)
+        tiles = [key[0] for key in cache._l2.entries]
+        assert tiles == [(i, 0) for i in range(1, L2_CAPACITY + 1)]
         self._assert_in_step(cache)
 
     def test_wide_and_unbounded_regions_are_still_invalidated(self):
@@ -553,9 +582,11 @@ class TestWrittenSensors:
         extent=st.sampled_from([0.5, 0.1]),
     )
     def test_drops_exactly_the_entries_holding_a_written_sensor(self, ops, extent):
-        cache = TieredResultCache(
-            _config(tile_extent_degrees=extent, l1_capacity=20, l2_capacity=30), SLOT
-        )
+        with _tile_constants(extent, l2_capacity=30):
+            self._run_script(ops, extent)
+
+    def _run_script(self, ops, extent: float) -> None:
+        cache = TieredResultCache(_config(l1_capacity=20), SLOT)
         ids: dict[GeoPoint, int] = {}  # one id per location, as a registry
         now = 0.0
         for kind, args in ops:
@@ -621,11 +652,11 @@ class TestWrittenSensors:
             TestWriteDeltaIndex._assert_in_step(cache)
 
     def test_a_sensor_on_a_shared_corner_drops_all_four_tiles(self):
-        cache = TieredResultCache(_config(tile_extent_degrees=0.1), SLOT)
+        cache = TieredResultCache(_config(), SLOT)
         for tile in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)]:
-            q = _query(cell_rect(tile, 0.1))
+            q = _query(cell_rect(tile, TILE_EXTENT_DEGREES))
             cache.put_tile(tile, q, _result(q, []), now=0.0, generation=1)
-        corner = cell_rect((3, 3), 0.1)
+        corner = cell_rect((3, 3), TILE_EXTENT_DEGREES)
         assert cache.invalidate_sensors([_sensor(0, corner.min_x, corner.min_y)]) == 4
         assert [key[0] for key in cache._l2.entries] == [(4, 4)]
 

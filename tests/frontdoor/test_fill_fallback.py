@@ -11,6 +11,7 @@ and charged the fill it waited for as well as its own execution.
 from __future__ import annotations
 
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
+from repro.frontdoor.cache import MAX_TILES_PER_COVER
 from repro.geometry import Rect
 
 from tests.frontdoor.conftest import exact_query, make_fed, make_portal
@@ -20,11 +21,10 @@ NO_ADMISSION = AdmissionConfig(enabled=False)
 
 def test_a_partial_fill_falls_back_and_is_charged_the_fill():
     fed = make_fed(n=400, seed=11, n_shards=3)
-    door = FrontDoor(
-        fed, FrontDoorConfig(admission=NO_ADMISSION, max_tiles_per_cover=144)
-    )
+    door = FrontDoor(fed, FrontDoorConfig(admission=NO_ADMISSION))
     fed.kill_shard(1)
-    query = exact_query(Rect(2.0, 2.0, 8.0, 8.0))  # 144 tiles, every shard
+    query = exact_query(Rect(4.0, 1.0, 6.0, 9.0))  # 64 tiles, every shard
+    assert len(door.cache.raster(query)) == MAX_TILES_PER_COVER
     batch = door.execute_batch([query])
     (served,) = batch.results
     assert served.served_from == "portal" and served.result.partial

@@ -10,6 +10,7 @@ alive, where a bounding-box entry would have been dropped.
 from __future__ import annotations
 
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
+from repro.frontdoor.cache import TILE_EXTENT_DEGREES
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cells_covering, rasterize
 from repro.portal.query import SensorQuery
@@ -125,7 +126,7 @@ def test_a_polygon_stored_without_a_raster_still_invalidates_per_cell():
     door = _door(portal, l2_enabled=False)
     door.execute(_query())
     (entry,) = door.cache._l1.entries.values()
-    interior, boundary = rasterize(TRIANGLE, door.config.tile_extent_degrees)
+    interior, boundary = rasterize(TRIANGLE, TILE_EXTENT_DEGREES)
     assert entry.cells is not None
     assert len(entry.cells) == len(interior) + len(boundary)
     _write(portal, CORNER)

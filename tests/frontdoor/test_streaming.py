@@ -5,6 +5,7 @@ continuous-query manager's deadline path, and the process backend."""
 from __future__ import annotations
 
 from repro.federation import FederationConfig
+from repro.federation.federated import RETRY_BACKOFF_BASE, RETRY_BACKOFF_MULTIPLIER
 from repro.portal.continuous import ContinuousQueryManager
 
 from tests.frontdoor.conftest import (
@@ -15,15 +16,21 @@ from tests.frontdoor.conftest import (
 from repro.geometry import Rect
 
 QUERY_RECT = Rect(0.5, 0.5, 9.5, 9.5)  # routes to every shard
+# A killed shard retried three times fails after 0.5 + 1 + 2 = 3.5 s of
+# backoff, well after every healthy answer (0.6 s cold).
+RETRIES = 3
+FAILURE_LANDS = sum(
+    RETRY_BACKOFF_BASE * RETRY_BACKOFF_MULTIPLIER**k for k in range(RETRIES)
+)
 
 
 def _degraded_gather(seed: int = 0, deadline: float = 2.0):
     """Twin reliable federations with one killed shard: the probe run
     (no deadline) pins the arrival timeline, the measured run publishes
-    at ``deadline``.  The generous 5 s retry backoff guarantees the
-    killed shard's failure lands after every healthy answer."""
-    probe = make_fed(seed=seed)
-    fed = make_fed(seed=seed)
+    at ``deadline``.  The three retries' backoff guarantees the killed
+    shard's failure lands after every healthy answer."""
+    probe = make_fed(seed=seed, shard_retry_budget=RETRIES)
+    fed = make_fed(seed=seed, shard_retry_budget=RETRIES)
     for f in (probe, fed):
         f.kill_shard(1)
     timeline = probe.execute_streaming(exact_query(QUERY_RECT))
@@ -74,8 +81,8 @@ class TestDegradedDeadline:
 class TestContinuousManager:
     def test_deadline_bounds_published_tick_latency_when_degraded(self):
         deadline = 2.0
-        fed_sync = make_fed(seed=3)
-        fed_stream = make_fed(seed=3)
+        fed_sync = make_fed(seed=3, shard_retry_budget=RETRIES)
+        fed_stream = make_fed(seed=3, shard_retry_budget=RETRIES)
         sync = ContinuousQueryManager(fed_sync)
         stream = ContinuousQueryManager(fed_stream, gather_deadline_seconds=deadline)
         for manager in (sync, stream):
@@ -89,9 +96,10 @@ class TestContinuousManager:
         stream_latency = next(
             iter(stream.subscriptions())
         ).last_result.collection_seconds
-        # Sync waits out the 5 s retry backoff; streaming publishes the
+        # Sync waits out the 3.5 s retry backoff; streaming publishes the
         # partial answer at the deadline.
-        assert sync_latency >= 5.0
+        assert FAILURE_LANDS == 3.5
+        assert sync_latency >= FAILURE_LANDS
         assert stream_latency == deadline
         assert next(iter(stream.subscriptions())).last_result.partial
 

@@ -3,6 +3,8 @@ their interaction with the transport dispatcher's dedup tables."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestDispatcherAbsorbsStaggeredOverlap:
         recently-probed table answers every one from its cached-failure
         entries: zero new wire traffic."""
         portal = _build_portal(
-            transport=TransportConfig.parity(inflight_ttl=60.0), availability=0.5
+            transport=replace(TransportConfig.parity(), inflight_ttl=60.0), availability=0.5
         )
         manager = ContinuousQueryManager(portal)
         manager.subscribe(QUERY, refresh_seconds=120.0, phase_seconds=0.0)

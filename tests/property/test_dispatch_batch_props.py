@@ -8,7 +8,8 @@ connection slots, one counter update).
 Both are driven over random scripts — overlapping submits at shared and
 distinct instants, partial drains that leave events queued, retries with
 jittered backoff, latency jitter, timeouts, cooldown, dedup tables,
-small connection pools, every ``stream_chunk`` — and after every step
+small connection pools, whole-fleet rounds whose readings overrun the
+streaming chunk — and after every step
 everything either can be asked must be equal: every ``ProbeRound`` field,
 ``NetworkStats``, ``TransportStats``, the availability history, the
 order and content of every flush into the trees, the tables, the
@@ -26,10 +27,14 @@ from repro import AvailabilityModel, SensorNetwork
 from repro.geometry import GeoPoint
 from repro.sensors.sensor import Sensor
 from repro.transport import ProbeDispatcher, ProbeRound, TransportConfig
-from repro.transport.dispatcher import _DISPATCH, _OK, _TIMED_OUT
+from repro.transport.dispatcher import _DISPATCH, _OK, _TIMED_OUT, STREAM_CHUNK
 from tests.transport.reference_dispatch import ReferenceDispatcher
 
-N_SENSORS = 40
+# A whole-fleet round yields about half the fleet in readings (the mean
+# of AVAILABILITY), which must overrun one streaming chunk so the
+# mid-round flushes are compared too.
+N_SENSORS = 160
+assert N_SENSORS // 2 > STREAM_CHUNK
 AVAILABILITY = (1.0, 0.9, 0.5, 0.2, 0.0)
 
 
@@ -71,11 +76,9 @@ class _World:
             self.network,
             TransportConfig(
                 max_retries=knobs["max_retries"],
-                backoff_jitter=knobs["backoff_jitter"],
                 inflight_ttl=knobs["inflight_ttl"],
                 cooldown_seconds=knobs["cooldown_seconds"],
                 overlap_enabled=knobs["overlap_enabled"],
-                stream_chunk=knobs["stream_chunk"],
                 seed=knobs["transport_seed"],
             ),
         )
@@ -127,7 +130,7 @@ class _World:
                 for sid, p in d._inflight.items()
             ],
             "recent": list(d._recent.items()),
-            "cooldown": list(d._cooldown_until.items()),
+            "cooldown": list(d._cooldown_ends.items()),
             "unresolved": [self.rounds.index(r) for r in d._unresolved],
             "connections": sorted(d._conn),
             "queue": sorted(_event_view(e) for e in d._events),
@@ -167,17 +170,18 @@ KNOBS = st.fixed_dictionaries(
         "timeout_seconds": st.sampled_from([None, 0.25, 0.15]),
         "network_seed": st.integers(0, 2**16),
         "max_retries": st.integers(0, 3),
-        "backoff_jitter": st.sampled_from([0.0, 0.1, 0.5]),
         "inflight_ttl": st.sampled_from([0.0, 60.0]),
         "cooldown_seconds": st.sampled_from([0.0, 300.0]),
         "overlap_enabled": st.booleans(),
-        "stream_chunk": st.sampled_from([1, 8, 64]),
         "transport_seed": st.integers(0, 2**16),
     }
 )
 
 SUBMIT = st.tuples(
-    st.lists(st.integers(0, N_SENSORS - 1), max_size=30),  # repeats allowed
+    st.one_of(
+        st.lists(st.integers(0, N_SENSORS - 1), max_size=30),  # repeats allowed
+        st.just(list(range(N_SENSORS))),
+    ),
     st.sampled_from([math.inf, 30.0, 0.0]),
     st.sampled_from([None, 0, 1]),
 )

@@ -10,6 +10,8 @@ overlapping queries stop re-contacting sensors."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -108,7 +110,7 @@ class TestDedup:
         registry = make_registry(n=120, availability=0.5, seed=4)
         rel = make_rel(
             registry,
-            transport=TransportConfig.parity(inflight_ttl=60.0),
+            transport=replace(TransportConfig.parity(), inflight_ttl=60.0),
         )
         region = Rect(0.0, 0.0, 100.0, 100.0)
         rel.query(region, now=0.0, max_staleness=120.0, sample_size=10**9)

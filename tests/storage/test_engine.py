@@ -6,7 +6,7 @@ from repro.geometry import GeoPoint
 from repro.sensors.registry import SensorRegistry
 from repro.sensors.sensor import Reading
 from repro.storage import StorageConfig, StorageEngine, stored_sensor_ids, wipe_data_dir
-from repro.storage.engine import describe_data_dir
+from repro.storage.engine import PER_WAL_RECORD_SECONDS, describe_data_dir
 
 
 def make_sensors(n: int):
@@ -108,7 +108,7 @@ class TestWalRecovery:
             engine.journal_register(s)
         engine.crash()
         reopened = StorageEngine(config(tmp_path))
-        expected = 4 * reopened.config.per_wal_record_seconds
+        expected = 4 * PER_WAL_RECORD_SECONDS
         assert reopened.recovery_cost_seconds == pytest.approx(expected)
         assert reopened.stats.recoveries == 1
 

@@ -112,7 +112,7 @@ class TestRegistrationBatch:
         portal = self.durable(tmp_path)
         fsyncs = portal.storage.stats.wal_fsyncs
         portal.register_all(list(fleet))
-        # 1,000 >= wal_fsync_batch: the whole batch is synced on return.
+        # 1,000 >= the WAL group-commit width: the whole batch is synced on return.
         assert portal.storage.stats.wal_appends == 1000
         assert portal.storage.stats.wal_fsyncs == fsyncs + 1
         portal.crash()

@@ -75,7 +75,6 @@ def test_cooldown_takes_precedence_over_failure_memory():
         overlap_enabled=False,
         inflight_ttl=60.0,
         cooldown_seconds=300.0,
-        cooldown_threshold=0.5,
     )
     d = ProbeDispatcher(net, cfg)
     for tick in range(5):
@@ -89,7 +88,7 @@ def test_cooldown_takes_precedence_over_failure_memory():
 def test_cooldown_expires_and_allows_reassessment():
     net = _network(availability=0.0)
     sid = net.sensors()[0].sensor_id
-    cfg = TransportConfig.parity(cooldown_seconds=100.0)
+    cfg = replace(TransportConfig.parity(), cooldown_seconds=100.0)
     d = ProbeDispatcher(net, cfg)
     d.collect([sid], now=0.0)
     assert d.collect([sid], now=50.0).cooldown_skipped == [sid]
@@ -130,7 +129,7 @@ def test_mixed_fleet_only_flaky_sensors_cool_down():
     flaky_ids = {s.sensor_id for s in sensors[:10]}
     model = AvailabilityModel()
     net = SensorNetwork(sensors, availability_model=model, seed=3)
-    cfg = TransportConfig.parity(cooldown_seconds=300.0, cooldown_threshold=0.5)
+    cfg = replace(TransportConfig.parity(), cooldown_seconds=300.0)
     d = ProbeDispatcher(net, cfg)
     all_ids = [s.sensor_id for s in sensors]
     d.collect(all_ids, now=0.0)

@@ -97,12 +97,12 @@ def test_execute_batch_parity_over_ticks(availability):
 
 
 def test_parity_config_is_parity():
-    assert TransportConfig.parity().is_parity
-    assert not TransportConfig().is_parity
-    cfg = TransportConfig(
-        max_retries=0, overlap_enabled=False, inflight_ttl=0.0, cooldown_seconds=0.0
-    )
-    assert cfg.is_parity
+    cfg = TransportConfig.parity()
+    assert cfg.max_retries == 0
+    assert cfg.overlap_enabled is False
+    assert cfg.inflight_ttl == 0.0
+    assert cfg.cooldown_seconds == 0.0
+    assert TransportConfig() != cfg
 
 
 def test_unconfigured_transport_means_parity_dispatcher():
@@ -112,7 +112,7 @@ def test_unconfigured_transport_means_parity_dispatcher():
     sensors = portal.registry.all()
     tree = COLRTree(sensors, network=SensorNetwork(sensors))
     rel = RelCOLRTree(sensors, network=SensorNetwork(sensors))
-    assert portal.dispatcher.config.is_parity
+    assert portal.dispatcher.config == TransportConfig.parity()
     assert portal.tree("generic").transport is portal.dispatcher
-    assert tree.transport.config.is_parity
-    assert rel.dispatcher.config.is_parity
+    assert tree.transport.config == TransportConfig.parity()
+    assert rel.dispatcher.config == TransportConfig.parity()
