@@ -76,7 +76,11 @@ class COLRTreeConfig:
         fingerprint and terminal level in :mod:`repro.core.plancache` —
         kept per tree (LRU evicted).  Plans stay valid for the tree's
         lifetime because the spatial structure is immutable after bulk
-        load; only temporal/slot-cache state is per-query.
+        load; only temporal/slot-cache state is per-query.  A plan
+        costs ~1 B a tree node plus ~70 B a node its region's box
+        meets, plus its memos (2.8 kB for an e2e ``sampled`` viewport),
+        so 256 plans are ~0.7 MB a tree for viewport-sized regions and
+        at most 256 x (~70 B x nodes + memos); docs/architecture.md §4.
     seed:
         Seed for the index's own RNG (random sensor selection and
         randomized rounding of fractional targets).

@@ -127,7 +127,7 @@ def _relevant_sensor_count(
 ) -> int:
     if plan._relevant_count is not None:
         return plan._relevant_count
-    labels = plan.labels_list
+    labels = plan.labels
     child_start = kernel._child_start_list
     total = 0
     stack = [0]
@@ -174,7 +174,7 @@ def _explain_exact(
 def _walk_exact(
     tree, node, region, now, max_staleness, plan, kernel, spatial, idx
 ) -> None:
-    label = spatial.labels_list[idx]
+    label = spatial.labels[idx]
     if label == DISJOINT:
         return
     fully_inside = label == CONTAINED
@@ -244,11 +244,11 @@ def _walk_sampled(
     weighted = []
     total = 0.0
     overlaps = spatial.overlaps(kernel, region)
-    labels = spatial.labels_list
+    labels = spatial.labels
     start = kernel._child_start_list[idx]
     for offset, child in enumerate(node.children):
         child_idx = start + offset
-        overlap = overlaps[child_idx]
+        overlap = overlaps.get(child_idx, 0.0)
         if overlap <= 0.0 and labels[child_idx] == DISJOINT:
             continue
         w = child.weight * max(overlap, 1e-12)

@@ -222,7 +222,7 @@ def _scan_cached(
     """Preorder walk for trees with cached readings: geometry
     predicates are lookups into the precomputed classification labels,
     slot caches are consulted node by node."""
-    labels = plan.labels_list
+    labels = plan.labels
     child_start = kernel._child_start_list
     child_count = kernel._child_count_list
     is_leaf = kernel._is_leaf_list
@@ -273,7 +273,7 @@ def _scan_empty_cache(
     """
     memo = plan._empty_scan
     if memo is None:
-        labels = plan.labels
+        labels = plan.label_array()
         visited = kernel.visited_mask(labels)
         nodes_traversed = int(visited.sum())
         caching = tree.config.caching_enabled
@@ -340,11 +340,11 @@ def _scan_empty_cache(
         else:
             sensor_ids = kernel.sensor_ids
             visited_list = visited.tolist()
-            labels_list = plan.labels_list
+            label_bytes = plan.labels
             for i in kernel.preorder_leaves.tolist():
                 if not visited_list[i]:
                     continue
-                label = labels_list[i]
+                label = label_bytes[i]
                 if label == DISJOINT:
                     continue
                 node = kernel.nodes[i]

@@ -15,6 +15,15 @@ the node classification eagerly and materializes the more expensive
 derived artifacts (overlap fractions, per-leaf membership, the fully
 vectorized empty-cache scan) lazily on first use, so a plan only ever
 pays for what its queries actually touch.
+
+A plan costs what it holds.  Its labels are one byte per node
+(``bytes``: indexing yields the same small ints a list does, ~10 ns
+slower a read), and its overlap fractions are kept only where they are
+non-zero — most of a tree is disjoint from a viewport.  So a cached
+plan grows with the nodes its region's box meets and the leaves its
+queries crossed, not with the tree: 2.8 kB for a plan of the e2e
+``sampled`` workload (1,500-sensor shards), against 11.2 kB when it
+also held its labels and its overlaps as per-node lists.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 import numpy as np
 
-from repro.core.flat import FlatKernel
+from repro.core.flat import DISJOINT, FlatKernel
 from repro.geometry import Polygon, Rect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,33 +53,38 @@ def region_fingerprint(region: "Region") -> Hashable | None:
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class SpatialPlan:
     """Memoized spatial artifacts of one (region, tree) pair."""
 
-    labels: np.ndarray
+    # One DISJOINT / PARTIAL / CONTAINED label per node, preorder.
+    labels: bytes
     n_disjoint: int
-    _labels_list: list[int] | None = field(default=None, repr=False)
-    _overlaps: np.ndarray | None = field(default=None, repr=False)
-    _overlaps_list: list[float] | None = field(default=None, repr=False)
+    # Non-zero overlap fractions by node index: read ``.get(i, 0.0)``.
+    _overlaps: dict[int, float] | None = field(default=None, repr=False)
     _leaf_matching: dict[int, list["Sensor"]] = field(default_factory=dict, repr=False)
     _empty_scan: Any = field(default=None, repr=False)
     _relevant_count: int | None = field(default=None, repr=False)
 
-    @property
-    def labels_list(self) -> list[int]:
-        """Labels as a plain list: Python-list scalar indexing is several
-        times cheaper than numpy scalar indexing in the per-node loops."""
-        if self._labels_list is None:
-            self._labels_list = self.labels.tolist()
-        return self._labels_list
+    @classmethod
+    def of(cls, labels: np.ndarray) -> "SpatialPlan":
+        """The plan of a classification (``FlatKernel.classify``)."""
+        return cls(labels=labels.tobytes(), n_disjoint=int((labels == DISJOINT).sum()))
 
-    def overlaps(self, kernel: FlatKernel, region: "Region") -> list[float]:
-        """Per-node ``Overlap(BB(i), A)``, vectorized then memoized."""
-        if self._overlaps_list is None:
-            self._overlaps = kernel.overlap_fractions(region)
-            self._overlaps_list = self._overlaps.tolist()
-        return self._overlaps_list
+    def label_array(self) -> np.ndarray:
+        """The labels as a read-only ``int8`` array view, for the
+        vectorized scans."""
+        return np.frombuffer(self.labels, dtype=np.int8)
+
+    def overlaps(self, kernel: FlatKernel, region: "Region") -> dict[int, float]:
+        """Per-node ``Overlap(BB(i), A)``, vectorized once, then kept
+        for the nodes where it is non-zero: every node missing from the
+        mapping has an overlap of ``0.0``."""
+        if self._overlaps is None:
+            fractions = kernel.overlap_fractions(region)
+            nonzero = np.flatnonzero(fractions)
+            self._overlaps = dict(zip(nonzero.tolist(), fractions[nonzero].tolist()))
+        return self._overlaps
 
     def leaf_matching(
         self, kernel: FlatKernel, i: int, region: "Region"

@@ -125,7 +125,7 @@ def layered_sample(
     o_level = max(config.oversample_level, t_level)
     plan = tree.spatial_plan(region, t_level, answer.stats)
     kernel = tree.kernel
-    labels = plan.labels_list
+    labels = plan.labels
     queue = _TargetQueue()
     queue.push(_Entry(priority=float(target_size), node=tree.root, scaled=False, idx=0))
     rng = tree.rng
@@ -239,11 +239,11 @@ def _child_shares(
     weighted: list[tuple["COLRNode", float, int]] = []
     total = 0.0
     overlaps = plan.overlaps(kernel, region)
-    labels = plan.labels_list
+    labels = plan.labels
     start = kernel._child_start_list[idx]
     for offset, child in enumerate(node.children):
         child_idx = start + offset
-        overlap = overlaps[child_idx]
+        overlap = overlaps.get(child_idx, 0.0)
         if overlap <= 0.0 and labels[child_idx] == DISJOINT:
             continue
         # A degenerate overlap fraction of 0 on a touching box still

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.aggregates import AggregateSketch
 from repro.core.build import build_colr_tree
 from repro.core.config import DEFAULT_SAMPLE_SIZE, COLRTreeConfig
-from repro.core.flat import DISJOINT, FlatKernel
+from repro.core.flat import FlatKernel
 from repro.core.lookup import QueryAnswer, Region, range_lookup
 from repro.core.node import COLRNode
 from repro.core.plancache import SpatialPlan, SpatialPlanCache, region_fingerprint
@@ -277,8 +277,7 @@ class COLRTree:
                     stats.plan_cache_hits += 1
                     stats.nodes_pruned_vectorized += plan.n_disjoint
                 return plan
-        labels = self.kernel.classify(region)
-        plan = SpatialPlan(labels=labels, n_disjoint=int((labels == DISJOINT).sum()))
+        plan = SpatialPlan.of(self.kernel.classify(region))
         if key is not None:
             self.plan_cache.put(key, plan)
             if stats is not None:

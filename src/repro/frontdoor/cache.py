@@ -45,8 +45,9 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Collection, Hashable, Sequence
+from typing import Callable, Collection, Hashable, Mapping, Sequence
 
+from repro.core.aggregates import AggregateSketch
 from repro.core.plancache import region_fingerprint
 from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
@@ -55,7 +56,7 @@ from repro.geometry.grid import Cell, cell_rect, cells_covering, rasterize
 from repro.portal.grouping import GroupView
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
-from repro.sensors.sensor import Sensor
+from repro.sensors.sensor import Reading, Sensor
 
 __all__ = [
     "CacheStats",
@@ -66,7 +67,13 @@ __all__ = [
 
 # The L2 tile grid: square tiles of ``TILE_EXTENT_DEGREES`` per side.
 TILE_EXTENT_DEGREES = 0.5
-# At most this many tile entries are kept (LRU evicted).
+# At most this many tile entries are kept (LRU evicted).  An entry
+# holds a :class:`_Tile` record, so its bytes follow its readings:
+# ~0.8 kB for an empty tile (validity record, key, LRU slot, index
+# buckets; every empty answer shares one record), plus ~0.2 kB of
+# record and 8 B a reading and 16 B a sketch when it holds any.  A
+# tile's readings are its own sensors', so the count bounds the tier at
+# ~3.5 MB plus 8 B a sensor for each (type, staleness) pair in use.
 L2_CAPACITY = 4096
 # A viewport covering more tiles than this bypasses the tile layer (a
 # whole-country pan would otherwise fan out absurdly).
@@ -151,12 +158,52 @@ class CacheStats:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class _Tile:
+    """What an L2 entry keeps of its fill's answer: exactly what a
+    compose reads.  ``readings`` are every answer's probed then cached
+    readings, answer after answer; ``sketches`` and ``sketch_nodes``
+    every answer's cached sketches and their nodes; ``sources`` and
+    ``centers`` the fill's :meth:`GroupView.locators`.  Every empty
+    answer is the one :data:`_EMPTY_TILE`."""
+
+    readings: tuple[Reading, ...]
+    sketches: tuple[AggregateSketch, ...]
+    sketch_nodes: tuple[int, ...]
+    sources: tuple[Mapping, ...]
+    centers: tuple[GeoPoint, ...]
+
+    @staticmethod
+    def of(result: PortalResult) -> "_Tile":
+        answers = result.answers
+        readings = tuple(
+            chain.from_iterable(
+                chain(answer.probed_readings, answer.cached_readings)
+                for answer in answers
+            )
+        )
+        sketches = tuple(chain.from_iterable(a.cached_sketches for a in answers))
+        if not readings and not sketches:
+            return _EMPTY_TILE
+        return _Tile(
+            readings,
+            sketches,
+            tuple(chain.from_iterable(a.cached_sketch_nodes for a in answers)),
+            *GroupView.locators(result.groups),
+        )
+
+
+_EMPTY_TILE = _Tile((), (), (), (), ())
+
+
 @dataclass(slots=True)
 class _Entry:
     """One cached answer (viewport or tile) plus its validity record."""
 
     region: Rect
-    result: PortalResult
+    # An L1 viewport's whole result (a hit replays it verbatim), or an
+    # L2 tile's record.
+    held: PortalResult | _Tile
     slot_window: int
     generation: int
     oldest_timestamp: float
@@ -549,7 +596,8 @@ class TieredResultCache:
         self,
         region: Rect,
         query: SensorQuery,
-        result: PortalResult,
+        held: PortalResult | _Tile,
+        oldest: float,
         now: float,
         generation: int,
         cells: tuple[Rect, ...] | None = None,
@@ -558,10 +606,10 @@ class TieredResultCache:
         reach = region if cells is None else Rect.union_of(cells)
         return _Entry(
             region=region,
-            result=result,
+            held=held,
             slot_window=slot_of(now, self.slot_seconds),
             generation=generation,
-            oldest_timestamp=result_oldest_timestamp(result),
+            oldest_timestamp=oldest,
             staleness_seconds=query.staleness_seconds,
             cells=cells,
             tiles=tiles,
@@ -586,7 +634,7 @@ class TieredResultCache:
         if entry is None:
             return None
         self.stats.l1_hits += 1
-        return entry.result
+        return entry.held
 
     def put_viewport(
         self,
@@ -628,7 +676,11 @@ class TieredResultCache:
                 cells = tuple(cell_rect(tile, e) for tile, _ in cover)
             region = Rect.from_points(region.vertices)
         self._l1.put(
-            key, self._entry(region, query, result, now, generation, cells, tiles)
+            key,
+            self._entry(
+                region, query, result, result_oldest_timestamp(result), now,
+                generation, cells, tiles,
+            ),
         )
         self._l1.entries.move_to_end(key)
         self.stats.stores += 1
@@ -723,7 +775,8 @@ class TieredResultCache:
             self._entry(
                 cell_rect(tile, TILE_EXTENT_DEGREES),
                 query,
-                result,
+                _Tile.of(result),
+                result_oldest_timestamp(result),
                 now,
                 generation,
                 tiles=(tile,),
@@ -767,33 +820,28 @@ class TieredResultCache:
         oldest = math.inf
         regions: list[Rect] = []
         for interior, entry in entries:
-            if not interior and any(
-                answer.cached_sketches for answer in entry.result.answers
-            ):
+            tile: _Tile = entry.held
+            if not interior and tile.sketches:
                 return None
             regions.append(entry.region)
             oldest = min(oldest, entry.oldest_timestamp)
-            for answer in entry.result.answers:
-                for reading in chain(answer.probed_readings, answer.cached_readings):
-                    if reading.sensor_id in seen:
+            for reading in tile.readings:
+                if reading.sensor_id in seen:
+                    continue
+                if not interior:
+                    location = locate(reading.sensor_id)
+                    if location is None or not region.contains_point(location):
                         continue
-                    if not interior:
-                        location = locate(reading.sensor_id)
-                        if location is None or not region.contains_point(
-                            location
-                        ):
-                            continue
-                    seen.add(reading.sensor_id)
-                    merged.cached_readings.append(reading)
-                if interior:
-                    merged.cached_sketches.extend(answer.cached_sketches)
-                    merged.cached_sketch_nodes.extend(
-                        answer.cached_sketch_nodes
-                    )
+                seen.add(reading.sensor_id)
+                merged.cached_readings.append(reading)
+            if interior:
+                merged.cached_sketches += tile.sketches
+                merged.cached_sketch_nodes += tile.sketch_nodes
         result = PortalResult(
             query=query,
             groups=GroupView.over(
-                merged, [entry.result.groups for _, entry in entries]
+                merged,
+                [(entry.held.sources, entry.held.centers) for _, entry in entries],
             ),
             answers=[merged],
             processing_seconds=0.0,

@@ -178,22 +178,37 @@ class GroupView(Sequence[DisplayGroup]):
             ),
         )
 
-    @classmethod
-    def over(
-        cls, answer: QueryAnswer, pieces: Iterable[Sequence[DisplayGroup]]
-    ) -> "GroupView":
-        """The view of an answer merged from the answers behind
-        ``pieces`` (the front door's tile compose): it resolves through
-        their sources, and its cached sketches are theirs in order."""
-        parts = [
-            part
-            for piece in pieces
-            if isinstance(piece, GroupView)
-            for part in piece._parts
-        ]
+    @staticmethod
+    def locators(
+        groups: Sequence[DisplayGroup],
+    ) -> tuple[tuple[Mapping, ...], tuple[GeoPoint, ...]]:
+        """What :meth:`over` reads of one answer's groups: its view
+        parts' sources, each once and in order, and their sketch centers
+        in order — none for a plain list (clustered or zoom groups)."""
+        if not isinstance(groups, GroupView):
+            return (), ()
+        parts = groups._parts
         sources = {id(source): source for _, sources, _ in parts for source in sources}
         centers = tuple(center for _, _, centers in parts for center in centers)
-        return cls(((answer, tuple(sources.values()), centers),))
+        return tuple(sources.values()), centers
+
+    @classmethod
+    def over(
+        cls,
+        answer: QueryAnswer,
+        pieces: Iterable[tuple[tuple[Mapping, ...], tuple[GeoPoint, ...]]],
+    ) -> "GroupView":
+        """The view of an answer merged from others (the front door's
+        tile compose), given each one's :meth:`locators`: it resolves
+        through their sources, and its cached sketches' centers are
+        theirs in order."""
+        sources: dict[int, Mapping] = {}
+        centers: list[GeoPoint] = []
+        for piece_sources, piece_centers in pieces:
+            for source in piece_sources:
+                sources.setdefault(id(source), source)
+            centers += piece_centers
+        return cls(((answer, tuple(sources.values()), tuple(centers)),))
 
 
 def concat_groups(pieces: Sequence[Sequence[DisplayGroup]]) -> Sequence[DisplayGroup]:

@@ -232,7 +232,9 @@ class TestGroupsResolveThroughTheShardTable:
                     merged.cached_readings += answer.cached_readings
                     merged.cached_sketches += answer.cached_sketches
                     merged.cached_sketch_nodes += answer.cached_sketch_nodes
-            return GroupView.over(merged, [result.groups for result in results])
+            return GroupView.over(
+                merged, [GroupView.locators(result.groups) for result in results]
+            )
 
         composed = compose(unpacked)
         assert len(composed) > 0 and list(composed) == list(compose(live))
