@@ -67,7 +67,7 @@ def main() -> None:
 
     # Model view: estimate conditions anywhere from the warm cache.
     tree = portal.tree("weather")
-    view = ModelView(tree, fallback="probe")
+    view = ModelView(tree)
     print("\nmodel-based point estimates (no probes once the cache is warm):")
     for x, y in ((30.0, 30.0), (70.0, 70.0), (10.0, 90.0)):
         estimate = view.estimate_at(

@@ -44,13 +44,6 @@ class FlatCache:
         self._pool: dict[int, tuple[Reading, float]] = {}
         self.stats = TreeStats()
 
-    def __len__(self) -> int:
-        return len(self._sensors)
-
-    @property
-    def cached_reading_count(self) -> int:
-        return len(self._pool)
-
     def query(
         self,
         region: Region,

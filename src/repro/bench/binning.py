@@ -79,15 +79,3 @@ def bin_by_result_size(
                 Bin(int(low), int(high), int(mask.sum()), float(values_arr[mask].mean()))
             )
     return bins
-
-
-def binned_series(
-    sizes: np.ndarray,
-    metric_by_system: dict[str, Sequence[float]],
-    n_bins: int = 8,
-) -> dict[str, list[Bin]]:
-    """Bin one metric for several systems over the same query stream."""
-    return {
-        name: bin_by_result_size(sizes, values, n_bins)
-        for name, values in metric_by_system.items()
-    }

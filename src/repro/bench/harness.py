@@ -9,7 +9,6 @@ every experiment.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
@@ -34,14 +33,6 @@ class StreamSummary:
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         self._sorted = sorted(float(v) for v in values)
-
-    def add(self, value: float) -> None:
-        """Insert one observation, keeping the series sorted (bench
-        series stay small enough that insort's O(n) shift is noise)."""
-        bisect.insort(self._sorted, float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        self._sorted = sorted(self._sorted + [float(v) for v in values])
 
     @property
     def count(self) -> int:
@@ -125,10 +116,6 @@ class QueryRecord:
     terminal_count: int
     terminal_pde: float
 
-    @property
-    def end_to_end_seconds(self) -> float:
-        return self.processing_seconds + self.collection_seconds
-
 
 @dataclass
 class RunResult:
@@ -136,20 +123,10 @@ class RunResult:
 
     records: list[QueryRecord] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def mean(self, attribute: str) -> float:
         if not self.records:
             raise ValueError("no records")
         return sum(getattr(r, attribute) for r in self.records) / len(self.records)
-
-    def total(self, attribute: str) -> float:
-        return sum(getattr(r, attribute) for r in self.records)
-
-    def summary(self, attribute: str) -> StreamSummary:
-        """Order statistics over one per-query attribute."""
-        return StreamSummary(getattr(r, attribute) for r in self.records)
 
 
 def run_query_stream(

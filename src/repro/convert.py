@@ -2,12 +2,12 @@
 
     python -m repro.convert PATH [PATH ...]
 
-Format-2 checkpoints and snapshots stored each record as a pickle, and
+Format-2 checkpoints stored each record as a pickle, and
 ``COLRWAL1`` write-ahead logs framed pickled records.  This tool
 rewrites them in place as :mod:`repro.storage.codec` layouts.  A PATH
 may be
 
-- a snapshot or checkpoint file;
+- a checkpoint file;
 - a data directory (its manifested checkpoint and WAL);
 - a federation directory (every ``shard-<i>`` data directory in it).
 
@@ -31,7 +31,6 @@ import zlib
 from pathlib import Path
 
 from repro.geometry import GeoPoint
-from repro.persistence import FORMAT_VERSION
 from repro.sensors.sensor import Reading, Sensor
 from repro.storage import codec
 from repro.storage.checkpoint import write_checkpoint
@@ -73,8 +72,8 @@ def _reading(record: tuple) -> Reading:
 
 
 def convert_checkpoint(path: str | Path) -> bool:
-    """Rewrite one format-2 page file (a snapshot or an engine
-    checkpoint).  Returns whether it needed converting."""
+    """Rewrite one format-2 engine checkpoint.  Returns whether it
+    needed converting."""
     path = Path(path)
     pager = Pager(path)
     try:
@@ -89,10 +88,8 @@ def convert_checkpoint(path: str | Path) -> bool:
         raise codec.FormatError(f"{path}: {len(meta_rec)} meta records, expected one")
     meta = dict(_load(meta_rec[0]))
     # Engine checkpoints carried their format as a key; the format now
-    # lives in the meta header.  Snapshots keep a version of their own.
+    # lives in the meta header.
     meta.pop("format", None)
-    if "format_version" in meta:
-        meta["format_version"] = FORMAT_VERSION
     cached = []
     for raw in cached_recs:
         record, fetched_at = _load(raw)

@@ -100,19 +100,6 @@ class COLRNode:
             yield node
             stack.extend(node.children)
 
-    def iter_leaves(self) -> Iterator["COLRNode"]:
-        """Depth-first iteration over the subtree's leaves."""
-        for node in self.iter_subtree():
-            if node.is_leaf:
-                yield node
-
-    def path_to_root(self) -> Iterator["COLRNode"]:
-        """This node, then each ancestor up to (and including) the root."""
-        node: COLRNode | None = self
-        while node is not None:
-            yield node
-            node = node.parent
-
     def height(self) -> int:
         """Longest path from this node down to a leaf (leaf height 0)."""
         if self.is_leaf:
@@ -139,7 +126,3 @@ class COLRNode:
         if self.agg_cache is None:
             return 0
         return self.agg_cache.usable_weight(now, max_staleness)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "leaf" if self.is_leaf else f"internal[{len(self.children)}]"
-        return f"COLRNode(id={self.node_id}, level={self.level}, {kind}, w={self.weight})"

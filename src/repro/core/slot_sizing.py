@@ -115,11 +115,6 @@ class SlotSizeModel:
         """The utility/cost objective Figure 2 plots."""
         return self.utility(delta) / self.cost(delta)
 
-    def sweep(self, deltas: Sequence[float]) -> list[tuple[float, float]]:
-        """``(Δ, utility/cost)`` pairs over a slot-size grid."""
-        return [(d, self.ratio(d)) for d in deltas]
-
-
 #: Figure 2 reference workload parameters, calibrated against the Live
 #: Local query stream: users typically ask for the full freshness
 #: horizon (T ≈ t_max), only a small fraction of arrivals refresh any

@@ -39,30 +39,6 @@ def slot_of(instant: float, slot_seconds: float) -> int:
     return int(math.floor(instant / slot_seconds))
 
 
-def usable_slot_range(now: float, slot_seconds: float) -> tuple[int, int | None]:
-    """Usable slot ids as ``(low, high)`` with an inclusive lower bound
-    and an *open-ended* upper bound.
-
-    Slots strictly after the one containing ``now`` hold only unexpired
-    entries.  The boundary slot (``slot_of(now)``) mixes expired and
-    live entries and therefore needs per-entry checks (leaf level) or is
-    skipped (aggregate level).  The upper end is genuinely unbounded —
-    any slot id at or above ``low`` is usable — so ``high`` is ``None``
-    rather than a fake "practical infinity" (the old ``low + 2**31``
-    sentinel silently excluded far-future expiries and broke integer
-    comparisons near the sentinel).  Use :func:`slot_usable` for
-    membership tests.
-    """
-    low = slot_of(now, slot_seconds) + 1
-    return (low, None)
-
-
-def slot_usable(slot: int, now: float, slot_seconds: float) -> bool:
-    """Whether a slot id is usable without entry inspection at ``now``
-    (it lies strictly after the boundary slot)."""
-    return slot >= slot_of(now, slot_seconds) + 1
-
-
 class CachedReading:
     """A raw reading held in a leaf slot cache, with LRF bookkeeping
     and the expiry slot it is filed under — computed once, when the
@@ -81,10 +57,11 @@ class LeafSlotCache:
     """Raw-reading cache of a leaf node.
 
     Holds at most one (the newest) reading per sensor, bucketed into
-    expiry slots.  Exposes the operations the tree needs: insert with
-    replacement (returning the displaced reading so ancestors can
-    decrement), per-query fresh-reading lookup, pruning of expired
-    slots, and least-recently-fetched eviction within the oldest slot.
+    expiry slots.  Exposes the operations the tree needs: put with
+    replacement (returning the displaced entry so ancestors can
+    decrement), removal (the tree's slot registry drives pruning and
+    least-recently-fetched eviction through it) and per-query
+    fresh-reading lookup.
     """
 
     def __init__(self, slot_seconds: float) -> None:
@@ -97,37 +74,21 @@ class LeafSlotCache:
     def __len__(self) -> int:
         return len(self._by_sensor)
 
-    def __contains__(self, sensor_id: int) -> bool:
-        return sensor_id in self._by_sensor
-
-    def slot_ids(self) -> list[int]:
-        """Occupied slot ids in ascending order."""
-        return sorted(self._slots)
-
     def get(self, sensor_id: int) -> CachedReading | None:
         return self._by_sensor.get(sensor_id)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, reading: Reading, fetched_at: float) -> Reading | None:
-        """Cache a reading; returns the displaced older reading, if any.
-
-        A sensor keeps only its newest reading: an *update* displaces
-        the previous value, which the caller must decrement out of the
-        ancestor aggregates (Section IV-B).
-        """
-        displaced = self.put(
-            reading, fetched_at, slot_of(reading.expires_at, self.slot_seconds)
-        )
-        return None if displaced is None else displaced.reading
-
     def put(
         self, reading: Reading, fetched_at: float, slot: int
     ) -> CachedReading | None:
-        """:meth:`insert` for a caller that already knows the reading's
-        slot (the tree computes it once per ingested reading); returns
-        the displaced *entry*, whose ``slot`` says where it was filed."""
+        """Cache a reading under its expiry ``slot`` (the tree computes
+        it once per ingested reading); returns the displaced *entry*,
+        whose ``slot`` says where it was filed.  A sensor keeps only its
+        newest reading: an *update* displaces the previous value, which
+        the caller must decrement out of the ancestor aggregates
+        (Section IV-B)."""
         displaced = self.remove(reading.sensor_id)
         self._by_sensor[reading.sensor_id] = CachedReading(reading, fetched_at, slot)
         self._slots.setdefault(slot, set()).add(reading.sensor_id)
@@ -144,34 +105,6 @@ class LeafSlotCache:
             if not members:
                 del self._slots[cached.slot]
         return cached
-
-    def prune_expired(self, now: float) -> list[Reading]:
-        """Drop all readings in slots entirely behind ``now``; returns
-        the dropped readings (ancestors must forget their aggregates —
-        in practice the ancestors' same-numbered slots are pruned too,
-        so no decrement is needed, but the list supports accounting)."""
-        boundary = slot_of(now, self.slot_seconds)
-        dropped: list[Reading] = []
-        for slot in [s for s in self._slots if s < boundary]:
-            for sensor_id in list(self._slots[slot]):
-                cached = self._by_sensor.pop(sensor_id, None)
-                if cached is not None:
-                    dropped.append(cached.reading)
-            del self._slots[slot]
-        return dropped
-
-    def eviction_candidates(self) -> list[tuple[float, int]]:
-        """``(fetched_at, sensor_id)`` pairs in the oldest occupied slot,
-        least recently fetched first — the paper's replacement order."""
-        if not self._slots:
-            return []
-        oldest = min(self._slots)
-        pairs = [
-            (self._by_sensor[sid].fetched_at, sid)
-            for sid in self._slots[oldest]
-        ]
-        pairs.sort()
-        return pairs
 
     # ------------------------------------------------------------------
     # Lookup
@@ -202,10 +135,6 @@ class LeafSlotCache:
         """Ids of sensors with a usable cached reading at ``now``."""
         return {r.sensor_id for r in self.fresh_readings(now, max_staleness)}
 
-    def all_readings(self) -> Iterator[Reading]:
-        for cached in self._by_sensor.values():
-            yield cached.reading
-
     def slot_readings(self, slot: int) -> list[Reading]:
         """The readings filed under one slot, in the order they were
         cached (a float fold over them is reproducible; the slot's id
@@ -234,18 +163,9 @@ class SlotCache:
         self.slot_seconds = float(slot_seconds)
         self._slots: dict[int, AggregateSketch] = {}
 
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def slot_ids(self) -> list[int]:
-        return sorted(self._slots)
-
     def sketch(self, slot: int) -> AggregateSketch | None:
         return self._slots.get(slot)
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
     def add(self, slot: int, value: float, timestamp: float) -> None:
         self._slots.setdefault(slot, AggregateSketch()).add(value, timestamp)
 
@@ -310,9 +230,6 @@ class SlotCache:
             del self._slots[slot]
         return len(stale)
 
-    def clear(self) -> None:
-        self._slots.clear()
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -336,7 +253,3 @@ class SlotCache:
         ``|c_i|`` term of Algorithm 1 and the cache-sufficiency weight of
         the sensor-selection access method (Section VI-A)."""
         return sum(s.count for s in self.usable_sketches(now, max_staleness))
-
-    def total_weight(self) -> int:
-        """Constituent count over all slots, fresh or not."""
-        return sum(s.count for s in self._slots.values())

@@ -110,10 +110,6 @@ class TreeStats:
         self.totals.merge(query_stats)
         self.queries += 1
 
-    def reset(self) -> None:
-        self.totals = QueryStats()
-        self.queries = 0
-
 
 @dataclass(frozen=True, slots=True)
 class ProcessingCostModel:
@@ -143,7 +139,3 @@ class ProcessingCostModel:
             + stats.maintenance_ops * self.per_maintenance_op
             + stats.sensors_probed * self.per_probe_dispatch
         )
-
-    def end_to_end_seconds(self, stats: QueryStats) -> float:
-        """Processing latency plus the simulated collection latency."""
-        return self.processing_seconds(stats) + stats.collection_latency_seconds

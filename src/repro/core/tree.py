@@ -126,7 +126,7 @@ class COLRTree:
         self.stats = TreeStats()
         # Write-delta listeners: ``fn(sensors)`` fires after every
         # cache ingestion (probe fill, streamed transport ingestion,
-        # prime_cache) with the sensors written, one per reading.  The
+        # a batch insert) with the sensors written, one per reading.  The
         # front-door result cache subscribes here so viewport answers
         # holding a written sensor drop out — cached results see exactly
         # the deltas the slot caches see.
@@ -712,11 +712,3 @@ class COLRTree:
             if not members:
                 del self._cache_registry[oldest]
         return ops
-
-    # ------------------------------------------------------------------
-    # Bulk cache priming (used by experiments to warm caches)
-    # ------------------------------------------------------------------
-    def prime_cache(self, readings: Iterable[Reading], fetched_at: float) -> int:
-        """Insert a batch of readings directly (no probe accounting),
-        via the grouped-delta ingestion path."""
-        return self.insert_readings_batch(readings, fetched_at)

@@ -1,7 +1,7 @@
 """The scatter-gather coordinator over partitioned portal shards.
 
 ``FederatedPortal`` mirrors the ``SensorMapPortal`` surface (register /
-rebuild / execute / execute_batch / execute_sql / explain / stats) but
+rebuild / execute / execute_batch / explain / stats) but
 owns N shards, each a full portal — its own COLR-Trees, its own
 ``SensorNetwork``, its own ``ProbeDispatcher`` pool when transport is
 enabled.  One simulated clock is shared so freshness bounds mean the
@@ -55,7 +55,6 @@ from repro.federation.streaming import ShardArrival, StreamingGather
 from repro.geometry import GeoPoint, Polygon
 from repro.portal.batch import BatchStats
 from repro.portal.grouping import GroupView, concat_groups
-from repro.portal.parser import parse_query
 from repro.portal.portal import PortalResult, SensorMapPortal
 from repro.portal.query import SensorQuery, normalize_region
 from repro.sensors.clock import SimClock
@@ -542,12 +541,6 @@ class FederatedPortal:
         self._ensure_index()
         return list(self._groups[shard_id])
 
-    def sensor_types(self) -> list[str]:
-        types: set[str] = set()
-        for entry in self.directory.entries():
-            types |= entry.sensor_types
-        return sorted(types)
-
     # ------------------------------------------------------------------
     # Shard health
     # ------------------------------------------------------------------
@@ -933,12 +926,6 @@ class FederatedPortal:
             self.stats.topup_sensors_gained += outcome.sensors_gained
         self.stats.sampled_shortfall += outcome.shortfall
         return outcome
-
-    # ------------------------------------------------------------------
-    # User side
-    # ------------------------------------------------------------------
-    def execute_sql(self, sql: str) -> FederatedResult:
-        return self.execute(parse_query(sql))
 
     def _scatter_queries(
         self, queries: Sequence[SensorQuery]

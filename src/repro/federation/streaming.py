@@ -75,8 +75,3 @@ class StreamingGather:
     arrivals: tuple[ShardArrival, ...]
     first: "FederatedResult"
     final: "FederatedResult"
-
-    @property
-    def deferred_shards(self) -> tuple[int, ...]:
-        """Healthy shards whose answers missed the deadline."""
-        return self.first.deferred_shards

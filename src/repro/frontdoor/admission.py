@@ -105,6 +105,3 @@ class AdmissionController:
             return "shed_rate"
         self.stats.admitted += 1
         return "admit"
-
-    def tenants(self) -> int:
-        return len(self._buckets)

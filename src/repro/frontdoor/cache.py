@@ -222,11 +222,6 @@ class _Entry:
     # the entry, and what a delta is first tested against.
     span: tuple[int, int, int, int] | None = None
 
-    def overlaps(self, dirty: Rect) -> bool:
-        if self.cells is not None:
-            return any(cell.intersects(dirty) for cell in self.cells)
-        return self.region.intersects(dirty)
-
     def holds(self, delta: "_Delta") -> bool:
         """Whether the region holds one of the delta's sensors, closed
         like ``Rect.contains_point`` (a polygon's region is its cells).
@@ -427,12 +422,6 @@ class _Store:
 
     def drop_oldest(self) -> None:
         self.drop(next(iter(self.entries)))
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self._buckets.clear()
-        self._placed.clear()
-        self._unbounded.clear()
 
     @staticmethod
     def _place(entry: _Entry) -> tuple[int, list[tuple[int, int, int]]] | None:
@@ -869,16 +858,6 @@ class TieredResultCache:
         delta = self._delta(sensors)
         return self._drop_matching(delta.cells, lambda entry: entry.holds(delta))
 
-    def invalidate_region(self, dirty: Rect) -> int:
-        """Drop every entry overlapping a written region — for writes
-        known only by their extent (out-of-band ingestion); the same
-        lookup as :meth:`invalidate_sensors`."""
-        span = _columns(dirty, TILE_EXTENT_DEGREES)
-        return self._drop_matching(
-            lambda level, limit: _span_cells(span, level, limit),
-            lambda entry: entry.overlaps(dirty),
-        )
-
     def _drop_matching(self, cells_at: CellsAt, test: Callable[[_Entry], bool]) -> int:
         dropped = 0
         for store in (self._l1, self._l2):
@@ -929,14 +908,3 @@ class TieredResultCache:
         self._tile_of[sensor.sensor_id] = (ix, iy)
         if not (ix * e < p.x < (ix + 1) * e and iy * e < p.y < (iy + 1) * e):
             self._odd.add(sensor.sensor_id)
-
-    def clear(self) -> int:
-        """Drop everything (index rebuild / generation change)."""
-        dropped = len(self._l1) + len(self._l2)
-        self._l1.clear()
-        self._l2.clear()
-        self.stats.invalidated_generation += dropped
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._l1) + len(self._l2)

@@ -32,9 +32,7 @@ are one more.  Every entry is also keyed on the portal's
 process-backend federation the trees — and their writes: each worker
 owns its shard and its WAL — live in the workers, where the front door
 cannot listen, and replies do not carry their written sensor ids yet;
-its caches are invalidated by generation and slot advancement, plus
-:meth:`FrontDoor.invalidate_region` for out-of-band writes known only
-by their extent.
+its caches are invalidated by generation and slot advancement.
 
 Admission control (:class:`~repro.frontdoor.admission.AdmissionController`)
 rides along for the open-loop harness; ``execute`` applies it when
@@ -185,11 +183,6 @@ class FrontDoor:
                     tree.ingest_listeners.append(self._on_ingest)
             self._attached_generation = generation
         return generation
-
-    def invalidate_region(self, region: Rect) -> int:
-        """Out-of-band write invalidation, for writes known only by the
-        region they landed in (external ingestion)."""
-        return self.cache.invalidate_region(region)
 
     def _sensor_locator(self):
         """A sensor-id → location resolver over the in-process trees'
@@ -426,12 +419,3 @@ class FrontDoor:
         return FrontDoorResult(
             q, "served", "portal", result, waited + result.end_to_end_seconds
         )
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def stats_summary(self) -> dict[str, object]:
-        return {
-            "cache": self.cache.stats.as_dict(),
-            "admission": self.admission.stats.as_dict(),
-        }

@@ -28,15 +28,6 @@ class CellPlan:
     interior: tuple[tuple[int, int], ...]
     boundary: tuple[tuple[int, int], ...]
 
-    @property
-    def total_cells(self) -> int:
-        return len(self.interior) + len(self.boundary)
-
-    @property
-    def boundary_fraction(self) -> float:
-        total = self.total_cells
-        return len(self.boundary) / total if total else 0.0
-
 
 def plan_polygon(
     polygon: Polygon, cell_degrees: float, max_cells: int

@@ -8,7 +8,7 @@ formula from :mod:`repro.geometry.point`.
 Public classes
 --------------
 ``GeoPoint``
-    An immutable 2-D point with planar and great-circle distance helpers.
+    An immutable 2-D point.
 ``Rect``
     An axis-aligned rectangle: the bounding-box type of tree nodes and of
     viewport queries.  Provides intersection, containment, area and the
@@ -19,7 +19,7 @@ Public classes
     point-in-polygon and rectangle-relation tests.
 """
 
-from repro.geometry.point import GeoPoint, haversine_miles, planar_distance
+from repro.geometry.point import GeoPoint, haversine_miles
 from repro.geometry.rect import Rect
 from repro.geometry.polygon import Polygon
 
@@ -28,5 +28,4 @@ __all__ = [
     "Rect",
     "Polygon",
     "haversine_miles",
-    "planar_distance",
 ]

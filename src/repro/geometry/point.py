@@ -36,23 +36,6 @@ class GeoPoint:
         """Latitude alias for ``y``."""
         return self.y
 
-    def planar_distance(self, other: "GeoPoint") -> float:
-        """Euclidean distance in coordinate units."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def haversine_miles(self, other: "GeoPoint") -> float:
-        """Great-circle distance in miles, treating (x, y) as (lon, lat)."""
-        return haversine_miles(self.y, self.x, other.y, other.x)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
-
-
-def planar_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Euclidean distance between two points in coordinate units."""
-    return a.planar_distance(b)
-
 
 def haversine_miles(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in miles between two (lat, lon) pairs.

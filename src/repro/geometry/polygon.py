@@ -68,14 +68,6 @@ class Polygon:
         # an edge) in every sub-query frame that crosses the op pipe.
         return (type(self), (self.vertices,))
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_rect(cls, rect: Rect) -> "Polygon":
-        """The rectangle as a 4-vertex polygon."""
-        return cls(rect.corners())
-
     @classmethod
     def from_latlon_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "Polygon":
         """Build from ``(lat, lon)`` pairs, the order used by the paper's

@@ -9,7 +9,6 @@ rectangle's area that lies inside another region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -173,12 +172,3 @@ class Rect:
             GeoPoint(self.max_x, self.max_y),
             GeoPoint(self.min_x, self.max_y),
         )
-
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    def distance_to_point(self, p: GeoPoint) -> float:
-        """Euclidean distance from ``p`` to the rectangle (0 when inside)."""
-        dx = max(self.min_x - p.x, 0.0, p.x - self.max_x)
-        dy = max(self.min_y - p.y, 0.0, p.y - self.max_y)
-        return math.hypot(dx, dy)

@@ -1,10 +1,9 @@
 """Spatial interpolation models.
 
-Both models predict a value at an unobserved location from nearby
-observed samples; they differ in how distance discounts influence.
-They are deliberately simple — the point of the model-view layer is the
-*composition* with COLR-Tree's cache, not model sophistication — but
-the protocol accommodates richer models.
+A model predicts a value at an unobserved location from nearby observed
+samples.  The one provided is deliberately simple — the point of the
+model-view layer is the *composition* with COLR-Tree's cache, not model
+sophistication — but the protocol accommodates richer models.
 """
 
 from __future__ import annotations
@@ -28,16 +27,17 @@ class SpatialModel(Protocol):
         """Estimate the value at an arbitrary location."""
         ...
 
-    @property
-    def support(self) -> int:
-        """Number of samples the model was fitted on."""
-        ...
 
+class IDWModel:
+    """Inverse-distance weighting: ``sum(w_i v_i) / sum(w_i)`` with
+    ``w_i = 1 / d_i^power``.  A sample within ``snap_epsilon`` of the
+    query point answers exactly."""
 
-class _FittedBase:
-    """Shared storage/fitting for the sample-based models."""
-
-    def __init__(self) -> None:
+    def __init__(self, power: float = 2.0, snap_epsilon: float = 1e-9) -> None:
+        if power <= 0:
+            raise ValueError("power must be positive")
+        self.power = float(power)
+        self.snap_epsilon = float(snap_epsilon)
         self._xs = np.empty(0)
         self._ys = np.empty(0)
         self._values = np.empty(0)
@@ -49,52 +49,12 @@ class _FittedBase:
         self._ys = np.array([p.y for p in locations], dtype=np.float64)
         self._values = np.asarray(values, dtype=np.float64)
 
-    @property
-    def support(self) -> int:
-        return int(self._values.size)
-
-    def _require_fit(self) -> None:
+    def predict(self, p: GeoPoint) -> float:
         if self._values.size == 0:
             raise ValueError("model has no samples; call fit() first")
-
-    def _distances(self, p: GeoPoint) -> np.ndarray:
-        return np.hypot(self._xs - p.x, self._ys - p.y)
-
-
-class IDWModel(_FittedBase):
-    """Inverse-distance weighting: ``sum(w_i v_i) / sum(w_i)`` with
-    ``w_i = 1 / d_i^power``.  A sample within ``snap_epsilon`` of the
-    query point answers exactly."""
-
-    def __init__(self, power: float = 2.0, snap_epsilon: float = 1e-9) -> None:
-        super().__init__()
-        if power <= 0:
-            raise ValueError("power must be positive")
-        self.power = float(power)
-        self.snap_epsilon = float(snap_epsilon)
-
-    def predict(self, p: GeoPoint) -> float:
-        self._require_fit()
-        d = self._distances(p)
+        d = np.hypot(self._xs - p.x, self._ys - p.y)
         nearest = int(d.argmin())
         if d[nearest] <= self.snap_epsilon:
             return float(self._values[nearest])
         w = d ** (-self.power)
         return float((w * self._values).sum() / w.sum())
-
-
-class KNNModel(_FittedBase):
-    """Mean of the k nearest samples (uniform weights)."""
-
-    def __init__(self, k: int = 5) -> None:
-        super().__init__()
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.k = int(k)
-
-    def predict(self, p: GeoPoint) -> float:
-        self._require_fit()
-        d = self._distances(p)
-        k = min(self.k, d.size)
-        idx = np.argpartition(d, k - 1)[:k]
-        return float(self._values[idx].mean())

@@ -2,11 +2,9 @@
 
 A :class:`ModelView` gathers the fresh cached readings around a query
 location (an expanding-radius search over the tree's leaf caches) and
-fits a spatial model to them, answering point and region estimates with
-**zero sensor probes**.  When the cache cannot support an estimate the
-view either raises :class:`InsufficientSupport` or, in
-``fallback="probe"`` mode, issues a bounded sampled query through the
-tree to refill the cache and retries.
+fits a spatial model to them, answering point estimates with **zero
+sensor probes**.  When the cache cannot support an estimate the view
+raises :class:`InsufficientSupport`.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ class ModelView:
         instance is fitted per estimate.  Defaults to IDW.
     min_support:
         Minimum fresh cached readings required to answer.
-    fallback:
-        ``"raise"`` (default) or ``"probe"`` — on insufficient support,
-        probe up to ``fallback_sample_size`` sensors through the tree
-        (populating the cache) and retry once.
     """
 
     def __init__(
@@ -44,20 +38,14 @@ class ModelView:
         tree: COLRTree,
         model: SpatialModel | None = None,
         min_support: int = 4,
-        fallback: str = "raise",
-        fallback_sample_size: int = 20,
     ) -> None:
         if not tree.config.caching_enabled:
             raise ValueError("model views need a caching-enabled tree")
-        if fallback not in ("raise", "probe"):
-            raise ValueError("fallback must be 'raise' or 'probe'")
         if min_support < 1:
             raise ValueError("min_support must be at least 1")
         self.tree = tree
         self._model = model if model is not None else IDWModel()
         self.min_support = int(min_support)
-        self.fallback = fallback
-        self.fallback_sample_size = int(fallback_sample_size)
 
     # ------------------------------------------------------------------
     # Cache harvesting
@@ -108,60 +96,10 @@ class ModelView:
             p, now, max_staleness, want=max(self.min_support, 8)
         )
         if len(readings) < self.min_support:
-            readings = self._fallback_probe(p, now, max_staleness, readings)
-        locations = [self.tree.sensor(r.sensor_id).location for r in readings]
-        self._model.fit(locations, [r.value for r in readings])
-        return self._model.predict(p)
-
-    def estimate_region_mean(
-        self,
-        region: Rect,
-        now: float,
-        max_staleness: float,
-        grid: int = 5,
-    ) -> float:
-        """Mean of the modelled surface over a region, evaluated on a
-        ``grid x grid`` lattice of points."""
-        if grid < 1:
-            raise ValueError("grid must be at least 1")
-        readings = self._harvest(region.expanded(max(region.width, region.height) / 2), now, max_staleness)
-        if len(readings) < self.min_support:
-            readings = self._fallback_probe(region.center, now, max_staleness, readings)
-        locations = [self.tree.sensor(r.sensor_id).location for r in readings]
-        self._model.fit(locations, [r.value for r in readings])
-        total = 0.0
-        for i in range(grid):
-            for j in range(grid):
-                x = region.min_x + (i + 0.5) * region.width / grid
-                y = region.min_y + (j + 0.5) * region.height / grid
-                total += self._model.predict(GeoPoint(x, y))
-        return total / (grid * grid)
-
-    def _fallback_probe(
-        self,
-        p: GeoPoint,
-        now: float,
-        max_staleness: float,
-        readings: list[Reading],
-    ) -> list[Reading]:
-        if self.fallback != "probe":
             raise InsufficientSupport(
                 f"only {len(readings)} fresh cached readings near "
                 f"({p.x:.3f}, {p.y:.3f}); need {self.min_support}"
             )
-        # One bounded sampled query through the index refills the cache.
-        self.tree.query(
-            self.tree.root.bbox,
-            now=now,
-            max_staleness=max_staleness,
-            sample_size=self.fallback_sample_size,
-        )
-        refreshed = self.cached_readings_near(
-            p, now, max_staleness, want=max(self.min_support, 8)
-        )
-        if len(refreshed) < self.min_support:
-            raise InsufficientSupport(
-                f"cache still too thin after probing "
-                f"({len(refreshed)} < {self.min_support})"
-            )
-        return refreshed
+        locations = [self.tree.sensor(r.sensor_id).location for r in readings]
+        self._model.fit(locations, [r.value for r in readings])
+        return self._model.predict(p)

@@ -13,13 +13,10 @@ departed sensors plus the aggregate drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.portal.portal import PortalResult, SensorMapPortal
 from repro.portal.query import SensorQuery
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.geoblocks.windows import SlidingWindow
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,13 +28,6 @@ class ResultDelta:
     changed: tuple[int, ...]
     aggregate_before: float | None
     aggregate_after: float | None
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.appeared or self.departed or self.changed) and (
-            self.aggregate_before == self.aggregate_after
-        )
-
 
 DeltaCallback = Callable[["Subscription", ResultDelta, PortalResult], None]
 
@@ -56,12 +46,6 @@ class Subscription:
     last_result: PortalResult | None = None
     _last_values: dict[int, float] = field(default_factory=dict)
     executions: int = 0
-    # Analytic-window subscriptions (see subscribe_window): each refresh
-    # steps the sliding window over the viewport ``region_fn`` reports
-    # for the current instant, reusing still-valid cell aggregates from
-    # the previous step instead of re-executing the whole query.
-    window: "SlidingWindow | None" = None
-    region_fn: Callable[[float], object] | None = None
 
     def due_at(self) -> float:
         """Next execution instant (the first run waits out the phase
@@ -162,47 +146,6 @@ class ContinuousQueryManager:
         self._next_id += 1
         return subscription
 
-    def subscribe_window(
-        self,
-        window: "SlidingWindow",
-        region_fn: Callable[[float], object],
-        refresh_seconds: float | None = None,
-        callback: DeltaCallback | None = None,
-        phase_seconds: float | None = None,
-    ) -> Subscription:
-        """Register a sliding analytic window as a standing query.
-
-        ``region_fn(now)`` reports the viewport (``Rect`` or
-        ``Polygon``) the window should cover at each refresh — a moving
-        viewport is just a time-dependent region.  Each due tick runs
-        ``window.step(region_fn(now))`` instead of a portal execution,
-        so consecutive refreshes recompute only the cells the viewport
-        (or the data under it) actually changed; deltas and callbacks
-        behave exactly like a plain subscription's.
-        """
-        now = self.portal.clock.now()
-        subscription = self.subscribe(
-            SensorQuery(
-                region=region_fn(now),
-                staleness_seconds=window.staleness_seconds,
-                sensor_type=window.sensor_type,
-            ),
-            refresh_seconds=refresh_seconds,
-            callback=callback,
-            phase_seconds=phase_seconds,
-        )
-        subscription.window = window
-        subscription.region_fn = region_fn
-        return subscription
-
-    def unsubscribe(self, subscription_id: int) -> None:
-        if subscription_id not in self._subscriptions:
-            raise KeyError(f"no subscription {subscription_id}")
-        del self._subscriptions[subscription_id]
-
-    def __len__(self) -> int:
-        return len(self._subscriptions)
-
     def subscriptions(self) -> list[Subscription]:
         return [self._subscriptions[i] for i in sorted(self._subscriptions)]
 
@@ -223,26 +166,6 @@ class ContinuousQueryManager:
         """
         now = self.portal.clock.now()
         due = [s for s in self.subscriptions() if s.due_at() <= now]
-        if not due:
-            return []
-        # Analytic-window subscriptions step their sliding window (cell
-        # reuse + symmetric-difference recompute) instead of running a
-        # portal execution; plain subscriptions keep the batch paths.
-        windows = [s for s in due if s.window is not None]
-        plain = [s for s in due if s.window is None]
-        out: list[tuple[Subscription, ResultDelta]] = []
-        for subscription in windows:
-            assert subscription.region_fn is not None
-            result = subscription.window.step(subscription.region_fn(now))
-            subscription.query = result.query
-            out.append((subscription, self._apply_result(subscription, result)))
-        out.extend(self._tick_plain(plain))
-        out.sort(key=lambda pair: pair[0].subscription_id)
-        return out
-
-    def _tick_plain(
-        self, due: list[Subscription]
-    ) -> list[tuple[Subscription, ResultDelta]]:
         if not due:
             return []
         if self.gather_deadline_seconds is not None and hasattr(
@@ -267,19 +190,6 @@ class ContinuousQueryManager:
             (subscription, self._apply_result(subscription, result))
             for subscription, result in zip(due, batch.results)
         ]
-
-    def run_for(self, duration: float, step: float) -> int:
-        """Advance the clock in ``step`` increments for ``duration``
-        seconds, ticking at each step; returns the execution count."""
-        if step <= 0 or duration < 0:
-            raise ValueError("need a positive step and non-negative duration")
-        executed = 0
-        elapsed = 0.0
-        while elapsed < duration:
-            self.portal.clock.advance(step)
-            elapsed += step
-            executed += len(self.tick())
-        return executed
 
     def _apply_result(
         self, subscription: Subscription, result: PortalResult

@@ -153,9 +153,6 @@ class GroupView(Sequence[DisplayGroup]):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"<GroupView of {len(self)} groups over {len(self._parts)} answers>"
-
     def __reduce__(self):
         """Pickle as the answers plus each one's own ``sensor_id ->
         center`` dict — no ``DisplayGroup`` and no sensor table; the
@@ -328,9 +325,6 @@ def group_by_terminal(
 
 def _ancestor_at_level(tree: "COLRTree", node_id: int, level: int):
     node = tree.node(node_id)
-    anchor = node
-    for candidate in node.path_to_root():
-        anchor = candidate
-        if candidate.level <= level:
-            break
-    return anchor
+    while node.level > level and node.parent is not None:
+        node = node.parent
+    return node

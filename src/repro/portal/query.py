@@ -53,13 +53,15 @@ class SensorQuery:
     zoom_level: int | None = None
 
     def __post_init__(self) -> None:
-        if self.staleness_seconds < 0:
+        # Negated conjunctions, as in ``Rect``: a NaN (every comparison
+        # false) is rejected too; an infinite staleness stays legal.
+        if not self.staleness_seconds >= 0:
             raise ValueError("staleness_seconds must be non-negative")
         if self.aggregate not in _AGGREGATES:
             raise ValueError(
                 f"unsupported aggregate {self.aggregate!r}; use one of {_AGGREGATES}"
             )
-        if self.cluster_miles is not None and self.cluster_miles <= 0:
+        if self.cluster_miles is not None and not self.cluster_miles > 0:
             raise ValueError("cluster_miles must be positive when given")
         if self.sample_size is not None and self.sample_size < 0:
             raise ValueError("sample_size must be non-negative when given")

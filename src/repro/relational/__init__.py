@@ -11,7 +11,7 @@ this package provides the minimal relational substrate it needs:
   bounding-box tests),
 * statement-level AFTER INSERT / UPDATE / DELETE triggers with cascade
   (triggers may issue DML that fires further triggers), and
-* equijoins.
+* a GROUP BY aggregate.
 
 :mod:`repro.relcolr` builds the layer-table / cache-table COLR-Tree on
 top of this engine.
@@ -20,9 +20,7 @@ top of this engine.
 from repro.relational.schema import Column, TableSchema
 from repro.relational.predicate import (
     AllOf,
-    AnyOf,
     BBoxIntersects,
-    Between,
     Comparison,
     InSet,
     Predicate,
@@ -35,9 +33,7 @@ from repro.relational.engine import Database
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BBoxIntersects",
-    "Between",
     "Column",
     "Comparison",
     "Database",

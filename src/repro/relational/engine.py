@@ -1,6 +1,5 @@
 """The database facade: DDL, trigger registration, and DML with
-statement-trigger dispatch, plus the equijoin the layer-table traversal
-uses.
+statement-trigger dispatch, plus the GROUP BY the cache reads use.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ class Database:
         table = Table(schema)
         self._tables[schema.name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise KeyError(f"no table named {name!r}")
-        del self._tables[name]
 
     def table(self, name: str) -> Table:
         try:
@@ -98,30 +92,6 @@ class Database:
             )
         return len(keys)
 
-    def upsert(self, table_name: str, row: Row) -> None:
-        """Insert, or update every non-key column when the key exists.
-
-        Fires the corresponding INSERT or UPDATE trigger — the pattern
-        the slot-insert trigger uses to bump aggregate rows.
-        """
-        table = self.table(table_name)
-        key = table.schema.key_of(row)
-        if table.contains_key(key):
-            changes = {
-                c: v for c, v in row.items() if c not in table.schema.primary_key
-            }
-            key_pred: Predicate | None = None
-            from repro.relational.predicate import AllOf, Comparison
-
-            parts = [
-                Comparison(k, "==", v)
-                for k, v in zip(table.schema.primary_key, key)
-            ]
-            key_pred = AllOf(parts)
-            self.update(table_name, changes, key_pred)
-        else:
-            self.insert(table_name, [row])
-
     def delete(self, table_name: str, where: Predicate | None = None) -> int:
         """Delete matching rows; fires AFTER DELETE once."""
         table = self.table(table_name)
@@ -137,20 +107,6 @@ class Database:
                 ),
             )
         return len(deleted)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def select(
-        self,
-        table_name: str,
-        where: Predicate | None = None,
-        columns: Sequence[str] | None = None,
-    ) -> list[Row]:
-        rows = self.table(table_name).scan(where)
-        if columns is None:
-            return rows
-        return [{c: r.get(c) for c in columns} for r in rows]
 
     def group_aggregate(
         self,
@@ -188,33 +144,3 @@ class Database:
             acc["min"] = v if acc["min"] is None else min(acc["min"], v)
             acc["max"] = v if acc["max"] is None else max(acc["max"], v)
         return [groups[k] for k in sorted(groups, key=repr)]
-
-    def equijoin(
-        self,
-        left_table: str,
-        right_table: str,
-        left_column: str,
-        right_column: str,
-        where: Predicate | None = None,
-        left_where: Predicate | None = None,
-        right_where: Predicate | None = None,
-    ) -> list[Row]:
-        """Hash equijoin; output columns are prefixed ``<table>.<col>``.
-
-        ``where`` filters the joined rows (columns addressed with the
-        prefixed names); the per-side filters run before the join.
-        """
-        left_rows = self.table(left_table).scan(left_where)
-        right_rows = self.table(right_table).scan(right_where)
-        by_value: dict[object, list[Row]] = {}
-        for row in right_rows:
-            by_value.setdefault(row.get(right_column), []).append(row)
-        out: list[Row] = []
-        predicate = where if where is not None else TruePredicate()
-        for lrow in left_rows:
-            for rrow in by_value.get(lrow.get(left_column), ()):  # type: ignore[arg-type]
-                joined: Row = {f"{left_table}.{k}": v for k, v in lrow.items()}
-                joined.update({f"{right_table}.{k}": v for k, v in rrow.items()})
-                if predicate.matches(joined):
-                    out.append(joined)
-        return out

@@ -18,14 +18,8 @@ Row = Mapping[str, object]
 class Predicate:
     """Base class; subclasses implement ``matches``."""
 
-    def matches(self, row: Row) -> bool:
-        raise NotImplementedError
-
     def __and__(self, other: "Predicate") -> "AllOf":
         return AllOf([self, other])
-
-    def __or__(self, other: "Predicate") -> "AnyOf":
-        return AnyOf([self, other])
 
 
 @dataclass(frozen=True)
@@ -63,21 +57,6 @@ class Comparison(Predicate):
         if actual is None:
             return False
         return _OPS[self.op](actual, self.value)
-
-
-@dataclass(frozen=True)
-class Between(Predicate):
-    """Closed-interval column test (the ``time BETWEEN a AND b`` clause)."""
-
-    column: str
-    low: object
-    high: object
-
-    def matches(self, row: Row) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        return self.low <= actual <= self.high
 
 
 @dataclass(frozen=True)
@@ -133,19 +112,6 @@ class AllOf(Predicate):
         return all(p.matches(row) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class AnyOf(Predicate):
-    """Disjunction."""
-
-    parts: tuple[Predicate, ...]
-
-    def __init__(self, parts: Iterable[Predicate]) -> None:
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def matches(self, row: Row) -> bool:
-        return any(p.matches(row) for p in self.parts)
-
-
 class _ColumnExpr:
     """Fluent builder: ``col("x") >= 3`` produces a Comparison."""
 
@@ -163,17 +129,11 @@ class _ColumnExpr:
     def __lt__(self, value: object) -> Comparison:
         return Comparison(self._name, "<", value)
 
-    def __le__(self, value: object) -> Comparison:
-        return Comparison(self._name, "<=", value)
-
     def __gt__(self, value: object) -> Comparison:
         return Comparison(self._name, ">", value)
 
     def __ge__(self, value: object) -> Comparison:
         return Comparison(self._name, ">=", value)
-
-    def between(self, low: object, high: object) -> Between:
-        return Between(self._name, low, high)
 
     def in_(self, values: Iterable[object]) -> InSet:
         return InSet(self._name, values)

@@ -92,9 +92,6 @@ class TableSchema:
         except KeyError:
             raise KeyError(f"table {self.name!r} has no column {name!r}") from None
 
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def validate_row(self, row: dict[str, object]) -> None:
         """Check a full row against the schema."""
         unknown = set(row) - set(self._by_name)

@@ -7,7 +7,7 @@ index maintenance.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.relational.predicate import AllOf, Comparison, Predicate, TruePredicate
 from repro.relational.schema import TableSchema
@@ -32,10 +32,6 @@ class Table:
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows.values())
 
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
     def create_index(self, column: str) -> None:
         """Build (or rebuild) a secondary hash index on one column."""
         self.schema.column(column)
@@ -58,7 +54,7 @@ class Table:
         self.schema.validate_row(row)
         key = self.schema.key_of(row)
         if key in self._rows:
-            raise KeyError(f"duplicate primary key {key} in table {self.name!r}")
+            raise KeyError(f"duplicate primary key {key} in table {self.schema.name!r}")
         full = {c.name: row.get(c.name) for c in self.schema.columns}
         self._rows[key] = full
         for column, index in self._indexes.items():
@@ -77,7 +73,7 @@ class Table:
     def _modify(self, key: tuple, changes: Row) -> tuple[Row, Row]:
         """Apply column changes; returns (old, new) copies."""
         if key not in self._rows:
-            raise KeyError(f"no row with key {key} in table {self.name!r}")
+            raise KeyError(f"no row with key {key} in table {self.schema.name!r}")
         old = dict(self._rows[key])
         new = dict(old)
         for column, value in changes.items():
@@ -85,7 +81,7 @@ class Table:
             new[column] = value
         new_key = self.schema.key_of(new)
         if new_key != key and new_key in self._rows:
-            raise KeyError(f"update collides with key {new_key} in {self.name!r}")
+            raise KeyError(f"update collides with key {new_key} in {self.schema.name!r}")
         self._erase(key)
         self._store(new)
         return old, new
@@ -107,37 +103,11 @@ class Table:
                 out.append(dict(row))
         return out
 
-    def count(self, where: Predicate | None = None) -> int:
-        predicate = where if where is not None else TruePredicate()
-        candidates = self._candidate_keys(predicate)
-        if candidates is None:
-            return sum(1 for r in self._rows.values() if predicate.matches(r))
-        return sum(
-            1
-            for key in candidates
-            if key in self._rows and predicate.matches(self._rows[key])
-        )
-
     def keys_matching(self, where: Predicate | None = None) -> list[tuple]:
         predicate = where if where is not None else TruePredicate()
         candidates = self._candidate_keys(predicate)
         pool: Iterable[tuple] = candidates if candidates is not None else self._rows
         return [k for k in pool if k in self._rows and predicate.matches(self._rows[k])]
-
-    def aggregate(
-        self,
-        column: str,
-        fold: Callable[[float, float], float],
-        initial: float,
-        where: Predicate | None = None,
-    ) -> float:
-        """Fold one numeric column over matching rows."""
-        total = initial
-        for row in self.scan(where):
-            value = row.get(column)
-            if value is not None:
-                total = fold(total, float(value))  # type: ignore[arg-type]
-        return total
 
     def _candidate_keys(self, predicate: Predicate) -> set[tuple] | None:
         """Keys from the most selective usable equality index, or None

@@ -71,15 +71,6 @@ class TriggerSet:
         self._names.add(trigger.name)
         self._triggers.setdefault((trigger.table, trigger.event), []).append(trigger)
 
-    def drop(self, name: str) -> None:
-        if name not in self._names:
-            raise KeyError(f"no trigger named {name!r}")
-        self._names.discard(name)
-        for key in list(self._triggers):
-            self._triggers[key] = [t for t in self._triggers[key] if t.name != name]
-            if not self._triggers[key]:
-                del self._triggers[key]
-
     def triggers_for(self, table: str, event: TriggerEvent) -> Sequence[Trigger]:
         return tuple(self._triggers.get((table, event), ()))
 

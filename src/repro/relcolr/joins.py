@@ -5,8 +5,8 @@ join on the layer tables, executed as a left deep join tree that joins
 each layer's node table and cache table from root to leaf layer".  The
 frontier descent in :mod:`repro.relcolr.tree` implements the same
 *semantics* imperatively; this module provides the declarative
-join-pipeline form for fidelity: each step equijoins the current
-frontier relation with the next layer table under the spatial predicate
+join-pipeline form for fidelity: each step joins the current frontier
+relation with the next layer table under the spatial predicate
 and left-joins the cache aggregates, producing the candidate node set
 per layer.
 

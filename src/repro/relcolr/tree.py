@@ -97,19 +97,6 @@ class RelCOLRTree:
         self.rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------
-    # State inspection
-    # ------------------------------------------------------------------
-    def cached_reading_count(self) -> int:
-        return len(self.db.table(self.names.leaf_cache))
-
-    def cache_row(self, node_id: int, slot: int) -> dict | None:
-        meta = self.db.table(self.names.node_meta).get((node_id,))
-        if meta is None or meta["is_leaf"]:
-            return None
-        return self.db.table(self.names.cache(int(meta["level"]))).get((node_id, slot))
-
-
-    # ------------------------------------------------------------------
     # Reading maintenance (pure DML; triggers do the bookkeeping)
     # ------------------------------------------------------------------
     def insert_reading(self, reading: Reading, fetched_at: float) -> None:

@@ -100,8 +100,3 @@ class AvailabilityModel:
         for sid in sensor_ids:
             total += self.estimate(sid)
         return max(1e-3, total / len(sensor_ids))
-
-    def observed_probes(self, sensor_id: int) -> int:
-        """How many (decay-weighted) outcomes are on record, rounded."""
-        h = self._history.get(sensor_id)
-        return 0 if h is None else int(round(h.successes + h.failures))

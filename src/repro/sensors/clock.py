@@ -36,6 +36,3 @@ class SimClock:
         if instant > self._now:
             self._now = instant
         return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimClock(now={self._now:.3f})"

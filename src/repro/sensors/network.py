@@ -10,8 +10,7 @@ collector would).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -54,10 +53,6 @@ class ProbeResult:
     timed_out: tuple[int, ...]
     latency_seconds: float
 
-    @property
-    def attempted(self) -> int:
-        return len(self.readings) + len(self.unavailable) + len(self.timed_out)
-
 
 @dataclass
 class NetworkStats:
@@ -97,13 +92,6 @@ class NetworkStats:
     polygon_cells_boundary: int = 0
     window_cells_reused: int = 0
     per_sensor_probes: dict[int, int] = field(default_factory=dict)
-
-    def snapshot(self) -> "NetworkStats":
-        """A copy safe to keep while the run continues."""
-        clone = replace(self)
-        clone.per_sensor_probes = dict(self.per_sensor_probes)
-        return clone
-
 
 ValueFn = Callable[[Sensor, float], float]
 
@@ -170,22 +158,6 @@ class SensorNetwork:
         self.latency_jitter = float(latency_jitter)
         self.timeout_seconds = timeout_seconds
         self._rng = np.random.default_rng(seed)
-        self.stats = NetworkStats()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._sensors)
-
-    def sensor(self, sensor_id: int) -> Sensor:
-        return self._sensors[sensor_id]
-
-    def sensors(self) -> list[Sensor]:
-        """All sensors, in id order."""
-        return [self._sensors[sid] for sid in sorted(self._sensors)]
-
-    def reset_stats(self) -> None:
         self.stats = NetworkStats()
 
     # ------------------------------------------------------------------
@@ -333,14 +305,6 @@ class SensorNetwork:
         if n < 0:
             raise ValueError("coalesced count must be non-negative")
         self.stats.probes_coalesced += n
-
-    def batch_latency(self, n_probes: int) -> float:
-        """Deterministic (no-jitter) latency of probing ``n_probes``
-        sensors in parallel over ``parallelism`` connections."""
-        if n_probes <= 0:
-            return 0.0
-        rounds = math.ceil(n_probes / self.parallelism)
-        return self.rtt_seconds * rounds
 
     def _batch_latency_from(self, latencies: np.ndarray) -> float:
         """Batch latency: probes run in rounds of ``parallelism``

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.geometry import GeoPoint, Rect
+from repro.geometry import GeoPoint
 from repro.sensors.sensor import Sensor
 
 
@@ -67,27 +67,6 @@ class SensorRegistry:
     def __iter__(self) -> Iterator[Sensor]:
         return iter(self._sensors.values())
 
-    def __contains__(self, sensor_id: int) -> bool:
-        return sensor_id in self._sensors
-
-    def get(self, sensor_id: int) -> Sensor:
-        return self._sensors[sensor_id]
-
     def all(self) -> list[Sensor]:
         """All sensors in id order."""
         return [self._sensors[sid] for sid in sorted(self._sensors)]
-
-    def by_type(self, sensor_type: str) -> list[Sensor]:
-        """Sensors of one type, in id order."""
-        return [s for s in self.all() if s.sensor_type == sensor_type]
-
-    def within(self, region: Rect) -> list[Sensor]:
-        """Sensors whose location lies in ``region`` (brute force; used
-        by tests and the flat-cache baseline, never by the index)."""
-        return [s for s in self.all() if region.contains_point(s.location)]
-
-    def bounding_box(self) -> Rect:
-        """Bounding box of every registered sensor location."""
-        if not self._sensors:
-            raise ValueError("registry is empty")
-        return Rect.from_points(s.location for s in self._sensors.values())

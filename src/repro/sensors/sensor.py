@@ -83,8 +83,3 @@ class Reading:
         """True when the reading is unexpired *and* within the user's
         staleness bound (``S.time BETWEEN now()-w AND now()``)."""
         return self.is_valid_at(instant) and (instant - self.timestamp) <= max_staleness
-
-    @property
-    def lifetime(self) -> float:
-        """The validity duration the publisher attached to this reading."""
-        return self.expires_at - self.timestamp

@@ -8,10 +8,6 @@ record each.  Checkpoints are written whole to a fresh file and then
 flipped into the manifest, so a crash mid-checkpoint can never tear the
 previous one.
 
-The same container doubles as the snapshot format
-(:mod:`repro.persistence`): a snapshot file *is* a single-file
-checkpoint.
-
 Cached readings are stored sorted by ``(fetched_at, sensor_id)`` and
 re-installed grouped by ``fetched_at`` through the grouped-delta batch
 ingestion path.  Leaf contents, per-slot counts, min/max and result
@@ -30,18 +26,8 @@ from pathlib import Path
 from repro.sensors.sensor import Reading, Sensor
 from repro.storage import codec
 from repro.storage.heap import RecordHeap
-from repro.storage.pager import MAGIC, PAGE_SIZE, Pager
+from repro.storage.pager import PAGE_SIZE, Pager
 from repro.storage.stats import StorageStats
-
-
-def is_checkpoint_file(path: str | Path) -> bool:
-    """Sniff the page-file magic (offset 4, after the header CRC)."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(4 + len(MAGIC))
-    except OSError:
-        return False
-    return len(head) == 4 + len(MAGIC) and head[4:] == MAGIC
 
 
 def write_checkpoint(

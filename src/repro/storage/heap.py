@@ -40,9 +40,6 @@ class RecordHeap:
         self._count = int(entry["count"])
         self._tail_used = int(entry["tail_used"])
 
-    def __len__(self) -> int:
-        return self._count
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
@@ -82,15 +79,6 @@ class RecordHeap:
         self._tail = pages[-1]
         self._tail_used = len(buffer) - (n_pages - 1) * capacity
         self._count += len(records)
-        self._save()
-
-    def clear(self) -> None:
-        """Drop every record and free the chain."""
-        if self._head:
-            self.pager.free_chain(self._head)
-        self._head = self._tail = 0
-        self._count = 0
-        self._tail_used = 0
         self._save()
 
     def _save(self) -> None:

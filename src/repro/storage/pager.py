@@ -139,11 +139,6 @@ class Pager:
         self.catalog[name] = dict(entry)
         self._flush_header()
 
-    def catalog_delete(self, name: str) -> None:
-        if name in self.catalog:
-            del self.catalog[name]
-            self._flush_header()
-
     # ------------------------------------------------------------------
     # Page I/O
     # ------------------------------------------------------------------
@@ -151,13 +146,6 @@ class Pager:
     def capacity(self) -> int:
         """Payload bytes one data page holds."""
         return self.page_size - DATA_HEADER_SIZE
-
-    def allocate(self) -> int:
-        """A free data page id: popped from the free-list, or a fresh
-        page appended to the file."""
-        (page_id,) = self.allocate_run(1)
-        self._flush_header()
-        return page_id
 
     def allocate_run(self, count: int) -> list[int]:
         """``count`` data page ids for the caller to write: free-list
@@ -173,24 +161,6 @@ class Pager:
         ids.extend(range(self.page_count, self.page_count + fresh))
         self.page_count += fresh
         return ids
-
-    def free(self, page_id: int) -> None:
-        """Return one page to the free-list."""
-        self._check_id(page_id)
-        self.write(page_id, b"", self.free_head)
-        self.free_head = page_id
-        self._flush_header()
-
-    def free_chain(self, head: int) -> int:
-        """Free every page of a chain; returns how many were freed."""
-        freed = 0
-        page_id = head
-        while page_id:
-            _, next_id = self.read(page_id)
-            self.free(page_id)
-            freed += 1
-            page_id = next_id
-        return freed
 
     def write(self, page_id: int, payload: bytes, next_page: int = 0) -> None:
         self._check_id(page_id, allow_new=True)
@@ -253,9 +223,3 @@ class Pager:
         self.sync(fsync=fsync)
         self._file.close()
         self._closed = True
-
-    def __enter__(self) -> "Pager":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

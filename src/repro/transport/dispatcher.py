@@ -175,10 +175,6 @@ class ProbeRound:
     def deduped_set(self) -> frozenset[int]:
         return frozenset(self.deduped)
 
-    @property
-    def cooldown_set(self) -> frozenset[int]:
-        return frozenset(self.cooldown_skipped)
-
 
 class ProbeDispatcher:
     """Schedules logical probes for one ``SensorNetwork``.

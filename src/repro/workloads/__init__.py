@@ -33,7 +33,6 @@ from repro.workloads.livelocal import (
     TenantRequest,
 )
 from repro.workloads.polygons import PolygonQuerySpec, PolygonWorkload
-from repro.workloads.trace import load_workload, save_workload
 from repro.workloads.usgs import UsgsWaWorkload
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "TenantRequest",
     "UsgsWaWorkload",
     "default_corridors",
-    "load_workload",
-    "save_workload",
     "uniform_expiry",
     "usgs_like_expiry",
     "weather_like_expiry",

@@ -92,7 +92,3 @@ CITIES: tuple[City, ...] = (
     City("Salt Lake City", 40.7608, -111.8910, 180_000),
     City("New Orleans", 29.9511, -90.0715, 450_000),
 )
-
-
-def total_population() -> int:
-    return sum(c.population for c in CITIES)

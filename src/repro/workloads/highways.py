@@ -122,14 +122,3 @@ class HighwayWorkload:
                 )
                 sensor_id += 1
         return out
-
-    def congestion_fn(self):
-        """``(sensor, now) -> minutes of delay per 10 miles``: a rush-hour
-        wave plus stable per-segment character."""
-
-        def fn(sensor: Sensor, now: float) -> float:
-            base = 1.0 + (sensor.sensor_id % 11) * 0.6
-            rush = 8.0 * max(0.0, np.sin(now / 3_600.0 * np.pi)) ** 2
-            return float(base + rush)
-
-        return fn

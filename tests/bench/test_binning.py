@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro import GeoPoint, Rect, Sensor
-from repro.bench.binning import bin_by_result_size, binned_series, ideal_result_sizes
+from repro.bench.binning import bin_by_result_size, ideal_result_sizes
 from repro.workloads.livelocal import QuerySpec
 
 
@@ -61,9 +61,3 @@ class TestBinning:
 
     def test_empty_input(self):
         assert bin_by_result_size(np.array([], dtype=np.int64), []) == []
-
-    def test_binned_series_multiple_systems(self):
-        sizes = np.array([1, 10, 100])
-        series = binned_series(sizes, {"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]})
-        assert set(series) == {"a", "b"}
-        assert sum(b.n_queries for b in series["a"]) == 3

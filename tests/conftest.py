@@ -63,3 +63,32 @@ def make_tree(
 @pytest.fixture
 def tree(registry: SensorRegistry) -> COLRTree:
     return make_tree(registry)
+
+
+# Observation helpers: what the tests read off the structures, kept here
+# rather than as library methods nothing else calls.
+def within(registry: SensorRegistry, region) -> list:
+    """Brute-force membership oracle: the registered sensors in
+    ``region``, in id order."""
+    return [s for s in registry.all() if region.contains_point(s.location)]
+
+
+def leaves(root) -> list:
+    """A tree's leaves, depth first."""
+    return [node for node in root.iter_subtree() if node.is_leaf]
+
+
+def slot_ids(cache) -> list[int]:
+    """The occupied slot ids of a leaf or aggregate slot cache."""
+    return sorted(cache._slots)
+
+
+def observed_probes(model: AvailabilityModel, sensor_id: int) -> int:
+    """How many (decay-weighted) outcomes the model holds for a sensor."""
+    history = model._history.get(sensor_id)
+    return 0 if history is None else int(round(history.successes + history.failures))
+
+
+def cached_rows(rel) -> int:
+    """Raw readings a relational tree holds in its leaf cache table."""
+    return len(rel.db.table(rel.names.leaf_cache))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import COLRTreeConfig, Reading
-from tests.conftest import make_registry, make_tree
+from tests.conftest import make_registry, make_tree, slot_ids
 
 
 def _build_pair(config: COLRTreeConfig | None = None):
@@ -30,7 +30,7 @@ def _cache_state(tree):
         if node.is_leaf and node.leaf_cache is not None:
             leaves[node.node_id] = {
                 r.sensor_id: (r.value, r.timestamp, r.expires_at)
-                for r in node.leaf_cache.all_readings()
+                for r in (c.reading for c in node.leaf_cache.entries())
             }
         if not node.is_leaf and node.agg_cache is not None:
             aggs[node.node_id] = {
@@ -42,7 +42,7 @@ def _cache_state(tree):
                     sketch.oldest_timestamp,
                     sketch.minmax_dirty,
                 )
-                for slot in node.agg_cache.slot_ids()
+                for slot in slot_ids(node.agg_cache)
                 for sketch in [node.agg_cache.sketch(slot)]
             }
     return leaves, aggs, tree.cached_reading_count
@@ -79,7 +79,7 @@ def _exact_slot_truth(tree):
         for descendant in node.iter_subtree():
             if not descendant.is_leaf or descendant.leaf_cache is None:
                 continue
-            for r in descendant.leaf_cache.all_readings():
+            for r in (c.reading for c in descendant.leaf_cache.entries()):
                 slot = slot_of(r.expires_at, tree.config.slot_seconds)
                 entry = per_slot.setdefault(slot, [])
                 entry.append(r)
@@ -129,7 +129,7 @@ def _assert_state_equal(seq_tree, bat_tree):
 def _readings_for(tree, rng, count, now=0.0):
     """Random readings over the tree's sensor population, with repeats
     (updates) and a spread of expiries (multiple slots)."""
-    sensor_ids = [s.sensor_id for s in tree.network.sensors()]
+    sensor_ids = [s.sensor_id for s in [tree.sensor(i) for i in range(len(tree))]]
     out = []
     for _ in range(count):
         sid = int(rng.choice(sensor_ids))
@@ -172,7 +172,7 @@ class TestBatchedIngestionEquivalence:
         """The same sensor appearing twice in one batch: second value
         wins, ancestors hold exactly one contribution."""
         seq, bat = _build_pair()
-        sensors = seq.network.sensors()[:5]
+        sensors = [seq.sensor(i) for i in range(len(seq))][:5]
         batch = []
         for i, s in enumerate(sensors):
             batch.append(
@@ -204,7 +204,7 @@ class TestBatchedIngestionEquivalence:
         displaces the first out of the slot it is about to re-enter
         (the leaf's slot set empties and is re-made in between)."""
         seq, bat = _build_pair()
-        sensor_id = seq.network.sensors()[0].sensor_id
+        sensor_id = [seq.sensor(i) for i in range(len(seq))][0].sensor_id
         batch = [
             Reading(sensor_id=sensor_id, value=4.0, timestamp=0.0, expires_at=200.0),
             Reading(sensor_id=sensor_id, value=9.0, timestamp=1.0, expires_at=210.0),
@@ -231,7 +231,7 @@ class TestBatchedIngestionEquivalence:
             )
         )
         assert seq.height() >= 3
-        sensors = seq.network.sensors()
+        sensors = [seq.sensor(i) for i in range(len(seq))]
         first = [
             Reading(
                 sensor_id=s.sensor_id,

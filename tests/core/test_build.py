@@ -4,7 +4,7 @@ import pytest
 from repro import GeoPoint, Sensor, build_colr_tree
 from repro.core.build import kmeans_cluster
 
-from tests.conftest import make_registry
+from tests.conftest import leaves, make_registry
 
 
 def make_sensors(n, seed=0, coincident=False):
@@ -55,14 +55,14 @@ class TestBuild:
         sensors = make_sensors(500)
         root = build_colr_tree(sensors, fanout=8, leaf_capacity=32, method=method)
         seen = []
-        for leaf in root.iter_leaves():
+        for leaf in leaves(root):
             seen.extend(s.sensor_id for s in leaf.sensors)
         assert sorted(seen) == list(range(500))
 
     @pytest.mark.parametrize("method", ["kmeans", "str"])
     def test_leaf_capacity_respected(self, method):
         root = build_colr_tree(make_sensors(500), fanout=8, leaf_capacity=32, method=method)
-        assert all(len(leaf.sensors) <= 32 for leaf in root.iter_leaves())
+        assert all(len(leaf.sensors) <= 32 for leaf in leaves(root))
 
     def test_bbox_containment_invariant(self):
         root = build_colr_tree(make_sensors(500), fanout=8, leaf_capacity=32)
@@ -115,8 +115,8 @@ class TestBuild:
         sensors = make_sensors(200)
         r1 = build_colr_tree(sensors, fanout=4, leaf_capacity=16, seed=5)
         r2 = build_colr_tree(sensors, fanout=4, leaf_capacity=16, seed=5)
-        l1 = [sorted(s.sensor_id for s in leaf.sensors) for leaf in r1.iter_leaves()]
-        l2 = [sorted(s.sensor_id for s in leaf.sensors) for leaf in r2.iter_leaves()]
+        l1 = [sorted(s.sensor_id for s in leaf.sensors) for leaf in leaves(r1)]
+        l2 = [sorted(s.sensor_id for s in leaf.sensors) for leaf in leaves(r2)]
         assert sorted(map(tuple, l1)) == sorted(map(tuple, l2))
 
     def test_weight_uniformity_of_kmeans_layers(self):

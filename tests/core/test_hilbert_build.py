@@ -5,6 +5,7 @@ import pytest
 
 from repro import GeoPoint, Sensor, build_colr_tree
 from repro.core.build import hilbert_index
+from tests.conftest import leaves
 
 
 def make_sensors(n, seed=0):
@@ -58,7 +59,7 @@ class TestHilbertBuild:
         sensors = make_sensors(500)
         root = build_colr_tree(sensors, fanout=8, leaf_capacity=32, method="hilbert")
         seen = sorted(
-            s.sensor_id for leaf in root.iter_leaves() for s in leaf.sensors
+            s.sensor_id for leaf in leaves(root) for s in leaf.sensors
         )
         assert seen == list(range(500))
 
@@ -76,7 +77,7 @@ class TestHilbertBuild:
         leaf bbox area well below a shuffled grouping's."""
         sensors = make_sensors(1000, seed=3)
         hilbert_root = build_colr_tree(sensors, fanout=8, leaf_capacity=25, method="hilbert")
-        hilbert_area = sum(l.bbox.area for l in hilbert_root.iter_leaves())
+        hilbert_area = sum(l.bbox.area for l in leaves(hilbert_root))
         rng = np.random.default_rng(4)
         shuffled = list(sensors)
         rng.shuffle(shuffled)

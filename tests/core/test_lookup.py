@@ -5,7 +5,7 @@ import pytest
 from repro import COLRTreeConfig, Polygon, Rect
 from repro.core.lookup import region_bbox, region_overlap_fraction
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import make_registry, make_tree, within
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ class TestPlainRTreeMode:
     def test_probes_exactly_matching_sensors(self, registry):
         tree = make_tree(registry, COLRTreeConfig().as_plain_rtree())
         region = Rect(20, 20, 70, 70)
-        expected = {s.sensor_id for s in registry.within(region)}
+        expected = {s.sensor_id for s in within(registry, region)}
         answer = tree.query(region, now=0.0, max_staleness=600.0)
         assert {r.sensor_id for r in answer.probed_readings} == expected
         assert not answer.cached_readings and not answer.cached_sketches
@@ -32,7 +32,7 @@ class TestPlainRTreeMode:
     def test_count_estimate_matches(self, registry):
         tree = make_tree(registry, COLRTreeConfig().as_plain_rtree())
         region = Rect(0, 0, 50, 50)
-        expected = len(registry.within(region))
+        expected = len(within(registry, region))
         answer = tree.query(region, now=0.0, max_staleness=600.0)
         assert answer.estimate("count") == expected
 
@@ -71,7 +71,7 @@ class TestHierarchicalCacheMode:
     def test_answer_weight_equals_exact_result(self, registry):
         tree = make_tree(registry, COLRTreeConfig().as_hierarchical_cache())
         region = Rect(25, 25, 60, 60)
-        expected = len(registry.within(region))
+        expected = len(within(registry, region))
         a1 = tree.query(region, now=0.0, max_staleness=600.0)
         a2 = tree.query(region, now=10.0, max_staleness=600.0)
         assert a1.result_weight == expected
@@ -85,14 +85,14 @@ class TestHierarchicalCacheMode:
         assert len(answer.cached_readings) + sum(
             s.count for s in answer.cached_sketches
         ) > 0
-        expected = len(registry.within(Rect(25, 25, 75, 75)))
+        expected = len(within(registry, Rect(25, 25, 75, 75)))
         assert answer.result_weight == expected
 
 
 class TestPolygonQueries:
     def test_polygon_region_exact(self, registry):
         tree = make_tree(registry, COLRTreeConfig().as_plain_rtree())
-        poly = Polygon.from_rect(Rect(20, 20, 60, 60))
+        poly = Polygon(Rect(20, 20, 60, 60).corners())
         rect_answer = tree.query(Rect(20, 20, 60, 60), now=0.0, max_staleness=600.0)
         poly_answer = tree.query(poly, now=1.0, max_staleness=600.0)
         assert poly_answer.result_weight == rect_answer.result_weight
@@ -115,7 +115,7 @@ class TestRegionHelpers:
         assert region_bbox(r) is r
 
     def test_region_bbox_of_polygon(self):
-        p = Polygon.from_rect(Rect(0, 0, 2, 2))
+        p = Polygon(Rect(0, 0, 2, 2).corners())
         assert region_bbox(p) == Rect(0, 0, 2, 2)
 
     def test_overlap_fraction_matches_rect_math(self):

@@ -57,13 +57,6 @@ class TestTraversal:
     def test_iter_subtree(self, small_tree):
         assert {n.node_id for n in small_tree.iter_subtree()} == {0, 1, 2}
 
-    def test_iter_leaves(self, small_tree):
-        assert {n.node_id for n in small_tree.iter_leaves()} == {1, 2}
-
-    def test_path_to_root(self, small_tree):
-        child = small_tree.children[0]
-        assert [n.node_id for n in child.path_to_root()] == [1, 0]
-
     def test_height(self, small_tree):
         assert small_tree.height() == 1
         assert small_tree.children[0].height() == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro import COLRTreeConfig, Rect
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import make_registry, make_tree, within
 
 
 def warm_tree(reversible: bool, seed: int = 20):
@@ -82,7 +82,7 @@ class TestDecomposition:
         answer = tree.query(
             Rect(10, 10, 60, 60), now=1.0, max_staleness=600.0, sample_size=0
         )
-        assert answer.result_weight == len(registry.within(Rect(10, 10, 60, 60)))
+        assert answer.result_weight == len(within(registry, Rect(10, 10, 60, 60)))
 
     def test_sketch_nodes_parallel_after_decomposition(self):
         _, tree = warm_tree(reversible=True)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import COLRTreeConfig, Rect
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import make_registry, make_tree, within
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ class TestBasicSampling:
 
     def test_sample_much_smaller_than_population(self, registry):
         tree = make_tree(registry)
-        exact = len(registry.within(Rect(0, 0, 100, 100)))
+        exact = len(within(registry, Rect(0, 0, 100, 100)))
         answer = tree.query(
             Rect(0, 0, 100, 100), now=0.0, max_staleness=600.0, sample_size=50
         )
@@ -189,6 +189,6 @@ class TestPolygonSampling:
         t2 = make_tree(registry)
         a_rect = t1.query(rect, now=0.0, max_staleness=600.0, sample_size=40)
         a_poly = t2.query(
-            Polygon.from_rect(rect), now=0.0, max_staleness=600.0, sample_size=40
+            Polygon(rect.corners()), now=0.0, max_staleness=600.0, sample_size=40
         )
         assert a_poly.probed_count == pytest.approx(a_rect.probed_count, rel=0.5, abs=10)

@@ -92,13 +92,6 @@ class TestOptimum:
         )
         assert optimal_slot_size(short) < optimal_slot_size(long)
 
-    def test_sweep_matches_ratio(self):
-        m = uniform_model()
-        grid = [0.2, 0.5]
-        pairs = m.sweep(grid)
-        assert pairs[0] == (0.2, m.ratio(0.2))
-        assert pairs[1] == (0.5, m.ratio(0.5))
-
     def test_default_grid(self):
         grid = default_delta_grid()
         assert grid[0] > 0 and grid[-1] < 1

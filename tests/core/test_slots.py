@@ -1,7 +1,7 @@
 import pytest
 
 from repro import Reading
-from repro.core.slots import LeafSlotCache, SlotCache, slot_of, usable_slot_range
+from repro.core.slots import LeafSlotCache, SlotCache, slot_of
 
 
 def reading(sensor_id=0, value=1.0, timestamp=0.0, lifetime=300.0):
@@ -11,6 +11,13 @@ def reading(sensor_id=0, value=1.0, timestamp=0.0, lifetime=300.0):
         timestamp=timestamp,
         expires_at=timestamp + lifetime,
     )
+
+
+def insert(cache, r, fetched_at):
+    """File a reading under its expiry slot, as the tree does; returns
+    the displaced reading."""
+    displaced = cache.put(r, fetched_at, slot_of(r.expires_at, cache.slot_seconds))
+    return None if displaced is None else displaced.reading
 
 
 class TestSlotOf:
@@ -24,26 +31,21 @@ class TestSlotOf:
         for t in (0.0, 59.0, 240.0, 1234.5):
             assert slot_of(t, 60.0) == slot_of(t, 60.0)
 
-    def test_usable_range_excludes_boundary_slot(self):
-        low, _ = usable_slot_range(now=250.0, slot_seconds=120.0)
-        assert low == slot_of(250.0, 120.0) + 1
-
 
 class TestLeafSlotCache:
     def test_insert_and_get(self):
         cache = LeafSlotCache(120.0)
         r = reading(sensor_id=7)
-        assert cache.insert(r, fetched_at=0.0) is None
+        assert insert(cache, r, fetched_at=0.0) is None
         assert len(cache) == 1
-        assert 7 in cache
         assert cache.get(7).reading == r
 
     def test_insert_replaces_and_returns_displaced(self):
         cache = LeafSlotCache(120.0)
         old = reading(sensor_id=7, value=1.0, timestamp=0.0)
         new = reading(sensor_id=7, value=2.0, timestamp=100.0)
-        cache.insert(old, fetched_at=0.0)
-        displaced = cache.insert(new, fetched_at=100.0)
+        insert(cache, old, fetched_at=0.0)
+        displaced = insert(cache, new, fetched_at=100.0)
         assert displaced == old
         assert len(cache) == 1
         assert cache.get(7).reading.value == 2.0
@@ -55,50 +57,44 @@ class TestLeafSlotCache:
         cache = LeafSlotCache(120.0)
         old = reading(sensor_id=7, timestamp=0.0, lifetime=100.0)
         new = reading(sensor_id=7, timestamp=0.0, lifetime=500.0)
-        cache.insert(old, fetched_at=0.0)
+        insert(cache, old, fetched_at=0.0)
         assert cache.get(7).slot == slot_of(100.0, 120.0)
         displaced = cache.put(new, fetched_at=1.0, slot=slot_of(500.0, 120.0))
         assert (displaced.reading, displaced.slot) == (old, slot_of(100.0, 120.0))
-        assert cache.slot_ids() == [slot_of(500.0, 120.0)]
+        assert cache.slot_readings(slot_of(100.0, 120.0)) == []
+        assert cache.slot_readings(slot_of(500.0, 120.0)) == [new]
         removed = cache.remove(7)
         assert (removed.reading, removed.fetched_at, removed.slot) == (
             new, 1.0, slot_of(500.0, 120.0),
         )
-        assert len(cache) == 0 and cache.slot_ids() == []
+        assert len(cache) == 0 and cache.slot_readings(slot_of(500.0, 120.0)) == []
 
     def test_slot_readings_in_caching_order(self):
         cache = LeafSlotCache(120.0)
         for sensor_id, lifetime in ((9, 130.0), (2, 500.0), (5, 140.0), (1, 150.0)):
-            cache.insert(reading(sensor_id=sensor_id, lifetime=lifetime), 0.0)
-        cache.insert(reading(sensor_id=9, value=3.0, lifetime=135.0), 1.0)  # re-cached: last
+            insert(cache, reading(sensor_id=sensor_id, lifetime=lifetime), 0.0)
+        insert(cache, reading(sensor_id=9, value=3.0, lifetime=135.0), 1.0)  # re-cached: last
         assert [r.sensor_id for r in cache.slot_readings(1)] == [5, 1, 9]
         assert cache.slot_readings(2) == []
 
     def test_slot_bookkeeping(self):
         cache = LeafSlotCache(120.0)
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)
-        cache.insert(reading(sensor_id=2, timestamp=0.0, lifetime=500.0), 0.0)
-        assert cache.slot_ids() == [slot_of(100.0, 120.0), slot_of(500.0, 120.0)]
-
-    def test_prune_expired(self):
-        cache = LeafSlotCache(120.0)
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)
-        cache.insert(reading(sensor_id=2, timestamp=0.0, lifetime=500.0), 0.0)
-        dropped = cache.prune_expired(now=240.0)
-        assert [r.sensor_id for r in dropped] == [1]
-        assert len(cache) == 1
+        insert(cache, reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)
+        insert(cache, reading(sensor_id=2, timestamp=0.0, lifetime=500.0), 0.0)
+        assert [r.sensor_id for r in cache.slot_readings(slot_of(100.0, 120.0))] == [1]
+        assert [r.sensor_id for r in cache.slot_readings(slot_of(500.0, 120.0))] == [2]
 
     def test_fresh_readings_excludes_expired(self):
         cache = LeafSlotCache(120.0)
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)
-        cache.insert(reading(sensor_id=2, timestamp=0.0, lifetime=500.0), 0.0)
+        insert(cache, reading(sensor_id=1, timestamp=0.0, lifetime=100.0), 0.0)
+        insert(cache, reading(sensor_id=2, timestamp=0.0, lifetime=500.0), 0.0)
         fresh = cache.fresh_readings(now=150.0, max_staleness=1000.0)
         assert {r.sensor_id for r in fresh} == {2}
 
     def test_fresh_readings_excludes_stale(self):
         cache = LeafSlotCache(120.0)
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=500.0), 0.0)
-        cache.insert(reading(sensor_id=2, timestamp=90.0, lifetime=500.0), 90.0)
+        insert(cache, reading(sensor_id=1, timestamp=0.0, lifetime=500.0), 0.0)
+        insert(cache, reading(sensor_id=2, timestamp=90.0, lifetime=500.0), 90.0)
         fresh = cache.fresh_readings(now=100.0, max_staleness=50.0)
         assert {r.sensor_id for r in fresh} == {2}
 
@@ -106,19 +102,10 @@ class TestLeafSlotCache:
         cache = LeafSlotCache(120.0)
         # Both land in slot 1 (expiries 130 and 230); at now=200 the
         # first is expired, the second is not.
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=130.0), 0.0)
-        cache.insert(reading(sensor_id=2, timestamp=0.0, lifetime=230.0), 0.0)
+        insert(cache, reading(sensor_id=1, timestamp=0.0, lifetime=130.0), 0.0)
+        insert(cache, reading(sensor_id=2, timestamp=0.0, lifetime=230.0), 0.0)
         fresh = cache.fresh_readings(now=200.0, max_staleness=1000.0)
         assert {r.sensor_id for r in fresh} == {2}
-
-    def test_eviction_candidates_lrf_order_in_oldest_slot(self):
-        cache = LeafSlotCache(120.0)
-        cache.insert(reading(sensor_id=1, timestamp=0.0, lifetime=100.0), fetched_at=50.0)
-        cache.insert(reading(sensor_id=2, timestamp=0.0, lifetime=110.0), fetched_at=10.0)
-        cache.insert(reading(sensor_id=3, timestamp=0.0, lifetime=500.0), fetched_at=0.0)
-        candidates = cache.eviction_candidates()
-        # Sensors 1 and 2 share the oldest slot; 2 was fetched earlier.
-        assert [sid for _, sid in candidates] == [2, 1]
 
     def test_invalid_slot_seconds(self):
         with pytest.raises(ValueError):
@@ -153,7 +140,6 @@ class TestAggregateSlotCache:
         cache.add(slot=9, value=2.0, timestamp=810.0)
         cache.add(slot=2, value=3.0, timestamp=100.0)  # behind now
         assert cache.usable_weight(now=820.0, max_staleness=600.0) == 2
-        assert cache.total_weight() == 3
 
     def test_remove_and_empty_slot_dropped(self):
         cache = SlotCache(120.0)
@@ -177,7 +163,7 @@ class TestAggregateSlotCache:
         cache.add(slot=1, value=1.0, timestamp=0.0)
         cache.add(slot=9, value=1.0, timestamp=0.0)
         assert cache.prune_expired(now=600.0) == 1
-        assert cache.slot_ids() == [9]
+        assert cache.sketch(1) is None and cache.sketch(9) is not None
 
     def test_replace_with_empty_drops(self):
         from repro.core.aggregates import AggregateSketch
@@ -185,4 +171,4 @@ class TestAggregateSlotCache:
         cache = SlotCache(120.0)
         cache.add(slot=3, value=1.0, timestamp=0.0)
         cache.replace(3, AggregateSketch())
-        assert len(cache) == 0
+        assert cache.sketch(3) is None

@@ -42,9 +42,6 @@ class TestTreeStats:
         tree_stats.record(QueryStats(nodes_traversed=6))
         assert tree_stats.queries == 2
         assert tree_stats.totals.nodes_traversed == 10
-        tree_stats.reset()
-        assert tree_stats.queries == 0
-        assert tree_stats.totals.nodes_traversed == 0
 
 
 class TestProcessingCostModel:
@@ -69,13 +66,6 @@ class TestProcessingCostModel:
         one = model.processing_seconds(QueryStats(nodes_traversed=1))
         ten = model.processing_seconds(QueryStats(nodes_traversed=10))
         assert ten == pytest.approx(10 * one)
-
-    def test_end_to_end_adds_collection(self):
-        model = ProcessingCostModel()
-        stats = QueryStats(nodes_traversed=5, collection_latency_seconds=1.5)
-        assert model.end_to_end_seconds(stats) == pytest.approx(
-            model.processing_seconds(stats) + 1.5
-        )
 
     def test_custom_constants(self):
         model = ProcessingCostModel(per_node_traversal=1.0)

@@ -5,7 +5,7 @@ import pytest
 from repro import COLRTreeConfig, Reading, Rect
 from repro.core.slots import slot_of
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import leaves, make_registry, make_tree, slot_ids
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def tree():
 
 def cached_leaf_count(tree):
     total = 0
-    for node in tree.root.iter_leaves():
+    for node in leaves(tree.root):
         if node.leaf_cache is not None:
             total += len(node.leaf_cache)
     return total
@@ -27,7 +27,7 @@ def check_aggregate_consistency(tree):
     for node in tree.root.iter_subtree():
         if node.is_leaf or node.agg_cache is None:
             continue
-        for slot in node.agg_cache.slot_ids():
+        for slot in slot_ids(node.agg_cache):
             cached = node.agg_cache.sketch(slot)
             recomputed = tree._recompute_slot(node, slot)
             assert cached.count == recomputed.count, (node.node_id, slot)
@@ -36,7 +36,7 @@ def check_aggregate_consistency(tree):
 
 class TestInsertPropagation:
     def test_insert_reaches_root(self, tree):
-        leaf = tree.root.iter_leaves().__next__()
+        leaf = leaves(tree.root)[0]
         sensor = leaf.sensors[0]
         r = Reading(sensor_id=sensor.sensor_id, value=5.0, timestamp=10.0, expires_at=310.0)
         tree.insert_reading(r, fetched_at=10.0)
@@ -45,15 +45,15 @@ class TestInsertPropagation:
         check_aggregate_consistency(tree)
 
     def test_insert_ops_counted(self, tree):
-        leaf = next(tree.root.iter_leaves())
+        leaf = leaves(tree.root)[0]
         sensor = leaf.sensors[0]
         r = Reading(sensor_id=sensor.sensor_id, value=5.0, timestamp=0.0, expires_at=300.0)
         ops = tree.insert_reading(r, fetched_at=0.0)
         # 1 leaf op + one per ancestor.
-        assert ops == 1 + len(list(leaf.path_to_root())) - 1
+        assert ops == 1 + leaf.level
 
     def test_update_decrements_old_value(self, tree):
-        leaf = next(tree.root.iter_leaves())
+        leaf = leaves(tree.root)[0]
         sensor = leaf.sensors[0]
         slot_seconds = tree.config.slot_seconds
         r1 = Reading(sensor_id=sensor.sensor_id, value=5.0, timestamp=0.0, expires_at=300.0)
@@ -85,7 +85,7 @@ class TestInsertPropagation:
 
 class TestMinMaxRecomputation:
     def test_removing_max_recomputes_cleanly(self, tree):
-        leaf = next(tree.root.iter_leaves())
+        leaf = leaves(tree.root)[0]
         ids = [s.sensor_id for s in leaf.sensors[:3]]
         for sid, value in zip(ids, (1.0, 5.0, 9.0)):
             tree.insert_reading(
@@ -106,7 +106,7 @@ class TestMinMaxRecomputation:
 
 class TestExpiryPruning:
     def test_expired_slots_vanish_everywhere(self, tree):
-        leaf = next(tree.root.iter_leaves())
+        leaf = leaves(tree.root)[0]
         sensor = leaf.sensors[0]
         tree.insert_reading(
             Reading(sensor_id=sensor.sensor_id, value=1.0, timestamp=0.0, expires_at=200.0),
@@ -119,7 +119,7 @@ class TestExpiryPruning:
         assert len(leaf.leaf_cache) == 0
 
     def test_unexpired_data_survives_prune(self, tree):
-        leaf = next(tree.root.iter_leaves())
+        leaf = leaves(tree.root)[0]
         a, b = leaf.sensors[0], leaf.sensors[1]
         tree.insert_reading(
             Reading(sensor_id=a.sensor_id, value=1.0, timestamp=0.0, expires_at=200.0),
@@ -131,7 +131,7 @@ class TestExpiryPruning:
         )
         tree._prune_expired(now=1000.0)
         assert tree.cached_reading_count == 1
-        assert b.sensor_id in leaf.leaf_cache
+        assert leaf.leaf_cache.get(b.sensor_id) is not None
 
 
 class TestCapacityEviction:
@@ -176,7 +176,7 @@ class TestCapacityEviction:
         tree._enforce_capacity()
         assert tree.cached_reading_count == 3
         evicted_leaf = tree.leaf_for(sensors[3].sensor_id)
-        assert sensors[3].sensor_id not in evicted_leaf.leaf_cache
+        assert evicted_leaf.leaf_cache.get(sensors[3].sensor_id) is None
         check_aggregate_consistency(tree)
 
     def test_prime_cache_respects_capacity(self):
@@ -191,5 +191,5 @@ class TestCapacityEviction:
             )
             for s in reg.all()
         ]
-        tree.prime_cache(readings, fetched_at=0.0)
+        tree.insert_readings_batch(readings, fetched_at=0.0)
         assert tree.cached_reading_count <= 20

@@ -193,7 +193,7 @@ class TestL1:
         q = _query(Rect(0, 0, 1, 1))
         assert not cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
         assert cache.get_viewport(q, now=0.0, generation=1) is None
-        assert len(cache) == 0
+        assert len(cache._l1) == 0
 
     def test_partial_answer_refused(self):
         from repro.federation.federated import FederatedResult
@@ -211,7 +211,7 @@ class TestL1:
         assert partial.partial
         assert not cache.put_viewport(q, partial, now=0.0, generation=1)
         assert cache.stats.uncacheable == 1
-        assert len(cache) == 0
+        assert len(cache._l1) == 0
 
     def test_validity_reasons_metered_separately(self):
         cache = TieredResultCache(_config(), SLOT)
@@ -290,7 +290,7 @@ class TestL2:
         q = _query(Rect(0, 0, 0.4, 0.4))
         for i in range(L2_CAPACITY + 2):
             cache.put_tile((i, 0), q, _result(q, []), now=0.0, generation=1)
-        assert len(cache) == L2_CAPACITY
+        assert len(cache._l2) == L2_CAPACITY
         assert cache.stats.l2_evictions == 2
         assert (0, 0) not in {key[0] for key in cache._l2.entries}
         TestWriteDeltaIndex._assert_in_step(cache)
@@ -360,51 +360,17 @@ class TestL2:
         assert composed.result.answers[0].cached_sketches == [sketch, sketch]
 
 
-# ----------------------------------------------------------------------
-# Region invalidation
-# ----------------------------------------------------------------------
-class TestInvalidateRegion:
-    def test_drops_overlapping_entries_only(self):
-        cache = TieredResultCache(_config(), SLOT)
-        hit_q = _query(Rect(0, 0, 1, 1))
-        miss_q = _query(Rect(5, 5, 6, 6))
-        cache.put_viewport(hit_q, _result(hit_q, []), now=0.0, generation=1)
-        cache.put_viewport(miss_q, _result(miss_q, []), now=0.0, generation=1)
-        cache.put_tile((0, 0), hit_q, _result(hit_q, []), now=0.0, generation=1)
-        cache.put_tile((11, 11), miss_q, _result(miss_q, []), now=0.0, generation=1)
-        dropped = cache.invalidate_region(Rect(0.2, 0.2, 0.8, 0.8))
-        assert dropped == 2  # the overlapping viewport and tile
-        assert cache.stats.invalidated_write == 2
-        assert cache.get_viewport(miss_q, now=0.0, generation=1) is not None
-        assert cache.get_viewport(hit_q, now=0.0, generation=1) is None
-
-    def test_clear_drops_everything(self):
-        cache = TieredResultCache(_config(), SLOT)
-        q = _query(Rect(0, 0, 1, 1))
-        cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
-        cache.put_tile((0, 0), q, _result(q, []), now=0.0, generation=1)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
-
 # Half-tile lattice coordinates: every other one sits on a tile edge, as
 # computed by ``k * e / 2`` where ``cell_rect`` computes ``ix * e``.
 _LATTICE = st.integers(-6, 12)
 _SIZE = st.sampled_from([0, 1, 2, 3, 5, 9, 40])  # half-tiles: index levels 0-5
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["viewport", "polygon", "tile", "get", "dirty", "dirty", "clear"]),
-        st.tuples(_LATTICE, _LATTICE, _SIZE, _SIZE),
-    ),
-    min_size=1,
-    max_size=60,
-)
 
 
 class TestWriteDeltaIndex:
-    """The per-tile index behind ``invalidate_region`` drops exactly the
-    entries a scan of the whole tier would, through every kind of
-    mutation: stores, replacements, LRU evictions, expiry, clear."""
+    """The per-tile index over each tier stays in step with the tier's
+    entries through stores, replacements and LRU evictions
+    (``TestWrittenSensors`` drives the same checks through invalidation
+    and expiry)."""
 
     @staticmethod
     def _assert_in_step(cache: TieredResultCache) -> None:
@@ -427,82 +393,6 @@ class TestWriteDeltaIndex:
                     assert all(key in store._buckets[cell] for cell in cells)
             assert placed == store._placed
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        ops=_OPS,
-        extent=st.sampled_from([0.5, 0.1]),
-        max_tiles=st.sampled_from([1, 64]),  # 1: polygons keep no cells
-    )
-    def test_same_entries_dropped_as_a_full_scan(self, ops, extent, max_tiles):
-        with _tile_constants(extent, l2_capacity=30, max_tiles=max_tiles):
-            self._run_script(ops, extent)
-
-    def _run_script(self, ops, extent: float) -> None:
-        cache = TieredResultCache(_config(l1_capacity=20), SLOT)
-        now = 0.0
-        for kind, (kx, ky, kw, kh) in ops:
-            half = extent / 2
-            rect = Rect(kx * half, ky * half, (kx + kw) * half, (ky + kh) * half)
-            if kind == "viewport":
-                q = _query(rect, sensor_type=str(kw))
-                cache.put_viewport(q, _result(q, []), now=now, generation=1)
-            elif kind == "polygon":
-                q = _query(
-                    Polygon(
-                        [
-                            GeoPoint(rect.min_x, rect.min_y),
-                            GeoPoint(rect.max_x + half, rect.min_y),
-                            GeoPoint(rect.min_x, rect.max_y + half),
-                        ]
-                    )
-                )
-                cache.put_viewport(q, _result(q, []), now=now, generation=1)
-            elif kind == "tile":
-                q = _query(rect)
-                cache.put_tile((kx, ky), q, _result(q, []), now=now, generation=1)
-            elif kind == "get":
-                # A slot window later: whatever is looked up has expired.
-                now += SLOT * (kw % 2)
-                cache.get_viewport(_query(rect, sensor_type=str(kw)), now, 1)
-                tiled = _query(rect)
-                cache.get_tiles(tiled, cache.raster(tiled), now, 1)
-            elif kind == "dirty":
-                expected = {
-                    id(store): {
-                        key
-                        for key, entry in store.entries.items()
-                        if entry.overlaps(rect)
-                    }
-                    for store in (cache._l1, cache._l2)
-                }
-                before = {
-                    id(store): set(store.entries) for store in (cache._l1, cache._l2)
-                }
-                dropped = cache.invalidate_region(rect)
-                assert dropped == sum(len(keys) for keys in expected.values())
-                for store in (cache._l1, cache._l2):
-                    assert set(store.entries) == before[id(store)] - expected[id(store)]
-            else:
-                cache.clear()
-            self._assert_in_step(cache)
-
-    @pytest.mark.parametrize("extent", [0.5, 0.1])
-    def test_delta_touching_an_entry_only_at_a_tile_edge(self, extent):
-        """Rectangles are closed: a delta that shares one edge point with
-        an entry drops it, though ``cells_covering`` gives them no tile in
-        common."""
-        with _tile_constants(extent):
-            cache = TieredResultCache(_config(), SLOT)
-            for ix in range(1, 9):
-                q = _query(cell_rect((ix, ix), extent))
-                cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
-                cache.put_tile((ix, ix), q, _result(q, []), now=0.0, generation=1)
-                corner = cell_rect((ix + 1, ix + 1), extent)
-                touch = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
-                assert not set(cells_covering(touch, extent)) & {(ix, ix)}
-                assert cache.invalidate_region(touch) == 2, ix
-            assert len(cache) == 0
-
     def test_replacing_a_tile_keeps_its_lru_position(self):
         cache = TieredResultCache(_config(), SLOT)
         q = _query(Rect(0, 0, 0.4, 0.4))
@@ -512,20 +402,6 @@ class TestWriteDeltaIndex:
         cache.put_tile((L2_CAPACITY, 0), q, _result(q, []), now=0.0, generation=1)
         tiles = [key[0] for key in cache._l2.entries]
         assert tiles == [(i, 0) for i in range(1, L2_CAPACITY + 1)]
-        self._assert_in_step(cache)
-
-    def test_wide_and_unbounded_regions_are_still_invalidated(self):
-        cache = TieredResultCache(_config(), SLOT)
-        wide = _query(Rect(-170.0, -80.0, 170.0, 80.0))
-        unbounded = _query(Rect(0.0, 0.0, math.inf, 1.0))
-        for q in (wide, unbounded):
-            cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
-        # However wide, a bounded viewport costs at most four buckets.
-        assert len(cache._l1._buckets) <= 4 and len(cache._l1._unbounded) == 1
-        self._assert_in_step(cache)
-        assert cache.invalidate_region(Rect(200.0, 0.5, 200.0, 0.5)) == 1
-        assert cache.invalidate_region(Rect(-math.inf, -math.inf, math.inf, math.inf)) == 1
-        assert len(cache) == 0
         self._assert_in_step(cache)
 
 

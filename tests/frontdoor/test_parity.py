@@ -152,7 +152,7 @@ class TestStreamingParity:
                 )
                 # No deadline: the first publishable answer IS the final.
                 assert gather.first is gather.final
-                assert gather.deferred_shards == ()
+                assert gather.first.deferred_shards == ()
 
 
 # ----------------------------------------------------------------------

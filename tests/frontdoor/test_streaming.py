@@ -74,7 +74,7 @@ class TestDegradedDeadline:
             exact_query(QUERY_RECT), deadline_seconds=1e9
         )
         assert gather.first is gather.final
-        assert gather.deferred_shards == ()
+        assert gather.first.deferred_shards == ()
         assert not gather.final.partial
 
 

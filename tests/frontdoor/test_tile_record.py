@@ -237,7 +237,7 @@ def test_an_empty_tile_costs_at_most_1kb():
         assert len(cache._l2) == 1000
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        cache._l2.clear()
+        cache._l2 = type(cache._l2)()
         gc.collect()
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:

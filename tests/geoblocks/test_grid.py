@@ -127,7 +127,7 @@ class TestView:
         first = window.step(view)
         assert first.cells_refreshed == 9
         target = first.answers[0].probed_readings[0].sensor_id
-        cell = cell_of_point(portal.registry.get(target).location, CELL_DEGREES)
+        cell = cell_of_point(next(s for s in portal.registry if s.sensor_id == target).location, CELL_DEGREES)
         now = portal.clock.now()
         written = Reading(target, 123.456, now, now + 600.0)
         portal._trees["generic"].insert_readings_batch([written], fetched_at=now)

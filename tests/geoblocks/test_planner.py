@@ -1,8 +1,6 @@
 """Cell arithmetic and polygon rasterization."""
 
-import pytest
-
-from repro.geoblocks.planner import CellPlan, plan_polygon
+from repro.geoblocks.planner import plan_polygon
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
 
@@ -85,14 +83,3 @@ class TestPlanPolygon:
     def test_over_budget_returns_none_never_truncates(self):
         assert plan_polygon(diamond(), 1.0, max_cells=10) is None
         assert plan_polygon(diamond(), 0.1, max_cells=100) is None
-
-    def test_boundary_fraction(self):
-        plan = CellPlan(
-            cell_degrees=1.0,
-            interior=((0, 0),),
-            boundary=((0, 1), (1, 0), (1, 1)),
-        )
-        assert plan.total_cells == 4
-        assert plan.boundary_fraction == pytest.approx(0.75)
-        assert CellPlan(1.0, (), ()).boundary_fraction == 0.0
-

@@ -5,7 +5,6 @@ import pytest
 from repro.geoblocks.windows import SlidingWindow
 from repro.geometry import Rect
 from repro.geometry.grid import cell_of_point, cell_rect, cells_covering
-from repro.portal.continuous import ContinuousQueryManager
 from repro.sensors.sensor import Reading
 
 from tests.geoblocks.conftest import (
@@ -89,7 +88,7 @@ class TestRevalidation:
         w = window(portal)
         r0 = w.step(VIEW)
         target = readings_of(r0)[0].sensor_id
-        cell = cell_of_point(portal.registry.get(target).location, CELL_DEGREES)
+        cell = cell_of_point(next(s for s in portal.registry if s.sensor_id == target).location, CELL_DEGREES)
         now = portal.clock.now()
         portal._trees["generic"].insert_readings_batch(
             [Reading(target, 555.0, now + 1.0, now + 600.0)],
@@ -210,40 +209,3 @@ class TestPolygonViewport:
         assert r0.cells_total == len(expected)
         r1 = w.step(poly)
         assert r1.cells_reused == len(expected)
-
-
-class TestContinuousIntegration:
-    def test_subscribe_window_steps_through_ticks(self):
-        portal = make_portal(seed=2)
-        manager = ContinuousQueryManager(portal)
-        w = window(portal)
-
-        def region_at(now: float) -> Rect:
-            # Pan one cell east every refresh.
-            shift = (now - start) // 30.0
-            return Rect(2.0 + shift, 2.0, 5.0 + shift, 5.0)
-
-        start = portal.clock.now()
-        sub = manager.subscribe_window(w, region_at, refresh_seconds=30.0)
-        ran = manager.tick()
-        assert len(ran) == 1
-        first_result = sub.last_result
-        assert first_result.cells_refreshed == 9
-
-        portal.clock.advance(30.0)
-        ran = manager.tick()
-        assert len(ran) == 1
-        subscription, delta = ran[0]
-        assert subscription is sub
-        result = sub.last_result
-        assert result.cells_total == 9
-        assert result.cells_reused == 6
-        assert result.cells_refreshed == 3
-        # The subscription's query tracks the moving viewport.
-        assert sub.query.region == Rect(3.0, 2.0, 6.0, 5.0)
-        # The delta reports the strip change: sensors in the left strip
-        # departed, sensors in the entered strip appeared.
-        old_ids = sensor_ids(first_result)
-        new_ids = sensor_ids(result)
-        assert set(delta.departed) == old_ids - new_ids
-        assert set(delta.appeared) == new_ids - old_ids

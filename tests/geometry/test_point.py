@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from repro.geometry import GeoPoint, haversine_miles, planar_distance
+from repro.geometry import GeoPoint, haversine_miles
 from repro.geometry.point import miles_to_degrees_lat, miles_to_degrees_lon
 
 
@@ -11,17 +11,6 @@ class TestGeoPoint:
         p = GeoPoint(x=-122.33, y=47.61)
         assert p.lon == -122.33
         assert p.lat == 47.61
-
-    def test_planar_distance(self):
-        assert GeoPoint(0, 0).planar_distance(GeoPoint(3, 4)) == 5.0
-
-    def test_planar_distance_symmetric(self):
-        a, b = GeoPoint(1.5, -2.0), GeoPoint(-3.0, 7.0)
-        assert a.planar_distance(b) == b.planar_distance(a)
-        assert planar_distance(a, b) == a.planar_distance(b)
-
-    def test_as_tuple(self):
-        assert GeoPoint(1.0, 2.0).as_tuple() == (1.0, 2.0)
 
     def test_immutability(self):
         p = GeoPoint(0, 0)
@@ -46,13 +35,6 @@ class TestHaversine:
         d1 = haversine_miles(10, 20, 30, 40)
         d2 = haversine_miles(30, 40, 10, 20)
         assert d1 == pytest.approx(d2)
-
-    def test_point_method_matches_function(self):
-        a = GeoPoint(-122.3321, 47.6062)
-        b = GeoPoint(-122.6784, 45.5152)
-        assert a.haversine_miles(b) == pytest.approx(
-            haversine_miles(47.6062, -122.3321, 45.5152, -122.6784)
-        )
 
 
 class TestMileDegreeConversions:

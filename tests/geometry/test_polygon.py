@@ -34,10 +34,6 @@ class TestConstruction:
         p = Polygon([GeoPoint(0, 0), GeoPoint(1, 0), GeoPoint(0, 1), GeoPoint(0, 0)])
         assert len(p.vertices) == 3
 
-    def test_from_rect(self):
-        p = Polygon.from_rect(Rect(0, 0, 2, 3))
-        assert p.area == pytest.approx(6.0)
-
     def test_from_latlon_pairs_order(self):
         # (lat, lon) pairs must map to (x=lon, y=lat).
         p = Polygon.from_latlon_pairs([(47, -122), (47, -121), (48, -121), (48, -122)])
@@ -124,9 +120,9 @@ class TestRectRelations:
         assert notched.contains_rect(Rect(6, 0, 10, 6))
 
     def test_region_protocol_parity_with_rect(self):
-        """Polygon.from_rect must agree with the Rect region protocol."""
+        """A rectangle's corners as a polygon must agree with the Rect region protocol."""
         r = Rect(2, 2, 8, 8)
-        p = Polygon.from_rect(r)
+        p = Polygon(r.corners())
         for probe in [Rect(3, 3, 4, 4), Rect(0, 0, 2.5, 2.5), Rect(9, 9, 11, 11)]:
             assert p.intersects_rect(probe) == r.intersects_rect(probe)
             assert p.contains_rect(probe) == r.contains_rect(probe)
@@ -153,4 +149,4 @@ class TestNonFiniteVertices:
 
     def test_an_unbounded_rect_has_no_polygon(self):
         with pytest.raises(ValueError, match="finite"):
-            Polygon.from_rect(Rect(-math.inf, 0, 1, 1))
+            Polygon(Rect(-math.inf, 0, 1, 1).corners())

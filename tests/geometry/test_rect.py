@@ -54,9 +54,6 @@ class TestMeasures:
     def test_center(self):
         assert Rect(0, 0, 4, 2).center == GeoPoint(2, 1)
 
-    def test_perimeter(self):
-        assert Rect(0, 0, 3, 2).perimeter() == 10
-
 
 class TestRelations:
     def test_contains_point_boundary_closed(self):
@@ -82,11 +79,6 @@ class TestRelations:
     def test_intersection_shape(self):
         inter = Rect(0, 0, 4, 4).intersection(Rect(2, 2, 6, 6))
         assert inter == Rect(2, 2, 4, 4)
-
-    def test_distance_to_point(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.distance_to_point(GeoPoint(0.5, 0.5)) == 0.0
-        assert r.distance_to_point(GeoPoint(4, 5)) == 5.0
 
 
 class TestOverlapFraction:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro import GeoPoint
-from repro.models import IDWModel, KNNModel
+from repro.models import IDWModel
 
 
 def ramp_samples(n=50, seed=0):
@@ -53,31 +53,3 @@ class TestIDW:
     def test_mismatched_fit_rejected(self):
         with pytest.raises(ValueError):
             IDWModel().fit([GeoPoint(0, 0)], [1.0, 2.0])
-
-    def test_support_counts_samples(self):
-        model = IDWModel()
-        model.fit(*ramp_samples(7))
-        assert model.support == 7
-
-
-class TestKNN:
-    def test_k_one_is_nearest_sample(self):
-        model = KNNModel(k=1)
-        model.fit([GeoPoint(0, 0), GeoPoint(10, 10)], [1.0, 9.0])
-        assert model.predict(GeoPoint(1, 1)) == 1.0
-
-    def test_k_larger_than_support_averages_all(self):
-        model = KNNModel(k=10)
-        model.fit([GeoPoint(0, 0), GeoPoint(10, 10)], [1.0, 9.0])
-        assert model.predict(GeoPoint(5, 5)) == pytest.approx(5.0)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KNNModel(k=0)
-
-    def test_prediction_bounded_by_sample_range(self):
-        pts, vals = ramp_samples(100)
-        model = KNNModel(k=5)
-        model.fit(pts, vals)
-        q = model.predict(GeoPoint(5, 5))
-        assert min(vals) <= q <= max(vals)

@@ -11,7 +11,7 @@ from repro import (
     SensorRegistry,
     SpatialField,
 )
-from repro.models import InsufficientSupport, KNNModel, ModelView
+from repro.models import InsufficientSupport, ModelView
 
 
 @pytest.fixture
@@ -78,29 +78,6 @@ class TestModelView:
         with pytest.raises(InsufficientSupport):
             view.estimate_at(GeoPoint(50, 50), now=0.0, max_staleness=600.0)
 
-    def test_probe_fallback_fills_cache(self, field_setup):
-        _, tree = field_setup
-        view = ModelView(tree, fallback="probe", fallback_sample_size=50)
-        value = view.estimate_at(GeoPoint(50, 50), now=0.0, max_staleness=600.0)
-        assert np.isfinite(value)
-        assert tree.network.stats.probes_attempted > 0
-
-    def test_region_mean_close_to_field(self, field_setup):
-        field, tree = field_setup
-        tree.query(Rect(0, 0, 100, 100), now=0.0, max_staleness=600.0, sample_size=0)
-        view = ModelView(tree)
-        region = Rect(20, 20, 60, 60)
-        estimate = view.estimate_region_mean(region, now=1.0, max_staleness=600.0, grid=6)
-        # Truth: average of the field over the same lattice.
-        truth = 0.0
-        for i in range(6):
-            for j in range(6):
-                x = region.min_x + (i + 0.5) * region.width / 6
-                y = region.min_y + (j + 0.5) * region.height / 6
-                truth += field.mean_value(GeoPoint(x, y), 1.0)
-        truth /= 36
-        assert estimate == pytest.approx(truth, rel=0.15)
-
     def test_staleness_respected(self, field_setup):
         _, tree = field_setup
         tree.query(Rect(0, 0, 100, 100), now=0.0, max_staleness=600.0, sample_size=0)
@@ -109,20 +86,7 @@ class TestModelView:
         with pytest.raises(InsufficientSupport):
             view.estimate_at(GeoPoint(50, 50), now=500.0, max_staleness=60.0)
 
-    def test_custom_model(self, field_setup):
-        field, tree = field_setup
-        tree.query(Rect(0, 0, 100, 100), now=0.0, max_staleness=600.0, sample_size=0)
-        view = ModelView(tree, model=KNNModel(k=3))
-        p = GeoPoint(40, 60)
-        estimate = view.estimate_at(p, now=1.0, max_staleness=600.0)
-        assert estimate == pytest.approx(field.mean_value(p, 1.0), rel=0.25)
-
     def test_invalid_parameters(self, field_setup):
         _, tree = field_setup
         with pytest.raises(ValueError):
-            ModelView(tree, fallback="panic")
-        with pytest.raises(ValueError):
             ModelView(tree, min_support=0)
-        view = ModelView(tree)
-        with pytest.raises(ValueError):
-            view.estimate_region_mean(Rect(0, 0, 1, 1), now=0.0, max_staleness=1.0, grid=0)

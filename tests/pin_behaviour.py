@@ -119,7 +119,7 @@ def polygon_queries(tick: int) -> list[SensorQuery]:
 
     def rectangle() -> Polygon:
         cx, cy = (float(v) for v in rng.uniform(2.5, 7.5, 2))
-        return Polygon.from_rect(Rect(cx - 1.2, cy - 0.8, cx + 1.2, cy + 0.8))
+        return Polygon(Rect(cx - 1.2, cy - 0.8, cx + 1.2, cy + 0.8).corners())
 
     regions = [ring([1.4] * 6), ring([1.5, 0.7] * 5), corridor(), rectangle()]
     return [

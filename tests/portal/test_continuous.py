@@ -30,7 +30,7 @@ class TestSubscriptionLifecycle:
         a = manager.subscribe(QUERY)
         b = manager.subscribe(QUERY)
         assert (a.subscription_id, b.subscription_id) == (0, 1)
-        assert len(manager) == 2
+        assert manager.subscriptions() == [a, b]
 
     def test_default_refresh_is_staleness(self, portal):
         manager = ContinuousQueryManager(portal)
@@ -41,14 +41,6 @@ class TestSubscriptionLifecycle:
         manager = ContinuousQueryManager(portal)
         with pytest.raises(ValueError):
             manager.subscribe(QUERY, refresh_seconds=0)
-
-    def test_unsubscribe(self, portal):
-        manager = ContinuousQueryManager(portal)
-        sub = manager.subscribe(QUERY)
-        manager.unsubscribe(sub.subscription_id)
-        assert len(manager) == 0
-        with pytest.raises(KeyError):
-            manager.unsubscribe(sub.subscription_id)
 
 
 class TestTicking:
@@ -73,17 +65,6 @@ class TestTicking:
         portal.clock.advance(150.0)
         assert len(manager.tick()) == 1
         assert sub.executions == 2
-
-    def test_run_for_counts_executions(self, portal):
-        manager = ContinuousQueryManager(portal)
-        manager.subscribe(QUERY, refresh_seconds=50.0)
-        executed = manager.run_for(duration=200.0, step=25.0)
-        assert executed >= 4
-
-    def test_run_for_validates_args(self, portal):
-        manager = ContinuousQueryManager(portal)
-        with pytest.raises(ValueError):
-            manager.run_for(duration=10.0, step=0.0)
 
 
 class TestDeltas:
@@ -112,7 +93,10 @@ class TestDeltas:
         )
         manager.subscribe(empty_query)
         [(sub, delta)] = manager.tick()
-        assert delta.is_empty or delta.aggregate_after is None
+        assert (
+            not (delta.appeared or delta.departed or delta.changed)
+            and delta.aggregate_before == delta.aggregate_after
+        ) or delta.aggregate_after is None
 
     def test_callback_invoked(self, portal):
         calls = []
@@ -214,31 +198,19 @@ class TestDeltaSemanticsUnderBatching:
         d = ran[0][1]
         assert d.appeared and not d.departed
 
-    def test_unsubscribe_mid_run_stops_execution(self, portal):
-        manager = ContinuousQueryManager(portal)
-        keep = manager.subscribe(EXACT_A, refresh_seconds=60.0)
-        drop = manager.subscribe(EXACT_B, refresh_seconds=60.0)
-        manager.tick()
-        manager.unsubscribe(drop.subscription_id)
-        portal.clock.advance(61.0)
-        ran = manager.tick()
-        assert [s.subscription_id for s, _ in ran] == [keep.subscription_id]
-        assert drop.executions == 1
-        assert keep.executions == 2
-
     def test_resubscribe_fresh_baseline(self, portal):
         """A new subscription over the same region starts from scratch:
         everything its own run sees appears, regardless of what a
-        previous (removed) subscription had seen.  The id universe may
+        previous subscription (on another manager) had seen.  The id universe may
         shrink on the warm run — subtrees fully covered by cached
         aggregates answer as sketches, which carry no sensor ids — but
         the total result weight is preserved."""
-        manager = ContinuousQueryManager(portal)
-        old = manager.subscribe(EXACT_A, refresh_seconds=60.0)
-        manager.tick()
+        first = ContinuousQueryManager(portal)
+        old = first.subscribe(EXACT_A, refresh_seconds=60.0)
+        first.tick()
         seen_before = set(old._last_values)
         old_weight = old.last_result.result_weight
-        manager.unsubscribe(old.subscription_id)
+        manager = ContinuousQueryManager(portal)
         fresh = manager.subscribe(EXACT_A, refresh_seconds=60.0)
         ran = manager.tick()
         appeared = set(ran[0][1].appeared)

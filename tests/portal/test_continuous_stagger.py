@@ -131,7 +131,7 @@ class TestDispatcherAbsorbsStaggeredOverlap:
         from repro.transport import ProbeDispatcher
 
         portal = _build_portal()
-        ids = [s.sensor_id for s in portal.network.sensors()][:20]
+        ids = [s.sensor_id for s in portal.registry.all()][:20]
         dispatcher = ProbeDispatcher(
             portal.network, TransportConfig(overlap_enabled=True)
         )

@@ -197,7 +197,7 @@ class TestTraversalOracle:
         nodes terminate on their aggregates."""
         now, staleness = 1_000.0, 240.0
         if warm_region is not None:
-            tree.prime_cache(
+            tree.insert_readings_batch(
                 [
                     Reading(s.sensor_id, float(s.sensor_id), now - 10.0, now + 100.0)
                     for s in tree._sensors.values()

@@ -52,13 +52,6 @@ class TestRectProperties:
         if inter is not None:
             assert a.contains_rect(inter) and b.contains_rect(inter)
 
-    @given(rects(), points())
-    def test_contained_point_has_zero_distance(self, r, p):
-        if r.contains_point(p):
-            assert r.distance_to_point(p) == 0.0
-        else:
-            assert r.distance_to_point(p) > 0.0
-
     @given(rects(), rects())
     def test_overlap_area_identity(self, a, b):
         """fraction * area == intersection area (when area > 0)."""
@@ -76,7 +69,7 @@ class TestPolygonProperties:
     def test_polygon_from_rect_point_parity(self, r, p):
         if r.area == 0:
             return  # degenerate rects are not valid polygons
-        poly = Polygon.from_rect(r)
+        poly = Polygon(r.corners())
         assert poly.contains_point(p) == r.contains_point(p)
 
     @given(rects(), rects())
@@ -84,7 +77,7 @@ class TestPolygonProperties:
     def test_polygon_from_rect_relation_parity(self, r, probe):
         if r.area == 0:
             return
-        poly = Polygon.from_rect(r)
+        poly = Polygon(r.corners())
         assert poly.intersects_rect(probe) == r.intersects_rect(probe)
         assert poly.contains_rect(probe) == r.contains_rect(probe)
 
@@ -92,7 +85,7 @@ class TestPolygonProperties:
     def test_polygon_area_matches_rect(self, r):
         if r.area == 0:
             return
-        assert abs(Polygon.from_rect(r).area - r.area) <= 1e-6 * max(1.0, r.area)
+        assert abs(Polygon(r.corners()).area - r.area) <= 1e-6 * max(1.0, r.area)
 
     @given(st.lists(points(), min_size=3, max_size=8))
     @settings(max_examples=200)

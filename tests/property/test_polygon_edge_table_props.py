@@ -406,7 +406,7 @@ class TestTheTableIsDerivedState:
         y0, y1 = sorted(bounds[2:])
         assume(x0 < x1 and y0 < y1)  # a flat ring is not a rectangle's polygon
         rect = Rect(x0, y0, x1, y1)
-        polygon = Polygon.from_rect(rect)
+        polygon = Polygon(rect.corners())
         assert polygon.as_rect() == rect
         px0, px1 = sorted(probe[:2])
         py0, py1 = sorted(probe[2:])

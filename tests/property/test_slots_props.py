@@ -1,10 +1,13 @@
 """Property-based tests of the slot caches."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Reading
 from repro.core.slots import LeafSlotCache, SlotCache, slot_of
+from tests.conftest import slot_ids
 
 
 @st.composite
@@ -24,12 +27,24 @@ def readings(draw):
 reading_lists = st.lists(readings(), min_size=0, max_size=40)
 
 
+def insert(cache: LeafSlotCache, r: Reading) -> None:
+    """File a reading under its expiry slot, as the tree does."""
+    cache.put(r, r.timestamp, slot_of(r.expires_at, cache.slot_seconds))
+
+
+def usable(slot: int, now: float, slot_seconds: float) -> bool:
+    """Whether an aggregate filed under ``slot`` is served at ``now``."""
+    cache = SlotCache(slot_seconds)
+    cache.add(slot, 1.0, now)
+    return bool(cache.usable_sketches(now, max_staleness=math.inf))
+
+
 class TestLeafSlotCacheProperties:
     @given(reading_lists)
     def test_one_entry_per_sensor(self, items):
         cache = LeafSlotCache(120.0)
         for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
+            insert(cache, r)
         assert len(cache) == len({r.sensor_id for r in items})
 
     @given(reading_lists)
@@ -37,7 +52,7 @@ class TestLeafSlotCacheProperties:
         cache = LeafSlotCache(120.0)
         last: dict[int, Reading] = {}
         for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
+            insert(cache, r)
             last[r.sensor_id] = r
         for sensor_id, expected in last.items():
             assert cache.get(sensor_id).reading == expected
@@ -46,12 +61,12 @@ class TestLeafSlotCacheProperties:
     def test_slot_index_consistent(self, items):
         cache = LeafSlotCache(120.0)
         for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
+            insert(cache, r)
         listed = set()
-        for slot in cache.slot_ids():
+        for slot in slot_ids(cache):
             assert isinstance(slot, int)
-        for r in cache.all_readings():
-            assert slot_of(r.expires_at, 120.0) in cache.slot_ids()
+        for r in (c.reading for c in cache.entries()):
+            assert slot_of(r.expires_at, 120.0) in slot_ids(cache)
             listed.add(r.sensor_id)
         assert len(listed) == len(cache)
 
@@ -66,10 +81,10 @@ class TestLeafSlotCacheProperties:
         cache contents."""
         cache = LeafSlotCache(120.0)
         for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
+            insert(cache, r)
         expected = {
             r.sensor_id
-            for r in cache.all_readings()
+            for r in (c.reading for c in cache.entries())
             if r.is_valid_at(now) and now - r.timestamp <= staleness
         }
         # The slot filter may additionally drop *whole expired slots*;
@@ -78,27 +93,16 @@ class TestLeafSlotCacheProperties:
         got = {r.sensor_id for r in cache.fresh_readings(now, staleness)}
         assert got == expected
 
-    @given(reading_lists, st.floats(min_value=0, max_value=12_000, allow_nan=False))
-    def test_prune_drops_only_expired(self, items, now):
-        cache = LeafSlotCache(120.0)
-        for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
-        dropped = cache.prune_expired(now)
-        for r in dropped:
-            assert not r.is_valid_at(now + 120.0)  # entire slot behind now
-        for r in cache.all_readings():
-            assert slot_of(r.expires_at, 120.0) >= slot_of(now, 120.0)
-
     @given(reading_lists)
     def test_remove_then_absent(self, items):
         cache = LeafSlotCache(120.0)
         for r in items:
-            cache.insert(r, fetched_at=r.timestamp)
+            insert(cache, r)
         for sensor_id in {r.sensor_id for r in items}:
             assert cache.remove(sensor_id) is not None
-            assert sensor_id not in cache
+            assert cache.get(sensor_id) is None
         assert len(cache) == 0
-        assert cache.slot_ids() == []
+        assert slot_ids(cache) == []
 
 
 class TestAggregateSlotCacheProperties:
@@ -116,7 +120,7 @@ class TestAggregateSlotCacheProperties:
         cache = SlotCache(60.0)
         for slot, value, ts in adds:
             cache.add(slot, value, ts)
-        assert cache.total_weight() == len(adds)
+        assert sum(cache.sketch(s).count for s in slot_ids(cache)) == len(adds)
 
     @given(
         st.lists(
@@ -135,8 +139,7 @@ class TestAggregateSlotCacheProperties:
         for slot, value in adds:
             if cache.sketch(slot) is not None:
                 cache.remove(slot, value)
-        assert cache.total_weight() == 0
-        assert len(cache) == 0
+        assert slot_ids(cache) == []
 
     @given(
         st.floats(min_value=1, max_value=600, allow_nan=False),
@@ -163,12 +166,9 @@ class TestSlotBoundaryProperties:
         st.sampled_from([1.0, 0.5, 7.25, 30.0, 60.0, 120.0, 600.0]),
     )
     def test_exact_edges_start_their_slot(self, k, slot_seconds):
-        from repro.core.slots import usable_slot_range
-
         assert slot_of(k * slot_seconds, slot_seconds) == k
-        low, high = usable_slot_range(k * slot_seconds, slot_seconds)
-        assert low == k + 1
-        assert high is None
+        assert not usable(k, k * slot_seconds, slot_seconds)
+        assert usable(k + 1, k * slot_seconds, slot_seconds)
 
     @given(
         st.floats(
@@ -198,11 +198,8 @@ class TestSlotBoundaryProperties:
         st.floats(min_value=1, max_value=600, allow_nan=False),
     )
     def test_slot_usable_matches_range(self, slot, now, slot_seconds):
-        from repro.core.slots import slot_usable, usable_slot_range
-
-        low, high = usable_slot_range(now, slot_seconds)
-        assert high is None
-        assert slot_usable(slot, now, slot_seconds) == (slot >= low)
+        low = slot_of(now, slot_seconds) + 1
+        assert usable(slot, now, slot_seconds) == (slot >= low)
 
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -211,20 +208,16 @@ class TestSlotBoundaryProperties:
     def test_far_future_slots_always_usable(self, now, slot_seconds):
         """The fix for the old ``low + (1 << 31)`` sentinel: no finite
         upper bound may exclude a genuinely future expiry slot."""
-        from repro.core.slots import slot_usable, usable_slot_range
-
-        low, _ = usable_slot_range(now, slot_seconds)
+        low = slot_of(now, slot_seconds) + 1
         for offset in (0, 1, 2**31, 2**31 + 1, 2**40):
-            assert slot_usable(low + offset, now, slot_seconds)
+            assert usable(low + offset, now, slot_seconds)
 
     @given(
         st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
         st.floats(min_value=1, max_value=600, allow_nan=False),
     )
     def test_boundary_slot_never_usable(self, now, slot_seconds):
-        from repro.core.slots import slot_usable
-
         boundary = slot_of(now, slot_seconds)
-        assert not slot_usable(boundary, now, slot_seconds)
-        assert not slot_usable(boundary - 1, now, slot_seconds)
-        assert slot_usable(boundary + 1, now, slot_seconds)
+        assert not usable(boundary, now, slot_seconds)
+        assert not usable(boundary - 1, now, slot_seconds)
+        assert usable(boundary + 1, now, slot_seconds)

@@ -19,7 +19,7 @@ import pytest
 
 from repro import COLRTreeConfig, Reading, Rect
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import leaves, make_registry, make_tree, slot_ids
 
 
 def check_invariants(tree):
@@ -27,7 +27,7 @@ def check_invariants(tree):
     for node in tree.root.iter_subtree():
         if node.is_leaf or node.agg_cache is None:
             continue
-        for slot in node.agg_cache.slot_ids():
+        for slot in slot_ids(node.agg_cache):
             cached = node.agg_cache.sketch(slot)
             recomputed = tree._recompute_slot(node, slot)
             assert cached.count == recomputed.count, (node.node_id, slot)
@@ -37,7 +37,7 @@ def check_invariants(tree):
                 assert cached.maximum == pytest.approx(recomputed.maximum)
     # (2) global count vs leaf contents vs registry
     leaf_total = sum(
-        len(n.leaf_cache) for n in tree.root.iter_leaves() if n.leaf_cache is not None
+        len(n.leaf_cache) for n in leaves(tree.root) if n.leaf_cache is not None
     )
     registry_total = sum(len(m) for m in tree._cache_registry.values())
     assert tree.cached_reading_count == leaf_total == registry_total

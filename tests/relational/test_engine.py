@@ -16,11 +16,6 @@ class TestDDL:
         with pytest.raises(ValueError):
             db.create_table(TableSchema.of("t", [("id", "int")], ["id"]))
 
-    def test_drop_table(self, db):
-        db.drop_table("t")
-        with pytest.raises(KeyError):
-            db.table("t")
-
     def test_unknown_table_rejected(self, db):
         with pytest.raises(KeyError):
             db.table("nope")
@@ -50,54 +45,3 @@ class TestDML:
     def test_delete_all(self, db):
         assert db.delete("t") == 5
         assert len(db.table("t")) == 0
-
-    def test_upsert_inserts_then_updates(self, db):
-        db.upsert("t", {"id": 50, "v": 1.0})
-        assert db.table("t").get((50,))["v"] == 1.0
-        db.upsert("t", {"id": 50, "v": 2.0})
-        assert db.table("t").get((50,))["v"] == 2.0
-        assert len(db.table("t")) == 6
-
-
-class TestSelect:
-    def test_select_with_projection(self, db):
-        rows = db.select("t", col("id") == 2, columns=["v"])
-        assert rows == [{"v": 2.0}]
-
-    def test_select_all(self, db):
-        assert len(db.select("t")) == 5
-
-
-class TestEquijoin:
-    @pytest.fixture
-    def joined_db(self) -> Database:
-        db = Database()
-        db.create_table(
-            TableSchema.of("parent", [("node", "int"), ("child", "int")], ["node", "child"])
-        )
-        db.create_table(TableSchema.of("meta", [("node", "int"), ("w", "int")], ["node"]))
-        db.insert("parent", [{"node": 0, "child": 1}, {"node": 0, "child": 2}])
-        db.insert("meta", [{"node": 1, "w": 10}, {"node": 2, "w": 20}, {"node": 3, "w": 30}])
-        return db
-
-    def test_join_prefixes_columns(self, joined_db):
-        rows = joined_db.equijoin("parent", "meta", "child", "node")
-        assert len(rows) == 2
-        assert {r["meta.w"] for r in rows} == {10, 20}
-        assert all(r["parent.node"] == 0 for r in rows)
-
-    def test_join_with_filters(self, joined_db):
-        rows = joined_db.equijoin(
-            "parent",
-            "meta",
-            "child",
-            "node",
-            where=col("meta.w") > 10,
-        )
-        assert [r["meta.w"] for r in rows] == [20]
-
-    def test_join_side_filters(self, joined_db):
-        rows = joined_db.equijoin(
-            "parent", "meta", "child", "node", right_where=col("w") == 10
-        )
-        assert len(rows) == 1

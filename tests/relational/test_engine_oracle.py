@@ -1,6 +1,6 @@
 """Stateful differential test: random DML against a dict oracle.
 
-Hypothesis drives arbitrary insert / update / delete / upsert sequences
+Hypothesis drives arbitrary insert / update / delete sequences
 against both the relational engine and a plain-dict model; after every
 step the full table contents must agree, and reads through indexes must
 match brute-force filtering.
@@ -49,12 +49,6 @@ op_strategy = st.one_of(
         st.just(0),
         st.just(0.0),
     ),
-    st.tuples(
-        st.just("upsert"),
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=5),
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-    ),
 )
 
 
@@ -92,14 +86,11 @@ def test_engine_matches_dict_oracle(ops, indexed):
             assert n == len(victims)
             for k in victims:
                 del oracle[k]
-        elif op == "upsert":
-            db.upsert("t", {"id": a, "bucket": b, "v": c})
-            oracle[a] = {"id": a, "bucket": b, "v": c}
         # Full-state agreement after every operation.
-        rows = {r["id"]: r for r in db.select("t")}
+        rows = {r["id"]: r for r in db.table("t").scan()}
         assert rows == oracle
     # Indexed reads agree with brute force at the end.
     for bucket in range(6):
         expected = sorted(k for k, row in oracle.items() if row["bucket"] == bucket)
-        got = sorted(r["id"] for r in db.select("t", col("bucket") == bucket))
+        got = sorted(r["id"] for r in db.table("t").scan(col("bucket") == bucket))
         assert got == expected

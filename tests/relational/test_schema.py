@@ -30,7 +30,7 @@ class TestColumn:
 class TestTableSchema:
     def test_of_constructor(self):
         s = TableSchema.of("t", [("a", "int"), ("b", "text")], ["a"])
-        assert s.column_names() == ("a", "b")
+        assert tuple(c.name for c in s.columns) == ("a", "b")
         assert s.primary_key == ("a",)
 
     def test_duplicate_columns_rejected(self):

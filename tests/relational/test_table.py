@@ -80,16 +80,8 @@ class TestScanAndIndex:
         assert 1 not in {r["id"] for r in table.scan(col("slot") == 1)}
         assert 1 in {r["id"] for r in table.scan(col("slot") == 2)}
 
-    def test_count(self, table):
-        assert table.count(col("slot") == 0) == 4
-        assert table.count() == 10
-
     def test_keys_matching(self, table):
         assert sorted(table.keys_matching(col("value") >= 8.0)) == [(8,), (9,)]
-
-    def test_aggregate(self, table):
-        total = table.aggregate("value", lambda a, b: a + b, 0.0, col("slot") == 0)
-        assert total == 0.0 + 3.0 + 6.0 + 9.0
 
     def test_index_on_unknown_column_rejected(self, table):
         with pytest.raises(KeyError):

@@ -108,14 +108,6 @@ class TestTriggerSet:
         with pytest.raises(ValueError):
             ts.register(t)
 
-    def test_drop(self):
-        ts = TriggerSet()
-        ts.register(Trigger("x", "a", TriggerEvent.INSERT, lambda d, inv: None))
-        ts.drop("x")
-        assert ts.triggers_for("a", TriggerEvent.INSERT) == ()
-        with pytest.raises(KeyError):
-            ts.drop("x")
-
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             TriggerSet(max_depth=0)

@@ -11,7 +11,7 @@ from repro import (
 )
 from repro.relcolr import RelCOLRTree
 
-from tests.conftest import make_registry
+from tests.conftest import make_registry, within
 
 
 CFG = COLRTreeConfig(
@@ -69,7 +69,7 @@ class TestCacheRead:
             rel.insert_reading(reading_for(sensor, 1.0, 0.0), 0.0)
         region = Rect(10, 10, 35, 35)
         sketches, readings = rel.cache_read(region, now=1.0, max_staleness=600.0)
-        expected = len(registry.within(region))
+        expected = len(within(registry, region))
         assert sum(s.count for s in sketches) + len(readings) == expected
 
     def test_staleness_excludes_old_readings(self):
@@ -100,7 +100,7 @@ class TestSensorSelection:
         picks = rel.sensor_selection(region, 0.0, 600.0, 25)
         assert len(picks) == len(set(picks))
         for sid in picks:
-            assert region.contains_point(registry.get(sid).location)
+            assert region.contains_point(next(s for s in registry if s.sensor_id == sid).location)
 
     def test_cached_sensors_discounted(self):
         registry = make_registry(n=300, seed=5)
@@ -135,7 +135,7 @@ class TestEndToEndQuery:
         rel = RelCOLRTree(registry.all(), cfg, network=network, build_method="str")
         region = Rect(0, 0, 50, 50)
         answer = rel.query(region, now=0.0, max_staleness=600.0)
-        assert answer.result_weight == len(registry.within(region))
+        assert answer.result_weight == len(within(registry, region))
 
     def test_unknown_sensor_insert_rejected(self):
         rel = make_rel(make_registry(n=50, seed=6))

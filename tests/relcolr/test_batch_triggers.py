@@ -12,7 +12,7 @@ from repro import COLRTree, COLRTreeConfig, Reading
 from repro.core.slots import slot_of
 from repro.relcolr import RelCOLRTree
 
-from tests.conftest import make_registry
+from tests.conftest import cached_rows, make_registry
 from tests.relcolr.test_triggers import CFG, assert_cache_equivalent, reading_for
 
 
@@ -33,7 +33,7 @@ class TestBatchEquivalence:
         ]
         mem.insert_readings_batch(readings, fetched_at=0.0)
         rel.insert_readings_batch(readings, fetched_at=0.0)
-        assert rel.cached_reading_count() == mem.cached_reading_count
+        assert cached_rows(rel) == mem.cached_reading_count
         assert_cache_equivalent(mem, rel)
 
     def test_batch_matches_per_row_inserts(self, pair):
@@ -70,7 +70,7 @@ class TestBatchEquivalence:
         ]
         mem.insert_readings_batch(second, fetched_at=100.0)
         rel.insert_readings_batch(second, fetched_at=100.0)
-        assert rel.cached_reading_count() == mem.cached_reading_count == 50
+        assert cached_rows(rel) == mem.cached_reading_count == 50
         assert_cache_equivalent(mem, rel)
 
     def test_batch_min_max_displacement(self, pair):
@@ -92,7 +92,7 @@ class TestBatchEquivalence:
     def test_empty_batch_is_noop(self, pair):
         _, _, rel = pair
         rel.insert_readings_batch([], fetched_at=0.0)
-        assert rel.cached_reading_count() == 0
+        assert cached_rows(rel) == 0
         assert rel.maintenance.grouped_rows == 0
 
     def test_last_wins_duplicate_sensor(self, pair):
@@ -101,7 +101,7 @@ class TestBatchEquivalence:
         batch = [reading_for(s, 1.0, 0.0), reading_for(s, 2.0, 10.0)]
         mem.insert_readings_batch(batch, fetched_at=10.0)
         rel.insert_readings_batch(batch, fetched_at=10.0)
-        assert rel.cached_reading_count() == mem.cached_reading_count == 1
+        assert cached_rows(rel) == mem.cached_reading_count == 1
         assert_cache_equivalent(mem, rel)
 
 

@@ -15,20 +15,20 @@ from repro import COLRTree, COLRTreeConfig, Reading
 from repro.relational import col
 from repro.relcolr import RelCOLRTree
 
-from tests.conftest import make_registry
+from tests.conftest import cached_rows, leaves, make_registry, slot_ids, within
 
 
 def assert_equal_state(mem: COLRTree, rel: RelCOLRTree):
-    assert rel.cached_reading_count() == mem.cached_reading_count
+    assert cached_rows(rel) == mem.cached_reading_count
     # Leaf contents.
     rel_leaf = {
         int(r["sensor_id"]): (float(r["value"]), float(r["expires_at"]))
         for r in rel.db.table(rel.names.leaf_cache).scan()
     }
     mem_leaf = {}
-    for leaf in mem.root.iter_leaves():
+    for leaf in leaves(mem.root):
         assert leaf.leaf_cache is not None
-        for reading in leaf.leaf_cache.all_readings():
+        for reading in (c.reading for c in leaf.leaf_cache.entries()):
             mem_leaf[reading.sensor_id] = (reading.value, reading.expires_at)
     assert rel_leaf == mem_leaf
     # Aggregate sketches per (internal node, slot).
@@ -41,7 +41,7 @@ def assert_equal_state(mem: COLRTree, rel: RelCOLRTree):
                 col("node_id") == node.node_id
             )
         }
-        mem_slots = {s: node.agg_cache.sketch(s) for s in node.agg_cache.slot_ids()}
+        mem_slots = {s: node.agg_cache.sketch(s) for s in slot_ids(node.agg_cache)}
         assert set(rel_rows) == set(mem_slots), node.node_id
         for slot, sketch in mem_slots.items():
             row = rel_rows[slot]
@@ -118,5 +118,5 @@ def test_cache_read_weight_matches_memory_answer():
     region = Rect(10, 10, 70, 70)
     sketches, readings = rel.cache_read(region, now=1.0, max_staleness=600.0)
     rel_weight = sum(s.count for s in sketches) + len(readings)
-    expected = len(registry.within(region))
+    expected = len(within(registry, region))
     assert rel_weight == expected

@@ -7,7 +7,7 @@ from repro import COLRTreeConfig, Reading, Rect
 from repro.relcolr import RelCOLRTree
 from repro.relcolr.joins import descend_by_joins
 
-from tests.conftest import make_registry
+from tests.conftest import cached_rows, make_registry
 
 
 CFG = COLRTreeConfig(
@@ -85,7 +85,7 @@ class TestJoinDescent:
         _, tree = rel
         layers = run_joins(tree, Rect(0, 0, 100, 100))
         leaf_layer = layers[-1]
-        assert sum(r["cached_weight"] for r in leaf_layer) == tree.cached_reading_count()
+        assert sum(r["cached_weight"] for r in leaf_layer) == cached_rows(tree)
 
     def test_weights_match_structure(self, rel):
         _, tree = rel

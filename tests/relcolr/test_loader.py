@@ -5,7 +5,7 @@ from repro.relational import Database, col
 from repro.relcolr import SchemaNames, load_tree
 from repro.relcolr.loader import tree_depth
 
-from tests.conftest import make_registry
+from tests.conftest import leaves, make_registry
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ class TestLoad:
 
     def test_sensor_leaf_mapping(self, loaded):
         _, root, db, names = loaded
-        for leaf in root.iter_leaves():
+        for leaf in leaves(root):
             rows = db.table(names.sensors).scan(col("leaf_id") == leaf.node_id)
             assert {int(r["sensor_id"]) for r in rows} == {
                 s.sensor_id for s in leaf.sensors

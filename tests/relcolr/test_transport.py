@@ -23,7 +23,7 @@ from repro import (
 from repro.relcolr import RelCOLRTree
 from repro.transport import TransportConfig
 
-from tests.conftest import make_registry
+from tests.conftest import cached_rows, make_registry
 from tests.transport.sync_probe import SyncProbeDispatcher
 
 
@@ -87,7 +87,7 @@ class TestParity:
                 assert a.stats == b.stats
                 assert a.terminals == b.terminals
         assert sync.network.stats == via.network.stats
-        assert sync.cached_reading_count() == via.cached_reading_count()
+        assert cached_rows(sync) == cached_rows(via)
 
     def test_exact_query_parity(self):
         sync = make_sync_rel(make_registry(n=100, seed=9))
@@ -134,4 +134,4 @@ class TestDedup:
             Rect(0, 0, 100, 100), now=0.0, max_staleness=120.0, sample_size=10**9
         )
         assert rel.dispatcher.stats.streamed_readings == 0
-        assert rel.cached_reading_count() == len(answer.probed_readings)
+        assert cached_rows(rel) == len(answer.probed_readings)

@@ -7,7 +7,12 @@ from repro.core.slots import slot_of
 from repro.relational import col
 from repro.relcolr import RelCOLRTree
 
-from tests.conftest import make_registry
+from tests.conftest import cached_rows, make_registry, slot_ids
+
+
+def root_cache_row(rel: RelCOLRTree, slot: int) -> dict | None:
+    """The root's aggregate row for one slot in its layer's cache table."""
+    return rel.db.table(rel.names.cache(0)).get((rel.root_id, slot))
 
 
 CFG = COLRTreeConfig(
@@ -48,7 +53,7 @@ def assert_cache_equivalent(mem: COLRTree, rel: RelCOLRTree):
                 col("node_id") == node.node_id
             )
         }
-        mem_slots = {s: node.agg_cache.sketch(s) for s in node.agg_cache.slot_ids()}
+        mem_slots = {s: node.agg_cache.sketch(s) for s in slot_ids(node.agg_cache)}
         assert set(rel_rows) == set(mem_slots), (node.node_id, rel_rows, mem_slots)
         for slot, sketch in mem_slots.items():
             row = rel_rows[slot]
@@ -67,7 +72,7 @@ class TestInsertTriggers:
         mem.insert_reading(r, fetched_at=10.0)
         rel.insert_reading(r, fetched_at=10.0)
         slot = slot_of(r.expires_at, CFG.slot_seconds)
-        root_row = rel.cache_row(rel.root_id, slot)
+        root_row = root_cache_row(rel, slot)
         assert root_row is not None
         assert root_row["value_count"] == 1
         assert root_row["value_sum"] == 5.0
@@ -79,7 +84,7 @@ class TestInsertTriggers:
             r = reading_for(sensor, float(i % 7), timestamp=float(i))
             mem.insert_reading(r, fetched_at=float(i))
             rel.insert_reading(r, fetched_at=float(i))
-        assert rel.cached_reading_count() == mem.cached_reading_count
+        assert cached_rows(rel) == mem.cached_reading_count
         assert_cache_equivalent(mem, rel)
 
     def test_update_decrements_equivalent(self, pair):
@@ -92,7 +97,7 @@ class TestInsertTriggers:
             t.insert_reading(r2, 100.0)
         rel.insert_reading(r1, 0.0)
         rel.insert_reading(r2, 100.0)
-        assert rel.cached_reading_count() == 1
+        assert cached_rows(rel) == 1
         assert_cache_equivalent(mem, rel)
 
     def test_min_max_recompute_on_update(self, pair):
@@ -116,12 +121,12 @@ class TestRollTrigger:
         registry, _, rel = pair
         sensors = registry.all()
         rel.insert_reading(reading_for(sensors[0], 1.0, 0.0), 0.0)
-        n_before = rel.cached_reading_count()
+        n_before = cached_rows(rel)
         assert n_before == 1
         # Insert far in the future: window slides past the first slot.
         future = 100_000.0
         rel.insert_reading(reading_for(sensors[1], 2.0, future), future)
-        assert rel.cached_reading_count() == 1
+        assert cached_rows(rel) == 1
         remaining = rel.db.table(rel.names.leaf_cache).scan()
         assert int(remaining[0]["sensor_id"]) == sensors[1].sensor_id
 
@@ -132,7 +137,7 @@ class TestRollTrigger:
         old_slot = slot_of(sensors[0].expiry_seconds, CFG.slot_seconds)
         future = 100_000.0
         rel.insert_reading(reading_for(sensors[1], 2.0, future), future)
-        assert rel.cache_row(rel.root_id, old_slot) is None
+        assert root_cache_row(rel, old_slot) is None
 
 
 class TestCapacityEviction:
@@ -148,7 +153,7 @@ class TestCapacityEviction:
         rel = RelCOLRTree(registry.all(), cfg, build_method="str")
         for i, sensor in enumerate(registry.all()[:30]):
             rel.insert_reading(reading_for(sensor, 1.0, 0.0), fetched_at=float(i))
-        assert rel.cached_reading_count() <= 10
+        assert cached_rows(rel) <= 10
 
     def test_aggregates_consistent_after_eviction(self):
         registry = make_registry(n=100, seed=9)
@@ -170,4 +175,4 @@ class TestCapacityEviction:
                     col("node_id") == rel.root_id
                 )
                 total = sum(int(r["value_count"]) for r in rows)
-        assert total == rel.cached_reading_count()
+        assert total == cached_rows(rel)

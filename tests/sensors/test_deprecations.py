@@ -34,4 +34,3 @@ class TestProbeResultFailedRemoval:
             warnings.simplefilter("error", DeprecationWarning)
             _ = result.unavailable
             _ = result.timed_out
-            _ = result.attempted

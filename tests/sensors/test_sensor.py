@@ -70,7 +70,3 @@ class TestReading:
         assert not r.is_fresh_at(200.0, max_staleness=60.0)
         # Expired even though within staleness... requires a long window.
         assert not r.is_fresh_at(401.0, max_staleness=1000.0)
-
-    def test_lifetime(self):
-        r = Reading(sensor_id=1, value=5.0, timestamp=100.0, expires_at=400.0)
-        assert r.lifetime == 300.0

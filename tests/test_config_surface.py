@@ -5,8 +5,8 @@ A row says why the field is a knob rather than a module constant:
 
 * :class:`Seen` — a program outside the tests sets it to a non-default
   value; ``caller`` is the file that does, ``how`` the text in it that
-  does.  ``tools/knob_census.py`` (the ``knob-census`` CI job) reruns
-  those programs and fails when one of these is never seen turned.
+  does.  ``tools/census.py`` (the ``census`` CI job) reruns those
+  programs and fails when one of these is never seen turned.
 * :class:`Kept` — nothing turns it at quick scale, and ``reason`` says
   why it stays a field anyway.
 

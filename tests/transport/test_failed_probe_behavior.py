@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from repro import AvailabilityModel, SensorNetwork
 from repro.transport import ProbeDispatcher, TransportConfig
-from tests.conftest import make_registry
+from tests.conftest import make_registry, observed_probes
 
 
 def _network(availability, seed=3, n=40):
@@ -28,14 +28,14 @@ def test_sync_baseline_recontacts_failures_every_tick():
     # Characterization: without the transport layer, a dead sensor costs
     # one wire probe on every tick that asks for it, forever.
     net = _network(availability=0.0)
-    ids = [s.sensor_id for s in net.sensors()][:10]
+    ids = list(range(10))
     for tick in range(5):
         result = net.probe(ids, now=tick * 45.0)
         assert len(result.unavailable) == 10
     assert net.stats.probes_attempted == 50
     assert net.stats.probes_succeeded == 0
     # ...and the model keeps accumulating evidence it never acts on.
-    assert all(net.availability_model.observed_probes(sid) == 5 for sid in ids)
+    assert all(observed_probes(net.availability_model, sid) == 5 for sid in ids)
 
 
 def test_transport_failure_memory_caps_recontact():
@@ -43,7 +43,7 @@ def test_transport_failure_memory_caps_recontact():
     # first tick pays 10 probes, ticks inside the ttl are served from
     # failure memory, and only ttl expiry re-contacts.
     net = _network(availability=0.0)
-    ids = [s.sensor_id for s in net.sensors()][:10]
+    ids = list(range(10))
     cfg = TransportConfig(
         seed=7,
         max_retries=0,
@@ -59,7 +59,7 @@ def test_transport_failure_memory_caps_recontact():
     # served from failure memory.
     assert net.stats.probes_attempted == 30
     assert d.stats.dedup_recent == 20
-    assert all(net.availability_model.observed_probes(sid) == 3 for sid in ids)
+    assert all(observed_probes(net.availability_model, sid) == 3 for sid in ids)
 
 
 def test_cooldown_takes_precedence_over_failure_memory():
@@ -68,7 +68,7 @@ def test_cooldown_takes_precedence_over_failure_memory():
     # never even gets consulted, and the model's history stays at one
     # logical probe.
     net = _network(availability=0.0)
-    ids = [s.sensor_id for s in net.sensors()][:10]
+    ids = list(range(10))
     cfg = TransportConfig(
         seed=7,
         max_retries=0,
@@ -82,12 +82,12 @@ def test_cooldown_takes_precedence_over_failure_memory():
         assert len(rnd.readings) == 0
     assert net.stats.probes_attempted == 10
     assert d.stats.cooldown_skips == 40
-    assert all(net.availability_model.observed_probes(sid) == 1 for sid in ids)
+    assert all(observed_probes(net.availability_model, sid) == 1 for sid in ids)
 
 
 def test_cooldown_expires_and_allows_reassessment():
     net = _network(availability=0.0)
-    sid = net.sensors()[0].sensor_id
+    sid = 0
     cfg = replace(TransportConfig.parity(), cooldown_seconds=100.0)
     d = ProbeDispatcher(net, cfg)
     d.collect([sid], now=0.0)
@@ -98,7 +98,7 @@ def test_cooldown_expires_and_allows_reassessment():
     assert rnd.cooldown_skipped == []
     assert rnd.unavailable == [sid]
     assert net.stats.probes_attempted == 2
-    assert net.availability_model.observed_probes(sid) == 2
+    assert observed_probes(net.availability_model, sid) == 2
 
 
 def test_retries_do_not_inflate_availability_history():
@@ -106,7 +106,7 @@ def test_retries_do_not_inflate_availability_history():
     # wire-attempt count grows with retries, the model's history grows
     # exactly once per logical probe.
     net = _network(availability=0.0)
-    sid = net.sensors()[0].sensor_id
+    sid = 0
     cfg = TransportConfig(
         seed=7, max_retries=3, inflight_ttl=0.0, cooldown_seconds=0.0
     )
@@ -115,7 +115,7 @@ def test_retries_do_not_inflate_availability_history():
         d.collect([sid], now=tick * 400.0)
     assert net.stats.probes_attempted == 16  # 4 ticks x (1 + 3 retries)
     assert net.stats.probes_retried == 12
-    assert net.availability_model.observed_probes(sid) == 4
+    assert observed_probes(net.availability_model, sid) == 4
     # Four observed failures under a Beta(1, 1) prior.
     assert net.availability_model.estimate(sid) == 1.0 / 6.0
 

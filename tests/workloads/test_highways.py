@@ -69,14 +69,6 @@ class TestHighwayWorkload:
         eigvals = np.sort(np.linalg.eigvalsh(cov))
         assert eigvals[1] > 50 * max(eigvals[0], 1e-12)
 
-    def test_congestion_fn_rush_hour(self):
-        wl = HighwayWorkload(corridors=default_corridors(n=3))
-        fn = wl.congestion_fn()
-        sensor = wl.sensors()[0]
-        midnight = fn(sensor, 0.0)
-        rush = fn(sensor, 1_800.0)
-        assert rush > midnight
-
     def test_invalid_spacing_rejected(self):
         with pytest.raises(ValueError):
             HighwayWorkload(spacing_miles=0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.workloads import CITIES, LiveLocalWorkload
-from repro.workloads.cities import total_population
 
 
 class TestCities:
@@ -11,9 +10,6 @@ class TestCities:
             assert 20 <= city.lat <= 65
             assert -160 <= city.lon <= -65
             assert city.population > 0
-
-    def test_total_population(self):
-        assert total_population() == sum(c.population for c in CITIES)
 
 
 class TestSensors:
