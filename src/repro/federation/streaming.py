@@ -1,35 +1,21 @@
 """Streaming (pipelined) gather results.
 
-A synchronous gather waits for the slowest shard before the coordinator
-can answer; a streaming gather merges per-shard answers *as they land*
-in modeled time and can publish a partial-but-monotone answer at a
-freshness deadline while stragglers (and redistribution top-ups) are
-still in flight.
+A synchronous gather waits for the slowest shard; a streaming gather
+merges per-shard answers *as they land* in modeled time and can publish
+a partial-but-monotone answer at a deadline while stragglers and
+top-ups are still in flight.  It is the coordinator's one gather run
+on a plan with a deadline (``FederatedPortal._gather``), so it reaches
+the shards through the same scatter on either backend.
 
-The landing time of a shard's answer is exactly the slot it occupies in
-the synchronous gather makespan — its sub-answer's collection latency
-plus any retry or recovery penalty the coordinator charged it — so the
-*final* streamed result is bit-identical to the synchronous gather on a
-healthy fleet (pinned by ``tests/frontdoor/test_parity.py``).  What
-streaming changes is *when* answers become publishable:
-
-* ``first`` is the answer publishable at ``deadline_seconds``: the
-  merge of every shard that landed by then.  Healthy shards still in
-  flight are listed in ``FederatedResult.deferred_shards`` (the answer
-  is flagged partial), never dropped — the continuous-query manager
-  applies ``first`` and the next tick's full answer supersedes it.
-* ``final`` is the complete merge, with redistribution rounds
-  *overlapped* with the tail of round-1 collection: top-up scatters
-  launch once every answering shard has landed instead of waiting out a
-  straggler's retry backoff, so a degraded fleet's final collection is
-  ``max(round-1 makespan, topup launch + topup collection)`` rather
-  than their sum.
-
-Works identically on both federation backends — the streaming path is
-a publish-time policy over the coordinator's one scatter → retry →
-gather spine (``_scatter_queries`` for a batch of one, then
-``_finish``), which reaches the shards only through its backend's
-``attempt`` / ``call``.
+A shard's answer lands at the slot it occupies in the synchronous
+makespan (collection latency plus any retry or recovery penalty), so
+on a healthy fleet ``final`` is bit-identical to the synchronous gather
+(``tests/frontdoor/test_parity.py``).  ``first`` merges every shard
+landed by the deadline and lists the healthy ones still in flight in
+``FederatedResult.deferred_shards`` (late, never dropped).  ``final``
+launches top-ups once every *answering* shard has landed, so a degraded
+fleet's collection is ``max(round-1 makespan, launch + top-up)``, not
+their sum.
 """
 
 from __future__ import annotations

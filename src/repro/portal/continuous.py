@@ -12,6 +12,7 @@ departed sensors plus the aggregate drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,9 +94,12 @@ class ContinuousQueryManager:
         ride the next refresh.  ``None`` (the default) keeps the
         synchronous gather.  Unsharded portals ignore the deadline —
         there is no gather to stream."""
-        if stagger_seconds is not None and stagger_seconds < 0:
-            raise ValueError("stagger_seconds must be non-negative")
-        if gather_deadline_seconds is not None and gather_deadline_seconds <= 0:
+        # Negated conjunctions, as in ``Rect``: a NaN fails every
+        # comparison, so it is rejected too (a NaN stagger would make
+        # every subscription's ``due_at()`` NaN, never due).
+        if stagger_seconds is not None and not 0 <= stagger_seconds < math.inf:
+            raise ValueError("stagger_seconds must be finite and non-negative")
+        if gather_deadline_seconds is not None and not gather_deadline_seconds > 0:
             raise ValueError("gather_deadline_seconds must be positive or None")
         self.portal = portal
         self.stagger_seconds = stagger_seconds

@@ -103,8 +103,12 @@ class TestConservation:
         query = SensorQuery(
             region=Rect(0, 0, 100, 100), staleness_seconds=300.0, sample_size=48
         )
-        plan = fed._scatter_plan(query, fed._route(query))
-        assert sum(sub.sample_size for _, sub in plan) == 48
+        plan = fed._plan(query)
+        assert sum(sub.sample_size for _, sub in plan.subqueries) == 48
+        assert plan.target == 48
+        # Planning counts nothing: the split is counted when it is sent.
+        assert fed.stats.sampled_splits == 0
+        fed.execute(query)
         assert fed.stats.sampled_splits == 1
 
 
@@ -126,8 +130,8 @@ class TestScatterPlanning:
         query = SensorQuery(
             region=Rect(0, 0, 100, 100), staleness_seconds=300.0, sample_size=10_000
         )
-        plan = fed._scatter_plan(query, fed._route(query))
-        assert sum(sub.sample_size for _, sub in plan) == 50
+        plan = fed._plan(query)
+        assert sum(sub.sample_size for _, sub in plan.subqueries) == 50
 
     def test_exact_polygon_skips_the_topup_stage(self):
         """An exact polygon shares the sampled paths' finishing step
@@ -152,9 +156,9 @@ class TestScatterPlanning:
 
     def test_narrow_viewport_routes_fewer_shards(self):
         fed = _federation(n_shards=4)
-        routed = fed._route(
+        routed = fed._plan(
             SensorQuery(region=Rect(1.0, 1.0, 9.0, 9.0), staleness_seconds=300.0)
-        )
+        ).routes
         assert 1 <= len(routed) < 4
 
     def test_unknown_type_raises(self):
@@ -239,8 +243,9 @@ class TestBatch:
         wide_result = batch.results[0]  # routes everywhere, so degraded
         assert wide_result.partial and wide_result.failed_shards == (0,)
         untouched = [
-            r for r in batch.results if 0 not in {s for s, _ in fed._scatter_plan(
-                r.query, fed._route(r.query))}
+            r
+            for r in batch.results
+            if 0 not in {s for s, _ in fed._plan(r.query).subqueries}
         ]
         for result in untouched:
             assert not result.partial

@@ -84,12 +84,10 @@ class TestConservation:
 class TestScatterRouting:
     def test_subqueries_are_clipped_polygons_not_mbrs(self):
         fed = _federation(n_shards=4)
-        fed._ensure_index()
-        routes = fed._route(QUERY)
-        assert len(routes) > 1
-        plan = fed._scatter_plan(QUERY, routes)
+        plan = fed._plan(QUERY)
+        assert len(plan.routes) > 1
         clipped_any = False
-        for shard_id, sub in plan:
+        for shard_id, sub in plan.subqueries:
             region = sub.region
             assert isinstance(region, Polygon)
             assert region.as_rect() is None
@@ -106,10 +104,9 @@ class TestScatterRouting:
 
     def test_single_shard_scatter_passes_the_polygon_through(self):
         fed = _federation(n_shards=1)
-        fed._ensure_index()
-        plan = fed._scatter_plan(QUERY, fed._route(QUERY))
-        assert len(plan) == 1
-        assert plan[0][1].region is TRIANGLE
+        plan = fed._plan(QUERY)
+        assert len(plan.subqueries) == 1
+        assert plan.subqueries[0][1].region is TRIANGLE
 
     def test_rect_drawn_as_polygon_dispatches_to_execute(self):
         fed_a, fed_b = _federation(n_shards=4), _federation(n_shards=4)
