@@ -73,7 +73,7 @@ def test_relational_stream_run(benchmark, shared_workload):
         return run_query_stream(rel, queries)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(result) == len(queries)
+    assert len(result.records) == len(queries)
 
 
 def test_in_memory_stream_run(benchmark, shared_workload):
@@ -84,7 +84,7 @@ def test_in_memory_stream_run(benchmark, shared_workload):
         return run_query_stream(mem, queries)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(result) == len(queries)
+    assert len(result.records) == len(queries)
 
 
 def test_implementations_probe_comparably(verify, shared_workload):

@@ -53,7 +53,7 @@ from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import Cell, cell_rect, cells_covering, rasterize
-from repro.portal.grouping import GroupView
+from repro.portal.grouping import GroupView, _center
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 from repro.sensors.sensor import Reading, Sensor
@@ -713,7 +713,6 @@ class TieredResultCache:
         now: float,
         generation: int,
         record: bool = True,
-        locate=None,
     ) -> tuple[_Composed | None, list[Cell]]:
         """Try to compose the query's answer from the cached tiles of
         its ``raster``.
@@ -724,12 +723,9 @@ class TieredResultCache:
         ``(None, [])`` means the query is not tile-composable at all.
         ``record=False`` suppresses the hit counter (the front door's
         re-probe after filling missing tiles is part of a miss, not a
-        hit).  ``locate`` (sensor id → location, or ``None`` when the
-        backend exposes no coordinator-side registry) is required to
-        crop boundary tiles of a polygon viewport; without it polygon
-        queries are not composable here.
+        hit).
         """
-        if not raster or (locate is None and not isinstance(query.region, Rect)):
+        if not raster:
             return None, []
         entries: list[tuple[bool, _Entry]] = []
         missing: list[Cell] = []
@@ -741,7 +737,7 @@ class TieredResultCache:
                 entries.append((interior, entry))
         if missing:
             return None, missing
-        composed = self._compose(query, entries, locate)
+        composed = self._compose(query, entries)
         if composed is None:
             return None, []
         if record:
@@ -781,17 +777,18 @@ class TieredResultCache:
         self,
         query: SensorQuery,
         entries: list[tuple[bool, _Entry]],
-        locate,
     ) -> _Composed | None:
         """Merge per-tile answers into one exact covering answer.
 
         Interior tiles (every tile of a rectangle's cover) pass their
         answers wholesale, readings *and* aggregate sketches; boundary
-        tiles of a polygon are cropped per sensor via ``locate`` +
-        ``contains_point``.  A boundary tile whose cached answer carries
-        anonymous node sketches cannot be cropped — the compose reports
-        failure (``None``) and the caller falls through to the portal's
-        exact polygon path.
+        tiles of a polygon are cropped per sensor, each reading placed
+        through its own tile's sources (the fill view's) by the rule the
+        composed view places it with — one rule on either backend.  A
+        boundary tile whose cached answer carries anonymous node
+        sketches cannot be cropped — the compose reports failure
+        (``None``) and the caller falls through to the portal's exact
+        polygon path.
 
         Readings are deduplicated by sensor id (a sensor sitting
         exactly on a shared tile edge answers both tiles' fills); the
@@ -817,10 +814,10 @@ class TieredResultCache:
             for reading in tile.readings:
                 if reading.sensor_id in seen:
                     continue
-                if not interior:
-                    location = locate(reading.sensor_id)
-                    if location is None or not region.contains_point(location):
-                        continue
+                if not interior and not region.contains_point(
+                    _center(tile.sources, reading.sensor_id)
+                ):
+                    continue
                 seen.add(reading.sensor_id)
                 merged.cached_readings.append(reading)
             if interior:

@@ -8,8 +8,9 @@ and serves viewport queries cache-first:
    tile union (the map-UI contract: the client renders tiles and
    crops), so jittered viewports of one hotspot share entries;
 2. the **L1** exact-viewport LRU is probed, then the **L2** tile
-   cache composed; a hit costs microseconds of modeled time instead of
-   a portal execution;
+   cache composed (a polygon's boundary tiles cropped through each
+   tile's own fill view, on either backend); a hit costs microseconds
+   of modeled time instead of a portal execution;
 3. misses take one miss path, whether they arrive one by one
    (``execute``) or as a batch (``execute_batch``): every distinct
    missing tile and every other miss, rectangle or polygon, run as one
@@ -184,25 +185,6 @@ class FrontDoor:
             self._attached_generation = generation
         return generation
 
-    def _sensor_locator(self):
-        """A sensor-id → location resolver over the in-process trees'
-        build-time sensor tables (first tree holding the id wins; no
-        live tree, no location), or ``None`` on the process backend
-        (whose polygon viewports then skip L2 composition and are
-        served as direct misses)."""
-        tables = [tree._sensors for tree in self._local_trees()]
-        if not tables:
-            return None
-
-        def locate(sensor_id: int):
-            for table in tables:
-                sensor = table.get(sensor_id)
-                if sensor is not None:
-                    return sensor.location
-            return None
-
-        return locate
-
     # ------------------------------------------------------------------
     # Quantization
     # ------------------------------------------------------------------
@@ -300,9 +282,7 @@ class FrontDoor:
         if hit is not None:
             return FrontDoorResult(q, "served", "l1", hit, L1_HIT_SECONDS), None
         raster = self.cache.raster(q) if self._tile_serveable(q) else []
-        composed, missing = self.cache.get_tiles(
-            q, raster, now, generation, locate=self._sensor_locator()
-        )
+        composed, missing = self.cache.get_tiles(q, raster, now, generation)
         if composed is None:
             self.cache.stats.misses += 1
             return None, (q, raster, missing)
@@ -363,8 +343,7 @@ class FrontDoor:
             if results[i] is not None:
                 continue
             composed, missing = self.cache.get_tiles(
-                q, raster, now, generation, record=False,
-                locate=self._sensor_locator(),
+                q, raster, now, generation, record=False
             )
             if composed is None:
                 if not missing:

@@ -23,6 +23,7 @@ from repro.frontdoor.cache import (
 )
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import cell_rect, cells_covering
+from repro.portal.grouping import GroupView
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 from repro.sensors.sensor import Reading, Sensor
@@ -311,7 +312,8 @@ class TestL2:
         assert dict(poly_raster)[(0, 0)] and not dict(poly_raster)[(1, 1)]
         assert (2, 2) not in dict(poly_raster)  # in the box cover only
         # Two sensors per tile, ids 10*ix+iy+{0, 100}: one near the
-        # tile's lower-left corner, one near its upper-right.
+        # tile's lower-left corner, one near its upper-right.  Every
+        # fill's view places its sensors through the one location table.
         locations: dict[int, GeoPoint] = {}
         sketch = AggregateSketch.of([(5.0, 0.0)])
         for (ix, iy), _ in rect_raster:
@@ -323,19 +325,22 @@ class TestL2:
                 answer.cached_sketches.append(sketch)
                 answer.cached_sketch_nodes.append(7)
             tile_q = _query(cell_rect((ix, iy), e))
-            result = PortalResult(tile_q, [], [answer], 0.0, 0.0)
+            centers = (cell_rect((ix, iy), e).center,) * len(answer.cached_sketches)
+            view = GroupView([(answer, (locations,), centers)])
+            result = PortalResult(tile_q, view, [answer], 0.0, 0.0)
             cache.put_tile((ix, iy), rect_q, result, now=0.0, generation=1)
 
         def composed_ids(q, raster):
-            composed, missing = cache.get_tiles(
-                q, raster, now=0.0, generation=1, locate=locations.get
-            )
+            composed, missing = cache.get_tiles(q, raster, now=0.0, generation=1)
             assert missing == [] and composed is not None
             (answer,) = composed.result.answers
             assert answer.cached_sketches == [sketch]
             assert answer.cached_sketch_nodes == [7]
             assert composed.tiles == len(raster)
-            return [r.sensor_id for r in answer.cached_readings]
+            ids = [r.sensor_id for r in answer.cached_readings]
+            placed = [g.center for g in composed.result.groups if g.readings]
+            assert placed == [locations[sid] for sid in ids]
+            return ids
 
         assert sorted(composed_ids(rect_q, rect_raster)) == sorted(locations)
         expected = [
@@ -353,9 +358,7 @@ class TestL2:
             PortalResult(_query(cell_rect((1, 1), e)), [], [spoiled], 0.0, 0.0),
             now=0.0, generation=1,
         )
-        assert cache.get_tiles(
-            poly_q, poly_raster, now=0.0, generation=1, locate=locations.get
-        ) == (None, [])
+        assert cache.get_tiles(poly_q, poly_raster, now=0.0, generation=1) == (None, [])
         composed, _ = cache.get_tiles(rect_q, rect_raster, now=0.0, generation=1)
         assert composed.result.answers[0].cached_sketches == [sketch, sketch]
 

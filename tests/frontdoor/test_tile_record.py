@@ -106,10 +106,10 @@ def _compose(portal, query, results=None):
     cache = TieredResultCache(FrontDoorConfig(), SLOT_SECONDS)
     for (tile, _), result in zip(raster, results):
         assert cache.put_tile(tile, query, result, now, GENERATION)
-    locate = FrontDoor(portal)._sensor_locator()
-    composed, missing = cache.get_tiles(query, raster, now, GENERATION, locate=locate)
+    composed, missing = cache.get_tiles(query, raster, now, GENERATION)
     assert not missing
-    return composed, _reference(query, raster, results, locate)
+    locations = {sensor.sensor_id: sensor.location for sensor in portal.registry}
+    return composed, _reference(query, raster, results, locations.__getitem__)
 
 
 def _assert_same(composed, reference):

@@ -12,7 +12,9 @@ import pytest
 
 from repro.federation import FederatedPortal
 from repro.frontdoor import AdmissionConfig, FrontDoor, FrontDoorConfig
-from repro.geometry import GeoPoint, Rect
+from repro.frontdoor.cache import TILE_EXTENT_DEGREES
+from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry.grid import cell_of_point
 from repro.portal import SensorQuery
 from repro.rebalance import (
     JoinSpec,
@@ -307,30 +309,43 @@ class TestFrontDoorIntegration:
             s.sensor_id for s in fed.shard_members(0)
         }
 
-    def test_withdrawn_sensor_leaves_the_cached_viewport(self):
+    @pytest.mark.parametrize("shape", ["rectangle", "polygon"])
+    def test_withdrawn_sensor_leaves_the_cached_viewport(self, shape):
         """A leaver is in no final group, so it is not among the moved
         sensors; the front door must hear about it all the same, or
         L1/L2 keep serving its last reading until the slot window
-        turns."""
+        turns.  A polygon's boundary tile crops through its fill's own
+        view, which still places the leaver: only write-delta
+        invalidation keeps it out of the recomposed polygon."""
         fed = make_uniform_fed()
         door = FrontDoor(
             fed,
             FrontDoorConfig(admission=AdmissionConfig(enabled=False)),
         )
-        viewport = SensorQuery(
-            region=Rect(0.0, 0.0, 50.0, 50.0), staleness_seconds=STALENESS
+        wide = Rect(0.0, 0.0, 50.0, 50.0)
+        leaver, where = next(
+            (s.sensor_id, s.location)
+            for s in fed.registry
+            if wide.contains_point(s.location)
         )
+        region = wide
+        if shape == "polygon":
+            # A triangle just wider than the leaver's corner: its tile
+            # straddles two edges, so the crop decides the leaver.
+            x, y = where.x - 1e-3, where.y - 1e-3
+            region = Polygon(
+                [GeoPoint(x, y), GeoPoint(x + 2.0, y), GeoPoint(x, y + 2.0)]
+            )
+        viewport = SensorQuery(region=region, staleness_seconds=STALENESS)
+        if shape == "polygon":
+            tile = cell_of_point(where, TILE_EXTENT_DEGREES)
+            assert (tile, False) in door.cache.raster(viewport)
         far = SensorQuery(
             region=Rect(60.0, 60.0, 90.0, 90.0), staleness_seconds=STALENESS
         )
         filled = door.execute(viewport)
         door.execute(far)
         assert door.execute(viewport).cache_hit
-        leaver = next(
-            s.sensor_id
-            for s in fed.registry
-            if viewport.region.contains_point(s.location)
-        )
         before, _ = distinct_ids(filled.result)
         assert leaver in before
         ShardMover(fed).absorb_leaves([leaver])
