@@ -43,9 +43,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from typing import Callable, Collection, Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.plancache import region_fingerprint
@@ -71,9 +73,11 @@ TILE_EXTENT_DEGREES = 0.5
 # holds a :class:`_Tile` record, so its bytes follow its readings:
 # ~0.8 kB for an empty tile (validity record, key, LRU slot, index
 # buckets; every empty answer shares one record), plus ~0.2 kB of
-# record and 8 B a reading and 16 B a sketch when it holds any.  A
-# tile's readings are its own sensors', so the count bounds the tier at
-# ~3.5 MB plus 8 B a sensor for each (type, staleness) pair in use.
+# record and 8 B a reading and 16 B a sketch when it holds any, and,
+# once a polygon has cropped it, 16 B a reading more for its points
+# plus one ~0.1 kB array header.  A tile's readings are its own
+# sensors', so the count bounds the tier at ~4 MB plus 24 B a sensor
+# for each (type, staleness) pair in use.
 L2_CAPACITY = 4096
 # A viewport covering more tiles than this bypasses the tile layer (a
 # whole-country pan would otherwise fan out absurdly).
@@ -165,13 +169,15 @@ class _Tile:
     readings, answer after answer; ``sketches`` and ``sketch_nodes``
     every answer's cached sketches and their nodes; ``sources`` and
     ``centers`` the fill's :meth:`GroupView.locators`.  Every empty
-    answer is the one :data:`_EMPTY_TILE`."""
+    answer is the one :data:`_EMPTY_TILE`.  ``xy`` stays ``None`` until
+    the tile is first cropped (see :meth:`points`)."""
 
     readings: tuple[Reading, ...]
     sketches: tuple[AggregateSketch, ...]
     sketch_nodes: tuple[int, ...]
     sources: tuple[Mapping, ...]
     centers: tuple[GeoPoint, ...]
+    xy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def of(result: PortalResult) -> "_Tile":
@@ -191,6 +197,20 @@ class _Tile:
             tuple(chain.from_iterable(a.cached_sketch_nodes for a in answers)),
             *GroupView.locators(result.groups),
         )
+
+    def points(self) -> np.ndarray:
+        """Where the readings' sensors sit, as a ``(2, len(readings))``
+        float64 array of x then y: each placed through the tile's own
+        sources by the rule the composed view places it with
+        (``grouping._center``), resolved on the first call and kept —
+        16 B a reading, only on tiles a polygon crops."""
+        xy = self.xy
+        if xy is None:
+            sources = self.sources
+            where = [_center(sources, r.sensor_id) for r in self.readings]
+            xy = np.array([[p.x for p in where], [p.y for p in where]], dtype=np.float64)
+            object.__setattr__(self, "xy", xy)
+        return xy
 
 
 _EMPTY_TILE = _Tile((), (), (), (), ())
@@ -784,11 +804,13 @@ class TieredResultCache:
         answers wholesale, readings *and* aggregate sketches; boundary
         tiles of a polygon are cropped per sensor, each reading placed
         through its own tile's sources (the fill view's) by the rule the
-        composed view places it with — one rule on either backend.  A
-        boundary tile whose cached answer carries anonymous node
-        sketches cannot be cropped — the compose reports failure
-        (``None``) and the caller falls through to the portal's exact
-        polygon path.
+        composed view places it with — one rule on either backend.  The
+        boundary tiles crop together: their points (each tile's
+        :meth:`_Tile.points`, resolved once per tile) go through the
+        polygon's array predicate in one call.  A boundary tile whose
+        cached answer carries anonymous node sketches cannot be cropped
+        — the compose reports failure (``None``) and the caller falls
+        through to the portal's exact polygon path.
 
         Readings are deduplicated by sensor id (a sensor sitting
         exactly on a shared tile edge answers both tiles' fills); the
@@ -800,26 +822,36 @@ class TieredResultCache:
         """
         from repro.core.lookup import QueryAnswer
 
-        region = query.region
+        cropped = []
+        for interior, entry in entries:
+            if not interior:
+                if entry.held.sketches:
+                    return None
+                if entry.held.readings:
+                    cropped.append(entry.held.points())
+        inside: list[bool] = []
+        if cropped:
+            xs, ys = np.concatenate(cropped, axis=1)
+            inside = query.region.contains_points(xs, ys).tolist()
         merged = QueryAnswer()
+        kept = merged.cached_readings
         seen: set[int] = set()
         oldest = math.inf
         regions: list[Rect] = []
+        at = 0
         for interior, entry in entries:
             tile: _Tile = entry.held
-            if not interior and tile.sketches:
-                return None
             regions.append(entry.region)
             oldest = min(oldest, entry.oldest_timestamp)
-            for reading in tile.readings:
-                if reading.sensor_id in seen:
-                    continue
-                if not interior and not region.contains_point(
-                    _center(tile.sources, reading.sensor_id)
-                ):
-                    continue
-                seen.add(reading.sensor_id)
-                merged.cached_readings.append(reading)
+            readings = tile.readings
+            if not interior:
+                n = len(readings)
+                readings = compress(readings, inside[at : at + n])
+                at += n
+            for reading in readings:
+                if reading.sensor_id not in seen:
+                    seen.add(reading.sensor_id)
+                    kept.append(reading)
             if interior:
                 merged.cached_sketches += tile.sketches
                 merged.cached_sketch_nodes += tile.sketch_nodes

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.geometry.point import GeoPoint
 from repro.geometry.rect import Rect
@@ -31,6 +34,9 @@ from repro.geometry.rect import Rect
 # |orient(a, b, p)| = |dx * (py - ay) - dy * (px - ax)| is within the
 # tolerance.
 _EdgeRow = tuple[float, ...]
+
+# Points times edges a block of ``contains_points`` band-tests at once.
+_ARRAY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,55 @@ class Polygon:
             if (ay > py) != (by > py) and px < ax + (py - ay) * dx / dy:
                 inside = not inside
         return inside
+
+    def contains_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`contains_point` over float64 coordinate arrays: a bool
+        array, verdict for verdict the scalar :meth:`_contains_xy`'s.
+        It runs the same bbox gate, then the same on-edge and crossing
+        expressions, in the same operand order, for every (point, edge)
+        pair the gate admits whose point lies within the edge's
+        on-segment ``lo_y <= py <= hi_y`` band.  Outside the band
+        neither test can pass: the on-edge test requires it, and an
+        edge straddles ``py`` (``(ay > py) != (by > py)``) only when
+        ``min(ay, by) <= py < max(ay, by)``, inside the band.  So the
+        point's verdict is ``True`` when a pair is on its edge, else
+        the parity of its pairs' crossings.  A pair whose edge does not
+        straddle may divide by ``dy == 0``; its quotient is discarded,
+        as the scalar test never computes it.  Non-finite points fail
+        the gate, as they do there."""
+        bbox = self._bbox
+        verdict = np.zeros(len(xs), dtype=bool)
+        gate = np.flatnonzero(
+            (bbox.min_x <= xs) & (xs <= bbox.max_x) & (bbox.min_y <= ys) & (ys <= bbox.max_y)
+        )
+        if not len(gate):
+            return verdict
+        edges = self._edges
+        # One row per column of the edge table, one entry per edge; rows
+        # 9 and 10 are the band's ``lo_y`` and ``hi_y``.
+        table = np.fromiter(
+            chain.from_iterable(edges), np.float64, len(edges) * len(edges[0])
+        ).reshape(len(edges), -1).T.copy()
+        lo_y, hi_y = table[9][:, None], table[10][:, None]
+        # Blocks of points bound the (edges x points) band test.
+        step = max(1, _ARRAY_BLOCK // len(edges))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for start in range(0, len(gate), step):
+                at = gate[start : start + step]
+                px, py = xs[at], ys[at]
+                edge, point = np.nonzero((lo_y <= py) & (py <= hi_y))
+                ax, ay, _, by, dx, dy, tol, lo_x, hi_x, _, _ = table[:, edge]
+                qx, qy = px[point], py[point]
+                on = (
+                    (lo_x <= qx)
+                    & (qx <= hi_x)
+                    & ~(np.abs(dx * (qy - ay) - dy * (qx - ax)) > tol)
+                )
+                crosses = ((ay > qy) != (by > qy)) & (qx < ax + (qy - ay) * dx / dy)
+                hit = np.bincount(point[crosses], minlength=len(at)) % 2 == 1
+                hit[point[on]] = True
+                verdict[at] = hit
+        return verdict
 
     def intersects_rect(self, rect: Rect) -> bool:
         """True when the polygon and the rectangle share any point."""

@@ -9,11 +9,22 @@ polygons with cropped boundary tiles, on interior tiles carrying node
 sketches, and on a fill whose groups are a plain list.  An empty answer
 is one shared record, and a tile entry costs what it holds: at most
 1 kB all-in for an empty tile (a whole fill result cost ~2.9 kB).
+
+A polygon's boundary tiles crop together through the polygon's array
+predicate, each over the points its record resolves on its first crop
+(``_Tile.points``).  A pinned-seed sweep of random polygons over a warm
+portal and a warm 2-shard federation holds that crop to the per-reading
+reference below, a sensor on a shared tile edge and a boundary tile
+with node sketches among the cases; a tile composed only as interior
+never resolves its points, and a cropped one keeps them in 16 B a
+reading plus one array header.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import chain
@@ -94,16 +105,18 @@ def _reference(query, raster, results, locate):
     return readings, sketches, nodes, groups
 
 
-def _compose(portal, query, results=None):
+def _compose(portal, query, results=None, cache=None):
     """Store the query's tiles from ``results`` (filled now when not
-    given) and compose them; returns the composed result and the
-    reference compose over the same fill results."""
+    given) in ``cache`` (a fresh one when not given) and compose them;
+    returns the composed result and the reference compose over the same
+    fill results."""
     raster = _raster(query)
     assert raster
     if results is None:
         results = _fill(portal, query, raster)
     now = portal.clock.now()
-    cache = TieredResultCache(FrontDoorConfig(), SLOT_SECONDS)
+    if cache is None:
+        cache = TieredResultCache(FrontDoorConfig(), SLOT_SECONDS)
     for (tile, _), result in zip(raster, results):
         assert cache.put_tile(tile, query, result, now, GENERATION)
     composed, missing = cache.get_tiles(query, raster, now, GENERATION)
@@ -209,6 +222,140 @@ class TestComposeFromRecords:
             cache.put_tile(tile, query, result, portal.clock.now(), GENERATION)
         held = {id(entry.held) for entry in cache._l2.entries.values()}
         assert held == {id(cache_mod._EMPTY_TILE)}
+
+
+# A sensor exactly on the edge x = 3.0 between tiles (5, 6) and (6, 6),
+# and a triangle inside those two tiles around it: both are boundary
+# tiles, and both fills answer for the sensor.
+ON_EDGE = GeoPoint(3.0, 3.2)
+AROUND_EDGE = Polygon([GeoPoint(2.8, 3.05), GeoPoint(3.25, 3.1), GeoPoint(3.05, 3.45)])
+
+
+def _warm(portal):
+    """Every tile of the fleet's extent filled once, then a second on
+    the clock: the sweep's fills answer from the slot caches."""
+    e = TILE_EXTENT_DEGREES
+    tiles = [(ix, iy) for ix in range(int(10 / e)) for iy in range(int(10 / e))]
+    for start in range(0, len(tiles), 100):
+        portal.execute_batch(
+            [exact_query(cell_rect(tile, e)) for tile in tiles[start : start + 100]]
+        )
+    portal.clock.advance(1.0)
+
+
+def _random_polygons(seed: int, n: int):
+    """Star rings at jittered radii (concave) and on a circle (convex),
+    0.1 to 1.5 degrees across, anywhere over the fleet."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        cx, cy = rng.uniform(1.0, 9.0, size=2)
+        r = rng.uniform(0.05, 0.75)
+        k = int(rng.integers(3, 12))
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
+        radii = r * (rng.uniform(0.4, 1.0, size=k) if i % 2 else np.ones(k))
+        yield Polygon(
+            GeoPoint(float(cx + q * math.cos(a)), float(cy + q * math.sin(a)))
+            for q, a in zip(radii, angles)
+        )
+
+
+class TestPolygonCropSweep:
+    def test_random_polygons_compose_as_the_reference(self):
+        for make in (make_portal, lambda **kw: make_fed(n_shards=2, **kw)):
+            portal = make(n=600, seed=21)
+            portal.register_sensor(ON_EDGE, expiry_seconds=900.0, availability=1.0)
+            portal.rebuild_index()
+            _warm(portal)
+            on_edge = max(s.sensor_id for s in portal.registry)
+            cropped = on_edge_seen = 0
+            for polygon in [AROUND_EDGE, *_random_polygons(5, 40)]:
+                query = exact_query(polygon)
+                raster = _raster(query)
+                results = _fill(portal, query, raster)
+                composed, reference = _compose(portal, query, results)
+                _assert_same(composed, reference)
+                ids = [r.sensor_id for r in reference[0]]
+                assert len(ids) == len(set(ids))
+                cropped += sum(not interior for _, interior in raster)
+                if polygon is AROUND_EDGE:
+                    # Both tiles answer for the sensor; the compose keeps
+                    # the first tile's reading, once.
+                    holders = [
+                        tile
+                        for (tile, interior), result in zip(raster, results)
+                        for a in result.answers
+                        for r in chain(a.probed_readings, a.cached_readings)
+                        if r.sensor_id == on_edge and not interior
+                    ]
+                    assert holders == [(5, 6), (6, 6)]
+                    assert ids.count(on_edge) == 1
+                    on_edge_seen += 1
+            assert on_edge_seen == 1 and cropped > 100
+
+    def test_a_boundary_tile_with_node_sketches_does_not_compose(self):
+        for make in (make_portal, lambda **kw: make_fed(n_shards=2, **kw)):
+            portal = make(n=1500, seed=8, extent=2.0)  # dense: whole nodes per tile
+            query = exact_query(
+                Polygon([GeoPoint(0.02, 0.03), GeoPoint(1.97, 0.1), GeoPoint(1.1, 1.96)])
+            )
+            raster = _raster(query)
+            _fill(portal, query, raster)  # probe: the slot caches fill
+            portal.clock.advance(1.0)
+            results = _fill(portal, query, raster)
+            assert any(
+                a.cached_sketches
+                for (_, interior), result in zip(raster, results)
+                if not interior
+                for a in result.answers
+            )
+            composed, reference = _compose(portal, query, results)
+            assert composed is None and reference is None
+
+
+class TestATileCostsWhatItHolds:
+    def test_interior_tiles_resolve_no_points(self):
+        portal = make_portal(n=500, seed=5)
+        cache = TieredResultCache(FrontDoorConfig(), SLOT_SECONDS)
+        for region in _rects(2, 6):
+            query = FrontDoor(portal).quantize(exact_query(region))
+            _assert_same(*_compose(portal, query, cache=cache))
+        polygon = Polygon(
+            [GeoPoint(1.1, 1.2), GeoPoint(4.9, 1.3), GeoPoint(4.8, 4.7), GeoPoint(1.2, 4.9)]
+        )
+        raster = _raster(exact_query(polygon))
+        assert any(interior for _, interior in raster)
+        _assert_same(*_compose(portal, exact_query(polygon), cache=cache))
+        # A polygon's interior tiles are keyed like any tile; those it
+        # cropped hold points, every other tile holds none.
+        boundary = {
+            cache.tile_key(tile, exact_query(polygon)) for tile, inside in raster if not inside
+        }
+        held = {key: entry.held for key, entry in cache._l2.entries.items()}
+        assert any(tile.xy is not None for tile in held.values())
+        for key, tile in held.items():
+            if key not in boundary or not tile.readings:
+                assert tile.xy is None, key
+
+    def test_cropped_points_cost_16_bytes_a_reading(self):
+        portal = make_portal(n=800, seed=6)
+        query = exact_query(
+            Polygon([GeoPoint(2.1, 2.3), GeoPoint(6.7, 2.9), GeoPoint(4.2, 6.6)])
+        )
+        cache = TieredResultCache(FrontDoorConfig(), SLOT_SECONDS)
+        _assert_same(*_compose(portal, query, cache=cache))
+        tiles = [e.held for e in cache._l2.entries.values() if e.held.xy is not None]
+        assert tiles
+        header = sys.getsizeof(np.empty((2, 0)))
+        for tile in tiles:
+            xy = tile.xy
+            assert xy.base is None and xy.dtype == np.float64
+            assert xy.shape == (2, len(tile.readings))
+            assert sys.getsizeof(xy) <= 16 * len(tile.readings) + header
+        # Resolved once: a second compose reads the same columns.
+        before = [id(tile.xy) for tile in tiles]
+        composed, _ = cache.get_tiles(query, _raster(query), portal.clock.now(), GENERATION)
+        assert composed is not None
+        assert [id(tile.xy) for tile in tiles] == before
 
 
 def test_an_empty_tile_costs_at_most_1kb():

@@ -14,6 +14,12 @@ edge and a few ulps off it, points level with a vertex (the
 ray-through-vertex case), degenerate rectangles, grid cells, and cells
 sharing an edge or a corner with a polygon clipped to its neighbour.
 
+``Polygon.contains_points`` is the scalar ``_contains_xy`` over
+coordinate arrays (the front door crops a polygon's boundary tiles
+with it); it evaluates the same expressions and must agree with the
+scalar test verdict for verdict, on the batteries above plus points on
+the bounding box's edges, non-finite coordinates and the empty array.
+
 Each example is a polygon drawn by hypothesis plus a seed for the
 battery, so a failure reproduces from the two values it prints.
 """
@@ -25,10 +31,13 @@ import pickle
 import random
 from dataclasses import fields
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import GeoPoint, Polygon, Rect
+from repro.geometry import polygon as polygon_mod
 from repro.geometry.grid import cell_of_point, cell_rect
 from repro.workloads.polygons import _convex_hull
 
@@ -126,6 +135,25 @@ def far_stars(draw):
     crossing or an orientation is rounded decides points near an edge."""
     (cx, cy), r = draw(centers), draw(radii)
     ring = _star_ring(random.Random(draw(seeds)), cx * 1e5, cy * 1e5, r * 1e4)
+    return Polygon(GeoPoint(x, y) for x, y in ring)
+
+
+@st.composite
+def slivers(draw):
+    """A ring of points along one line, each lifted off it by at most
+    ``r * 10**-k``: near-degenerate, with edges a hair from collinear
+    and (at the largest k) a width under the on-segment tolerance."""
+    (x0, y0), r = draw(centers), draw(radii)
+    angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    lift = r * 10.0 ** -draw(st.integers(min_value=4, max_value=13))
+    rng = random.Random(draw(seeds))
+    ux, uy = math.cos(angle), math.sin(angle)
+    ring = []
+    for t in sorted(rng.uniform(0.0, r) for _ in range(rng.randint(3, 7))):
+        ring.append((x0 + t * ux - lift * uy, y0 + t * uy + lift * ux))
+    for t in sorted((rng.uniform(0.0, r) for _ in range(rng.randint(0, 3))), reverse=True):
+        ring.append((x0 + t * ux + lift * uy, y0 + t * uy - lift * ux))
+    assume(len(set(ring)) >= 3)
     return Polygon(GeoPoint(x, y) for x, y in ring)
 
 
@@ -362,6 +390,115 @@ class TestAgainstThePerEdgeKernel:
         _assert_rects_agree(notched, rects)
         assert not notched.contains_rect(rects[0])
         assert notched.contains_rect(rects[1])
+
+
+# ----------------------------------------------------------------------
+# Array predicate == scalar predicate
+# ----------------------------------------------------------------------
+NON_FINITE = (math.nan, INF, -INF)
+
+
+def _bbox_edge_points(polygon: Polygon, rng: random.Random) -> list[GeoPoint]:
+    """The bounding box's corners and points along its four edges: the
+    gate's closed comparisons decide them."""
+    box = polygon.bounding_box
+    out = list(box.corners())
+    for _ in range(4):
+        x, y = rng.uniform(box.min_x, box.max_x), rng.uniform(box.min_y, box.max_y)
+        out += [
+            GeoPoint(x, box.min_y),
+            GeoPoint(x, box.max_y),
+            GeoPoint(box.min_x, y),
+            GeoPoint(box.max_x, y),
+        ]
+    return out
+
+
+def _crossing_points(polygon: Polygon, rng: random.Random) -> list[GeoPoint]:
+    """Points at, and a few ulps either side of, where a level ray
+    crosses an edge — the scalar crossing expression's own value, so a
+    different rounding of it flips some of them."""
+    out = []
+    for a, b in _some_edges(polygon, rng, 6):
+        if a.y == b.y:
+            continue
+        y = a.y + rng.random() * (b.y - a.y)
+        x = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
+        out += [GeoPoint(x + k * math.ulp(x), y) for k in (-2, -1, 0, 1, 2)]
+    return out
+
+
+def _assert_array_agrees(polygon: Polygon, xy: list[tuple[float, float]]) -> None:
+    xs = np.array([x for x, _ in xy], dtype=np.float64)
+    ys = np.array([y for _, y in xy], dtype=np.float64)
+    got = polygon.contains_points(xs, ys)
+    assert got.dtype == np.bool_ and got.shape == (len(xy),)
+    for (x, y), verdict in zip(xy, got.tolist()):
+        assert verdict == polygon._contains_xy(x, y), (polygon, x, y)
+
+
+def _battery(polygon: Polygon, rng: random.Random) -> list[tuple[float, float]]:
+    points = (
+        _points(polygon, rng)
+        + _bbox_edge_points(polygon, rng)
+        + _crossing_points(polygon, rng)
+    )
+    xy = [(p.x, p.y) for p in points]
+    # Non-finite coordinates (no GeoPoint holds them, an array may),
+    # paired with finite ones taken from the battery and with each other.
+    for bad in NON_FINITE:
+        x, y = rng.choice(xy)
+        xy += [(bad, y), (x, bad)] + [(bad, other) for other in NON_FINITE]
+    rng.shuffle(xy)
+    return xy
+
+
+class TestArrayPredicate:
+    @given(st.one_of(polygons, slivers()), seeds)
+    @settings(max_examples=120, deadline=None)
+    def test_points(self, polygon, seed):
+        _assert_array_agrees(polygon, _battery(polygon, random.Random(seed)))
+
+    @given(st.one_of(polygons, slivers()), seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_clipped_polygons(self, polygon, seed):
+        """A clipped polygon's edges lie on its cell's: points on the
+        cell's edges and corners meet the on-edge test head on."""
+        rng = random.Random(seed)
+        for clip, cell, _ in _clips(polygon, rng):
+            xy = _battery(clip, rng) + [(c.x, c.y) for c in cell.corners()]
+            _assert_array_agrees(clip, xy)
+
+    def test_crossing_rounding(self):
+        """Long slanted edges: a point an ulp off the crossing abscissa
+        lies farther from the edge than the on-segment tolerance, so the
+        crossing expression's rounding alone decides it."""
+        rng = random.Random(7)
+        for scale in (1e5, 1e6, 1e7):
+            polygon = Polygon(
+                [GeoPoint(0.0, 0.0), GeoPoint(0.3 * scale, 0.1), GeoPoint(0.7 * scale, scale)]
+            )
+            xy = []
+            for _ in range(200):
+                xy += [(p.x, p.y) for p in _crossing_points(polygon, rng)]
+            _assert_array_agrees(polygon, xy)
+
+    def test_empty_array(self):
+        polygon = Polygon([GeoPoint(0, 0), GeoPoint(4, 0), GeoPoint(2, 3)])
+        empty = np.array([], dtype=np.float64)
+        got = polygon.contains_points(empty, empty)
+        assert got.dtype == np.bool_ and got.shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks(self, monkeypatch, block):
+        """Points go through the band test in blocks of
+        ``_ARRAY_BLOCK // edges``; a verdict must not depend on where a
+        block ends."""
+        monkeypatch.setattr(polygon_mod, "_ARRAY_BLOCK", block)
+        rng = random.Random(block)
+        ring = _star_ring(rng, 1.0, 2.0, 3.0)
+        polygon = Polygon(GeoPoint(x, y) for x, y in ring)
+        _assert_array_agrees(polygon, _battery(polygon, rng))
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ one row each.
 ``tools/census.py`` (the ``census`` CI job) runs the repository's own
 programs — the end-to-end benchmark, the nine subsystem benches, the
 paper figures, README's ``repro demo`` / ``repro storage`` lines,
-``repro shard`` and ``examples/`` — with a profile hook, and fails when a
-function none of them calls has no row here.  A row's reason opens with
+``repro shard``, ``examples/`` and ``pytest benchmarks/`` — with a
+profile hook, and fails when a function none of them calls has no row
+here.  A row's reason opens with
 its class:
 
 * (a) a ``src/`` caller reaches it on inputs the programs do not produce;
@@ -88,10 +89,6 @@ KEPT: dict[str, str] = {
         "(a) RelCOLRTree.insert_readings_batch deleting the rows of sensors"
         " already cached; (d) descend_by_joins"
     ),
-    "repro/relational/table.py:Table.__len__": (
-        "(a) relcolr _Maintenance._enforce_capacity when MaintenanceConfig"
-        ".cache_capacity is set"
-    ),
     "repro/relational/table.py:Table.__iter__": (
         "(a) relcolr _Maintenance._enforce_capacity when MaintenanceConfig"
         ".cache_capacity is set"
@@ -164,11 +161,6 @@ KEPT: dict[str, str] = {
     "repro/storage/wal.py:WriteAheadLog.__enter__": "(c) convert_wal writes the new log in a with block",
     "repro/storage/wal.py:WriteAheadLog.__exit__": "(c) convert_wal writes the new log in a with block",
     # (d) Paper-fidelity forms a test holds equal.
-    "repro/core/tree.py:COLRTree.insert_reading": (
-        "(d) Section VI-B's per-reading triggers; tests/core/test_batch_ingest.py"
-        " holds insert_readings_batch equal to it"
-    ),
-    "repro/core/slots.py:SlotCache.add": "(d) COLRTree.insert_reading's per-slot increment",
     "repro/relcolr/joins.py:descend_by_joins": (
         "(d) Section VI-A's left-deep join descent; tests/relcolr/test_joins.py"
         " holds it equal to the frontier descent"
@@ -217,22 +209,6 @@ KEPT: dict[str, str] = {
     ),
     "repro/federation/federated.py:FederatedPortal.explain": (
         "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4"
-    ),
-    "repro/bench/ablations.py:AblationResult.value": (
-        "(f) benchmarks/test_ablations.py's claims, which ROADMAP item 1(a)"
-        " turns into named checks"
-    ),
-    "repro/bench/fig4.py:Fig4Result.summary": (
-        "(f) benchmarks/test_fig4_end_to_end.py's claims (ROADMAP item 1(a))"
-    ),
-    "repro/bench/fig5.py:Fig5Result.cell": (
-        "(f) benchmarks/test_fig5_cache_sample.py's claims (ROADMAP item 1(a))"
-    ),
-    "repro/bench/fig6.py:Fig6Result.cell": (
-        "(f) benchmarks/test_fig6_accuracy.py's claims (ROADMAP item 1(a))"
-    ),
-    "repro/bench/fig7.py:Fig7Result.error_at": (
-        "(f) benchmarks/test_fig7_approx_error.py's claims (ROADMAP item 1(a))"
     ),
 }
 

@@ -16,7 +16,9 @@ Runs every program once, each with a ``sitecustomize`` hook:
   line of README.md, in order (a ``--data-dir`` demo runs twice, so the
   second run warm-restarts);
 * ``python -m repro shard`` at its defaults;
-* every ``examples/*.py``.
+* every ``examples/*.py``;
+* ``pytest benchmarks/ --benchmark-disable`` (the figure and core-op
+  tests, and the e2e harness's own tests).
 
 The hook is put first on ``PYTHONPATH``, so it reaches interpreters a
 program spawns as well as workers it forks.  It wraps each ``*Config``
@@ -27,17 +29,22 @@ installs ``sys.setprofile`` / ``threading.setprofile`` to log each
 once, so a forked worker that leaves through ``os._exit`` is counted.
 
 The census prints one line per config field (``Class.field: values
-seen``) and a summary of the functions.  It exits
+seen``) and a summary of the functions.  A ``benchmarks/`` test that
+fails on its numbers (an ``AssertionError``; Figure 3 is the known one)
+is printed as a note.  It exits
 
 * 2 when the log lacks a sentinel — ``worker_main`` from a forked worker,
   ``FrontDoor.execute`` from each workload's e2e interpreter — so an
   empty or partial log can never pass as "nothing reached";
 * 1 when a field ``tests/test_config_surface.py`` credits to a program
-  (a ``Seen`` row) was never turned, or when a function no program called
-  has no row in ``tests/test_reach_surface.py``'s ``KEPT`` table;
+  (a ``Seen`` row) was never turned, when a function no program called
+  has no row in ``tests/test_reach_surface.py``'s ``KEPT`` table, or
+  when a ``benchmarks/`` test fails with anything but an
+  ``AssertionError`` (a deleted API must not hide behind a figure that
+  is red on its numbers);
 * 0 otherwise.
 
-Takes about two minutes on a two-core host.
+Takes about three minutes on a two-core host.
 """
 
 from __future__ import annotations
@@ -172,6 +179,34 @@ WORKER_SENTINEL = "repro/parallel/worker.py:worker_main"
 E2E_SENTINEL = "repro/frontdoor/frontdoor.py:FrontDoor.execute"
 README_LINE = re.compile(r"^python -m repro ((?:demo|storage)\b[^#]*)")
 
+# A pytest plugin for the ``benchmarks/`` driver: one line per failed
+# test (or module that fails to collect) with what it failed with and
+# whether that is an ``AssertionError``.
+PYTEST_PLUGIN = '''
+import os
+
+import pytest
+
+
+def _log(nodeid, failed_with, on_numbers):
+    with open(os.path.join(os.environ["REPRO_CENSUS"], "failures.tsv"), "a") as log:
+        log.write(f"{nodeid}\\t{failed_with}\\t{int(on_numbers)}\\n")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    if outcome.get_result().failed and call.excinfo is not None:
+        excinfo = call.excinfo
+        _log(item.nodeid, excinfo.typename, excinfo.errisinstance(AssertionError))
+
+
+def pytest_collectreport(report):
+    if report.failed:
+        _log(report.nodeid, "a collection error", False)
+'''
+PYTEST_LABEL = "pytest benchmarks/"
+
 
 def programs(out: Path) -> list[tuple[str, list[str]]]:
     py = sys.executable
@@ -198,19 +233,32 @@ def programs(out: Path) -> list[tuple[str, list[str]]]:
             (f"examples/{example.name}", [py, str(example)])
             for example in sorted((REPO / "examples").glob("*.py"))
         ),
+        (
+            PYTEST_LABEL,
+            [
+                py, "-m", "pytest", "-q", "-p", "census_pytest", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors", "--rootdir", str(REPO),
+                str(REPO / "benchmarks"), "--benchmark-disable",
+            ],
+        ),
     ]
 
 
-def run_census(modules: dict[str, list[str]]) -> tuple[dict[str, set[str]], list[tuple]]:
+def run_census(
+    modules: dict[str, list[str]],
+) -> tuple[dict[str, set[str]], list[tuple], list[tuple[str, str, bool]]]:
     """Run every program under the hook.  Returns ``Class.field`` -> the
-    non-default values seen, and one ``(argv, functions called)`` per
-    process."""
+    non-default values seen, one ``(argv, functions called)`` per
+    process, and the ``benchmarks/`` tests that failed: ``(test, what
+    it failed with, whether that is an AssertionError)``."""
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         tmp_path = Path(tmp)
         (tmp_path / "sitecustomize.py").write_text(HOOK)
+        (tmp_path / "census_pytest.py").write_text(PYTEST_PLUGIN)
         logs = tmp_path / "logs"
         logs.mkdir()
         (logs / "knobs.tsv").touch()
+        (logs / "failures.tsv").touch()
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(tmp_path), str(SRC), *filter(None, [env.get("PYTHONPATH")])]
@@ -224,7 +272,13 @@ def run_census(modules: dict[str, list[str]]) -> tuple[dict[str, set[str]], list
             print(f"-- {label}", file=sys.stderr, flush=True)
             done = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.DEVNULL)
             # One 1.8 s segment is too few requests for the e2e p99 shape
-            # check; its sentinels, not its exit status, show it ran.
+            # check; its sentinels, not its exit status, show it ran.  A
+            # failed benchmarks/ test (or module that fails to collect) is
+            # judged by what it failed with, below; pytest's other non-zero
+            # codes (interrupted, internal or usage error, nothing
+            # collected) stop the census.
+            if label == PYTEST_LABEL and done.returncode == 1:
+                continue
             if not label.startswith("e2e"):
                 done.check_returncode()
         seen: dict[str, set[str]] = {}
@@ -236,7 +290,13 @@ def run_census(modules: dict[str, list[str]]) -> tuple[dict[str, set[str]], list
             header, *rows = log.read_text().splitlines()
             names = {f"{file}:{qual}" for file, _, qual in (row.split("\t") for row in rows)}
             called.append((json.loads(header[2:]), names))
-    return seen, called
+        failures = [
+            (test, exc, flag == "1")
+            for test, exc, flag in (
+                line.split("\t") for line in (logs / "failures.tsv").read_text().splitlines()
+            )
+        ]
+    return seen, called, failures
 
 
 def missing_sentinels(called: list[tuple]) -> list[str]:
@@ -257,7 +317,7 @@ def missing_sentinels(called: list[tuple]) -> list[str]:
 
 
 def main() -> int:
-    seen, called = run_census(config_classes())
+    seen, called, failures = run_census(config_classes())
     for key in all_fields():
         values = sorted(seen.get(key, ()))
         shown = ", ".join(values[:6])
@@ -298,7 +358,13 @@ def main() -> int:
         print(f"note: {key} has a KEPT row but a program reached it")
     for key in unlisted:
         print(f"UNREACHED: {key} ({lines[key]} lines) has no KEPT row", file=sys.stderr)
-    return 1 if unseen or unlisted else 0
+    crashed = [(test, exc) for test, exc, on_numbers in failures if not on_numbers]
+    for test, exc, on_numbers in failures:
+        if on_numbers:
+            print(f"note: {test} fails on its numbers ({exc})")
+    for test, exc in crashed:
+        print(f"CRASHED: {test} fails with {exc}, not on its numbers", file=sys.stderr)
+    return 1 if unseen or unlisted or crashed else 0
 
 
 if __name__ == "__main__":
