@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 import subprocess
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -140,41 +139,6 @@ def format_counters(
     return format_table(
         ("counter", "value"), [(k, v) for k, v in counters.items()], title=title
     )
-
-
-def network_counters(stats) -> dict[str, object]:
-    """The reportable slice of a ``NetworkStats``, transport and
-    storage meters included (both stay zero on purely synchronous /
-    in-memory runs)."""
-    return {
-        "probes_attempted": stats.probes_attempted,
-        "probes_succeeded": stats.probes_succeeded,
-        "probes_unavailable": stats.probes_unavailable,
-        "probes_timed_out": stats.probes_timed_out,
-        "probes_retried": stats.probes_retried,
-        "probes_deduped": stats.probes_deduped,
-        "probes_cooldown_skipped": stats.probes_cooldown_skipped,
-        "batches": stats.batches,
-        "total_collection_seconds": stats.total_latency_seconds,
-        "page_reads": stats.page_reads,
-        "page_writes": stats.page_writes,
-        "wal_appends": stats.wal_appends,
-        "wal_fsyncs": stats.wal_fsyncs,
-        "polygon_cells_interior": stats.polygon_cells_interior,
-        "polygon_cells_boundary": stats.polygon_cells_boundary,
-        "window_cells_reused": stats.window_cells_reused,
-    }
-
-
-def transport_counters(stats) -> dict[str, object]:
-    """Every counter of a dispatcher's ``TransportStats``."""
-    return asdict(stats)
-
-
-def storage_counters(stats) -> dict[str, object]:
-    """Every counter of a ``StorageStats`` (the storage engine's
-    cumulative disk accounting)."""
-    return asdict(stats)
 
 
 def _fmt(cell: object) -> str:

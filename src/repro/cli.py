@@ -264,16 +264,14 @@ def _demo(n_sensors: int, transport: bool = False) -> int:
             f"count estimate {answer.estimate('count') if answer.result_weight else 0:.0f}"
         )
     if transport:
-        from repro.bench.report import format_counters, network_counters, transport_counters
+        from dataclasses import asdict
+
+        from repro.bench.report import format_counters
 
         print()
-        print(format_counters(network_counters(network.stats), title="network"))
+        print(format_counters(asdict(network.stats), title="network"))
         print()
-        print(
-            format_counters(
-                transport_counters(tree.transport.stats), title="transport"
-            )
-        )
+        print(format_counters(asdict(tree.transport.stats), title="transport"))
     return 0
 
 
@@ -556,7 +554,9 @@ def _demo_durable(n_sensors: int, data_dir: Path) -> int:
     from disk — same answers, zero probes on the first tick."""
     import numpy as np
 
-    from repro.bench.report import format_counters, storage_counters
+    from dataclasses import asdict
+
+    from repro.bench.report import format_counters
     from repro.geometry import GeoPoint, Rect
     from repro.portal import SensorMapPortal, SensorQuery
     from repro.sensors.registry import SensorRegistry
@@ -603,7 +603,7 @@ def _demo_durable(n_sensors: int, data_dir: Path) -> int:
         )
     portal.checkpoint()
     print()
-    print(format_counters(storage_counters(portal.storage.stats), title="storage"))
+    print(format_counters(asdict(portal.storage.stats), title="storage"))
     portal.close()
     print(f"\ncheckpointed and closed; re-run to warm-restart from {data_dir}")
     return 0

@@ -194,8 +194,6 @@ def _share_round(
             # — or, for the first owner after a streamed drain, what the
             # drain journaled for the whole tick.
             io_base = tree._meter_storage(qstats, io_base)
-    if saved := sum(len(p) for _, p in scans) - len(union):
-        tree.network.record_coalesced(saved)
     return io_base
 
 

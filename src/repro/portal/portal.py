@@ -12,7 +12,7 @@ latency accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import COLRTreeConfig
@@ -332,18 +332,10 @@ class SensorMapPortal:
 
     def _journal_ingest(self, readings, fetched_at: float) -> None:
         """WAL sink for the trees: journal one acknowledged slot-cache
-        batch, crediting the I/O it caused to the network meters."""
+        batch."""
         engine = self.storage
         assert engine is not None
-        before = engine.stats.io_counters()
         engine.journal_batch(list(readings), fetched_at)
-        after = engine.stats.io_counters()
-        if self._network is not None:
-            net = self._network.stats
-            net.page_reads += after[0] - before[0]
-            net.page_writes += after[1] - before[1]
-            net.wal_appends += after[2] - before[2]
-            net.wal_fsyncs += after[3] - before[3]
 
     def _cached_entries(self) -> list[tuple["Reading", float]]:
         """Every cached leaf reading with its fetch stamp, across all
@@ -422,17 +414,11 @@ class SensorMapPortal:
         if self.storage is None:
             raise RuntimeError("portal has no storage attached")
         self._ensure_index()
-        before = self.storage.stats.io_counters()
         self.storage.checkpoint(
             sensors=self.registry.all(),
             cached=self._cached_entries(),
             clock_now=self.clock.now(),
         )
-        after = self.storage.stats.io_counters()
-        if self._network is not None:
-            net = self._network.stats
-            net.page_reads += after[0] - before[0]
-            net.page_writes += after[1] - before[1]
 
     @property
     def recovery_seconds(self) -> float:
@@ -548,7 +534,9 @@ class SensorMapPortal:
 
     def stats(self) -> dict[str, object]:
         """Operational summary: per-type index shape, cache occupancy,
-        cumulative query/probe totals, and network meters."""
+        cumulative query/probe totals, and each layer's counters as its
+        owner keeps them (``NetworkStats``, ``TransportStats``,
+        ``StorageStats``)."""
         self._ensure_index()
         per_type = {}
         for name, tree in self._trees.items():
@@ -560,37 +548,14 @@ class SensorMapPortal:
                 "sensors_probed": tree.stats.totals.sensors_probed,
                 "cached_nodes_accessed": tree.stats.totals.cached_nodes_accessed,
             }
-        net = self.network.stats
+        transport = self._dispatcher.stats
         summary: dict[str, object] = {
             "types": per_type,
             "total_sensors": len(self.registry),
-            "network": {
-                "probes_attempted": net.probes_attempted,
-                "probes_succeeded": net.probes_succeeded,
-                "probes_unavailable": net.probes_unavailable,
-                "probes_timed_out": net.probes_timed_out,
-                "batches": net.batches,
-                "total_collection_seconds": net.total_latency_seconds,
-                "page_reads": net.page_reads,
-                "page_writes": net.page_writes,
-                "wal_appends": net.wal_appends,
-                "wal_fsyncs": net.wal_fsyncs,
-            },
-        }
-        t = self._dispatcher.stats
-        summary["transport"] = {
-            "rounds": t.rounds,
-            "attempts": t.attempts,
-            "retries": t.retries,
-            "timeouts": t.timeouts,
-            "dedup_hits": t.dedup_hits,
-            "cooldown_skips": t.cooldown_skips,
-            "overlapped_rounds": t.overlapped_rounds,
-            "streamed_readings": t.streamed_readings,
+            "network": asdict(self.network.stats),
+            "transport": asdict(transport) | {"dedup_hits": transport.dedup_hits},
         }
         if self.storage is not None:
-            from dataclasses import asdict
-
             summary["storage"] = asdict(self.storage.stats)
         return summary
 

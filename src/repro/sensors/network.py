@@ -10,7 +10,7 @@ collector would).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -56,7 +56,11 @@ class ProbeResult:
 
 @dataclass
 class NetworkStats:
-    """Cumulative probe accounting for an experiment run."""
+    """Cumulative wire-level probe accounting for an experiment run.
+
+    Every counter has one owner: the dispatcher's retries, dedup hits
+    and cooldown skips are ``TransportStats``', a batch tick's
+    coalescing is ``BatchStats``', disk I/O is ``StorageStats``'."""
 
     probes_attempted: int = 0
     probes_succeeded: int = 0
@@ -66,24 +70,6 @@ class NetworkStats:
     probes_timed_out: int = 0
     batches: int = 0
     total_latency_seconds: float = 0.0
-    # Probe requests that never reached a sensor because a concurrent
-    # query in the same batch tick already contacted it (the batch
-    # executor's coalescing); the communication the portal *saved*.
-    probes_coalesced: int = 0
-    # Transport-dispatcher accounting (zero on the synchronous path):
-    # re-contacts of the same sensor within one logical probe, requests
-    # served from the in-flight/recently-probed table, and requests
-    # skipped because the sensor was in failure cooldown.
-    probes_retried: int = 0
-    probes_deduped: int = 0
-    probes_cooldown_skipped: int = 0
-    # Storage-engine accounting (zero on an in-memory portal): pager
-    # page I/O and WAL appends / group-commit fsyncs the durable portal
-    # performed — journaled ingestions, checkpoints, recovery priming.
-    page_reads: int = 0
-    page_writes: int = 0
-    wal_appends: int = 0
-    wal_fsyncs: int = 0
     # Geoblock-subsystem accounting (zero until a polygon or analytic
     # window query runs): rasterized polygon cells by kind and sliding
     # window cells carried over from the previous step instead of
@@ -91,7 +77,7 @@ class NetworkStats:
     polygon_cells_interior: int = 0
     polygon_cells_boundary: int = 0
     window_cells_reused: int = 0
-    per_sensor_probes: dict[int, int] = field(default_factory=dict)
+
 
 ValueFn = Callable[[Sensor, float], float]
 
@@ -272,9 +258,6 @@ class SensorNetwork:
         readings: dict[int, Reading] = {}
         unavailable: list[int] = []
         timed: list[int] = []
-        per_sensor = self.stats.per_sensor_probes
-        for sid in ids:
-            per_sensor[sid] = per_sensor.get(sid, 0) + 1
         for attempt in attempts:
             self.record_outcome(attempt.sensor_id, attempt.ok)
             if attempt.ok:
@@ -298,13 +281,6 @@ class SensorNetwork:
             timed_out=tuple(timed),
             latency_seconds=latency,
         )
-
-    def record_coalesced(self, n: int) -> None:
-        """Meter probe requests satisfied by a batch peer's probe
-        (no network traffic occurred; accounting only)."""
-        if n < 0:
-            raise ValueError("coalesced count must be non-negative")
-        self.stats.probes_coalesced += n
 
     def _batch_latency_from(self, latencies: np.ndarray) -> float:
         """Batch latency: probes run in rounds of ``parallelism``

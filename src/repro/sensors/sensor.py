@@ -51,8 +51,12 @@ class Sensor:
             raise ValueError("sensor_id must be non-negative")
         if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
             raise ValueError(f"sensor location must be finite, got {self.location}")
-        if self.expiry_seconds <= 0:
-            raise ValueError("expiry_seconds must be positive")
+        # A negated conjunction, so NaN (every comparison false) is
+        # rejected too.
+        if not 0.0 < self.expiry_seconds < math.inf:
+            raise ValueError(
+                f"expiry_seconds must be positive and finite, got {self.expiry_seconds}"
+            )
         if not 0.0 <= self.availability <= 1.0:
             raise ValueError("availability must be in [0, 1]")
 

@@ -3,10 +3,11 @@
 One :class:`StorageStats` instance rides on each
 :class:`~repro.storage.engine.StorageEngine` (and on any standalone
 :class:`~repro.storage.pager.Pager`); every page read/write and WAL
-append/fsync bumps a counter.  The portal meters deltas of these
-counters into ``QueryStats`` / ``NetworkStats`` so disk I/O shows up in
-the bench reports next to probe accounting, and the recovery-time model
-converts the replay counters into deterministic modeled seconds.
+append/fsync bumps a counter.  This is the counters' one owner: a
+portal's ``stats()`` reports it as its ``storage`` block, each query's
+share of the serving-path deltas is metered into its ``QueryStats``,
+and the recovery-time model converts the replay counters into
+deterministic modeled seconds.
 """
 
 from __future__ import annotations

@@ -84,14 +84,14 @@ _TIMED_OUT = 3
 
 @dataclass
 class TransportStats:
-    """Cumulative dispatcher accounting (transport-level view; the
-    wire-level counters also land in ``NetworkStats``)."""
+    """Cumulative dispatcher accounting.  The wire-level outcomes
+    (successes, timeouts, unavailable answers) are ``NetworkStats``'."""
 
     rounds: int = 0
+    # Equal to ``NetworkStats.probes_attempted``; kept because the e2e
+    # harness reads both names.
     attempts: int = 0
     retries: int = 0
-    timeouts: int = 0
-    unavailable: int = 0
     dedup_inflight: int = 0
     dedup_recent: int = 0
     cooldown_skips: int = 0
@@ -247,7 +247,6 @@ class ProbeDispatcher:
         rnd = ProbeRound(ids, now, tree)
         self.stats.rounds += 1
         cfg = self.config
-        net_stats = self.network.stats
         seen: set[int] = set()
         contacts: list[_Pending] = []
         overlapping = bool(self._inflight)
@@ -261,14 +260,12 @@ class ProbeDispatcher:
                 rnd.outstanding.add(sid)
                 rnd.deduped.append(sid)
                 self.stats.dedup_inflight += 1
-                net_stats.probes_deduped += 1
                 continue
             until = self._cooldown_ends.get(sid)
             if until is not None:
                 if now < until:
                     rnd.cooldown_skipped.append(sid)
                     self.stats.cooldown_skips += 1
-                    net_stats.probes_cooldown_skipped += 1
                     continue
                 del self._cooldown_ends[sid]
             if cfg.inflight_ttl > 0:
@@ -281,13 +278,11 @@ class ProbeDispatcher:
                         rnd.unavailable.append(sid)
                         rnd.deduped.append(sid)
                         self.stats.dedup_recent += 1
-                        net_stats.probes_deduped += 1
                         continue
                     if reading.expires_at > now and reading.timestamp >= now - max_staleness:
                         rnd.readings[sid] = reading
                         rnd.deduped.append(sid)
                         self.stats.dedup_recent += 1
-                        net_stats.probes_deduped += 1
                         continue
                     # Cached success too stale for this requester:
                     # fall through to a fresh contact.
@@ -412,7 +407,6 @@ class ProbeDispatcher:
         one update of the counters."""
         net = self.network
         outcomes = net.sample_attempts([p.sensor_id for p in batch], columns=True)
-        per_sensor = net.stats.per_sensor_probes
         seq = self._seq
         push, replace_min = heapq.heappush, heapq.heapreplace
         retries = 0
@@ -423,13 +417,10 @@ class ProbeDispatcher:
             pending.attempts += 1
             if pending.attempts > 1:
                 retries += 1
-            sid = pending.sensor_id
-            per_sensor[sid] = per_sensor.get(sid, 0) + 1
             pending.rounds[0].attempts += 1
             kind = _OK if ok else _TIMED_OUT if timed_out else _UNAVAILABLE
             push(events, (finish, next(seq), kind, pending))
         net.stats.probes_attempted += len(batch)
-        net.stats.probes_retried += retries
         self.stats.attempts += len(batch)
         self.stats.retries += retries
 
@@ -445,10 +436,8 @@ class ProbeDispatcher:
         timed_out = kind == _TIMED_OUT
         if timed_out:
             net.stats.probes_timed_out += 1
-            self.stats.timeouts += 1
         else:
             net.stats.probes_unavailable += 1
-            self.stats.unavailable += 1
         if pending.attempts <= self.config.max_retries:
             self._push(events, t + self._backoff(pending.attempts), _DISPATCH, pending)
             return False
@@ -533,8 +522,6 @@ class ProbeDispatcher:
             result = net.complete_batch(rnd.contacted, attempts, rnd.now)
             rnd.attempts += len(rnd.contacted)
             self.stats.attempts += len(rnd.contacted)
-            self.stats.timeouts += len(result.timed_out)
-            self.stats.unavailable += len(result.unavailable)
             cfg = self.config
             timed_set = set(result.timed_out)
             for sid in rnd.contacted:

@@ -11,8 +11,8 @@ and ``execute_batch``, a one-subscription
 ``FederatedPortal`` — built without a transport config, or with
 ``TransportConfig()`` under ``--transport``.  Every answer's sensor
 ids, values and ``QueryStats`` fields, every portal result's display
-groups in order, and every ``NetworkStats`` counter, go into one
-SHA-256 per section.
+groups in order, and every ``NetworkStats`` and ``TransportStats``
+counter, go into one SHA-256 per section.
 
 Twelve more ticks over a denser fleet drive the polygon paths with a
 convex hexagon, a concave ring, a thin corridor and a rectangle drawn
@@ -166,6 +166,12 @@ class Section:
                 repr(sorted(stats.items())),
             ]
 
+    def add_counters(self, owner) -> None:
+        """A portal's or tree's cumulative counters: its network's, then
+        its dispatcher's."""
+        self.lines.append(repr(asdict(owner.network.stats)))
+        self.lines.append(repr(asdict(owner.dispatcher.stats)))
+
     def digest(self) -> str:
         return hashlib.sha256("\n".join(self.lines).encode()).hexdigest()[:16]
 
@@ -214,11 +220,11 @@ def main() -> None:
             sections["continuous"].add_result(subscription.last_result)
         for portal in (single, batch, standing, federated):
             portal.clock.advance(TICK_SECONDS)
-    sections["execute"].lines.append(repr(asdict(single.network.stats)))
-    sections["execute_batch"].lines.append(repr(asdict(batch.network.stats)))
-    sections["continuous"].lines.append(repr(asdict(standing.network.stats)))
+    sections["execute"].add_counters(single)
+    sections["execute_batch"].add_counters(batch)
+    sections["continuous"].add_counters(standing)
     for shard in federated.shards():
-        sections["federated"].lines.append(repr(asdict(shard.network.stats)))
+        sections["federated"].add_counters(shard)
 
     # The polygon paths, over a fleet dense enough to fill their cells.
     polygon = build(SensorMapPortal, transport, extent=POLYGON_EXTENT)
@@ -241,10 +247,10 @@ def main() -> None:
                 sections["frontdoor"].add_result(served.result)
         for portal in (polygon, fed_polygon, behind_door):
             portal.clock.advance(TICK_SECONDS)
-    sections["polygon"].lines.append(repr(asdict(polygon.network.stats)))
+    sections["polygon"].add_counters(polygon)
     for name, federation in (("fed_polygon", fed_polygon), ("frontdoor", behind_door)):
         for shard in federation.shards():
-            sections[name].lines.append(repr(asdict(shard.network.stats)))
+            sections[name].add_counters(shard)
     sections["frontdoor"].lines.append(repr(sorted(asdict(door.cache.stats).items())))
 
     # RelCOLRTree.query over the same kind of fleet.
@@ -266,7 +272,7 @@ def main() -> None:
                 q.region, now=tick * TICK_SECONDS, max_staleness=120.0, sample_size=15
             )
             sections["relcolr"].add([answer])
-    sections["relcolr"].lines.append(repr(asdict(network.stats)))
+    sections["relcolr"].add_counters(rel)
 
     for name, section in sections.items():
         print(

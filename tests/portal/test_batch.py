@@ -87,18 +87,27 @@ class TestSharedRangeScan:
 
 
 class TestExecuteBatch:
-    def test_each_sensor_probed_once(self):
+    def test_each_sensor_probed_once(self, monkeypatch):
         portal = build_portal()
+        network = portal.network
+        contacts: list[int] = []
+        sample = network.sample_attempts
+
+        def recording_sample(sensor_ids, **kwargs):
+            ids = list(sensor_ids)
+            contacts.extend(ids)
+            return sample(ids, **kwargs)
+
+        monkeypatch.setattr(network, "sample_attempts", recording_sample)
         batch = portal.execute_batch([QUERY_A, QUERY_B, QUERY_A2])
-        net = portal.network.stats
+        net = network.stats
         assert net.batches == 1
-        assert net.probes_attempted == batch.stats.probes_issued
-        assert max(net.per_sensor_probes.values()) == 1
+        assert net.probes_attempted == batch.stats.probes_issued == len(contacts)
+        assert len(set(contacts)) == len(contacts)
         assert batch.stats.probes_coalesced == (
             batch.stats.probes_requested - batch.stats.probes_issued
         )
         assert batch.stats.probes_coalesced > 0
-        assert net.probes_coalesced == batch.stats.probes_coalesced
 
     def test_readings_fan_out_to_every_requester(self):
         portal = build_portal()

@@ -11,9 +11,10 @@ jittered backoff, latency jitter, timeouts, cooldown, dedup tables,
 small connection pools, whole-fleet rounds whose readings overrun the
 streaming chunk — and after every step
 everything either can be asked must be equal: every ``ProbeRound`` field,
-``NetworkStats``, ``TransportStats``, the availability history, the
-order and content of every flush into the trees, the tables, the
-connection pool, the event queue, and the state of both RNGs.
+``NetworkStats``, ``TransportStats``, the sequence of wire contacts,
+the availability history, the order and content of every flush into
+the trees, the tables, the connection pool, the event queue, and the
+state of both RNGs.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ class _World:
             timeout_seconds=knobs["timeout_seconds"],
             seed=knobs["network_seed"],
         )
+        # Every wire contact, in the order the network was asked for it.
+        self.contacts: list[int] = []
+        sample = self.network.sample_attempts
+
+        def recording_sample(sensor_ids, **kwargs):
+            ids = list(sensor_ids)
+            self.contacts.extend(ids)
+            return sample(ids, **kwargs)
+
+        self.network.sample_attempts = recording_sample
         self.dispatcher = dispatcher_cls(
             self.network,
             TransportConfig(
@@ -116,7 +127,7 @@ class _World:
         return {
             "rounds": [_round_view(r) for r in self.rounds],
             "network_stats": stats,
-            "per_sensor_order": list(stats.per_sensor_probes),
+            "contacts": self.contacts,
             "transport_stats": d.stats,
             "history": [
                 (sid, h.successes, h.failures)

@@ -43,6 +43,21 @@ class TestSensorValidation:
         with pytest.raises(ValueError):
             make_sensor(expiry_seconds=0.0)
 
+    @pytest.mark.parametrize("expiry", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_expiry_rejected_at_registration(self, expiry):
+        """A NaN expiry used to register, spend the first covering
+        query's probes and then raise ``cannot convert float NaN to
+        integer`` in ``slot_of`` during ingest, on every such query; an
+        infinite one raised ``OverflowError`` the same way."""
+        from repro.portal import SensorMapPortal
+
+        with pytest.raises(ValueError, match="finite"):
+            make_sensor(expiry_seconds=expiry)
+        portal = SensorMapPortal()
+        with pytest.raises(ValueError, match="finite"):
+            portal.register_sensor(GeoPoint(1.0, 1.0), expiry_seconds=expiry)
+        assert len(portal.registry) == 0
+
     def test_availability_bounds(self):
         with pytest.raises(ValueError):
             make_sensor(availability=1.5)

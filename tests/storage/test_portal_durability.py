@@ -95,7 +95,6 @@ class TestCrashRecovery:
         assert sum(a.stats.wal_appends for a in result.answers) > 0
         summary = portal.stats()
         assert summary["storage"]["wal_appends"] > 0
-        assert summary["network"]["wal_appends"] > 0
         portal.close()
 
 

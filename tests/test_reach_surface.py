@@ -31,12 +31,6 @@ SRC = REPO / "src"
 
 KEPT: dict[str, str] = {
     # (a) Reached from src/ on inputs the programs do not produce.
-    "repro/bench/report.py:network_counters": (
-        "(a) cli._demo prints it under `repro demo --transport`"
-    ),
-    "repro/bench/report.py:transport_counters": (
-        "(a) cli._demo prints it under `repro demo --transport`"
-    ),
     "repro/federation/backend.py:InProcessBackend.pid": (
         "(a) FederatedPortal.worker_pid on the in-process backend (None: no worker)"
     ),
@@ -190,25 +184,25 @@ KEPT: dict[str, str] = {
     ),
     "repro/storage/engine.py:StorageEngine.sync": "(e) TRACE_POINTS",
     # (f) The base an open ROADMAP item builds on.
-    "repro/core/explain.py:explain_query": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
-    "repro/core/explain.py:_explain_exact": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
-    "repro/core/explain.py:_walk_exact": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
-    "repro/core/explain.py:_walk_sampled": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
-    "repro/core/explain.py:_plan_terminal": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
+    "repro/core/explain.py:explain_query": "(f) EXPLAIN: ROADMAP item 4(a)",
+    "repro/core/explain.py:_explain_exact": "(f) EXPLAIN: ROADMAP item 4(a)",
+    "repro/core/explain.py:_walk_exact": "(f) EXPLAIN: ROADMAP item 4(a)",
+    "repro/core/explain.py:_walk_sampled": "(f) EXPLAIN: ROADMAP item 4(a)",
+    "repro/core/explain.py:_plan_terminal": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/core/explain.py:_relevant_sensor_count": (
-        "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4"
+        "(f) EXPLAIN: ROADMAP item 4(a)"
     ),
-    "repro/core/explain.py:QueryPlan.format": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
+    "repro/core/explain.py:QueryPlan.format": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/core/explain.py:QueryPlan.cache_coverage": (
-        "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4"
+        "(f) EXPLAIN: ROADMAP item 4(a)"
     ),
     "repro/core/node.py:COLRNode.n_descendants": "(f) explain's per-node probe pool",
-    "repro/core/tree.py:COLRTree.explain": "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4",
+    "repro/core/tree.py:COLRTree.explain": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/portal/portal.py:SensorMapPortal.explain": (
-        "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4"
+        "(f) EXPLAIN: ROADMAP item 4(a)"
     ),
     "repro/federation/federated.py:FederatedPortal.explain": (
-        "(f) EXPLAIN: ROADMAP items 4(a) and 8 stage 4"
+        "(f) EXPLAIN: ROADMAP item 4(a)"
     ),
 }
 

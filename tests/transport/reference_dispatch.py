@@ -48,14 +48,10 @@ class ReferenceDispatcher(ProbeDispatcher):
         finish = start + attempt.latency_seconds
         heapq.heappush(conn, finish)
         pending.attempts += 1
-        net_stats = self.network.stats
-        net_stats.probes_attempted += 1
-        per_sensor = net_stats.per_sensor_probes
-        per_sensor[pending.sensor_id] = per_sensor.get(pending.sensor_id, 0) + 1
+        self.network.stats.probes_attempted += 1
         self.stats.attempts += 1
         pending.rounds[0].attempts += 1
         if pending.attempts > 1:
-            net_stats.probes_retried += 1
             self.stats.retries += 1
         self._push(events, finish, _COMPLETE, (pending, attempt))
 
@@ -70,10 +66,8 @@ class ReferenceDispatcher(ProbeDispatcher):
             return
         if attempt.timed_out:
             net.stats.probes_timed_out += 1
-            self.stats.timeouts += 1
         else:
             net.stats.probes_unavailable += 1
-            self.stats.unavailable += 1
         if pending.attempts <= self.config.max_retries:
             self._push(events, t + self._backoff(pending.attempts), _DISPATCH, pending)
             return

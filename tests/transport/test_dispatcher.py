@@ -154,7 +154,7 @@ def test_retries_bounded_and_metered():
     rnd = d.collect([sid], now=0.0)
     assert rnd.unavailable == [sid]
     assert net.stats.probes_attempted == 4  # 1 + 3 retries
-    assert net.stats.probes_retried == 3
+    assert d.stats.retries == 3
     assert rnd.retries_by_sensor == {sid: 3}
     # Backoff delays (0.5 + 1 + 2, each within the jitter) are part of
     # the round's makespan.
@@ -210,7 +210,7 @@ def test_cooldown_skips_low_availability_sensor():
     assert sorted(rnd.cooldown_skipped) == sorted(ids)
     assert not rnd.readings and not rnd.unavailable
     assert net.stats.probes_attempted == len(ids)
-    assert net.stats.probes_cooldown_skipped == len(ids)
+    assert d.stats.cooldown_skips == len(ids)
     # Past the cooldown horizon the sensor is contacted again.
     later = d.collect(ids, now=301.0)
     assert not later.cooldown_skipped

@@ -114,7 +114,7 @@ def test_retries_do_not_inflate_availability_history():
     for tick in range(4):
         d.collect([sid], now=tick * 400.0)
     assert net.stats.probes_attempted == 16  # 4 ticks x (1 + 3 retries)
-    assert net.stats.probes_retried == 12
+    assert d.stats.retries == 12
     assert observed_probes(net.availability_model, sid) == 4
     # Four observed failures under a Beta(1, 1) prior.
     assert net.availability_model.estimate(sid) == 1.0 / 6.0

@@ -12,7 +12,7 @@ It prints the build wall, the viewports' wall, the peak RSS and the
 entry counts of the L2 tile tier and of the shards' plan caches.  With
 ``--trace`` tracemalloc runs from the end of the build: it adds the
 largest growers by file (what serving grew) and the traced bytes per
-entry of both caches (what clearing each frees, divided by its
+entry of both caches (what dropping each frees, divided by its
 entries); tracing inflates the wall and the RSS, so take the peak RSS
 from a run without it.  A 370k run takes about a minute and ~1 GB.
 """
@@ -103,9 +103,14 @@ def main(argv: list[str] | None = None) -> int:
             serve_s = time.perf_counter() - t0
             if args.trace:
                 grown = tracemalloc.take_snapshot().compare_to(start, "filename")
-            l2 = door.cache._l2
-            tiles = len(l2)
-            tile_bytes = freed_per_entry(l2.clear, tiles)
+            cache = door.cache
+            tiles = len(cache._l2)
+
+            def drop_l2() -> None:
+                # The tier has no clear(): freeing it is replacing it.
+                cache._l2 = type(cache._l2)()
+
+            tile_bytes = freed_per_entry(drop_l2, tiles)
             caches = [
                 tree.plan_cache
                 for shard in fed.shards()
