@@ -30,7 +30,6 @@ from repro.core import (
     QueryStats,
     SlotCache,
     SlotSizeModel,
-    TreeStats,
     build_colr_tree,
     layered_sample,
     optimal_slot_size,
@@ -67,7 +66,6 @@ __all__ = [
     "SlotCache",
     "SlotSizeModel",
     "SpatialField",
-    "TreeStats",
     "build_colr_tree",
     "layered_sample",
     "optimal_slot_size",

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.lookup import QueryAnswer, Region, region_bbox
-from repro.core.stats import ProcessingCostModel, QueryStats, TreeStats
+from repro.core.stats import ProcessingCostModel, QueryStats
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
 
@@ -42,7 +42,6 @@ class FlatCache:
         self.cost_model = cost_model if cost_model is not None else ProcessingCostModel()
         self.cache_capacity = cache_capacity
         self._pool: dict[int, tuple[Reading, float]] = {}
-        self.stats = TreeStats()
 
     def query(
         self,
@@ -101,7 +100,6 @@ class FlatCache:
                 stats.maintenance_ops += 1
                 answer.probed_readings.append(reading)
             self._enforce_capacity()
-        self.stats.record(stats)
         return answer
 
     def processing_seconds(self, stats: QueryStats) -> float:

@@ -43,6 +43,7 @@ from typing import Sequence
 
 from repro.bench.fleets import hotspot_viewports, uncapped_portal, uniform_fleet
 from repro.bench.runner import Bench
+from repro.core.stats import QueryStats
 from repro.portal import SensorMapPortal, SensorQuery
 
 TIMING_AVAILABILITY = 0.85
@@ -107,7 +108,7 @@ def time_level(
 ) -> dict:
     seq_wall, seq_modeled, seq_probes = [], [], []
     bat_wall, bat_modeled, bat_probes = [], [], []
-    last_batch_stats = None
+    last_batch = None
     for _ in range(reps):
         seq_portal.tree("generic").clear_caches()
         probes_before = seq_portal.network.stats.probes_attempted
@@ -128,8 +129,13 @@ def time_level(
         bat_probes.append(
             batch_portal.network.stats.probes_attempted - probes_before
         )
-        last_batch_stats = batch.stats
+        last_batch = batch
 
+    # The last tick's totals: the sum of its answers' own stats.
+    answers = [a for r in last_batch.results for a in r.answers]
+    total = QueryStats()
+    for answer in answers:
+        total.merge(answer.stats)
     n = len(queries)
     seq_s, bat_s = min(seq_modeled), min(bat_modeled)
     seq_w, bat_w = min(seq_wall), min(bat_wall)
@@ -147,10 +153,10 @@ def time_level(
         },
         "probe_ratio": min(seq_probes) / max(1, max(bat_probes)),
         "batch_stats": {
-            "probes_requested": last_batch_stats.probes_requested,
-            "probes_issued": last_batch_stats.probes_issued,
-            "probes_coalesced": last_batch_stats.probes_coalesced,
-            "batch_shared_plans": last_batch_stats.batch_shared_plans,
+            "probes_requested": total.sensors_probed + total.probes_coalesced,
+            "probes_issued": total.sensors_probed,
+            "probes_coalesced": total.probes_coalesced,
+            "batch_shared_plans": sum(1 for a in answers if a.stats.batch_shared_nodes),
         },
     }
 

@@ -37,7 +37,7 @@ from repro.core.lookup import QueryAnswer, TerminalRecord
 from repro.core.plancache import SpatialPlan, SpatialPlanCache, region_fingerprint
 from repro.core.sampling import layered_sample
 from repro.core.slot_sizing import SlotSizeModel, optimal_slot_size
-from repro.core.stats import QueryStats, TreeStats
+from repro.core.stats import QueryStats
 
 __all__ = [
     "COLRTreeConfig",
@@ -64,5 +64,4 @@ __all__ = [
     "SlotSizeModel",
     "optimal_slot_size",
     "QueryStats",
-    "TreeStats",
 ]

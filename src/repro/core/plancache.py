@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 import numpy as np
 
-from repro.core.flat import DISJOINT, FlatKernel
+from repro.core.flat import FlatKernel
 from repro.geometry import Polygon, Rect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,7 +59,6 @@ class SpatialPlan:
 
     # One DISJOINT / PARTIAL / CONTAINED label per node, preorder.
     labels: bytes
-    n_disjoint: int
     # Non-zero overlap fractions by node index: read ``.get(i, 0.0)``.
     _overlaps: dict[int, float] | None = field(default=None, repr=False)
     _leaf_matching: dict[int, list["Sensor"]] = field(default_factory=dict, repr=False)
@@ -69,7 +68,7 @@ class SpatialPlan:
     @classmethod
     def of(cls, labels: np.ndarray) -> "SpatialPlan":
         """The plan of a classification (``FlatKernel.classify``)."""
-        return cls(labels=labels.tobytes(), n_disjoint=int((labels == DISJOINT).sum()))
+        return cls(labels=labels.tobytes())
 
     def label_array(self) -> np.ndarray:
         """The labels as a read-only ``int8`` array view, for the

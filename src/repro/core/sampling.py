@@ -115,7 +115,6 @@ def layered_sample(
     answer = QueryAnswer()
     if target_size <= 0:
         return answer
-    answer.stats.sample_target = float(target_size)
     config = tree.config
     t_level = terminal_level if terminal_level is not None else config.terminal_level
     if t_level < 0:

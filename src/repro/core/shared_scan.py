@@ -90,7 +90,6 @@ def shared_range_scan(
             # global plan cache is deliberately not consulted (nor
             # credited) — this hit exists only within the batch.
             answer.stats.batch_shared_nodes += tree.kernel.n_nodes
-            answer.stats.nodes_pruned_vectorized += plan.n_disjoint
         else:
             plan = tree.spatial_plan(request.region, None, answer.stats)
             if key is not None:

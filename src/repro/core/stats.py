@@ -2,16 +2,17 @@
 
 The paper's evaluation is driven by internal statistics (Figure 3's
 node-traversal counts, Figure 4's probe counts and processing latency).
-Every query records a :class:`QueryStats`; the tree also accumulates a
-:class:`TreeStats` total.  Processing latency is *derived* from the work
-counters through :class:`ProcessingCostModel` so that runs are
-deterministic and the latency axes of Figures 4 and 5 can be reproduced
-without depending on host speed.
+Every query records a :class:`QueryStats`; a batch tick's totals are
+the sum of its answers' records (:meth:`QueryStats.merge`).  Processing
+latency is *derived* from the work counters through
+:class:`ProcessingCostModel` so that runs are deterministic and the
+latency axes of Figures 4 and 5 can be reproduced without depending on
+host speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -28,13 +29,12 @@ class QueryStats:
     maintenance_ops: int = 0
     collection_latency_seconds: float = 0.0
     # Flattened-kernel instrumentation.  These meter the spatial plan
-    # cache and the vectorized classification, and deliberately do not
-    # feed the cost model: the kernel changes *how fast* traversal runs,
-    # never *what work* the query logically performs, so the modeled
-    # latency counters above stay comparable across kernel on/off runs.
+    # cache, and deliberately do not feed the cost model: the kernel
+    # changes *how fast* traversal runs, never *what work* the query
+    # logically performs, so the modeled latency counters above stay
+    # comparable across kernel on/off runs.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    nodes_pruned_vectorized: int = 0
     # Batch-executor instrumentation (same contract as the kernel
     # counters above: purely observational, never fed to the cost model).
     # ``probes_coalesced`` counts probe requests this query did not have
@@ -56,25 +56,12 @@ class QueryStats:
     probes_timed_out: int = 0
     probes_deduped: int = 0
     probes_cooldown_skipped: int = 0
-    # Sampling-guarantee instrumentation (observational).  The sampler
-    # used to bury achieved-vs-requested inside its terminal records;
-    # the federation's cross-shard REDISTRIBUTE needs both surfaced:
-    # ``sample_target`` is the target size handed to layered sampling
-    # (0 for exact lookups) and ``pool_exhausted_terminals`` counts
-    # terminals whose in-region sensor pool could not cover the rounded
-    # probe request — the *genuine* shortfall signal of Algorithm 2, as
-    # opposed to rounding noise.
-    sample_target: float = 0.0
+    # Sampling-guarantee instrumentation (observational): the
+    # federation's cross-shard REDISTRIBUTE reads
+    # ``pool_exhausted_terminals``, the terminals whose in-region sensor
+    # pool could not cover the rounded probe request — the *genuine*
+    # shortfall signal of Algorithm 2, as opposed to rounding noise.
     pool_exhausted_terminals: int = 0
-    # Storage-engine instrumentation (observational, like the kernel /
-    # batch / transport groups above): disk I/O the durable portal
-    # performed while serving this query — pages read/written through
-    # the pager and WAL records appended / group-commit fsyncs issued by
-    # the slot-cache journaling.  All zero on an in-memory portal.
-    page_reads: int = 0
-    page_writes: int = 0
-    wal_appends: int = 0
-    wal_fsyncs: int = 0
     # Geoblock-planner instrumentation (observational, never fed to the
     # cost model — the grid changes *where* an answer is assembled from,
     # while the modeled work of assembling it stays in the counters
@@ -95,20 +82,8 @@ class QueryStats:
             mine[name] += theirs[name]
 
 
-# Every counter by name, computed once: ``merge`` runs per (query, tree).
+# Every counter by name, computed once.
 QUERY_STATS_FIELDS = tuple(f.name for f in fields(QueryStats))
-
-
-@dataclass
-class TreeStats:
-    """Cumulative work across a tree's lifetime, plus per-query history."""
-
-    totals: QueryStats = field(default_factory=QueryStats)
-    queries: int = 0
-
-    def record(self, query_stats: QueryStats) -> None:
-        self.totals.merge(query_stats)
-        self.queries += 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,7 +39,7 @@ from repro.core.node import COLRNode
 from repro.core.plancache import SpatialPlan, SpatialPlanCache, region_fingerprint
 from repro.core.sampling import layered_sample
 from repro.core.slots import slot_of
-from repro.core.stats import ProcessingCostModel, QueryStats, TreeStats
+from repro.core.stats import ProcessingCostModel, QueryStats
 from repro.sensors.availability import AvailabilityModel
 from repro.sensors.network import SensorNetwork
 from repro.sensors.sensor import Reading, Sensor
@@ -123,7 +123,6 @@ class COLRTree:
         # instead of rescanning the registry every iteration.
         self._slot_heap: list[int] = []
         self._cached_count = 0
-        self.stats = TreeStats()
         # Write-delta listeners: ``fn(sensors)`` fires after every
         # cache ingestion (probe fill, streamed transport ingestion,
         # a batch insert) with the sensors written, one per reading.  The
@@ -131,18 +130,13 @@ class COLRTree:
         # holding a written sensor drop out — cached results see exactly
         # the deltas the slot caches see.
         self.ingest_listeners: list = []
-        # Durable-storage hooks (both ``None`` on an in-memory tree).
-        # ``wal_sink`` is called as ``fn(readings, fetched_at)`` after a
-        # batch is fully applied to the caches — the portal points it at
-        # the storage engine's WAL so every acknowledged ingestion is
-        # journaled (recovery priming runs with the sink detached, so
-        # replay is never re-journaled).  ``storage_meter`` is the
-        # engine's :class:`~repro.storage.stats.StorageStats`;
-        # ``probe_and_cache`` and the batch executor meter its deltas
-        # into ``QueryStats`` (``_meter_storage``) so disk I/O shows up
-        # next to probe accounting.
+        # Durable-storage hook (``None`` on an in-memory tree), called
+        # as ``fn(readings, fetched_at)`` after a batch is fully applied
+        # to the caches — the portal points it at the storage engine's
+        # WAL so every acknowledged ingestion is journaled (recovery
+        # priming runs with the sink detached, so replay is never
+        # re-journaled).
         self.wal_sink = None
-        self.storage_meter = None
         # The flattened traversal kernel + spatial plan cache.
         self.kernel = FlatKernel(self.root)
         self.plan_cache = SpatialPlanCache(self.config.plan_cache_size)
@@ -226,7 +220,6 @@ class COLRTree:
                 self, region, now, max_staleness,
                 aggregate_termination=aggregate_termination,
             )
-        self.stats.record(answer.stats)
         return answer
 
     def processing_seconds(self, stats: QueryStats) -> float:
@@ -263,9 +256,9 @@ class COLRTree:
 
         The classification (and everything derived from it) depends
         only on the region and the frozen tree structure, so a cached
-        plan is valid indefinitely; ``stats`` receives the hit/miss and
-        pruning meters when provided.  A region without a fingerprint
-        is classified afresh each time.
+        plan is valid indefinitely; ``stats`` receives the hit/miss
+        meters when provided.  A region without a fingerprint is
+        classified afresh each time.
         """
         key = None
         fingerprint = region_fingerprint(region)
@@ -275,15 +268,12 @@ class COLRTree:
             if plan is not None:
                 if stats is not None:
                     stats.plan_cache_hits += 1
-                    stats.nodes_pruned_vectorized += plan.n_disjoint
                 return plan
         plan = SpatialPlan.of(self.kernel.classify(region))
         if key is not None:
             self.plan_cache.put(key, plan)
             if stats is not None:
                 stats.plan_cache_misses += 1
-        if stats is not None:
-            stats.nodes_pruned_vectorized += plan.n_disjoint
         return plan
 
     def node_availability(self, node: COLRNode, now: float) -> float:
@@ -323,28 +313,22 @@ class COLRTree:
             return []
         if self.transport is None:
             raise RuntimeError("this tree has no sensor network attached")
-        io_base = self._storage_io()
         rnd = self.transport.collect(
             ids,
             now,
             tree=self,
             max_staleness=math.inf if max_staleness is None else max_staleness,
         )
-        return self._book_round(rnd, len(ids), now, stats, io_base)
+        return self._book_round(rnd, len(ids), now, stats)
 
     def _book_round(
-        self,
-        rnd: ProbeRound,
-        requested: int,
-        now: float,
-        stats: QueryStats,
-        io_base: tuple[int, int, int, int] | None,
+        self, rnd: ProbeRound, requested: int, now: float, stats: QueryStats
     ) -> list[Reading]:
         """Charge a resolved probe round of ``requested`` sensors to the
-        one query that issued it: its probe and transport counters, the
-        ingestion of its fresh readings (the dispatcher's own, when it
-        streams them) and the storage I/O since ``io_base``.  Returns
-        the round's readings in arrival order."""
+        one query that issued it: its probe and transport counters and
+        the ingestion of its fresh readings (the dispatcher's own, when
+        it streams them).  Returns the round's readings in arrival
+        order."""
         stats.sensors_probed += requested
         stats.probe_successes += len(rnd.readings)
         stats.probe_batches += 1
@@ -362,32 +346,7 @@ class COLRTree:
                 stats.maintenance_ops += self.insert_readings_batch(
                     fresh, fetched_at=now
                 )
-        self._meter_storage(stats, io_base)
         return list(rnd.readings.values())
-
-    def _storage_io(self) -> tuple[int, int, int, int] | None:
-        """The storage engine's serving-path counters now (``None`` on
-        an in-memory tree): the base :meth:`_meter_storage` charges
-        from."""
-        if self.storage_meter is None:
-            return None
-        return self.storage_meter.io_counters()
-
-    def _meter_storage(
-        self, stats: QueryStats, io_base: tuple[int, int, int, int] | None
-    ) -> tuple[int, int, int, int] | None:
-        """Charge the storage I/O performed since ``io_base`` to a
-        query's stats.  Returns the counters now, the base of the next
-        charge — the one probe round of :meth:`probe_and_cache` drops
-        it, the batch executor chains it across a tick's queries."""
-        if io_base is None:
-            return None
-        io_now = self.storage_meter.io_counters()
-        stats.page_reads += io_now[0] - io_base[0]
-        stats.page_writes += io_now[1] - io_base[1]
-        stats.wal_appends += io_now[2] - io_base[2]
-        stats.wal_fsyncs += io_now[3] - io_base[3]
-        return io_now
 
     def insert_reading(self, reading: Reading, fetched_at: float) -> int:
         """Cache one reading and propagate aggregates to the root.

@@ -41,8 +41,7 @@ cache, same stats) — pinned by ``tests/federation/test_parity.py``.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.aggregates import AggregateSketch
@@ -83,15 +82,6 @@ __all__ = [
 # RETRY_BACKOFF_MULTIPLIER**k``.
 RETRY_BACKOFF_BASE = 0.5
 RETRY_BACKOFF_MULTIPLIER = 2.0
-
-# The ``BatchStats`` counters a federated tick sums over its shards'
-# sub-batches; the other three it works out itself (its own query count,
-# the collection makespan, the coordinator's wall clock).
-_BATCH_COUNTERS = tuple(
-    f.name
-    for f in fields(BatchStats)
-    if f.name not in ("queries", "collection_seconds", "wall_seconds")
-)
 
 
 def _capped_new_ids(result: PortalResult, seen: set[int], cap: int) -> set[int]:
@@ -236,8 +226,10 @@ class FederatedResult(PortalResult):
 class FederatedBatchResult:
     """Per-query gathered results plus merged batch accounting.
 
-    ``stats`` sums the shard-level counters (collection is the makespan
-    across shards, matching the scatter's concurrency); ``shard_seconds``
+    ``stats`` sums the shards' streamed maintenance, and its collection
+    is the makespan across shards (matching the scatter's concurrency)
+    plus the slowest top-up; the tick's probe totals are the sum of the
+    merged answers' ``QueryStats``, top-ups included.  ``shard_seconds``
     is the modeled end-to-end seconds each shard spent on its sub-batch
     (processing + collection + streamed-maintenance charge + retry
     penalties) — the federation bench's throughput denominator is its
@@ -1090,7 +1082,6 @@ class FederatedPortal:
         query that routed to it (those results come back partial)
         without failing the tick.
         """
-        wall_start = time.perf_counter()
         self._ensure_index()
         self.stats.batch_ticks += 1
         if not queries:
@@ -1105,13 +1096,12 @@ class FederatedPortal:
         ]
         topup_collection = max(g.topup_seconds for g in gathers)
 
-        stats = BatchStats(queries=len(queries))
+        stats = BatchStats()
         shard_seconds: dict[int, float] = {}
         slot_seconds: list[float] = [0.0]
         for shard_id, batch in batches.items():
             s = batch.stats
-            for name in _BATCH_COUNTERS:
-                setattr(stats, name, getattr(stats, name) + getattr(s, name))
+            stats.maintenance_ops += s.maintenance_ops
             slot = s.collection_seconds + penalties.get(shard_id, 0.0)
             slot_seconds.append(slot)
             shard_seconds[shard_id] = (
@@ -1124,10 +1114,6 @@ class FederatedPortal:
             slot_seconds.append(slot)
             shard_seconds[shard_id] = slot
         stats.collection_seconds = max(slot_seconds) + topup_collection
-        # Coordinator-side wall clock: covers scatter, shard work (which
-        # overlaps on the process backend) and gather — not the shard
-        # sum, which would double-count overlapped work.
-        stats.wall_seconds = time.perf_counter() - wall_start
         # Top-up work lands on the answering shard's own bill too.
         for merged in results:
             for sid, extra in merged.topup_results:

@@ -17,7 +17,9 @@ viewports, the same live sensors).  Per sensor-type tree it
    reading.
 
 Probe work is attributed to each sensor's *owner* (the first requesting
-query); later requesters record ``probes_coalesced``.  A probe round
+query); later requesters record ``probes_coalesced``.  A tick's probe
+totals are the sum of its answers' ``QueryStats`` (``merge`` them):
+``BatchStats`` keeps only what no query owns.  A probe round
 with one participant is that query's own round, booked by the same
 ``COLRTree._book_round`` that books a lone ``COLRTree.query``'s:
 readings in arrival order and, when the dispatcher streams ingestion,
@@ -44,7 +46,6 @@ network RNG draws, same ingestion, same stats):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -73,41 +74,20 @@ __all__ = ["BatchResult", "BatchStats", "execute_batch"]
 
 @dataclass
 class BatchStats:
-    """What one batch tick cost — and what coalescing saved.
+    """What one batch tick cost beyond its queries' own ``QueryStats``.
 
-    ``probes_requested`` counts probe requests across all queries (what
-    sequential execution would have issued from the same cache state);
-    ``probes_issued`` is what actually went over the network after
-    coalescing; the difference is ``probes_coalesced``.
-
-    ``probes_contacted`` is what actually hit the wire after the
-    dispatcher's dedup/cooldown tables (≤ ``probes_issued``), the
-    transport counters break the difference down, ``maintenance_ops``
-    carries the streamed-ingestion trigger work of shared probe rounds
-    (not attributable to one query), and ``collection_seconds`` is the
-    tick's *makespan* when rounds overlap, else the sequential per-tree
-    sum.
-
-    ``collection_seconds`` is *modeled* (simulated-clock) time;
-    ``wall_seconds`` is the real time this process spent executing the
-    batch.  Wall time is measurement noise, not an answer property, so
-    it is excluded from equality — parity tests compare everything
-    else bit-for-bit across executors and federation backends.
+    ``maintenance_ops`` is the streamed-ingestion trigger work of shared
+    probe rounds (not attributable to one query); ``collection_seconds``
+    is the tick's *modeled* collection time: its makespan when rounds
+    overlap, else the sequential per-tree sum.  The tick's probe totals
+    are its answers' ``QueryStats`` summed (``merge``): it issued
+    ``sensors_probed`` probes for ``sensors_probed + probes_coalesced``
+    requests and contacted the network for ``sensors_probed -
+    probes_deduped - probes_cooldown_skipped`` of them.
     """
 
-    queries: int = 0
-    probes_requested: int = 0
-    probes_issued: int = 0
-    probes_contacted: int = 0
-    probes_coalesced: int = 0
-    probes_deduped: int = 0
-    probes_cooldown_skipped: int = 0
-    probes_retried: int = 0
-    probes_timed_out: int = 0
-    batch_shared_plans: int = 0
     maintenance_ops: int = 0
     collection_seconds: float = 0.0
-    wall_seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -136,12 +116,11 @@ def _share_round(
     rnd: "ProbeRound",
     now: float,
     stats: BatchStats,
-    io_base: tuple[int, int, int, int] | None,
-) -> tuple[int, int, int, int] | None:
+) -> None:
     """Attribute a probe round several queries shared: each sensor's
     probe, outcome and ingestion to its owner, its reading to every
     requester.  Streamed maintenance cannot be split by query and is the
-    tick's.  Returns the storage counters the next charge starts from."""
+    tick's."""
     n = len(scans)
     readings = rnd.readings
     owned = _tally(owner, n, union)
@@ -168,10 +147,7 @@ def _share_round(
         if not to_probe:
             continue
         qstats = answer.stats
-        stats.probes_requested += len(to_probe)
-        coalesced = len(to_probe) - owned[local]
-        stats.probes_coalesced += coalesced
-        qstats.probes_coalesced += coalesced
+        qstats.probes_coalesced += len(to_probe) - owned[local]
         qstats.sensors_probed += owned[local]
         qstats.probe_successes += successes[local]
         qstats.probes_deduped += deduped[local]
@@ -185,16 +161,10 @@ def _share_round(
         answer.probed_readings.extend(
             readings[sid] for sid in to_probe if sid in readings
         )
-        if owned[local]:
-            if not streaming and fresh[local]:
-                qstats.maintenance_ops += tree.insert_readings_batch(
-                    fresh[local], fetched_at=now
-                )
-            # The I/O since the last charge is this query's own ingestion
-            # — or, for the first owner after a streamed drain, what the
-            # drain journaled for the whole tick.
-            io_base = tree._meter_storage(qstats, io_base)
-    return io_base
+        if not streaming and fresh[local]:
+            qstats.maintenance_ops += tree.insert_readings_batch(
+                fresh[local], fetched_at=now
+            )
 
 
 def execute_batch(
@@ -205,8 +175,7 @@ def execute_batch(
     Implementation of :meth:`SensorMapPortal.execute_batch`; see the
     module docstring for the phase structure.
     """
-    wall_start = time.perf_counter()
-    stats = BatchStats(queries=len(queries))
+    stats = BatchStats()
     if not queries:
         return BatchResult(stats=stats)
     portal._ensure_index()
@@ -277,7 +246,6 @@ def execute_batch(
                 union, owner = scans[0][1], None
             else:
                 union, owner = coalesce_probes([to_probe for _, to_probe in scans])
-            stats.probes_issued += len(union)
             rnd = None
             if union:
                 staleness = min(queries[qi].staleness_seconds for qi in query_indices)
@@ -288,12 +256,7 @@ def execute_batch(
         # Pass 2 — drain the group's rounds to resolution (in overlap mode
         # they share the connection pool and event queue; otherwise they
         # resolve one at a time in submission order).
-        # Storage I/O is metered from here on: streamed ingestion journals
-        # during the drain, the explicit ingestion of pass 3 as it runs.
-        io_base = None
         if rounds:
-            if portal.storage is not None:
-                io_base = portal.storage.stats.io_counters()
             dispatcher.drain(rounds)
 
         # Pass 3 — per-query attribution.
@@ -301,31 +264,18 @@ def execute_batch(
         for tree, query_indices, scans, union, owner, rnd in submitted:
             if rnd is not None:  # else no scan has anything to probe
                 latencies.append(rnd.latency_seconds)
-                stats.probes_contacted += len(rnd.contacted)
-                stats.probes_deduped += len(rnd.deduped)
-                stats.probes_cooldown_skipped += len(rnd.cooldown_skipped)
-                stats.probes_retried += rnd.retries
-                stats.probes_timed_out += len(rnd.timed_out)
-            if len(scans) == 1:
-                # One participant: the round is that query's own, booked
-                # as a lone query's probe round is.
-                answer, to_probe = scans[0]
-                stats.probes_requested += len(to_probe)
-                if rnd is not None:
+                if len(scans) == 1:
+                    # One participant: the round is that query's own,
+                    # booked as a lone query's probe round is.
+                    answer, to_probe = scans[0]
                     answer.probed_readings.extend(
-                        tree._book_round(rnd, len(to_probe), now, answer.stats, io_base)
+                        tree._book_round(rnd, len(to_probe), now, answer.stats)
                     )
-                    io_base = tree._storage_io()
-            elif rnd is not None:
-                io_base = _share_round(
-                    tree, scans, union, owner, rnd, now, stats, io_base
-                )
+                else:
+                    _share_round(tree, scans, union, owner, rnd, now, stats)
             for local, (qi, (answer, to_probe)) in enumerate(
                 zip(query_indices, scans)
             ):
-                if answer.stats.batch_shared_nodes:
-                    stats.batch_shared_plans += 1
-                tree.stats.record(answer.stats)
                 answers[qi, tree] = answer
                 if qi in plans:
                     # The plan's cells, booked on the planned answer, and
@@ -347,8 +297,8 @@ def execute_batch(
             stats.collection_seconds += sum(latencies)
 
     # Sampled queries run one after another once the exact phase is done:
-    # the tick books their probes and adds their collection.  Their
-    # maintenance stays theirs (it is in their processing seconds).
+    # the tick adds their collection.  Their probes and maintenance stay
+    # theirs (the maintenance is in their processing seconds).
     for qi in sampled:
         query = queries[qi]
         trees, sample_size = resolved[qi]
@@ -360,17 +310,7 @@ def execute_batch(
                 sample_size=sample_size,
                 terminal_level=query.zoom_level,
             )
-            s = answer.stats
-            stats.probes_requested += s.sensors_probed
-            stats.probes_issued += s.sensors_probed
-            stats.probes_contacted += (
-                s.sensors_probed - s.probes_deduped - s.probes_cooldown_skipped
-            )
-            stats.probes_deduped += s.probes_deduped
-            stats.probes_cooldown_skipped += s.probes_cooldown_skipped
-            stats.probes_retried += s.probes_retried
-            stats.probes_timed_out += s.probes_timed_out
-            stats.collection_seconds += s.collection_latency_seconds
+            stats.collection_seconds += answer.stats.collection_latency_seconds
 
     results: list[PortalResult] = []
     cost_model = portal.cost_model
@@ -402,5 +342,4 @@ def execute_batch(
                 *extras,
             )
         )
-    stats.wall_seconds = time.perf_counter() - wall_start
     return BatchResult(results=results, stats=stats)

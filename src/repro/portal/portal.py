@@ -297,11 +297,9 @@ class SensorMapPortal:
         self._attach_wal_sink()
 
     def _attach_wal_sink(self) -> None:
-        """From here every acknowledged ingestion flows into the log and
-        every query meters the disk I/O it caused."""
+        """From here every acknowledged ingestion flows into the log."""
         for tree in self._trees.values():
             tree.wal_sink = self._journal_ingest
-            tree.storage_meter = self.storage.stats
 
     def _prime_recovered(self) -> None:
         """Re-install recovered cache batches into freshly built trees.
@@ -533,10 +531,9 @@ class SensorMapPortal:
     execute_polygon = execute
 
     def stats(self) -> dict[str, object]:
-        """Operational summary: per-type index shape, cache occupancy,
-        cumulative query/probe totals, and each layer's counters as its
-        owner keeps them (``NetworkStats``, ``TransportStats``,
-        ``StorageStats``)."""
+        """Operational summary: per-type index shape and cache
+        occupancy, and each layer's counters as its owner keeps them
+        (``NetworkStats``, ``TransportStats``, ``StorageStats``)."""
         self._ensure_index()
         per_type = {}
         for name, tree in self._trees.items():
@@ -544,9 +541,6 @@ class SensorMapPortal:
                 "sensors": len(tree),
                 "height": tree.height(),
                 "cached_readings": tree.cached_reading_count,
-                "queries": tree.stats.queries,
-                "sensors_probed": tree.stats.totals.sensors_probed,
-                "cached_nodes_accessed": tree.stats.totals.cached_nodes_accessed,
             }
         transport = self._dispatcher.stats
         summary: dict[str, object] = {

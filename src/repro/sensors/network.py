@@ -59,8 +59,8 @@ class NetworkStats:
     """Cumulative wire-level probe accounting for an experiment run.
 
     Every counter has one owner: the dispatcher's retries, dedup hits
-    and cooldown skips are ``TransportStats``', a batch tick's
-    coalescing is ``BatchStats``', disk I/O is ``StorageStats``'."""
+    and cooldown skips are ``TransportStats``', a query's coalescing is
+    its ``QueryStats``', disk I/O is ``StorageStats``'."""
 
     probes_attempted: int = 0
     probes_succeeded: int = 0

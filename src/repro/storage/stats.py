@@ -4,10 +4,9 @@ One :class:`StorageStats` instance rides on each
 :class:`~repro.storage.engine.StorageEngine` (and on any standalone
 :class:`~repro.storage.pager.Pager`); every page read/write and WAL
 append/fsync bumps a counter.  This is the counters' one owner: a
-portal's ``stats()`` reports it as its ``storage`` block, each query's
-share of the serving-path deltas is metered into its ``QueryStats``,
-and the recovery-time model converts the replay counters into
-deterministic modeled seconds.
+portal's ``stats()`` reports it as its ``storage`` block, and the
+recovery-time model converts the replay counters into deterministic
+modeled seconds.
 """
 
 from __future__ import annotations
@@ -30,12 +29,3 @@ class StorageStats:
     torn_tail_truncations: int = 0
     checkpoints: int = 0
     recoveries: int = 0
-
-    def io_counters(self) -> tuple[int, int, int, int]:
-        """The four serving-path counters, for cheap delta metering."""
-        return (
-            self.page_reads,
-            self.page_writes,
-            self.wal_appends,
-            self.wal_fsyncs,
-        )

@@ -65,12 +65,6 @@ class TestFlatCache:
         answer = cache.query(region, now=0.0, max_staleness=600.0, sample_size=5)
         assert answer.stats.sensors_probed == len(within(registry, region))
 
-    def test_stats_accumulate(self, setup):
-        _, cache = setup
-        cache.query(Rect(0, 0, 10, 10), now=0.0, max_staleness=600.0)
-        cache.query(Rect(0, 0, 10, 10), now=1.0, max_staleness=600.0)
-        assert cache.stats.queries == 2
-
 
 class TestFactories:
     def test_configs_wired(self):

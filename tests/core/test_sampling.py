@@ -154,13 +154,6 @@ class TestTerminalRecords:
 
 
 class TestStatsAccounting:
-    def test_tree_stats_accumulate(self, registry):
-        tree = make_tree(registry)
-        tree.query(Rect(0, 0, 50, 50), now=0.0, max_staleness=600.0, sample_size=20)
-        tree.query(Rect(0, 0, 50, 50), now=1.0, max_staleness=600.0, sample_size=20)
-        assert tree.stats.queries == 2
-        assert tree.stats.totals.nodes_traversed > 0
-
     def test_processing_latency_positive(self, registry):
         tree = make_tree(registry)
         answer = tree.query(Rect(0, 0, 50, 50), now=0.0, max_staleness=600.0, sample_size=20)

@@ -6,7 +6,6 @@ from repro.core.stats import (
     QUERY_STATS_FIELDS,
     ProcessingCostModel,
     QueryStats,
-    TreeStats,
 )
 
 
@@ -33,15 +32,6 @@ class TestQueryStats:
         total.merge(ones)
         total.merge(ones)
         assert total == QueryStats(**{name: 2 for name in QUERY_STATS_FIELDS})
-
-
-class TestTreeStats:
-    def test_record_and_reset(self):
-        tree_stats = TreeStats()
-        tree_stats.record(QueryStats(nodes_traversed=4))
-        tree_stats.record(QueryStats(nodes_traversed=6))
-        assert tree_stats.queries == 2
-        assert tree_stats.totals.nodes_traversed == 10
 
 
 class TestProcessingCostModel:

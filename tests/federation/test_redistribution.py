@@ -135,6 +135,35 @@ class TestTopupShardFailure:
         assert result.topup_sensors_gained > 0
 
 
+class TestTopupIsCounted:
+    """A federated tick's probe totals are the sum of its merged
+    answers' stats, so the top-up rounds' probes count as the first
+    round's do."""
+
+    def test_tick_contacts_equal_the_shards_wire_attempts(self):
+        fed = _skewed_federation(rounds=1)
+        before = sum(s.network.stats.probes_attempted for s in fed.shards())
+        batch = fed.execute_batch([_query()])
+        attempted = sum(s.network.stats.probes_attempted for s in fed.shards())
+        (result,) = batch.results
+        assert result.redistribution_rounds_run == 1
+        assert result.topup_sensors_gained > 0
+        contacts = sum(
+            a.stats.sensors_probed
+            - a.stats.probes_deduped
+            - a.stats.probes_cooldown_skipped
+            for a in result.answers
+        )
+        assert contacts == attempted - before
+        # The top-up's own probes are in that count.
+        topup = sum(
+            a.stats.sensors_probed
+            for _, extra in result.topup_results
+            for a in extra.answers
+        )
+        assert topup > 0
+
+
 class TestExplainMatchesExecute:
     """Satellite: EXPLAIN's scatter and redistribution plan describe
     what execute actually does on the same portal."""

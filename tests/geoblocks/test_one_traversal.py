@@ -105,7 +105,7 @@ class TestOneRoundPerTree:
         assert [a.stats.probe_batches for a in planned.answers] == [1, 1]
         assert sum(a.stats.sensors_probed for a in planned.answers) == 0
         assert sum(a.stats.probes_coalesced for a in planned.answers) > 0
-        assert batch.stats.probes_issued == sum(
+        assert portal.network.stats.probes_attempted == sum(
             a.stats.sensors_probed for a in viewport.answers
         )
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.shared_scan import ScanRequest, coalesce_probes, shared_range_scan
 from repro.geometry import GeoPoint, Rect
-from repro.portal import SensorMapPortal, SensorQuery
+from repro.portal import BatchStats, SensorMapPortal, SensorQuery
 
 
 def build_portal(
@@ -101,13 +101,18 @@ class TestExecuteBatch:
         monkeypatch.setattr(network, "sample_attempts", recording_sample)
         batch = portal.execute_batch([QUERY_A, QUERY_B, QUERY_A2])
         net = network.stats
+        answers = [r.answers[0] for r in batch.results]
+        issued = sum(a.stats.sensors_probed for a in answers)
         assert net.batches == 1
-        assert net.probes_attempted == batch.stats.probes_issued == len(contacts)
+        assert net.probes_attempted == issued == len(contacts)
         assert len(set(contacts)) == len(contacts)
-        assert batch.stats.probes_coalesced == (
-            batch.stats.probes_requested - batch.stats.probes_issued
-        )
-        assert batch.stats.probes_coalesced > 0
+        assert sum(a.stats.probes_coalesced for a in answers) > 0
+        # Every sensor a query asked for was issued by it or coalesced
+        # into a peer's probe (all sensors answer at availability 1).
+        for answer in answers:
+            assert len(answer.probed_readings) == (
+                answer.stats.sensors_probed + answer.stats.probes_coalesced
+            )
 
     def test_readings_fan_out_to_every_requester(self):
         portal = build_portal()
@@ -128,7 +133,7 @@ class TestExecuteBatch:
         total_probed = sum(
             r.answers[0].stats.sensors_probed for r in batch.results
         )
-        assert total_probed == batch.stats.probes_issued
+        assert total_probed == portal.network.stats.probes_attempted
 
     def test_answer_parity_with_sequential(self):
         seq_portal = build_portal()
@@ -171,13 +176,13 @@ class TestExecuteBatch:
         batch = portal.execute_batch([QUERY_A, sampled, QUERY_A2])
         assert batch.results[1].result_weight > 0
         assert batch.results[0].result_weight == batch.results[2].result_weight
-        assert batch.stats.probes_coalesced > 0
+        assert sum(r.answers[0].stats.probes_coalesced for r in batch.results) > 0
 
     def test_empty_batch(self):
         portal = build_portal()
         batch = portal.execute_batch([])
         assert batch.results == []
-        assert batch.stats.queries == 0
+        assert batch.stats == BatchStats()
 
     def test_unknown_type_raises(self):
         portal = build_portal()

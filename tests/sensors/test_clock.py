@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from repro.sensors import SimClock
@@ -32,3 +34,22 @@ class TestSimClock:
     def test_advance_to_past_is_noop(self):
         clock = SimClock(10.0)
         assert clock.advance_to(5.0) == 10.0
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_non_finite_advance_rejected(self, seconds):
+        clock = SimClock(10.0)
+        with pytest.raises(ValueError):
+            clock.advance(seconds)
+        assert clock.now() == 10.0
+
+    @pytest.mark.parametrize("instant", [math.nan, math.inf, -math.inf])
+    def test_non_finite_advance_to_rejected(self, instant):
+        clock = SimClock(10.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(instant)
+        assert clock.now() == 10.0
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            SimClock(start)

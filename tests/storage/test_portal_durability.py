@@ -91,8 +91,7 @@ class TestCrashRecovery:
 
     def test_storage_counters_surface_in_stats(self, tmp_path):
         portal = open_portal(make_fleet(), tmp_path)
-        result = portal.execute(QUERY)
-        assert sum(a.stats.wal_appends for a in result.answers) > 0
+        portal.execute(QUERY)
         summary = portal.stats()
         assert summary["storage"]["wal_appends"] > 0
         portal.close()

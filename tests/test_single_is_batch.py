@@ -289,8 +289,4 @@ class TestSampledQueriesBillTheTick:
         (result,) = batch.results
         probed = sum(a.stats.sensors_probed for a in result.answers)
         assert probed > 0
-        assert batch.stats.probes_requested == batch.stats.probes_issued == probed
         assert batch.stats.collection_seconds == result.collection_seconds > 0.0
-        assert batch.stats.probes_retried == sum(
-            a.stats.probes_retried for a in result.answers
-        )
