@@ -1,21 +1,8 @@
-"""The experiment harness: one driver per paper figure.
+"""The benchmarks: nine subsystem benches and the paper's figures, all
+run by :mod:`repro.bench.runner`.
 
-Each ``figN`` module exposes a ``run_figN(...)`` function that executes
-the experiment at a configurable scale and returns a structured result
-whose ``rows()`` / ``format_table()`` output mirrors the series the
-paper plots.  ``benchmarks/`` wraps these drivers in pytest-benchmark
-targets; EXPERIMENTS.md records measured-vs-paper shape.
+Each bench module exposes ``BENCH``, a :class:`~repro.bench.runner.Bench`
+record; ``python -m repro.bench NAME...`` (or ``repro bench NAME...``)
+runs it and writes ``BENCH_<name>.json``.  EXPERIMENTS.md records
+measured-vs-paper shape for the figures.
 """
-
-from repro.bench.harness import QueryRecord, RunResult, run_query_stream
-from repro.bench.binning import bin_by_result_size, ideal_result_sizes
-from repro.bench.report import format_table
-
-__all__ = [
-    "QueryRecord",
-    "RunResult",
-    "run_query_stream",
-    "bin_by_result_size",
-    "ideal_result_sizes",
-    "format_table",
-]

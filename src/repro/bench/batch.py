@@ -15,7 +15,7 @@ from a small pool of hotspots (many users staring at the same few
 places), at 1/8/64/256 concurrent queries over >=40k sensors.
 
 Throughput is measured in the repo's end-to-end cost convention (see
-``bench.harness.QueryRecord.end_to_end_seconds``): modeled processing
+``repro.portal.PortalResult.end_to_end_seconds``): modeled processing
 seconds plus simulated collection latency.  Sequential execution
 serializes one collection round per query; a batch tick pays one shared
 round per tree.  Host wall-clock per pass is reported as a secondary

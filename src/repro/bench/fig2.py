@@ -4,13 +4,13 @@ Reproduces the sweep of Section IV-C under the calibrated reference
 workload: three expiry profiles (Uniform / USGS-like / Weather-like),
 ratio curves over a Δ grid, and the per-workload optimum.  The paper
 reports optima of 0.5 (Uniform), 0.8 (USGS) and 0.2 (Weather).
+
+    python -m repro.bench fig2 [--quick]
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.bench.report import WallTimer, format_table
+from repro.bench.runner import Bench
 from repro.core.slot_sizing import (
     FIG2_WORKLOAD,
     SlotSizeModel,
@@ -26,55 +26,42 @@ from repro.workloads.expiry import (
 PAPER_OPTIMA = {"uniform": 0.5, "usgs": 0.8, "weather": 0.2}
 
 
-@dataclass
-class Fig2Result:
-    deltas: list[float]
-    curves: dict[str, list[float]]
-    optima: dict[str, float]
-    wall_seconds: float = 0.0
-
-    def rows(self) -> list[list[object]]:
-        out: list[list[object]] = []
-        for i, d in enumerate(self.deltas):
-            out.append([d] + [self.curves[name][i] for name in sorted(self.curves)])
-        return out
-
-    def format_table(self) -> str:
-        headers = ["delta"] + sorted(self.curves)
-        table = format_table(
-            headers,
-            self.rows(),
-            title="Figure 2: utility/cost vs slot size",
-            wall_seconds=self.wall_seconds,
-        )
-        optima = ", ".join(
-            f"{name}: Δ*={self.optima[name]:.2f} (paper {PAPER_OPTIMA[name]:.1f})"
-            for name in sorted(self.optima)
-        )
-        return f"{table}\noptima — {optima}"
-
-
-def run_fig2(n_samples: int = 4000, seed: int = 3) -> Fig2Result:
+def run(n_samples: int, seed: int) -> dict:
     """Sweep the Δ grid for all three expiry workloads."""
-    with WallTimer() as timer:
-        profiles = {
-            "uniform": uniform_expiry(n_samples, seed=seed),
-            "usgs": usgs_like_expiry(n_samples, seed=seed),
-            "weather": weather_like_expiry(n_samples, seed=seed),
-        }
-        deltas = default_delta_grid()
-        curves: dict[str, list[float]] = {}
-        optima: dict[str, float] = {}
-        for name, samples in profiles.items():
-            model = SlotSizeModel(
-                expiry_samples=tuple(float(x) for x in samples), **FIG2_WORKLOAD
-            )
-            curves[name] = [model.ratio(d) for d in deltas]
-            optima[name] = optimal_slot_size(model, deltas)
-    return Fig2Result(
-        deltas=deltas, curves=curves, optima=optima, wall_seconds=timer.seconds
-    )
+    profiles = {
+        "uniform": uniform_expiry(n_samples, seed=seed),
+        "usgs": usgs_like_expiry(n_samples, seed=seed),
+        "weather": weather_like_expiry(n_samples, seed=seed),
+    }
+    deltas = default_delta_grid()
+    curves: dict[str, list[float]] = {}
+    optima: dict[str, float] = {}
+    for name, samples in profiles.items():
+        model = SlotSizeModel(
+            expiry_samples=tuple(float(x) for x in samples), **FIG2_WORKLOAD
+        )
+        curves[name] = [model.ratio(d) for d in deltas]
+        optima[name] = optimal_slot_size(model, deltas)
+    return {
+        "phases": {
+            "optima": optima,
+            "utility_cost_ratio": {"deltas": deltas, **curves},
+        },
+        "checks": {
+            "fig2_optima_match_paper": all(
+                abs(optima[name] - paper) < 1e-9 for name, paper in PAPER_OPTIMA.items()
+            ),
+            "fig2_curves_peak_at_optimum": all(
+                deltas[curve.index(max(curve))] == optima[name]
+                for name, curve in curves.items()
+            ),
+        },
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig2().format_table())
+BENCH = Bench(
+    name="fig2",
+    full={"n_samples": 4000, "seed": 3},
+    quick={"n_samples": 4000, "seed": 3},
+    run=run,
+)

@@ -12,125 +12,101 @@ Paper shape: COLR-Tree probes 30-100x fewer sensors than the
 collection-agnostic configurations, cuts processing latency 3-5x vs
 the hierarchical cache (≈40 ms absolute), and its probe curve bends at
 a freshness of ≈4 minutes as the cache covers more of each query.
+
+    python -m repro.bench fig4 [--quick]
+
+One phase per window holds the panels' columns (mean probes and modeled
+processing milliseconds per system, and the ratios to COLR-Tree); the
+``summary`` phase holds the paper's headline claims over the sweep.
+The checks' thresholds are scaled: the paper's 30-100x assumes the
+370 k-sensor Live Local density, and ratios grow with density (see
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.bench.harness import RunResult, run_query_stream
-from repro.bench.report import WallTimer, format_table
-from repro.bench.setup import EvalSetup
+from repro.bench.fleets import EvalSetup, run_query_stream
+from repro.bench.runner import Bench
 
 
-@dataclass
-class Fig4Row:
-    freshness_seconds: float
-    probes: dict[str, float]
-    latency: dict[str, float]
-
-    def probe_ratio(self, name: str) -> float:
-        return self.probes[name] / max(1e-9, self.probes["colr_tree"])
-
-    def latency_ratio(self, name: str) -> float:
-        return self.latency[name] / max(1e-9, self.latency["colr_tree"])
-
-
-@dataclass
-class Fig4Result:
-    rows: list[Fig4Row]
-    wall_seconds: float = 0.0
-
-    def format_table(self) -> str:
-        table_rows = []
-        for row in self.rows:
-            table_rows.append(
-                [
-                    row.freshness_seconds / 60.0,
-                    row.probes["flat_cache"],
-                    row.probes["hier_cache"],
-                    row.probes["colr_tree"],
-                    row.probe_ratio("flat_cache"),
-                    row.probe_ratio("hier_cache"),
-                    row.latency["flat_cache"] * 1e3,
-                    row.latency["hier_cache"] * 1e3,
-                    row.latency["colr_tree"] * 1e3,
-                    row.latency_ratio("hier_cache"),
-                ]
-            )
-        return format_table(
-            [
-                "fresh_min",
-                "probes_flat",
-                "probes_hier",
-                "probes_colr",
-                "probe_x_flat",
-                "probe_x_hier",
-                "lat_flat_ms",
-                "lat_hier_ms",
-                "lat_colr_ms",
-                "lat_x_hier",
-            ],
-            table_rows,
-            title="Figure 4: probes and processing latency vs freshness window",
-            wall_seconds=self.wall_seconds,
-        )
-
-    def summary(self) -> dict[str, float]:
-        """The paper's headline claims over the sweep."""
-        max_flat_ratio = max(r.probe_ratio("flat_cache") for r in self.rows)
-        mean_hier_lat_ratio = sum(r.latency_ratio("hier_cache") for r in self.rows) / len(
-            self.rows
-        )
-        mean_colr_ms = sum(r.latency["colr_tree"] for r in self.rows) / len(self.rows) * 1e3
-        return {
-            "max_probe_reduction_vs_flat": max_flat_ratio,
-            "mean_latency_ratio_hier_over_colr": mean_hier_lat_ratio,
-            "mean_colr_processing_ms": mean_colr_ms,
-        }
-
-
-def run_fig4(
-    setup: EvalSetup | None = None,
-    freshness_windows: list[float] | None = None,
-) -> Fig4Result:
+def run(n_sensors: int, n_queries: int, windows: list[float]) -> dict:
     """Sweep freshness windows; fresh systems per point (cold caches)."""
-    setup = setup if setup is not None else EvalSetup()
-    windows = (
-        freshness_windows
-        if freshness_windows is not None
-        else [60.0, 120.0, 240.0, 360.0, 480.0, 600.0]
-    )
-    rows: list[Fig4Row] = []
-    with WallTimer() as timer:
-        for w in windows:
-            queries = [
-                q.__class__(
-                    region=q.region,
-                    at_time=q.at_time,
-                    staleness_seconds=w,
-                    sample_size=q.sample_size,
-                )
-                for q in setup.queries
+    setup = EvalSetup(n_sensors=n_sensors, n_queries=n_queries)
+    phases: dict[str, dict] = {}
+    # Per system, one mean per window: probes, and modeled seconds.
+    probes: dict[str, list[float]] = {"flat": [], "hier": [], "colr": []}
+    latency: dict[str, list[float]] = {"flat": [], "hier": [], "colr": []}
+    for w in windows:
+        queries = [
+            q.__class__(
+                region=q.region,
+                at_time=q.at_time,
+                staleness_seconds=w,
+                sample_size=q.sample_size,
+            )
+            for q in setup.queries
+        ]
+        systems = {
+            "flat": (setup.make_flat_cache(), False),
+            "hier": (setup.make_hierarchical_cache(), False),
+            "colr": (setup.make_colr_tree(), True),
+        }
+        for short, (system, sampling) in systems.items():
+            stream = run_query_stream(system, queries, use_sampling=sampling)
+            probes[short].append(stream.mean("sensors_probed"))
+            latency[short].append(stream.mean("processing_seconds"))
+        p = {short: series[-1] for short, series in probes.items()}
+        lat = {short: series[-1] for short, series in latency.items()}
+        phases[f"fresh_{w:g}s"] = {
+            "fresh_min": w / 60.0,
+            **{f"probes_{short}": p[short] for short in systems},
+            "probe_x_flat": p["flat"] / max(1e-9, p["colr"]),
+            "probe_x_hier": p["hier"] / max(1e-9, p["colr"]),
+            **{f"lat_{short}_ms": lat[short] * 1e3 for short in systems},
+            "lat_x_hier": lat["hier"] / max(1e-9, lat["colr"]),
+        }
+    rows = list(phases.values())
+    n = len(windows)
+    phases["summary"] = {
+        "max_probe_reduction_vs_flat": max(r["probe_x_flat"] for r in rows),
+        "mean_latency_ratio_hier_over_colr": sum(r["lat_x_hier"] for r in rows) / n,
+        "mean_colr_processing_ms": sum(latency["colr"]) / n * 1e3,
+    }
+    summary = phases["summary"]
+    return {
+        "phases": phases,
+        "checks": {
+            "fig4_probes_flat_over_colr_gt_3x_every_window": all(
+                r["probe_x_flat"] > 3.0 for r in rows
+            ),
+            "fig4_probes_hier_over_colr_gt_3x_every_window": all(
+                r["probe_x_hier"] > 3.0 for r in rows
+            ),
+            "fig4_latency_flat_gt_hier_every_window": all(
+                f > h for f, h in zip(latency["flat"], latency["hier"])
+            ),
+            "fig4_latency_hier_gt_colr_every_window": all(
+                h > c for h, c in zip(latency["hier"], latency["colr"])
+            ),
+            "fig4_mean_latency_hier_over_colr_gt_1_5x": summary[
+                "mean_latency_ratio_hier_over_colr"
             ]
-            systems = {
-                "flat_cache": (setup.make_flat_cache(), False),
-                "hier_cache": (setup.make_hierarchical_cache(), False),
-                "colr_tree": (setup.make_colr_tree(), True),
-            }
-            probes: dict[str, float] = {}
-            latency: dict[str, float] = {}
-            for name, (system, sampling) in systems.items():
-                run: RunResult = run_query_stream(
-                    system, queries, use_sampling=sampling
-                )
-                probes[name] = run.mean("sensors_probed")
-                latency[name] = run.mean("processing_seconds")
-            rows.append(Fig4Row(freshness_seconds=w, probes=probes, latency=latency))
-    return Fig4Result(rows=rows, wall_seconds=timer.seconds)
+            > 1.5,
+            "fig4_colr_probes_fall_from_first_to_last_window": probes["colr"][0]
+            > probes["colr"][-1],
+            "fig4_mean_colr_processing_lt_100ms": summary["mean_colr_processing_ms"]
+            < 100.0,
+        },
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    result = run_fig4()
-    print(result.format_table())
-    print(result.summary())
+BENCH = Bench(
+    name="fig4",
+    full={
+        "n_sensors": 40_000,
+        "n_queries": 500,
+        "windows": [60.0, 120.0, 240.0, 360.0, 480.0, 600.0],
+    },
+    quick={"n_sensors": 25_000, "n_queries": 250, "windows": [60.0, 240.0, 600.0]},
+    run=run,
+)

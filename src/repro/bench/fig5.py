@@ -9,85 +9,82 @@ metric; at small sample sizes the cache limit barely matters; and as
 the cache limit grows, the sample size's effect diminishes (the gap
 between sample-size rows narrows from the 16% column to the 32%
 column) — sampling matters most when caches must stay small.
+
+    python -m repro.bench fig5 [--quick]
+
+The checks compare the sweep's corners: the smallest and largest cache
+fraction at the smallest and largest target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.bench.harness import run_query_stream
-from repro.bench.report import WallTimer, format_table
-from repro.bench.setup import EvalSetup
+from repro.bench.fleets import EvalSetup, run_query_stream
+from repro.bench.runner import Bench
 
 
-@dataclass(frozen=True, slots=True)
-class Fig5Cell:
-    cache_fraction: float
-    sample_size: int
-    mean_probes: float
-    mean_latency_seconds: float
-    mean_nodes_traversed: float
+def cell_name(fraction: float, target: int) -> str:
+    """The phase of one sweep cell (Figures 5 and 6)."""
+    return f"cache_{fraction:g}_target_{target}"
 
 
-@dataclass
-class Fig5Result:
-    cells: list[Fig5Cell]
-    wall_seconds: float = 0.0
-
-    def cell(self, cache_fraction: float, sample_size: int) -> Fig5Cell:
-        for c in self.cells:
-            if c.cache_fraction == cache_fraction and c.sample_size == sample_size:
-                return c
-        raise KeyError((cache_fraction, sample_size))
-
-    def format_table(self) -> str:
-        rows = [
-            [
-                f"{c.cache_fraction:.0%}",
-                c.sample_size,
-                c.mean_probes,
-                c.mean_latency_seconds * 1e3,
-                c.mean_nodes_traversed,
-            ]
-            for c in self.cells
-        ]
-        return format_table(
-            ["cache_limit", "sample_size", "probes", "latency_ms", "nodes_traversed"],
-            rows,
-            title="Figure 5: cache limit x sample size",
-            wall_seconds=self.wall_seconds,
-        )
-
-
-def run_fig5(
-    setup: EvalSetup | None = None,
-    cache_fractions: list[float] | None = None,
-    sample_sizes: list[int] | None = None,
-) -> Fig5Result:
+def run(
+    n_sensors: int,
+    n_queries: int,
+    cache_fractions: list[float],
+    sample_sizes: list[int],
+) -> dict:
     """Run the full sweep; fresh system per cell."""
-    setup = setup if setup is not None else EvalSetup()
-    fractions = cache_fractions if cache_fractions is not None else [0.16, 0.24, 0.32]
-    targets = sample_sizes if sample_sizes is not None else [100, 1000, 10000]
-    cells: list[Fig5Cell] = []
-    with WallTimer() as timer:
-        for fraction in fractions:
-            capacity = setup.cache_capacity_for_fraction(fraction)
-            for target in targets:
-                system = setup.make_colr_tree(
-                    setup.config.with_cache_capacity(capacity)
-                )
-                run = run_query_stream(system, setup.queries, sample_size=target)
-                cells.append(
-                    Fig5Cell(
-                        cache_fraction=fraction,
-                        sample_size=target,
-                        mean_probes=run.mean("sensors_probed"),
-                        mean_latency_seconds=run.mean("processing_seconds"),
-                        mean_nodes_traversed=run.mean("nodes_traversed"),
-                    )
-                )
-    return Fig5Result(cells=cells, wall_seconds=timer.seconds)
+    setup = EvalSetup(n_sensors=n_sensors, n_queries=n_queries)
+    phases: dict[str, dict] = {}
+    for fraction in cache_fractions:
+        capacity = setup.cache_capacity_for_fraction(fraction)
+        for target in sample_sizes:
+            system = setup.make_colr_tree(setup.config.with_cache_capacity(capacity))
+            stream = run_query_stream(system, setup.queries, sample_size=target)
+            phases[cell_name(fraction, target)] = {
+                "mean_probes": stream.mean("sensors_probed"),
+                "mean_latency_seconds": stream.mean("processing_seconds"),
+                "mean_nodes_traversed": stream.mean("nodes_traversed"),
+            }
+    lo, hi = min(cache_fractions), max(cache_fractions)
+    small, large = min(sample_sizes), max(sample_sizes)
+    lo_small, lo_large, hi_small, hi_large = (
+        phases[cell_name(f, t)] for f in (lo, hi) for t in (small, large)
+    )
+    probes, latency = "mean_probes", "mean_latency_seconds"
+    return {
+        "phases": phases,
+        "checks": {
+            "fig5_bigger_cache_fewer_probes_at_large_target": hi_large[probes]
+            < lo_large[probes],
+            "fig5_bigger_cache_no_slower_at_large_target": hi_large[latency]
+            <= lo_large[latency],
+            # pytest.approx(rel=0.15, abs=2.0) around the bigger cache's probes.
+            "fig5_cache_limit_within_15pct_at_small_target": abs(
+                lo_small[probes] - hi_small[probes]
+            )
+            <= max(0.15 * abs(hi_small[probes]), 2.0),
+            "fig5_target_gap_narrower_at_bigger_cache": hi_large[probes] - hi_small[probes]
+            < lo_large[probes] - lo_small[probes],
+            "fig5_larger_target_traverses_more_nodes": lo_large["mean_nodes_traversed"]
+            > lo_small["mean_nodes_traversed"],
+        },
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig5().format_table())
+BENCH = Bench(
+    name="fig5",
+    full={
+        "n_sensors": 40_000,
+        "n_queries": 500,
+        "cache_fractions": [0.16, 0.24, 0.32],
+        "sample_sizes": [100, 1000, 10000],
+    },
+    quick={
+        "n_sensors": 10_000,
+        "n_queries": 250,
+        "cache_fractions": [0.16, 0.32],
+        "sample_sizes": [30, 1000],
+    },
+    run=run,
+)

@@ -7,63 +7,31 @@ noise-free regional mean.
 
 Paper shape: the error falls quickly with sample size; ~15 sampled
 sensors already land within 10%.
+
+    python -m repro.bench fig7 [--quick]
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from repro.bench.harness import StreamSummary
-from repro.bench.report import WallTimer, format_table
+from repro.bench.report import StreamSummary
+from repro.bench.runner import Bench
 from repro.core.config import COLRTreeConfig
 from repro.core.tree import COLRTree
 from repro.sensors.network import SensorNetwork
 from repro.workloads.usgs import WA_BBOX, UsgsWaWorkload
 
-
-@dataclass(frozen=True, slots=True)
-class Fig7Point:
-    sample_size: int
-    mean_relative_error: float
-    p90_relative_error: float
+SEED = 0
 
 
-@dataclass
-class Fig7Result:
-    points: list[Fig7Point]
-    wall_seconds: float = 0.0
-
-    def error_at(self, sample_size: int) -> float:
-        for p in self.points:
-            if p.sample_size == sample_size:
-                return p.mean_relative_error
-        raise KeyError(sample_size)
-
-    def format_table(self) -> str:
-        rows = [
-            [p.sample_size, p.mean_relative_error, p.p90_relative_error]
-            for p in self.points
-        ]
-        return format_table(
-            ["sample_size", "mean_rel_err", "p90_rel_err"],
-            rows,
-            title="Figure 7: approximation error vs sample size (USGS WA)",
-            wall_seconds=self.wall_seconds,
-        )
-
-
-def run_fig7(
-    sample_sizes: list[int] | None = None,
-    n_trials: int = 25,
-    seed: int = 0,
-) -> Fig7Result:
+def run(sample_sizes: list[int], n_trials: int) -> dict:
     """Average relative error over fresh-tree trials per sample size.
 
     Each trial uses a cold cache (so the answer really is a random
     sample) and a distinct index RNG stream.
     """
-    sizes = sample_sizes if sample_sizes is not None else [5, 10, 15, 20, 30, 50, 100, 200]
-    workload = UsgsWaWorkload(seed=seed)
+    workload = UsgsWaWorkload(seed=SEED)
     sensors = workload.sensors()
     truth = workload.true_regional_mean(0.0)
     config = COLRTreeConfig(
@@ -74,41 +42,48 @@ def run_fig7(
         terminal_level=1,
         oversample_level=2,
     )
-    points: list[Fig7Point] = []
-    with WallTimer() as timer:
-        for size in sizes:
-            errors = []
-            for trial in range(n_trials):
-                network = SensorNetwork(
-                    sensors, value_fn=workload.value_fn(), seed=seed + trial
-                )
-                tree = COLRTree(sensors, _with_seed(config, trial), network=network)
-                answer = tree.query(
-                    WA_BBOX,
-                    now=0.0,
-                    max_staleness=workload.expiry_seconds,
-                    sample_size=size,
-                )
-                if answer.result_weight == 0:
-                    continue
-                estimate = answer.estimate("avg")
-                errors.append(abs(estimate - truth) / abs(truth))
-            summary = StreamSummary(errors)
-            points.append(
-                Fig7Point(
-                    sample_size=size,
-                    mean_relative_error=summary.mean,
-                    p90_relative_error=summary.percentile(90.0),
-                )
+    phases: dict[str, dict] = {}
+    for size in sample_sizes:
+        errors = []
+        for trial in range(n_trials):
+            network = SensorNetwork(
+                sensors, value_fn=workload.value_fn(), seed=SEED + trial
             )
-    return Fig7Result(points=points, wall_seconds=timer.seconds)
+            tree = COLRTree(sensors, replace(config, seed=trial), network=network)
+            answer = tree.query(
+                WA_BBOX,
+                now=0.0,
+                max_staleness=workload.expiry_seconds,
+                sample_size=size,
+            )
+            if answer.result_weight == 0:
+                continue
+            estimate = answer.estimate("avg")
+            errors.append(abs(estimate - truth) / abs(truth))
+        summary = StreamSummary(errors)
+        phases[f"sample_{size}"] = {
+            "mean_relative_error": summary.mean,
+            "p90_relative_error": summary.percentile(90.0),
+        }
+
+    def error_at(size: int) -> float:
+        return phases[f"sample_{size}"]["mean_relative_error"]
+
+    return {
+        "phases": phases,
+        "checks": {
+            "fig7_error_at_15_le_0_12": error_at(15) <= 0.12,
+            "fig7_error_falls_from_5_to_50_to_200": error_at(5)
+            > error_at(50)
+            > error_at(200),
+            "fig7_error_at_200_lt_0_01": error_at(200) < 0.01,
+        },
+    }
 
 
-def _with_seed(config: COLRTreeConfig, seed: int) -> COLRTreeConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig7().format_table())
+BENCH = Bench(
+    name="fig7",
+    full={"sample_sizes": [5, 10, 15, 20, 30, 50, 100, 200], "n_trials": 25},
+    quick={"sample_sizes": [5, 15, 50, 200], "n_trials": 20},
+    run=run,
+)

@@ -35,8 +35,7 @@ from repro.bench.federation import (
     make_federation,
 )
 from repro.bench.fleets import STALENESS, hotspot_pool, uncapped_portal
-from repro.bench.harness import StreamSummary
-from repro.bench.report import timed
+from repro.bench.report import StreamSummary, timed
 from repro.bench.runner import Bench
 from repro.federation.federated import RETRY_BACKOFF_BASE
 from repro.frontdoor import (

@@ -41,8 +41,7 @@ import numpy as np
 from repro.bench.federation import _assert_identical, make_federation
 from repro.bench.fleets import EXTENT, uncapped_portal
 from repro.bench.frontdoor import make_livelocal_portal
-from repro.bench.harness import StreamSummary
-from repro.bench.report import timed
+from repro.bench.report import StreamSummary, timed
 from repro.bench.runner import Bench
 from repro.geoblocks import GeoBlockConfig, PolygonResult, SlidingWindow
 from repro.geometry import GeoPoint, Polygon, Rect

@@ -1,16 +1,16 @@
-"""Plain-text table formatting for experiment output.
-
-Every figure driver prints through this module so the regenerated
-"figures" are consistent, diff-able rows.
+"""What every bench measures and prints with: the wall timer, the order
+statistics of a metered series, the artifact stamp and the plain-text
+tables the runner's summary and the CLI print.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class WallTimer:
@@ -38,6 +38,72 @@ class WallTimer:
         assert self._start is not None
         self.seconds = time.perf_counter() - self._start
         self._start = None
+
+
+class StreamSummary:
+    """Order statistics over one metered series (latencies, errors...).
+
+    Every bench that reports a latency distribution goes through this
+    instead of ad-hoc ``np.percentile`` calls, so p50/p95/p99 mean the
+    same thing in every ``BENCH_*.json``: linear interpolation between
+    closest ranks (numpy's default), computed over the full retained
+    series — these benches meter thousands of queries, not billions, so
+    an exact summary is cheaper than a sketch would be.
+    """
+
+    __slots__ = ("_sorted",)
+
+    def __init__(self, values: Iterable[float] = ()) -> None:
+        self._sorted = sorted(float(v) for v in values)
+
+    @property
+    def count(self) -> int:
+        return len(self._sorted)
+
+    @property
+    def mean(self) -> float:
+        if not self._sorted:
+            raise ValueError("no observations")
+        return sum(self._sorted) / len(self._sorted)
+
+    def percentile(self, p: float) -> float:
+        """The ``p``-th percentile (0..100), linearly interpolated
+        between closest ranks — value-identical to
+        ``numpy.percentile(values, p)`` for finite inputs."""
+        if not self._sorted:
+            raise ValueError("no observations")
+        if not 0.0 <= p <= 100.0:
+            raise ValueError("percentile must be in [0, 100]")
+        xs = self._sorted
+        rank = (p / 100.0) * (len(xs) - 1)
+        lo = math.floor(rank)
+        hi = math.ceil(rank)
+        if lo == hi:
+            return xs[int(rank)]
+        frac = rank - lo
+        return xs[lo] + frac * (xs[hi] - xs[lo])
+
+    @property
+    def p50(self) -> float:
+        return self.percentile(50.0)
+
+    @property
+    def p95(self) -> float:
+        return self.percentile(95.0)
+
+    @property
+    def p99(self) -> float:
+        return self.percentile(99.0)
+
+    def as_dict(self) -> dict[str, float | int]:
+        """The JSON-artifact shape every bench embeds."""
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "p50": self.p50,
+            "p95": self.p95,
+            "p99": self.p99,
+        }
 
 
 def timed(phase, *args) -> dict:
@@ -104,14 +170,8 @@ def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str | None = None,
-    wall_seconds: float | None = None,
 ) -> str:
-    """Fixed-width table with right-aligned numeric columns.
-
-    ``wall_seconds`` appends a footer row reporting the real time the
-    driver spent producing the table — the paper figures report modeled
-    quantities, and the footer keeps modeled-vs-real visible everywhere.
-    """
+    """Fixed-width table with right-aligned numeric columns."""
     rendered: list[list[str]] = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered:
@@ -125,8 +185,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    if wall_seconds is not None:
-        lines.append(f"wall_seconds: {wall_seconds:.3f}")
     return "\n".join(lines)
 
 

@@ -1,14 +1,23 @@
-"""One spine for the nine subsystem benches.
+"""One spine for every bench: the nine subsystem benches and the paper's
+figures.
 
 A bench module is only its phases and gates: it exposes ``BENCH``, a
 :class:`Bench` record naming the two parameter sets it runs at (``full``
-— what the committed ``BENCH_<name>.json`` holds — and ``quick`` — CI
-smoke scale) and a ``run(**params)`` that returns ``{"phases": {name:
-{...}}, "checks": {gate: True | False | None}}``.  Everything else lives
-here, once: argument parsing, the wall timer, the stamp, the write, the
-summary print and the ``--check`` exit code.
+— what the committed ``BENCH_<name>.json`` holds, or for a figure the
+evaluation's default scale — and ``quick`` — CI smoke scale) and a
+``run(**params)`` that returns ``{"phases": {name: {...}}, "checks":
+{gate: True | False | None}}``.  Everything else lives here, once:
+argument parsing, the wall timer, the stamp, the write, the summary
+print and the ``--check`` exit code.
 
     python -m repro.bench NAME... | --all [--quick] [--check] [--out DIR]
+
+``NAMES`` are the subsystem benches: ``--all`` runs them, and their
+checks are invariants, so their full-scale artifacts are committed at
+the repository root and must stay green.  ``FIGURES`` are Figures 2-7
+and the design ablations: their checks are the paper's claims (one is
+known false, see EXPERIMENTS.md), they run only when named, and their
+artifacts go to ``bench-out/`` unless ``--out`` says otherwise.
 
 Every artifact has one schema — ``benchmark, scale, params, phases,
 checks, stamp`` — and one naming rule: a leaf is host wall-clock if and
@@ -41,10 +50,12 @@ NAMES = (
     "geoblocks",
     "rebalance",
 )
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablations")
+REGISTERED = NAMES + FIGURES
 SCHEMA_KEYS = ("benchmark", "scale", "params", "phases", "checks", "stamp")
 STAMP_KEYS = {"unix_time", "wall_seconds", "git_commit", "git_dirty", "cpu_count"}
 # The checkout this module runs from: where the committed full-scale
-# artifacts live, and therefore where ``--quick`` must never write.
+# artifacts live, and therefore where nothing else may be written.
 REPO_ROOT = Path(__file__).resolve().parents[3]
 QUICK_OUT = Path("bench-out")
 
@@ -61,8 +72,8 @@ class Bench:
 
 def load(name: str) -> Bench:
     """The ``BENCH`` record of ``repro.bench.<name>``."""
-    if name not in NAMES:
-        raise SystemExit(f"unknown bench {name!r}; choose from {', '.join(NAMES)}")
+    if name not in REGISTERED:
+        raise SystemExit(f"unknown bench {name!r}; choose from {', '.join(REGISTERED)}")
     return importlib.import_module(f"repro.bench.{name}").BENCH
 
 
@@ -87,7 +98,7 @@ def validate(artifact: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``artifact`` has the one schema."""
     if tuple(artifact) != SCHEMA_KEYS:
         raise ValueError(f"top-level keys {tuple(artifact)} != {SCHEMA_KEYS}")
-    if artifact["benchmark"] not in NAMES:
+    if artifact["benchmark"] not in REGISTERED:
         raise ValueError(f"unregistered benchmark {artifact['benchmark']!r}")
     if artifact["scale"] not in ("full", "quick"):
         raise ValueError(f"scale {artifact['scale']!r} is neither full nor quick")
@@ -99,6 +110,16 @@ def validate(artifact: Mapping[str, Any]) -> None:
     missing = STAMP_KEYS - set(artifact["stamp"])
     if missing:
         raise ValueError(f"stamp lacks {sorted(missing)}")
+
+
+def deterministic(node: Any) -> Any:
+    """``node`` without its wall-clock leaves (the naming rule above):
+    what two runs of one commit must agree on."""
+    if isinstance(node, dict):
+        return {k: deterministic(v) for k, v in node.items() if "wall_" not in k}
+    if isinstance(node, list):
+        return [deterministic(v) for v in node]
+    return node
 
 
 def summary(artifact: Mapping[str, Any]) -> str:
@@ -119,11 +140,13 @@ def summary(artifact: Mapping[str, Any]) -> str:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The four settable values of every subsystem bench."""
+    """The four settable values of every bench."""
     parser.add_argument(
-        "names", nargs="*", metavar="NAME", help=f"benches to run: {', '.join(NAMES)}"
+        "names", nargs="*", metavar="NAME", help=f"benches to run: {', '.join(REGISTERED)}"
     )
-    parser.add_argument("--all", action="store_true", help="run every registered bench")
+    parser.add_argument(
+        "--all", action="store_true", help="run every subsystem bench (not the figures)"
+    )
     parser.add_argument("--quick", action="store_true", help="CI smoke scale")
     parser.add_argument(
         "--check", action="store_true", help="exit nonzero if any check is False"
@@ -132,8 +155,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--out",
         type=Path,
         default=None,
-        help="directory for BENCH_<name>.json (default: the current directory, "
-        f"or {QUICK_OUT}/ under --quick)",
+        help="directory for BENCH_<name>.json (default: the current directory "
+        f"for full-scale subsystem benches, {QUICK_OUT}/ otherwise)",
     )
 
 
@@ -141,11 +164,13 @@ def run_from_args(args: argparse.Namespace) -> int:
     if args.all == bool(args.names):
         raise SystemExit("name one or more benches, or pass --all (not both)")
     benches = [load(name) for name in (NAMES if args.all else args.names)]
-    out = args.out if args.out is not None else (QUICK_OUT if args.quick else Path("."))
-    if args.quick and out.resolve() == REPO_ROOT:
+    committed = not args.quick and all(b.name in NAMES for b in benches)
+    out = args.out if args.out is not None else (Path(".") if committed else QUICK_OUT)
+    if not committed and out.resolve() == REPO_ROOT:
         raise SystemExit(
-            f"--quick refuses to write BENCH_*.json into {REPO_ROOT}: the "
-            "repository root holds the committed full-scale artifacts"
+            f"refuses to write a quick or figure BENCH_*.json into {REPO_ROOT}: "
+            "the repository root holds only the committed full-scale artifacts "
+            "of the subsystem benches"
         )
     out.mkdir(parents=True, exist_ok=True)
     failed: list[str] = []

@@ -1,10 +1,11 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Commands regenerate the paper's figures and ablations at a chosen
-scale, run a small interactive demo, or run the subsystem benches
-(``repro bench``, the same runner as ``python -m repro.bench``).  Output
-is the plain-text tables of :mod:`repro.bench.report`, suitable for
-redirecting into a results file.
+Commands run a small interactive demo, partition a fleet, inspect a
+durable data directory, or run a bench (``repro bench``, the same runner
+as ``python -m repro.bench``): the nine subsystem benches, and the
+paper's figures and ablations (``repro bench fig2`` ... ``fig7``,
+``repro bench ablations``).  Output is the plain-text tables of
+:mod:`repro.bench.report`, suitable for redirecting into a results file.
 """
 
 from __future__ import annotations
@@ -21,32 +22,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
-            "COLR-Tree reproduction (ICDE 2008): regenerate the paper's "
-            "figures, run ablations, or demo the index."
+            "COLR-Tree reproduction (ICDE 2008): demo the index, or run a "
+            "bench (the paper's figures and ablations among them)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scale(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--sensors", type=int, default=40_000, help="sensor population size"
-        )
-        p.add_argument("--queries", type=int, default=500, help="query stream length")
-        p.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-
-    sub.add_parser("fig2", help="slot-size utility/cost sweep (Figure 2)")
-    for name, desc in (
-        ("fig3", "node traversal vs result size (Figure 3)"),
-        ("fig4", "probes & latency vs freshness (Figure 4)"),
-        ("fig5", "cache limit x sample size (Figure 5)"),
-        ("fig6", "sampling accuracy & pde (Figure 6)"),
-    ):
-        add_scale(sub.add_parser(name, help=desc))
-    fig7 = sub.add_parser("fig7", help="approximation error vs sample size (Figure 7)")
-    fig7.add_argument("--trials", type=int, default=25, help="trials per sample size")
-    sub.add_parser("ablations", help="design-choice ablations")
-    all_cmd = sub.add_parser("all", help="every figure + ablations")
-    add_scale(all_cmd)
     demo = sub.add_parser("demo", help="tiny end-to-end portal demo")
     demo.add_argument("--sensors", type=int, default=2_000)
     demo.add_argument(
@@ -118,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     storage.add_argument("data_dir", type=Path, help="data directory to inspect")
     bench = sub.add_parser(
         "bench",
-        help="run subsystem benches (same as python -m repro.bench): "
-        "NAME... | --all [--quick] [--check] [--out DIR]",
+        help="run benches, the paper's figures among them (same as python -m "
+        "repro.bench): NAME... | --all [--quick] [--check] [--out DIR]",
     )
     runner.add_arguments(bench)
     return parser
@@ -128,68 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    if command == "fig2":
-        from repro.bench.fig2 import run_fig2
-
-        print(run_fig2().format_table())
-        return 0
-    if command in ("fig3", "fig4", "fig5", "fig6", "all"):
-        from repro.bench.setup import EvalSetup
-
-        setup = EvalSetup(
-            n_sensors=args.sensors, n_queries=args.queries, seed=args.seed
-        )
-    if command == "fig3":
-        from repro.bench.fig3 import run_fig3
-
-        print(run_fig3(setup).format_table())
-        return 0
-    if command == "fig4":
-        from repro.bench.fig4 import run_fig4
-
-        result = run_fig4(setup)
-        print(result.format_table())
-        print()
-        for key, value in result.summary().items():
-            print(f"{key}: {value:.2f}")
-        return 0
-    if command == "fig5":
-        from repro.bench.fig5 import run_fig5
-
-        print(run_fig5(setup).format_table())
-        return 0
-    if command == "fig6":
-        from repro.bench.fig6 import run_fig6
-
-        print(run_fig6(setup).format_table())
-        return 0
-    if command == "fig7":
-        from repro.bench.fig7 import run_fig7
-
-        print(run_fig7(n_trials=args.trials).format_table())
-        return 0
-    if command == "ablations":
-        from repro.bench.ablations import run_all_ablations
-
-        print(run_all_ablations().format_table())
-        return 0
-    if command == "all":
-        from repro.bench.ablations import run_all_ablations
-        from repro.bench.fig2 import run_fig2
-        from repro.bench.fig3 import run_fig3
-        from repro.bench.fig4 import run_fig4
-        from repro.bench.fig5 import run_fig5
-        from repro.bench.fig6 import run_fig6
-        from repro.bench.fig7 import run_fig7
-
-        print(run_fig2().format_table(), end="\n\n")
-        print(run_fig3(setup).format_table(), end="\n\n")
-        print(run_fig4(setup).format_table(), end="\n\n")
-        print(run_fig5(setup).format_table(), end="\n\n")
-        print(run_fig6(setup).format_table(), end="\n\n")
-        print(run_fig7().format_table(), end="\n\n")
-        print(run_all_ablations().format_table())
-        return 0
     if command == "demo":
         if args.churn:
             return _demo_churn(
@@ -411,7 +330,7 @@ def _demo_frontdoor(n_sensors: int, qps: float, n_tenants: int) -> int:
     """Scripted tour of the portal front door: a Zipf multi-tenant
     open-loop stream at the offered rate, served cache-first with
     admission control, then the serving report and cache counters."""
-    from repro.bench.harness import StreamSummary
+    from repro.bench.report import StreamSummary
     from repro.bench.report import format_counters
     from repro.frontdoor import (
         AdmissionConfig,

@@ -66,9 +66,11 @@ class QueryStats:
     # cost model — the grid changes *where* an answer is assembled from,
     # while the modeled work of assembling it stays in the counters
     # above).  ``polygon_cells_interior`` / ``polygon_cells_boundary``
-    # count the rasterized cells a polygon query split into (interior
-    # cells are grid/slot-cache candidates, boundary cells delegate to
-    # clipped COLR sub-queries); ``window_cells_reused`` counts cells a
+    # count the rasterized cells a polygon query split into (provenance
+    # only: a planned polygon is one traversal of the polygon itself, in
+    # which interior cells the grid can serve come from the leaf slot
+    # caches and boundary cells' sensors are tested against the polygon
+    # like any region's); ``window_cells_reused`` counts cells a
     # sliding analytic window carried over from its previous step
     # instead of recomputing.
     polygon_cells_interior: int = 0

@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.bench.harness import StreamSummary
+from repro.bench.report import StreamSummary
 from repro.frontdoor.frontdoor import FrontDoor
 
 __all__ = ["OpenLoopReport", "OpenLoopRunner", "ServedRecord"]

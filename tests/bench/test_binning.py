@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from repro import GeoPoint, Rect, Sensor
-from repro.bench.binning import bin_by_result_size, ideal_result_sizes
+from repro.bench.fig3 import bin_by_result_size
+from repro.bench.fleets import ideal_result_sizes
 from repro.workloads.livelocal import QuerySpec
 
 
@@ -38,21 +39,21 @@ class TestBinning:
     def test_zero_bin_separated(self):
         sizes = np.array([0, 0, 5, 50])
         bins = bin_by_result_size(sizes, [1.0, 3.0, 10.0, 20.0])
-        assert bins[0].low == 0 and bins[0].high == 0
-        assert bins[0].n_queries == 2
-        assert bins[0].mean_value == pytest.approx(2.0)
+        assert bins[0]["low"] == 0 and bins[0]["high"] == 0
+        assert bins[0]["queries"] == 2
+        assert bins[0]["mean"] == pytest.approx(2.0)
 
     def test_all_queries_assigned(self):
         rng = np.random.default_rng(0)
         sizes = rng.integers(0, 1000, 200)
         values = rng.uniform(0, 10, 200)
         bins = bin_by_result_size(sizes, values)
-        assert sum(b.n_queries for b in bins) == 200
+        assert sum(b["queries"] for b in bins) == 200
 
     def test_log_spaced_edges_monotone(self):
         sizes = np.array([1, 5, 20, 100, 900])
         bins = bin_by_result_size(sizes, [0.0] * 5)
-        lows = [b.low for b in bins]
+        lows = [b["low"] for b in bins]
         assert lows == sorted(lows)
 
     def test_mismatched_lengths_rejected(self):

@@ -1,12 +1,12 @@
 import pytest
 
-from repro.bench.harness import (
-    QueryRecord,
+from repro.bench.fig6 import target_accuracy
+from repro.bench.fleets import (
+    EvalSetup,
+    RunResult,
     probe_discretization_error,
     run_query_stream,
-    target_accuracy,
 )
-from repro.bench.setup import EvalSetup
 from repro.core.lookup import QueryAnswer, TerminalRecord
 from repro.workloads.livelocal import QuerySpec
 
@@ -45,8 +45,6 @@ class TestRunQueryStream:
         )
 
     def test_mean_of_empty_run_rejected(self):
-        from repro.bench.harness import RunResult
-
         with pytest.raises(ValueError):
             RunResult().mean("sensors_probed")
 

@@ -1,11 +1,13 @@
-"""The bench spine, end to end: every registered bench runs at quick
+"""The bench spine, end to end: every subsystem bench runs at quick
 scale through the one runner, lands in the one schema with no failed
 gate, and reproduces the pinned modeled numbers exactly.
 
 ``tests/data/bench_quick_pins.json`` was generated on the commit
 *before* the runner existed, from the nine hand-rolled ``main()``s'
 ``--quick`` output (keys mapped old -> new; CHANGES.md, PR 16, records
-how).  It is the regression gate on the paper-axis numbers — probes,
+how); the figures' pins came the same way from the figure drivers'
+output before they joined the runner (CHANGES.md, PR 43), and are
+checked by ``benchmarks/test_figures.py``.  It is the regression gate on the paper-axis numbers — probes,
 nodes, modeled seconds — and is silent on wall-clock: a leaf whose path
 has a ``wall_`` component is host time, the ``stamp`` is attribution,
 everything else must be equal.  Regenerate a bench's pins only for a
@@ -28,17 +30,9 @@ PINS = json.loads(
 )
 
 
-def deterministic(node):
-    """``node`` without its wall-clock leaves (the runner's naming rule)."""
-    if isinstance(node, dict):
-        return {k: deterministic(v) for k, v in node.items() if "wall_" not in k}
-    if isinstance(node, list):
-        return [deterministic(v) for v in node]
-    return node
-
-
 def test_every_registered_bench_is_pinned():
-    assert sorted(PINS) == sorted(runner.NAMES)
+    """The figures' pins are checked by ``benchmarks/test_figures.py``."""
+    assert sorted(PINS) == sorted(runner.REGISTERED)
 
 
 @pytest.mark.parametrize("name", runner.NAMES)
@@ -49,16 +43,16 @@ def test_quick_run_matches_schema_gates_and_pins(name, tmp_path, capsys):
     assert artifact["benchmark"] == name and artifact["scale"] == "quick"
     failed = [gate for gate, ok in artifact["checks"].items() if ok is False]
     assert not failed
-    got = deterministic({k: artifact[k] for k in ("params", "phases", "checks")})
+    got = runner.deterministic({k: artifact[k] for k in ("params", "phases", "checks")})
     assert got == PINS[name]
     out = capsys.readouterr().out
     assert f"{name} bench (quick): checks" in out and "FAIL" not in out
 
 
 class TestRunnerContract:
-    def _fake(self, monkeypatch, checks):
+    def _fake(self, monkeypatch, checks, name="traversal"):
         bench = runner.Bench(
-            name="traversal",
+            name=name,
             full={"n": 2},
             quick={"n": 1},
             run=lambda n: {
@@ -91,6 +85,17 @@ class TestRunnerContract:
         self._fake(monkeypatch, {"holds": True})
         with pytest.raises(SystemExit, match="refuses"):
             runner.main(["traversal", "--quick", "--out", str(runner.REPO_ROOT)])
+
+    def test_a_figure_never_writes_the_repository_root(
+        self, monkeypatch, tmp_path
+    ):
+        self._fake(monkeypatch, {"claim": False}, name="fig3")
+        with pytest.raises(SystemExit, match="refuses"):
+            runner.main(["fig3", "--out", str(runner.REPO_ROOT)])
+        monkeypatch.chdir(tmp_path)
+        assert runner.main(["fig3", "--check"]) == 1
+        artifact = json.loads((tmp_path / "bench-out" / "BENCH_fig3.json").read_text())
+        assert artifact["scale"] == "full" and artifact["checks"] == {"claim": False}
 
     @pytest.mark.parametrize("argv", [[], ["--all", "batch"], ["no-such-bench"]])
     def test_bad_selection_exits(self, argv, tmp_path):

@@ -46,7 +46,7 @@ class TestDecomposition:
         assert 20 <= answer.result_weight <= 60  # near the target, not 600
 
     def test_decomposition_reduces_pde(self):
-        from repro.bench.harness import probe_discretization_error
+        from repro.bench.fleets import probe_discretization_error
 
         _, plain = warm_tree(reversible=False)
         _, rev = warm_tree(reversible=True)

@@ -6,7 +6,8 @@ refactor left observable behaviour alone::
     PYTHONPATH=<checkout>/src python tests/pin_behaviour.py [--transport]
 
 Forty ticks over a flaky mixed fleet drive ``SensorMapPortal.execute``
-and ``execute_batch``, a one-subscription
+and ``execute_batch`` (plus one closing batch tick that repeats a
+viewport, so a shared spatial plan is pinned too), a one-subscription
 ``ContinuousQueryManager.tick``, ``RelCOLRTree.query`` and a two-shard
 ``FederatedPortal`` — built without a transport config, or with
 ``TransportConfig()`` under ``--transport``.  Every answer's sensor
@@ -204,18 +205,21 @@ def main() -> None:
         k: Section()
         for k in ("execute", "execute_batch", "continuous", "federated", "relcolr")
     }
-    for tick in range(TICKS):
-        qs = queries(tick)
-        for q in qs:
-            sections["execute"].add_result(single.execute(q))
-            sections["federated"].add_result(federated.execute(q))
-        result = batch.execute_batch(qs)
+
+    def add_tick(result) -> None:
         for r in result.results:
             sections["execute_batch"].add_result(r)
         stats = asdict(result.stats)
         for key in ("wall_seconds", "probes_timed_out"):  # older checkouts
             stats.pop(key, None)
         sections["execute_batch"].lines.append(repr(sorted(stats.items())))
+
+    for tick in range(TICKS):
+        qs = queries(tick)
+        for q in qs:
+            sections["execute"].add_result(single.execute(q))
+            sections["federated"].add_result(federated.execute(q))
+        add_tick(batch.execute_batch(qs))
         for subscription, delta in manager.tick():
             sections["continuous"].lines.append(repr(delta))
             sections["continuous"].add_result(subscription.last_result)
@@ -223,6 +227,11 @@ def main() -> None:
             portal.clock.advance(TICK_SECONDS)
     sections["execute"].add_counters(single)
     sections["execute_batch"].add_counters(batch)
+    # One closing tick in which the first viewport repeats (same region,
+    # same type): the repeat inherits its peer's spatial plan, so its
+    # answers record ``batch_shared_nodes``.
+    closing = queries(TICKS)
+    add_tick(batch.execute_batch([*closing, closing[0]]))
     sections["continuous"].add_counters(standing)
     for shard in federated.shards():
         sections["federated"].add_counters(shard)

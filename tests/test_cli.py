@@ -1,8 +1,27 @@
+import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
+from repro.bench import runner
 from repro.cli import build_parser, main
+
+
+def run_figure(name, monkeypatch, tmp_path, capsys, **tiny):
+    """``repro bench NAME --quick``, at ``tiny`` parameters when given;
+    returns the printed summary."""
+    bench = runner.load(name)
+    if tiny:
+        monkeypatch.setattr(runner, "load", lambda _: replace(bench, quick=tiny))
+    assert main(["bench", name, "--quick", "--out", str(tmp_path)]) == 0
+    artifact = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+    assert artifact["benchmark"] == name and artifact["params"] == dict(
+        tiny or bench.quick
+    )
+    out = capsys.readouterr().out
+    assert f"{name} bench (quick): checks" in out
+    return out
 
 
 class TestParser:
@@ -11,12 +30,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_scale_flags(self):
-        args = build_parser().parse_args(["fig4", "--sensors", "1000", "--queries", "20"])
-        assert args.sensors == 1000 and args.queries == 20
-
-    def test_fig7_trials_flag(self):
-        args = build_parser().parse_args(["fig7", "--trials", "3"])
-        assert args.trials == 3
+        args = build_parser().parse_args(["bench", "fig4", "--quick"])
+        assert args.names == ["fig4"] and args.quick
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -24,19 +39,22 @@ class TestParser:
 
 
 class TestExecution:
-    def test_fig2_runs(self, capsys):
-        assert main(["fig2"]) == 0
-        out = capsys.readouterr().out
-        assert "utility/cost" in out
-        assert "optima" in out
+    def test_fig2_runs(self, monkeypatch, tmp_path, capsys):
+        out = run_figure("fig2", monkeypatch, tmp_path, capsys)
+        assert "fig2_optima_match_paper" in out and "optima" in out
 
-    def test_fig3_runs_small(self, capsys):
-        assert main(["fig3", "--sensors", "1200", "--queries", "25"]) == 0
-        assert "Figure 3" in capsys.readouterr().out
+    def test_fig3_runs_small(self, monkeypatch, tmp_path, capsys):
+        out = run_figure(
+            "fig3", monkeypatch, tmp_path, capsys, n_sensors=1200, n_queries=25
+        )
+        assert "mean_cached_work" in out
 
-    def test_fig7_runs_small(self, capsys):
-        assert main(["fig7", "--trials", "2"]) == 0
-        assert "Figure 7" in capsys.readouterr().out
+    def test_fig7_runs_small(self, monkeypatch, tmp_path, capsys):
+        out = run_figure(
+            "fig7", monkeypatch, tmp_path, capsys,
+            sample_sizes=[5, 15, 50, 200], n_trials=2,
+        )
+        assert "mean_relative_error" in out
 
     def test_demo_runs(self, capsys):
         assert main(["demo", "--sensors", "500"]) == 0
@@ -81,13 +99,19 @@ class TestExecution:
 
 
 class TestMoreCommands:
-    def test_fig5_runs_small(self, capsys):
-        assert main(["fig5", "--sensors", "1200", "--queries", "20"]) == 0
-        assert "Figure 5" in capsys.readouterr().out
+    def test_fig5_runs_small(self, monkeypatch, tmp_path, capsys):
+        quick = runner.load("fig5").quick
+        out = run_figure(
+            "fig5", monkeypatch, tmp_path, capsys, **{**quick, "n_sensors": 1200, "n_queries": 20}
+        )
+        assert "mean_probes" in out
 
-    def test_fig6_runs_small(self, capsys):
-        assert main(["fig6", "--sensors", "1200", "--queries", "20"]) == 0
-        assert "Figure 6" in capsys.readouterr().out
+    def test_fig6_runs_small(self, monkeypatch, tmp_path, capsys):
+        quick = runner.load("fig6").quick
+        out = run_figure(
+            "fig6", monkeypatch, tmp_path, capsys, **{**quick, "n_sensors": 1200, "n_queries": 20}
+        )
+        assert "target_accuracy" in out
 
 
 class TestBenchCommand:
@@ -96,6 +120,11 @@ class TestBenchCommand:
         assert main(argv) == 0
         assert (tmp_path / "BENCH_traversal.json").exists()
         assert "traversal bench (quick): checks" in capsys.readouterr().out
+
+    def test_figure_subcommands_are_gone(self):
+        for old in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablations", "all"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([old])
 
     def test_forwarding_subcommands_are_gone(self):
         for old in ("transport", "federation", "frontdoor", "geoblocks", "rebalance"):

@@ -79,7 +79,7 @@ SURFACE: dict[str, Seen | Kept] = {
         "bench/traversal.py sizes it to max(256, 2 * (regions + polygons)),"
         " above the default at full scale only"
     ),
-    "COLRTreeConfig.seed": Seen("src/repro/bench/fig7.py", "replace(config, seed=seed)"),
+    "COLRTreeConfig.seed": Seen("src/repro/bench/fig7.py", "replace(config, seed=trial)"),
     # Probe transport.
     "TransportConfig.max_retries": Seen("src/repro/bench/transport.py", "max_retries=1"),
     "TransportConfig.inflight_ttl": Seen(

@@ -2,9 +2,9 @@
 one row each.
 
 ``tools/census.py`` (the ``census`` CI job) runs the repository's own
-programs — the end-to-end benchmark, the nine subsystem benches, the
-paper figures, README's ``repro demo`` / ``repro storage`` lines,
-``repro shard``, ``examples/`` and ``pytest benchmarks/`` — with a
+programs — the end-to-end benchmark, the nine subsystem benches,
+README's ``repro demo`` / ``repro storage`` lines, ``repro shard``,
+``examples/`` and ``pytest benchmarks/`` (the paper figures) — with a
 profile hook, and fails when a function none of them calls has no row
 here.  A row's reason opens with
 its class:

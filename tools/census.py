@@ -10,15 +10,14 @@ Runs every program once, each with a ``sitecustomize`` hook:
   1.8`` (one full-scale segment per workload, each replayed in its own
   interpreter);
 * ``python -m repro.bench --all --quick`` (the nine subsystem benches);
-* ``python -m repro all --sensors 4000 --queries 100`` (Figures 2-7
-  and the ablations);
 * every ``python -m repro demo ...`` and ``python -m repro storage ...``
   line of README.md, in order (a ``--data-dir`` demo runs twice, so the
   second run warm-restarts);
 * ``python -m repro shard`` at its defaults;
 * every ``examples/*.py``;
-* ``pytest benchmarks/ --benchmark-disable`` (the figure and core-op
-  tests, and the e2e harness's own tests).
+* ``pytest benchmarks/ --benchmark-disable`` (Figures 2-7 and the
+  ablations at quick scale, the core-op and relational tests, and the
+  e2e harness's own tests).
 
 The hook is put first on ``PYTHONPATH``, so it reaches interpreters a
 program spawns as well as workers it forks.  It wraps each ``*Config``
@@ -226,7 +225,6 @@ def programs(out: Path) -> list[tuple[str, list[str]]]:
             "repro.bench --all --quick",
             [py, "-m", "repro.bench", "--all", "--quick", "--out", str(out)],
         ),
-        ("repro all", [py, "-m", "repro", "all", "--sensors", "4000", "--queries", "100"]),
         *documented,
         ("repro shard", [py, "-m", "repro", "shard"]),
         *(
