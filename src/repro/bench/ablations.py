@@ -46,9 +46,11 @@ def oversampling(setup: EvalSetup) -> Variants:
     for variant, enabled in (("on", True), ("off", False)):
         config = replace(setup.config, oversampling_enabled=enabled)
         system = setup.make_colr_tree(config)
-        # Warm the availability history first so estimates are honest.
-        run_query_stream(system, setup.queries[:50])
-        stream = run_query_stream(system, setup.queries[50:])
+        # Warm the availability history on the first quarter of the
+        # stream first so estimates are honest.
+        warm = len(setup.queries) // 4
+        run_query_stream(system, setup.queries[:warm])
+        stream = run_query_stream(system, setup.queries[warm:])
         achieved = np.mean(
             [
                 min(r.result_weight, r.target_size) / max(1, r.target_size)
@@ -196,14 +198,23 @@ def reversible_aggregates(setup: EvalSetup) -> Variants:
     return variants
 
 
-def run(slot_seconds: list[float], terminal_levels: list[int]) -> dict:
-    """Every ablation over its own workload: an unreliable 10 k fleet for
-    oversampling, a skewed one for redistribution, and one 10 k Live-Local
-    stream for the rest."""
-    setup = EvalSetup(n_sensors=10_000, n_queries=300)
+def run(
+    slot_seconds: list[float],
+    terminal_levels: list[int],
+    n_sensors: int = 10_000,
+    n_queries: int = 300,
+) -> dict:
+    """Every ablation over its own workload: an unreliable fleet of
+    ``n_sensors`` replaying two thirds of ``n_queries`` for oversampling,
+    a fixed skewed one (2,000 sensors, 30 queries) for redistribution,
+    and one Live-Local stream of ``n_sensors`` and ``n_queries`` for the
+    rest."""
+    setup = EvalSetup(n_sensors=n_sensors, n_queries=n_queries)
     ablations = {
         "oversampling": oversampling(
-            EvalSetup(n_sensors=10_000, n_queries=200, availability=0.5)
+            EvalSetup(
+                n_sensors=n_sensors, n_queries=n_queries * 2 // 3, availability=0.5
+            )
         ),
         "redistribution": redistribution(),
         "aggregate_cache": aggregate_cache(setup),

@@ -54,7 +54,15 @@ from repro.core.plancache import region_fingerprint
 from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import GeoPoint, Polygon, Rect
-from repro.geometry.grid import Cell, cell_rect, cells_covering, rasterize
+from repro.geometry.grid import (
+    Cell,
+    Span,
+    cell_rect,
+    cells_covering,
+    cover_span,
+    rasterize,
+    span_bounds,
+)
 from repro.portal.grouping import GroupView, _center
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
@@ -65,6 +73,7 @@ __all__ = [
     "Raster",
     "TieredResultCache",
     "result_oldest_timestamp",
+    "tile_span",
 ]
 
 # The L2 tile grid: square tiles of ``TILE_EXTENT_DEGREES`` per side.
@@ -91,6 +100,19 @@ Raster = list[tuple[Cell, bool]]
 # A write's index cells at one level, within a cell budget (``None``:
 # over it, or unbounded — the tier is then scanned instead).
 CellsAt = Callable[[int, float], "Collection[Cell] | None"]
+
+
+def tile_span(rect: Rect) -> Span | None:
+    """A rectangle's tile cover as a :data:`~repro.geometry.grid.Span`,
+    or ``None`` when it composes from no tiles: unbounded, or over
+    :data:`MAX_TILES_PER_COVER`."""
+    span = cover_span(rect, TILE_EXTENT_DEGREES)
+    if span is None:
+        return None
+    ix0, iy0, ix1, iy1 = span
+    if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) > MAX_TILES_PER_COVER:
+        return None
+    return span
 
 
 def result_oldest_timestamp(result: PortalResult) -> float:
@@ -241,6 +263,9 @@ class _Entry:
     # :func:`_columns`; ``None``: unbounded) — where the tier indexes
     # the entry, and what a delta is first tested against.
     span: tuple[int, int, int, int] | None = None
+    # An L1 entry's query, which a hit serves as it is (``None`` for a
+    # tile).
+    query: SensorQuery | None = None
 
     def holds(self, delta: "_Delta") -> bool:
         """Whether the region holds one of the delta's sensors, closed
@@ -531,13 +556,21 @@ class TieredResultCache:
     # Keys and eligibility
     # ------------------------------------------------------------------
     @staticmethod
-    def l1_key(query: SensorQuery) -> Hashable | None:
+    def l1_key(
+        query: SensorQuery, bounds: tuple[float, float, float, float] | None = None
+    ) -> Hashable | None:
         """The exact-viewport identity.  ``None`` (unfingerprintable
         region) disables caching for the query — correctness never
-        depends on the cache."""
-        fp = region_fingerprint(query.region)
-        if fp is None:
-            return None
+        depends on the cache.  ``bounds`` stand in for the region: the
+        key is then that of the query over ``Rect(*bounds)``, made
+        without building it (the front door's L1 probe of a viewport it
+        would quantize)."""
+        if bounds is None:
+            fp = region_fingerprint(query.region)
+            if fp is None:
+                return None
+        else:
+            fp = ("rect", *bounds)
         return (
             fp,
             query.sensor_type,
@@ -629,21 +662,19 @@ class TieredResultCache:
     # L1
     # ------------------------------------------------------------------
     def get_viewport(
-        self, query: SensorQuery, now: float, generation: int
-    ) -> PortalResult | None:
-        """L1 lookup (does not meter a miss — the caller falls through
-        to L2 / the portal and meters the outcome once)."""
+        self, key: Hashable | None, now: float, generation: int
+    ) -> _Entry | None:
+        """L1 lookup by :meth:`l1_key`: the valid entry, whose ``query``
+        and ``held`` result a hit serves, or ``None`` (not metered as a
+        miss — the caller falls through to L2 / the portal and meters
+        the outcome once)."""
         self.stats.lookups += 1
-        if self.config.l1_capacity <= 0:
-            return None
-        key = self.l1_key(query)
-        if key is None:
+        if self.config.l1_capacity <= 0 or key is None:
             return None
         entry = self._get(self._l1, key, now, generation)
-        if entry is None:
-            return None
-        self.stats.l1_hits += 1
-        return entry.held
+        if entry is not None:
+            self.stats.l1_hits += 1
+        return entry
 
     def put_viewport(
         self,
@@ -673,10 +704,10 @@ class TieredResultCache:
         tiles: tuple[Cell, ...] | None = None
         if isinstance(region, Rect):
             if raster:
-                xs = [tile[0] for tile, _ in raster]
-                ys = [tile[1] for tile, _ in raster]
-                union = Rect(min(xs) * e, min(ys) * e, (max(xs) + 1) * e, (max(ys) + 1) * e)
-                if union == region:
+                # A rectangle's raster is a full block in scan order.
+                (ix0, iy0), _ = raster[0]
+                (ix1, iy1), _ = raster[-1]
+                if Rect(*span_bounds((ix0, iy0, ix1, iy1), e)) == region:
                     tiles = tuple(tile for tile, _ in raster)
         else:
             cover = raster or self._cover(region)
@@ -684,13 +715,12 @@ class TieredResultCache:
                 tiles = tuple(tile for tile, _ in cover)
                 cells = tuple(cell_rect(tile, e) for tile, _ in cover)
             region = Rect.from_points(region.vertices)
-        self._l1.put(
-            key,
-            self._entry(
-                region, query, result, result_oldest_timestamp(result), now,
-                generation, cells, tiles,
-            ),
+        entry = self._entry(
+            region, query, result, result_oldest_timestamp(result), now,
+            generation, cells, tiles,
         )
+        entry.query = query
+        self._l1.put(key, entry)
         self._l1.entries.move_to_end(key)
         self.stats.stores += 1
         while len(self._l1) > self.config.l1_capacity:
@@ -712,18 +742,18 @@ class TieredResultCache:
         return self._cover(query.region)
 
     def _cover(self, region: Rect | Polygon) -> Raster:
-        """A region's tiles (none if over :data:`MAX_TILES_PER_COVER`).  A
-        rectangle's are all interior: the front door serves rectangles
-        quantized to their tile union."""
+        """A region's tiles (none if over :data:`MAX_TILES_PER_COVER`, or
+        unbounded).  A rectangle's are all interior: the front door
+        serves rectangles quantized to their tile union."""
         e = TILE_EXTENT_DEGREES
         if isinstance(region, Rect):
-            cover = [(tile, True) for tile in cells_covering(region, e)]
-        else:
-            interior, boundary = rasterize(region, e)
-            cover = sorted(
-                [(tile, True) for tile in interior]
-                + [(tile, False) for tile in boundary]
-            )
+            if tile_span(region) is None:
+                return []
+            return [(tile, True) for tile in cells_covering(region, e)]
+        interior, boundary = rasterize(region, e)
+        cover = sorted(
+            [(tile, True) for tile in interior] + [(tile, False) for tile in boundary]
+        )
         return cover if len(cover) <= MAX_TILES_PER_COVER else []
 
     def get_tiles(

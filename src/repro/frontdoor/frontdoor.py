@@ -7,7 +7,9 @@ and serves viewport queries cache-first:
 1. eligible rectangular viewports are **quantized** to their covering
    tile union (the map-UI contract: the client renders tiles and
    crops), so jittered viewports of one hotspot share entries;
-2. the **L1** exact-viewport LRU is probed, then the **L2** tile
+2. the **L1** exact-viewport LRU is probed — keyed from the raw
+   request's fields and its tile bounds, so a hit builds no quantized
+   query and serves the one its entry stored — then the **L2** tile
    cache composed (a polygon's boundary tiles cropped through each
    tile's own fill view, on either backend); a hit costs microseconds
    of modeled time instead of a portal execution;
@@ -47,14 +49,14 @@ from dataclasses import dataclass, replace
 
 from repro.frontdoor.admission import AdmissionController
 from repro.frontdoor.cache import (
-    MAX_TILES_PER_COVER,
     TILE_EXTENT_DEGREES,
     Raster,
     TieredResultCache,
+    tile_span,
 )
 from repro.frontdoor.config import FrontDoorConfig
-from repro.geometry import Polygon, Rect
-from repro.geometry.grid import Cell, cell_rect, cells_covering
+from repro.geometry import Rect
+from repro.geometry.grid import Cell, cell_rect, span_bounds
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
 
@@ -197,6 +199,20 @@ class FrontDoor:
             and self.portal.max_sensors_per_query is None
         )
 
+    def _tile_bounds(
+        self, query: SensorQuery
+    ) -> tuple[float, float, float, float] | None:
+        """The bounds of the tile union an eligible rectangular viewport
+        quantizes to, or ``None`` when the request is served as drawn: a
+        polygon (it quantizes at the L2 layer, where boundary tiles are
+        cropped per sensor at compose time, so there is no coarser region
+        to rewrite it to), or a rectangle without a tile cover
+        (unbounded, or over ``MAX_TILES_PER_COVER``)."""
+        if not isinstance(query.region, Rect) or not self._tile_serveable(query):
+            return None
+        span = tile_span(query.region)
+        return None if span is None else span_bounds(span, TILE_EXTENT_DEGREES)
+
     def quantize(self, query: SensorQuery) -> SensorQuery:
         """Expand an eligible rectangular viewport to its covering tile
         union.  Applied before caching *and* before execution, on the
@@ -204,25 +220,8 @@ class FrontDoor:
         serving contract, not a cache trick, so cache-on/cache-off
         comparisons stay apples-to-apples.
         """
-        if not self._tile_serveable(query):
-            return query
-        if isinstance(query.region, Polygon):
-            # Polygon viewports quantize at the L2 layer (their cover is
-            # the covered-cell union) but the region itself stays exact:
-            # boundary tiles are cropped per sensor at compose time, so
-            # there is no coarser region to rewrite the query to.
-            return query
-        assert isinstance(query.region, Rect)
-        e = TILE_EXTENT_DEGREES
-        tiles = cells_covering(query.region, e)
-        if not tiles or len(tiles) > MAX_TILES_PER_COVER:
-            return query
-        xs = [t[0] for t in tiles]
-        ys = [t[1] for t in tiles]
-        quantized = Rect(
-            min(xs) * e, min(ys) * e, (max(xs) + 1) * e, (max(ys) + 1) * e
-        )
-        return replace(query, region=quantized)
+        bounds = self._tile_bounds(query)
+        return query if bounds is None else replace(query, region=Rect(*bounds))
 
     # ------------------------------------------------------------------
     # Serving
@@ -242,7 +241,7 @@ class FrontDoor:
             if verdict != "admit":
                 return FrontDoorResult(query, verdict, None, None, 0.0)
         generation = self._cache_generation()
-        hit, miss = self._lookup(self.quantize(query), now, generation)
+        hit, miss = self._lookup(query, now, generation)
         if hit is not None:
             return hit
         return self._serve_misses([miss], now, generation)[0][0]
@@ -257,7 +256,7 @@ class FrontDoor:
         results: list[FrontDoorResult | None] = []
         misses: list[_Miss] = []
         for query in queries:
-            hit, miss = self._lookup(self.quantize(query), now, generation)
+            hit, miss = self._lookup(query, now, generation)
             results.append(hit)
             if miss is not None:
                 misses.append(miss)
@@ -268,19 +267,27 @@ class FrontDoor:
         return FrontDoorBatchResult(final, service + hit_cost)
 
     def _lookup(
-        self, q: SensorQuery, now: float, generation: int | None
+        self, query: SensorQuery, now: float, generation: int | None
     ) -> tuple[FrontDoorResult | None, "_Miss | None"]:
-        """The cache ladder for one quantized query: the L1 viewport
-        entry, then the L2 tile composition (promoted to L1 so the next
-        identical viewport hits there).  Returns the served hit, or the
-        miss: the query, its raster (empty: not tile-composable here)
-        and the tiles of it still missing.  ``generation=None`` bypasses
-        the cache, and the miss is not counted."""
+        """The cache ladder for one request: the L1 viewport entry, then
+        the L2 tile composition (promoted to L1 so the next identical
+        viewport hits there).  L1 is probed with the key of the
+        quantized query, made from the request and its tile bounds; a
+        hit serves the quantized query its entry stored, so the query is
+        quantized only past L1.  Returns the served hit, or the miss:
+        the quantized query, its raster (empty: not tile-composable
+        here) and the tiles of it still missing.  ``generation=None``
+        bypasses the cache, and the miss is not counted."""
         if generation is None:
-            return None, (q, [], [])
-        hit = self.cache.get_viewport(q, now, generation)
-        if hit is not None:
-            return FrontDoorResult(q, "served", "l1", hit, L1_HIT_SECONDS), None
+            return None, (self.quantize(query), [], [])
+        key = self.cache.l1_key(query, self._tile_bounds(query))
+        entry = self.cache.get_viewport(key, now, generation)
+        if entry is not None:
+            served = FrontDoorResult(
+                entry.query, "served", "l1", entry.held, L1_HIT_SECONDS
+            )
+            return served, None
+        q = self.quantize(query)
         raster = self.cache.raster(q) if self._tile_serveable(q) else []
         composed, missing = self.cache.get_tiles(q, raster, now, generation)
         if composed is None:

@@ -17,6 +17,9 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 
 Cell = tuple[int, int]
+# A block of cells by its first and last column and row, inclusive:
+# ``(ix0, iy0, ix1, iy1)``.
+Span = tuple[int, int, int, int]
 
 
 def cell_of_point(p: GeoPoint, extent: float) -> Cell:
@@ -31,15 +34,38 @@ def cell_rect(cell: Cell, extent: float) -> Rect:
     return Rect(ix * e, iy * e, (ix + 1) * e, (iy + 1) * e)
 
 
-def cells_covering(bbox: Rect, extent: float) -> list[Cell]:
-    """The cells whose closed rectangles cover a rectangle, in
-    ``(ix, iy)`` scan order.  An edge landing exactly on a cell boundary
-    does not drag in the next (measure-zero-overlap) cell."""
+def cover_span(bbox: Rect, extent: float) -> Span | None:
+    """The first and last columns and rows of the cells whose closed
+    rectangles cover a rectangle, in O(1) whatever its size, or ``None``
+    when an edge has no finite cell (an unbounded rectangle has no
+    finite cover).  An edge landing exactly on a cell boundary does not
+    drag in the next (measure-zero-overlap) cell."""
     e = extent
-    ix0 = math.floor(bbox.min_x / e)
-    iy0 = math.floor(bbox.min_y / e)
-    ix1 = max(ix0, math.ceil(bbox.max_x / e) - 1)
-    iy1 = max(iy0, math.ceil(bbox.max_y / e) - 1)
+    try:
+        ix0 = math.floor(bbox.min_x / e)
+        iy0 = math.floor(bbox.min_y / e)
+        ix1 = max(ix0, math.ceil(bbox.max_x / e) - 1)
+        iy1 = max(iy0, math.ceil(bbox.max_y / e) - 1)
+    except OverflowError:
+        return None
+    return ix0, iy0, ix1, iy1
+
+
+def span_bounds(span: Span, extent: float) -> tuple[float, float, float, float]:
+    """``(min_x, min_y, max_x, max_y)`` of the union of a span's closed
+    cells: its first cell's low corner and its last cell's high one, by
+    ``cell_rect``'s arithmetic."""
+    ix0, iy0, ix1, iy1 = span
+    return ix0 * extent, iy0 * extent, (ix1 + 1) * extent, (iy1 + 1) * extent
+
+
+def cells_covering(bbox: Rect, extent: float) -> list[Cell]:
+    """The cells of :func:`cover_span`, in ``(ix, iy)`` scan order.
+    Raises ``ValueError`` for an unbounded rectangle."""
+    span = cover_span(bbox, extent)
+    if span is None:
+        raise ValueError(f"an unbounded rectangle has no finite cover: {bbox}")
+    ix0, iy0, ix1, iy1 = span
     return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
 
 

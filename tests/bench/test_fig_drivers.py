@@ -1,6 +1,6 @@
-"""Fast smoke coverage of every figure bench at tiny scale: its ``run``
-lands in the runner's schema with the same named checks it has at quick
-scale.  The checks' verdicts and the pinned numbers are
+"""Fast smoke coverage of every figure bench and the ablations at tiny
+scale: its ``run`` lands in the runner's schema with the same named
+checks it has at quick scale.  The checks' verdicts and the pinned numbers are
 ``benchmarks/test_figures.py``'s, at quick scale."""
 
 import json
@@ -20,6 +20,9 @@ TINY = {
     "fig5": {**TINY_SETUP, "cache_fractions": [0.2], "sample_sizes": [10, 100]},
     "fig6": {**TINY_SETUP, "cache_fractions": [0.2], "sample_sizes": [10]},
     "fig7": {"sample_sizes": [5, 15, 50, 200], "n_trials": 4},
+    # The ablations' fleet and stream sizes are ``run`` parameters with
+    # defaults, outside its registered scales.
+    "ablations": {"slot_seconds": [120.0, 600.0], "terminal_levels": [0, 3], **TINY_SETUP},
 }
 
 
@@ -27,7 +30,8 @@ def smoke(name: str) -> dict:
     """Run ``name`` at its tiny parameters through the runner (which
     validates the artifact) and return its phases."""
     bench = runner.load(name)
-    assert set(TINY[name]) == set(bench.quick) == set(bench.full)
+    assert set(bench.quick) == set(bench.full)
+    assert set(bench.quick) <= set(TINY[name]) <= set(bench.quick) | set(TINY_SETUP)
     artifact = runner.run_bench(replace(bench, quick=TINY[name]), quick=True)
     assert artifact["params"] == TINY[name]
     assert sorted(artifact["checks"]) == sorted(PINS[name]["checks"])
@@ -62,3 +66,7 @@ class TestDrivers:
         phases = smoke("fig7")
         assert list(phases) == ["sample_5", "sample_15", "sample_50", "sample_200"]
         assert phases["sample_5"]["mean_relative_error"] >= 0
+
+    def test_ablations_structure(self):
+        phases = smoke("ablations")
+        assert sorted(phases) == sorted(PINS["ablations"]["phases"])

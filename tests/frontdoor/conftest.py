@@ -30,12 +30,13 @@ def make_portal(
     seed: int = 0,
     availability: float = 1.0,
     extent: float = EXTENT,
+    max_sensors_per_query: int | None = None,
 ) -> SensorMapPortal:
     """A small uniform fleet behind an uncapped portal (the tile layer
-    needs exact sub-queries to stay exact)."""
+    needs exact sub-queries to stay exact) unless a cap is given."""
     portal = SensorMapPortal(
         config=COLRTreeConfig(max_expiry_seconds=600.0, slot_seconds=SLOT_SECONDS),
-        max_sensors_per_query=None,
+        max_sensors_per_query=max_sensors_per_query,
     )
     rng = np.random.default_rng(seed)
     for _ in range(n):

@@ -22,7 +22,7 @@ from repro.frontdoor.cache import (
     result_oldest_timestamp,
 )
 from repro.geometry import GeoPoint, Polygon, Rect
-from repro.geometry.grid import cell_rect, cells_covering
+from repro.geometry.grid import cell_rect, cells_covering, cover_span, span_bounds
 from repro.portal.grouping import GroupView
 from repro.portal.portal import PortalResult
 from repro.portal.query import SensorQuery
@@ -114,6 +114,20 @@ class TestTileCover:
         for tile in [(0, 0), (-3, 7), (12, -1)]:
             assert cells_covering(cell_rect(tile, 0.5), 0.5) == [tile]
 
+    def test_unbounded_rect_has_no_cover(self):
+        for region in (Rect(0.0, 0.0, math.inf, 1.0), Rect(-math.inf, -1.0, 1.0, 1.0)):
+            assert cover_span(region, 0.5) is None
+            with pytest.raises(ValueError):
+                cells_covering(region, 0.5)
+
+    def test_span_bounds_are_the_cells_union(self):
+        region = Rect(1.23, -4.56, 7.89, 2.34)
+        tiles = cells_covering(region, 0.5)
+        union = Rect.union_of([cell_rect(t, 0.5) for t in tiles])
+        span = cover_span(region, 0.5)
+        assert Rect(*span_bounds(span, 0.5)) == union
+        assert (span[0], span[1]) == tiles[0] and (span[2], span[3]) == tiles[-1]
+
 
 class TestOldestTimestamp:
     def test_empty_result_never_goes_stale(self):
@@ -173,7 +187,8 @@ class TestL1:
         q = _query(Rect(0, 0, 1, 1))
         result = _result(q, [_reading(1, timestamp=0.0)])
         assert cache.put_viewport(q, result, now=0.0, generation=1)
-        assert cache.get_viewport(q, now=10.0, generation=1) is result
+        entry = cache.get_viewport(cache.l1_key(q), now=10.0, generation=1)
+        assert entry.held is result and entry.query == q
         assert cache.stats.l1_hits == 1 and cache.stats.stores == 1
 
     def test_lru_eviction_order(self):
@@ -182,18 +197,18 @@ class TestL1:
         for q in queries[:2]:
             cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
         # Touch the first entry so the *second* becomes LRU.
-        assert cache.get_viewport(queries[0], now=0.0, generation=1) is not None
+        assert cache.get_viewport(cache.l1_key(queries[0]), now=0.0, generation=1) is not None
         cache.put_viewport(queries[2], _result(queries[2], []), now=0.0, generation=1)
         assert cache.stats.l1_evictions == 1
-        assert cache.get_viewport(queries[0], now=0.0, generation=1) is not None
-        assert cache.get_viewport(queries[1], now=0.0, generation=1) is None
-        assert cache.get_viewport(queries[2], now=0.0, generation=1) is not None
+        assert cache.get_viewport(cache.l1_key(queries[0]), now=0.0, generation=1) is not None
+        assert cache.get_viewport(cache.l1_key(queries[1]), now=0.0, generation=1) is None
+        assert cache.get_viewport(cache.l1_key(queries[2]), now=0.0, generation=1) is not None
 
     def test_capacity_zero_disables_l1(self):
         cache = TieredResultCache(_config(l1_capacity=0), SLOT)
         q = _query(Rect(0, 0, 1, 1))
         assert not cache.put_viewport(q, _result(q, []), now=0.0, generation=1)
-        assert cache.get_viewport(q, now=0.0, generation=1) is None
+        assert cache.get_viewport(cache.l1_key(q), now=0.0, generation=1) is None
         assert len(cache._l1) == 0
 
     def test_partial_answer_refused(self):
@@ -221,14 +236,14 @@ class TestL1:
             q, _result(q, [_reading(1, timestamp=0.0)]), now=0.0, generation=1
         )
         fill()
-        assert cache.get_viewport(q, now=0.0, generation=2) is None
+        assert cache.get_viewport(cache.l1_key(q), now=0.0, generation=2) is None
         assert cache.stats.invalidated_generation == 1
         fill()
-        assert cache.get_viewport(q, now=SLOT + 1.0, generation=1) is None
+        assert cache.get_viewport(cache.l1_key(q), now=SLOT + 1.0, generation=1) is None
         assert cache.stats.invalidated_slot == 1
         fill()
         # Same slot window, but the stored reading aged past staleness.
-        assert cache.get_viewport(q, now=40.0, generation=1) is None
+        assert cache.get_viewport(cache.l1_key(q), now=40.0, generation=1) is None
         assert cache.stats.invalidated_stale == 1
 
 
