@@ -688,10 +688,12 @@ class TieredResultCache:
         are refused — a revived shard must never be shadowed by the gap
         it left behind.  A polygon's entry invalidates per covered tile:
         ``raster`` hands in the request's cover (see :meth:`raster`)
-        when the lookup already made it; without one, or for a polygon
-        that does not compose from tiles, the cover is made here.  A
-        rectangle that is exactly its raster's tile union (a quantized
-        viewport) is stored tile-aligned."""
+        when the lookup made one, and ``None`` when it made none (the
+        cover is made here).  An empty raster (made, not composable)
+        stores the entry without tiles, invalidated by its bounding box;
+        so no request rasterizes twice.  A rectangle that is exactly its
+        raster's tile union (a quantized viewport) is stored
+        tile-aligned."""
         if self.config.l1_capacity <= 0:
             return False
         key = self.l1_key(query)
@@ -710,7 +712,7 @@ class TieredResultCache:
                 if Rect(*span_bounds((ix0, iy0, ix1, iy1), e)) == region:
                     tiles = tuple(tile for tile, _ in raster)
         else:
-            cover = raster or self._cover(region)
+            cover = self._cover(region) if raster is None else raster
             if cover:
                 tiles = tuple(tile for tile, _ in cover)
                 cells = tuple(cell_rect(tile, e) for tile, _ in cover)
@@ -731,35 +733,38 @@ class TieredResultCache:
     # ------------------------------------------------------------------
     # L2 (tiles)
     # ------------------------------------------------------------------
-    def raster(self, query: SensorQuery) -> Raster:
+    def raster(self, query: SensorQuery) -> Raster | None:
         """The tile cover a query composes from, made once per request
         and handed to :meth:`get_tiles` (before and after a fill) and
-        :meth:`put_viewport`.  Empty when the query does not compose
-        from tiles at all: L2 is off, the query is not
-        :meth:`tile_eligible`, or its cover is oversized."""
+        :meth:`put_viewport`.  ``None`` when none is made (L2 is off, or
+        the query is not :meth:`tile_eligible`); empty when its cover is
+        oversized or unbounded."""
         if not self.config.l2_enabled or not self.tile_eligible(query):
-            return []
+            return None
         return self._cover(query.region)
 
     def _cover(self, region: Rect | Polygon) -> Raster:
         """A region's tiles (none if over :data:`MAX_TILES_PER_COVER`, or
         unbounded).  A rectangle's are all interior: the front door
-        serves rectangles quantized to their tile union."""
+        serves rectangles quantized to their tile union.  A polygon's
+        raster is capped as it is made."""
         e = TILE_EXTENT_DEGREES
         if isinstance(region, Rect):
             if tile_span(region) is None:
                 return []
             return [(tile, True) for tile in cells_covering(region, e)]
-        interior, boundary = rasterize(region, e)
-        cover = sorted(
+        cells = rasterize(region, e, MAX_TILES_PER_COVER)
+        if cells is None:
+            return []
+        interior, boundary = cells
+        return sorted(
             [(tile, True) for tile in interior] + [(tile, False) for tile in boundary]
         )
-        return cover if len(cover) <= MAX_TILES_PER_COVER else []
 
     def get_tiles(
         self,
         query: SensorQuery,
-        raster: Raster,
+        raster: Raster | None,
         now: float,
         generation: int,
         record: bool = True,
@@ -770,7 +775,8 @@ class TieredResultCache:
         Returns ``(composed, missing_tiles)``: a full compose when every
         covering tile is cached and valid, else ``(None, missing)`` so
         the caller can fill exactly the missing tiles.
-        ``(None, [])`` means the query is not tile-composable at all.
+        ``(None, [])`` means the query is not tile-composable at all
+        (its raster is ``None`` or empty).
         ``record=False`` suppresses the hit counter (the front door's
         re-probe after filling missing tiles is part of a miss, not a
         hit).

@@ -69,8 +69,9 @@ L1_HIT_SECONDS = 250e-6
 L2_TILE_COMPOSE_SECONDS = 50e-6
 
 # A request the cache could not serve: the quantized query, its tile
-# raster (empty when not tile-composable) and the tiles still missing.
-_Miss = tuple[SensorQuery, Raster, list[Cell]]
+# raster (``None`` when none was made, empty when made and not
+# tile-composable) and the tiles still missing.
+_Miss = tuple[SensorQuery, Raster | None, list[Cell]]
 
 
 @dataclass
@@ -275,11 +276,12 @@ class FrontDoor:
         quantized query, made from the request and its tile bounds; a
         hit serves the quantized query its entry stored, so the query is
         quantized only past L1.  Returns the served hit, or the miss:
-        the quantized query, its raster (empty: not tile-composable
-        here) and the tiles of it still missing.  ``generation=None``
+        the quantized query, its raster (``None``: not made, the query
+        is not tile-serveable here; empty: made, not composable) and the
+        tiles of it still missing.  ``generation=None``
         bypasses the cache, and the miss is not counted."""
         if generation is None:
-            return None, (self.quantize(query), [], [])
+            return None, (self.quantize(query), None, [])
         key = self.cache.l1_key(query, self._tile_bounds(query))
         entry = self.cache.get_viewport(key, now, generation)
         if entry is not None:
@@ -288,7 +290,7 @@ class FrontDoor:
             )
             return served, None
         q = self.quantize(query)
-        raster = self.cache.raster(q) if self._tile_serveable(q) else []
+        raster = self.cache.raster(q) if self._tile_serveable(q) else None
         composed, missing = self.cache.get_tiles(q, raster, now, generation)
         if composed is None:
             self.cache.stats.misses += 1

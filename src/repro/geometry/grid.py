@@ -69,19 +69,136 @@ def cells_covering(bbox: Rect, extent: float) -> list[Cell]:
     return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
 
 
-def rasterize(polygon: Polygon, extent: float) -> tuple[list[Cell], list[Cell]]:
+# The raster's margin, in degrees, is this times (1 + the largest
+# coordinate a cell of it reaches) / min(extent, 1).  It stands far
+# above every rounding error and every on-segment tolerance the exact
+# predicates apply (``Polygon._edge_table``), so a cell decided without
+# them is decided as they would decide it.
+_MARGIN = 1e-10
+
+
+def rasterize(
+    polygon: Polygon, extent: float, limit: int | None = None
+) -> tuple[list[Cell], list[Cell]] | None:
     """A polygon's cells as ``(interior, boundary)``, each in scan
     order: *interior* cells lie wholly inside the polygon, *boundary*
-    cells are the rest of the cells it shares a point with.  Cells of
-    its bounding box's cover that it misses entirely are in neither —
-    for a non-convex polygon the two together are a strict subset of
-    the box cover."""
+    cells are the rest of the cells it shares a point with, exactly as
+    ``contains_rect`` and then ``intersects_rect`` classify each closed
+    cell of its bounding box's cover.  Cells of the cover that it misses
+    entirely are in neither — for a non-convex polygon the two together
+    are a strict subset of the box cover.  With a ``limit``, ``None``
+    when the two hold more than ``limit`` cells: a span with more
+    columns or rows than that is refused before any cell is looked at
+    (a polygon shares a point with a cell of each), and the scan stops
+    at the cell one past it.  Raises ``ValueError`` when the bounding
+    box has no finite cover.
+
+    A scanline over the polygon's edge table, at a cost set by the
+    boundary rather than the box.  Per edge and per column it reaches,
+    the rows within the edge's margin (see :data:`_MARGIN`; a short
+    edge's widens with its on-segment tolerance) are *near* cells.  An
+    edge that strictly crosses a grid line at a point more than the
+    margin from every grid corner properly crosses a side of the two
+    cells that side bounds, and the exact predicates find that crossing
+    whatever the float rounding: both cells are *boundary*, with no
+    predicate call.  Other near cells take the exact pair.  The cells of
+    a column between near ones lie more than the margin from every edge,
+    so each run of them is all inside or all outside the polygon, and
+    one ``_contains_xy`` test at one cell centre decides the run."""
+    bbox = polygon.bounding_box
+    span = cover_span(bbox, extent)
+    if span is None:
+        raise ValueError(f"no finite cover at extent {extent}: {bbox}")
+    ix0, iy0, ix1, iy1 = span
+    if limit is not None and (ix1 - ix0 + 1 > limit or iy1 - iy0 + 1 > limit):
+        return None
+    e = extent
+    reach = max(abs(bbox.min_x), abs(bbox.max_x), abs(bbox.min_y), abs(bbox.max_y))
+    margin = _MARGIN * (1.0 + reach + e) / min(e, 1.0)
+    floor = math.floor
+    # One dict per column of the span: row -> True for a boundary cell
+    # an edge crosses cleanly, False for a near cell.
+    near: list[dict[int, bool]] = [{} for _ in range(ix1 - ix0 + 1)]
+    for ax, ay, bx, by, dx, dy, tol, _, _, _, _ in polygon._edges:
+        x_lo, x_hi = (ax, bx) if ax <= bx else (bx, ax)
+        y_lo, y_hi = (ay, by) if ay <= by else (by, ay)
+        # A point within the on-segment tolerance of a short edge can lie
+        # up to min(4 * tol / length, length) from it.
+        length = abs(dx) + abs(dy)
+        m = margin
+        if length:
+            m += 4.0 * tol / length if 4.0 * tol < length * length else length
+        slope = dy / dx if dx else 0.0
+        c0 = floor((x_lo - m) / e)
+        c1 = floor((x_hi + m) / e)
+        for ix in range(c0 if c0 > ix0 else ix0, (c1 if c1 < ix1 else ix1) + 1):
+            lo, hi = y_lo, y_hi
+            if dx:
+                # The edge's rows over the column widened by the margin.
+                t = ix * e - m
+                u = ay + ((t if t > x_lo else x_lo) - ax) * slope
+                t = (ix + 1) * e + m
+                v = ay + ((t if t < x_hi else x_hi) - ax) * slope
+                lo, hi = (u, v) if u <= v else (v, u)
+            r0 = floor((lo - m) / e)
+            r1 = floor((hi + m) / e)
+            column = near[ix - ix0]
+            for iy in range(r0 if r0 > iy0 else iy0, (r1 if r1 < iy1 else iy1) + 1):
+                column.setdefault(iy, False)
+        if dy:
+            # Row lines j * e the edge strictly crosses.
+            run = dx / dy
+            r0 = floor(y_lo / e)
+            r1 = floor(y_hi / e)
+            for j in range(r0 if r0 > iy0 else iy0, (r1 if r1 < iy1 else iy1) + 2):
+                y = j * e
+                if y_lo < y < y_hi:
+                    x = ax + (y - ay) * run
+                    ix = floor(x / e)
+                    if ix0 <= ix <= ix1 and ix * e + margin < x < (ix + 1) * e - margin:
+                        column = near[ix - ix0]
+                        if j > iy0:
+                            column[j - 1] = True
+                        if j <= iy1:
+                            column[j] = True
+        if dx:
+            # Column lines i * e the edge strictly crosses.
+            c0 = floor(x_lo / e)
+            c1 = floor(x_hi / e)
+            for i in range(c0 if c0 > ix0 else ix0, (c1 if c1 < ix1 else ix1) + 2):
+                x = i * e
+                if x_lo < x < x_hi:
+                    y = ay + (x - ax) * slope
+                    iy = floor(y / e)
+                    if iy0 <= iy <= iy1 and iy * e + margin < y < (iy + 1) * e - margin:
+                        if i > ix0:
+                            near[i - 1 - ix0][iy] = True
+                        if i <= ix1:
+                            near[i - ix0][iy] = True
     interior: list[Cell] = []
     boundary: list[Cell] = []
-    for cell in cells_covering(polygon.bounding_box, extent):
-        rect = cell_rect(cell, extent)
-        if polygon.contains_rect(rect):
-            interior.append(cell)
-        elif polygon.intersects_rect(rect):
-            boundary.append(cell)
+    cap = math.inf if limit is None else limit
+    contains = polygon._contains_xy
+    for ix, column in enumerate(near, ix0):
+        # A run below a column's first near cell or above its last, or
+        # in the span's first or last column, is outside: were a cell of
+        # it inside, the polygon would reach more than the margin past
+        # its bounding box's cover.
+        inner = ix0 < ix < ix1
+        iy = None
+        for row in sorted(column):
+            if inner and iy is not None and iy < row:
+                if contains((ix + 0.5) * e, (iy + 0.5) * e):
+                    interior.extend((ix, r) for r in range(iy, row))
+            if column[row]:
+                boundary.append((ix, row))
+            else:
+                rect = cell_rect((ix, row), e)
+                if polygon.contains_rect(rect):
+                    interior.append((ix, row))
+                elif polygon.intersects_rect(rect):
+                    boundary.append((ix, row))
+            if len(interior) + len(boundary) > cap:
+                return None
+            iy = row + 1
     return interior, boundary

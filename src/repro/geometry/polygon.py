@@ -46,12 +46,16 @@ class Polygon:
     The vertex ring may be given in either winding order and need not be
     explicitly closed.  At least three vertices are required, all finite.
     Equality, hashing and pickling go by ``vertices`` alone; the
-    bounding box and the edge table are rebuilt from them.
+    bounding box and the edge table are rebuilt from them, and the
+    edge table's array form is built by the first
+    :meth:`contains_points` call.
     """
 
     vertices: tuple[GeoPoint, ...]
     _bbox: Rect = field(init=False, repr=False, compare=False)
     _edges: tuple[_EdgeRow, ...] = field(init=False, repr=False, compare=False)
+    # ``_edges`` as one float64 row per column, one entry per edge.
+    _table: "np.ndarray | None" = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: Iterable[GeoPoint]) -> None:
         verts = tuple(vertices)
@@ -68,6 +72,7 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_bbox", Rect(min(xs), min(ys), max(xs), max(ys)))
         object.__setattr__(self, "_edges", _edge_table(xs, ys))
+        object.__setattr__(self, "_table", None)
 
     def __reduce__(self):
         # Vertices only: the default would ship the edge table (~100 B
@@ -160,11 +165,13 @@ class Polygon:
         if not len(gate):
             return verdict
         edges = self._edges
-        # One row per column of the edge table, one entry per edge; rows
-        # 9 and 10 are the band's ``lo_y`` and ``hi_y``.
-        table = np.fromiter(
-            chain.from_iterable(edges), np.float64, len(edges) * len(edges[0])
-        ).reshape(len(edges), -1).T.copy()
+        table = self._table
+        if table is None:
+            table = np.fromiter(
+                chain.from_iterable(edges), np.float64, len(edges) * len(edges[0])
+            ).reshape(len(edges), -1).T.copy()
+            object.__setattr__(self, "_table", table)
+        # Rows 9 and 10 are the band's ``lo_y`` and ``hi_y``.
         lo_y, hi_y = table[9][:, None], table[10][:, None]
         # Blocks of points bound the (edges x points) band test.
         step = max(1, _ARRAY_BLOCK // len(edges))

@@ -78,11 +78,11 @@ class ReferenceDoor(FrontDoor):
     def _lookup(self, query, now, generation):
         q = self.quantize(query)
         if generation is None:
-            return None, (q, [], [])
+            return None, (q, None, [])
         entry = self.cache.get_viewport(TieredResultCache.l1_key(q), now, generation)
         if entry is not None:
             return FrontDoorResult(q, "served", "l1", entry.held, L1_HIT_SECONDS), None
-        raster = self.cache.raster(q) if self._tile_serveable(q) else []
+        raster = self.cache.raster(q) if self._tile_serveable(q) else None
         composed, missing = self.cache.get_tiles(q, raster, now, generation)
         if composed is None:
             self.cache.stats.misses += 1

@@ -1,5 +1,7 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.geometry import GeoPoint, Polygon, Rect
@@ -66,6 +68,16 @@ class TestContainsPoint:
     def test_concave_notch_excluded(self):
         assert not l_shape().contains_point(GeoPoint(7.5, 7.5))
         assert l_shape().contains_point(GeoPoint(2.5, 7.5))
+
+    def test_the_array_table_is_built_once_and_never_shipped(self):
+        polygon = l_shape()
+        xs, ys = np.array([7.5, 2.5]), np.array([7.5, 7.5])
+        assert polygon.contains_points(xs, ys).tolist() == [False, True]
+        table = polygon._table
+        assert polygon.contains_points(xs, ys).tolist() == [False, True]
+        assert polygon._table is table
+        loaded = pickle.loads(pickle.dumps(polygon))
+        assert loaded == polygon and loaded._table is None
 
 
 class TestRectRelations:
