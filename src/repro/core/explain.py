@@ -1,31 +1,38 @@
 """EXPLAIN for COLR-Tree queries: the plan, without the probes.
 
-``explain_query`` walks the index read-only and reports what executing
-the query *would* do: which access path runs, how much of the answer
-the current cache state covers, the expected number of sensor probes,
-and the per-terminal target allocation.  Expectations are computed
-deterministically (no randomized rounding, no network), so EXPLAIN is
-side-effect-free and repeatable — the operational tool a portal
-operator uses to understand a slow or probe-heavy query before running
-it.
+``explain_query`` reports what executing a query *would* do: which
+access path runs, how much of the answer the current cache state
+covers, the expected number of sensor probes, and the per-terminal
+allocation.  It never probes, so it is side-effect-free and repeatable
+— the operational tool a portal operator uses to understand a slow or
+probe-heavy query before running it.
 
-EXPLAIN reads the same memoized spatial plan (node classification,
-overlap fractions, leaf membership) the executing query would, so
-explaining a query also warms the plan cache entry that query will hit.
+An exact plan is read off the executor's own traversal
+(:func:`repro.core.lookup.scan_with_plan`, which serves from cache and
+lists the probes without sending them), so it is what execution does,
+terminal for terminal.  A sampled plan is an expectation: a walk of
+Algorithm 1's shares without randomized rounding (``_walk_sampled``
+names where it departs from execution).  Both count the relevant
+sensors off that scan.
+
+EXPLAIN reads the same memoized spatial plan (keyed by the region
+alone) the executing query would, so explaining a query also warms the
+plan cache entry that query will hit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import DEFAULT_SAMPLE_SIZE
-from repro.core.flat import CONTAINED, DISJOINT
-from repro.core.lookup import Region
+from repro.core.flat import CONTAINED
+from repro.core.lookup import QueryAnswer, Region, scan_with_plan
+from repro.core.sampling import _child_shares
+from repro.core.tree import _check_query
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.flat import FlatKernel
-    from repro.core.plancache import SpatialPlan
     from repro.core.tree import COLRTree
 
 
@@ -55,14 +62,7 @@ class QueryPlan:
     @property
     def cache_coverage(self) -> float:
         """Fraction of the needed answer servable from cache."""
-        denominator = (
-            min(self.target_size, self.relevant_sensors)
-            if self.access_path == "layered_sampling"
-            else self.relevant_sensors
-        )
-        if denominator <= 0:
-            return 1.0
-        return min(1.0, self.cached_weight / denominator)
+        return cache_coverage((self,))
 
     def format(self) -> str:
         lines = [
@@ -82,6 +82,23 @@ class QueryPlan:
         return "\n".join(lines)
 
 
+def cache_coverage(plans: Iterable[QueryPlan]) -> float:
+    """Fraction of the needed answer of ``plans`` servable from cache:
+    their total cached weight over the total of what each needs (its
+    relevant sensors, capped at its target when sampled)."""
+    cached = needed = 0
+    for p in plans:
+        cached += p.cached_weight
+        needed += (
+            min(p.target_size, p.relevant_sensors)
+            if p.access_path == "layered_sampling"
+            else p.relevant_sensors
+        )
+    if needed <= 0:
+        return 1.0
+    return min(1.0, cached / needed)
+
+
 def explain_query(
     tree: "COLRTree",
     region: Region,
@@ -91,21 +108,37 @@ def explain_query(
     terminal_level: int | None = None,
 ) -> QueryPlan:
     """Produce the plan the given query would execute."""
-    if max_staleness < 0:
-        raise ValueError("max_staleness must be non-negative")
+    _check_query(max_staleness, terminal_level)
     if sample_size is None:
         sample_size = DEFAULT_SAMPLE_SIZE
-    sampled = tree.config.sampling_enabled and sample_size > 0
-    t_level = (
-        terminal_level if terminal_level is not None else tree.config.terminal_level
+    spatial = tree.spatial_plan(region)
+    scan, to_probe = scan_with_plan(
+        tree, region, now, max_staleness, spatial, QueryAnswer()
     )
-    # Key the plan exactly as the executing query would, so EXPLAIN
-    # warms the cache entry the real query will then hit.
-    spatial = tree.spatial_plan(region, t_level if sampled else None)
-    kernel = tree.kernel
-    relevant = _relevant_sensor_count(region, kernel, spatial)
-    if not sampled:
-        return _explain_exact(tree, region, now, max_staleness, relevant, kernel, spatial)
+    relevant = int(sum(t.target for t in scan.terminals))
+    if not (tree.config.sampling_enabled and sample_size > 0):
+        # A terminal's expected probes are its sensors on the scan's
+        # probe list; the rest of its results come from cache.
+        probes = Counter(tree.leaf_for(sensor_id).node_id for sensor_id in to_probe)
+        return QueryPlan(
+            access_path="range_lookup",
+            target_size=0,
+            relevant_sensors=relevant,
+            cached_weight=len(scan.cached_readings)
+            + sum(s.count for s in scan.cached_sketches),
+            expected_probes=float(len(to_probe)),
+            terminals=[
+                PlanTerminal(
+                    node_id=t.node_id,
+                    level=t.level,
+                    is_leaf=tree.node(t.node_id).is_leaf,
+                    target=t.target,
+                    cached_weight=t.results - probes[t.node_id],
+                    expected_probes=float(probes[t.node_id]),
+                )
+                for t in scan.terminals
+            ],
+        )
     plan = QueryPlan(
         access_path="layered_sampling",
         target_size=sample_size,
@@ -113,151 +146,45 @@ def explain_query(
         cached_weight=0,
         expected_probes=0.0,
     )
+    t_level = (
+        terminal_level if terminal_level is not None else tree.config.terminal_level
+    )
     _walk_sampled(
         tree, tree.root, region, now, max_staleness, float(sample_size), t_level,
-        plan, kernel, spatial, 0,
+        plan, tree.kernel, spatial, 0,
     )
     plan.cached_weight = sum(t.cached_weight for t in plan.terminals)
     plan.expected_probes = sum(t.expected_probes for t in plan.terminals)
     return plan
-
-
-def _relevant_sensor_count(
-    region: Region, kernel: "FlatKernel", plan: "SpatialPlan"
-) -> int:
-    if plan._relevant_count is not None:
-        return plan._relevant_count
-    labels = plan.labels
-    child_start = kernel._child_start_list
-    total = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        label = labels[i]
-        if label == DISJOINT:
-            continue
-        node = kernel.nodes[i]
-        if label == CONTAINED:
-            total += node.weight
-            continue
-        if node.is_leaf:
-            total += len(plan.leaf_matching(kernel, i, region))
-            continue
-        start = child_start[i]
-        stack.extend(range(start, start + len(node.children)))
-    plan._relevant_count = total
-    return total
-
-
-def _explain_exact(
-    tree: "COLRTree",
-    region: Region,
-    now: float,
-    max_staleness: float,
-    relevant: int,
-    kernel: "FlatKernel",
-    spatial: "SpatialPlan",
-) -> QueryPlan:
-    plan = QueryPlan(
-        access_path="range_lookup",
-        target_size=0,
-        relevant_sensors=relevant,
-        cached_weight=0,
-        expected_probes=0.0,
-    )
-    _walk_exact(tree, tree.root, region, now, max_staleness, plan, kernel, spatial, 0)
-    plan.cached_weight = sum(t.cached_weight for t in plan.terminals)
-    plan.expected_probes = sum(t.expected_probes for t in plan.terminals)
-    return plan
-
-
-def _walk_exact(
-    tree, node, region, now, max_staleness, plan, kernel, spatial, idx
-) -> None:
-    label = spatial.labels[idx]
-    if label == DISJOINT:
-        return
-    fully_inside = label == CONTAINED
-    caching = tree.config.caching_enabled
-    if (
-        caching
-        and tree.config.aggregate_caching_enabled
-        and fully_inside
-        and not node.is_leaf
-        and node.agg_cache is not None
-    ):
-        covered = node.agg_cache.usable_weight(now, max_staleness)
-        if covered >= node.weight:
-            plan.terminals.append(
-                PlanTerminal(
-                    node_id=node.node_id,
-                    level=node.level,
-                    is_leaf=False,
-                    target=float(node.weight),
-                    cached_weight=covered,
-                    expected_probes=0.0,
-                )
-            )
-            return
-    if node.is_leaf:
-        if fully_inside:
-            matching = node.sensors
-        else:
-            matching = spatial.leaf_matching(kernel, idx, region)
-        if not matching:
-            return
-        cached_ids = (
-            node.leaf_cache.fresh_sensor_ids(now, max_staleness)
-            if caching and node.leaf_cache is not None
-            else set()
-        )
-        served = sum(1 for s in matching if s.sensor_id in cached_ids)
-        plan.terminals.append(
-            PlanTerminal(
-                node_id=node.node_id,
-                level=node.level,
-                is_leaf=True,
-                target=float(len(matching)),
-                cached_weight=served,
-                expected_probes=float(len(matching) - served),
-            )
-        )
-        return
-    start = kernel._child_start_list[idx]
-    for offset, child in enumerate(node.children):
-        _walk_exact(
-            tree, child, region, now, max_staleness, plan, kernel, spatial,
-            start + offset,
-        )
 
 
 def _walk_sampled(
     tree, node, region, now, max_staleness, r, t_level, plan, kernel, spatial, idx
 ) -> None:
-    """Deterministic mirror of Algorithm 1: expectations only."""
+    """Expected probes of Algorithm 1, walked without randomized
+    rounding or probes.
+
+    The walk is not :func:`repro.core.sampling.layered_sample` in
+    expectation; it differs in four places:
+
+    * it applies the ``1/a`` oversampling factor at the terminal, not
+      once per path at the oversampling level ``O``;
+    * it tests cache sufficiency against the unscaled share;
+    * a partial leaf's probe pool is all of its sensors, not only the
+      in-region ones;
+    * it has no REDISTRIBUTE.
+
+    EXPERIMENTS.md records the drift this leaves against execution.
+    """
     config = tree.config
     if r <= 0:
         return
     if node.is_leaf:
         _plan_terminal(tree, node, region, now, max_staleness, r, plan)
         return
-    weighted = []
-    total = 0.0
-    overlaps = spatial.overlaps(kernel, region)
     labels = spatial.labels
-    start = kernel._child_start_list[idx]
-    for offset, child in enumerate(node.children):
-        child_idx = start + offset
-        overlap = overlaps.get(child_idx, 0.0)
-        if overlap <= 0.0 and labels[child_idx] == DISJOINT:
-            continue
-        w = child.weight * max(overlap, 1e-12)
-        weighted.append((child, w, child_idx))
-        total += w
-    if total <= 0:
-        return
-    for child, w, child_idx in weighted:
-        r_i = r * w / total
+    for child, share, child_idx in _child_shares(node, region, kernel, spatial, idx):
+        r_i = r * share
         inside = labels[child_idx] == CONTAINED
         if inside and node.level > t_level:
             _plan_terminal(tree, child, region, now, max_staleness, r_i, plan)

@@ -164,7 +164,7 @@ def range_scan(
     meter index work without paying for (identical) network probes.
     """
     answer = QueryAnswer()
-    plan = tree.spatial_plan(region, None, answer.stats)
+    plan = tree.spatial_plan(region, answer.stats)
     return scan_with_plan(
         tree, region, now, max_staleness, plan, answer,
         aggregate_termination=aggregate_termination,

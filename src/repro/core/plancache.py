@@ -9,8 +9,10 @@ frozen at bulk load, those results are valid *indefinitely* and can be
 memoized: only the temporal side (slot-cache usability, freshness)
 must be re-evaluated per query.
 
-``SpatialPlanCache`` is a small LRU keyed by ``(region fingerprint,
-terminal_level)`` holding :class:`SpatialPlan` entries.  A plan carries
+``SpatialPlanCache`` is a small LRU keyed by the region fingerprint
+holding :class:`SpatialPlan` entries — nothing in a plan depends on the
+query's access path or terminal level, so an exact, a sampled and an
+explained query over one region share one entry.  A plan carries
 the node classification eagerly and materializes the more expensive
 derived artifacts (overlap fractions, per-leaf membership, the fully
 vectorized empty-cache scan) lazily on first use, so a plan only ever
@@ -63,7 +65,6 @@ class SpatialPlan:
     _overlaps: dict[int, float] | None = field(default=None, repr=False)
     _leaf_matching: dict[int, list["Sensor"]] = field(default_factory=dict, repr=False)
     _empty_scan: Any = field(default=None, repr=False)
-    _relevant_count: int | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, labels: np.ndarray) -> "SpatialPlan":

@@ -122,7 +122,7 @@ def layered_sample(
     # The oversampling level must stay at or below the terminal level so
     # the 1/a factor is applied exactly once per path.
     o_level = max(config.oversample_level, t_level)
-    plan = tree.spatial_plan(region, t_level, answer.stats)
+    plan = tree.spatial_plan(region, answer.stats)
     kernel = tree.kernel
     labels = plan.labels
     queue = _TargetQueue()

@@ -91,7 +91,7 @@ def shared_range_scan(
             # credited) — this hit exists only within the batch.
             answer.stats.batch_shared_nodes += tree.kernel.n_nodes
         else:
-            plan = tree.spatial_plan(request.region, None, answer.stats)
+            plan = tree.spatial_plan(request.region, answer.stats)
             if key is not None:
                 batch_plans[key] = plan
         out.append(

@@ -51,6 +51,16 @@ from repro.transport.dispatcher import ProbeDispatcher, ProbeRound
 AVAILABILITY_REFRESH_SECONDS = 600.0
 
 
+def _check_query(max_staleness: float, terminal_level: int | None) -> None:
+    """The argument checks :meth:`COLRTree.query` and
+    :meth:`COLRTree.explain` share.  Negated comparisons, so NaN fails
+    them and infinity passes."""
+    if not max_staleness >= 0:
+        raise ValueError("max_staleness must be non-negative")
+    if terminal_level is not None and not terminal_level >= 0:
+        raise ValueError("terminal_level must be non-negative")
+
+
 class COLRTree:
     """A built COLR-Tree over a sensor population.
 
@@ -205,8 +215,7 @@ class COLRTree:
         polygon gets (the batch executor's ``ScanRequest`` carries the
         same flag).  The default keeps every existing path bit-identical.
         """
-        if max_staleness < 0:
-            raise ValueError("max_staleness must be non-negative")
+        _check_query(max_staleness, terminal_level)
         self._prune_expired(now)
         if sample_size is None:
             sample_size = DEFAULT_SAMPLE_SIZE
@@ -238,7 +247,8 @@ class COLRTree:
 
         Returns a :class:`repro.core.explain.QueryPlan` with the access
         path, cache coverage, expected probe count and per-terminal
-        allocation.  Read-only and deterministic.
+        allocation.  Read-only and deterministic; the arguments are
+        checked as :meth:`query` checks them.
         """
         from repro.core.explain import explain_query
 
@@ -247,23 +257,19 @@ class COLRTree:
         )
 
     def spatial_plan(
-        self,
-        region: Region,
-        terminal_level: int | None,
-        stats: QueryStats | None = None,
+        self, region: Region, stats: QueryStats | None = None
     ) -> SpatialPlan:
         """The memoized spatial half of a query plan.
 
         The classification (and everything derived from it) depends
         only on the region and the frozen tree structure, so a cached
-        plan is valid indefinitely; ``stats`` receives the hit/miss
-        meters when provided.  A region without a fingerprint is
-        classified afresh each time.
+        plan is valid indefinitely and every query over the region —
+        exact, sampled at any terminal level, or explained — shares it;
+        ``stats`` receives the hit/miss meters when provided.  A region
+        without a fingerprint is classified afresh each time.
         """
-        key = None
-        fingerprint = region_fingerprint(region)
-        if fingerprint is not None:
-            key = (fingerprint, terminal_level)
+        key = region_fingerprint(region)
+        if key is not None:
             plan = self.plan_cache.get(key)
             if plan is not None:
                 if stats is not None:

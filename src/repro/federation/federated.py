@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.config import COLRTreeConfig
+from repro.core.explain import cache_coverage
 from repro.core.stats import ProcessingCostModel
 from repro.federation.backend import InProcessBackend, ShardDownError, ShardSpec
 from repro.federation.config import FederationConfig
@@ -1136,10 +1137,10 @@ class FederatedPortal:
     # ------------------------------------------------------------------
     def explain(self, query: SensorQuery) -> dict[str, object]:
         """Federated EXPLAIN: the :class:`Plan` :meth:`execute` would run
-        (its target and top-up eligibility are the plan's own fields),
-        its sub-queries as ``(shard, sample_size)`` rows, the
-        redistribution policy and the pools a top-up would draw on, plus
-        each planned shard's own EXPLAIN.
+        (its sub-queries, target and top-up rounds are the plan's own
+        fields), each planned shard's own EXPLAIN, and the totals over
+        them: expected probes, and the cache coverage of every shard's
+        plans summed (:func:`repro.core.explain.cache_coverage`).
         Read-only: no retries, no counters; killed or unreachable
         shards are skipped and listed."""
         plan = self._plan(normalize_region(query))
@@ -1153,31 +1154,16 @@ class FederatedPortal:
                 per_shard[shard_id] = self._backend.call(shard_id, "explain", subquery)
             except ShardDownError:
                 skipped.append(shard_id)
-        coverages = [float(e["cache_coverage"]) for e in per_shard.values()]
-        rounds = self.federation.redistribution_rounds
         return {
             "plan": plan,
             "shards": per_shard,
-            "scatter": [
-                {"shard": shard_id, "sample_size": sub.sample_size}
-                for shard_id, sub in plan.subqueries
-            ],
             "skipped_shards": skipped,
             "expected_probes": sum(
                 float(e["expected_probes"]) for e in per_shard.values()
             ),
-            "cache_coverage": sum(coverages) / len(coverages) if coverages else 1.0,
-            "redistribution": {
-                "enabled": rounds > 0,
-                "rounds": rounds,
-                "pool_estimates": {
-                    r.shard_id: int(
-                        self.directory.entry(r.shard_id).weight
-                        * min(1.0, max(r.overlap, 0.0))
-                    )
-                    for r in plan.routes
-                },
-            },
+            "cache_coverage": cache_coverage(
+                p for e in per_shard.values() for p in e["plans"].values()
+            ),
         }
 
     def stats_summary(self) -> dict[str, object]:

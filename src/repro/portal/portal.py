@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import COLRTreeConfig
+from repro.core.explain import cache_coverage
 from repro.core.lookup import QueryAnswer
 from repro.core.stats import ProcessingCostModel
 from repro.core.tree import COLRTree
@@ -558,7 +559,9 @@ class SensorMapPortal:
         without probing anything.
 
         Returns ``{"plans": {type: QueryPlan}, "expected_probes": float,
-        "cache_coverage": float}``.
+        "cache_coverage": float}``; the coverage is that of the summed
+        plans (:func:`repro.core.explain.cache_coverage`), so each type
+        weighs by the answer it needs.
         """
         self._ensure_index()
         trees, sample_size = self._resolve(query)
@@ -572,12 +575,10 @@ class SensorMapPortal:
             )
             for name, tree in trees.items()
         }
-        expected = sum(p.expected_probes for p in plans.values())
-        coverages = [p.cache_coverage for p in plans.values()]
         return {
             "plans": plans,
-            "expected_probes": expected,
-            "cache_coverage": sum(coverages) / len(coverages) if coverages else 1.0,
+            "expected_probes": sum(p.expected_probes for p in plans.values()),
+            "cache_coverage": cache_coverage(plans.values()),
         }
 
     def _effective_sample_size(

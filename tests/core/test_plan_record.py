@@ -39,7 +39,7 @@ def _assert_plan_reads_the_dense_arrays(tree: COLRTree, region) -> None:
     kernel = tree.kernel
     labels = kernel.classify(region)
     fractions = kernel.overlap_fractions(region)
-    plan = tree.spatial_plan(region, None)
+    plan = tree.spatial_plan(region)
     assert isinstance(plan.labels, bytes)
     assert list(plan.labels) == labels.tolist()
     overlaps = plan.overlaps(kernel, region)
@@ -86,7 +86,7 @@ def test_a_disjoint_node_keeps_its_positive_overlap(tree):
         [GeoPoint(0.0, 0.0), GeoPoint(EXTENT, EXTENT - 1.0), GeoPoint(EXTENT, EXTENT)]
     )
     _assert_plan_reads_the_dense_arrays(tree, region)
-    plan = tree.spatial_plan(region, None)
+    plan = tree.spatial_plan(region)
     overlaps = plan.overlaps(tree.kernel, region)
     kept = [i for i in overlaps if plan.labels[i] == DISJOINT]
     assert kept and all(overlaps[i] > 0.0 for i in kept)

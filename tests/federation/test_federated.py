@@ -260,7 +260,7 @@ class TestIntrospection:
         fed = _federation(n_shards=4)
         fed.kill_shard(3)
         plan = fed.explain(WIDE)
-        assert [entry["shard"] for entry in plan["scatter"]] == [0, 1, 2, 3]
+        assert [shard_id for shard_id, _ in plan["plan"].subqueries] == [0, 1, 2, 3]
         assert plan["skipped_shards"] == [3]
         assert set(plan["shards"]) == {0, 1, 2}
 

@@ -165,7 +165,7 @@ class TestTopupIsCounted:
 
 
 class TestExplainMatchesExecute:
-    """Satellite: EXPLAIN's scatter and redistribution plan describe
+    """EXPLAIN's plan — its sub-queries and top-up rounds — describes
     what execute actually does on the same portal."""
 
     def test_scatter_plan_matches_executed_shards(self):
@@ -185,12 +185,10 @@ class TestExplainMatchesExecute:
         # The first plan execute scattered is the one explain returned,
         # sub-query for sub-query; the rest are its top-up rounds.
         assert sent[0] == plan["plan"]
-        assert plan["scatter"] == [
-            {"shard": shard_id, "sample_size": sub.sample_size}
-            for shard_id, sub in sent[0].subqueries
-        ]
         assert len(sent) == 1 + result.redistribution_rounds_run
-        scatter = {row["shard"]: row["sample_size"] for row in plan["scatter"]}
+        scatter = {
+            shard_id: sub.sample_size for shard_id, sub in plan["plan"].subqueries
+        }
         assert set(scatter) == set(result.shard_results)
         assert sum(scatter.values()) == query.sample_size
         # Each shard was asked exactly the planned sub-query size
@@ -211,23 +209,20 @@ class TestExplainMatchesExecute:
     def test_redistribution_plan_matches_execute_behavior(self):
         fed = _skewed_federation()
         query = _query()
-        info = fed.explain(query)
-        plan = info["redistribution"]
+        plan = fed.explain(query)["plan"]
         result = fed.execute(query)
 
-        assert plan["enabled"] is True
-        assert plan["rounds"] == fed.federation.redistribution_rounds
-        assert info["plan"].topup_rounds == plan["rounds"]
+        assert plan.topup_rounds > 0
+        assert plan.topup_rounds == fed.federation.redistribution_rounds
         assert result.redistribution_rounds_run >= 1
-        assert result.redistribution_rounds_run <= plan["rounds"]
-        assert info["plan"].target == query.sample_size
-        assert info["plan"].target_readings == result.sample_requested
-        # Pool estimates cover exactly the routed shards, and no top-up
-        # gained more than the advertised pools could hold.
-        assert set(plan["pool_estimates"]) == set(result.shard_results)
-        assert result.topup_sensors_gained <= sum(
-            plan["pool_estimates"].values()
-        )
+        assert result.redistribution_rounds_run <= plan.topup_rounds
+        assert plan.target == query.sample_size
+        assert plan.target_readings == result.sample_requested
+        # The plan routes exactly the shards that answered, and no top-up
+        # gained more than the routed shards' pools could hold.
+        assert {r.shard_id for r in plan.routes} == set(result.shard_results)
+        pools = fed.directory.residual_routes(plan.routes, {})
+        assert result.topup_sensors_gained <= sum(r.weight for r in pools)
 
     def test_ineligible_when_disabled_or_single_shard(self):
         disabled = _skewed_federation(rounds=0)

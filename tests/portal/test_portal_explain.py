@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from repro import COLRTreeConfig, Rect
+from repro import COLRTreeConfig, GeoPoint, Rect
+from repro.federation import FederatedPortal
 from repro.portal import SensorMapPortal, SensorQuery
 
 from tests.conftest import make_registry
@@ -69,3 +71,45 @@ class TestPortalExplain:
         result = portal.execute(QUERY)
         probed = sum(a.stats.sensors_probed for a in result.answers)
         assert info["expected_probes"] == pytest.approx(probed, rel=0.6, abs=15)
+
+
+def _two_unequal_types(portal):
+    """A 10-sensor type and a 1,000-sensor type over one square."""
+    rng = np.random.default_rng(71)
+    for i in range(1010):
+        x, y = rng.uniform(0.0, 100.0, size=2)
+        portal.register_sensor(
+            GeoPoint(float(x), float(y)),
+            600.0,
+            sensor_type="kiosk" if i < 10 else "traffic",
+        )
+    return portal
+
+
+@pytest.mark.parametrize(
+    "make_portal",
+    [
+        lambda: SensorMapPortal(max_sensors_per_query=None),
+        lambda: FederatedPortal(n_shards=2, max_sensors_per_query=None),
+    ],
+    ids=["portal", "federation"],
+)
+def test_coverage_weighs_each_type_by_the_answer_it_needs(make_portal):
+    """Only the small type is warm: the coverage of the whole answer is
+    its share of the sensors, not the mean of the two types'."""
+    portal = _two_unequal_types(make_portal())
+    region = Rect(0.0, 0.0, 100.0, 100.0)
+    portal.execute(
+        SensorQuery(region=region, staleness_seconds=600.0, sensor_type="kiosk")
+    )
+    portal.clock.advance(5.0)
+    info = portal.explain(SensorQuery(region=region, staleness_seconds=600.0))
+    plans = (
+        list(info["plans"].values())
+        if "plans" in info
+        else [p for e in info["shards"].values() for p in e["plans"].values()]
+    )
+    cached = sum(p.cached_weight for p in plans)
+    assert 0 < cached <= 10
+    assert sum(p.relevant_sensors for p in plans) == 1010
+    assert info["cache_coverage"] == cached / 1010

@@ -185,13 +185,9 @@ KEPT: dict[str, str] = {
     "repro/storage/engine.py:StorageEngine.sync": "(e) TRACE_POINTS",
     # (f) The base an open ROADMAP item builds on.
     "repro/core/explain.py:explain_query": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:_explain_exact": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:_walk_exact": "(f) EXPLAIN: ROADMAP item 4(a)",
+    "repro/core/explain.py:cache_coverage": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/core/explain.py:_walk_sampled": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/core/explain.py:_plan_terminal": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:_relevant_sensor_count": (
-        "(f) EXPLAIN: ROADMAP item 4(a)"
-    ),
     "repro/core/explain.py:QueryPlan.format": "(f) EXPLAIN: ROADMAP item 4(a)",
     "repro/core/explain.py:QueryPlan.cache_coverage": (
         "(f) EXPLAIN: ROADMAP item 4(a)"
