@@ -8,16 +8,22 @@ region with the MBRs; target splitting applies Algorithm 1's
 overlap-weighted share rule (``w_i * Overlap(BB(i), A)``) across the
 routed shards, with deterministic largest-remainder rounding so the
 integer shares always sum to the requested target.
+
+A row also holds its shard's sensors, and the directory the fleet's
+tile occupancy over them (:attr:`ShardDirectory.occupancy`): the
+front-door tiles whose closed rectangles hold an indexed sensor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.region import Region, region_overlap_fraction
 from repro.geometry import Polygon, Rect
+from repro.geometry.grid import Cell
+from repro.portal.portal import tile_occupancy
 from repro.sensors.sensor import Sensor
 
 __all__ = ["ShardDirectory", "ShardEntry", "ShardRoute"]
@@ -31,6 +37,8 @@ class ShardEntry:
     mbr: Rect
     weight: int
     sensor_types: frozenset[str]
+    # The shard's population the row was made from.
+    sensors: tuple[Sensor, ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +66,8 @@ class ShardDirectory:
             _make_entry(shard_id, sensors)
             for shard_id, sensors in enumerate(groups)
         ]
+        # The occupancy of the committed rows, once made.
+        self._occupancy: dict[str | None, frozenset[Cell] | None] | None = None
 
     def refresh(
         self,
@@ -93,7 +103,22 @@ class ShardDirectory:
             raise ValueError("refresh would leave the directory empty")
         # Commit point: a single reference assignment, never a torn row.
         self._entries = new_entries
+        self._occupancy = None
         self.version += 1
+
+    @property
+    def occupancy(self) -> dict[str | None, frozenset[Cell] | None]:
+        """The fleet's tile occupancy (``portal.tile_occupancy``): per
+        sensor type, and under ``None`` over all types, the tiles whose
+        closed rectangles hold a sensor of some shard.  It belongs to
+        the committed rows — every ``refresh`` commits a new one — and
+        is made on the first read after the commit, so a build or a
+        membership change pays for it only once a reader asks."""
+        if self._occupancy is None:
+            self._occupancy = tile_occupancy(
+                [s for e in self._entries for s in e.sensors]
+            )
+        return self._occupancy
 
     def total_weight(self) -> int:
         """Sum of shard populations — conservation checks compare this
@@ -236,6 +261,7 @@ def _make_entry(shard_id: int, sensors: Sequence[Sensor]) -> ShardEntry:
         mbr=Rect.from_points(s.location for s in sensors),
         weight=len(sensors),
         sensor_types=frozenset(s.sensor_type for s in sensors),
+        sensors=tuple(sensors),
     )
 
 

@@ -54,6 +54,7 @@ from repro.federation.directory import ShardDirectory, ShardRoute
 from repro.federation.partitioner import GridPartitioner, Partitioner
 from repro.federation.streaming import ShardArrival, StreamingGather
 from repro.geometry import GeoPoint, Polygon
+from repro.geometry.grid import Cell
 from repro.portal.batch import BatchStats
 from repro.portal.grouping import GroupView, concat_groups
 from repro.portal.portal import PortalResult, SensorMapPortal
@@ -543,6 +544,16 @@ class FederatedPortal:
         self._ensure_index()
         assert self._directory is not None
         return self._directory
+
+    def occupied_tiles(self, sensor_type: str | None) -> frozenset[Cell] | None:
+        """The front-door tiles whose closed rectangles hold a sensor of
+        ``sensor_type`` (``None``: of any type) on some shard, killed
+        ones included, as the directory committed them; ``None`` when
+        not known (the index is dirty, no shard hosts the type, or a
+        sensor lies too far out, see ``grid.occupancy``)."""
+        if self._index_dirty or self._directory is None:
+            return None
+        return self._directory.occupancy.get(sensor_type)
 
     def shard(self, shard_id: int) -> SensorMapPortal:
         """One shard portal held in this process (``IndexError`` for a

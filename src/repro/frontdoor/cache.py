@@ -45,7 +45,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Collection, Hashable, Mapping, Sequence
+from typing import Callable, Collection, Container, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.core.slots import slot_of
 from repro.frontdoor.config import FrontDoorConfig
 from repro.geometry import GeoPoint, Polygon, Rect
 from repro.geometry.grid import (
+    TILE_EXTENT_DEGREES,
     Cell,
     Span,
     cell_rect,
@@ -76,10 +77,9 @@ __all__ = [
     "tile_span",
 ]
 
-# The L2 tile grid: square tiles of ``TILE_EXTENT_DEGREES`` per side.
-TILE_EXTENT_DEGREES = 0.5
-# At most this many tile entries are kept (LRU evicted).  An entry
-# holds a :class:`_Tile` record, so its bytes follow its readings:
+# The L2 tiles are ``grid.TILE_EXTENT_DEGREES`` squares.  At most this
+# many tile entries are kept (LRU evicted).  An entry holds a
+# :class:`_Tile` record, so its bytes follow its readings:
 # ~0.8 kB for an empty tile (validity record, key, LRU slot, index
 # buckets; every empty answer shares one record), plus ~0.2 kB of
 # record and 8 B a reading and 16 B a sketch when it holds any, and,
@@ -100,6 +100,10 @@ Raster = list[tuple[Cell, bool]]
 # A write's index cells at one level, within a cell budget (``None``:
 # over it, or unbounded — the tier is then scanned instead).
 CellsAt = Callable[[int, float], "Collection[Cell] | None"]
+
+# The portal's ``occupied_tiles``: the tiles holding an indexed sensor
+# of a type (``None``: any), or ``None`` when that is not known.
+Occupied = Callable[[str | None], "Container[Cell] | None"]
 
 
 def tile_span(rect: Rect) -> Span | None:
@@ -157,6 +161,9 @@ class CacheStats:
     fill_fallbacks_partial: int = 0
     fill_fallbacks_crop: int = 0
     fill_fallbacks_gone: int = 0
+    # Tiles of composed answers that the portal's occupancy showed to
+    # hold no sensor: composed empty, never filled or stored.
+    empty_tiles: int = 0
 
     @property
     def hits(self) -> int:
@@ -525,22 +532,31 @@ class _Store:
 
 @dataclass
 class _Composed:
-    """An L2 hit: the composed covering answer plus its provenance."""
+    """An L2 hit: the composed covering answer and how many tiles it
+    took."""
 
     result: PortalResult
-    tiles: int = 0
-    oldest_timestamp: float = math.inf
-    regions: list[Rect] = field(default_factory=list)
+    tiles: int
 
 
 class TieredResultCache:
-    """L1 viewport LRU + L2 tile LRU with shared invalidation rules."""
+    """L1 viewport LRU + L2 tile LRU with shared invalidation rules.
 
-    def __init__(self, config: FrontDoorConfig, slot_seconds: float) -> None:
+    ``occupied`` is the portal's ``occupied_tiles``: a tile it shows to
+    hold no sensor of the query's type composes as the empty answer a
+    fill of it would return, with no fill and no L2 entry."""
+
+    def __init__(
+        self,
+        config: FrontDoorConfig,
+        slot_seconds: float,
+        occupied: Occupied | None = None,
+    ) -> None:
         if slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
         self.config = config
         self.slot_seconds = slot_seconds
+        self.occupied = occupied
         self.stats = CacheStats()
         self._l1 = _Store()
         self._l2 = _Store()
@@ -773,8 +789,11 @@ class TieredResultCache:
         its ``raster``.
 
         Returns ``(composed, missing_tiles)``: a full compose when every
-        covering tile is cached and valid, else ``(None, missing)`` so
-        the caller can fill exactly the missing tiles.
+        covering tile is cached and valid or holds no sensor, else
+        ``(None, missing)`` so the caller can fill exactly the missing
+        tiles.  A tile the portal's occupancy shows to be empty is never
+        missing: it composes as :data:`_EMPTY_TILE`, what a fill of the
+        closed tile would return.
         ``(None, [])`` means the query is not tile-composable at all
         (its raster is ``None`` or empty).
         ``record=False`` suppresses the hit counter (the front door's
@@ -783,22 +802,29 @@ class TieredResultCache:
         """
         if not raster:
             return None, []
-        entries: list[tuple[bool, _Entry]] = []
+        occupied = None if self.occupied is None else self.occupied(query.sensor_type)
+        tiles: list[tuple[bool, _Tile]] = []
         missing: list[Cell] = []
+        empty = 0
         for tile, interior in raster:
+            if occupied is not None and tile not in occupied:
+                tiles.append((interior, _EMPTY_TILE))
+                empty += 1
+                continue
             entry = self._get(self._l2, self.tile_key(tile, query), now, generation)
             if entry is None:
                 missing.append(tile)
             else:
-                entries.append((interior, entry))
+                tiles.append((interior, entry.held))
         if missing:
             return None, missing
-        composed = self._compose(query, entries)
-        if composed is None:
+        result = self._compose(query, tiles)
+        if result is None:
             return None, []
         if record:
             self.stats.l2_hits += 1
-        return composed, []
+        self.stats.empty_tiles += empty
+        return _Composed(result, len(tiles)), []
 
     def put_tile(
         self,
@@ -832,9 +858,9 @@ class TieredResultCache:
     def _compose(
         self,
         query: SensorQuery,
-        entries: list[tuple[bool, _Entry]],
-    ) -> _Composed | None:
-        """Merge per-tile answers into one exact covering answer.
+        tiles: list[tuple[bool, _Tile]],
+    ) -> PortalResult | None:
+        """Merge per-tile records into one exact covering answer.
 
         Interior tiles (every tile of a rectangle's cover) pass their
         answers wholesale, readings *and* aggregate sketches; boundary
@@ -859,12 +885,12 @@ class TieredResultCache:
         from repro.core.lookup import QueryAnswer
 
         cropped = []
-        for interior, entry in entries:
+        for interior, tile in tiles:
             if not interior:
-                if entry.held.sketches:
+                if tile.sketches:
                     return None
-                if entry.held.readings:
-                    cropped.append(entry.held.points())
+                if tile.readings:
+                    cropped.append(tile.points())
         inside: list[bool] = []
         if cropped:
             xs, ys = np.concatenate(cropped, axis=1)
@@ -872,13 +898,8 @@ class TieredResultCache:
         merged = QueryAnswer()
         kept = merged.cached_readings
         seen: set[int] = set()
-        oldest = math.inf
-        regions: list[Rect] = []
         at = 0
-        for interior, entry in entries:
-            tile: _Tile = entry.held
-            regions.append(entry.region)
-            oldest = min(oldest, entry.oldest_timestamp)
+        for interior, tile in tiles:
             readings = tile.readings
             if not interior:
                 n = len(readings)
@@ -891,22 +912,15 @@ class TieredResultCache:
             if interior:
                 merged.cached_sketches += tile.sketches
                 merged.cached_sketch_nodes += tile.sketch_nodes
-        result = PortalResult(
+        return PortalResult(
             query=query,
             groups=GroupView.over(
-                merged,
-                [(entry.held.sources, entry.held.centers) for _, entry in entries],
+                merged, [(tile.sources, tile.centers) for _, tile in tiles]
             ),
             answers=[merged],
             processing_seconds=0.0,
             collection_seconds=0.0,
             sample_requested=None,
-        )
-        return _Composed(
-            result=result,
-            tiles=len(entries),
-            oldest_timestamp=oldest,
-            regions=regions,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,10 @@ and serves viewport queries cache-first:
    query and serves the one its entry stored — then the **L2** tile
    cache composed (a polygon's boundary tiles cropped through each
    tile's own fill view, on either backend); a hit costs microseconds
-   of modeled time instead of a portal execution;
+   of modeled time instead of a portal execution.  A tile that holds no
+   indexed sensor — the portal's ``occupied_tiles`` says so — is never
+   filled: it composes as the empty answer its fill would return, so a
+   request whose missing tiles are all empty is an L2 hit;
 3. misses take one miss path, whether they arrive one by one
    (``execute``) or as a batch (``execute_batch``): every distinct
    missing tile and every other miss, rectangle or polygon, run as one
@@ -114,7 +117,9 @@ class FrontDoor:
     def __init__(self, portal, config: FrontDoorConfig | None = None) -> None:
         self.portal = portal
         self.config = config if config is not None else FrontDoorConfig()
-        self.cache = TieredResultCache(self.config, portal.config.slot_seconds)
+        self.cache = TieredResultCache(
+            self.config, portal.config.slot_seconds, portal.occupied_tiles
+        )
         self.admission = AdmissionController(self.config.admission)
         self._attached_generation = -1
         # The sensors written while one of our own portal calls runs:

@@ -11,6 +11,9 @@ by whoever composes per-cell answers, by sensor id.
 from __future__ import annotations
 
 import math
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.geometry.point import GeoPoint
 from repro.geometry.polygon import Polygon
@@ -20,6 +23,10 @@ Cell = tuple[int, int]
 # A block of cells by its first and last column and row, inclusive:
 # ``(ix0, iy0, ix1, iy1)``.
 Span = tuple[int, int, int, int]
+
+# The front door's tile grid: square tiles of this many degrees a side.
+# The fleet's occupancy summary (:func:`occupancy`) is kept at it too.
+TILE_EXTENT_DEGREES = 0.5
 
 
 def cell_of_point(p: GeoPoint, extent: float) -> Cell:
@@ -67,6 +74,81 @@ def cells_covering(bbox: Rect, extent: float) -> list[Cell]:
         raise ValueError(f"an unbounded rectangle has no finite cover: {bbox}")
     ix0, iy0, ix1, iy1 = span
     return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
+
+
+# A point this many cells or more from the origin is *far*: there the
+# floats of neighbouring cells' rectangles run together, so the cells
+# holding it are not a short list.  Below it every column and row a
+# point's cells are looked for at is an exact float.
+_FAR_CELLS = 2.0**50
+
+
+def occupancy(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    labels: Sequence[Hashable],
+    extent: float,
+) -> dict[Hashable, frozenset[Cell] | None]:
+    """Per label, the cells whose closed rectangles (``cell_rect``'s
+    floats under ``Rect.contains_point``'s test) hold at least one of
+    the points carrying it, and under ``None`` the same over all the
+    points.  A point on a cell line is in the cells on both sides of
+    it, a point on a corner in all four; a non-finite point is in no
+    cell.  A label with a far point (see :data:`_FAR_CELLS`) maps to
+    ``None`` — not known — and so does the union.  Labels must not be
+    ``None``.
+
+    Vectorised: a point strictly inside its ``floor(v / extent)`` cell
+    (the test ``TieredResultCache._locate`` makes) is in that cell
+    alone; only the others test the closed rectangles of the cells
+    either side of theirs."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+    if len(index) > 1:
+        codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(x))
+    else:
+        codes = np.zeros(len(x), dtype=np.intp)
+    e = extent
+    with np.errstate(over="ignore", invalid="ignore"):
+        qx = x / e
+        qy = y / e
+    # False for a non-finite quotient, so a near point is finite.
+    near = (np.abs(qx) < _FAR_CELLS) & (np.abs(qy) < _FAR_CELLS)
+    far = set(codes[~near & np.isfinite(x) & np.isfinite(y)].tolist())
+    if not near.all():
+        x, y, qx, qy, codes = x[near], y[near], qx[near], qy[near], codes[near]
+    fx = np.floor(qx)
+    fy = np.floor(qy)
+    inner = (fx * e < x) & (x < (fx + 1.0) * e) & (fy * e < y) & (y < (fy + 1.0) * e)
+    parts = [(fx[inner], fy[inner], codes[inner])]
+    odd = ~inner
+    if odd.any():
+        x, y, fx, fy, codes = x[odd], y[odd], fx[odd], fy[odd], codes[odd]
+        for dx in (-1.0, 0.0, 1.0):
+            cx = fx + dx
+            in_column = (cx * e <= x) & (x <= (cx + 1.0) * e)
+            for dy in (-1.0, 0.0, 1.0):
+                cy = fy + dy
+                held = in_column & (cy * e <= y) & (y <= (cy + 1.0) * e)
+                parts.append((cx[held], cy[held], codes[held]))
+    cx = np.concatenate([p[0] for p in parts]).astype(np.int64)
+    cy = np.concatenate([p[1] for p in parts]).astype(np.int64)
+    union = frozenset(zip(cx.tolist(), cy.tolist()))
+    out: dict[Hashable, frozenset[Cell] | None] = {None: None if far else union}
+    if len(index) == 1:
+        (label,) = index
+        out[label] = out[None]
+    elif index:
+        kc = np.concatenate([p[2] for p in parts])
+        for label, code in index.items():
+            held = kc == code
+            out[label] = (
+                None
+                if code in far
+                else frozenset(zip(cx[held].tolist(), cy[held].tolist()))
+            )
+    return out
 
 
 # The raster's margin, in degrees, is this times (1 + the largest
@@ -129,11 +211,15 @@ def rasterize(
         if length:
             m += 4.0 * tol / length if 4.0 * tol < length * length else length
         slope = dy / dx if dx else 0.0
+        # A run or a rise of a few ulps of 1e-308 makes the ratio overflow:
+        # that edge is vertical (or flat) here, and every cell it can meet
+        # is near, so it marks no clean crossing along that axis.
+        steep = not math.isfinite(slope)
         c0 = floor((x_lo - m) / e)
         c1 = floor((x_hi + m) / e)
         for ix in range(c0 if c0 > ix0 else ix0, (c1 if c1 < ix1 else ix1) + 1):
             lo, hi = y_lo, y_hi
-            if dx:
+            if dx and not steep:
                 # The edge's rows over the column widened by the margin.
                 t = ix * e - m
                 u = ay + ((t if t > x_lo else x_lo) - ax) * slope
@@ -145,9 +231,9 @@ def rasterize(
             column = near[ix - ix0]
             for iy in range(r0 if r0 > iy0 else iy0, (r1 if r1 < iy1 else iy1) + 1):
                 column.setdefault(iy, False)
-        if dy:
+        run = dx / dy if dy else 0.0
+        if dy and math.isfinite(run):
             # Row lines j * e the edge strictly crosses.
-            run = dx / dy
             r0 = floor(y_lo / e)
             r1 = floor(y_hi / e)
             for j in range(r0 if r0 > iy0 else iy0, (r1 if r1 < iy1 else iy1) + 2):
@@ -161,7 +247,7 @@ def rasterize(
                             column[j - 1] = True
                         if j <= iy1:
                             column[j] = True
-        if dx:
+        if dx and not steep:
             # Column lines i * e the edge strictly crosses.
             c0 = floor(x_lo / e)
             c1 = floor(x_hi / e)

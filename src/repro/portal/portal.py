@@ -21,6 +21,7 @@ from repro.core.lookup import QueryAnswer
 from repro.core.stats import ProcessingCostModel
 from repro.core.tree import COLRTree
 from repro.geometry import GeoPoint
+from repro.geometry.grid import TILE_EXTENT_DEGREES, Cell, occupancy
 from repro.portal.grouping import DisplayGroup
 # Imported by name for the e2e tracer's table of trace points, which
 # still lists it here (ROADMAP item 6(e) retires that table).
@@ -90,6 +91,19 @@ class PortalResult:
         return total.result(self.query.aggregate)
 
 
+def tile_occupancy(
+    sensors: Sequence[Sensor],
+) -> dict[str | None, frozenset[Cell] | None]:
+    """A fleet's front-door tile occupancy: ``grid.occupancy`` of its
+    locations at ``TILE_EXTENT_DEGREES``, by sensor type."""
+    return occupancy(
+        [s.location.x for s in sensors],
+        [s.location.y for s in sensors],
+        [s.sensor_type for s in sensors],
+        TILE_EXTENT_DEGREES,
+    )
+
+
 class SensorMapPortal:
     """The rendezvous point of publishers and map users."""
 
@@ -157,6 +171,9 @@ class SensorMapPortal:
         # layers above the portal (the front-door result cache) can
         # detect that cached answers predate the current index.
         self.index_generation = 0
+        # The indexed fleet's tile occupancy (see occupied_tiles), made
+        # on first use after each build.
+        self._occupancy: dict[str | None, frozenset[Cell] | None] | None = None
         # Durable storage (optional).  Opening the engine performs
         # recovery: the durable registry reloads immediately, the
         # recovered cache batches wait in ``_recovered_pending`` until
@@ -269,8 +286,22 @@ class SensorMapPortal:
             # sink, so replay is never re-journaled.
             self._prime_recovered()
             self._attach_wal_sink()
+        self._occupancy = None
         self._index_dirty = False
         self.index_generation += 1
+
+    def occupied_tiles(self, sensor_type: str | None) -> frozenset[Cell] | None:
+        """The front-door tiles whose closed rectangles hold an indexed
+        sensor of ``sensor_type`` (``None``: of any type); ``None`` when
+        not known (the index is dirty, the type has no sensors, or a
+        sensor lies too far out, see ``grid.occupancy``).  Made from the
+        fleet the index was built from, on the first call after a build:
+        a shard portal behind a federation is never asked."""
+        if self._index_dirty or not self._trees:
+            return None
+        if self._occupancy is None:
+            self._occupancy = tile_occupancy(list(self.registry))
+        return self._occupancy.get(sensor_type)
 
     # ------------------------------------------------------------------
     # Durable storage

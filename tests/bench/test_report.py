@@ -49,7 +49,7 @@ def test_counter_dictionaries_keep_their_keys():
         "tile_stores", "uncacheable", "l1_evictions", "l2_evictions",
         "invalidated_slot", "invalidated_stale", "invalidated_write",
         "invalidated_generation", "fill_fallbacks", "fill_fallbacks_partial",
-        "fill_fallbacks_crop", "fill_fallbacks_gone",
+        "fill_fallbacks_crop", "fill_fallbacks_gone", "empty_tiles",
     }
     assert set(AdmissionStats().as_dict()) == {
         "offered", "admitted", "shed_rate", "shed_queue", "shed_fraction",

@@ -173,6 +173,21 @@ def _ring(*points: tuple[float, float]) -> Polygon:
         (_ring((0.0, 0.0), (2.4, 0.0), (0.0, 2.4)), 0.3),
         (_ring((0.05, 0.02), (2.95, 0.4), (1.7, 2.8)), 0.1),
         (_ring((-3.3, -0.9), (0.3, -2.1), (0.9, 0.9), (-0.3, 0.3)), 0.3),
+        # An edge whose run (then rise) is subnormal: its slope overflows.
+        (
+            _ring(
+                (-1.390671161567e-310, 0.0625), (1.0, 0.0625), (1.0, -0.0625),
+                (1.390671161567e-310, -0.0625),
+            ),
+            0.0625,
+        ),
+        (
+            _ring(
+                (0.0625, -1.390671161567e-310), (0.0625, 1.0), (-0.0625, 1.0),
+                (-0.0625, 1.390671161567e-310),
+            ),
+            0.0625,
+        ),
     ],
 )
 def test_named_cases(polygon, extent):
