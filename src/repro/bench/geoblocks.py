@@ -261,7 +261,6 @@ def run_sweep_probe(
                 "warm_sensors_probed": sum(
                     a.stats.sensors_probed for a in warm.answers
                 ),
-                "grid": portal.geoblocks().stats.__dict__.copy(),
             }
         )
     return {
@@ -341,7 +340,7 @@ def run_window_probe(
         "steps": steps,
         "exact_symmetric_difference": exact_reuse,
         "steady_reused_fraction": reused_fraction,
-        "window_cells_reused_total": portal.network.stats.window_cells_reused,
+        "window_cells_reused_total": sum(r["cells_reused"] for r in records),
         "aggregated_any": any(r["window_aggregate"] is not None for r in records),
         "records": records,
     }
@@ -394,11 +393,6 @@ def run_stream_probe(n_sensors: int, n_queries: int, seed: int) -> dict:
                 r.processing_seconds for r in results
             ).as_dict(),
         }
-    out["grid"] = portal.geoblocks().stats.__dict__.copy()
-    out["network"] = {
-        "polygon_cells_interior": portal.network.stats.polygon_cells_interior,
-        "polygon_cells_boundary": portal.network.stats.polygon_cells_boundary,
-    }
     return out
 
 

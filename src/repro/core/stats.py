@@ -62,20 +62,6 @@ class QueryStats:
     # pool could not cover the rounded probe request — the *genuine*
     # shortfall signal of Algorithm 2, as opposed to rounding noise.
     pool_exhausted_terminals: int = 0
-    # Geoblock-planner instrumentation (observational, never fed to the
-    # cost model — the grid changes *where* an answer is assembled from,
-    # while the modeled work of assembling it stays in the counters
-    # above).  ``polygon_cells_interior`` / ``polygon_cells_boundary``
-    # count the rasterized cells a polygon query split into (provenance
-    # only: a planned polygon is one traversal of the polygon itself, in
-    # which interior cells the grid can serve come from the leaf slot
-    # caches and boundary cells' sensors are tested against the polygon
-    # like any region's); ``window_cells_reused`` counts cells a
-    # sliding analytic window carried over from its previous step
-    # instead of recomputing.
-    polygon_cells_interior: int = 0
-    polygon_cells_boundary: int = 0
-    window_cells_reused: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another stats record into this one."""

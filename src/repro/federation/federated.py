@@ -160,7 +160,6 @@ class FederationStats:
     subqueries_scattered: int = 0
     exact_broadcasts: int = 0
     sampled_splits: int = 0
-    shards_routed: int = 0
     zero_share_skips: int = 0
     shard_attempts: int = 0
     shard_retries: int = 0
@@ -874,7 +873,6 @@ class FederatedPortal:
             if plan.deadline is not None:
                 stats.streaming_queries += 1
             if plan.routes:
-                stats.shards_routed += len(plan.routes)
                 if plan.target is None:
                     stats.exact_broadcasts += 1
                 else:

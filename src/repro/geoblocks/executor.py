@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PolygonResult(PortalResult):
     """A planned polygon's answer plus its cell-plan provenance.
 
-    Every count sums over the per-type trees the query fanned out to
-    (matching how the per-query stats counters accumulate):
+    Every count sums over the per-type trees the query fanned out to,
+    and no stats class repeats it:
 
     - ``interior_cells`` / ``boundary_cells``: the plan's cells;
     - ``grid_cells_served``: interior cells whose whole population was
@@ -100,7 +100,4 @@ def execute_polygon(
                 unserved.update(grid.cell_state(sensor_type, cell).population)
     interior = len(plan.interior) * len(trees)
     boundary = len(plan.boundary) * len(trees)
-    net = portal.network.stats
-    net.polygon_cells_interior += interior
-    net.polygon_cells_boundary += boundary
     return [interior, boundary, served, 0], unserved

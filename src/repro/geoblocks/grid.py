@@ -34,22 +34,12 @@ class CellState:
     population: list[int] = field(default_factory=list)
 
 
-@dataclass
-class GridStats:
-    """Cumulative grid accounting."""
-
-    cells_served: int = 0
-    cell_fallbacks: int = 0
-    rebuilds: int = 0
-
-
 class GeoBlockGrid:
     """Per-portal geoblock grid (see module docstring)."""
 
     def __init__(self, portal, config: GeoBlockConfig | None = None) -> None:
         self.portal = portal
         self.config = config if config is not None else GeoBlockConfig()
-        self.stats = GridStats()
         self.generation = -1
         self._cells: dict[str, dict[tuple[int, int], CellState]] = {}
 
@@ -75,7 +65,6 @@ class GeoBlockGrid:
             for state in states.values():
                 state.population.sort()
         self.generation = portal.index_generation
-        self.stats.rebuilds += 1
 
     # ------------------------------------------------------------------
     # The view
@@ -125,7 +114,5 @@ class GeoBlockGrid:
         readings = self.fresh_readings(sensor_type, cell, now, max_staleness)
         state = self.cell_state(sensor_type, cell)
         if state is not None and len(readings) < len(state.population):
-            self.stats.cell_fallbacks += 1
             return None
-        self.stats.cells_served += 1
         return readings

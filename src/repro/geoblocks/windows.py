@@ -199,8 +199,6 @@ class SlidingWindow:
         # Cells the viewport left are dropped — window memory is bounded
         # by the current cover.
         self._snapshots = fresh_snaps
-        merged.stats.window_cells_reused += reused
-        portal.network.stats.window_cells_reused += reused
 
         self._ring.append(combine(sketches))
         window_sketch = combine(self._ring)

@@ -33,9 +33,9 @@ plans on its cell grid (:func:`repro.geoblocks.executor.plan_query`),
 its result a ``PolygonResult`` — is one more exact scan of the tick:
 the polygon itself, with per-sensor answers.  Its plan step
 (:func:`repro.geoblocks.executor.execute_polygon`) reads the grid in the
-partition step, before any of the tick's probes land; the plan's counts
-are booked onto its answers with the exact phase's.  A rectangle drawn
-as a polygon is its ``Rect`` (:func:`repro.portal.query.normalize_region`).
+partition step, before any of the tick's probes land; its counts are
+the ``PolygonResult``'s alone.  A rectangle drawn as a polygon is its
+``Rect`` (:func:`repro.portal.query.normalize_region`).
 
 A singleton batch is bit-identical to one ``COLRTree.query`` per type
 tree (same plan-cache interaction, same probe order, hence the same
@@ -65,7 +65,6 @@ from repro.portal.query import SensorQuery, normalize_region
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.lookup import QueryAnswer
     from repro.core.tree import COLRTree
-    from repro.geoblocks.planner import CellPlan
     from repro.portal.portal import SensorMapPortal
     from repro.transport.dispatcher import ProbeRound
 
@@ -194,7 +193,6 @@ def execute_batch(
     sampling_on = portal.config.sampling_enabled
     exact_by_tree: dict["COLRTree", list[int]] = {}
     sampled: list[int] = []
-    plans: dict[int, "CellPlan"] = {}
     cells: dict[int, list[int]] = {}
     unserved: dict[int, set[int]] = {}
     for qi, (trees, sample_size) in enumerate(resolved):
@@ -202,7 +200,6 @@ def execute_batch(
             sampled.append(qi)
             continue
         if (plan := geoblocks.plan_query(portal, queries[qi])) is not None:
-            plans[qi] = plan
             cells[qi], unserved[qi] = geoblocks.execute_polygon(
                 portal, queries[qi], plan, trees, now
             )
@@ -235,7 +232,7 @@ def execute_batch(
                     ScanRequest(
                         queries[qi].region,
                         queries[qi].staleness_seconds,
-                        aggregate_termination=qi not in plans,
+                        aggregate_termination=qi not in cells,
                     )
                     for qi in query_indices
                 ],
@@ -277,11 +274,9 @@ def execute_batch(
                 zip(query_indices, scans)
             ):
                 answers[qi, tree] = answer
-                if qi in plans:
-                    # The plan's cells, booked on the planned answer, and
-                    # its interior probes: the ones this query owns.
-                    answer.stats.polygon_cells_interior += len(plans[qi].interior)
-                    answer.stats.polygon_cells_boundary += len(plans[qi].boundary)
+                if qi in cells:
+                    # The planned answer's interior probes: the ones
+                    # this query owns.
                     ids = unserved[qi]
                     cells[qi][3] += sum(
                         1

@@ -565,7 +565,9 @@ class SensorMapPortal:
     def stats(self) -> dict[str, object]:
         """Operational summary: per-type index shape and cache
         occupancy, and each layer's counters as its owner keeps them
-        (``NetworkStats``, ``TransportStats``, ``StorageStats``)."""
+        (``NetworkStats``, ``TransportStats``, ``StorageStats``).  The
+        transport block also names two derived counts: ``attempts``, the
+        wire's ``probes_attempted``, and ``dedup_hits``."""
         self._ensure_index()
         per_type = {}
         for name, tree in self._trees.items():
@@ -575,11 +577,16 @@ class SensorMapPortal:
                 "cached_readings": tree.cached_reading_count,
             }
         transport = self._dispatcher.stats
+        network = asdict(self.network.stats)
         summary: dict[str, object] = {
             "types": per_type,
             "total_sensors": len(self.registry),
-            "network": asdict(self.network.stats),
-            "transport": asdict(transport) | {"dedup_hits": transport.dedup_hits},
+            "network": network,
+            "transport": asdict(transport)
+            | {
+                "attempts": network["probes_attempted"],
+                "dedup_hits": transport.dedup_hits,
+            },
         }
         if self.storage is not None:
             summary["storage"] = asdict(self.storage.stats)

@@ -70,13 +70,6 @@ class NetworkStats:
     probes_timed_out: int = 0
     batches: int = 0
     total_latency_seconds: float = 0.0
-    # Geoblock-subsystem accounting (zero until a polygon or analytic
-    # window query runs): rasterized polygon cells by kind and sliding
-    # window cells carried over from the previous step instead of
-    # recomputed.  Mirrors the per-query counters in ``QueryStats``.
-    polygon_cells_interior: int = 0
-    polygon_cells_boundary: int = 0
-    window_cells_reused: int = 0
 
 
 ValueFn = Callable[[Sensor, float], float]

@@ -84,13 +84,11 @@ _TIMED_OUT = 3
 
 @dataclass
 class TransportStats:
-    """Cumulative dispatcher accounting.  The wire-level outcomes
-    (successes, timeouts, unavailable answers) are ``NetworkStats``'."""
+    """Cumulative dispatcher accounting.  The wire-level counts
+    (attempts, successes, timeouts, unavailable answers) are
+    ``NetworkStats``'."""
 
     rounds: int = 0
-    # Equal to ``NetworkStats.probes_attempted``; kept because the e2e
-    # harness reads both names.
-    attempts: int = 0
     retries: int = 0
     dedup_inflight: int = 0
     dedup_recent: int = 0
@@ -421,7 +419,6 @@ class ProbeDispatcher:
             kind = _OK if ok else _TIMED_OUT if timed_out else _UNAVAILABLE
             push(events, (finish, next(seq), kind, pending))
         net.stats.probes_attempted += len(batch)
-        self.stats.attempts += len(batch)
         self.stats.retries += retries
 
     def _complete(self, events: list, t: float, kind: int, pending: _Pending) -> bool:
@@ -521,7 +518,6 @@ class ProbeDispatcher:
             attempts = net.sample_attempts(rnd.contacted)
             result = net.complete_batch(rnd.contacted, attempts, rnd.now)
             rnd.attempts += len(rnd.contacted)
-            self.stats.attempts += len(rnd.contacted)
             cfg = self.config
             timed_set = set(result.timed_out)
             for sid in rnd.contacted:

@@ -55,7 +55,7 @@ def test_counter_dictionaries_keep_their_keys():
         "offered", "admitted", "shed_rate", "shed_queue", "shed_fraction",
     }
     assert set(asdict(TransportStats())) == {
-        "rounds", "overlapped_rounds", "attempts", "retries",
+        "rounds", "overlapped_rounds", "retries",
         "dedup_inflight", "dedup_recent", "cooldown_skips",
         "streamed_readings", "stream_flushes", "maintenance_ops",
     }
@@ -68,7 +68,7 @@ def test_counter_dictionaries_keep_their_keys():
     fed.register_sensor(GeoPoint(1.0, 1.0), expiry_seconds=300.0)
     assert set(fed.stats_summary()["federation"]) == {
         "queries", "batch_ticks", "subqueries_scattered", "exact_broadcasts",
-        "sampled_splits", "shards_routed", "zero_share_skips",
+        "sampled_splits", "zero_share_skips",
         "shard_attempts", "shard_retries", "shard_failures",
         "partial_answers", "redistributions",
         "redistribution_rounds_run", "topup_subqueries",

@@ -1,6 +1,9 @@
-"""Shared fixtures: small deterministic sensor populations and trees."""
+"""Shared fixtures: small deterministic sensor populations and trees,
+and the teardown that no test may orphan a worker process."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,6 +16,21 @@ from repro import (
     SensorNetwork,
     SensorRegistry,
 )
+
+
+@pytest.fixture(autouse=True)
+def assert_no_orphan_workers():
+    """Every test ends with ``multiprocessing.active_children()`` empty:
+    a portal that was not closed, a ``close()`` that lost track of a
+    worker, or a killed worker reaped behind the module's back fails the
+    test that caused it (and the stragglers are killed so it fails only
+    that one)."""
+    yield
+    orphans = multiprocessing.active_children()
+    for child in orphans:
+        child.kill()
+        child.join()
+    assert orphans == [], "test left worker processes running"
 
 
 def make_registry(

@@ -137,12 +137,6 @@ class TestGridServing:
         result = portal.execute_polygon(exact_query(triangle()))
         assert result.interior_cells == len(plan.interior)
         assert result.boundary_cells == len(plan.boundary)
-        stats = result.answers[0].stats
-        assert stats.polygon_cells_interior == len(plan.interior)
-        assert stats.polygon_cells_boundary == len(plan.boundary)
-        net = portal.network.stats
-        assert net.polygon_cells_interior == len(plan.interior)
-        assert net.polygon_cells_boundary == len(plan.boundary)
 
     def test_unknown_sensor_type_raises(self):
         portal = make_portal(n=20, seed=11)

@@ -4,7 +4,7 @@ Workers are real forked processes, so these tests cover the contracts
 the in-process suite cannot: answer bit-identity across the pipe, crash
 degradation with a killed *process* (not a simulated flag), revival as a
 fresh process, the rebuild → respawn lifecycle, and a coordinator that
-holds no shard state of its own.  The package conftest asserts no
+holds no shard state of its own.  ``tests/conftest.py`` asserts no
 orphaned worker after every test.
 """
 

@@ -7,7 +7,8 @@ backends, and each block of a shard's ``stats()`` is its owner's.
 ``SHARD_COUNTERS`` table is read from the file as a literal (the
 harness imports its workload module from its own directory, so it is
 not importable from here), and every ``(group, name)`` in it must be in
-every shard's summary.
+every shard's summary.  The transport block's ``attempts`` is the wire's
+``probes_attempted``, read off the network: one count, two names.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def test_every_harness_counter_is_in_every_shard_summary(execution, tmp_path):
             missing = [name for name in names if name not in shard.get(group, {})]
             assert not missing, (group, missing)
         assert shard["network"]["probes_attempted"] > 0
+        assert shard["transport"]["attempts"] == shard["network"]["probes_attempted"]
         assert shard["transport"]["retries"] > 0
         assert shard["storage"]["checkpoints"] == 1
 
@@ -92,7 +94,8 @@ def test_each_block_is_its_owner(tmp_path):
             transport = portal.dispatcher.stats
             assert shards[i]["network"] == asdict(portal.network.stats)
             assert shards[i]["transport"] == asdict(transport) | {
-                "dedup_hits": transport.dedup_hits
+                "attempts": portal.network.stats.probes_attempted,
+                "dedup_hits": transport.dedup_hits,
             }
             assert shards[i]["storage"] == asdict(portal.storage.stats)
     with run("process", tmp_path / "process") as proc:

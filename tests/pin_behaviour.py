@@ -29,6 +29,10 @@ into it: the inline ``network.probe`` branches that PR 13 removed never
 copied the network's timeouts into it, so without a transport config it
 read 0 there and reads the real count since (``NetworkStats`` had it
 all along).
+
+Counters that only restated another owner's count are dropped from
+every line (:data:`RESTATED`), so the script prints the same digests on
+checkouts that still have them.
 """
 
 from __future__ import annotations
@@ -55,6 +59,23 @@ TYPES = ("temperature", "wind")
 NETWORK = {"latency_jitter": 0.3, "timeout_seconds": 0.45}
 POLYGON_TICKS = 12
 POLYGON_EXTENT = 10.0
+# Each equalled its owner before it went: the polygon cell counts are
+# ``PolygonResult``'s, window reuse ``WindowResult``'s, and a transport
+# attempt is the wire's ``probes_attempted``.
+RESTATED = (
+    "polygon_cells_interior",
+    "polygon_cells_boundary",
+    "window_cells_reused",
+    "attempts",
+)
+
+
+def counters(stats) -> dict:
+    """``asdict`` of a counter owner, restated counters dropped."""
+    out = asdict(stats)
+    for key in RESTATED:
+        out.pop(key, None)
+    return out
 
 
 def fleet(n: int, seed: int, extent: float = 100.0):
@@ -158,7 +179,7 @@ class Section:
         for a in answers:
             probed = sorted((r.sensor_id, r.value) for r in a.probed_readings)
             cached = sorted((r.sensor_id, r.value) for r in a.cached_readings)
-            stats = asdict(a.stats)
+            stats = counters(a.stats)
             self.timed_out += stats.pop("probes_timed_out")
             self.lines += [
                 repr(probed),
@@ -170,8 +191,8 @@ class Section:
     def add_counters(self, owner) -> None:
         """A portal's or tree's cumulative counters: its network's, then
         its dispatcher's."""
-        self.lines.append(repr(asdict(owner.network.stats)))
-        self.lines.append(repr(asdict(owner.dispatcher.stats)))
+        self.lines.append(repr(counters(owner.network.stats)))
+        self.lines.append(repr(counters(owner.dispatcher.stats)))
 
     def digest(self) -> str:
         return hashlib.sha256("\n".join(self.lines).encode()).hexdigest()[:16]

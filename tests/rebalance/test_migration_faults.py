@@ -11,6 +11,7 @@ into a serving federation covering exactly the fleet.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
@@ -202,6 +203,16 @@ class TestCoordinatorCrash:
         rebuilt.close()
 
 
+def _sigkill(pid: int) -> None:
+    """SIGKILL a worker and wait for it through ``multiprocessing``, so
+    the module records its exit.  An ``os.waitpid`` would reap it behind
+    the module's back: its handle would then stay in
+    ``active_children()`` with no exit code for the rest of the run."""
+    (process,) = [p for p in multiprocessing.active_children() if p.pid == pid]
+    os.kill(pid, signal.SIGKILL)
+    process.join()
+
+
 class TestWorkerSigkill:
     """SIGKILL a target shard's worker process mid-migration: the
     membership change still lands, the dead worker respawns fresh, and
@@ -234,8 +245,7 @@ class TestWorkerSigkill:
 
             def kill_dst(point: str) -> None:
                 if point == "mover.captured":
-                    os.kill(dst_pid, signal.SIGKILL)
-                    os.waitpid(dst_pid, 0)
+                    _sigkill(dst_pid)
 
             mover = ShardMover(fed)
             movers = [s.sensor_id for s in fed.shard_members(0)[:6]]
@@ -262,8 +272,7 @@ class TestWorkerSigkill:
 
             def kill_src(point: str) -> None:
                 if point == "mover.captured":
-                    os.kill(src_pid, signal.SIGKILL)
-                    os.waitpid(src_pid, 0)
+                    _sigkill(src_pid)
 
             mover = ShardMover(fed)
             movers = [s.sensor_id for s in fed.shard_members(0)[:6]]

@@ -1,6 +1,6 @@
 """Shared fixtures and teardown for the storage suite.
 
-Like the parallel suite's orphan-worker check: no test here may leak
+Like the suite-wide orphan-worker check: no test here may leak
 scratch directories into the system temp dir — every data directory
 must live under pytest's ``tmp_path`` (reaped by pytest) or be removed
 by the code under test.

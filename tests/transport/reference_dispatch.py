@@ -49,7 +49,6 @@ class ReferenceDispatcher(ProbeDispatcher):
         heapq.heappush(conn, finish)
         pending.attempts += 1
         self.network.stats.probes_attempted += 1
-        self.stats.attempts += 1
         pending.rounds[0].attempts += 1
         if pending.attempts > 1:
             self.stats.retries += 1
