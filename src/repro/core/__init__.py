@@ -31,7 +31,6 @@ from repro.core.slots import SlotCache, slot_of
 from repro.core.node import COLRNode
 from repro.core.build import build_colr_tree, kmeans_cluster
 from repro.core.tree import COLRTree
-from repro.core.explain import PlanTerminal, QueryPlan, explain_query
 from repro.core.flat import CONTAINED, DISJOINT, PARTIAL, FlatKernel
 from repro.core.lookup import QueryAnswer, TerminalRecord
 from repro.core.plancache import SpatialPlan, SpatialPlanCache, region_fingerprint
@@ -55,11 +54,8 @@ __all__ = [
     "SpatialPlan",
     "SpatialPlanCache",
     "region_fingerprint",
-    "PlanTerminal",
     "QueryAnswer",
-    "QueryPlan",
     "TerminalRecord",
-    "explain_query",
     "layered_sample",
     "SlotSizeModel",
     "optimal_slot_size",

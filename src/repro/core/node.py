@@ -88,10 +88,6 @@ class COLRNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def n_descendants(self) -> int:
-        return int(self.descendant_ids.size)
-
     def iter_subtree(self) -> Iterator["COLRNode"]:
         """Depth-first iteration over this node and every descendant."""
         stack = [self]

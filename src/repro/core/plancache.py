@@ -11,8 +11,8 @@ must be re-evaluated per query.
 
 ``SpatialPlanCache`` is a small LRU keyed by the region fingerprint
 holding :class:`SpatialPlan` entries — nothing in a plan depends on the
-query's access path or terminal level, so an exact, a sampled and an
-explained query over one region share one entry.  A plan carries
+query's access path or terminal level, so an exact and a sampled
+query over one region share one entry.  A plan carries
 the node classification eagerly and materializes the more expensive
 derived artifacts (overlap fractions, per-leaf membership, the fully
 vectorized empty-cache scan) lazily on first use, so a plan only ever

@@ -51,16 +51,6 @@ from repro.transport.dispatcher import ProbeDispatcher, ProbeRound
 AVAILABILITY_REFRESH_SECONDS = 600.0
 
 
-def _check_query(max_staleness: float, terminal_level: int | None) -> None:
-    """The argument checks :meth:`COLRTree.query` and
-    :meth:`COLRTree.explain` share.  Negated comparisons, so NaN fails
-    them and infinity passes."""
-    if not max_staleness >= 0:
-        raise ValueError("max_staleness must be non-negative")
-    if terminal_level is not None and not terminal_level >= 0:
-        raise ValueError("terminal_level must be non-negative")
-
-
 class COLRTree:
     """A built COLR-Tree over a sensor population.
 
@@ -215,7 +205,11 @@ class COLRTree:
         polygon gets (the batch executor's ``ScanRequest`` carries the
         same flag).  The default keeps every existing path bit-identical.
         """
-        _check_query(max_staleness, terminal_level)
+        # Negated comparisons, so NaN fails them and infinity passes.
+        if not max_staleness >= 0:
+            raise ValueError("max_staleness must be non-negative")
+        if terminal_level is not None and not terminal_level >= 0:
+            raise ValueError("terminal_level must be non-negative")
         self._prune_expired(now)
         if sample_size is None:
             sample_size = DEFAULT_SAMPLE_SIZE
@@ -235,27 +229,6 @@ class COLRTree:
         """Simulated processing latency of one query's stats."""
         return self.cost_model.processing_seconds(stats)
 
-    def explain(
-        self,
-        region: Region,
-        now: float,
-        max_staleness: float,
-        sample_size: int | None = None,
-        terminal_level: int | None = None,
-    ):
-        """EXPLAIN: the plan a query would execute, without probing.
-
-        Returns a :class:`repro.core.explain.QueryPlan` with the access
-        path, cache coverage, expected probe count and per-terminal
-        allocation.  Read-only and deterministic; the arguments are
-        checked as :meth:`query` checks them.
-        """
-        from repro.core.explain import explain_query
-
-        return explain_query(
-            self, region, now, max_staleness, sample_size, terminal_level
-        )
-
     def spatial_plan(
         self, region: Region, stats: QueryStats | None = None
     ) -> SpatialPlan:
@@ -264,7 +237,7 @@ class COLRTree:
         The classification (and everything derived from it) depends
         only on the region and the frozen tree structure, so a cached
         plan is valid indefinitely and every query over the region —
-        exact, sampled at any terminal level, or explained — shares it;
+        exact or sampled at any terminal level — shares it;
         ``stats`` receives the hit/miss meters when provided.  A region
         without a fingerprint is classified afresh each time.
         """

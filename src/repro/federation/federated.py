@@ -1,7 +1,7 @@
 """The scatter-gather coordinator over partitioned portal shards.
 
 ``FederatedPortal`` mirrors the ``SensorMapPortal`` surface (register /
-rebuild / execute / execute_batch / explain / stats) but
+rebuild / execute / execute_batch / stats) but
 owns N shards, each a full portal — its own COLR-Trees, its own
 ``SensorNetwork``, its own ``ProbeDispatcher`` pool when transport is
 enabled.  One simulated clock is shared so freshness bounds mean the
@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.aggregates import AggregateSketch
 from repro.core.config import COLRTreeConfig
-from repro.core.explain import cache_coverage
 from repro.core.stats import ProcessingCostModel
 from repro.federation.backend import InProcessBackend, ShardDownError, ShardSpec
 from repro.federation.config import FederationConfig
@@ -1144,36 +1143,12 @@ class FederatedPortal:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def explain(self, query: SensorQuery) -> dict[str, object]:
-        """Federated EXPLAIN: the :class:`Plan` :meth:`execute` would run
-        (its sub-queries, target and top-up rounds are the plan's own
-        fields), each planned shard's own EXPLAIN, and the totals over
-        them: expected probes, and the cache coverage of every shard's
-        plans summed (:func:`repro.core.explain.cache_coverage`).
-        Read-only: no retries, no counters; killed or unreachable
-        shards are skipped and listed."""
-        plan = self._plan(normalize_region(query))
-        per_shard: dict[int, dict[str, object]] = {}
-        skipped: list[int] = []
-        for shard_id, subquery in plan.subqueries:
-            if self._states[shard_id].killed:
-                skipped.append(shard_id)
-                continue
-            try:
-                per_shard[shard_id] = self._backend.call(shard_id, "explain", subquery)
-            except ShardDownError:
-                skipped.append(shard_id)
-        return {
-            "plan": plan,
-            "shards": per_shard,
-            "skipped_shards": skipped,
-            "expected_probes": sum(
-                float(e["expected_probes"]) for e in per_shard.values()
-            ),
-            "cache_coverage": cache_coverage(
-                p for e in per_shard.values() for p in e["plans"].values()
-            ),
-        }
+    def explain(self, query: SensorQuery) -> Plan:
+        """Federated EXPLAIN: the :class:`Plan` :meth:`execute` would
+        scatter — its routes, sub-queries, target and top-up rounds.
+        Pure, like :meth:`_plan`: it contacts no shard and counts
+        nothing."""
+        return self._plan(normalize_region(query))
 
     def stats_summary(self) -> dict[str, object]:
         """Operational summary: directory, coordinator counters, and

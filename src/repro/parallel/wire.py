@@ -43,7 +43,7 @@ object graph::
 framing: batches with ``CLUSTER`` / zoom-level results (their groups are
 ``DisplayGroup`` lists) or readings whose values are not floats (a
 custom ``value_fn``; an ``array('d')`` would silently coerce them),
-``stats``, ``explain``, ``export_cache``, ``checkpoint``.
+``stats``, ``export_cache``, ``checkpoint``.
 
 :data:`CARRIED` names, per dataclass, the fields the columnar arm moves;
 ``tests/parallel/test_wire.py`` holds it equal to ``dataclasses.fields``

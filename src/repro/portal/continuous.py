@@ -56,11 +56,6 @@ class Subscription:
         return self.last_executed_at + self.refresh_seconds
 
 
-# Fractional part of the golden ratio: consecutive multiples mod 1 are
-# maximally spread over [0, 1), so auto-assigned phases never cluster.
-_PHASE_GOLDEN = 0.6180339887498949
-
-
 class ContinuousQueryManager:
     """Drives standing queries against one portal.
 
@@ -70,12 +65,10 @@ class ContinuousQueryManager:
     ``execute_streaming`` when a gather deadline is set), which the
     coordinator mirrors.
 
-    When ``stagger_seconds`` is set, each new subscription gets an
-    automatic first-run phase offset (golden-ratio spaced over
-    ``[0, stagger_seconds)``) so a thundering herd of same-interval
-    subscriptions spreads across ticks instead of all firing at once.
-    Once offset, subscriptions keep their relative phases forever —
-    each next run is ``last_executed_at + refresh_seconds``.  Probes
+    A subscription's ``phase_seconds`` delays its first run, so
+    same-interval subscriptions can be spread across ticks instead of
+    all firing at once; each next run is ``last_executed_at +
+    refresh_seconds``, so they keep their relative phases.  Probes
     shared by viewports that still land on the same tick are absorbed
     by the transport dispatcher's in-flight/recently-probed tables.
     """
@@ -83,7 +76,6 @@ class ContinuousQueryManager:
     def __init__(
         self,
         portal: SensorMapPortal,
-        stagger_seconds: float | None = None,
         gather_deadline_seconds: float | None = None,
     ) -> None:
         """``gather_deadline_seconds`` opts ticks into streaming
@@ -94,15 +86,10 @@ class ContinuousQueryManager:
         ride the next refresh.  ``None`` (the default) keeps the
         synchronous gather.  Unsharded portals ignore the deadline —
         there is no gather to stream."""
-        # Negated conjunctions, as in ``Rect``: a NaN fails every
-        # comparison, so it is rejected too (a NaN stagger would make
-        # every subscription's ``due_at()`` NaN, never due).
-        if stagger_seconds is not None and not 0 <= stagger_seconds < math.inf:
-            raise ValueError("stagger_seconds must be finite and non-negative")
+        # Negated, as in ``Rect``: a NaN deadline is rejected too.
         if gather_deadline_seconds is not None and not gather_deadline_seconds > 0:
             raise ValueError("gather_deadline_seconds must be positive or None")
         self.portal = portal
-        self.stagger_seconds = stagger_seconds
         self.gather_deadline_seconds = gather_deadline_seconds
         self._subscriptions: dict[int, Subscription] = {}
         self._next_id = 0
@@ -115,35 +102,29 @@ class ContinuousQueryManager:
         query: SensorQuery,
         refresh_seconds: float | None = None,
         callback: DeltaCallback | None = None,
-        phase_seconds: float | None = None,
+        phase_seconds: float = 0.0,
     ) -> Subscription:
         """Register a standing query.
 
         The refresh interval defaults to the query's staleness bound —
         by then the previous answer has aged out of acceptability.
-        ``phase_seconds`` delays the first run; when omitted it is 0,
-        or golden-ratio auto-staggered when the manager was built with
-        ``stagger_seconds``.
+        ``phase_seconds`` delays the first run.
         """
         interval = (
             refresh_seconds if refresh_seconds is not None else query.staleness_seconds
         )
-        if interval <= 0:
+        # Negated comparisons: a NaN interval or phase would make
+        # ``due_at()`` NaN, never due, so it is rejected too.
+        if not interval > 0:
             raise ValueError("refresh interval must be positive")
-        if phase_seconds is None:
-            phase = 0.0
-            if self.stagger_seconds:
-                phase = (self._next_id * _PHASE_GOLDEN) % 1.0 * self.stagger_seconds
-        elif phase_seconds < 0:
-            raise ValueError("phase_seconds must be non-negative")
-        else:
-            phase = float(phase_seconds)
+        if not 0 <= phase_seconds < math.inf:
+            raise ValueError("phase_seconds must be finite and non-negative")
         subscription = Subscription(
             subscription_id=self._next_id,
             query=query,
             refresh_seconds=float(interval),
             callback=callback,
-            phase_seconds=phase,
+            phase_seconds=float(phase_seconds),
             created_at=self.portal.clock.now(),
         )
         self._subscriptions[subscription.subscription_id] = subscription

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import COLRTreeConfig
-from repro.core.explain import cache_coverage
 from repro.core.lookup import QueryAnswer
 from repro.core.stats import ProcessingCostModel
 from repro.core.tree import COLRTree
@@ -591,33 +590,6 @@ class SensorMapPortal:
         if self.storage is not None:
             summary["storage"] = asdict(self.storage.stats)
         return summary
-
-    def explain(self, query: SensorQuery) -> dict[str, object]:
-        """EXPLAIN for a portal query: per-type plans plus totals,
-        without probing anything.
-
-        Returns ``{"plans": {type: QueryPlan}, "expected_probes": float,
-        "cache_coverage": float}``; the coverage is that of the summed
-        plans (:func:`repro.core.explain.cache_coverage`), so each type
-        weighs by the answer it needs.
-        """
-        self._ensure_index()
-        trees, sample_size = self._resolve(query)
-        plans = {
-            name: tree.explain(
-                query.region,
-                now=self.clock.now(),
-                max_staleness=query.staleness_seconds,
-                sample_size=sample_size,
-                terminal_level=query.zoom_level,
-            )
-            for name, tree in trees.items()
-        }
-        return {
-            "plans": plans,
-            "expected_probes": sum(p.expected_probes for p in plans.values()),
-            "cache_coverage": cache_coverage(plans.values()),
-        }
 
     def _effective_sample_size(
         self, requested: int | None, n_trees: int

@@ -179,7 +179,14 @@ class ShardMover:
         groups = [fed.shard_members(i) for i in range(n)]
         for sensor in joined:
             groups[self._place(sensor.location)].append(sensor)
-        self._retarget("join", groups)
+        try:
+            self._retarget("join", groups)
+        except MigrationAborted:
+            # Nothing moved: the joins leave the registry as well, or
+            # it would hold sensors no shard owns.
+            for sensor in joined:
+                fed.registry.unregister(sensor.sensor_id)
+            raise
         return joined
 
     def absorb_leaves(self, sensor_ids: Sequence[int]) -> list[int]:
@@ -207,9 +214,11 @@ class ShardMover:
             last = groups.pop()
             if i < len(groups):
                 groups[i] = last
+        self._retarget("leave", groups, departed)
+        # Only a committed step withdraws: an aborted one leaves every
+        # sensor registered and owned.
         for sensor_id in sorted(leaving):
             fed.registry.unregister(sensor_id)
-        self._retarget("leave", groups, departed)
         return sorted(leaving)
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -256,13 +258,22 @@ class TestBatch:
 
 
 class TestIntrospection:
-    def test_explain_lists_scatter_and_skips_killed(self):
+    def test_explain_lists_scatter_and_skips_killed(self, monkeypatch):
+        """EXPLAIN is the plan: it lists the scatter the directory
+        routes, the killed shard included, and skips calling any shard
+        (the killed one too) to write it."""
         fed = _federation(n_shards=4)
         fed.kill_shard(3)
+        before = asdict(fed.stats)
+
+        def no_call(*args):
+            raise AssertionError(f"explain called a shard: {args}")
+
+        monkeypatch.setattr(fed._backend, "call", no_call)
         plan = fed.explain(WIDE)
-        assert [shard_id for shard_id, _ in plan["plan"].subqueries] == [0, 1, 2, 3]
-        assert plan["skipped_shards"] == [3]
-        assert set(plan["shards"]) == {0, 1, 2}
+        assert plan == fed._plan(WIDE)
+        assert [shard_id for shard_id, _ in plan.subqueries] == [0, 1, 2, 3]
+        assert asdict(fed.stats) == before
 
     def test_stats_summary_shape(self):
         fed = _federation(n_shards=2)
@@ -309,7 +320,7 @@ class TestContinuousOverFederation:
         federation drops in: subscriptions run scattered and record
         merged (possibly partial) results."""
         fed = _federation(n_shards=4)
-        manager = ContinuousQueryManager(fed, stagger_seconds=10.0)
+        manager = ContinuousQueryManager(fed)
         sub = manager.subscribe(WIDE, refresh_seconds=30.0)
         ran = manager.tick()
         assert len(ran) == 1

@@ -184,10 +184,10 @@ class TestExplainMatchesExecute:
 
         # The first plan execute scattered is the one explain returned,
         # sub-query for sub-query; the rest are its top-up rounds.
-        assert sent[0] == plan["plan"]
+        assert sent[0] == plan
         assert len(sent) == 1 + result.redistribution_rounds_run
         scatter = {
-            shard_id: sub.sample_size for shard_id, sub in plan["plan"].subqueries
+            shard_id: sub.sample_size for shard_id, sub in plan.subqueries
         }
         assert set(scatter) == set(result.shard_results)
         assert sum(scatter.values()) == query.sample_size
@@ -209,7 +209,7 @@ class TestExplainMatchesExecute:
     def test_redistribution_plan_matches_execute_behavior(self):
         fed = _skewed_federation()
         query = _query()
-        plan = fed.explain(query)["plan"]
+        plan = fed.explain(query)
         result = fed.execute(query)
 
         assert plan.topup_rounds > 0
@@ -226,7 +226,7 @@ class TestExplainMatchesExecute:
 
     def test_ineligible_when_disabled_or_single_shard(self):
         disabled = _skewed_federation(rounds=0)
-        assert disabled.explain(_query())["plan"].topup_rounds == 0
+        assert disabled.explain(_query()).topup_rounds == 0
         result = disabled.execute(_query())
         assert result.redistribution_rounds_run == 0
         assert result.topup_results == ()
@@ -238,13 +238,13 @@ class TestExplainMatchesExecute:
                 GeoPoint(float(x), float(y)), expiry_seconds=600.0
             )
         single.rebuild_index()
-        assert single.explain(_query(20))["plan"].topup_rounds == 0
+        assert single.explain(_query(20)).topup_rounds == 0
         assert single.execute(_query(20)).redistribution_rounds_run == 0
 
     def test_unsampled_query_is_never_eligible(self):
         fed = _skewed_federation()
         query = SensorQuery(region=WHOLE, staleness_seconds=600.0)
-        plan = fed.explain(query)["plan"]
+        plan = fed.explain(query)
         assert plan.target is None
         assert plan.topup_rounds == 0
         assert fed.execute(query).redistribution_rounds_run == 0

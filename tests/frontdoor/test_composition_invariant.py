@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import COLRTreeConfig
@@ -288,6 +288,16 @@ def _change_fleet(portal, op) -> list:
 
 @settings(max_examples=30, deadline=None)
 @given(steps=_CHURN_STEPS, federated=st.booleans(), seed=st.integers(0, 3))
+# A join refused by the killed shard, then a leave drawn from the registry.
+@example(
+    steps=[
+        (("kill",), True, [("rect", 7.7, 1e-05, 0.87, 2.00001)]),
+        (("join", 1, 1), False, [("polygon", 0.001, 3.28, 2.77, 1.87)]),
+        (("leave", 3, 1944), False, [("polygon", 5.72, 1.82, 1.51, 3.3)]),
+    ],
+    federated=True,
+    seed=0,
+)
 def test_a_sparse_changing_fleet_is_served_its_fresh_readings(steps, federated, seed):
     portal = _sparse_portal(federated, seed)
     door = FrontDoor(portal, FrontDoorConfig(admission=AdmissionConfig(enabled=False)))

@@ -133,13 +133,9 @@ class TestProcessBackend:
             FederationConfig(execution="fibers")
 
 
-# One case per entry point that takes a deadline or a stagger: a NaN
-# fails every comparison, so only a negated conjunction rejects it.
+# One case per entry point that takes a deadline: a NaN fails every
+# comparison, so only a negated conjunction rejects it.
 NAN, INF = float("nan"), float("inf")
-
-
-def _stagger(fed, value):
-    ContinuousQueryManager(fed, stagger_seconds=value)
 
 
 def _gather_deadline(fed, value):
@@ -154,16 +150,12 @@ class TestDeadlineValidation:
     @pytest.mark.parametrize(
         "entry, value",
         [
-            (_stagger, NAN),
-            (_stagger, INF),
             (_gather_deadline, NAN),
             (_streaming, NAN),
             (_streaming, -1.0),
             (_streaming, 0.0),
         ],
         ids=[
-            "stagger-nan",
-            "stagger-inf",
             "gather-deadline-nan",
             "streaming-nan",
             "streaming-negative",

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ class TestLifecycle:
         # close is idempotent
         proc.close()
 
-    def test_stats_and_explain_survive_dead_worker(self):
+    def test_stats_and_explain_survive_dead_worker(self, monkeypatch):
         wide = SensorQuery(
             region=Rect(0.0, 0.0, EXTENT, EXTENT), staleness_seconds=STALENESS
         )
@@ -325,12 +326,21 @@ class TestLifecycle:
             # The dead worker's counters died with it: no build-time zeros.
             assert summary["shards"][0] == {"down": True}
             assert "down" not in summary["shards"][1]
-            assert proc.explain(wide)["skipped_shards"] == [0]
-
-            # A worker that crashed without kill_shard reads the same way.
-            os.kill(proc.worker_pid(1), signal.SIGKILL)
             plan = proc.explain(wide)
-            assert plan["skipped_shards"] == [0, 1] and plan["shards"] == {}
+            assert [sid for sid, _ in plan.subqueries] == [0, 1]
+
+            # A worker that crashed without kill_shard reads the same way,
+            # and EXPLAIN, which writes the plan without calling a shard,
+            # still returns it.
+            os.kill(proc.worker_pid(1), signal.SIGKILL)
+            called = []
+            monkeypatch.setattr(
+                proc._backend, "call", lambda *args: called.append(args)
+            )
+            before = asdict(proc.stats)
+            assert proc.explain(wide) == plan
+            assert called == [] and asdict(proc.stats) == before
+            monkeypatch.undo()
             assert proc.stats_summary()["shards"][1] == {"down": True}
 
     def test_coordinator_builds_no_trees(self, monkeypatch):

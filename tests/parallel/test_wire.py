@@ -275,7 +275,6 @@ class TestPickleArm:
         self._assert_plain(portal.execute(query), (query,), sensors)
         for op, args in (
             ("stats", ()),
-            ("explain", (query,)),
             ("export_cache", (None,)),
         ):
             self._assert_plain(getattr(portal, op)(*args), args, sensors)

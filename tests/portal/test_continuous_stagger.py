@@ -55,26 +55,30 @@ class TestPhaseOffsets:
         with pytest.raises(ValueError):
             manager.subscribe(QUERY, refresh_seconds=60.0, phase_seconds=-1.0)
 
-    def test_negative_stagger_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"phase_seconds": float("nan")},
+            {"phase_seconds": float("inf")},
+            {"refresh_seconds": float("nan")},
+        ],
+        ids=["phase-nan", "phase-inf", "refresh-nan"],
+    )
+    def test_never_due_schedule_rejected(self, kwargs):
+        """A NaN or infinite offset, or a NaN interval, would leave
+        ``due_at()`` never reached: rejected before it is stored."""
+        manager = ContinuousQueryManager(_build_portal())
         with pytest.raises(ValueError):
-            ContinuousQueryManager(_build_portal(), stagger_seconds=-5.0)
-
-    def test_stagger_assigns_distinct_spread_phases(self):
-        portal = _build_portal()
-        manager = ContinuousQueryManager(portal, stagger_seconds=30.0)
-        subs = [manager.subscribe(QUERY, refresh_seconds=60.0) for _ in range(8)]
-        phases = [s.phase_seconds for s in subs]
-        assert phases[0] == 0.0
-        assert len(set(phases)) == len(phases), "golden-ratio offsets collide"
-        assert all(0.0 <= p < 30.0 for p in phases)
+            manager.subscribe(QUERY, **{"refresh_seconds": 60.0, **kwargs})
+        assert manager.subscriptions() == []
 
     def test_staggered_subscriptions_fire_across_ticks(self):
         portal = _build_portal()
-        manager = ContinuousQueryManager(portal, stagger_seconds=30.0)
-        for _ in range(6):
-            manager.subscribe(QUERY, refresh_seconds=60.0)
-        first_tick = len(manager.tick())  # only phase-0 subscriptions
-        assert first_tick < 6
+        manager = ContinuousQueryManager(portal)
+        for i in range(6):
+            manager.subscribe(QUERY, refresh_seconds=60.0, phase_seconds=5.0 * i)
+        first_tick = len(manager.tick())  # only the phase-0 subscription
+        assert first_tick == 1
         ran = first_tick
         for _ in range(6):
             portal.clock.advance(5.0)
@@ -83,12 +87,6 @@ class TestPhaseOffsets:
         # After the window, each keeps its own cadence.
         portal.clock.advance(60.0)
         assert len(manager.tick()) == 6
-
-    def test_explicit_phase_overrides_stagger(self):
-        manager = ContinuousQueryManager(_build_portal(), stagger_seconds=30.0)
-        manager.subscribe(QUERY, refresh_seconds=60.0)  # auto phase 0
-        sub = manager.subscribe(QUERY, refresh_seconds=60.0, phase_seconds=3.5)
-        assert sub.phase_seconds == 3.5
 
 
 class TestDispatcherAbsorbsStaggeredOverlap:
@@ -146,9 +144,9 @@ class TestDispatcherAbsorbsStaggeredOverlap:
 
     def test_stagger_without_transport_still_correct(self):
         portal = _build_portal()
-        manager = ContinuousQueryManager(portal, stagger_seconds=20.0)
+        manager = ContinuousQueryManager(portal)
         a = manager.subscribe(QUERY, refresh_seconds=60.0)
-        b = manager.subscribe(QUERY, refresh_seconds=60.0)
+        b = manager.subscribe(QUERY, refresh_seconds=60.0, phase_seconds=12.0)
         total = len(manager.tick())
         for _ in range(5):
             portal.clock.advance(5.0)

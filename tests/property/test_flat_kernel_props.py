@@ -7,7 +7,9 @@ membership, and plan-cache hits that are indistinguishable from cold
 traversals.  Trees are expensive to build, so a small pool of
 differently shaped trees is built once and hypothesis draws the query
 regions.  ``TestTraversalOracle`` then compares whole scans against the
-pointer recursion in ``tests/core/reference_traversal.py``.
+pointer recursion in ``tests/core/reference_traversal.py``, and
+``TestExactQueryAccounting`` holds an executed exact query's terminals
+to the sensors in its region and to what it served and probed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from repro.core.flat import CONTAINED, DISJOINT, PARTIAL
 from repro.core.lookup import range_scan, region_overlap_fraction
 from repro.geometry import GeoPoint, Polygon, Rect
 
-from tests.conftest import make_registry, make_tree
+from tests.conftest import make_registry, make_tree, within
 from tests.core.reference_traversal import reference_range_scan
 
 EXTENT = 100.0
@@ -231,3 +234,135 @@ class TestTraversalOracle:
             assert (
                 got.stats.cached_nodes_accessed == want.stats.cached_nodes_accessed
             )
+
+
+# ----------------------------------------------------------------------
+# Exact-query accounting
+# ----------------------------------------------------------------------
+# A flaky fleet (a probe succeeds with probability 0.95) over small
+# nodes, so warm-ups leave holes in the leaves and aggregates.
+ACCOUNTING_REGISTRY = make_registry(n=300, extent=EXTENT, availability=0.95, seed=62)
+SMALL_NODES = dict(
+    fanout=4, leaf_capacity=8, max_expiry_seconds=600.0, slot_seconds=120.0
+)
+ACCOUNTING_CONFIGS = {
+    "colr": COLRTreeConfig(**SMALL_NODES),
+    "no_aggregates": COLRTreeConfig(**SMALL_NODES, aggregate_caching_enabled=False),
+    "plain_rtree": COLRTreeConfig(**SMALL_NODES).as_plain_rtree(),
+}
+_COORD = st.floats(0.0, EXTENT)
+_SIDE = st.floats(1.0, 1.5 * EXTENT)
+
+
+@st.composite
+def _overhanging_rects(draw) -> Rect:
+    x0, y0 = draw(_COORD), draw(_COORD)
+    return Rect(x0, y0, x0 + draw(_SIDE), y0 + draw(_SIDE))
+
+
+@st.composite
+def _convex_polygons(draw) -> Polygon:
+    """A convex polygon: points on a circle at distinct whole degrees."""
+    cx, cy = draw(_COORD), draw(_COORD)
+    radius = draw(st.floats(5.0, 80.0))
+    degrees = draw(st.lists(st.integers(0, 359), min_size=3, max_size=8, unique=True))
+    return Polygon(
+        [
+            GeoPoint(
+                cx + radius * math.cos(math.radians(d)),
+                cy + radius * math.sin(math.radians(d)),
+            )
+            for d in sorted(degrees)
+        ]
+    )
+
+
+_ACCOUNTING_REGIONS = st.one_of(_overhanging_rects(), _convex_polygons())
+_WINDOW = Rect(10, 10, 80, 80)
+
+
+def _assert_exact_query_accounts(tree, region, now, max_staleness):
+    """Execute the exact query and hold its terminals to the brute-force
+    in-region sensors and to what it served and probed.  Returns the
+    answer."""
+    answer = tree.query(region, now=now, max_staleness=max_staleness, sample_size=0)
+    stats, terminals = answer.stats, answer.terminals
+    in_region = {s.sensor_id for s in within(ACCOUNTING_REGISTRY, region)}
+
+    # The terminals partition the region's sensors, each answered.
+    assert sum(t.target for t in terminals) == len(in_region)
+    assert all(t.results == t.target for t in terminals)
+    # What the caches served plus what was probed is what the
+    # terminals answered; a terminal that used no cache only probed.
+    cached = len(answer.cached_readings) + sum(s.count for s in answer.cached_sketches)
+    assert cached + stats.sensors_probed == sum(t.results for t in terminals)
+    assert sum(t.results for t in terminals if not t.used_cache) <= stats.sensors_probed
+    assert stats.probe_successes == len(answer.probed_readings)
+    # No sensor is both served and probed, and none lies outside.
+    served = [r.sensor_id for r in answer.cached_readings]
+    probed = [r.sensor_id for r in answer.probed_readings]
+    assert len(set(served + probed)) == len(served) + len(probed)
+    assert set(served + probed) <= in_region
+    return answer
+
+
+class TestExactQueryAccounting:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.sampled_from(sorted(ACCOUNTING_CONFIGS)),
+        # Exact warm-ups: over the whole extent, then over the query's
+        # own region or another one.  One warm-up leaves probe failures
+        # as holes in the leaves and a second fills most of them:
+        # whole subtrees are then answered by aggregate termination.
+        extent_warmups=st.integers(0, 2),
+        warmups=st.lists(
+            st.one_of(st.just("region"), _ACCOUNTING_REGIONS), max_size=3
+        ),
+        # 1 s and 60 s: everything warmed is unexpired; 300 s: part of
+        # it has expired; 1,000 s: all of it has.
+        now=st.sampled_from([1.0, 60.0, 300.0, 1000.0]),
+        max_staleness=st.sampled_from([600.0, 60.0, math.inf]),
+        region=_ACCOUNTING_REGIONS,
+    )
+    def test_terminals_account_for_region(
+        self, config, extent_warmups, warmups, now, max_staleness, region
+    ):
+        tree = make_tree(ACCOUNTING_REGISTRY, ACCOUNTING_CONFIGS[config])
+        extent = Rect(0, 0, EXTENT, EXTENT)
+        for warm in [extent] * extent_warmups + warmups:
+            tree.query(
+                region if warm == "region" else warm,
+                now=0.0, max_staleness=600.0, sample_size=0,
+            )
+        _assert_exact_query_accounts(tree, region, now, max_staleness)
+
+    def test_aggregate_termination_accounts(self):
+        tree = make_tree(ACCOUNTING_REGISTRY, ACCOUNTING_CONFIGS["colr"])
+        for _ in range(2):
+            tree.query(
+                Rect(0, 0, EXTENT, EXTENT), now=0.0, max_staleness=600.0, sample_size=0
+            )
+        answer = _assert_exact_query_accounts(tree, _WINDOW, 1.0, 600.0)
+        assert answer.cached_sketches and answer.cached_readings
+
+
+class TestQueryArgumentChecks:
+    """Negated comparisons: NaN fails them and infinity passes."""
+
+    def test_nan_staleness_rejected(self):
+        tree = make_tree(ACCOUNTING_REGISTRY)
+        with pytest.raises(ValueError):
+            tree.query(_WINDOW, now=0.0, max_staleness=math.nan)
+
+    def test_negative_terminal_level_rejected(self):
+        tree = make_tree(ACCOUNTING_REGISTRY)
+        with pytest.raises(ValueError):
+            tree.query(
+                _WINDOW, now=0.0, max_staleness=600.0, sample_size=30,
+                terminal_level=-1,
+            )
+
+    def test_infinite_staleness_allowed(self):
+        tree = make_tree(ACCOUNTING_REGISTRY)
+        answer = _assert_exact_query_accounts(tree, _WINDOW, 0.0, math.inf)
+        assert answer.stats.sensors_probed == len(within(ACCOUNTING_REGISTRY, _WINDOW))

@@ -106,6 +106,26 @@ class TestMove:
         fed.revive_shard(2)
         Rebalancer(fed).verify_invariants()
 
+    def test_aborted_churn_leaves_the_registry_as_it_was(self):
+        """A join or leave refused by a killed shard registers and
+        withdraws nothing: the shard groups still partition the
+        registry, so a later leave may name any registered sensor."""
+        fed = make_uniform_fed()
+        mover = ShardMover(fed)
+        registered = sorted(s.sensor_id for s in fed.registry)
+        for i in range(4):
+            fed.kill_shard(i)
+        with pytest.raises(MigrationAborted):
+            mover.absorb_joins([JoinSpec(GeoPoint(5.0, 5.0), 600.0)])
+        with pytest.raises(MigrationAborted):
+            mover.absorb_leaves(registered[:3])
+        assert sorted(s.sensor_id for s in fed.registry) == registered
+        for i in range(4):
+            fed.revive_shard(i)
+        Rebalancer(fed).verify_invariants()
+        assert mover.absorb_leaves(registered[:3]) == registered[:3]
+        Rebalancer(fed).verify_invariants()
+
 
 class TestSplitMerge:
     def test_split_appends_dense_id_and_halves_population(self):

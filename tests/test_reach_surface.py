@@ -184,21 +184,8 @@ KEPT: dict[str, str] = {
     ),
     "repro/storage/engine.py:StorageEngine.sync": "(e) TRACE_POINTS",
     # (f) The base an open ROADMAP item builds on.
-    "repro/core/explain.py:explain_query": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:cache_coverage": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:_walk_sampled": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:_plan_terminal": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:QueryPlan.format": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/core/explain.py:QueryPlan.cache_coverage": (
-        "(f) EXPLAIN: ROADMAP item 4(a)"
-    ),
-    "repro/core/node.py:COLRNode.n_descendants": "(f) explain's per-node probe pool",
-    "repro/core/tree.py:COLRTree.explain": "(f) EXPLAIN: ROADMAP item 4(a)",
-    "repro/portal/portal.py:SensorMapPortal.explain": (
-        "(f) EXPLAIN: ROADMAP item 4(a)"
-    ),
     "repro/federation/federated.py:FederatedPortal.explain": (
-        "(f) EXPLAIN: ROADMAP item 4(a)"
+        "(f) EXPLAIN, the federation's Plan: ROADMAP item 4(a)"
     ),
 }
 
